@@ -6,12 +6,12 @@ from .basis import RegressorBasis, eval_grad, make_basis, quad_basis
 from .errors import ConfigurationError, NotReady, NumericFault, OracleFailure
 from .learner import (CriticState, LearnerConfig, ReinforcementBuffer,
                       baseline_update_step, delta_theta, hjb_error, indicator,
-                      m_integral, m_vector, reinforcement_integral, sigma_rate,
-                      update_step)
-from .models import (AffinePlant, AugmentedDynamics, AugmentedState,
-                     ReferenceModel, augment, eval_augmented)
+                      m_integral, m_vector_raw, reinforcement_integral,
+                      sigma_rate, update_step)
+from .models import (AffinePlant, AugmentedDynamics, ReferenceModel, augment,
+                     eval_augmented)
 from .policy import (SaturationSpec, penalty_closed, penalty_integral,
-                     policy_eval, tau2)
+                     policy_eval, tau2_raw)
 from .sim import (DitherSpec, SimConfig, Telemetry, dither, rk4_step,
                   run_experiment)
 
@@ -21,10 +21,11 @@ __all__ = [
     "ConfigurationError", "NotReady", "NumericFault", "OracleFailure",
     "CriticState", "LearnerConfig", "ReinforcementBuffer",
     "baseline_update_step", "delta_theta", "hjb_error", "indicator",
-    "m_integral", "m_vector", "reinforcement_integral", "sigma_rate",
+    "m_integral", "m_vector_raw", "reinforcement_integral", "sigma_rate",
     "update_step",
-    "AffinePlant", "AugmentedDynamics", "AugmentedState", "ReferenceModel",
-    "augment", "eval_augmented",
-    "SaturationSpec", "penalty_closed", "penalty_integral", "policy_eval", "tau2",
+    "AffinePlant", "AugmentedDynamics", "ReferenceModel", "augment",
+    "eval_augmented",
+    "SaturationSpec", "penalty_closed", "penalty_integral", "policy_eval",
+    "tau2_raw",
     "DitherSpec", "SimConfig", "Telemetry", "dither", "rk4_step", "run_experiment",
 ]

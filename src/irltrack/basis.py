@@ -77,25 +77,6 @@ def fd_gradient(basis: RegressorBasis, z: np.ndarray, h: float = 1e-5) -> np.nda
     return out
 
 
-def validate_gradient(basis: RegressorBasis, n_points: int = 20, rtol: float = 1e-6,
-                      scale: float = 2.0, seed: int = 0):
-    """Check a basis' analytic gradient against finite differences.
-
-    Used when loading a custom basis; raises ConfigurationError on mismatch.
-    """
-    rng = np.random.default_rng(seed)
-    for _ in range(n_points):
-        z = rng.uniform(-scale, scale, basis.dim_in)
-        an = basis.grad(z)
-        fd = fd_gradient(basis, z)
-        err = np.max(np.abs(fd - an)) / (1e-9 + np.max(np.abs(an)))
-        if err > rtol:
-            raise ConfigurationError(
-                f"basis {basis.name!r}: analytic gradient disagrees with finite "
-                f"differences (relative error {err:.3e} > {rtol:.1e})")
-    return basis
-
-
 _BASES = {"quad": quad_basis}
 
 

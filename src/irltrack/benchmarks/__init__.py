@@ -1,12 +1,10 @@
-from .linear import (LinearBenchmark, discounted_riccati, ideal_weights,
-                     linear_tracking_setup)
+from .linear import discounted_riccati, ideal_weights
 from .uav import (AirframeParams, OuterLoopGains, SetpointSchedule, TrimPoint,
                   UavAttitudeEnv, load_airframe, outer_loop, trim_level_flight,
                   uav_dynamics)
 
 __all__ = [
-    "LinearBenchmark", "discounted_riccati", "ideal_weights",
-    "linear_tracking_setup", "AirframeParams", "OuterLoopGains",
+    "discounted_riccati", "ideal_weights", "AirframeParams", "OuterLoopGains",
     "SetpointSchedule", "TrimPoint", "UavAttitudeEnv", "load_airframe",
     "outer_loop", "trim_level_flight", "uav_dynamics",
 ]

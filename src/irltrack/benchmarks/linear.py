@@ -1,9 +1,9 @@
 """Linear tracking benchmark with a ground-truth discounted Riccati value.
 
 For linear plant/reference pairs the stacked system is ``zdot = A z + B u``
-and, while the actuator bound is inactive, the optimal value is the
-quadratic ``z^T P z`` with P solving the discounted algebraic Riccati
-equation
+(an environment's ``linear_pair()``, from `models.augmented_linear`) and,
+while the actuator bound is inactive, the optimal value is the quadratic
+``z^T P z`` with P solving the discounted algebraic Riccati equation
 
     (A - (gamma/2) I)^T P + P (A - (gamma/2) I) - P B R^-1 B^T P + Q1 = 0.
 
@@ -12,35 +12,11 @@ which gives the learner an exact target to converge to.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+from scipy.linalg import solve_continuous_are
 
 from ..basis import RegressorBasis
 from ..errors import ConfigurationError, OracleFailure
-from ..models import AffinePlant, ReferenceModel
-
-
-@dataclass(frozen=True)
-class LinearBenchmark:
-    """Stacked linear dynamics assembled from a linear plant and reference."""
-
-    A: np.ndarray
-    B: np.ndarray
-
-
-def augmented_linear(A_p: np.ndarray, B_p: np.ndarray, H_A: np.ndarray) -> LinearBenchmark:
-    """Stack plant ``xdot = A_p x + B_p u`` with reference ``xd_dot = H_A xd``."""
-    A_p, B_p, H_A = (np.asarray(M, dtype=float) for M in (A_p, B_p, H_A))
-    n = A_p.shape[0]
-    m = B_p.shape[1]
-    A = np.zeros((2 * n, 2 * n))
-    A[:n, :n] = A_p
-    A[:n, n:] = A_p - H_A
-    A[n:, n:] = H_A
-    B = np.zeros((2 * n, m))
-    B[:n, :] = B_p
-    return LinearBenchmark(A=A, B=B)
 
 
 def riccati_residual(P, A, B, Q1, R, gamma):
@@ -48,44 +24,24 @@ def riccati_residual(P, A, B, Q1, R, gamma):
     return As.T @ P + P @ As - P @ B @ np.linalg.solve(R, B.T @ P) + Q1
 
 
-def discounted_riccati(A, B, Q1, R, gamma, max_time: float = 2000.0,
-                       tol: float = 1e-11) -> np.ndarray:
-    """Steady state of the differential Riccati equation for the shifted pair.
+def discounted_riccati(A, B, Q1, R, gamma) -> np.ndarray:
+    """Stabilizing solution P of the discounted algebraic Riccati equation.
 
-    Integrates dP/ds = As^T P + P As - P B R^-1 B^T P + Q1 with RK4 from
-    P = 0 until the drift stalls, then verifies the algebraic residual.
-    Raises OracleFailure if the residual does not reach 1e-9.
+    Solves the standard equation of the shifted pair (A - (gamma/2) I, B)
+    with `scipy.linalg.solve_continuous_are`, then verifies the residual.
+    Raises OracleFailure if the solver fails (for example on a pair that
+    is not stabilizable) or the residual does not reach 1e-9.
     """
     A, B, Q1, R = (np.asarray(M, dtype=float) for M in (A, B, Q1, R))
-    n = A.shape[0]
-    As = A - 0.5 * gamma * np.eye(n)
-    Rinv_BT = np.linalg.solve(R, B.T)
-
-    def drift(P):
-        return As.T @ P + P @ As - P @ (B @ (Rinv_BT @ P)) + Q1
-
-    # step sized against the shifted dynamics; small enough for the quadratic term
-    scale = max(1.0, np.linalg.norm(As, 2), np.linalg.norm(Q1, 2))
-    h = 0.05 / scale
-    P = np.zeros((n, n))
-    t = 0.0
-    while t < max_time:
-        k1 = drift(P)
-        k2 = drift(P + 0.5 * h * k1)
-        k3 = drift(P + 0.5 * h * k2)
-        k4 = drift(P + h * k3)
-        P = P + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        P = 0.5 * (P + P.T)
-        t += h
-        if not np.all(np.isfinite(P)):
-            raise OracleFailure("Riccati integration diverged; shifted pair "
-                                "is likely not stabilizable")
-        if np.linalg.norm(k1, "fro") < tol:
-            break
+    As = A - 0.5 * gamma * np.eye(A.shape[0])
+    try:
+        P = solve_continuous_are(As, B, Q1, R)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise OracleFailure(f"Riccati solver failed on the shifted pair: {exc}") \
+            from exc
     res = np.linalg.norm(riccati_residual(P, A, B, Q1, R, gamma), "fro")
-    if res > 1e-9:
-        raise OracleFailure(f"Riccati residual {res:.3e} > 1e-9 after {t:.1f}s of "
-                            "backward integration")
+    if not res <= 1e-9:
+        raise OracleFailure(f"Riccati residual {res:.3e} > 1e-9")
     return P
 
 
@@ -112,20 +68,3 @@ def ideal_weights(P: np.ndarray, basis: RegressorBasis) -> np.ndarray:
             k += 1
     return W
 
-
-def linear_tracking_setup(omega: float = 0.5, x0=(3.0, 1.0), xd0=(1.0, 0.0)):
-    """Bundled 2-state benchmark: plant dynamics matched to a rotating reference.
-
-    With the plant drift equal to the reference field, holding e = 0 costs
-    nothing, so the oracle P is supported entirely on the error block and
-    every nonzero ideal weight lies in a direction the dither can excite.
-    """
-    A_p = np.array([[0.0, omega], [-omega, 0.0]])
-    B_p = np.array([[0.0], [1.0]])
-    H_A = A_p.copy()
-    plant = AffinePlant(n=2, m=1, f=lambda x: A_p @ x, g=lambda x: B_p.copy(),
-                        name="linear_osc").validate()
-    ref = ReferenceModel(H=lambda xd: H_A @ xd, x_d0=np.array(xd0, dtype=float),
-                         name="harmonic").validate()
-    bench = augmented_linear(A_p, B_p, H_A)
-    return plant, ref, bench, np.array(x0, dtype=float)

@@ -23,6 +23,7 @@ from importlib import resources
 import numpy as np
 from scipy.optimize import root
 
+from ..catalog import parse_floats
 from ..errors import ConfigurationError, NumericFault, OracleFailure
 from ..models import AugmentedDynamics
 from ..sim import Telemetry, rk4_step
@@ -357,6 +358,8 @@ class UavAttitudeEnv:
     """
 
     control_names = ("elevator", "aileron", "rudder")
+    m = 3
+    dim_z = 6
 
     def __init__(self, params: AirframeParams, trim: TrimPoint,
                  schedule: SetpointSchedule, gains: OuterLoopGains = OuterLoopGains(),
@@ -368,10 +371,6 @@ class UavAttitudeEnv:
         self.state = trim.initial_state(altitude)
         self._t = 0.0
         self.dyn = AugmentedDynamics(n=3, m=3, G=self._coupling, F=None)
-
-    @property
-    def m(self):
-        return 3
 
     @property
     def x(self):
@@ -411,3 +410,53 @@ class UavAttitudeEnv:
             if abs(alpha) > self.params.stall_alpha:
                 telemetry.warn(f"stall regime: |alpha|={abs(alpha):.3f} rad "
                                f"near t={t:.2f}")
+
+    def series(self, telemetry: Telemetry) -> dict:
+        """Rate errors, and each Euler angle against its setpoint, in degrees."""
+        z, x = telemetry.columns("z"), telemetry.columns("x")
+        deg = 180.0 / math.pi
+        des = np.array([self.schedule.attitude_des(ti) for ti in telemetry.t]) * deg
+        panels = {f"rate_err_{i}": z[:, i] for i in range(3)}
+        for j, name in enumerate(("phi", "theta", "psi")):
+            panels[f"att_{name}_deg"] = x[:, PHI + j] * deg
+            panels[f"att_{name}_des_deg"] = des[:, j]
+        return panels
+
+    def linear_pair(self):
+        return None
+
+
+def parse_schedule(text: str) -> SetpointSchedule:
+    """'0: -30 0 -10; 7: 30 0 10' (degrees) -> schedule in radians."""
+    entries = []
+    for chunk in filter(None, (c.strip() for c in text.split(";"))):
+        when, _, angles = chunk.partition(":")
+        vals = parse_floats(angles)
+        if len(vals) != 3:
+            raise ConfigurationError(
+                f"reference.setpoints_deg: need 3 angles per entry, got {chunk!r}")
+        entries.append((float(when), tuple(vals * (math.pi / 180.0))))
+    if not entries:
+        raise ConfigurationError("reference.setpoints_deg: no entries")
+    return SetpointSchedule(entries=tuple(entries))
+
+
+def make_uav_env(plant_params: dict, reference_params: dict) -> UavAttitudeEnv:
+    """Aerosonde environment from the config's [plant] and [reference] keys."""
+    pr = load_airframe(plant_params.get("airframe"))
+    trim = trim_level_flight(pr, va=float(plant_params.get("va_m_s", 18.0)))
+    schedule = parse_schedule(reference_params.get(
+        "setpoints_deg", "0: -30 0 -10; 7: 30 0 10; 11: 0 0 10"))
+    gains = OuterLoopGains(*parse_floats(reference_params.get("gains", "8 10 12")))
+    env = UavAttitudeEnv(pr, trim, schedule, gains=gains,
+                         altitude=float(plant_params.get("altitude_m", 100.0)))
+    start = reference_params.get("initial_attitude", "setpoint").strip()
+    if start == "setpoint":
+        att0 = schedule.attitude_des(0.0)
+        env.state[PHI], env.state[PSI] = att0[0], att0[2]
+        env.state[THETA] = trim.alpha
+    elif start != "level":  # the trim state is already wings-level
+        raise ConfigurationError(
+            f"reference.initial_attitude: expected 'setpoint' or 'level', "
+            f"got {start!r}")
+    return env

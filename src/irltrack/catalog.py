@@ -1,8 +1,11 @@
-"""Named registries for plants and references used by experiment configs.
+"""Named registries of plants, references and environments, and `make_env`,
+the one place an experiment's environment is built.
 
-Entries are builder callables taking the config section's extra keys (a
-plain dict of floats/strings) and returning a validated object.  Tests and
-downstream users may register additional entries.
+Builders take the config section's extra keys (a plain dict of strings).
+`make_env` pairs a registered plant with a registered reference in an
+`AugmentedTrackingEnv`; an environment entry instead builds, for its one
+plant/reference pair, an object with its own physics and the same
+`sim.TrackingEnv` protocol.  Tests and downstream users may register more.
 """
 from __future__ import annotations
 
@@ -10,9 +13,11 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .models import AffinePlant, ReferenceModel
+from .sim import AugmentedTrackingEnv
 
 _PLANTS: dict = {}
 _REFERENCES: dict = {}
+_ENVS: dict = {}   # plant id -> (the reference id it requires, builder)
 
 
 def register_plant(name: str):
@@ -29,30 +34,72 @@ def register_reference(name: str):
     return deco
 
 
-def make_plant(name: str, params: dict | None = None) -> AffinePlant:
-    try:
-        builder = _PLANTS[name]
-    except KeyError:
+def register_env(plant: str, reference: str):
+    """Register a self-contained environment for the pair (plant, reference)."""
+    def deco(builder):
+        _ENVS[plant] = (reference, builder)
+        return builder
+    return deco
+
+
+def _build(registry: dict, kind: str, name: str, params: dict | None):
+    if name not in registry:
         raise ConfigurationError(
-            f"unknown plant {name!r}; available: {sorted(_PLANTS)}") from None
-    return builder(params or {})
+            f"unknown {kind} {name!r}; available: {sorted(registry)}")
+    return registry[name](params or {})
+
+
+def make_plant(name: str, params: dict | None = None) -> AffinePlant:
+    return _build(_PLANTS, "plant", name, params)
 
 
 def make_reference(name: str, params: dict | None = None) -> ReferenceModel:
-    try:
-        builder = _REFERENCES[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown reference {name!r}; available: {sorted(_REFERENCES)}") from None
-    return builder(params or {})
+    return _build(_REFERENCES, "reference", name, params)
+
+
+def make_env(plant_id: str, reference_id: str, plant_params: dict | None = None,
+             reference_params: dict | None = None):
+    """Build the tracking environment of an experiment's plant/reference pair."""
+    errs = pair_errors(plant_id, reference_id)
+    if errs:
+        raise ConfigurationError("; ".join(errs))
+    if plant_id in _ENVS:
+        return _ENVS[plant_id][1](plant_params or {}, reference_params or {})
+    x0 = (plant_params or {}).get("x0")
+    return AugmentedTrackingEnv(make_plant(plant_id, plant_params),
+                                make_reference(reference_id, reference_params),
+                                x0=None if x0 is None else parse_floats(x0))
 
 
 def plant_names():
-    return sorted(_PLANTS)
+    return sorted([*_PLANTS, *_ENVS])
 
 
 def reference_names():
     return sorted(_REFERENCES)
+
+
+def pair_errors(plant_id: str, reference_id: str) -> list[str]:
+    """Problems with a plant/reference pair, as 'experiment.key: problem'."""
+    if plant_id in _ENVS:
+        required = _ENVS[plant_id][0]
+        if reference_id == required:
+            return []
+        return [f"experiment.reference: the {plant_id} plant requires the "
+                f"{required!r} reference"]
+    errs = []
+    if plant_id not in _PLANTS:
+        errs.append(f"experiment.plant: unknown id {plant_id!r}; "
+                    f"known: {plant_names()}")
+    if reference_id not in _REFERENCES:
+        errs.append(f"experiment.reference: unknown id {reference_id!r}; "
+                    f"known: {reference_names()}")
+    return errs
+
+
+def parse_floats(text: str) -> np.ndarray:
+    """'1.0 2.0' or '1.0, 2.0' -> array([1.0, 2.0])."""
+    return np.array([float(tok) for tok in text.replace(",", " ").split()])
 
 
 @register_plant("linear_osc")
@@ -62,7 +109,7 @@ def _linear_osc(params):
     A = np.array([[0.0, omega], [-omega, 0.0]])
     B = np.array([[0.0], [gain]])
     return AffinePlant(n=2, m=1, f=lambda x: A @ x, g=lambda x: B.copy(),
-                       name="linear_osc").validate()
+                       name="linear_osc", linear=(A, B)).validate()
 
 
 @register_plant("zero")
@@ -92,7 +139,13 @@ def _harmonic_ref(params):
     omega = float(params.get("omega", 0.5))
     x0 = params.get("x_d0", (1.0, 0.0))
     if isinstance(x0, str):
-        x0 = [float(tok) for tok in x0.replace(",", " ").split()]
+        x0 = parse_floats(x0)
     H = np.array([[0.0, omega], [-omega, 0.0]])
     return ReferenceModel(H=lambda xd: H @ xd, x_d0=np.asarray(x0, dtype=float),
-                          name="harmonic").validate()
+                          name="harmonic", linear=H).validate()
+
+
+@register_env("aerosonde", reference="attitude_schedule")
+def _aerosonde(plant_params, reference_params):
+    from .benchmarks.uav import make_uav_env
+    return make_uav_env(plant_params, reference_params)

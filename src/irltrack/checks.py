@@ -6,11 +6,11 @@ import math
 
 import numpy as np
 
+from . import catalog
 from .basis import fd_gradient, quad_basis
-from .benchmarks.linear import (augmented_linear, discounted_riccati,
-                                ideal_weights, riccati_residual)
+from .benchmarks.linear import discounted_riccati, ideal_weights, riccati_residual
 from .errors import OracleFailure
-from .models import AffinePlant, ReferenceModel, augment
+from .models import augment
 from .policy import SaturationSpec, penalty_closed, penalty_integral
 from .sim import rollout_augmented
 
@@ -49,14 +49,8 @@ def check_window_identity(gamma: float = 0.1, T: float = 1e-2, dt: float = 1e-4,
                           n_windows: int = 20):
     """exp(-gamma T) theta_t - theta_{t-T} vs the windowed quadrature of
     exp(-gamma (tau-t+T)) (grad_theta (F+Gu) - gamma theta)."""
-    omega = 1.0
-    A = np.array([[0.0, omega], [-omega, 0.0]])
-    B = np.array([[0.0], [1.0]])
-    plant = AffinePlant(n=2, m=1, f=lambda x: A @ x, g=lambda x: B.copy(),
-                        name="osc").validate()
-    ref = ReferenceModel(H=lambda xd: A @ xd, x_d0=np.array([1.0, 0.0]),
-                         name="rot").validate()
-    dyn = augment(plant, ref)
+    dyn = augment(catalog.make_plant("linear_osc", {"omega": 1.0}),
+                  catalog.make_reference("harmonic", {"omega": 1.0}))
     basis = quad_basis(4)
     z0 = np.array([1.5, -0.5, 1.0, 0.0])
     ts, zs, us = rollout_augmented(dyn, z0, lambda t: 0.5 * math.sin(2.0 * t),
@@ -95,17 +89,16 @@ def check_discounted_quadrature(gamma: float = 0.1, c: float = 3.7,
 
 
 def check_riccati_residual():
-    """Backward-integrated steady-state P substituted into the algebraic eq."""
-    A_p = np.array([[0.0, 6.0], [-6.0, 0.0]])
-    B_p = np.array([[0.0], [1.0]])
-    bench = augmented_linear(A_p, B_p, A_p)
+    """Oracle P of the bundled linear pair substituted into the algebraic eq."""
+    A, B = catalog.make_env("linear_osc", "harmonic", {"omega": 6.0},
+                            {"omega": 6.0}).linear_pair()
     Q1 = np.diag([1.0, 1.0, 0.0, 0.0])
     R = np.array([[10.0]])
     try:
-        P = discounted_riccati(bench.A, bench.B, Q1, R, 0.1)
+        P = discounted_riccati(A, B, Q1, R, 0.1)
     except OracleFailure as exc:
         return ("Riccati oracle residual", False, str(exc))
-    res = np.linalg.norm(riccati_residual(P, bench.A, bench.B, Q1, R, 0.1), "fro")
+    res = np.linalg.norm(riccati_residual(P, A, B, Q1, R, 0.1), "fro")
     return ("Riccati oracle residual", res <= 1e-9,
             f"Frobenius residual {res:.2e} (tol 1e-9)")
 

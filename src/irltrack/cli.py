@@ -8,10 +8,8 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import os
 import sys
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
@@ -19,7 +17,8 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .benchmarks.linear import augmented_linear, discounted_riccati, ideal_weights
+from .basis import quad_basis
+from .benchmarks.linear import discounted_riccati, ideal_weights
 from .config import apply_overrides, parse_config, resolve, validate_config
 from .errors import ConfigurationError, NumericFault, OracleFailure
 from .sim import Telemetry, run_env_experiment
@@ -56,27 +55,19 @@ print("wrote PNGs next to the .dat files")
 
 
 def resolve_config_path(arg: str) -> str:
-    """Filesystem path, or the name of a bundled config."""
+    """Filesystem path, or the name of a bundled config (its installed path)."""
     if os.path.exists(arg):
         return arg
     name = arg[:-4] if arg.endswith(".ini") else arg
     pkg_file = resources.files("irltrack.configs").joinpath(f"{name}.ini")
     if pkg_file.is_file():
-        tmp = tempfile.NamedTemporaryFile(
-            mode="w", suffix=".ini", prefix=f"irltrack_{name}_", delete=False)
-        tmp.write(pkg_file.read_text())
-        tmp.close()
-        return tmp.name
+        return str(pkg_file)
     raise ConfigurationError(
         f"config {arg!r} is neither a file nor a bundled config name")
 
 
 def cmd_validate(args) -> int:
-    try:
-        path = resolve_config_path(args.config)
-    except ConfigurationError as exc:
-        print(f"error: {exc}")
-        return EXIT_CONFIG
+    path = resolve_config_path(args.config)
     cfg, errors = parse_config(path)
     if cfg is not None:
         errors += validate_config(cfg)
@@ -123,13 +114,13 @@ def _write_series(out_dir, cfg, env, telemetry: Telemetry):
     def emit(name, ys):
         with open(os.path.join(series, name + ".dat"), "w", encoding="utf-8") as fh:
             for ti, yi in zip(t, ys):
-                fh.write(f"{ti!r} {float(yi)!r}\n")
+                fh.write(f"{float(ti)!r} {float(yi)!r}\n")
 
-    z = telemetry.columns("z")
-    n_half = z.shape[1] // 2
-    for i in range(n_half):
-        emit(f"rate_err_{i}" if cfg.plant_id == "aerosonde" else f"track_err_{i}",
-             z[:, i])
+    for name, ys in env.series(telemetry).items():
+        emit(name, ys)
+    x = telemetry.columns("x")
+    for i in range(x.shape[1]):
+        emit(f"state_{i:02d}", x[:, i])
     u = telemetry.columns("u_")
     for j, name in enumerate(env.control_names):
         emit(f"ctrl_{name}", u[:, j])
@@ -139,49 +130,19 @@ def _write_series(out_dir, cfg, env, telemetry: Telemetry):
     emit("value", telemetry.column("V_hat"))
     emit("hjb_error", telemetry.column("e_hat"))
 
-    if cfg.plant_id == "aerosonde":
-        from .benchmarks.uav import PHI, THETA, PSI
-        x = telemetry.columns("x")
-        deg = 180.0 / math.pi
-        for name, idx in (("phi", PHI), ("theta", THETA), ("psi", PSI)):
-            emit(f"att_{name}_deg", x[:, idx] * deg)
-            des = np.array([env.schedule.attitude_des(ti)[("phi", "theta",
-                                                           "psi").index(name)]
-                            for ti in t]) * deg
-            emit(f"att_{name}_des_deg", des)
-        for i in range(x.shape[1]):
-            emit(f"state_{i:02d}", x[:, i])
-    else:
-        x = telemetry.columns("x")
-        for i in range(x.shape[1]):
-            emit(f"state_{i:02d}", x[:, i])
-        W_star = _oracle_weights(cfg)
-        if W_star is not None:
-            err = np.linalg.norm(W - W_star, axis=1) / np.linalg.norm(W_star)
-            emit("weight_error_vs_oracle", err)
+    pair = env.linear_pair()
+    if pair is not None:
+        try:
+            P = discounted_riccati(*pair, np.diag(cfg.q1_diag),
+                                   np.diag(cfg.r_diag), cfg.gamma)
+            W_star = ideal_weights(P, quad_basis(len(P)))
+            emit("weight_error_vs_oracle",
+                 np.linalg.norm(W - W_star, axis=1) / np.linalg.norm(W_star))
+        except OracleFailure:
+            pass  # no ground truth for this pair, so no error series
 
     with open(os.path.join(out_dir, "plot_series.py"), "w", encoding="utf-8") as fh:
         fh.write(_PLOT_STUB)
-
-
-def _oracle_weights(cfg):
-    """Riccati ground-truth weights when the config is a linear pair."""
-    if cfg.plant_id != "linear_osc" or cfg.reference_id != "harmonic":
-        return None
-    from .basis import quad_basis
-    omega = float(cfg.plant_params.get("omega", 0.5))
-    gain = float(cfg.plant_params.get("gain", 1.0))
-    om_ref = float(cfg.reference_params.get("omega", 0.5))
-    A_p = np.array([[0.0, omega], [-omega, 0.0]])
-    H_A = np.array([[0.0, om_ref], [-om_ref, 0.0]])
-    B_p = np.array([[0.0], [gain]])
-    bench = augmented_linear(A_p, B_p, H_A)
-    try:
-        P = discounted_riccati(bench.A, bench.B, np.diag(cfg.q1_diag),
-                               np.diag(cfg.r_diag), cfg.gamma)
-    except OracleFailure:
-        return None
-    return ideal_weights(P, quad_basis(4))
 
 
 def run_one(config_path: str, overrides=(), out_dir: str = "runs/run",
@@ -232,11 +193,7 @@ def run_one(config_path: str, overrides=(), out_dir: str = "runs/run",
 
 
 def cmd_run(args) -> int:
-    try:
-        path = resolve_config_path(args.config)
-    except ConfigurationError as exc:
-        print(f"error: {exc}")
-        return EXIT_CONFIG
+    path = resolve_config_path(args.config)
     code, telemetry, cfg = run_one(path, overrides=args.override,
                                    out_dir=args.out, law=args.law)
     if code == EXIT_OK:
@@ -273,7 +230,7 @@ def _sweep_worker(task):
     config_path, overrides, out_dir, run_name = task
     t0 = time.perf_counter()
     row = {"run": run_name}
-    row.update({ov.split("=")[0]: ov.split("=")[1] for ov in overrides})
+    row.update(ov.partition("=")[::2] for ov in overrides)
     try:
         code, telemetry, cfg = run_one(config_path, overrides=overrides,
                                        out_dir=out_dir)
@@ -301,11 +258,7 @@ def _sweep_worker(task):
 
 
 def cmd_sweep(args) -> int:
-    try:
-        path = resolve_config_path(args.config)
-    except ConfigurationError as exc:
-        print(f"error: {exc}")
-        return EXIT_CONFIG
+    path = resolve_config_path(args.config)
     axes = []
     for spec_arg in args.grid:
         key, _, values = spec_arg.partition("=")
@@ -378,7 +331,11 @@ def main(argv=None) -> int:
     p_swp.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigurationError as exc:
+        print(f"error: {exc}")
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

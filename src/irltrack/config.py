@@ -1,10 +1,14 @@
 """Experiment configuration: INI parsing, validation, and resolution.
 
 Configs are plain INI with explicit unit suffixes (`*_deg`, `*_s`); degrees
-are converted to radians at the parse boundary.  `validate_config` returns
-a list of "section.key: problem" strings; `resolve` builds the runtime
-objects (environment, basis, saturation, learner, sim, dither) against the
-plant/reference catalogs.
+are converted to radians at the parse boundary.  `parse_config` and
+`validate_config` return lists of "section.key: problem" strings; a missing
+required number is reported once and then carried as NaN, so validation
+never trips over it.  `resolve` builds the runtime objects: the environment,
+through the single `catalog.make_env` lookup on the [experiment] plant and
+reference ids with the [plant] and [reference] sections as builder keys,
+then the basis, saturation, learner, sim and dither settings.  Nothing here
+knows any particular plant.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from .basis import make_basis, quad_feature_count
 from .errors import ConfigurationError
 from .learner import LearnerConfig
 from .policy import SaturationSpec
-from .sim import AugmentedTrackingEnv, DitherSpec, SimConfig
+from .sim import DitherSpec, SimConfig
 
 _DEG = math.pi / 180.0
 
@@ -53,13 +57,8 @@ class ExperimentConfig:
     dt: float
     t_end: float
     record_every: int
-    seed: int
     dither_amplitude: float
     raw: dict = field(default_factory=dict)
-
-
-def _floats(text: str) -> np.ndarray:
-    return np.array([float(tok) for tok in text.replace(",", " ").split()])
 
 
 def parse_config(path) -> tuple[ExperimentConfig | None, list[str]]:
@@ -79,27 +78,35 @@ def parse_config(path) -> tuple[ExperimentConfig | None, list[str]]:
             errors.append(f"{sec}: unknown section")
 
     def need(section, key, cast=float, default=None, deg_key=None):
-        """Fetch section.key, or its *_deg twin scaled to radians."""
+        """Fetch section.key, or its *_deg twin scaled to radians.
+
+        `default=None` makes the key required: NaN stands in when it is
+        missing or malformed, after the error is recorded.
+        """
+        fallback = math.nan if default is None else default
+        if deg_key and cp.has_option(section, key) and \
+                cp.has_option(section, deg_key):
+            errors.append(f"{section}.{deg_key}: conflicts with {section}.{key}; "
+                          "give only one of them")
+            return fallback
         if cp.has_option(section, key):
             try:
                 return cast(cp.get(section, key))
             except ValueError as exc:
                 errors.append(f"{section}.{key}: {exc}")
-                return default
+                return fallback
         if deg_key and cp.has_option(section, deg_key):
             try:
                 return cast(cp.get(section, deg_key)) * _DEG
             except ValueError as exc:
                 errors.append(f"{section}.{deg_key}: {exc}")
-                return default
+                return fallback
         if default is None:
             errors.append(f"{section}.{key}: missing required key")
-        return default
+        return fallback
 
-    def section_params(section, skip=()):
-        if not cp.has_section(section):
-            return {}
-        return {k: v for k, v in cp.items(section) if k not in skip}
+    def section_params(section):
+        return dict(cp.items(section)) if cp.has_section(section) else {}
 
     name = cp.get("experiment", "name", fallback="run")
     plant_id = need("experiment", "plant", cast=str, default="")
@@ -108,47 +115,37 @@ def parse_config(path) -> tuple[ExperimentConfig | None, list[str]]:
     law = cp.get("experiment", "law", fallback="novel").strip()
 
     u_m = need("saturation", "u_m", deg_key="u_m_deg")
-    r_text = cp.get("saturation", "r_diag", fallback="1")
-    try:
-        r_diag = _floats(r_text)
-    except ValueError as exc:
-        errors.append(f"saturation.r_diag: {exc}")
-        r_diag = np.array([1.0])
+    r_diag = need("saturation", "r_diag", cast=catalog.parse_floats,
+                  default=np.array([1.0]))
 
     alpha = need("learner", "alpha")
     gamma = need("learner", "gamma")
     T = need("learner", "t_window_s")
-    q2 = cp.getfloat("learner", "q2", fallback=0.1)
-    k2 = cp.getfloat("learner", "k2", fallback=0.01)
-    k1_gain = cp.getfloat("learner", "k1_gain", fallback=0.01)
-    k2_gain = cp.getfloat("learner", "k2_gain", fallback=0.01)
-    try:
-        q1_diag = _floats(cp.get("learner", "q1_diag", fallback="1"))
-    except ValueError as exc:
-        errors.append(f"learner.q1_diag: {exc}")
-        q1_diag = np.array([1.0])
+    q2 = need("learner", "q2", default=0.1)
+    k2 = need("learner", "k2", default=0.01)
+    k1_gain = need("learner", "k1_gain", default=0.01)
+    k2_gain = need("learner", "k2_gain", default=0.01)
+    q1_diag = need("learner", "q1_diag", cast=catalog.parse_floats,
+                   default=np.array([1.0]))
     stabilizer = cp.getboolean("learner", "stabilizer", fallback=True)
     m_term = cp.getboolean("learner", "m_term", fallback=True)
 
     dt = need("sim", "dt_s")
     t_end = need("sim", "t_end_s")
-    record_every = cp.getint("sim", "record_every", fallback=1)
-    seed = cp.getint("sim", "seed", fallback=0)
+    record_every = need("sim", "record_every", cast=int, default=1)
 
-    amp = 0.0
-    if cp.has_section("dither"):
-        amp = need("dither", "amplitude", default=0.0, deg_key="amplitude_deg")
+    amp = need("dither", "amplitude", default=0.0, deg_key="amplitude_deg")
 
     cfg = ExperimentConfig(
-        name=name, plant_id=plant_id or "", reference_id=reference_id or "",
+        name=name, plant_id=plant_id, reference_id=reference_id,
         basis_id=basis_id, law=law,
         plant_params=section_params("plant"),
         reference_params=section_params("reference"),
-        u_m=u_m or 0.0, r_diag=r_diag, alpha=alpha or 0.0, gamma=gamma or 0.0,
-        T=T or 1e-3, q2=q2, k2=k2, k1_gain=k1_gain, k2_gain=k2_gain,
+        u_m=u_m, r_diag=r_diag, alpha=alpha, gamma=gamma,
+        T=T, q2=q2, k2=k2, k1_gain=k1_gain, k2_gain=k2_gain,
         q1_diag=q1_diag, stabilizer=stabilizer, m_term=m_term,
-        dt=dt or 1e-3, t_end=t_end or 1.0, record_every=record_every, seed=seed,
-        dither_amplitude=amp or 0.0,
+        dt=dt, t_end=t_end, record_every=record_every,
+        dither_amplitude=amp,
         raw={s: dict(cp.items(s)) for s in cp.sections()})
     return cfg, errors
 
@@ -184,38 +181,10 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     if cfg.dither_amplitude < 0:
         errs.append("dither.amplitude: must be >= 0")
 
-    if cfg.plant_id == "aerosonde":
-        if cfg.reference_id != "attitude_schedule":
-            errs.append("experiment.reference: the aerosonde plant requires the "
-                        "'attitude_schedule' reference")
-    else:
-        if cfg.plant_id not in catalog.plant_names():
-            errs.append(f"experiment.plant: unknown id {cfg.plant_id!r}; "
-                        f"known: {catalog.plant_names() + ['aerosonde']}")
-        if cfg.reference_id not in catalog.reference_names():
-            errs.append(f"experiment.reference: unknown id {cfg.reference_id!r}; "
-                        f"known: {catalog.reference_names() + ['attitude_schedule']}")
+    errs += catalog.pair_errors(cfg.plant_id, cfg.reference_id)
     if cfg.basis_id != "quad":
         errs.append(f"experiment.basis: unknown id {cfg.basis_id!r}; known: ['quad']")
     return errs
-
-
-def _parse_schedule(text: str):
-    """'0: -30 0 -10; 7: 30 0 10' (degrees) -> ((0.0,(rad,rad,rad)), ...)."""
-    entries = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        when, _, angles = chunk.partition(":")
-        vals = _floats(angles)
-        if len(vals) != 3:
-            raise ConfigurationError(
-                f"reference.setpoints_deg: need 3 angles per entry, got {chunk!r}")
-        entries.append((float(when), tuple(vals * _DEG)))
-    if not entries:
-        raise ConfigurationError("reference.setpoints_deg: no entries")
-    return tuple(entries)
 
 
 def resolve(cfg: ExperimentConfig):
@@ -226,40 +195,9 @@ def resolve(cfg: ExperimentConfig):
 
     sat = SaturationSpec(u_m=cfg.u_m, R=np.diag(cfg.r_diag))
 
-    if cfg.plant_id == "aerosonde":
-        from .benchmarks.uav import (OuterLoopGains, SetpointSchedule,
-                                     UavAttitudeEnv, load_airframe,
-                                     trim_level_flight, PHI, PSI, THETA)
-        params = cfg.plant_params
-        pr = load_airframe(params.get("airframe"))
-        va = float(params.get("va_m_s", 18.0))
-        altitude = float(params.get("altitude_m", 100.0))
-        trim = trim_level_flight(pr, va=va)
-        rp = cfg.reference_params
-        schedule = SetpointSchedule(entries=_parse_schedule(
-            rp.get("setpoints_deg", "0: -30 0 -10; 7: 30 0 10; 11: 0 0 10")))
-        gains_v = _floats(rp.get("gains", "8 10 12"))
-        gains = OuterLoopGains(*gains_v)
-        env = UavAttitudeEnv(pr, trim, schedule, gains=gains, altitude=altitude)
-        start = rp.get("initial_attitude", "setpoint").strip()
-        if start == "setpoint":
-            att0 = schedule.attitude_des(0.0)
-            env.state[PHI], env.state[PSI] = att0[0], att0[2]
-            env.state[THETA] = trim.alpha
-        elif start == "level":
-            pass  # trim initial state is already wings-level
-        else:
-            raise ConfigurationError(
-                f"reference.initial_attitude: expected 'setpoint' or 'level', "
-                f"got {start!r}")
-        dim_z = 6
-    else:
-        plant = catalog.make_plant(cfg.plant_id, cfg.plant_params)
-        ref = catalog.make_reference(cfg.reference_id, cfg.reference_params)
-        x0 = cfg.plant_params.get("x0")
-        x0 = _floats(x0) if x0 is not None else None
-        env = AugmentedTrackingEnv(plant, ref, x0=x0)
-        dim_z = 2 * plant.n
+    env = catalog.make_env(cfg.plant_id, cfg.reference_id, cfg.plant_params,
+                           cfg.reference_params)
+    dim_z = env.dim_z
 
     if len(cfg.q1_diag) != dim_z:
         raise ConfigurationError(
@@ -278,8 +216,7 @@ def resolve(cfg: ExperimentConfig):
         sat=sat, q2=cfg.q2, k2=cfg.k2,
         K1=cfg.k1_gain * np.ones(n1), K2=cfg.k2_gain * np.eye(n1),
         stabilizer_enabled=cfg.stabilizer, m_term_enabled=cfg.m_term)
-    scfg = SimConfig(dt=cfg.dt, t_end=cfg.t_end, record_every=cfg.record_every,
-                     seed=cfg.seed)
+    scfg = SimConfig(dt=cfg.dt, t_end=cfg.t_end, record_every=cfg.record_every)
     dither_spec = DitherSpec(amplitude=cfg.dither_amplitude)
     return env, basis, sat, lcfg, scfg, dither_spec
 

@@ -117,9 +117,6 @@ class ReinforcementBuffer:
         self.capacity = math.ceil(T / dt - _SPAN_RTOL) + 1
         self._q: deque = deque(maxlen=self.capacity)
 
-    def __len__(self):
-        return len(self._q)
-
     def push(self, t: float, z: np.ndarray, theta: np.ndarray, cost: float,
              m_scalar: float):
         if self._q and t <= self._q[-1][0]:
@@ -212,16 +209,9 @@ def gain_pow(x: float, p: float) -> float:
     return abs(x) ** p
 
 
-def m_vector(z: np.ndarray, W_hat: np.ndarray, dyn: AugmentedDynamics,
-             basis: RegressorBasis, sat: SaturationSpec) -> np.ndarray:
-    """M = grad_theta G u_m (tanh(tau2) - sgn(tau2)); bounded, -> 0 in saturation."""
-    grad = basis.grad(z)
-    G_z = dyn.G(z)
-    return m_vector_raw(grad, G_z, W_hat, sat)
-
-
 def m_vector_raw(grad_theta: np.ndarray, G_z: np.ndarray, W_hat: np.ndarray,
                  sat: SaturationSpec) -> np.ndarray:
+    """M = grad_theta G u_m (tanh(tau2) - sgn(tau2)); bounded, -> 0 in saturation."""
     tau = tau2_raw(grad_theta, G_z, W_hat, sat)
     return (grad_theta @ G_z) @ (sat.u_m * (np.tanh(tau) - np.sign(tau)))
 

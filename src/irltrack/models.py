@@ -26,7 +26,8 @@ class AffinePlant:
 
     ``f`` maps R^n -> R^n, ``g`` maps R^n -> R^(n x m).  ``domain`` is an
     optional per-component box (lo, hi) used for telemetry warnings only;
-    nothing is clamped.
+    nothing is clamped.  ``linear`` is ``(A, B)`` when f(x) = A x and
+    g(x) = B, which lets the environment offer a Riccati ground truth.
     """
 
     n: int
@@ -35,6 +36,7 @@ class AffinePlant:
     g: Callable[[np.ndarray], np.ndarray]
     name: str = ""
     domain: Optional[tuple] = None
+    linear: Optional[tuple] = None
 
     def validate(self):
         x0 = np.zeros(self.n)
@@ -53,11 +55,15 @@ class AffinePlant:
 
 @dataclass(frozen=True)
 class ReferenceModel:
-    """Autonomous bounded reference ``xd_dot = H(xd)`` with ``H(0) = 0``."""
+    """Autonomous bounded reference ``xd_dot = H(xd)`` with ``H(0) = 0``.
+
+    ``linear`` is the matrix H_A when H(xd) = H_A xd.
+    """
 
     H: Callable[[np.ndarray], np.ndarray]
     x_d0: np.ndarray
     name: str = ""
+    linear: Optional[np.ndarray] = None
 
     def validate(self):
         n = len(self.x_d0)
@@ -68,18 +74,6 @@ class ReferenceModel:
         if not np.allclose(h0, 0.0, atol=1e-12):
             raise ConfigurationError(f"reference {self.name!r}: H(0) != 0")
         return self
-
-
-@dataclass(frozen=True)
-class AugmentedState:
-    """Stacked tracking error and reference state."""
-
-    e: np.ndarray
-    x_d: np.ndarray
-
-    @property
-    def z(self) -> np.ndarray:
-        return np.concatenate([self.e, self.x_d])
 
 
 @dataclass(frozen=True)
@@ -120,6 +114,14 @@ def augment(plant: AffinePlant, ref: ReferenceModel) -> AugmentedDynamics:
         return out
 
     return AugmentedDynamics(n=n, m=plant.m, G=G, F=F)
+
+
+def augmented_linear(A_p: np.ndarray, B_p: np.ndarray, H_A: np.ndarray):
+    """Stacked ``(A, B)`` of plant ``xdot = A_p x + B_p u`` and reference
+    ``xd_dot = H_A xd``: the linear case of `augment`."""
+    A_p, B_p, H_A = (np.asarray(M, dtype=float) for M in (A_p, B_p, H_A))
+    A = np.block([[A_p, A_p - H_A], [np.zeros_like(A_p), H_A]])
+    return A, np.vstack([B_p, np.zeros_like(B_p)])
 
 
 def eval_augmented(dyn: AugmentedDynamics, z: np.ndarray, u: np.ndarray) -> np.ndarray:

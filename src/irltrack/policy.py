@@ -61,15 +61,10 @@ def tau2_raw(grad_theta: np.ndarray, G_z: np.ndarray, W_hat: np.ndarray,
     return (G_z.T @ (grad_theta.T @ W_hat)) / (2.0 * sat.u_m * sat.r_diag)
 
 
-def tau2(z: np.ndarray, W_hat: np.ndarray, dyn: AugmentedDynamics,
-         basis: RegressorBasis, sat: SaturationSpec) -> np.ndarray:
-    return tau2_raw(basis.grad(z), dyn.G(z), W_hat, sat)
-
-
 def policy_eval(z: np.ndarray, W_hat: np.ndarray, dyn: AugmentedDynamics,
                 basis: RegressorBasis, sat: SaturationSpec) -> np.ndarray:
     """Saturated control ``-u_m tanh(tau2)``; strictly inside +-u_m."""
-    return -sat.u_m * np.tanh(tau2(z, W_hat, dyn, basis, sat))
+    return -sat.u_m * np.tanh(tau2_raw(basis.grad(z), dyn.G(z), W_hat, sat))
 
 
 def penalty_integral(u: np.ndarray, sat: SaturationSpec) -> float:

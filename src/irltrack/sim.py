@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -23,22 +24,18 @@ from .errors import ConfigurationError, NumericFault
 from .learner import (CriticState, LearnerConfig, ReinforcementBuffer,
                       baseline_update_step, indicator, m_vector_raw,
                       reinforcement_integral, sigma_rate, update_step)
-from .models import AffinePlant, AugmentedDynamics, ReferenceModel, augment
+from .models import (AffinePlant, AugmentedDynamics, ReferenceModel, augment,
+                     augmented_linear)
 from .policy import SaturationSpec, penalty_closed, saturate, tau2_raw
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Fixed integration step, horizon, and telemetry decimation.
-
-    `seed` is echoed into the manifest but unused: the dither is closed-form
-    and runs are fully deterministic.
-    """
+    """Fixed integration step, horizon, and telemetry decimation."""
 
     dt: float
     t_end: float
     record_every: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -153,6 +150,23 @@ class Telemetry:
                 fh.write(",".join(repr(v) for v in row) + "\n")
 
 
+class TrackingEnv(Protocol):
+    """What the step loop and the CLI read; the learner uses only z and G."""
+
+    dyn: AugmentedDynamics       # control coupling dyn.G(z)
+    control_names: Sequence[str]
+    m: int
+    dim_z: int
+    x: np.ndarray                # logged plant state
+    x_d: np.ndarray              # logged reference state
+
+    def z(self) -> np.ndarray: ...
+    def advance(self, u_applied: np.ndarray, t: float, dt: float): ...
+    def check_domain(self, telemetry: Telemetry, t: float): ...
+    def series(self, telemetry: Telemetry) -> dict: ...  # {panel: column}
+    def linear_pair(self) -> tuple | None: ...  # stacked (A, B), if linear
+
+
 class AugmentedTrackingEnv:
     """Generic environment: a catalog plant tracking an autonomous reference.
 
@@ -168,14 +182,8 @@ class AugmentedTrackingEnv:
         self.x = np.array(x0 if x0 is not None else ref.x_d0, dtype=float)
         self.x_d = np.array(ref.x_d0, dtype=float)
         self.control_names = [f"u{i}" for i in range(plant.m)]
-
-    @property
-    def dim_z(self):
-        return 2 * self.plant.n
-
-    @property
-    def m(self):
-        return self.plant.m
+        self.m = plant.m
+        self.dim_z = 2 * plant.n
 
     def z(self) -> np.ndarray:
         return np.concatenate([self.x - self.x_d, self.x_d])
@@ -191,10 +199,20 @@ class AugmentedTrackingEnv:
             if np.any(self.x < lo) or np.any(self.x > hi):
                 telemetry.warn(f"state left the operating box near t={t:.3f}")
 
+    def series(self, telemetry: Telemetry) -> dict:
+        z = telemetry.columns("z")
+        return {f"track_err_{i}": z[:, i] for i in range(self.plant.n)}
 
-def run_env_experiment(env, basis: RegressorBasis, sat: SaturationSpec,
-                       learner_cfg: LearnerConfig, sim_cfg: SimConfig,
-                       law: str = "novel", dither_spec: DitherSpec = DitherSpec(),
+    def linear_pair(self):
+        if self.plant.linear is None or self.ref.linear is None:
+            return None
+        return augmented_linear(*self.plant.linear, self.ref.linear)
+
+
+def run_env_experiment(env: TrackingEnv, basis: RegressorBasis,
+                       sat: SaturationSpec, learner_cfg: LearnerConfig,
+                       sim_cfg: SimConfig, law: str = "novel",
+                       dither_spec: DitherSpec = DitherSpec(),
                        W0: np.ndarray | None = None) -> Telemetry:
     """Drive any tracking environment through the learn-act loop.
 
@@ -248,8 +266,7 @@ def run_env_experiment(env, basis: RegressorBasis, sat: SaturationSpec,
                                  state.e_hat, sigma_tel, indicator(sigma_tel),
                                  I_hat, float(state.W_hat @ basis.eval(z)),
                                  state.W_hat)
-            if hasattr(env, "check_domain"):
-                env.check_domain(telemetry, t)
+            env.check_domain(telemetry, t)
 
             if k < n_steps:
                 u_applied = saturate(u_hat + n_val, sat.u_m)

@@ -12,12 +12,11 @@ import pytest
 from irltrack.basis import fd_gradient, quad_basis
 from irltrack.benchmarks import discounted_riccati, ideal_weights
 from irltrack.benchmarks.uav import PHI, PSI, THETA
-from irltrack.benchmarks.linear import augmented_linear
 from irltrack.catalog import make_plant, make_reference
 from irltrack.checks import check_window_identity
 from irltrack.learner import (LearnerConfig, ReinforcementBuffer, law_terms,
                               reinforcement_integral)
-from irltrack.models import AugmentedDynamics
+from irltrack.models import AugmentedDynamics, augmented_linear
 from irltrack.policy import SaturationSpec, penalty_closed, penalty_integral
 from irltrack.sim import SimConfig, run_experiment
 
@@ -89,8 +88,8 @@ def test_criterion_5_linear_benchmark_convergence(linear_run):
 
     A_p = np.array([[0.0, 6.0], [-6.0, 0.0]])
     B_p = np.array([[0.0], [1.0]])
-    bench = augmented_linear(A_p, B_p, A_p)
-    P = discounted_riccati(bench.A, bench.B, np.diag(cfg.q1_diag),
+    A, B = augmented_linear(A_p, B_p, A_p)
+    P = discounted_riccati(A, B, np.diag(cfg.q1_diag),
                            np.diag(cfg.r_diag), cfg.gamma)
     W_star = ideal_weights(P, basis)
 

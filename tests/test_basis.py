@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from irltrack.basis import (RegressorBasis, eval_grad, fd_gradient, make_basis,
-                            quad_basis, quad_feature_count, validate_gradient)
+from irltrack.basis import (eval_grad, fd_gradient, make_basis, quad_basis,
+                            quad_feature_count)
 from irltrack.errors import ConfigurationError, NumericFault
 
 
@@ -65,15 +65,6 @@ def test_blockwise_homogeneity(rng):
         f1, fc = b.eval(z), b.eval(c * z)
         assert np.allclose(fc[:d], c * f1[:d], rtol=1e-12)
         assert np.allclose(fc[d:], c * c * f1[d:], rtol=1e-12)
-
-
-def test_validate_gradient_accepts_good_and_rejects_bad():
-    validate_gradient(quad_basis(3))
-    good = quad_basis(3)
-    bad = RegressorBasis(dim_in=3, n_features=good.n_features, eval=good.eval,
-                         grad=lambda z: 1.01 * good.grad(z), name="skewed")
-    with pytest.raises(ConfigurationError):
-        validate_gradient(bad)
 
 
 def test_make_basis_lookup():

@@ -6,13 +6,14 @@ import scipy.linalg as sla
 
 from irltrack.basis import quad_basis
 from irltrack.benchmarks import (OuterLoopGains, discounted_riccati,
-                                 ideal_weights, linear_tracking_setup,
-                                 load_airframe, outer_loop, trim_level_flight,
-                                 uav_dynamics)
-from irltrack.benchmarks.linear import augmented_linear, riccati_residual
+                                 ideal_weights, load_airframe, outer_loop,
+                                 trim_level_flight, uav_dynamics)
+from irltrack.benchmarks.linear import riccati_residual
 from irltrack.benchmarks.uav import (THETA, U, forces_moments,
                                      rate_control_coupling)
-from irltrack.errors import ConfigurationError, NumericFault
+from irltrack.catalog import make_env
+from irltrack.errors import ConfigurationError, NumericFault, OracleFailure
+from irltrack.models import augmented_linear
 
 DEG = math.pi / 180.0
 
@@ -35,22 +36,28 @@ class TestDiscountedRiccati:
         assert np.allclose(P_, 0.0, atol=1e-12)
 
     def test_residual_below_tolerance_and_scipy_crosscheck(self):
-        _, _, bench, _ = linear_tracking_setup()
+        A, B = make_env("linear_osc", "harmonic").linear_pair()
         Q1 = np.diag([10.0, 10.0, 0.0, 0.0])
         R_ = np.array([[1.0]])
         gamma = 0.1
-        P_ = discounted_riccati(bench.A, bench.B, Q1, R_, gamma)
-        res = np.linalg.norm(riccati_residual(P_, bench.A, bench.B, Q1, R_,
-                                              gamma), "fro")
+        P_ = discounted_riccati(A, B, Q1, R_, gamma)
+        res = np.linalg.norm(riccati_residual(P_, A, B, Q1, R_, gamma), "fro")
         assert res <= 1e-9
         P_scipy = sla.solve_continuous_are(
-            bench.A - 0.5 * gamma * np.eye(4), bench.B, Q1, R_)
+            A - 0.5 * gamma * np.eye(4), B, Q1, R_)
         assert np.allclose(P_, P_scipy, atol=1e-8)
+
+    def test_unstabilizable_pair_raises_oracle_failure(self):
+        # zero input gain leaves the undamped rotation uncontrollable
+        A, B = make_env("linear_osc", "harmonic", {"gain": "0"}).linear_pair()
+        with pytest.raises(OracleFailure):
+            discounted_riccati(A, B, np.diag([1.0, 1.0, 0.0, 0.0]),
+                               np.array([[1.0]]), 0.0)
 
     def test_matched_pair_has_error_only_value(self):
         """Plant drift equal to the reference field zeroes the x_d blocks."""
-        _, _, bench, _ = linear_tracking_setup()
-        P_ = discounted_riccati(bench.A, bench.B,
+        A, B = make_env("linear_osc", "harmonic").linear_pair()
+        P_ = discounted_riccati(A, B,
                                 np.diag([1.0, 1.0, 0.0, 0.0]),
                                 np.array([[10.0]]), 0.1)
         assert np.allclose(P_[2:, :], 0.0, atol=1e-9)
@@ -145,22 +152,16 @@ class TestOuterLoop:
             OuterLoopGains(k_phi=0.0)
 
 
-def test_linear_tracking_setup_shapes():
-    plant, ref, bench, x0 = linear_tracking_setup()
-    assert bench.A.shape == (4, 4) and bench.B.shape == (4, 1)
-    assert np.allclose(bench.A[:2, 2:], 0.0)  # matched drift: no e-xd coupling
-
-
 def test_augmented_linear_block_structure():
     A_p = np.array([[0.0, 1.0], [-1.0, 0.0]])
     H_A = np.array([[0.0, 0.5], [-0.5, 0.0]])
     B_p = np.array([[0.0], [2.0]])
-    bench = augmented_linear(A_p, B_p, H_A)
-    assert np.allclose(bench.A[:2, :2], A_p)
-    assert np.allclose(bench.A[:2, 2:], A_p - H_A)
-    assert np.allclose(bench.A[2:, 2:], H_A)
-    assert np.allclose(bench.A[2:, :2], 0.0)
-    assert np.allclose(bench.B.ravel(), [0.0, 2.0, 0.0, 0.0])
+    A, B = augmented_linear(A_p, B_p, H_A)
+    assert np.allclose(A[:2, :2], A_p)
+    assert np.allclose(A[:2, 2:], A_p - H_A)
+    assert np.allclose(A[2:, 2:], H_A)
+    assert np.allclose(A[2:, :2], 0.0)
+    assert np.allclose(B.ravel(), [0.0, 2.0, 0.0, 0.0])
 
 
 def test_oracle_critic_bellman_residual_bound():
@@ -175,10 +176,10 @@ def test_oracle_critic_bellman_residual_bound():
     basis = quad_basis(4)
     A_p = np.array([[0.0, 6.0], [-6.0, 0.0]])
     B_p = np.array([[0.0], [1.0]])
-    bench = augmented_linear(A_p, B_p, A_p)
+    A, B = augmented_linear(A_p, B_p, A_p)
     Q1 = np.diag([1.0, 1.0, 0.0, 0.0])
     R_ = np.array([[10.0]])
-    P_ = discounted_riccati(bench.A, bench.B, Q1, R_, 0.1)
+    P_ = discounted_riccati(A, B, Q1, R_, 0.1)
     W_star = ideal_weights(P_, basis)
     sat = SaturationSpec(u_m=56.0, R=R_)
     lcfg = LearnerConfig(alpha=0.0, gamma=0.1, T=1e-3, Q1=Q1, sat=sat,
@@ -191,3 +192,24 @@ def test_oracle_critic_bellman_residual_bound():
     eh = np.abs(tel.column("e_hat"))[m]
     Ih = np.abs(tel.column("I_hat"))[m]
     assert np.all(eh <= 1e-3 * (1.0 + Ih))
+
+
+class TestEnvironmentProtocol:
+    def test_only_the_linear_pair_has_a_riccati_pair(self):
+        lin = make_env("linear_osc", "harmonic", {"omega": "6"}, {"omega": "6"})
+        A, B = lin.linear_pair()
+        assert A.shape == (4, 4) and B.shape == (4, 1)
+        assert np.allclose(A[:2, 2:], 0.0)  # matched drift: no e-xd coupling
+        assert make_env("integrator", "zero").linear_pair() is None
+        uav = make_env("aerosonde", "attitude_schedule")
+        assert uav.linear_pair() is None
+
+    def test_both_environments_expose_the_same_members(self):
+        envs = (make_env("linear_osc", "harmonic"),
+                make_env("aerosonde", "attitude_schedule"))
+        for env in envs:
+            assert env.z().shape == (env.dim_z,)
+            assert env.dyn.G(env.z()).shape == (env.dim_z, env.m)
+            assert len(env.control_names) == env.m
+            for member in ("advance", "check_domain", "series", "linear_pair"):
+                assert callable(getattr(env, member))

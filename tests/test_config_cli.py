@@ -1,4 +1,6 @@
+import configparser
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -10,6 +12,14 @@ from irltrack.errors import ConfigurationError
 
 def bundled(name):
     return cli.resolve_config_path(name)
+
+
+def assert_two_float_columns(series_dir):
+    """Every line of every series file is 't value', both plain floats."""
+    for path in series_dir.glob("*.dat"):
+        for line in path.read_text().splitlines():
+            a, b = line.split()
+            float(a), float(b)
 
 
 def edited_config(tmp_path, name, overrides):
@@ -70,6 +80,7 @@ class TestRun:
         assert "value.dat" in series and "hjb_error.dat" in series
         assert "weight_error_vs_oracle.dat" in series
         assert any(s.startswith("weight_") for s in series)
+        assert_two_float_columns(out / "series")
         header = (out / "telemetry.csv").read_text().splitlines()[0]
         assert header.startswith("t,z0,")
         manifest = (out / "manifest.txt").read_text()
@@ -197,6 +208,7 @@ class TestUavCliSurface:
         assert "ctrl_elevator.dat" in series and "ctrl_rudder.dat" in series
         assert "weight_26.dat" in series
         assert "value.dat" in series
+        assert_two_float_columns(out / "series")
 
     def test_trim_failure_maps_to_oracle_exit(self, tmp_path):
         out = tmp_path / "trimfail"
@@ -243,3 +255,81 @@ def test_missing_required_keys_reported(tmp_path):
     assert "learner.alpha: missing required key" in joined
     assert "saturation.u_m" in joined
     assert "sim.dt_s" in joined
+
+
+def edited_keys(tmp_path, name, edits):
+    """Bundled config with 'section.key' set to a value, or removed for None."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp.read(bundled(name), encoding="utf-8")
+    for key, value in edits.items():
+        section, _, option = key.partition(".")
+        if value is None:
+            cp.remove_option(section, option)
+        else:
+            cp.set(section, option, value)
+    path = tmp_path / "edited_keys.ini"
+    with open(path, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    return str(path)
+
+
+@pytest.mark.parametrize("name, edits, field", [
+    ("linear_benchmark", {"learner.t_window_s": "0"}, "learner.t_window_s"),
+    ("linear_benchmark", {"sim.dt_s": "0"}, "sim.dt_s"),
+    ("linear_benchmark", {"sim.t_end_s": "0"}, "sim.t_end_s"),
+    ("linear_benchmark", {"saturation.u_m_deg": "10"}, "saturation.u_m_deg"),
+    ("uav_attitude", {"saturation.u_m": "1.0"}, "saturation.u_m_deg"),
+    ("uav_attitude", {"dither.amplitude": "0.1"}, "dither.amplitude_deg"),
+    ("linear_benchmark", {"learner.t_window_s": None}, "learner.t_window_s"),
+    ("linear_benchmark", {"sim.dt_s": None}, "sim.dt_s"),
+    ("linear_benchmark", {"sim.t_end_s": None}, "sim.t_end_s"),
+    ("linear_benchmark", {"saturation.u_m": None}, "saturation.u_m"),
+])
+def test_parse_defects_name_their_field(tmp_path, name, edits, field):
+    cfg, errors = parse_config(edited_keys(tmp_path, name, edits))
+    errors += validate_config(cfg)
+    assert errors and all(field in e for e in errors), errors
+    if set(edits.values()) == {None}:
+        assert f"{field}: missing required key" in errors
+
+
+def test_resolve_config_path_creates_no_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    path = cli.resolve_config_path("linear_benchmark")
+    assert list(tmp_path.iterdir()) == []
+    with open(path, encoding="utf-8") as fh:
+        assert "[experiment]" in fh.read()
+
+
+def test_sweep_keeps_grid_values_containing_equals(tmp_path):
+    out = tmp_path / "sweepeq"
+    assert cli.main(["sweep", "linear_benchmark",
+                     "--override", "sim.t_end_s=0.02",
+                     "--grid", "experiment.name=a=b,c",
+                     "--out", str(out)]) == cli.EXIT_OK
+    lines = (out / "summary.csv").read_text().splitlines()
+    col = lines[0].split(",").index("experiment.name")
+    assert [ln.split(",")[col] for ln in lines[1:]] == ["a=b", "c"]
+
+
+def test_unstabilizable_oracle_skips_weight_error_series(tmp_path):
+    out = tmp_path / "nogain"
+    assert cli.main(["run", "linear_benchmark",
+                     "--override", "plant.gain=0",
+                     "--override", "learner.gamma=0",
+                     "--override", "sim.t_end_s=0.2",
+                     "--out", str(out)]) == cli.EXIT_OK
+    series = set(os.listdir(out / "series"))
+    assert "value.dat" in series
+    assert "weight_error_vs_oracle.dat" not in series
+
+
+def test_environment_pair_is_checked_by_the_catalog(tmp_path):
+    from irltrack import catalog
+    path = edited_config(tmp_path, "uav_attitude",
+                         ["experiment.reference=harmonic"])
+    cfg, errors = parse_config(path)
+    assert any("experiment.reference" in e and "attitude_schedule" in e
+               for e in errors + validate_config(cfg))
+    with pytest.raises(ConfigurationError):
+        catalog.make_env("aerosonde", "harmonic")

@@ -8,7 +8,7 @@ from irltrack.errors import ConfigurationError, NotReady, NumericFault
 from irltrack.learner import (CriticState, LearnerConfig, ReinforcementBuffer,
                               baseline_update_step, delta_theta, gain_pow,
                               hjb_error, indicator, law_terms, m_integral,
-                              m_vector, reinforcement_integral, sigma_rate,
+                              m_vector_raw, reinforcement_integral, sigma_rate,
                               update_step)
 from irltrack.models import AugmentedDynamics
 from irltrack.policy import SaturationSpec
@@ -141,14 +141,18 @@ class TestMVector:
         self.sat = SaturationSpec(u_m=2.0, R=np.array([[1.0]]))
         self.z = np.array([1.0, 0.0])
 
+    def m_vector(self, W):
+        return m_vector_raw(self.basis.grad(self.z), self.dyn.G(self.z), W,
+                            self.sat)
+
     def test_zero_weights_give_zero(self):
-        M = m_vector(self.z, np.zeros(5), self.dyn, self.basis, self.sat)
+        M = self.m_vector(np.zeros(5))
         assert np.all(M == 0.0)
 
     def test_scalar_tau_equal_one(self):
         # W picks grad^T W = e1 * 2 -> tau2 = 2*2/(2*2*1) = 1
         W = np.array([2.0, 0.0, 0.0, 0.0, 0.0])
-        M = m_vector(self.z, W, self.dyn, self.basis, self.sat)
+        M = self.m_vector(W)
         factor = self.sat.u_m * (math.tanh(1.0) - 1.0)
         ndg = self.basis.grad(self.z) @ self.dyn.G(self.z)
         assert np.allclose(M, ndg.ravel() * factor)
@@ -158,7 +162,7 @@ class TestMVector:
         bound_base = None
         for scale in (1.0, 10.0, 1e3, 1e6):
             W = scale * np.array([1.0, 0.5, 0.2, -0.3, 0.1])
-            M = m_vector(self.z, W, self.dyn, self.basis, self.sat)
+            M = self.m_vector(W)
             ndg = self.basis.grad(self.z) @ self.dyn.G(self.z)
             cap = self.sat.u_m * np.linalg.norm(ndg) * math.sqrt(1)
             assert np.linalg.norm(M) <= cap + 1e-12

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from irltrack.errors import ConfigurationError, NumericFault
-from irltrack.models import (AffinePlant, AugmentedState, ReferenceModel,
-                             augment, eval_augmented)
+from irltrack.models import (AffinePlant, ReferenceModel, augment,
+                             eval_augmented)
 
 
 def scalar_pair():
@@ -111,8 +111,3 @@ def test_reference_H0_validated():
     bad = ReferenceModel(H=lambda xd: xd + 1.0, x_d0=np.zeros(1), name="bad")
     with pytest.raises(ConfigurationError):
         bad.validate()
-
-
-def test_augmented_state_flat_view():
-    s = AugmentedState(e=np.array([1.0, 2.0]), x_d=np.array([3.0, 4.0]))
-    assert np.array_equal(s.z, [1.0, 2.0, 3.0, 4.0])

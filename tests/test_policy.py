@@ -7,7 +7,7 @@ from irltrack.basis import quad_basis
 from irltrack.errors import ConfigurationError
 from irltrack.models import AugmentedDynamics
 from irltrack.policy import (SaturationSpec, log_one_minus_tanh2, penalty_closed,
-                             penalty_integral, policy_eval, tau2)
+                             penalty_integral, policy_eval, tau2_raw)
 
 
 def analytic_penalty(u, u_m, r_diag):
@@ -35,6 +35,10 @@ def test_saturation_spec_validation():
         SaturationSpec(u_m=1.0, R=np.diag([1.0, 0.0]))
     with pytest.raises(ConfigurationError):
         SaturationSpec(u_m=1.0, R=np.array([[1.0, 0.2], [0.2, 1.0]]))
+
+
+def tau2(z, W, dyn, basis, sat):
+    return tau2_raw(basis.grad(z), dyn.G(z), W, sat)
 
 
 def test_tau2_scalar_and_scalings():
