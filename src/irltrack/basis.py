@@ -38,6 +38,14 @@ def quad_basis(dim_in: int) -> RegressorBasis:
     n1 = quad_feature_count(d)
     ar = np.arange(d)
     ap = np.arange(len(pairs))
+    linear_rows = np.zeros((n1, d))
+    linear_rows[ar, ar] = 1.0
+    # flat positions of the z-dependent entries, the z component each one
+    # copies, and its factor: 2 z_i on the squares, z_j and z_i on the pairs
+    flat = np.concatenate([(d + ar) * d + ar, (2 * d + ap) * d + pi,
+                           (2 * d + ap) * d + pj])
+    src = np.concatenate([ar, pj, pi])
+    factor = np.concatenate([np.full(d, 2.0), np.ones(2 * len(pairs))])
 
     def _eval(z):
         z = np.asarray(z, dtype=float)
@@ -45,11 +53,8 @@ def quad_basis(dim_in: int) -> RegressorBasis:
 
     def _grad(z):
         z = np.asarray(z, dtype=float)
-        out = np.zeros((n1, d))
-        out[ar, ar] = 1.0
-        out[d + ar, ar] = 2.0 * z
-        out[2 * d + ap, pi] = z[pj]
-        out[2 * d + ap, pj] = z[pi]
+        out = linear_rows.copy()
+        out.ravel()[flat] = factor * z[src]
         return out
 
     return RegressorBasis(dim_in=d, n_features=n1, eval=_eval, grad=_grad,

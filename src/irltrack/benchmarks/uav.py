@@ -18,12 +18,13 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
 from scipy.optimize import root
 
-from ..catalog import parse_floats
+from ..catalog import param, parse_floats
 from ..errors import ConfigurationError, NumericFault, OracleFailure
 from ..models import AugmentedDynamics
 from ..sim import Telemetry, rk4_step
@@ -81,7 +82,7 @@ class AirframeParams:
     c_n_dr: float
     stall_alpha: float
 
-    @property
+    @cached_property
     def gammas(self):
         """Inertia couplings of the body-rate equations."""
         g = self.jx * self.jz - self.jxz ** 2
@@ -296,7 +297,8 @@ def trim_level_flight(pr: AirframeParams, va: float = 35.0) -> TrimPoint:
 
     sol = root(residual, x0=[0.05, -0.1, 0.5], tol=1e-12)
     if not sol.success or np.max(np.abs(residual(sol.x))) > 1e-8:
-        raise OracleFailure(f"trim solver failed at va={va}: {sol.message}")
+        raise OracleFailure(f"trim solver failed at va={va}: "
+                            + " ".join(sol.message.split()))
     alpha, de, dt_ = sol.x
     return TrimPoint(va=va, alpha=float(alpha), delta_e=float(de), delta_t=float(dt_))
 
@@ -408,8 +410,7 @@ class UavAttitudeEnv:
         if va > 1e-9:
             alpha = math.atan2(self.state[W], self.state[U])
             if abs(alpha) > self.params.stall_alpha:
-                telemetry.warn(f"stall regime: |alpha|={abs(alpha):.3f} rad "
-                               f"near t={t:.2f}")
+                telemetry.warn("stall regime: |alpha| above the stall angle", t)
 
     def series(self, telemetry: Telemetry) -> dict:
         """Rate errors, and each Euler angle against its setpoint, in degrees."""
@@ -431,11 +432,14 @@ def parse_schedule(text: str) -> SetpointSchedule:
     entries = []
     for chunk in filter(None, (c.strip() for c in text.split(";"))):
         when, _, angles = chunk.partition(":")
-        vals = parse_floats(angles)
+        try:
+            t_start, vals = float(when), parse_floats(angles)
+        except ValueError as exc:
+            raise ConfigurationError(f"reference.setpoints_deg: {exc}") from None
         if len(vals) != 3:
             raise ConfigurationError(
                 f"reference.setpoints_deg: need 3 angles per entry, got {chunk!r}")
-        entries.append((float(when), tuple(vals * (math.pi / 180.0))))
+        entries.append((t_start, tuple(vals * (math.pi / 180.0))))
     if not entries:
         raise ConfigurationError("reference.setpoints_deg: no entries")
     return SetpointSchedule(entries=tuple(entries))
@@ -444,12 +448,16 @@ def parse_schedule(text: str) -> SetpointSchedule:
 def make_uav_env(plant_params: dict, reference_params: dict) -> UavAttitudeEnv:
     """Aerosonde environment from the config's [plant] and [reference] keys."""
     pr = load_airframe(plant_params.get("airframe"))
-    trim = trim_level_flight(pr, va=float(plant_params.get("va_m_s", 18.0)))
+    trim = trim_level_flight(pr, va=param(plant_params, "plant", "va_m_s", 18.0))
     schedule = parse_schedule(reference_params.get(
         "setpoints_deg", "0: -30 0 -10; 7: 30 0 10; 11: 0 0 10"))
-    gains = OuterLoopGains(*parse_floats(reference_params.get("gains", "8 10 12")))
+    k = param(reference_params, "reference", "gains", (8.0, 10.0, 12.0),
+              parse_floats)
+    if len(k) != 3:
+        raise ConfigurationError(f"reference.gains: need 3 values, got {len(k)}")
+    gains = OuterLoopGains(*k)
     env = UavAttitudeEnv(pr, trim, schedule, gains=gains,
-                         altitude=float(plant_params.get("altitude_m", 100.0)))
+                         altitude=param(plant_params, "plant", "altitude_m", 100.0))
     start = reference_params.get("initial_attitude", "setpoint").strip()
     if start == "setpoint":
         att0 = schedule.attitude_des(0.0)

@@ -65,10 +65,10 @@ def make_env(plant_id: str, reference_id: str, plant_params: dict | None = None,
         raise ConfigurationError("; ".join(errs))
     if plant_id in _ENVS:
         return _ENVS[plant_id][1](plant_params or {}, reference_params or {})
-    x0 = (plant_params or {}).get("x0")
     return AugmentedTrackingEnv(make_plant(plant_id, plant_params),
                                 make_reference(reference_id, reference_params),
-                                x0=None if x0 is None else parse_floats(x0))
+                                x0=param(plant_params or {}, "plant", "x0", None,
+                                         _vector))
 
 
 def plant_names():
@@ -102,10 +102,28 @@ def parse_floats(text: str) -> np.ndarray:
     return np.array([float(tok) for tok in text.replace(",", " ").split()])
 
 
+def param(params: dict, section: str, key: str, default, cast=float):
+    """`params[key]` through `cast`, or `default` when the key is absent.
+
+    A malformed value raises ConfigurationError naming `section.key`.
+    """
+    if key not in params:
+        return default
+    try:
+        return cast(params[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{section}.{key}: {exc}") from None
+
+
+def _vector(value) -> np.ndarray:
+    return parse_floats(value) if isinstance(value, str) else \
+        np.asarray(value, dtype=float)
+
+
 @register_plant("linear_osc")
 def _linear_osc(params):
-    omega = float(params.get("omega", 0.5))
-    gain = float(params.get("gain", 1.0))
+    omega = param(params, "plant", "omega", 0.5)
+    gain = param(params, "plant", "gain", 1.0)
     A = np.array([[0.0, omega], [-omega, 0.0]])
     B = np.array([[0.0], [gain]])
     return AffinePlant(n=2, m=1, f=lambda x: A @ x, g=lambda x: B.copy(),
@@ -114,32 +132,30 @@ def _linear_osc(params):
 
 @register_plant("zero")
 def _zero_plant(params):
-    n = int(params.get("n", 1))
-    m = int(params.get("m", 1))
+    n = param(params, "plant", "n", 1, int)
+    m = param(params, "plant", "m", 1, int)
     return AffinePlant(n=n, m=m, f=lambda x: np.zeros(n),
                        g=lambda x: np.zeros((n, m)), name="zero").validate()
 
 
 @register_plant("integrator")
 def _integrator(params):
-    n = int(params.get("n", 1))
+    n = param(params, "plant", "n", 1, int)
     return AffinePlant(n=n, m=n, f=lambda x: np.zeros(n), g=lambda x: np.eye(n),
                        name="integrator").validate()
 
 
 @register_reference("zero")
 def _zero_ref(params):
-    n = int(params.get("n", 1))
+    n = param(params, "reference", "n", 1, int)
     return ReferenceModel(H=lambda xd: np.zeros(n), x_d0=np.zeros(n),
                           name="zero").validate()
 
 
 @register_reference("harmonic")
 def _harmonic_ref(params):
-    omega = float(params.get("omega", 0.5))
-    x0 = params.get("x_d0", (1.0, 0.0))
-    if isinstance(x0, str):
-        x0 = parse_floats(x0)
+    omega = param(params, "reference", "omega", 0.5)
+    x0 = param(params, "reference", "x_d0", (1.0, 0.0), _vector)
     H = np.array([[0.0, omega], [-omega, 0.0]])
     return ReferenceModel(H=lambda xd: H @ xd, x_d0=np.asarray(x0, dtype=float),
                           name="harmonic", linear=H).validate()

@@ -76,6 +76,9 @@ def cmd_validate(args) -> int:
                 resolve(cfg)
             except ConfigurationError as exc:
                 errors.append(str(exc))
+            except OracleFailure as exc:
+                print(f"oracle failure: {args.config}: {exc}")
+                return EXIT_ORACLE
     if errors:
         print(f"invalid: {args.config}")
         for e in errors:
@@ -102,8 +105,9 @@ def _write_manifest(path, cfg, telemetry: Telemetry | None, status: str,
             fh.write("\n")
         if telemetry is not None and telemetry.warnings:
             fh.write("[warnings]\n")
-            for i, w in enumerate(telemetry.warnings):
-                fh.write(f"w{i} = {w}\n")
+            for i, (kind, seen) in enumerate(telemetry.warnings.items()):
+                fh.write(f"w{i} = {kind}: {seen.count} steps, first t={seen.t_first:.3f}, "
+                         f"last t={seen.t_last:.3f}\n")
 
 
 def _write_series(out_dir, cfg, env, telemetry: Telemetry):
@@ -135,11 +139,14 @@ def _write_series(out_dir, cfg, env, telemetry: Telemetry):
         try:
             P = discounted_riccati(*pair, np.diag(cfg.q1_diag),
                                    np.diag(cfg.r_diag), cfg.gamma)
-            W_star = ideal_weights(P, quad_basis(len(P)))
-            emit("weight_error_vs_oracle",
-                 np.linalg.norm(W - W_star, axis=1) / np.linalg.norm(W_star))
         except OracleFailure:
             pass  # no ground truth for this pair, so no error series
+        else:
+            W_star = ideal_weights(P, quad_basis(len(P)))
+            w_norm = np.linalg.norm(W_star)
+            if w_norm > 0:  # W* = 0 (no state cost) has no relative error
+                emit("weight_error_vs_oracle",
+                     np.linalg.norm(W - W_star, axis=1) / w_norm)
 
     with open(os.path.join(out_dir, "plot_series.py"), "w", encoding="utf-8") as fh:
         fh.write(_PLOT_STUB)
@@ -167,7 +174,7 @@ def run_one(config_path: str, overrides=(), out_dir: str = "runs/run",
             print(f"  - {e}")
         return EXIT_CONFIG, None, cfg
     try:
-        env, basis, sat, lcfg, scfg, dither_spec = resolve(cfg)
+        env, basis, lcfg, scfg, dither_spec = resolve(cfg)
     except (ConfigurationError, OracleFailure) as exc:
         print(f"  - {exc}")
         return (EXIT_ORACLE if isinstance(exc, OracleFailure) else EXIT_CONFIG,
@@ -176,11 +183,11 @@ def run_one(config_path: str, overrides=(), out_dir: str = "runs/run",
     t0 = time.perf_counter()
     status, telemetry, code = "ok", None, EXIT_OK
     try:
-        telemetry = run_env_experiment(env, basis, sat, lcfg, scfg, law=cfg.law,
+        telemetry = run_env_experiment(env, basis, lcfg, scfg, law=cfg.law,
                                        dither_spec=dither_spec)
     except NumericFault as fault:
         telemetry = fault.telemetry
-        status = f"numeric fault: {fault}"
+        status = f"numeric fault at t={fault.t!r}, step {fault.step}: {fault}"
         code = EXIT_NUMERIC
     wall = time.perf_counter() - t0
 
@@ -239,7 +246,7 @@ def _sweep_worker(task):
                    settle_time_s="", wall_s=f"{time.perf_counter()-t0:.2f}")
         return row
     wall = time.perf_counter() - t0
-    if telemetry is None or not telemetry.rows:
+    if telemetry is None or len(telemetry.rows) == 0:
         row.update(status=f"exit{code}", ehat_rms_last10="", peak_z_norm="",
                    settle_time_s="", wall_s=f"{wall:.2f}")
         return row

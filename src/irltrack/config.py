@@ -218,7 +218,7 @@ def resolve(cfg: ExperimentConfig):
         stabilizer_enabled=cfg.stabilizer, m_term_enabled=cfg.m_term)
     scfg = SimConfig(dt=cfg.dt, t_end=cfg.t_end, record_every=cfg.record_every)
     dither_spec = DitherSpec(amplitude=cfg.dither_amplitude)
-    return env, basis, sat, lcfg, scfg, dither_spec
+    return env, basis, lcfg, scfg, dither_spec
 
 
 def apply_overrides(path, overrides, out_path):

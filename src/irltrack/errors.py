@@ -8,13 +8,16 @@ class ConfigurationError(ValueError):
 class NumericFault(RuntimeError):
     """A computation produced NaN/Inf.
 
-    Carries enough context (time, offending component, partial telemetry)
-    for post-mortem analysis.
+    Carries enough context (time, step index, offending component, partial
+    telemetry) for post-mortem analysis; the step loop stamps `t` and `step`
+    on a fault that does not carry them.
     """
 
-    def __init__(self, message, t=None, component=None, telemetry=None):
+    def __init__(self, message, t=None, component=None, telemetry=None,
+                 step=None):
         super().__init__(message)
         self.t = t
+        self.step = step
         self.component = component
         self.telemetry = telemetry
 

@@ -22,12 +22,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .basis import RegressorBasis
 from .errors import ConfigurationError, NotReady, NumericFault
-from .models import AugmentedDynamics
 from .policy import SaturationSpec, tau2_raw
 
 # relative slack on the warm-up span test; absorbs float accumulation in t = k*dt
@@ -74,7 +73,16 @@ class LearnerConfig:
             raise ConfigurationError("Q1 must be positive semidefinite")
 
     def k_gains(self, n_features: int) -> tuple[np.ndarray, np.ndarray]:
-        """Resolved K1 (vector) and K2 (matrix), defaulting to 0.01 each."""
+        """Resolved K1 (vector) and K2 (matrix), defaulting to 0.01 each.
+
+        Resolved once per feature count; the step loop asks every step.
+        """
+        cache = self.__dict__.setdefault("_k_gains", {})
+        if n_features not in cache:
+            cache[n_features] = self._resolve_k_gains(n_features)
+        return cache[n_features]
+
+    def _resolve_k_gains(self, n_features: int):
         k1 = self.K1 if self.K1 is not None else 0.01 * np.ones(n_features)
         k2 = self.K2 if self.K2 is not None else 0.01 * np.eye(n_features)
         k1 = np.asarray(k1, dtype=float)
@@ -98,6 +106,16 @@ class CriticState:
     e_hat: float = 0.0
     sigma: float = 0.0
     xi: int = 1
+    I_hat: float = 0.0
+
+
+class Window(NamedTuple):
+    """One pass over the reinforcement window [t-T, t]."""
+
+    theta_t: np.ndarray     # theta(z_t)
+    theta_tmT: np.ndarray   # theta(z_{t-T}), interpolated if needed
+    I_hat: float            # discounted trapezoid of Q(z) + U_hat
+    m_int: float            # discounted trapezoid of W_hat . M (0 if skipped)
 
 
 class ReinforcementBuffer:
@@ -132,50 +150,56 @@ class ReinforcementBuffer:
         span = self._q[-1][0] - self._q[0][0]
         return span >= self.T * (1 - _SPAN_RTOL)
 
-    def _window(self, col: int):
-        """Times, values over [t-T, t]; left endpoint interpolated if needed."""
+    def window(self, gamma: float, m_term: bool = True) -> Window:
+        """Endpoint features and both discounted trapezoids over [t-T, t].
+
+        The time grid, the interpolation weight of the sample straddling
+        t-T and the discount exp(-gamma (tau - t + T)) are built once and
+        shared; m_int is 0.0 unless `m_term`.
+        """
         if not self.ready:
             raise NotReady("reinforcement buffer does not span a full window yet")
-        ts = np.array([s[0] for s in self._q])
-        vs = np.array([s[col] for s in self._q])
-        t_now = ts[-1]
+        q = list(self._q)
+        t_now = q[-1][0]
         t_lo = t_now - self.T
-        keep = ts >= t_lo
-        first = int(np.argmax(keep))
-        if first > 0 and ts[first] > t_lo + _SPAN_RTOL * self.T:
-            # interpolate the sample straddling t-T
-            w = (t_lo - ts[first - 1]) / (ts[first] - ts[first - 1])
-            v_lo = (1 - w) * vs[first - 1] + w * vs[first]
-            ts = np.concatenate([[t_lo], ts[first:]])
-            vs = np.concatenate([[v_lo], vs[first:]])
+        first = next(i for i, s in enumerate(q) if s[0] >= t_lo)
+        interpolate = first > 0 and q[first][0] > t_lo + _SPAN_RTOL * self.T
+        if interpolate:
+            lo, hi = q[first - 1], q[first]
+            w = (t_lo - lo[0]) / (hi[0] - lo[0])
+            # the sample at t-T, linear between its neighbours; z is not needed
+            left = (t_lo, None, *((1 - w) * a + w * b for a, b in zip(lo[2:], hi[2:])))
+            q = [left] + q[first:]
         else:
-            ts, vs = ts[first:], vs[first:]
-        return ts, vs
+            q = q[first:]
+        ts = np.array([s[0] for s in q])
+        disc = np.exp(-gamma * (ts - t_now + self.T))
+        steps = ts[1:] - ts[:-1]
 
-    def discounted_integral(self, col: int, gamma: float) -> float:
-        ts, vs = self._window(col)
-        t_now = ts[-1]
-        w = np.exp(-gamma * (ts - t_now + self.T))
-        return float(np.trapezoid(w * vs, ts))
+        def integral(col: int) -> float:
+            y = disc * np.array([s[col] for s in q])
+            # the trapezoid rule exactly as np.trapezoid(y, ts) evaluates it
+            return float((steps * (y[1:] + y[:-1]) / 2.0).sum())
 
-    def endpoint_features(self) -> tuple[np.ndarray, np.ndarray]:
-        """(theta(z_t), theta(z_{t-T})), the latter interpolated if needed."""
-        ts, vs = self._window(2)
-        return vs[-1], vs[0]
+        return Window(q[-1][2], q[0][2], integral(3),
+                      integral(4) if m_term else 0.0)
+
+
+def _window(buf: ReinforcementBuffer, gamma: float, T: float,
+            m_term: bool) -> Window:
+    if abs(T - buf.T) > _SPAN_RTOL * buf.T:
+        raise ConfigurationError(f"buffer window {buf.T} != requested T {T}")
+    return buf.window(gamma, m_term)
 
 
 def reinforcement_integral(buf: ReinforcementBuffer, gamma: float, T: float) -> float:
     """Discounted trapezoid of the stored stage cost Q(z) + U_hat over [t-T, t]."""
-    if abs(T - buf.T) > _SPAN_RTOL * buf.T:
-        raise ConfigurationError(f"buffer window {buf.T} != requested T {T}")
-    return buf.discounted_integral(3, gamma)
+    return _window(buf, gamma, T, m_term=False).I_hat
 
 
 def m_integral(buf: ReinforcementBuffer, gamma: float, T: float) -> float:
     """Discounted trapezoid of the stored W_hat(tau) . M(tau) over [t-T, t]."""
-    if abs(T - buf.T) > _SPAN_RTOL * buf.T:
-        raise ConfigurationError(f"buffer window {buf.T} != requested T {T}")
-    return buf.discounted_integral(4, gamma)
+    return _window(buf, gamma, T, m_term=True).m_int
 
 
 def delta_theta(theta_t: np.ndarray, theta_tmT: np.ndarray, gamma: float,
@@ -210,9 +234,13 @@ def gain_pow(x: float, p: float) -> float:
 
 
 def m_vector_raw(grad_theta: np.ndarray, G_z: np.ndarray, W_hat: np.ndarray,
-                 sat: SaturationSpec) -> np.ndarray:
-    """M = grad_theta G u_m (tanh(tau2) - sgn(tau2)); bounded, -> 0 in saturation."""
-    tau = tau2_raw(grad_theta, G_z, W_hat, sat)
+                 sat: SaturationSpec, tau: np.ndarray | None = None) -> np.ndarray:
+    """M = grad_theta G u_m (tanh(tau2) - sgn(tau2)); bounded, -> 0 in saturation.
+
+    `tau` is tau2_raw(grad_theta, G_z, W_hat, sat) when the caller has it.
+    """
+    if tau is None:
+        tau = tau2_raw(grad_theta, G_z, W_hat, sat)
     return (grad_theta @ G_z) @ (sat.u_m * (np.tanh(tau) - np.sign(tau)))
 
 
@@ -234,17 +262,18 @@ def _gradient_term(alpha: float, q2: float, e_hat: float,
 
 def law_terms(W_hat: np.ndarray, e_hat: float, sigma: float, xi: int,
               dtheta: np.ndarray, grad_theta: np.ndarray, G_z: np.ndarray,
-              z: np.ndarray, m_int: float, cfg: LearnerConfig):
+              tau: np.ndarray, z: np.ndarray, m_int: float, cfg: LearnerConfig):
     """The three right-hand-side terms of the variable-gain law, per unit time.
 
     Split out so tests and analysis can probe each term's scaling in
-    isolation; `update_step` sums them and applies the Euler step.
+    isolation; `update_step` sums them and applies the Euler step.  `tau`
+    is the policy's saturation argument tau2_raw(grad_theta, G_z, W_hat,
+    cfg.sat).
     """
     phi, theta_bar = _normalized_regressors(dtheta)
     term_grad = _gradient_term(cfg.alpha, cfg.q2, e_hat, theta_bar)
 
     if xi and cfg.stabilizer_enabled:
-        tau = tau2_raw(grad_theta, G_z, W_hat, cfg.sat)
         ndg = grad_theta @ G_z
         gs = 0.5 * cfg.alpha * gain_pow(sigma, cfg.k2)
         term_stab = gs * (ndg @ ((1.0 - np.tanh(tau) ** 2) * (G_z.T @ z)))
@@ -260,33 +289,35 @@ def law_terms(W_hat: np.ndarray, e_hat: float, sigma: float, xi: int,
 
 
 def update_step(state: CriticState, cfg: LearnerConfig, buf: ReinforcementBuffer,
-                z: np.ndarray, z_prev: np.ndarray, dyn: AugmentedDynamics,
-                basis: RegressorBasis, dt: float) -> CriticState:
+                z: np.ndarray, grad_theta: np.ndarray, G_z: np.ndarray,
+                tau: np.ndarray, sigma: float, dt: float) -> CriticState:
     """One Euler step of the variable-gain law; returns the new critic state.
+
+    grad_theta = grad theta(z), G_z = G(z), tau = tau2_raw(grad_theta, G_z,
+    W_hat, cfg.sat) and sigma = sigma_rate(z, z_prev, dt) are the step's
+    own, computed once by the caller.  The window is read in one pass and
+    its I_hat is returned on the new state.
 
     Raises NotReady while the buffer is cold and NumericFault if the step
     produces non-finite weights.
     """
-    theta_t, theta_tmT = buf.endpoint_features()
-    dtheta = delta_theta(theta_t, theta_tmT, cfg.gamma, cfg.T)
-    I_hat = reinforcement_integral(buf, cfg.gamma, cfg.T)
-    e_hat = hjb_error(I_hat, dtheta, state.W_hat)
-    sigma = sigma_rate(z, z_prev, dt)
+    win = _window(buf, cfg.gamma, cfg.T, cfg.m_term_enabled)
+    dtheta = delta_theta(win.theta_t, win.theta_tmT, cfg.gamma, cfg.T)
+    e_hat = hjb_error(win.I_hat, dtheta, state.W_hat)
     xi = indicator(sigma) if cfg.stabilizer_enabled else 0
-    m_int = m_integral(buf, cfg.gamma, cfg.T) if cfg.m_term_enabled else 0.0
 
-    grad = basis.grad(z)
-    G_z = dyn.G(z)
     with np.errstate(over="ignore", invalid="ignore"):
-        t1, t2, t3 = law_terms(state.W_hat, e_hat, sigma, xi, dtheta, grad, G_z,
-                               np.asarray(z, dtype=float), m_int, cfg)
+        t1, t2, t3 = law_terms(state.W_hat, e_hat, sigma, xi, dtheta, grad_theta,
+                               G_z, tau, np.asarray(z, dtype=float), win.m_int,
+                               cfg)
         W_new = state.W_hat + dt * (t1 + t2 + t3)
-    if not np.all(np.isfinite(W_new)):
+    if not np.isfinite(W_new).all():
         bad = int(np.flatnonzero(~np.isfinite(W_new))[0])
         raise NumericFault(
             f"critic weights non-finite after update (component {bad}, "
             f"e_hat={e_hat}, sigma={sigma})", component=bad)
-    return CriticState(W_hat=W_new, e_hat=e_hat, sigma=sigma, xi=xi)
+    return CriticState(W_hat=W_new, e_hat=e_hat, sigma=sigma, xi=xi,
+                       I_hat=win.I_hat)
 
 
 def baseline_update_step(state: CriticState, cfg: LearnerConfig,
@@ -297,17 +328,17 @@ def baseline_update_step(state: CriticState, cfg: LearnerConfig,
     reported as 0/1.  Shares the gradient-term arithmetic with the
     variable-gain law so the q2=0 degenerate case matches it exactly.
     """
-    theta_t, theta_tmT = buf.endpoint_features()
-    dtheta = delta_theta(theta_t, theta_tmT, cfg.gamma, cfg.T)
-    I_hat = reinforcement_integral(buf, cfg.gamma, cfg.T)
-    e_hat = hjb_error(I_hat, dtheta, state.W_hat)
+    win = _window(buf, cfg.gamma, cfg.T, m_term=False)
+    dtheta = delta_theta(win.theta_t, win.theta_tmT, cfg.gamma, cfg.T)
+    e_hat = hjb_error(win.I_hat, dtheta, state.W_hat)
     _, theta_bar = _normalized_regressors(dtheta)
     with np.errstate(over="ignore", invalid="ignore"):
         W_new = state.W_hat + dt * _gradient_term(cfg.alpha, 0.0, e_hat,
                                                   theta_bar)
-    if not np.all(np.isfinite(W_new)):
+    if not np.isfinite(W_new).all():
         bad = int(np.flatnonzero(~np.isfinite(W_new))[0])
         raise NumericFault(
             f"critic weights non-finite after baseline update (component {bad}, "
             f"e_hat={e_hat})", component=bad)
-    return CriticState(W_hat=W_new, e_hat=e_hat, sigma=0.0, xi=1)
+    return CriticState(W_hat=W_new, e_hat=e_hat, sigma=0.0, xi=1,
+                       I_hat=win.I_hat)

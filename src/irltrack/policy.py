@@ -16,6 +16,7 @@ and the pair is kept as a cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -50,7 +51,7 @@ class SaturationSpec:
     def m(self) -> int:
         return self.R.shape[0]
 
-    @property
+    @cached_property
     def r_diag(self) -> np.ndarray:
         return np.diag(self.R)
 
@@ -109,8 +110,8 @@ def penalty_closed(tau: np.ndarray, sat: SaturationSpec) -> float:
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     um2 = sat.u_m ** 2
     r = sat.r_diag
-    return float(2.0 * um2 * np.sum(r * tau * np.tanh(tau))
-                 + um2 * np.sum(r * log_one_minus_tanh2(tau)))
+    return float(2.0 * um2 * (r * tau * np.tanh(tau)).sum()
+                 + um2 * (r * log_one_minus_tanh2(tau)).sum())
 
 
 def saturate(u: np.ndarray, u_m: float) -> np.ndarray:

@@ -1,15 +1,23 @@
 """Fixed-step closed-loop simulation, excitation dither, and telemetry.
 
-The step loop, per sample time t_k:
+The step loop computes each per-step quantity once and shares it.  Per
+sample time t_k:
 
-  1. evaluate the saturated policy u_hat from the current weights,
-  2. push the window sample (theta, Q(z) + U_hat, W_hat . M) for t_k,
-  3. run the critic update once the buffer spans a full window,
-  4. record telemetry,
-  5. apply saturate(u_hat + dither) to the plant and integrate to t_{k+1}.
+  1. z, grad_theta(z), G(z) and the saturation argument tau2 from the
+     current weights; the policy u_hat = -u_m tanh(tau2), the penalty and,
+     with the m-term on, W_hat . M all reuse them (M is skipped otherwise),
+  2. push the window sample (theta(z), Q(z) + U_hat, W_hat . M) for t_k,
+  3. once the buffer spans a full window, run the critic update: one
+     window pass gives theta(z_t), theta(z_{t-T}), I_hat and the
+     m-integral, and the law reuses grad_theta, G(z), tau2 and
+     Sigma = z . zdot,
+  4. record telemetry: I_hat comes from the update, V_hat from the theta
+     of step 2,
+  5. apply saturate(u_hat + dither) and integrate to t_{k+1}.
 
-The plant and the reference are integrated with classical RK4 under a
-zero-order hold; the reference trajectory never depends on the learner.
+The plant and the reference are integrated together, as one classical RK4
+step of the stacked state under a zero-order hold; the reference
+trajectory never depends on the learner.
 """
 from __future__ import annotations
 
@@ -22,11 +30,11 @@ import numpy as np
 from .basis import RegressorBasis
 from .errors import ConfigurationError, NumericFault
 from .learner import (CriticState, LearnerConfig, ReinforcementBuffer,
-                      baseline_update_step, indicator, m_vector_raw,
-                      reinforcement_integral, sigma_rate, update_step)
+                      baseline_update_step, indicator, m_vector_raw, sigma_rate,
+                      update_step)
 from .models import (AffinePlant, AugmentedDynamics, ReferenceModel, augment,
                      augmented_linear)
-from .policy import SaturationSpec, penalty_closed, saturate, tau2_raw
+from .policy import penalty_closed, saturate, tau2_raw
 
 
 @dataclass(frozen=True)
@@ -71,60 +79,83 @@ def rk4_step(field, t: float, state: np.ndarray, dt: float) -> np.ndarray:
     k3 = np.asarray(field(t + dt / 2.0, state + (dt / 2.0) * k2), dtype=float)
     k4 = np.asarray(field(t + dt, state + dt * k3), dtype=float)
     for i, k in enumerate((k1, k2, k3, k4)):
-        if not np.all(np.isfinite(k)):
+        if not np.isfinite(k).all():
             raise NumericFault(f"non-finite RK4 stage {i + 1} at t={t}", t=t)
     return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+@dataclass
+class WarningCount:
+    """How often one kind of warning fired, and at which first and last t."""
+
+    count: int
+    t_first: float
+    t_last: float
+
+
 class Telemetry:
-    """Column-oriented run log with a fixed CSV schema.
+    """Run log with a fixed CSV schema, held in one preallocated array.
 
     Columns: t, z_*, x_*, xd_*, u_*, n, e_hat, sigma, xi, I_hat, V_hat, W_*.
     Appends enforce strictly increasing time and reject non-finite values.
+    `capacity` is the expected number of rows; the array doubles past it.
+    Warnings are kept once per kind, with a count and first/last times.
     """
 
     def __init__(self, dim_z: int, dim_x: int, dim_xd: int, m: int, n1: int,
-                 control_names=None):
+                 control_names=None, capacity: int = 64):
         self.dim_z, self.dim_x, self.dim_xd, self.m, self.n1 = \
             dim_z, dim_x, dim_xd, m, n1
         self.control_names = list(control_names) if control_names else [
             f"u{i}" for i in range(m)]
-        self.rows: list[list[float]] = []
-        self.warnings: list[str] = []
-
-    @property
-    def header(self) -> list[str]:
         cols = ["t"]
-        cols += [f"z{i}" for i in range(self.dim_z)]
-        cols += [f"x{i}" for i in range(self.dim_x)]
-        cols += [f"xd{i}" for i in range(self.dim_xd)]
+        cols += [f"z{i}" for i in range(dim_z)]
+        cols += [f"x{i}" for i in range(dim_x)]
+        cols += [f"xd{i}" for i in range(dim_xd)]
         cols += [f"u_{name}" for name in self.control_names]
         cols += ["n", "e_hat", "sigma", "xi", "I_hat", "V_hat"]
-        cols += [f"W{i}" for i in range(self.n1)]
-        return cols
+        cols += [f"W{i}" for i in range(n1)]
+        self.header = cols
+        edges = np.cumsum([1, dim_z, dim_x, dim_xd, m, 6, n1])
+        self._groups = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        self._data = np.empty((max(capacity, 1), len(cols)))
+        self._n = 0
+        self.warnings: dict[str, WarningCount] = {}
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The recorded rows, one per record, in header order."""
+        return self._data[:self._n]
 
     def append(self, t, z, x, xd, u, n_val, e_hat, sigma, xi, I_hat, V_hat, W):
-        row = [float(t)]
-        row += [float(v) for v in z]
-        row += [float(v) for v in x]
-        row += [float(v) for v in xd]
-        row += [float(v) for v in u]
-        row += [float(n_val), float(e_hat), float(sigma), float(xi),
-                float(I_hat), float(V_hat)]
-        row += [float(v) for v in W]
-        if self.rows and row[0] <= self.rows[-1][0]:
+        if self._n == len(self._data):
+            self._data = np.concatenate([self._data, np.empty_like(self._data)])
+        row = self._data[self._n]
+        row[0] = t
+        g_z, g_x, g_xd, g_u, g_scalars, g_w = self._groups
+        row[g_z] = z
+        row[g_x] = x
+        row[g_xd] = xd
+        row[g_u] = u
+        row[g_scalars] = (n_val, e_hat, sigma, xi, I_hat, V_hat)
+        row[g_w] = W
+        if self._n and row[0] <= self._data[self._n - 1, 0]:
             raise ConfigurationError("telemetry rows must be strictly time-ordered")
-        if not all(math.isfinite(v) for v in row):
+        if not np.isfinite(row).all():
             raise NumericFault("attempted to record a non-finite telemetry value", t=t)
-        self.rows.append(row)
+        self._n += 1
 
-    def warn(self, message: str):
-        if not self.warnings or self.warnings[-1] != message:
-            self.warnings.append(message)
+    def warn(self, kind: str, t: float):
+        """Count one occurrence at time t of the warning `kind`."""
+        seen = self.warnings.get(kind)
+        if seen is None:
+            self.warnings[kind] = WarningCount(1, t, t)
+        else:
+            seen.count += 1
+            seen.t_last = t
 
     def column(self, name: str) -> np.ndarray:
-        idx = self.header.index(name)
-        return np.array([r[idx] for r in self.rows])
+        return self.rows[:, self.header.index(name)].copy()
 
     def columns(self, prefix: str) -> np.ndarray:
         """Columns named `prefix<digits>`, or any suffix for `prefix_` groups.
@@ -137,7 +168,9 @@ class Telemetry:
             return prefix.endswith("_") or h[len(prefix):].isdigit()
 
         idxs = [i for i, h in enumerate(self.header) if match(h)]
-        return np.array([[r[i] for i in idxs] for r in self.rows])
+        # row-major, so axis-1 reductions (the oracle error norm) add in a
+        # fixed order
+        return np.ascontiguousarray(self.rows[:, idxs])
 
     @property
     def t(self) -> np.ndarray:
@@ -147,7 +180,7 @@ class Telemetry:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(self.header) + "\n")
             for row in self.rows:
-                fh.write(",".join(repr(v) for v in row) + "\n")
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 class TrackingEnv(Protocol):
@@ -189,15 +222,20 @@ class AugmentedTrackingEnv:
         return np.concatenate([self.x - self.x_d, self.x_d])
 
     def advance(self, u_applied: np.ndarray, t: float, dt: float):
-        self.x = rk4_step(lambda tt, xx: self.plant.f(xx) + self.plant.g(xx) @ u_applied,
-                          t, self.x, dt)
-        self.x_d = rk4_step(lambda tt, xd: self.ref.H(xd), t, self.x_d, dt)
+        n, f, g, H = self.plant.n, self.plant.f, self.plant.g, self.ref.H
+
+        def field(tt, s):
+            x, xd = s[:n], s[n:]
+            return np.concatenate([f(x) + g(x) @ u_applied, H(xd)])
+
+        s = rk4_step(field, t, np.concatenate([self.x, self.x_d]), dt)
+        self.x, self.x_d = s[:n], s[n:]
 
     def check_domain(self, telemetry: Telemetry, t: float):
         if self.plant.domain is not None:
             lo, hi = self.plant.domain
             if np.any(self.x < lo) or np.any(self.x > hi):
-                telemetry.warn(f"state left the operating box near t={t:.3f}")
+                telemetry.warn("state left the operating box", t)
 
     def series(self, telemetry: Telemetry) -> dict:
         z = telemetry.columns("z")
@@ -210,14 +248,16 @@ class AugmentedTrackingEnv:
 
 
 def run_env_experiment(env: TrackingEnv, basis: RegressorBasis,
-                       sat: SaturationSpec, learner_cfg: LearnerConfig,
+                       learner_cfg: LearnerConfig,
                        sim_cfg: SimConfig, law: str = "novel",
                        dither_spec: DitherSpec = DitherSpec(),
                        W0: np.ndarray | None = None) -> Telemetry:
     """Drive any tracking environment through the learn-act loop.
 
-    On a numeric fault the partial telemetry is attached to the raised
-    exception so callers can flush it.
+    The policy and the critic share one saturation spec, `learner_cfg.sat`,
+    and one tau2 per step.  On a numeric fault
+    the fault gets the step's t and index (unless it carries them) and the
+    partial telemetry, so callers can report and flush it.
     """
     if law not in ("novel", "baseline"):
         raise ConfigurationError(f"unknown update law {law!r}")
@@ -229,13 +269,16 @@ def run_env_experiment(env: TrackingEnv, basis: RegressorBasis,
 
     n1 = basis.n_features
     dt = sim_cfg.dt
+    sat = learner_cfg.sat
+    m_term = learner_cfg.m_term_enabled
     state = CriticState(W_hat=np.zeros(n1) if W0 is None else np.array(W0, dtype=float))
     buf = ReinforcementBuffer(learner_cfg.T, dt)
+    n_steps = int(round(sim_cfg.t_end / dt))
     z0 = env.z()
     telemetry = Telemetry(dim_z=len(z0), dim_x=len(env.x), dim_xd=len(env.x_d),
-                          m=env.m, n1=n1, control_names=env.control_names)
+                          m=env.m, n1=n1, control_names=env.control_names,
+                          capacity=n_steps // sim_cfg.record_every + 2)
 
-    n_steps = int(round(sim_cfg.t_end / dt))
     z_prev = z0
     try:
         for k in range(n_steps + 1):
@@ -243,50 +286,53 @@ def run_env_experiment(env: TrackingEnv, basis: RegressorBasis,
             z = env.z()
             grad = basis.grad(z)
             G_z = env.dyn.G(z)
-            tau = tau2_raw(grad, G_z, state.W_hat, sat)
+            W = state.W_hat
+            tau = tau2_raw(grad, G_z, W, sat)
             u_hat = -sat.u_m * np.tanh(tau)
-            u_penalty = penalty_closed(tau, sat)
-            cost = learner_cfg.cost_state(z) + u_penalty
-            m_scalar = float(state.W_hat @ m_vector_raw(grad, G_z, state.W_hat, sat))
-            buf.push(t, z, basis.eval(z), cost, m_scalar)
+            cost = learner_cfg.cost_state(z) + penalty_closed(tau, sat)
+            m_scalar = float(W @ m_vector_raw(grad, G_z, W, sat, tau=tau)) \
+                if m_term else 0.0
+            theta = basis.eval(z)
+            buf.push(t, z, theta, cost, m_scalar)
 
-            I_hat = 0.0
+            sigma = sigma_rate(z, z_prev, dt) if k > 0 else 0.0
             if k > 0 and buf.ready:
                 if law == "novel":
-                    state = update_step(state, learner_cfg, buf, z, z_prev,
-                                        env.dyn, basis, dt)
+                    state = update_step(state, learner_cfg, buf, z, grad, G_z,
+                                        tau, sigma, dt)
                 else:
                     state = baseline_update_step(state, learner_cfg, buf, dt)
-                I_hat = reinforcement_integral(buf, learner_cfg.gamma, learner_cfg.T)
 
             n_val = dither_spec.amplitude * dither(t)
-            sigma_tel = sigma_rate(z, z_prev, dt) if k > 0 else 0.0
             if k % sim_cfg.record_every == 0 or k == n_steps:
                 telemetry.append(t, z, env.x, env.x_d, u_hat, n_val,
-                                 state.e_hat, sigma_tel, indicator(sigma_tel),
-                                 I_hat, float(state.W_hat @ basis.eval(z)),
+                                 state.e_hat, sigma, indicator(sigma),
+                                 state.I_hat, float(state.W_hat @ theta),
                                  state.W_hat)
             env.check_domain(telemetry, t)
 
             if k < n_steps:
-                u_applied = saturate(u_hat + n_val, sat.u_m)
-                env.advance(u_applied, t, dt)
+                env.advance(saturate(u_hat + n_val, sat.u_m), t, dt)
                 z_prev = z
     except NumericFault as fault:
+        if fault.t is None:
+            fault.t = t
+        if fault.step is None:
+            fault.step = k
         fault.telemetry = telemetry
         raise
     return telemetry
 
 
 def run_experiment(plant: AffinePlant, ref: ReferenceModel, basis: RegressorBasis,
-                   sat: SaturationSpec, learner_cfg: LearnerConfig,
+                   learner_cfg: LearnerConfig,
                    sim_cfg: SimConfig, law: str = "novel",
                    dither_spec: DitherSpec = DitherSpec(),
                    x0: np.ndarray | None = None,
                    W0: np.ndarray | None = None) -> Telemetry:
     """Run the closed-loop experiment for a plant/reference pair."""
     env = AugmentedTrackingEnv(plant, ref, x0=x0)
-    return run_env_experiment(env, basis, sat, learner_cfg, sim_cfg, law=law,
+    return run_env_experiment(env, basis, learner_cfg, sim_cfg, law=law,
                               dither_spec=dither_spec, W0=W0)
 
 

@@ -17,7 +17,8 @@ from irltrack.checks import check_window_identity
 from irltrack.learner import (LearnerConfig, ReinforcementBuffer, law_terms,
                               reinforcement_integral)
 from irltrack.models import AugmentedDynamics, augmented_linear
-from irltrack.policy import SaturationSpec, penalty_closed, penalty_integral
+from irltrack.policy import (SaturationSpec, penalty_closed, penalty_integral,
+                             tau2_raw)
 from irltrack.sim import SimConfig, run_experiment
 
 DEG = math.pi / 180.0
@@ -179,7 +180,7 @@ def test_criterion_8_law_containment():
     scfg = SimConfig(dt=1e-3, t_end=10.0, record_every=1)  # 10^4 steps
     tels = {}
     for law in ("novel", "baseline"):
-        tels[law] = run_experiment(plant, ref, basis, sat, lcfg, scfg, law=law,
+        tels[law] = run_experiment(plant, ref, basis, lcfg, scfg, law=law,
                                    x0=np.array([16.0, 0.0]))
     Wa = tels["novel"].columns("W")
     Wb = tels["baseline"].columns("W")
@@ -203,15 +204,16 @@ def _frozen_case():
 
 def test_criterion_9_variable_gain_scaling():
     cfg, W, dtheta, grad, G_z, z = _frozen_case()
+    tau = tau2_raw(grad, G_z, W, cfg.sat)
     e = 0.37
-    t1a, _, _ = law_terms(W, e, -1.0, 0, dtheta, grad, G_z, z, 0.0, cfg)
-    t1b, _, _ = law_terms(W, 2 * e, -1.0, 0, dtheta, grad, G_z, z, 0.0, cfg)
+    t1a, _, _ = law_terms(W, e, -1.0, 0, dtheta, grad, G_z, tau, z, 0.0, cfg)
+    t1b, _, _ = law_terms(W, 2 * e, -1.0, 0, dtheta, grad, G_z, tau, z, 0.0, cfg)
     r1 = np.linalg.norm(t1b) / np.linalg.norm(t1a)
     assert abs(r1 - 2.0 ** (1.0 + cfg.q2)) <= 1e-12
 
     s = 0.8
-    _, t2a, _ = law_terms(W, e, s, 1, dtheta, grad, G_z, z, 0.0, cfg)
-    _, t2b, _ = law_terms(W, e, 2 * s, 1, dtheta, grad, G_z, z, 0.0, cfg)
+    _, t2a, _ = law_terms(W, e, s, 1, dtheta, grad, G_z, tau, z, 0.0, cfg)
+    _, t2b, _ = law_terms(W, e, 2 * s, 1, dtheta, grad, G_z, tau, z, 0.0, cfg)
     r2 = np.linalg.norm(t2b) / np.linalg.norm(t2a)
     assert abs(r2 - 2.0 ** cfg.k2) <= 1e-12
     print(f"\n[criterion 9] PASS variable-gain scaling: first-term ratio "
@@ -220,13 +222,12 @@ def test_criterion_9_variable_gain_scaling():
 
 def test_criterion_10_indicator_gating():
     cfg, W, dtheta, grad, G_z, z = _frozen_case()
-    _, stab_off, _ = law_terms(W, 0.2, -0.7, 0, dtheta, grad, G_z, z, 0.0, cfg)
+    tau = tau2_raw(grad, G_z, W, cfg.sat)
+    _, stab_off, _ = law_terms(W, 0.2, -0.7, 0, dtheta, grad, G_z, tau, z, 0.0, cfg)
     assert np.all(stab_off == 0.0)
     # expanding sample: nonzero whenever (I - B) G^T z != 0
-    from irltrack.policy import tau2_raw
-    tau = tau2_raw(grad, G_z, W, cfg.sat)
     assert np.linalg.norm((1.0 - np.tanh(tau) ** 2) * (G_z.T @ z)) > 0.0
-    _, stab_on, _ = law_terms(W, 0.2, 0.7, 1, dtheta, grad, G_z, z, 0.0, cfg)
+    _, stab_on, _ = law_terms(W, 0.2, 0.7, 1, dtheta, grad, G_z, tau, z, 0.0, cfg)
     assert np.linalg.norm(stab_on) > 0.0
     print("\n[criterion 10] PASS indicator gating: stabilizer exactly zero on "
           "contraction, active on expansion")

@@ -185,7 +185,7 @@ def test_oracle_critic_bellman_residual_bound():
     lcfg = LearnerConfig(alpha=0.0, gamma=0.1, T=1e-3, Q1=Q1, sat=sat,
                          K1=np.zeros(14), K2=np.zeros((14, 14)))
     scfg = SimConfig(dt=1e-3, t_end=5.0, record_every=1)
-    tel = run_experiment(plant, ref, basis, sat, lcfg, scfg,
+    tel = run_experiment(plant, ref, basis, lcfg, scfg,
                          x0=np.array([16.0, 0.0]), W0=W_star)
     ts = tel.t
     m = ts > 1e-3

@@ -1,6 +1,8 @@
 import configparser
 import os
+import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -112,7 +114,13 @@ class TestRun:
                          "--out", str(out)])
         assert code == cli.EXIT_NUMERIC
         assert (out / "telemetry.csv").is_file()
-        assert "numeric fault" in (out / "manifest.txt").read_text()
+        manifest = (out / "manifest.txt").read_text()
+        assert "numeric fault" in manifest
+        # the status line says when: the step's time and index
+        found = re.search(r"^status = numeric fault at t=(\S+), step (\d+): ",
+                          manifest, re.M)
+        assert found, manifest
+        assert float(found.group(1)) == int(found.group(2)) * 1e-3
 
     def test_config_error_exit(self, tmp_path):
         out = tmp_path / "cfg"
@@ -210,12 +218,17 @@ class TestUavCliSurface:
         assert "value.dat" in series
         assert_two_float_columns(out / "series")
 
-    def test_trim_failure_maps_to_oracle_exit(self, tmp_path):
+    def test_trim_failure_maps_to_oracle_exit(self, tmp_path, capsys):
         out = tmp_path / "trimfail"
         code = cli.main(["run", "uav_attitude",
                          "--override", "plant.va_m_s=0.5",
                          "--out", str(out)])
         assert code == cli.EXIT_ORACLE
+        capsys.readouterr()
+        path = edited_config(tmp_path, "uav_attitude", ["plant.va_m_s=0.5"])
+        assert cli.main(["validate", path]) == cli.EXIT_ORACLE
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and "trim solver failed" in lines[0]
 
 
 def test_malformed_ini_reports_parse_error(tmp_path):
@@ -293,6 +306,31 @@ def test_parse_defects_name_their_field(tmp_path, name, edits, field):
         assert f"{field}: missing required key" in errors
 
 
+@pytest.mark.parametrize("name, overrides, field", [
+    ("linear_benchmark", ["plant.omega=abc"], "plant.omega"),
+    ("linear_benchmark", ["plant.gain=1.0.0"], "plant.gain"),
+    ("linear_benchmark", ["reference.omega=six"], "reference.omega"),
+    ("linear_benchmark", ["plant.x0=16 zero"], "plant.x0"),
+    ("linear_benchmark", ["experiment.plant=zero", "plant.n=two"], "plant.n"),
+    ("linear_benchmark", ["experiment.plant=zero", "plant.m=1.5"], "plant.m"),
+    ("uav_attitude", ["plant.va_m_s=fast"], "plant.va_m_s"),
+    ("uav_attitude", ["plant.altitude_m=high"], "plant.altitude_m"),
+    ("uav_attitude", ["reference.gains=8 ten 12"], "reference.gains"),
+    ("uav_attitude", ["reference.gains=8 10"], "reference.gains"),
+])
+def test_builder_defects_name_their_key(tmp_path, capsys, name, overrides,
+                                        field):
+    path = edited_config(tmp_path, name, overrides)
+    cfg, errors = parse_config(path)
+    assert not errors + validate_config(cfg)
+    with pytest.raises(ConfigurationError, match=re.escape(field)):
+        resolve(cfg)
+    assert cli.main(["validate", path]) == cli.EXIT_CONFIG
+    assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == \
+        cli.EXIT_CONFIG
+    assert field in capsys.readouterr().out
+
+
 def test_resolve_config_path_creates_no_file(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     path = cli.resolve_config_path("linear_benchmark")
@@ -319,6 +357,17 @@ def test_unstabilizable_oracle_skips_weight_error_series(tmp_path):
                      "--override", "learner.gamma=0",
                      "--override", "sim.t_end_s=0.2",
                      "--out", str(out)]) == cli.EXIT_OK
+    series = set(os.listdir(out / "series"))
+    assert "value.dat" in series
+    assert "weight_error_vs_oracle.dat" not in series
+    # no state cost: the oracle is W* = 0, which has no relative error
+    out = tmp_path / "nocost"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", "linear_benchmark",
+                         "--override", "learner.q1_diag=0 0 0 0",
+                         "--override", "sim.t_end_s=0.05",
+                         "--out", str(out)]) == cli.EXIT_OK
     series = set(os.listdir(out / "series"))
     assert "value.dat" in series
     assert "weight_error_vs_oracle.dat" not in series

@@ -11,7 +11,7 @@ from irltrack.learner import (CriticState, LearnerConfig, ReinforcementBuffer,
                               m_vector_raw, reinforcement_integral, sigma_rate,
                               update_step)
 from irltrack.models import AugmentedDynamics
-from irltrack.policy import SaturationSpec
+from irltrack.policy import SaturationSpec, tau2_raw
 
 
 def make_cfg(n1=5, alpha=1.0, q2=0.1, k2=0.01, gamma=0.1, T=1e-3, u_m=1.0,
@@ -62,6 +62,56 @@ class TestBuffer:
     def test_dt_must_not_exceed_T(self):
         with pytest.raises(ConfigurationError):
             ReinforcementBuffer(T=1e-3, dt=2e-3)
+
+
+def per_column_window(samples, T, col):
+    """Times and values of one column over [t-T, t], the left endpoint
+    interpolated if needed: the window built separately for each column."""
+    ts = np.array([s[0] for s in samples])
+    vs = np.array([s[col] for s in samples])
+    t_lo = ts[-1] - T
+    first = int(np.argmax(ts >= t_lo))
+    if first > 0 and ts[first] > t_lo + 1e-9 * T:
+        w = (t_lo - ts[first - 1]) / (ts[first] - ts[first - 1])
+        v_lo = (1 - w) * vs[first - 1] + w * vs[first]
+        return (np.concatenate([[t_lo], ts[first:]]),
+                np.concatenate([[v_lo], vs[first:]]))
+    return ts[first:], vs[first:]
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def per_column_integral(samples, T, col, gamma):
+    ts, vs = per_column_window(samples, T, col)
+    return float(np.trapezoid(np.exp(-gamma * (ts - ts[-1] + T)) * vs, ts))
+
+
+@pytest.mark.parametrize("T, dt", [(1.5e-3, 1e-3), (1e-3, 1e-3),
+                                   (1.05e-2, 1e-3), (2e-2, 1e-3)])
+def test_one_pass_window_is_bitwise_the_per_column_window(rng, T, dt):
+    gamma = 0.1
+    buf = ReinforcementBuffer(T, dt)
+    samples = []
+    for k in range(40):
+        sample = (k * dt, rng.normal(size=5), float(rng.normal()),
+                  float(rng.normal()))
+        samples.append(sample)
+        buf.push(sample[0], np.zeros(2), *sample[1:])
+        if not buf.ready:
+            continue
+        kept = samples[-buf.capacity:]
+        _, thetas = per_column_window(kept, T, 1)
+        win = buf.window(gamma)
+        assert same_bits(win.theta_t, thetas[-1])
+        assert same_bits(win.theta_tmT, thetas[0])
+        assert same_bits(win.I_hat, per_column_integral(kept, T, 2, gamma))
+        assert same_bits(win.m_int, per_column_integral(kept, T, 3, gamma))
+        assert same_bits(reinforcement_integral(buf, gamma, T), win.I_hat)
+        assert same_bits(m_integral(buf, gamma, T), win.m_int)
+        assert buf.window(gamma, m_term=False).m_int == 0.0
+    assert buf.ready
 
 
 class TestReinforcementIntegral:
@@ -229,7 +279,10 @@ class TestUpdateStep:
         z = 0.5 * z_prev
         buf = warm_buffer(basis, [z_prev, z], cfg)
         state = CriticState(W_hat=np.zeros(basis.n_features))
-        new = update_step(state, cfg, buf, z, z_prev, dyn, basis, cfg.T)
+        grad, G_z = basis.grad(z), dyn.G(z)
+        new = update_step(state, cfg, buf, z, grad, G_z,
+                          tau2_raw(grad, G_z, state.W_hat, sat),
+                          sigma_rate(z, z_prev, cfg.T), cfg.T)
         assert np.array_equal(new.W_hat, state.W_hat)
         assert new.e_hat == 0.0 and new.xi == 0 and new.sigma < 0.0
 
@@ -240,7 +293,10 @@ class TestUpdateStep:
         buf = warm_buffer(basis, [z1, z2], cfg0)
         W0 = np.array([0.1, -0.2, 0.3, 0.05, -0.1])
         state = CriticState(W_hat=W0.copy())
-        novel = update_step(state, cfg0, buf, z2, z1, dyn, basis, cfg0.T)
+        grad, G_z = basis.grad(z2), dyn.G(z2)
+        novel = update_step(state, cfg0, buf, z2, grad, G_z,
+                            tau2_raw(grad, G_z, W0, sat),
+                            sigma_rate(z2, z1, cfg0.T), cfg0.T)
         base = baseline_update_step(CriticState(W_hat=W0.copy()), cfg0, buf,
                                     cfg0.T)
         assert np.array_equal(novel.W_hat, base.W_hat)
@@ -253,12 +309,15 @@ class TestUpdateStep:
         buf = warm_buffer(basis, [z1, z2], cfg)
         W0 = np.array([0.3, 0.1, -0.2, 0.4, 0.0])
         dt = cfg.T
-        s1 = update_step(CriticState(W_hat=W0.copy()), cfg, buf, z2, z1, dyn,
-                         basis, dt)
+        grad, G_z = basis.grad(z2), dyn.G(z2)
+        tau = tau2_raw(grad, G_z, W0, sat)
+        s1 = update_step(CriticState(W_hat=W0.copy()), cfg, buf, z2,
+                         grad, G_z, tau, sigma_rate(z2, z1, dt), dt)
         # same Sigma with doubled dt requires doubling the state increment
         z1_far = z2 - 2.0 * (z2 - z1)
-        s2 = update_step(CriticState(W_hat=W0.copy()), cfg, buf, z2, z1_far,
-                         dyn, basis, 2.0 * dt)
+        s2 = update_step(CriticState(W_hat=W0.copy()), cfg, buf, z2,
+                         grad, G_z, tau, sigma_rate(z2, z1_far, 2.0 * dt),
+                         2.0 * dt)
         assert np.allclose(s2.W_hat - W0, 2.0 * (s1.W_hat - W0), rtol=1e-12)
         assert s2.sigma == pytest.approx(s1.sigma, rel=1e-12)
 
@@ -268,8 +327,11 @@ class TestUpdateStep:
         z2 = np.array([0.9, 0.5])
         buf = warm_buffer(basis, [z1, z2], cfg)
         state = CriticState(W_hat=np.full(basis.n_features, 1e30))
+        grad, G_z = basis.grad(z2), dyn.G(z2)
         with pytest.raises(NumericFault):
-            update_step(state, cfg, buf, z2, z1, dyn, basis, cfg.T)
+            update_step(state, cfg, buf, z2, grad, G_z,
+                        tau2_raw(grad, G_z, state.W_hat, sat),
+                        sigma_rate(z2, z1, cfg.T), cfg.T)
 
     def test_theta_bar_norm_bound(self, rng):
         # |dtheta| / (1 + |dtheta|^2)^2 <= 3 sqrt(3) / 16
@@ -289,29 +351,29 @@ class TestLawTerms:
         G_z = dyn.G(z)
         dtheta = np.array([0.05, -0.02, 0.01, 0.0, 0.03])
         W = np.array([0.2, -0.1, 0.3, 0.0, 0.1])
-        return cfg, W, dtheta, grad, G_z, z
+        return cfg, W, dtheta, grad, G_z, tau2_raw(grad, G_z, W, cfg.sat), z
 
     def test_variable_gain_scaling_first_term(self):
-        cfg, W, dtheta, grad, G_z, z = self.setup_case()
+        cfg, W, dtheta, grad, G_z, tau, z = self.setup_case()
         e = 0.37
-        t1a, _, _ = law_terms(W, e, -1.0, 0, dtheta, grad, G_z, z, 0.0, cfg)
-        t1b, _, _ = law_terms(W, 2 * e, -1.0, 0, dtheta, grad, G_z, z, 0.0, cfg)
+        t1a, _, _ = law_terms(W, e, -1.0, 0, dtheta, grad, G_z, tau, z, 0.0, cfg)
+        t1b, _, _ = law_terms(W, 2 * e, -1.0, 0, dtheta, grad, G_z, tau, z, 0.0, cfg)
         ratio = np.linalg.norm(t1b) / np.linalg.norm(t1a)
         assert ratio == pytest.approx(2.0 ** (1.0 + cfg.q2), abs=1e-12)
 
     def test_stabilizer_scaling_in_sigma(self):
-        cfg, W, dtheta, grad, G_z, z = self.setup_case()
+        cfg, W, dtheta, grad, G_z, tau, z = self.setup_case()
         s = 0.8
-        _, t2a, _ = law_terms(W, 0.1, s, 1, dtheta, grad, G_z, z, 0.0, cfg)
-        _, t2b, _ = law_terms(W, 0.1, 2 * s, 1, dtheta, grad, G_z, z, 0.0, cfg)
+        _, t2a, _ = law_terms(W, 0.1, s, 1, dtheta, grad, G_z, tau, z, 0.0, cfg)
+        _, t2b, _ = law_terms(W, 0.1, 2 * s, 1, dtheta, grad, G_z, tau, z, 0.0, cfg)
         ratio = np.linalg.norm(t2b) / np.linalg.norm(t2a)
         assert ratio == pytest.approx(2.0 ** cfg.k2, abs=1e-12)
 
     def test_indicator_gates_stabilizer_exactly(self):
-        cfg, W, dtheta, grad, G_z, z = self.setup_case()
-        _, t2, _ = law_terms(W, 0.1, -0.5, 0, dtheta, grad, G_z, z, 0.0, cfg)
+        cfg, W, dtheta, grad, G_z, tau, z = self.setup_case()
+        _, t2, _ = law_terms(W, 0.1, -0.5, 0, dtheta, grad, G_z, tau, z, 0.0, cfg)
         assert np.all(t2 == 0.0)
-        _, t2on, _ = law_terms(W, 0.1, 0.5, 1, dtheta, grad, G_z, z, 0.0, cfg)
+        _, t2on, _ = law_terms(W, 0.1, 0.5, 1, dtheta, grad, G_z, tau, z, 0.0, cfg)
         assert np.linalg.norm(t2on) > 0.0
 
 
@@ -331,8 +393,8 @@ class TestBaseline:
         buf = warm_buffer(basis, [z1, z2], cfg)
         state = CriticState(W_hat=np.zeros(basis.n_features))
         new = baseline_update_step(state, cfg, buf, cfg.T)
-        theta_t, theta_p = buf.endpoint_features()
-        dtheta = delta_theta(theta_t, theta_p, cfg.gamma, cfg.T)
+        win = buf.window(cfg.gamma)
+        dtheta = delta_theta(win.theta_t, win.theta_tmT, cfg.gamma, cfg.T)
         I_hat = reinforcement_integral(buf, cfg.gamma, cfg.T)
         # step direction is -alpha * theta_bar * e_hat
         assert np.dot(new.W_hat - state.W_hat, dtheta) * I_hat <= 0.0

@@ -81,7 +81,7 @@ def test_run_experiment_zero_plant_constant_state():
     lcfg = LearnerConfig(alpha=0.0, gamma=0.1, T=1e-3, Q1=np.diag([2.0, 0.0]),
                          sat=sat, K1=np.zeros(5), K2=np.zeros((5, 5)))
     scfg = SimConfig(dt=1e-3, t_end=0.01)
-    tel = run_experiment(plant, ref, basis, sat, lcfg, scfg,
+    tel = run_experiment(plant, ref, basis, lcfg, scfg,
                          x0=np.array([3.0]))
     z = tel.columns("z")
     assert np.all(z == z[0])
@@ -96,7 +96,7 @@ def test_reference_trajectory_independent_of_learner():
     for alpha in (1.0, 50.0):
         plant, ref, basis, sat, lcfg, scfg, dith = small_setup(alpha=alpha,
                                                                t_end=0.2)
-        tel = run_experiment(plant, ref, basis, sat, lcfg, scfg,
+        tel = run_experiment(plant, ref, basis, lcfg, scfg,
                              dither_spec=dith, x0=np.array([2.0, 0.0]))
         out[alpha] = tel.columns("xd")
     assert np.array_equal(out[1.0], out[50.0])
@@ -113,7 +113,7 @@ def test_telemetry_ordering_and_finiteness():
 
 def test_saturation_holds_at_every_record():
     plant, ref, basis, sat, lcfg, scfg, _ = small_setup(alpha=500.0, t_end=0.3)
-    tel = run_experiment(plant, ref, basis, sat, lcfg, scfg,
+    tel = run_experiment(plant, ref, basis, lcfg, scfg,
                          dither_spec=DitherSpec(amplitude=1.0),
                          x0=np.array([4.0, 1.0]))
     u = tel.columns("u_")
@@ -123,19 +123,22 @@ def test_saturation_holds_at_every_record():
 def test_run_experiment_rejects_bad_law_and_windows():
     plant, ref, basis, sat, lcfg, scfg, dith = small_setup()
     with pytest.raises(ConfigurationError):
-        run_experiment(plant, ref, basis, sat, lcfg, scfg, law="fancy")
+        run_experiment(plant, ref, basis, lcfg, scfg, law="fancy")
     bad_sim = SimConfig(dt=1e-3, t_end=5e-4)
     with pytest.raises(ConfigurationError):
-        run_experiment(plant, ref, basis, sat, lcfg, bad_sim)
+        run_experiment(plant, ref, basis, lcfg, bad_sim)
 
 
 def test_numeric_fault_carries_partial_telemetry():
     plant, ref, basis, sat, lcfg, scfg, _ = small_setup(alpha=1e308, t_end=0.5)
     with pytest.raises(NumericFault) as exc:
-        run_experiment(plant, ref, basis, sat, lcfg, scfg,
+        run_experiment(plant, ref, basis, lcfg, scfg,
                        x0=np.array([5.0, 0.0]))
     tel = exc.value.telemetry
     assert tel is not None and len(tel.rows) >= 1
+    # the update law raises without context; the loop stamps the step's own
+    assert exc.value.step == len(tel.rows)
+    assert exc.value.t == exc.value.step * scfg.dt
 
 
 def test_env_advances_plant_and_reference():
@@ -160,6 +163,38 @@ def test_operating_box_warning_recorded():
     lcfg = LearnerConfig(alpha=0.0, gamma=0.1, T=1e-3, Q1=np.zeros((2, 2)),
                          sat=sat, K1=np.zeros(5), K2=np.zeros((5, 5)))
     scfg = SimConfig(dt=1e-3, t_end=1.0)
-    tel = run_experiment(plant, ref, basis, sat, lcfg, scfg,
+    tel = run_experiment(plant, ref, basis, lcfg, scfg,
                          x0=np.array([0.0]))
     assert any("operating box" in w for w in tel.warnings)
+    # one entry for the kind, counting every step spent outside the box
+    assert len(tel.warnings) == 1
+    (seen,) = tel.warnings.values()
+    outside = tel.columns("x")[:, 0] > 1.0
+    assert seen.count == int(outside.sum()) > 1
+    assert (seen.t_first, seen.t_last) == (tel.t[outside][0], tel.t[outside][-1])
+
+
+@pytest.mark.parametrize("m_term", [False, True])
+def test_fused_step_evaluates_each_quantity_once(monkeypatch, m_term):
+    import dataclasses
+
+    import irltrack.sim as sim
+
+    calls = {"grad": 0, "G": 0, "M": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    plant, ref, basis, sat, lcfg, scfg, _ = small_setup(t_end=0.05)
+    lcfg = dataclasses.replace(lcfg, m_term_enabled=m_term)
+    basis = dataclasses.replace(basis, grad=counting("grad", basis.grad))
+    env = AugmentedTrackingEnv(plant, ref, x0=np.array([2.0, 0.0]))
+    env.dyn = dataclasses.replace(env.dyn, G=counting("G", env.dyn.G))
+    monkeypatch.setattr(sim, "m_vector_raw", counting("M", sim.m_vector_raw))
+    sim.run_env_experiment(env, basis, lcfg, scfg)
+    iterations = round(scfg.t_end / scfg.dt) + 1
+    assert calls == {"grad": iterations, "G": iterations,
+                     "M": iterations if m_term else 0}
