@@ -356,7 +356,9 @@ class UavAttitudeEnv:
 
     The stacked state pairs the body-rate tracking error with the live
     outer-loop rate commands; `advance` applies trim + deviation surfaces
-    and integrates the 12-state model.
+    and integrates the 12-state model.  `state` defaults to the trim state
+    at 100 m.  The rate command `x_d` of the current state is computed once
+    per state, here and in `advance`.
     """
 
     control_names = ("elevator", "aileron", "rudder")
@@ -365,22 +367,19 @@ class UavAttitudeEnv:
 
     def __init__(self, params: AirframeParams, trim: TrimPoint,
                  schedule: SetpointSchedule, gains: OuterLoopGains = OuterLoopGains(),
-                 altitude: float = 100.0):
+                 state: np.ndarray | None = None):
         self.params = params
         self.trim = trim
         self.schedule = schedule
         self.gains = gains
-        self.state = trim.initial_state(altitude)
+        self.state = trim.initial_state() if state is None else state
         self._t = 0.0
+        self.x_d = self._rate_des(self._t)
         self.dyn = AugmentedDynamics(n=3, m=3, G=self._coupling, F=None)
 
     @property
     def x(self):
         return self.state
-
-    @property
-    def x_d(self):
-        return self._rate_des(self._t)
 
     def _rate_des(self, t: float) -> np.ndarray:
         att = self.state[[PHI, THETA, PSI]]
@@ -393,9 +392,7 @@ class UavAttitudeEnv:
         return out
 
     def z(self) -> np.ndarray:
-        rates = self.state[[P, Q, R]]
-        xd = self._rate_des(self._t)
-        return np.concatenate([rates - xd, xd])
+        return np.concatenate([self.state[[P, Q, R]] - self.x_d, self.x_d])
 
     def advance(self, u_applied: np.ndarray, t: float, dt: float):
         surfaces = np.array([self.trim.delta_e, 0.0, 0.0]) + u_applied
@@ -403,6 +400,7 @@ class UavAttitudeEnv:
             lambda tt, ss: uav_dynamics(ss, surfaces, self.params, self.trim.delta_t),
             t, self.state, dt)
         self._t = t + dt
+        self.x_d = self._rate_des(self._t)
 
     def check_domain(self, telemetry: Telemetry, t: float):
         uvw = self.state[[U, V, W]]
@@ -455,16 +453,15 @@ def make_uav_env(plant_params: dict, reference_params: dict) -> UavAttitudeEnv:
               parse_floats)
     if len(k) != 3:
         raise ConfigurationError(f"reference.gains: need 3 values, got {len(k)}")
-    gains = OuterLoopGains(*k)
-    env = UavAttitudeEnv(pr, trim, schedule, gains=gains,
-                         altitude=param(plant_params, "plant", "altitude_m", 100.0))
+    state = trim.initial_state(param(plant_params, "plant", "altitude_m", 100.0))
     start = reference_params.get("initial_attitude", "setpoint").strip()
     if start == "setpoint":
         att0 = schedule.attitude_des(0.0)
-        env.state[PHI], env.state[PSI] = att0[0], att0[2]
-        env.state[THETA] = trim.alpha
+        state[PHI], state[PSI] = att0[0], att0[2]
+        state[THETA] = trim.alpha
     elif start != "level":  # the trim state is already wings-level
         raise ConfigurationError(
             f"reference.initial_attitude: expected 'setpoint' or 'level', "
             f"got {start!r}")
-    return env
+    return UavAttitudeEnv(pr, trim, schedule, gains=OuterLoopGains(*k),
+                          state=state)

@@ -60,11 +60,22 @@ def make_reference(name: str, params: dict | None = None) -> ReferenceModel:
 def make_env(plant_id: str, reference_id: str, plant_params: dict | None = None,
              reference_params: dict | None = None):
     """Build the tracking environment of an experiment's plant/reference pair."""
-    errs = pair_errors(plant_id, reference_id)
+    if plant_id in _ENVS:
+        required, builder = _ENVS[plant_id]
+        if reference_id != required:
+            raise ConfigurationError(
+                f"experiment.reference: the {plant_id} plant requires the "
+                f"{required!r} reference")
+        return builder(plant_params or {}, reference_params or {})
+    errs = []
+    if plant_id not in _PLANTS:
+        errs.append(f"experiment.plant: unknown id {plant_id!r}; "
+                    f"known: {plant_names()}")
+    if reference_id not in _REFERENCES:
+        errs.append(f"experiment.reference: unknown id {reference_id!r}; "
+                    f"known: {reference_names()}")
     if errs:
         raise ConfigurationError("; ".join(errs))
-    if plant_id in _ENVS:
-        return _ENVS[plant_id][1](plant_params or {}, reference_params or {})
     return AugmentedTrackingEnv(make_plant(plant_id, plant_params),
                                 make_reference(reference_id, reference_params),
                                 x0=param(plant_params or {}, "plant", "x0", None,
@@ -77,24 +88,6 @@ def plant_names():
 
 def reference_names():
     return sorted(_REFERENCES)
-
-
-def pair_errors(plant_id: str, reference_id: str) -> list[str]:
-    """Problems with a plant/reference pair, as 'experiment.key: problem'."""
-    if plant_id in _ENVS:
-        required = _ENVS[plant_id][0]
-        if reference_id == required:
-            return []
-        return [f"experiment.reference: the {plant_id} plant requires the "
-                f"{required!r} reference"]
-    errs = []
-    if plant_id not in _PLANTS:
-        errs.append(f"experiment.plant: unknown id {plant_id!r}; "
-                    f"known: {plant_names()}")
-    if reference_id not in _REFERENCES:
-        errs.append(f"experiment.reference: unknown id {reference_id!r}; "
-                    f"known: {reference_names()}")
-    return errs
 
 
 def parse_floats(text: str) -> np.ndarray:

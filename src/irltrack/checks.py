@@ -15,8 +15,7 @@ from .policy import SaturationSpec, penalty_closed, penalty_integral
 from .sim import rollout_augmented
 
 
-def check_penalty_identity(n_draws: int = 100, seed: int = 7,
-                           perturb: float = 0.0):
+def check_penalty_identity(n_draws: int = 100, seed: int = 7):
     """Closed-form penalty vs adaptive quadrature at u = -u_m tanh(tau)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -24,7 +23,7 @@ def check_penalty_identity(n_draws: int = 100, seed: int = 7,
         sat = SaturationSpec(u_m=u_m, R=np.eye(3))
         for _ in range(n_draws):
             tau = rng.uniform(-5, 5, 3)
-            closed = penalty_closed(tau, sat) + perturb
+            closed = penalty_closed(tau, sat)
             quadr = penalty_integral(-u_m * np.tanh(tau), sat)
             worst = max(worst, abs(closed - quadr) / max(abs(quadr), 1e-12))
     return ("penalty closed-form vs quadrature", worst <= 1e-8,
@@ -80,7 +79,7 @@ def check_discounted_quadrature(gamma: float = 0.1, c: float = 3.7,
     dt = T / 100.0
     buf = ReinforcementBuffer(T, dt)
     for k in range(101):
-        buf.push(k * dt, np.zeros(1), np.zeros(1), c, 0.0)
+        buf.push(k * dt, np.zeros(1), c, 0.0)
     got = reinforcement_integral(buf, gamma, T)
     expected = c * T if gamma == 0.0 else c * (-np.expm1(-gamma * T)) / gamma
     err = abs(got - expected)
@@ -119,10 +118,10 @@ def check_ideal_weights_roundtrip(n_draws: int = 20, seed: int = 11):
             f"max abs err {worst:.2e} (tol 1e-12)")
 
 
-def run_all(gamma: float = 0.1, perturb_penalty: float = 0.0):
+def run_all(gamma: float = 0.1):
     """Run the full oracle suite; returns list of (name, passed, detail)."""
     return [
-        check_penalty_identity(perturb=perturb_penalty),
+        check_penalty_identity(),
         check_basis_gradient(),
         check_window_identity(gamma=gamma),
         check_discounted_quadrature(gamma=gamma),

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .basis import quad_basis
 from .benchmarks.linear import discounted_riccati, ideal_weights
-from .config import apply_overrides, parse_config, resolve, validate_config
+from .config import apply_overrides, parse_config, resolve
 from .errors import ConfigurationError, NumericFault, OracleFailure
 from .sim import Telemetry, run_env_experiment
 
@@ -69,16 +69,14 @@ def resolve_config_path(arg: str) -> str:
 def cmd_validate(args) -> int:
     path = resolve_config_path(args.config)
     cfg, errors = parse_config(path)
-    if cfg is not None:
-        errors += validate_config(cfg)
-        if not errors:
-            try:
-                resolve(cfg)
-            except ConfigurationError as exc:
-                errors.append(str(exc))
-            except OracleFailure as exc:
-                print(f"oracle failure: {args.config}: {exc}")
-                return EXIT_ORACLE
+    if not errors:
+        try:
+            resolve(cfg)
+        except ConfigurationError as exc:
+            errors.append(str(exc))
+        except OracleFailure as exc:
+            print(f"oracle failure: {args.config}: {exc}")
+            return EXIT_ORACLE
     if errors:
         print(f"invalid: {args.config}")
         for e in errors:
@@ -136,9 +134,9 @@ def _write_series(out_dir, cfg, env, telemetry: Telemetry):
 
     pair = env.linear_pair()
     if pair is not None:
+        lcfg = cfg.learner
         try:
-            P = discounted_riccati(*pair, np.diag(cfg.q1_diag),
-                                   np.diag(cfg.r_diag), cfg.gamma)
+            P = discounted_riccati(*pair, lcfg.Q1, lcfg.sat.R, lcfg.gamma)
         except OracleFailure:
             pass  # no ground truth for this pair, so no error series
         else:
@@ -167,14 +165,12 @@ def run_one(config_path: str, overrides=(), out_dir: str = "runs/run",
         eff_path = os.path.join(out_dir, "config_resolved.ini")
         apply_overrides(config_path, overrides, eff_path)
     cfg, errors = parse_config(eff_path)
-    if cfg is not None:
-        errors += validate_config(cfg)
     if errors:
         for e in errors:
             print(f"  - {e}")
         return EXIT_CONFIG, None, cfg
     try:
-        env, basis, lcfg, scfg, dither_spec = resolve(cfg)
+        env, basis = resolve(cfg)
     except (ConfigurationError, OracleFailure) as exc:
         print(f"  - {exc}")
         return (EXIT_ORACLE if isinstance(exc, OracleFailure) else EXIT_CONFIG,
@@ -183,8 +179,8 @@ def run_one(config_path: str, overrides=(), out_dir: str = "runs/run",
     t0 = time.perf_counter()
     status, telemetry, code = "ok", None, EXIT_OK
     try:
-        telemetry = run_env_experiment(env, basis, lcfg, scfg, law=cfg.law,
-                                       dither_spec=dither_spec)
+        telemetry = run_env_experiment(env, basis, cfg.learner, cfg.sim,
+                                       law=cfg.law, dither_spec=cfg.dither)
     except NumericFault as fault:
         telemetry = fault.telemetry
         status = f"numeric fault at t={fault.t!r}, step {fault.step}: {fault}"
@@ -212,7 +208,7 @@ def cmd_run(args) -> int:
 
 def cmd_check(args) -> int:
     from .checks import run_all
-    results = run_all(gamma=args.gamma, perturb_penalty=args.debug_perturb_penalty)
+    results = run_all(gamma=args.gamma)
     all_ok = True
     for name, ok, detail in results:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
@@ -323,8 +319,6 @@ def main(argv=None) -> int:
 
     p_chk = sub.add_parser("check", help="run the oracle-check suite")
     p_chk.add_argument("--gamma", type=float, default=0.1)
-    p_chk.add_argument("--debug-perturb-penalty", type=float, default=0.0,
-                       help="debug hook: offset the closed-form penalty")
     p_chk.set_defaults(func=cmd_check)
 
     p_swp = sub.add_parser("sweep", help="run a hyperparameter grid")

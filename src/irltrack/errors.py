@@ -2,7 +2,15 @@
 
 
 class ConfigurationError(ValueError):
-    """A config file, catalog lookup, or constructor argument is invalid."""
+    """A config file, catalog lookup, or constructor argument is invalid.
+
+    `fields` names the constructor fields the error concerns, so the config
+    layer can report it under the INI keys those fields were read from.
+    """
+
+    def __init__(self, message, fields=()):
+        super().__init__(message)
+        self.fields = tuple(fields)
 
 
 class NumericFault(RuntimeError):

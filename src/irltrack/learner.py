@@ -11,11 +11,13 @@ the variable-gain law (`update_step`) whose three terms are
 
   1. gradient term      -alpha |e_hat|^q2 theta_bar e_hat
   2. stabilizing term   +(alpha/2) |Sigma|^k2 Xi grad_theta G (I - diag tanh^2 tau2) G^T z
-  3. robustifying term  +alpha |e_hat|^q2 ((K1 phi^T - K2) W_hat - theta_bar * m_integral)
+  3. robustifying term  +alpha |e_hat|^q2 (k1_gain (phi . W_hat) - k2_gain W_hat
+                                           - theta_bar * m_integral)
 
 with theta_bar = dtheta / (1 + dtheta.dtheta)^2, phi = dtheta / (1 + dtheta.dtheta),
 Sigma = z . zdot by backward differencing, and Xi the indicator that is 0 only
-while Sigma < 0.  All integrals are discounted trapezoids over the buffer.
+while Sigma < 0.  The scalar gains k1_gain and k2_gain stand for the paper's
+K1 = k1_gain 1 and K2 = k2_gain I.  All integrals are discounted trapezoids.
 """
 from __future__ import annotations
 
@@ -37,10 +39,12 @@ _SPAN_RTOL = 1e-9
 class LearnerConfig:
     """Gains and shared weights of the critic update laws.
 
-    q2 and k2 are the variable-gain exponents on |e_hat| and |Sigma|; K1/K2
-    shape the robustifying term.  `stabilizer_enabled=False` forces Xi = 0 and
-    `m_term_enabled=False` drops the m-integral, which together with
-    q2 = 0, K1 = K2 = 0 makes the variable-gain law coincide with the baseline.
+    q2 and k2 are the variable-gain exponents on |e_hat| and |Sigma|; the
+    scalar gains k1_gain and k2_gain shape the robustifying term
+    k1_gain (phi . W_hat) - k2_gain W_hat.  `stabilizer_enabled=False`
+    forces Xi = 0 and `m_term_enabled=False` drops the m-integral, which
+    together with q2 = 0, k1_gain = k2_gain = 0 makes the variable-gain law
+    coincide with the baseline.
     """
 
     alpha: float
@@ -50,49 +54,30 @@ class LearnerConfig:
     sat: SaturationSpec
     q2: float = 0.1
     k2: float = 0.01
-    K1: np.ndarray | None = None
-    K2: np.ndarray | None = None
+    k1_gain: float = 0.01
+    k2_gain: float = 0.01
     stabilizer_enabled: bool = True
     m_term_enabled: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "Q1", np.asarray(self.Q1, dtype=float))
-        if self.alpha < 0:
-            raise ConfigurationError(f"alpha must be >= 0, got {self.alpha}")
-        if self.gamma < 0:
-            raise ConfigurationError(f"gamma must be >= 0, got {self.gamma}")
+        for name in ("alpha", "gamma", "q2", "k2"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(
+                    f"{name} must be >= 0, got {getattr(self, name)}", (name,))
         if not self.T > 0:
-            raise ConfigurationError(f"reinforcement interval T must be > 0, got {self.T}")
-        if self.q2 < 0 or self.k2 < 0:
-            raise ConfigurationError("q2 and k2 must be >= 0")
-        if self.Q1.ndim != 2 or self.Q1.shape[0] != self.Q1.shape[1]:
-            raise ConfigurationError(f"Q1 must be square, got shape {self.Q1.shape}")
-        if not np.allclose(self.Q1, self.Q1.T, atol=1e-12):
-            raise ConfigurationError("Q1 must be symmetric")
-        if np.min(np.linalg.eigvalsh(self.Q1)) < -1e-10:
-            raise ConfigurationError("Q1 must be positive semidefinite")
-
-    def k_gains(self, n_features: int) -> tuple[np.ndarray, np.ndarray]:
-        """Resolved K1 (vector) and K2 (matrix), defaulting to 0.01 each.
-
-        Resolved once per feature count; the step loop asks every step.
-        """
-        cache = self.__dict__.setdefault("_k_gains", {})
-        if n_features not in cache:
-            cache[n_features] = self._resolve_k_gains(n_features)
-        return cache[n_features]
-
-    def _resolve_k_gains(self, n_features: int):
-        k1 = self.K1 if self.K1 is not None else 0.01 * np.ones(n_features)
-        k2 = self.K2 if self.K2 is not None else 0.01 * np.eye(n_features)
-        k1 = np.asarray(k1, dtype=float)
-        k2 = np.asarray(k2, dtype=float)
-        if k1.shape != (n_features,):
-            raise ConfigurationError(f"K1 must have shape ({n_features},), got {k1.shape}")
-        if k2.shape != (n_features, n_features):
             raise ConfigurationError(
-                f"K2 must have shape ({n_features}, {n_features}), got {k2.shape}")
-        return k1, k2
+                f"reinforcement interval T must be > 0, got {self.T}", ("T",))
+        if self.Q1.ndim != 2 or self.Q1.shape[0] != self.Q1.shape[1]:
+            raise ConfigurationError(f"Q1 must be square, got shape {self.Q1.shape}",
+                                     ("Q1",))
+        if not np.allclose(self.Q1, self.Q1.T, atol=1e-12):
+            raise ConfigurationError("Q1 must be symmetric", ("Q1",))
+        # the eigenvalues get rounding slack; a negative diagonal entry is
+        # never rounding
+        if np.any(np.diag(self.Q1) < 0) or \
+                np.min(np.linalg.eigvalsh(self.Q1)) < -1e-10:
+            raise ConfigurationError("Q1 must be positive semidefinite", ("Q1",))
 
     def cost_state(self, z: np.ndarray) -> float:
         return float(z @ self.Q1 @ z)
@@ -121,27 +106,24 @@ class Window(NamedTuple):
 class ReinforcementBuffer:
     """Sliding window of per-step samples for the discounted quadratures.
 
-    Stores (t, z, theta, cost, m_scalar) where cost = Q(z) + U_hat and
+    Stores (t, theta, cost, m_scalar) where cost = Q(z) + U_hat and
     m_scalar = W_hat(tau) . M(tau), both frozen with the weights in effect
     at sample time.  Capacity is ceil(T/dt) + 1 so the retained samples span
-    at least one full window once warmed up.
+    at least one full window once warmed up; the run checks 0 < dt <= T.
     """
 
     def __init__(self, T: float, dt: float):
-        if not 0 < dt <= T * (1 + _SPAN_RTOL):
-            raise ConfigurationError(f"need 0 < dt <= T, got dt={dt}, T={T}")
         self.T = float(T)
         self.dt = float(dt)
         self.capacity = math.ceil(T / dt - _SPAN_RTOL) + 1
         self._q: deque = deque(maxlen=self.capacity)
 
-    def push(self, t: float, z: np.ndarray, theta: np.ndarray, cost: float,
-             m_scalar: float):
+    def push(self, t: float, theta: np.ndarray, cost: float, m_scalar: float):
         if self._q and t <= self._q[-1][0]:
             raise ConfigurationError(
                 f"buffer timestamps must strictly increase ({t} after {self._q[-1][0]})")
-        self._q.append((float(t), np.array(z, dtype=float),
-                        np.array(theta, dtype=float), float(cost), float(m_scalar)))
+        self._q.append((float(t), np.array(theta, dtype=float), float(cost),
+                        float(m_scalar)))
 
     @property
     def ready(self) -> bool:
@@ -167,8 +149,8 @@ class ReinforcementBuffer:
         if interpolate:
             lo, hi = q[first - 1], q[first]
             w = (t_lo - lo[0]) / (hi[0] - lo[0])
-            # the sample at t-T, linear between its neighbours; z is not needed
-            left = (t_lo, None, *((1 - w) * a + w * b for a, b in zip(lo[2:], hi[2:])))
+            # the sample at t-T, linear between its neighbours
+            left = (t_lo, *((1 - w) * a + w * b for a, b in zip(lo[1:], hi[1:])))
             q = [left] + q[first:]
         else:
             q = q[first:]
@@ -181,8 +163,8 @@ class ReinforcementBuffer:
             # the trapezoid rule exactly as np.trapezoid(y, ts) evaluates it
             return float((steps * (y[1:] + y[:-1]) / 2.0).sum())
 
-        return Window(q[-1][2], q[0][2], integral(3),
-                      integral(4) if m_term else 0.0)
+        return Window(q[-1][1], q[0][1], integral(2),
+                      integral(3) if m_term else 0.0)
 
 
 def _window(buf: ReinforcementBuffer, gamma: float, T: float,
@@ -281,9 +263,9 @@ def law_terms(W_hat: np.ndarray, e_hat: float, sigma: float, xi: int,
         term_stab = np.zeros_like(W_hat)
 
     ge = cfg.alpha * gain_pow(e_hat, cfg.q2)
-    k1, k2 = cfg.k_gains(len(W_hat))
     m_part = theta_bar * m_int if cfg.m_term_enabled else 0.0
-    term_robust = ge * (k1 * float(phi @ W_hat) - k2 @ W_hat - m_part)
+    term_robust = ge * (cfg.k1_gain * float(phi @ W_hat) - cfg.k2_gain * W_hat
+                        - m_part)
 
     return term_grad, term_stab, term_robust
 

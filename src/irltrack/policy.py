@@ -30,22 +30,26 @@ _LOG2 = float(np.log(2.0))
 
 @dataclass(frozen=True)
 class SaturationSpec:
-    """Actuator bound u_m (> 0) and positive-definite diagonal control weight R."""
+    """Actuator bound u_m (> 0) and positive-definite diagonal control weight R.
+
+    R defaults to 1, the weight of a single control channel.
+    """
 
     u_m: float
-    R: np.ndarray
+    R: np.ndarray | float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "R", np.atleast_2d(np.asarray(self.R, dtype=float)))
         if not self.u_m > 0:
-            raise ConfigurationError(f"u_m must be > 0, got {self.u_m}")
+            raise ConfigurationError(f"u_m must be > 0, got {self.u_m}", ("u_m",))
         d = np.diag(self.R)
         if self.R.shape[0] != self.R.shape[1]:
-            raise ConfigurationError(f"R must be square, got shape {self.R.shape}")
+            raise ConfigurationError(f"R must be square, got shape {self.R.shape}",
+                                     ("R",))
         if np.any(d <= 0):
-            raise ConfigurationError("R must have strictly positive diagonal")
+            raise ConfigurationError("R must have strictly positive diagonal", ("R",))
         if np.any(self.R - np.diag(d) != 0.0):
-            raise ConfigurationError("R must be diagonal")
+            raise ConfigurationError("R must be diagonal", ("R",))
 
     @property
     def m(self) -> int:

@@ -47,11 +47,14 @@ class SimConfig:
 
     def __post_init__(self):
         if not self.dt > 0:
-            raise ConfigurationError(f"dt must be > 0, got {self.dt}")
+            raise ConfigurationError(f"dt must be > 0, got {self.dt}", ("dt",))
         if not self.t_end > 0:
-            raise ConfigurationError(f"t_end must be > 0, got {self.t_end}")
+            raise ConfigurationError(f"t_end must be > 0, got {self.t_end}",
+                                     ("t_end",))
         if self.record_every < 1:
-            raise ConfigurationError(f"record_every must be >= 1, got {self.record_every}")
+            raise ConfigurationError(
+                f"record_every must be >= 1, got {self.record_every}",
+                ("record_every",))
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,27 @@ class DitherSpec:
     """Excitation added identically to every control channel: amplitude * n(t)."""
 
     amplitude: float = 0.0
+
+    def __post_init__(self):
+        if self.amplitude < 0:
+            raise ConfigurationError(f"amplitude must be >= 0, got {self.amplitude}",
+                                     ("amplitude",))
+
+
+def check_run(law: str, learner_cfg: LearnerConfig, sim_cfg: SimConfig):
+    """Rules joining several objects: a known law, dt <= T (to 1e-12
+    relative) and a horizon past the warm-up window T."""
+    if law not in ("novel", "baseline"):
+        raise ConfigurationError(
+            f"law must be 'novel' or 'baseline', got {law!r}", ("law",))
+    if sim_cfg.dt > learner_cfg.T * (1 + 1e-12):
+        raise ConfigurationError(
+            f"dt = {sim_cfg.dt} must be <= the reinforcement window "
+            f"T = {learner_cfg.T}", ("dt", "T"))
+    if sim_cfg.t_end <= learner_cfg.T:
+        raise ConfigurationError(
+            f"t_end = {sim_cfg.t_end} must exceed the warm-up window "
+            f"T = {learner_cfg.T}", ("t_end", "T"))
 
 
 def dither(t: float) -> float:
@@ -259,14 +283,7 @@ def run_env_experiment(env: TrackingEnv, basis: RegressorBasis,
     the fault gets the step's t and index (unless it carries them) and the
     partial telemetry, so callers can report and flush it.
     """
-    if law not in ("novel", "baseline"):
-        raise ConfigurationError(f"unknown update law {law!r}")
-    if learner_cfg.T < sim_cfg.dt * (1 - 1e-12):
-        raise ConfigurationError(
-            f"reinforcement interval T={learner_cfg.T} must be >= dt={sim_cfg.dt}")
-    if sim_cfg.t_end <= learner_cfg.T:
-        raise ConfigurationError("t_end must exceed the warm-up window T")
-
+    check_run(law, learner_cfg, sim_cfg)
     n1 = basis.n_features
     dt = sim_cfg.dt
     sat = learner_cfg.sat
@@ -293,7 +310,7 @@ def run_env_experiment(env: TrackingEnv, basis: RegressorBasis,
             m_scalar = float(W @ m_vector_raw(grad, G_z, W, sat, tau=tau)) \
                 if m_term else 0.0
             theta = basis.eval(z)
-            buf.push(t, z, theta, cost, m_scalar)
+            buf.push(t, theta, cost, m_scalar)
 
             sigma = sigma_rate(z, z_prev, dt) if k > 0 else 0.0
             if k > 0 and buf.ready:

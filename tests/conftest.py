@@ -12,10 +12,10 @@ from irltrack.sim import run_env_experiment
 def _run_bundled(name):
     cfg, errors = parse_config(resolve_config_path(name))
     assert not errors, errors
-    env, basis, lcfg, scfg, dither_spec = resolve(cfg)
+    env, basis = resolve(cfg)
     t0 = time.perf_counter()
-    telemetry = run_env_experiment(env, basis, lcfg, scfg, law=cfg.law,
-                                   dither_spec=dither_spec)
+    telemetry = run_env_experiment(env, basis, cfg.learner, cfg.sim,
+                                   law=cfg.law, dither_spec=cfg.dither)
     wall = time.perf_counter() - t0
     return {"cfg": cfg, "env": env, "basis": basis, "telemetry": telemetry,
             "wall_s": wall}

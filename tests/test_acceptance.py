@@ -74,7 +74,7 @@ def test_criterion_4_discounted_quadrature():
     dt = T / 100.0
     buf = ReinforcementBuffer(T, dt)
     for k in range(101):
-        buf.push(k * dt, np.zeros(1), np.zeros(1), c, 0.0)
+        buf.push(k * dt, np.zeros(1), c, 0.0)
     got = reinforcement_integral(buf, gamma, T)
     want = c * (-np.expm1(-gamma * T)) / gamma
     err = abs(got - want)
@@ -83,15 +83,14 @@ def test_criterion_4_discounted_quadrature():
 
 
 def test_criterion_5_linear_benchmark_convergence(linear_run):
-    cfg = linear_run["cfg"]
+    cfg = linear_run["cfg"].learner
     tel = linear_run["telemetry"]
     basis = linear_run["basis"]
 
     A_p = np.array([[0.0, 6.0], [-6.0, 0.0]])
     B_p = np.array([[0.0], [1.0]])
     A, B = augmented_linear(A_p, B_p, A_p)
-    P = discounted_riccati(A, B, np.diag(cfg.q1_diag),
-                           np.diag(cfg.r_diag), cfg.gamma)
+    P = discounted_riccati(A, B, cfg.Q1, cfg.sat.R, cfg.gamma)
     W_star = ideal_weights(P, basis)
 
     W = tel.columns("W")
@@ -106,7 +105,7 @@ def test_criterion_5_linear_benchmark_convergence(linear_run):
 
     u = tel.columns("u_")
     tau_max = float(np.max(np.abs(np.arctanh(
-        np.clip(u / cfg.u_m, -1 + 1e-12, 1 - 1e-12)))))
+        np.clip(u / cfg.sat.u_m, -1 + 1e-12, 1 - 1e-12)))))
 
     assert tau_max < 0.1  # configured saturation margin holds throughout
     assert rel_err <= 0.10
@@ -121,9 +120,9 @@ def test_criterion_5_linear_benchmark_convergence(linear_run):
 def test_criterion_6_saturation_every_record(linear_run, uav_run):
     for name, run in (("linear", linear_run), ("uav", uav_run)):
         u = run["telemetry"].columns("u_")
-        u_m = run["cfg"].u_m
+        u_m = run["cfg"].learner.sat.u_m
         assert np.max(np.abs(u)) <= u_m, name
-    assert uav_run["cfg"].u_m == pytest.approx(90.0 * DEG)
+    assert uav_run["cfg"].learner.sat.u_m == pytest.approx(90.0 * DEG)
     print("\n[criterion 6] PASS saturation bound holds at every telemetry "
           "record of both bundled runs (uav u_m = 90 deg)")
 
@@ -174,8 +173,7 @@ def test_criterion_8_law_containment():
     sat = SaturationSpec(u_m=56.0, R=np.array([[10.0]]))
     lcfg = LearnerConfig(alpha=150.0, gamma=0.1, T=1e-3,
                          Q1=np.diag([1.0, 1.0, 0.0, 0.0]), sat=sat,
-                         q2=0.0, k2=0.01, K1=np.zeros(14),
-                         K2=np.zeros((14, 14)),
+                         q2=0.0, k2=0.01, k1_gain=0.0, k2_gain=0.0,
                          stabilizer_enabled=False, m_term_enabled=False)
     scfg = SimConfig(dt=1e-3, t_end=10.0, record_every=1)  # 10^4 steps
     tels = {}
@@ -195,7 +193,7 @@ def _frozen_case():
     dyn = AugmentedDynamics(n=1, m=1, G=lambda z: np.array([[1.5], [0.0]]))
     sat = SaturationSpec(u_m=2.0, R=np.array([[1.0]]))
     cfg = LearnerConfig(alpha=3.0, gamma=0.1, T=1e-3, Q1=np.eye(2), sat=sat,
-                        q2=0.1, k2=0.01, K1=np.zeros(5), K2=np.zeros((5, 5)))
+                        q2=0.1, k2=0.01, k1_gain=0.0, k2_gain=0.0)
     z = np.array([0.6, -0.2])
     W = np.array([0.2, -0.1, 0.3, 0.0, 0.1])
     dtheta = np.array([0.05, -0.02, 0.01, 0.0, 0.03])

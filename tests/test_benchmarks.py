@@ -183,7 +183,7 @@ def test_oracle_critic_bellman_residual_bound():
     W_star = ideal_weights(P_, basis)
     sat = SaturationSpec(u_m=56.0, R=R_)
     lcfg = LearnerConfig(alpha=0.0, gamma=0.1, T=1e-3, Q1=Q1, sat=sat,
-                         K1=np.zeros(14), K2=np.zeros((14, 14)))
+                         k1_gain=0.0, k2_gain=0.0)
     scfg = SimConfig(dt=1e-3, t_end=5.0, record_every=1)
     tel = run_experiment(plant, ref, basis, lcfg, scfg,
                          x0=np.array([16.0, 0.0]), W0=W_star)

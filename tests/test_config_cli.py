@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import irltrack.cli as cli
-from irltrack.config import parse_config, resolve, validate_config
+from irltrack.config import parse_config, resolve
 from irltrack.errors import ConfigurationError
 
 
@@ -37,29 +37,26 @@ class TestValidate:
         for name in ("linear_benchmark", "uav_attitude"):
             cfg, errors = parse_config(bundled(name))
             assert not errors
-            assert not validate_config(cfg)
             resolve(cfg)
 
     def test_negative_um_names_field(self, tmp_path):
         path = edited_config(tmp_path, "linear_benchmark",
                              ["saturation.u_m=-1"])
         cfg, errors = parse_config(path)
-        errors += validate_config(cfg)
         assert any("saturation.u_m" in e for e in errors)
 
     def test_window_shorter_than_dt_names_constraint(self, tmp_path):
         path = edited_config(tmp_path, "linear_benchmark",
                              ["learner.t_window_s=0.0005"])
         cfg, errors = parse_config(path)
-        errors += validate_config(cfg)
         assert any("sim.dt_s" in e and "t_window_s" in e for e in errors)
 
     def test_unknown_plant_lists_catalog(self, tmp_path):
         path = edited_config(tmp_path, "linear_benchmark",
                              ["experiment.plant=warp_drive"])
         cfg, errors = parse_config(path)
-        errors += validate_config(cfg)
-        assert any("experiment.plant" in e for e in errors)
+        with pytest.raises(ConfigurationError, match="experiment.plant"):
+            resolve(cfg)
 
     def test_cli_exit_codes(self, tmp_path):
         assert cli.main(["validate", "linear_benchmark"]) == cli.EXIT_OK
@@ -136,9 +133,12 @@ class TestCheck:
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 6 and "[FAIL]" not in out
 
-    def test_perturbed_penalty_detected(self, capsys):
-        assert cli.main(["check", "--debug-perturb-penalty", "1e-3"]) == \
-            cli.EXIT_ORACLE
+    def test_perturbed_penalty_detected(self, capsys, monkeypatch):
+        import irltrack.checks as checks
+        penalty_closed = checks.penalty_closed
+        monkeypatch.setattr(checks, "penalty_closed",
+                            lambda tau, sat: penalty_closed(tau, sat) + 1e-3)
+        assert cli.main(["check"]) == cli.EXIT_ORACLE
         out = capsys.readouterr().out
         assert "[FAIL] penalty closed-form vs quadrature" in out
 
@@ -297,13 +297,32 @@ def edited_keys(tmp_path, name, edits):
     ("linear_benchmark", {"sim.dt_s": None}, "sim.dt_s"),
     ("linear_benchmark", {"sim.t_end_s": None}, "sim.t_end_s"),
     ("linear_benchmark", {"saturation.u_m": None}, "saturation.u_m"),
+    ("linear_benchmark", {"learner.stabilizer": "maybe"}, "learner.stabilizer"),
+    ("linear_benchmark", {"learner.q1_diag": ""}, "learner.q1_diag"),
 ])
 def test_parse_defects_name_their_field(tmp_path, name, edits, field):
     cfg, errors = parse_config(edited_keys(tmp_path, name, edits))
-    errors += validate_config(cfg)
     assert errors and all(field in e for e in errors), errors
     if set(edits.values()) == {None}:
         assert f"{field}: missing required key" in errors
+
+
+@pytest.mark.parametrize("override", [
+    "saturation.u_m=0", "saturation.r_diag=0",
+    "learner.alpha=-1", "learner.gamma=-1", "learner.q2=-1", "learner.k2=-1",
+    "learner.q1_diag=1 1 -1 0", "learner.q1_diag=1 1 -1e-11 0",
+    "sim.dt_s=0.0010000000001", "sim.t_end_s=0.0005", "sim.record_every=0",
+    "dither.amplitude=-1", "experiment.law=fancy", "experiment.basis=cubic",
+])
+def test_every_config_rule_rejects_and_names_its_key(tmp_path, capsys,
+                                                     override):
+    path = edited_config(tmp_path, "linear_benchmark", [override])
+    assert cli.main(["validate", path]) == cli.EXIT_CONFIG
+    section, _, option = override.partition("=")[0].partition(".")
+    # an error line that starts with the key's section and names the key
+    lines = capsys.readouterr().out.splitlines()
+    assert any(ln.startswith(f"  - {section}.") and option in ln
+               for ln in lines), lines
 
 
 @pytest.mark.parametrize("name, overrides, field", [
@@ -322,7 +341,7 @@ def test_builder_defects_name_their_key(tmp_path, capsys, name, overrides,
                                         field):
     path = edited_config(tmp_path, name, overrides)
     cfg, errors = parse_config(path)
-    assert not errors + validate_config(cfg)
+    assert not errors
     with pytest.raises(ConfigurationError, match=re.escape(field)):
         resolve(cfg)
     assert cli.main(["validate", path]) == cli.EXIT_CONFIG
@@ -378,7 +397,9 @@ def test_environment_pair_is_checked_by_the_catalog(tmp_path):
     path = edited_config(tmp_path, "uav_attitude",
                          ["experiment.reference=harmonic"])
     cfg, errors = parse_config(path)
-    assert any("experiment.reference" in e and "attitude_schedule" in e
-               for e in errors + validate_config(cfg))
+    with pytest.raises(ConfigurationError) as exc:
+        resolve(cfg)
+    assert "experiment.reference" in str(exc.value)
+    assert "attitude_schedule" in str(exc.value)
     with pytest.raises(ConfigurationError):
         catalog.make_env("aerosonde", "harmonic")

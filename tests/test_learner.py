@@ -14,12 +14,11 @@ from irltrack.models import AugmentedDynamics
 from irltrack.policy import SaturationSpec, tau2_raw
 
 
-def make_cfg(n1=5, alpha=1.0, q2=0.1, k2=0.01, gamma=0.1, T=1e-3, u_m=1.0,
+def make_cfg(alpha=1.0, q2=0.1, k2=0.01, gamma=0.1, T=1e-3, u_m=1.0,
              m=1, **kw):
     sat = SaturationSpec(u_m=u_m, R=np.eye(m))
     return LearnerConfig(alpha=alpha, gamma=gamma, T=T, Q1=np.eye(2), sat=sat,
-                         q2=q2, k2=k2, K1=np.zeros(n1), K2=np.zeros((n1, n1)),
-                         **kw)
+                         q2=q2, k2=k2, k1_gain=0.0, k2_gain=0.0, **kw)
 
 
 def fill_buffer(buf, values, thetas=None, m_scalars=None, dt=None):
@@ -28,7 +27,7 @@ def fill_buffer(buf, values, thetas=None, m_scalars=None, dt=None):
     for k, v in enumerate(values):
         theta = np.zeros(n1) if thetas is None else np.atleast_1d(thetas[k])
         m_s = 0.0 if m_scalars is None else m_scalars[k]
-        buf.push(k * dt, np.zeros(2), theta, v, m_s)
+        buf.push(k * dt, theta, v, m_s)
     return buf
 
 
@@ -36,18 +35,18 @@ class TestBuffer:
     def test_capacity_and_warmup(self):
         buf = ReinforcementBuffer(T=1e-3, dt=1e-3)
         assert buf.capacity == 2
-        buf.push(0.0, np.zeros(2), np.zeros(3), 1.0, 0.0)
+        buf.push(0.0, np.zeros(3), 1.0, 0.0)
         assert not buf.ready
         with pytest.raises(NotReady):
             reinforcement_integral(buf, 0.1, 1e-3)
-        buf.push(1e-3, np.zeros(2), np.zeros(3), 1.0, 0.0)
+        buf.push(1e-3, np.zeros(3), 1.0, 0.0)
         assert buf.ready
 
     def test_timestamps_strictly_increasing(self):
         buf = ReinforcementBuffer(T=1e-3, dt=1e-3)
-        buf.push(0.0, np.zeros(2), np.zeros(1), 0.0, 0.0)
+        buf.push(0.0, np.zeros(1), 0.0, 0.0)
         with pytest.raises(ConfigurationError):
-            buf.push(0.0, np.zeros(2), np.zeros(1), 0.0, 0.0)
+            buf.push(0.0, np.zeros(1), 0.0, 0.0)
 
     def test_non_divisible_window_interpolates(self):
         # T = 1.5 dt: left endpoint of the window falls between samples
@@ -58,10 +57,6 @@ class TestBuffer:
         # [t-T, t] of that line = T * value at window midpoint = 1.5e-3 * 1.25
         got = reinforcement_integral(buf, 0.0, 1.5e-3)
         assert abs(got - 1.5e-3 * 1.25) < 1e-15
-
-    def test_dt_must_not_exceed_T(self):
-        with pytest.raises(ConfigurationError):
-            ReinforcementBuffer(T=1e-3, dt=2e-3)
 
 
 def per_column_window(samples, T, col):
@@ -98,7 +93,7 @@ def test_one_pass_window_is_bitwise_the_per_column_window(rng, T, dt):
         sample = (k * dt, rng.normal(size=5), float(rng.normal()),
                   float(rng.normal()))
         samples.append(sample)
-        buf.push(sample[0], np.zeros(2), *sample[1:])
+        buf.push(sample[0], *sample[1:])
         if not buf.ready:
             continue
         kept = samples[-buf.capacity:]
@@ -236,8 +231,8 @@ class TestMIntegral:
         gamma = 0.1
         T = dt = 1e-3
         buf = ReinforcementBuffer(T, dt)
-        buf.push(0.0, np.zeros(2), np.zeros(1), 0.0, 2.0)
-        buf.push(dt, np.zeros(2), np.zeros(1), 0.0, 4.0)
+        buf.push(0.0, np.zeros(1), 0.0, 2.0)
+        buf.push(dt, np.zeros(1), 0.0, 4.0)
         want = (dt / 2.0) * (1.0 * 2.0 + math.exp(-gamma * T) * 4.0)
         assert m_integral(buf, gamma, T) == pytest.approx(want, rel=1e-14)
 
@@ -245,12 +240,11 @@ class TestMIntegral:
 def learner_setup(q2=0.1, k2=0.01, alpha=2.0, stab=True, m_on=True,
                   k_gain=0.0):
     basis = quad_basis(2)
-    n1 = basis.n_features
     dyn = AugmentedDynamics(n=1, m=1, G=lambda z: np.array([[1.5], [0.0]]))
     sat = SaturationSpec(u_m=2.0, R=np.array([[1.0]]))
     cfg = LearnerConfig(alpha=alpha, gamma=0.1, T=1e-3, Q1=np.diag([1.0, 0.0]),
                         sat=sat, q2=q2, k2=k2,
-                        K1=k_gain * np.ones(n1), K2=k_gain * np.eye(n1),
+                        k1_gain=k_gain, k2_gain=k_gain,
                         stabilizer_enabled=stab, m_term_enabled=m_on)
     return basis, dyn, sat, cfg
 
@@ -262,7 +256,7 @@ def warm_buffer(basis, z_pairs, cfg, W=None):
     for k, z in enumerate(z_pairs):
         theta = basis.eval(z)
         cost = cfg.cost_state(z)
-        buf.push(k * cfg.T, z, theta, cost, 0.0)
+        buf.push(k * cfg.T, theta, cost, 0.0)
     return buf
 
 
@@ -272,9 +266,7 @@ class TestUpdateStep:
         # contracting state gives sigma < 0, so every term vanishes
         basis, dyn, sat, _ = learner_setup()
         cfg = LearnerConfig(alpha=2.0, gamma=0.1, T=1e-3, Q1=np.zeros((2, 2)),
-                            sat=sat, q2=0.1, k2=0.01,
-                            K1=np.zeros(basis.n_features),
-                            K2=np.zeros((basis.n_features, basis.n_features)))
+                            sat=sat, q2=0.1, k2=0.01, k1_gain=0.0, k2_gain=0.0)
         z_prev = np.array([1.0, 0.0])
         z = 0.5 * z_prev
         buf = warm_buffer(basis, [z_prev, z], cfg)
@@ -410,5 +402,4 @@ def test_learner_config_validation():
     with pytest.raises(ConfigurationError):
         LearnerConfig(alpha=1.0, gamma=0.1, T=1e-3, Q1=-np.eye(2), sat=sat)
     cfg = LearnerConfig(alpha=1.0, gamma=0.1, T=1e-3, Q1=np.eye(2), sat=sat)
-    k1, k2 = cfg.k_gains(4)
-    assert np.allclose(k1, 0.01) and np.allclose(k2, 0.01 * np.eye(4))
+    assert cfg.k1_gain == cfg.k2_gain == 0.01

@@ -9,7 +9,8 @@ from irltrack.errors import ConfigurationError, NumericFault
 from irltrack.learner import LearnerConfig
 from irltrack.policy import SaturationSpec
 from irltrack.sim import (AugmentedTrackingEnv, DitherSpec, SimConfig,
-                          Telemetry, dither, rk4_step, run_experiment)
+                          Telemetry, check_run, dither, rk4_step,
+                          run_env_experiment, run_experiment)
 
 
 class TestRk4:
@@ -66,7 +67,7 @@ def small_setup(alpha=5.0, t_end=0.05, q1=(1.0, 1.0, 0.0, 0.0), amp=0.0):
     basis = quad_basis(4)
     sat = SaturationSpec(u_m=5.0, R=np.array([[1.0]]))
     lcfg = LearnerConfig(alpha=alpha, gamma=0.1, T=1e-3, Q1=np.diag(q1), sat=sat,
-                         K1=np.zeros(14), K2=np.zeros((14, 14)),
+                         k1_gain=0.0, k2_gain=0.0,
                          stabilizer_enabled=False, m_term_enabled=False)
     scfg = SimConfig(dt=1e-3, t_end=t_end)
     return plant, ref, basis, sat, lcfg, scfg, DitherSpec(amplitude=amp)
@@ -79,7 +80,7 @@ def test_run_experiment_zero_plant_constant_state():
     basis = quad_basis(2)
     sat = SaturationSpec(u_m=1.0, R=np.array([[1.0]]))
     lcfg = LearnerConfig(alpha=0.0, gamma=0.1, T=1e-3, Q1=np.diag([2.0, 0.0]),
-                         sat=sat, K1=np.zeros(5), K2=np.zeros((5, 5)))
+                         sat=sat, k1_gain=0.0, k2_gain=0.0)
     scfg = SimConfig(dt=1e-3, t_end=0.01)
     tel = run_experiment(plant, ref, basis, lcfg, scfg,
                          x0=np.array([3.0]))
@@ -129,6 +130,14 @@ def test_run_experiment_rejects_bad_law_and_windows():
         run_experiment(plant, ref, basis, lcfg, bad_sim)
 
 
+def test_dt_must_not_exceed_T():
+    _, _, _, _, lcfg, _, _ = small_setup()
+    with pytest.raises(ConfigurationError) as exc:
+        check_run("novel", lcfg, SimConfig(dt=2e-3, t_end=0.05))
+    assert exc.value.fields == ("dt", "T")
+    check_run("novel", lcfg, SimConfig(dt=lcfg.T, t_end=0.05))
+
+
 def test_numeric_fault_carries_partial_telemetry():
     plant, ref, basis, sat, lcfg, scfg, _ = small_setup(alpha=1e308, t_end=0.5)
     with pytest.raises(NumericFault) as exc:
@@ -161,7 +170,7 @@ def test_operating_box_warning_recorded():
     basis = quad_basis(2)
     sat = SaturationSpec(u_m=1.0, R=np.array([[1.0]]))
     lcfg = LearnerConfig(alpha=0.0, gamma=0.1, T=1e-3, Q1=np.zeros((2, 2)),
-                         sat=sat, K1=np.zeros(5), K2=np.zeros((5, 5)))
+                         sat=sat, k1_gain=0.0, k2_gain=0.0)
     scfg = SimConfig(dt=1e-3, t_end=1.0)
     tel = run_experiment(plant, ref, basis, lcfg, scfg,
                          x0=np.array([0.0]))
@@ -198,3 +207,27 @@ def test_fused_step_evaluates_each_quantity_once(monkeypatch, m_term):
     iterations = round(scfg.t_end / scfg.dt) + 1
     assert calls == {"grad": iterations, "G": iterations,
                      "M": iterations if m_term else 0}
+
+
+def test_uav_rate_command_once_per_step(monkeypatch):
+    from irltrack import catalog
+    from irltrack.benchmarks.uav import UavAttitudeEnv
+
+    calls = []
+    rate_des = UavAttitudeEnv._rate_des
+
+    def counting(self, t):
+        calls.append(t)
+        return rate_des(self, t)
+
+    monkeypatch.setattr(UavAttitudeEnv, "_rate_des", counting)
+    env = catalog.make_env("aerosonde", "attitude_schedule", {}, {})
+    basis = quad_basis(6)
+    sat = SaturationSpec(u_m=math.pi / 2, R=np.eye(3))
+    lcfg = LearnerConfig(alpha=16.1, gamma=0.1, T=1e-3,
+                         Q1=np.diag([10.0, 10.0, 50.0, 0.0, 0.0, 0.0]), sat=sat)
+    scfg = SimConfig(dt=1e-3, t_end=0.02)
+    tel = run_env_experiment(env, basis, lcfg, scfg)
+    iterations = round(scfg.t_end / scfg.dt) + 1
+    assert len(tel.rows) == iterations
+    assert len(calls) == iterations
