@@ -13,7 +13,6 @@ which gives the learner an exact target to converge to.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_continuous_are
 
 from ..basis import RegressorBasis
 from ..errors import ConfigurationError, OracleFailure
@@ -32,6 +31,8 @@ def discounted_riccati(A, B, Q1, R, gamma) -> np.ndarray:
     Raises OracleFailure if the solver fails (for example on a pair that
     is not stabilizable) or the residual does not reach 1e-9.
     """
+    from scipy.linalg import solve_continuous_are
+
     A, B, Q1, R = (np.asarray(M, dtype=float) for M in (A, B, Q1, R))
     As = A - 0.5 * gamma * np.eye(A.shape[0])
     try:

@@ -22,7 +22,6 @@ from functools import cached_property
 from importlib import resources
 
 import numpy as np
-from scipy.optimize import root
 
 from ..catalog import param, parse_floats
 from ..errors import ConfigurationError, NumericFault, OracleFailure
@@ -281,6 +280,7 @@ class TrimPoint:
 
 def trim_level_flight(pr: AirframeParams, va: float = 35.0) -> TrimPoint:
     """Solve (alpha, delta_e, delta_t) for steady wings-level flight at va."""
+    from scipy.optimize import root
 
     def residual(x):
         alpha, de, dt_ = x
@@ -335,6 +335,8 @@ class SetpointSchedule:
 
     def __post_init__(self):
         ts = [e[0] for e in self.entries]
+        if not np.isfinite([[t, *att] for t, att in self.entries]).all():
+            raise ConfigurationError("setpoint times and angles must be finite")
         if not ts or ts[0] != 0.0 or sorted(ts) != ts or len(set(ts)) != len(ts):
             raise ConfigurationError(
                 "setpoint schedule must start at t=0 with strictly increasing times")
@@ -414,7 +416,10 @@ class UavAttitudeEnv:
         """Rate errors, and each Euler angle against its setpoint, in degrees."""
         z, x = telemetry.columns("z"), telemetry.columns("x")
         deg = 180.0 / math.pi
-        des = np.array([self.schedule.attitude_des(ti) for ti in telemetry.t]) * deg
+        # the entry in force at each t, as `attitude_des` picks it
+        starts, atts = zip(*self.schedule.entries)
+        active = np.searchsorted(starts, telemetry.t, side="right") - 1
+        des = np.array(atts)[np.maximum(active, 0)] * deg
         panels = {f"rate_err_{i}": z[:, i] for i in range(3)}
         for j, name in enumerate(("phi", "theta", "psi")):
             panels[f"att_{name}_deg"] = x[:, PHI + j] * deg
@@ -440,7 +445,10 @@ def parse_schedule(text: str) -> SetpointSchedule:
         entries.append((t_start, tuple(vals * (math.pi / 180.0))))
     if not entries:
         raise ConfigurationError("reference.setpoints_deg: no entries")
-    return SetpointSchedule(entries=tuple(entries))
+    try:
+        return SetpointSchedule(entries=tuple(entries))
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"reference.setpoints_deg: {exc}") from None
 
 
 def make_uav_env(plant_params: dict, reference_params: dict) -> UavAttitudeEnv:

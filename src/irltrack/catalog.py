@@ -98,14 +98,19 @@ def parse_floats(text: str) -> np.ndarray:
 def param(params: dict, section: str, key: str, default, cast=float):
     """`params[key]` through `cast`, or `default` when the key is absent.
 
-    A malformed value raises ConfigurationError naming `section.key`.
+    A malformed or non-finite value raises ConfigurationError naming
+    `section.key`.
     """
     if key not in params:
         return default
     try:
-        return cast(params[key])
+        value = cast(params[key])
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{section}.{key}: {exc}") from None
+    if not np.isfinite(value).all():
+        raise ConfigurationError(
+            f"{section}.{key}: must be finite, got {params[key]!r}")
+    return value
 
 
 def _vector(value) -> np.ndarray:

@@ -11,7 +11,6 @@ import itertools
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
 import numpy as np
@@ -108,29 +107,21 @@ def _write_manifest(path, cfg, telemetry: Telemetry | None, status: str,
                          f"last t={seen.t_last:.3f}\n")
 
 
-def _write_series(out_dir, cfg, env, telemetry: Telemetry):
-    series = os.path.join(out_dir, "series")
-    os.makedirs(series, exist_ok=True)
-    t = telemetry.t
+def _write_series(out_dir, cfg, env, telemetry: Telemetry) -> dict:
+    """Make series/ with its plot stub; return the plot panels.
 
-    def emit(name, ys):
-        with open(os.path.join(series, name + ".dat"), "w", encoding="utf-8") as fh:
-            for ti, yi in zip(t, ys):
-                fh.write(f"{float(ti)!r} {float(yi)!r}\n")
-
-    for name, ys in env.series(telemetry).items():
-        emit(name, ys)
-    x = telemetry.columns("x")
-    for i in range(x.shape[1]):
-        emit(f"state_{i:02d}", x[:, i])
-    u = telemetry.columns("u_")
-    for j, name in enumerate(env.control_names):
-        emit(f"ctrl_{name}", u[:, j])
-    W = telemetry.columns("W")
-    for k in range(W.shape[1]):
-        emit(f"weight_{k:02d}", W[:, k])
-    emit("value", telemetry.column("V_hat"))
-    emit("hjb_error", telemetry.column("e_hat"))
+    The panels map a series file name to a telemetry column name or to a
+    derived array: the environment's own panels and, when the pair has a
+    Riccati ground truth, `weight_error_vs_oracle`.  `Telemetry.to_csv`
+    writes them beside telemetry.csv.
+    """
+    os.makedirs(os.path.join(out_dir, "series"), exist_ok=True)
+    series = dict(env.series(telemetry))
+    series.update((f"state_{i:02d}", f"x{i}") for i in range(telemetry.dim_x))
+    series.update((f"ctrl_{name}", f"u_{name}") for name in telemetry.control_names)
+    series.update((f"weight_{k:02d}", f"W{k}") for k in range(telemetry.n1))
+    series["value"] = "V_hat"
+    series["hjb_error"] = "e_hat"
 
     pair = env.linear_pair()
     if pair is not None:
@@ -143,11 +134,12 @@ def _write_series(out_dir, cfg, env, telemetry: Telemetry):
             W_star = ideal_weights(P, quad_basis(len(P)))
             w_norm = np.linalg.norm(W_star)
             if w_norm > 0:  # W* = 0 (no state cost) has no relative error
-                emit("weight_error_vs_oracle",
-                     np.linalg.norm(W - W_star, axis=1) / w_norm)
+                series["weight_error_vs_oracle"] = np.linalg.norm(
+                    telemetry.columns("W") - W_star, axis=1) / w_norm
 
     with open(os.path.join(out_dir, "plot_series.py"), "w", encoding="utf-8") as fh:
         fh.write(_PLOT_STUB)
+    return series
 
 
 def run_one(config_path: str, overrides=(), out_dir: str = "runs/run",
@@ -188,8 +180,9 @@ def run_one(config_path: str, overrides=(), out_dir: str = "runs/run",
     wall = time.perf_counter() - t0
 
     if telemetry is not None:
-        telemetry.to_csv(os.path.join(out_dir, "telemetry.csv"))
-        _write_series(out_dir, cfg, env, telemetry)
+        series = _write_series(out_dir, cfg, env, telemetry)
+        telemetry.to_csv(os.path.join(out_dir, "telemetry.csv"),
+                         os.path.join(out_dir, "series"), series)
     _write_manifest(os.path.join(out_dir, "manifest.txt"), cfg, telemetry,
                     status, wall)
     return code, telemetry, cfg
@@ -279,6 +272,7 @@ def cmd_sweep(args) -> int:
         tasks.append((path, overrides, os.path.join(args.out, run_name), run_name))
 
     if args.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_worker, tasks))
     else:

@@ -62,15 +62,23 @@ class LearnerConfig:
     def __post_init__(self):
         object.__setattr__(self, "Q1", np.asarray(self.Q1, dtype=float))
         for name in ("alpha", "gamma", "q2", "k2"):
-            if getattr(self, name) < 0:
+            if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigurationError(
-                    f"{name} must be >= 0, got {getattr(self, name)}", (name,))
-        if not self.T > 0:
+                    f"{name} must be finite and >= 0, got {getattr(self, name)}",
+                    (name,))
+        for name in ("k1_gain", "k2_gain"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be finite, got {getattr(self, name)}", (name,))
+        if not 0 < self.T < math.inf:
             raise ConfigurationError(
-                f"reinforcement interval T must be > 0, got {self.T}", ("T",))
+                f"reinforcement interval T must be finite and > 0, got {self.T}",
+                ("T",))
         if self.Q1.ndim != 2 or self.Q1.shape[0] != self.Q1.shape[1]:
             raise ConfigurationError(f"Q1 must be square, got shape {self.Q1.shape}",
                                      ("Q1",))
+        if not np.isfinite(self.Q1).all():
+            raise ConfigurationError("Q1 must be finite", ("Q1",))
         if not np.allclose(self.Q1, self.Q1.T, atol=1e-12):
             raise ConfigurationError("Q1 must be symmetric", ("Q1",))
         # the eigenvalues get rounding slack; a negative diagonal entry is

@@ -15,11 +15,11 @@ and the pair is kept as a cross-check.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 
 from .basis import RegressorBasis
 from .errors import ConfigurationError
@@ -40,14 +40,16 @@ class SaturationSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "R", np.atleast_2d(np.asarray(self.R, dtype=float)))
-        if not self.u_m > 0:
-            raise ConfigurationError(f"u_m must be > 0, got {self.u_m}", ("u_m",))
+        if not 0 < self.u_m < math.inf:
+            raise ConfigurationError(f"u_m must be finite and > 0, got {self.u_m}",
+                                     ("u_m",))
         d = np.diag(self.R)
         if self.R.shape[0] != self.R.shape[1]:
             raise ConfigurationError(f"R must be square, got shape {self.R.shape}",
                                      ("R",))
-        if np.any(d <= 0):
-            raise ConfigurationError("R must have strictly positive diagonal", ("R",))
+        if not np.all((d > 0) & (d < math.inf)):
+            raise ConfigurationError("R must have a finite, strictly positive "
+                                     "diagonal", ("R",))
         if np.any(self.R - np.diag(d) != 0.0):
             raise ConfigurationError("R must be diagonal", ("R",))
 
@@ -79,6 +81,8 @@ def penalty_integral(u: np.ndarray, sat: SaturationSpec) -> float:
     log singularity at +-u_m, so the quadrature limit is clipped away from
     the boundary by 1e-12 * u_m.
     """
+    from scipy.integrate import quad
+
     u = np.atleast_1d(np.asarray(u, dtype=float))
     um = sat.u_m
     if np.any(np.abs(u) >= um):

@@ -22,6 +22,8 @@ trajectory never depends on the learner.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -36,6 +38,10 @@ from .models import (AffinePlant, AugmentedDynamics, ReferenceModel, augment,
                      augmented_linear)
 from .policy import penalty_closed, saturate, tau2_raw
 
+# Rows formatted per pass of `Telemetry.to_csv`: the chunk, not the run
+# length, bounds the writer's working set.
+_CHUNK_ROWS = 256
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -46,11 +52,12 @@ class SimConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ConfigurationError(f"dt must be > 0, got {self.dt}", ("dt",))
-        if not self.t_end > 0:
-            raise ConfigurationError(f"t_end must be > 0, got {self.t_end}",
-                                     ("t_end",))
+        if not 0 < self.dt < math.inf:
+            raise ConfigurationError(f"dt must be finite and > 0, got {self.dt}",
+                                     ("dt",))
+        if not 0 < self.t_end < math.inf:
+            raise ConfigurationError(
+                f"t_end must be finite and > 0, got {self.t_end}", ("t_end",))
         if self.record_every < 1:
             raise ConfigurationError(
                 f"record_every must be >= 1, got {self.record_every}",
@@ -64,9 +71,10 @@ class DitherSpec:
     amplitude: float = 0.0
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise ConfigurationError(f"amplitude must be >= 0, got {self.amplitude}",
-                                     ("amplitude",))
+        if not 0 <= self.amplitude < math.inf:
+            raise ConfigurationError(
+                f"amplitude must be finite and >= 0, got {self.amplitude}",
+                ("amplitude",))
 
 
 def check_run(law: str, learner_cfg: LearnerConfig, sim_cfg: SimConfig):
@@ -200,11 +208,38 @@ class Telemetry:
     def t(self) -> np.ndarray:
         return self.column("t")
 
-    def to_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    def to_csv(self, path, series_dir=None, series=None):
+        """Write the log as CSV, and each of `series` as a `t value` plot file.
+
+        `series` maps a file name (written as `<series_dir>/<name>.dat`) to
+        a header column name or to a derived array of one value per row.
+        Every value is written as repr(float).  One pass over chunks of
+        `_CHUNK_ROWS` rows formats each logged value once; the CSV lines,
+        the time column and every series that copies a column share those
+        strings, and only derived arrays are formatted on their own.
+        """
+        ncol = len(self.header)
+        series = series or {}
+        sources = [self.header.index(src) if isinstance(src, str)
+                   else np.asarray(src, dtype=float) for src in series.values()]
+        with ExitStack() as stack:
+            fh = stack.enter_context(
+                open(path, "w", encoding="utf-8", newline="\n"))
+            dats = [stack.enter_context(open(
+                os.path.join(series_dir, name + ".dat"), "w", encoding="utf-8"))
+                for name in series]
             fh.write(",".join(self.header) + "\n")
-            for row in self.rows:
-                fh.write(",".join(map(repr, row.tolist())) + "\n")
+            rows = self.rows
+            for lo in range(0, len(rows), _CHUNK_ROWS):
+                hi = lo + _CHUNK_ROWS
+                strs = list(map(repr, rows[lo:hi].ravel().tolist()))
+                # zip(*[iter(strs)] * ncol) yields the chunk's rows
+                fh.write("\n".join(map(",".join, zip(*[iter(strs)] * ncol))) + "\n")
+                t_strs = strs[0::ncol]
+                for dat, src in zip(dats, sources):
+                    ys = strs[src::ncol] if isinstance(src, int) else \
+                        map(repr, src[lo:hi].tolist())
+                    dat.write("\n".join(map(" ".join, zip(t_strs, ys))) + "\n")
 
 
 class TrackingEnv(Protocol):

@@ -14,6 +14,7 @@ from irltrack.benchmarks.uav import (THETA, U, forces_moments,
 from irltrack.catalog import make_env
 from irltrack.errors import ConfigurationError, NumericFault, OracleFailure
 from irltrack.models import augmented_linear
+from irltrack.sim import Telemetry
 
 DEG = math.pi / 180.0
 
@@ -213,3 +214,21 @@ class TestEnvironmentProtocol:
             assert len(env.control_names) == env.m
             for member in ("advance", "check_domain", "series", "linear_pair"):
                 assert callable(getattr(env, member))
+
+    def test_uav_setpoint_panels_equal_the_per_row_lookup(self):
+        """The vectorised setpoint panels are bitwise the per-row
+        `attitude_des` lookup, at the switch times and one ulp either side."""
+        env = make_env("aerosonde", "attitude_schedule")
+        switches = env.schedule.switch_times
+        ts = sorted({0.0, 0.25, 30.0, *switches,
+                     *(np.nextafter(s, -1.0) for s in switches),
+                     *(np.nextafter(s, 99.0) for s in switches)})
+        tel = Telemetry(dim_z=6, dim_x=12, dim_xd=3, m=3, n1=1)
+        for t in ts:
+            tel.append(t, np.zeros(6), env.state, np.zeros(3), np.zeros(3),
+                       0.0, 0.0, 0.0, 1, 0.0, 0.0, np.zeros(1))
+        panels = env.series(tel)
+        deg = 180.0 / math.pi
+        want = np.array([env.schedule.attitude_des(t) for t in ts]) * deg
+        for j, name in enumerate(("phi", "theta", "psi")):
+            assert panels[f"att_{name}_des_deg"].tobytes() == want[:, j].tobytes()

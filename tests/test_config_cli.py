@@ -1,6 +1,8 @@
 import configparser
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -313,6 +315,12 @@ def test_parse_defects_name_their_field(tmp_path, name, edits, field):
     "learner.q1_diag=1 1 -1 0", "learner.q1_diag=1 1 -1e-11 0",
     "sim.dt_s=0.0010000000001", "sim.t_end_s=0.0005", "sim.record_every=0",
     "dither.amplitude=-1", "experiment.law=fancy", "experiment.basis=cubic",
+    # non-finite numbers
+    "learner.alpha=nan", "learner.gamma=inf", "learner.q2=nan",
+    "learner.k2=inf", "learner.k1_gain=inf", "learner.k2_gain=nan",
+    "learner.t_window_s=inf", "learner.q1_diag=1 nan 0 0",
+    "saturation.u_m=inf", "saturation.r_diag=inf", "dither.amplitude=nan",
+    "sim.dt_s=nan", "sim.t_end_s=inf",
 ])
 def test_every_config_rule_rejects_and_names_its_key(tmp_path, capsys,
                                                      override):
@@ -336,6 +344,14 @@ def test_every_config_rule_rejects_and_names_its_key(tmp_path, capsys,
     ("uav_attitude", ["plant.altitude_m=high"], "plant.altitude_m"),
     ("uav_attitude", ["reference.gains=8 ten 12"], "reference.gains"),
     ("uav_attitude", ["reference.gains=8 10"], "reference.gains"),
+    ("linear_benchmark", ["plant.omega=inf"], "plant.omega"),
+    ("linear_benchmark", ["plant.x0=16 nan"], "plant.x0"),
+    ("linear_benchmark", ["reference.x_d0=1 -inf"], "reference.x_d0"),
+    ("uav_attitude", ["plant.altitude_m=nan"], "plant.altitude_m"),
+    ("uav_attitude", ["reference.setpoints_deg=0: 0 nan 0"],
+     "reference.setpoints_deg"),
+    ("uav_attitude", ["reference.setpoints_deg=0: 0 0 0; inf: 1 0 0"],
+     "reference.setpoints_deg"),
 ])
 def test_builder_defects_name_their_key(tmp_path, capsys, name, overrides,
                                         field):
@@ -348,6 +364,43 @@ def test_builder_defects_name_their_key(tmp_path, capsys, name, overrides,
     assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == \
         cli.EXIT_CONFIG
     assert field in capsys.readouterr().out
+
+
+def test_infinite_horizon_run_exits_with_config_error(tmp_path, capsys):
+    assert cli.main(["run", "linear_benchmark", "--override", "sim.t_end_s=inf",
+                     "--out", str(tmp_path / "inf")]) == cli.EXIT_CONFIG
+    assert "sim.t_end_s" in capsys.readouterr().out
+
+
+_LOADED_SCIPY = """
+import sys
+from irltrack import cli, config
+cfg, errors = config.parse_config(cli.resolve_config_path(sys.argv[1]))
+assert not errors, errors
+config.resolve(cfg)
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def loaded_scipy_modules(config_name):
+    """scipy modules in a fresh interpreter after importing irltrack.cli and
+    parsing and resolving a bundled config."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, config_name],
+                          env=env, capture_output=True, text=True, check=True)
+    return set(proc.stdout.split())
+
+
+def test_linear_setup_loads_no_scipy():
+    assert loaded_scipy_modules("linear_benchmark") == set()
+
+
+def test_uav_setup_loads_only_the_trim_solver():
+    loaded = loaded_scipy_modules("uav_attitude")
+    assert "scipy.optimize" in loaded
+    assert not any(m.startswith("scipy.integrate") for m in loaded)
 
 
 def test_resolve_config_path_creates_no_file(tmp_path, monkeypatch):
