@@ -97,15 +97,23 @@ class AirframeParams:
 
 
 def load_airframe(path=None) -> AirframeParams:
-    """Read airframe constants from an INI file (bundled Aerosonde by default)."""
+    """Read airframe constants from an INI file (bundled Aerosonde by default).
+
+    An unreadable or malformed file, or a constant that is not a finite
+    number, raises ConfigurationError naming `plant.airframe` (and the
+    file's `section.key`).
+    """
     cp = configparser.ConfigParser()
-    if path is None:
-        text = resources.files("irltrack.data").joinpath("aerosonde.ini").read_text()
-        cp.read_string(text)
-    else:
-        with open(path, encoding="utf-8") as fh:
-            cp.read_file(fh)
     try:
+        if path is None:
+            cp.read_string(resources.files("irltrack.data")
+                           .joinpath("aerosonde.ini").read_text())
+        else:
+            with open(path, encoding="utf-8") as fh:
+                cp.read_file(fh)
+        for section in cp.sections():
+            for key in cp[section]:
+                param(cp[section], section, key, None)
         lon = cp["aero_longitudinal"]
         lat = cp["aero_lateral"]
         return AirframeParams(
@@ -144,8 +152,11 @@ def load_airframe(path=None) -> AirframeParams:
             c_n_dr=lat.getfloat("c_n_delta_r"),
             stall_alpha=math.radians(cp.getfloat("limits", "stall_alpha_deg")),
         )
+    except OSError as exc:
+        raise ConfigurationError(
+            f"plant.airframe: cannot read {path!r}: {exc.strerror}") from exc
     except (configparser.Error, ValueError, KeyError) as exc:
-        raise ConfigurationError(f"bad airframe file: {exc}") from exc
+        raise ConfigurationError(f"plant.airframe: bad airframe file: {exc}") from exc
 
 
 def forces_moments(state: np.ndarray, delta_e: float, delta_a: float,

@@ -113,6 +113,13 @@ def param(params: dict, section: str, key: str, default, cast=float):
     return value
 
 
+def _dimension(value) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"must be >= 1, got {n}")
+    return n
+
+
 def _vector(value) -> np.ndarray:
     return parse_floats(value) if isinstance(value, str) else \
         np.asarray(value, dtype=float)
@@ -130,22 +137,22 @@ def _linear_osc(params):
 
 @register_plant("zero")
 def _zero_plant(params):
-    n = param(params, "plant", "n", 1, int)
-    m = param(params, "plant", "m", 1, int)
+    n = param(params, "plant", "n", 1, _dimension)
+    m = param(params, "plant", "m", 1, _dimension)
     return AffinePlant(n=n, m=m, f=lambda x: np.zeros(n),
                        g=lambda x: np.zeros((n, m)), name="zero").validate()
 
 
 @register_plant("integrator")
 def _integrator(params):
-    n = param(params, "plant", "n", 1, int)
+    n = param(params, "plant", "n", 1, _dimension)
     return AffinePlant(n=n, m=n, f=lambda x: np.zeros(n), g=lambda x: np.eye(n),
                        name="integrator").validate()
 
 
 @register_reference("zero")
 def _zero_ref(params):
-    n = param(params, "reference", "n", 1, int)
+    n = param(params, "reference", "n", 1, _dimension)
     return ReferenceModel(H=lambda xd: np.zeros(n), x_d0=np.zeros(n),
                           name="zero").validate()
 

@@ -29,27 +29,31 @@ EXIT_ORACLE = 4
 
 _PLOT_STUB = """\
 #!/usr/bin/env python3
-# Minimal plotting helper for the series/ directory: one PNG per .dat file.
-import os, sys
+# Plots of the run in this directory, one PNG each in series/: every
+# telemetry.csv column against t, and every derived panel series/*.dat.
+import csv, os
 import matplotlib
 matplotlib.use("Agg")
 import matplotlib.pyplot as plt
 
-series_dir = sys.argv[1] if len(sys.argv) > 1 else "series"
+run_dir = os.path.dirname(os.path.abspath(__file__))
+series_dir = os.path.join(run_dir, "series")
+with open(os.path.join(run_dir, "telemetry.csv"), newline="") as fh:
+    rows = csv.reader(fh)
+    header = next(rows)
+    columns = [list(map(float, col)) for col in zip(*rows)] or [[]] * len(header)
+plots = [(name, columns[0], ys) for name, ys in zip(header[1:], columns[1:])]
 for name in sorted(os.listdir(series_dir)):
-    if not name.endswith(".dat"):
-        continue
-    xs, ys = [], []
-    with open(os.path.join(series_dir, name)) as fh:
-        for line in fh:
-            a, b = line.split()
-            xs.append(float(a)); ys.append(float(b))
+    if name.endswith(".dat"):
+        with open(os.path.join(series_dir, name)) as fh:
+            pairs = [tuple(map(float, line.split())) for line in fh]
+        plots.append((name[:-4], [t for t, _ in pairs], [y for _, y in pairs]))
+for name, xs, ys in plots:
     plt.figure(figsize=(6, 3))
     plt.plot(xs, ys, lw=0.8)
-    plt.xlabel("t [s]"); plt.ylabel(name[:-4]); plt.tight_layout()
-    plt.savefig(os.path.join(series_dir, name[:-4] + ".png"), dpi=120)
+    plt.xlabel("t [s]"); plt.ylabel(name); plt.tight_layout()
+    plt.savefig(os.path.join(series_dir, name + ".png"), dpi=120)
     plt.close()
-print("wrote PNGs next to the .dat files")
 """
 
 
@@ -107,22 +111,18 @@ def _write_manifest(path, cfg, telemetry: Telemetry | None, status: str,
                          f"last t={seen.t_last:.3f}\n")
 
 
-def _write_series(out_dir, cfg, env, telemetry: Telemetry) -> dict:
-    """Make series/ with its plot stub; return the plot panels.
+def _write_series(out_dir, cfg, env, telemetry: Telemetry):
+    """Write series/ with the derived plot panels, and the plot stub.
 
-    The panels map a series file name to a telemetry column name or to a
-    derived array: the environment's own panels and, when the pair has a
-    Riccati ground truth, `weight_error_vs_oracle`.  `Telemetry.to_csv`
-    writes them beside telemetry.csv.
+    The panels are the environment's own and, when the pair has a Riccati
+    ground truth, `weight_error_vs_oracle`; each is written as
+    `series/<name>.dat`, one `t value` line per telemetry row, both as
+    repr(float).  Logged columns are not copied: the stub reads them from
+    telemetry.csv.
     """
-    os.makedirs(os.path.join(out_dir, "series"), exist_ok=True)
-    series = dict(env.series(telemetry))
-    series.update((f"state_{i:02d}", f"x{i}") for i in range(telemetry.dim_x))
-    series.update((f"ctrl_{name}", f"u_{name}") for name in telemetry.control_names)
-    series.update((f"weight_{k:02d}", f"W{k}") for k in range(telemetry.n1))
-    series["value"] = "V_hat"
-    series["hjb_error"] = "e_hat"
-
+    series_dir = os.path.join(out_dir, "series")
+    os.makedirs(series_dir, exist_ok=True)
+    panels = env.series(telemetry)
     pair = env.linear_pair()
     if pair is not None:
         lcfg = cfg.learner
@@ -134,12 +134,16 @@ def _write_series(out_dir, cfg, env, telemetry: Telemetry) -> dict:
             W_star = ideal_weights(P, quad_basis(len(P)))
             w_norm = np.linalg.norm(W_star)
             if w_norm > 0:  # W* = 0 (no state cost) has no relative error
-                series["weight_error_vs_oracle"] = np.linalg.norm(
+                panels["weight_error_vs_oracle"] = np.linalg.norm(
                     telemetry.columns("W") - W_star, axis=1) / w_norm
 
+    ts = telemetry.t.tolist()
+    for name, ys in panels.items():
+        with open(os.path.join(series_dir, name + ".dat"), "w",
+                  encoding="utf-8") as fh:
+            fh.writelines(f"{t!r} {y!r}\n" for t, y in zip(ts, ys.tolist()))
     with open(os.path.join(out_dir, "plot_series.py"), "w", encoding="utf-8") as fh:
         fh.write(_PLOT_STUB)
-    return series
 
 
 def run_one(config_path: str, overrides=(), out_dir: str = "runs/run",
@@ -180,9 +184,8 @@ def run_one(config_path: str, overrides=(), out_dir: str = "runs/run",
     wall = time.perf_counter() - t0
 
     if telemetry is not None:
-        series = _write_series(out_dir, cfg, env, telemetry)
-        telemetry.to_csv(os.path.join(out_dir, "telemetry.csv"),
-                         os.path.join(out_dir, "series"), series)
+        _write_series(out_dir, cfg, env, telemetry)
+        telemetry.to_csv(os.path.join(out_dir, "telemetry.csv"))
     _write_manifest(os.path.join(out_dir, "manifest.txt"), cfg, telemetry,
                     status, wall)
     return code, telemetry, cfg
@@ -254,6 +257,9 @@ def _sweep_worker(task):
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        print(f"error: --workers must be >= 1, got {args.workers}")
+        return EXIT_CONFIG
     path = resolve_config_path(args.config)
     axes = []
     for spec_arg in args.grid:

@@ -22,8 +22,6 @@ trajectory never depends on the learner.
 from __future__ import annotations
 
 import math
-import os
-from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -136,15 +134,12 @@ class Telemetry:
 
     def __init__(self, dim_z: int, dim_x: int, dim_xd: int, m: int, n1: int,
                  control_names=None, capacity: int = 64):
-        self.dim_z, self.dim_x, self.dim_xd, self.m, self.n1 = \
-            dim_z, dim_x, dim_xd, m, n1
-        self.control_names = list(control_names) if control_names else [
-            f"u{i}" for i in range(m)]
+        control_names = control_names or [f"u{i}" for i in range(m)]
         cols = ["t"]
         cols += [f"z{i}" for i in range(dim_z)]
         cols += [f"x{i}" for i in range(dim_x)]
         cols += [f"xd{i}" for i in range(dim_xd)]
-        cols += [f"u_{name}" for name in self.control_names]
+        cols += [f"u_{name}" for name in control_names]
         cols += ["n", "e_hat", "sigma", "xi", "I_hat", "V_hat"]
         cols += [f"W{i}" for i in range(n1)]
         self.header = cols
@@ -190,56 +185,31 @@ class Telemetry:
         return self.rows[:, self.header.index(name)].copy()
 
     def columns(self, prefix: str) -> np.ndarray:
-        """Columns named `prefix<digits>`, or any suffix for `prefix_` groups.
-
-        The digit requirement keeps `columns("x")` from swallowing `xd0...`.
-        """
-        def match(h):
-            if not h.startswith(prefix):
-                return False
-            return prefix.endswith("_") or h[len(prefix):].isdigit()
-
-        idxs = [i for i, h in enumerate(self.header) if match(h)]
+        """The column group `prefix<i>`: one of z, x, xd, u_ or W."""
+        group = self._groups[("z", "x", "xd", "u_", None, "W").index(prefix)]
         # row-major, so axis-1 reductions (the oracle error norm) add in a
         # fixed order
-        return np.ascontiguousarray(self.rows[:, idxs])
+        return np.ascontiguousarray(self.rows[:, group])
 
     @property
     def t(self) -> np.ndarray:
         return self.column("t")
 
-    def to_csv(self, path, series_dir=None, series=None):
-        """Write the log as CSV, and each of `series` as a `t value` plot file.
+    def to_csv(self, path):
+        """Write the log as CSV: the header, then one line per row with
+        every value as repr(float).
 
-        `series` maps a file name (written as `<series_dir>/<name>.dat`) to
-        a header column name or to a derived array of one value per row.
-        Every value is written as repr(float).  One pass over chunks of
-        `_CHUNK_ROWS` rows formats each logged value once; the CSV lines,
-        the time column and every series that copies a column share those
-        strings, and only derived arrays are formatted on their own.
+        Rows are formatted in chunks of `_CHUNK_ROWS`, so the chunk, not the
+        run length, bounds the writer's working set.
         """
         ncol = len(self.header)
-        series = series or {}
-        sources = [self.header.index(src) if isinstance(src, str)
-                   else np.asarray(src, dtype=float) for src in series.values()]
-        with ExitStack() as stack:
-            fh = stack.enter_context(
-                open(path, "w", encoding="utf-8", newline="\n"))
-            dats = [stack.enter_context(open(
-                os.path.join(series_dir, name + ".dat"), "w", encoding="utf-8"))
-                for name in series]
+        rows = self.rows
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(self.header) + "\n")
-            rows = self.rows
             for lo in range(0, len(rows), _CHUNK_ROWS):
-                hi = lo + _CHUNK_ROWS
-                strs = list(map(repr, rows[lo:hi].ravel().tolist()))
+                strs = list(map(repr, rows[lo:lo + _CHUNK_ROWS].ravel().tolist()))
                 # zip(*[iter(strs)] * ncol) yields the chunk's rows
                 fh.write("\n".join(map(",".join, zip(*[iter(strs)] * ncol))) + "\n")
-                t_strs = strs[0::ncol]
-                for dat, src in zip(dats, sources):
-                    ys = strs[src::ncol] if isinstance(src, int) else \
-                        map(repr, src[lo:hi].tolist())
-                    dat.write("\n".join(map(" ".join, zip(t_strs, ys))) + "\n")
 
 
 class TrackingEnv(Protocol):
@@ -255,7 +225,7 @@ class TrackingEnv(Protocol):
     def z(self) -> np.ndarray: ...
     def advance(self, u_applied: np.ndarray, t: float, dt: float): ...
     def check_domain(self, telemetry: Telemetry, t: float): ...
-    def series(self, telemetry: Telemetry) -> dict: ...  # {panel: column}
+    def series(self, telemetry: Telemetry) -> dict: ...  # {panel: per-row values}
     def linear_pair(self) -> tuple | None: ...  # stacked (A, B), if linear
 
 

@@ -1,6 +1,10 @@
 """Run artifacts: `Telemetry.to_csv` writes the bytes of the reference
-formatting, one `repr` per value, in a bounded working set."""
+formatting, one `repr` per value, in a bounded working set; series/ holds
+only the derived panels, in the same formatting; the plot stub draws every
+telemetry column and every panel."""
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -38,24 +42,12 @@ def filled_telemetry(n_rows, dims=(2, 1, 1, 1, 3), seed=0):
     return tel
 
 
-def written(tmp_path, telemetry, series):
-    telemetry.to_csv(tmp_path / "telemetry.csv", tmp_path, series)
-    return {name: (tmp_path / f"{name}.dat").read_bytes() for name in series}
-
-
 @pytest.mark.parametrize("n_rows", [
     0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3])
 def test_writer_matches_reference_formatting(tmp_path, n_rows):
     tel = filled_telemetry(n_rows)
-    derived = np.sin(np.arange(n_rows)) * 1e-7
-    files = written(tmp_path, tel, {"state_00": "x0", "hjb_error": "e_hat",
-                                    "weight_02": "W2", "derived": derived})
+    tel.to_csv(tmp_path / "telemetry.csv")
     assert (tmp_path / "telemetry.csv").read_bytes() == reference_csv(tel)
-    t = tel.t
-    assert files["state_00"] == reference_series(t, tel.column("x0"))
-    assert files["hjb_error"] == reference_series(t, tel.column("e_hat"))
-    assert files["weight_02"] == reference_series(t, tel.column("W2"))
-    assert files["derived"] == reference_series(t, derived)
 
 
 def test_writer_without_series_writes_only_the_csv(tmp_path):
@@ -65,23 +57,19 @@ def test_writer_without_series_writes_only_the_csv(tmp_path):
     assert (tmp_path / "telemetry.csv").read_bytes() == reference_csv(tel)
 
 
-def assert_run_artifacts_match_reference(out, telemetry):
-    """telemetry.csv and every series file against the reference formatting
-    of the in-memory log; derived panels by their time column."""
+def assert_run_artifacts_match_reference(out, telemetry, panels):
+    """telemetry.csv against the reference formatting of the in-memory log;
+    series/ holds exactly the derived `panels`, each on the log's t."""
     assert (out / "telemetry.csv").read_bytes() == reference_csv(telemetry)
-    t = telemetry.t
-    copies = {f"state_{i:02d}": f"x{i}" for i in range(telemetry.dim_x)}
-    copies.update((f"ctrl_{name}", f"u_{name}")
-                  for name in telemetry.control_names)
-    copies.update((f"weight_{k:02d}", f"W{k}") for k in range(telemetry.n1))
-    copies.update(value="V_hat", hjb_error="e_hat")
-    for name, col in copies.items():
-        got = (out / "series" / f"{name}.dat").read_bytes()
-        assert got == reference_series(t, telemetry.column(col)), name
-    t_strs = [repr(float(ti)) for ti in t]
+    assert sorted(os.listdir(out / "series")) == sorted(
+        f"{name}.dat" for name in panels)
+    t_strs = [repr(float(ti)) for ti in telemetry.t]
     for path in (out / "series").glob("*.dat"):
         lines = path.read_text().splitlines()
         assert [ln.split(" ")[0] for ln in lines] == t_strs, path.name
+
+
+LINEAR_PANELS = ("track_err_0", "track_err_1", "weight_error_vs_oracle")
 
 
 def test_decimated_run_matches_reference(tmp_path):
@@ -91,7 +79,7 @@ def test_decimated_run_matches_reference(tmp_path):
         cli.resolve_config_path("linear_benchmark"),
         ["sim.t_end_s=2.0", "sim.record_every=7"], out_dir=str(out))
     assert code == cli.EXIT_OK and len(telemetry.rows) == 287
-    assert_run_artifacts_match_reference(out, telemetry)
+    assert_run_artifacts_match_reference(out, telemetry, LINEAR_PANELS)
     track = (out / "series" / "track_err_1.dat").read_bytes()
     assert track == reference_series(telemetry.t, telemetry.column("z1"))
 
@@ -102,24 +90,57 @@ def test_numeric_fault_partial_flush_matches_reference(tmp_path):
         cli.resolve_config_path("linear_benchmark"),
         ["learner.alpha=1e308", "sim.t_end_s=1.0"], out_dir=str(out))
     assert code == cli.EXIT_NUMERIC and len(telemetry.rows) >= 1
-    assert_run_artifacts_match_reference(out, telemetry)
+    assert_run_artifacts_match_reference(out, telemetry, LINEAR_PANELS)
 
 
 def test_writer_working_set_is_bounded(tmp_path):
-    """A UAV-sized log (11501 x 58) with its 44 copied and 9 derived series
-    is written in a few MB: chunks, not the whole formatted log (which is
-    over 40 MB of strings)."""
+    """A UAV-sized log (11501 x 58) is written in a few MB: chunks, not the
+    whole formatted log (which is over 40 MB of strings)."""
     tel = filled_telemetry(11501, dims=(6, 12, 3, 3, 27), seed=1)
     assert tel.rows.shape == (11501, 58)
-    series = {f"state_{i:02d}": f"x{i}" for i in range(12)}
-    series.update((f"weight_{k:02d}", f"W{k}") for k in range(27))
-    series.update((f"ctrl_u{j}", f"u_u{j}") for j in range(3))
-    series.update(value="V_hat", hjb_error="e_hat")
-    series.update((f"panel_{i}", tel.column("z0") * (i + 1)) for i in range(9))
     tracemalloc.start()
     try:
-        tel.to_csv(tmp_path / "telemetry.csv", tmp_path, series)
+        tel.to_csv(tmp_path / "telemetry.csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8e6, f"writer peak {peak / 1e6:.1f} MB"
+
+
+# A stand-in for matplotlib: `use()`, and a pyplot whose `savefig` records
+# each path in saved.txt beside it and whose other calls do nothing.
+_FAKE_PYPLOT = """\
+import os
+
+SAVED = os.path.join(os.path.dirname(__file__), "saved.txt")
+
+
+def savefig(path, **kwargs):
+    with open(SAVED, "a", encoding="utf-8") as fh:
+        fh.write(str(path) + "\\n")
+
+
+def __getattr__(name):
+    return lambda *args, **kwargs: None
+"""
+
+
+@pytest.mark.parametrize("config", ["linear_benchmark", "uav_attitude"])
+def test_plot_stub_draws_every_column_and_panel(tmp_path, config):
+    fake = tmp_path / "fake" / "matplotlib"
+    fake.mkdir(parents=True)
+    (fake / "__init__.py").write_text("def use(*args, **kwargs):\n    pass\n")
+    (fake / "pyplot.py").write_text(_FAKE_PYPLOT)
+    out = tmp_path / "run"
+    code, telemetry, _ = cli.run_one(cli.resolve_config_path(config),
+                                     ["sim.t_end_s=0.05"], out_dir=str(out))
+    assert code == cli.EXIT_OK
+    subprocess.run([sys.executable, str(out / "plot_series.py")], check=True,
+                   capture_output=True, cwd=tmp_path,
+                   env=dict(os.environ, PYTHONPATH=str(tmp_path / "fake")))
+    saved = (fake / "saved.txt").read_text().splitlines()
+    panels = [p.stem for p in (out / "series").glob("*.dat")]
+    assert len(panels) == (3 if config == "linear_benchmark" else 9)
+    assert sorted(saved) == sorted(
+        str(out / "series" / f"{name}.png")
+        for name in telemetry.header[1:] + panels)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -77,10 +78,8 @@ class TestRun:
         assert (out / "telemetry.csv").is_file()
         assert (out / "manifest.txt").is_file()
         assert (out / "plot_series.py").is_file()
-        series = sorted(os.listdir(out / "series"))
-        assert "value.dat" in series and "hjb_error.dat" in series
-        assert "weight_error_vs_oracle.dat" in series
-        assert any(s.startswith("weight_") for s in series)
+        assert sorted(os.listdir(out / "series")) == [
+            "track_err_0.dat", "track_err_1.dat", "weight_error_vs_oracle.dat"]
         assert_two_float_columns(out / "series")
         header = (out / "telemetry.csv").read_text().splitlines()[0]
         assert header.startswith("t,z0,")
@@ -211,13 +210,9 @@ class TestUavCliSurface:
                          "--override", "sim.t_end_s=0.05",
                          "--out", str(out)])
         assert code == cli.EXIT_OK
-        series = set(os.listdir(out / "series"))
-        assert "att_phi_deg.dat" in series and "att_phi_des_deg.dat" in series
-        assert "rate_err_0.dat" in series
-        assert "state_00.dat" in series and "state_11.dat" in series
-        assert "ctrl_elevator.dat" in series and "ctrl_rudder.dat" in series
-        assert "weight_26.dat" in series
-        assert "value.dat" in series
+        assert set(os.listdir(out / "series")) == {
+            f"att_{a}{kind}_deg.dat" for a in ("phi", "theta", "psi")
+            for kind in ("", "_des")} | {f"rate_err_{i}.dat" for i in range(3)}
         assert_two_float_columns(out / "series")
 
     def test_trim_failure_maps_to_oracle_exit(self, tmp_path, capsys):
@@ -352,6 +347,13 @@ def test_every_config_rule_rejects_and_names_its_key(tmp_path, capsys,
      "reference.setpoints_deg"),
     ("uav_attitude", ["reference.setpoints_deg=0: 0 0 0; inf: 1 0 0"],
      "reference.setpoints_deg"),
+    ("linear_benchmark", ["experiment.plant=zero", "plant.n=-1"], "plant.n"),
+    ("linear_benchmark", ["experiment.plant=zero", "plant.m=-2"], "plant.m"),
+    ("linear_benchmark", ["experiment.plant=zero", "plant.n=0"], "plant.n"),
+    ("linear_benchmark", ["experiment.plant=integrator", "plant.n=-1"],
+     "plant.n"),
+    ("linear_benchmark", ["experiment.reference=zero", "reference.n=-1"],
+     "reference.n"),
 ])
 def test_builder_defects_name_their_key(tmp_path, capsys, name, overrides,
                                         field):
@@ -364,6 +366,41 @@ def test_builder_defects_name_their_key(tmp_path, capsys, name, overrides,
     assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == \
         cli.EXIT_CONFIG
     assert field in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key, value, field", [
+    (None, None, "plant.airframe"),   # no such file
+    ("mass_kg", "nan", "mass.mass_kg"),
+    ("c_l_q", "-inf", "aero_longitudinal.c_l_q"),
+])
+def test_bad_airframe_file_is_a_config_error(tmp_path, capsys, key, value,
+                                             field):
+    """A missing airframe file, or one with a non-finite constant, exits 2
+    from both commands with the key named (not a traceback or exit 4)."""
+    airframe = tmp_path / "airframe.ini"
+    if key is not None:
+        text = resources.files("irltrack.data").joinpath(
+            "aerosonde.ini").read_text()
+        edited = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert edited != text
+        airframe.write_text(edited)
+    path = edited_config(tmp_path, "uav_attitude",
+                         [f"plant.airframe={airframe}"])
+    assert cli.main(["validate", path]) == cli.EXIT_CONFIG
+    assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == \
+        cli.EXIT_CONFIG
+    out = capsys.readouterr().out
+    assert out.count("plant.airframe") == 2 and field in out, out
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_rejects_workers_below_one(tmp_path, capsys, workers):
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "linear_benchmark", "--workers", workers,
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    assert any(ln.startswith("error:") and "--workers" in ln
+               for ln in capsys.readouterr().out.splitlines())
+    assert not out.exists()  # rejected before any run or worker starts
 
 
 def test_infinite_horizon_run_exits_with_config_error(tmp_path, capsys):
@@ -429,9 +466,8 @@ def test_unstabilizable_oracle_skips_weight_error_series(tmp_path):
                      "--override", "learner.gamma=0",
                      "--override", "sim.t_end_s=0.2",
                      "--out", str(out)]) == cli.EXIT_OK
-    series = set(os.listdir(out / "series"))
-    assert "value.dat" in series
-    assert "weight_error_vs_oracle.dat" not in series
+    assert sorted(os.listdir(out / "series")) == [
+        "track_err_0.dat", "track_err_1.dat"]
     # no state cost: the oracle is W* = 0, which has no relative error
     out = tmp_path / "nocost"
     with warnings.catch_warnings():
@@ -440,9 +476,8 @@ def test_unstabilizable_oracle_skips_weight_error_series(tmp_path):
                          "--override", "learner.q1_diag=0 0 0 0",
                          "--override", "sim.t_end_s=0.05",
                          "--out", str(out)]) == cli.EXIT_OK
-    series = set(os.listdir(out / "series"))
-    assert "value.dat" in series
-    assert "weight_error_vs_oracle.dat" not in series
+    assert sorted(os.listdir(out / "series")) == [
+        "track_err_0.dat", "track_err_1.dat"]
 
 
 def test_environment_pair_is_checked_by_the_catalog(tmp_path):
