@@ -3,6 +3,8 @@
 The bundled basis is the full quadratic polynomial without constant term:
 linear monomials, squares, then pairwise products in lexicographic order.
 For input dimension d it has ``2d + d(d-1)/2`` features (27 at d = 6).
+`eval_rows` and `grad_rows` apply the same maps to every row of a
+(B, d) array, for the batched step loop.
 """
 from __future__ import annotations
 
@@ -20,6 +22,8 @@ class RegressorBasis:
     n_features: int
     eval: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
+    eval_rows: Callable[[np.ndarray], np.ndarray]   # (B, d) -> (B, n1)
+    grad_rows: Callable[[np.ndarray], np.ndarray]   # (B, d) -> (B, n1, d)
     name: str = ""
 
 
@@ -57,7 +61,17 @@ def quad_basis(dim_in: int) -> RegressorBasis:
         out.ravel()[flat] = factor * z[src]
         return out
 
+    def _eval_rows(Z):
+        return np.concatenate((Z, Z * Z, Z[:, pi] * Z[:, pj]), axis=1)
+
+    def _grad_rows(Z):
+        out = np.empty((len(Z), n1, d))
+        out[:] = linear_rows
+        out.reshape(len(Z), n1 * d)[:, flat] = factor * Z[:, src]
+        return out
+
     return RegressorBasis(dim_in=d, n_features=n1, eval=_eval, grad=_grad,
+                          eval_rows=_eval_rows, grad_rows=_grad_rows,
                           name=f"quad{d}")
 
 

@@ -76,10 +76,18 @@ def make_env(plant_id: str, reference_id: str, plant_params: dict | None = None,
                     f"known: {reference_names()}")
     if errs:
         raise ConfigurationError("; ".join(errs))
-    return AugmentedTrackingEnv(make_plant(plant_id, plant_params),
-                                make_reference(reference_id, reference_params),
-                                x0=param(plant_params or {}, "plant", "x0", None,
-                                         _vector))
+    plant = make_plant(plant_id, plant_params)
+    x0 = param(plant_params or {}, "plant", "x0", None, _vector)
+    if x0 is not None and x0.shape != (plant.n,):
+        raise ConfigurationError(
+            f"plant.x0: need {plant.n} entries for this plant, got {x0.size}")
+    return AugmentedTrackingEnv(plant, make_reference(reference_id,
+                                                      reference_params), x0=x0)
+
+
+def is_environment(plant_id: str) -> bool:
+    """Whether `plant_id` names a self-contained environment (`register_env`)."""
+    return plant_id in _ENVS
 
 
 def plant_names():
@@ -161,6 +169,9 @@ def _zero_ref(params):
 def _harmonic_ref(params):
     omega = param(params, "reference", "omega", 0.5)
     x0 = param(params, "reference", "x_d0", (1.0, 0.0), _vector)
+    if np.shape(x0) != (2,):
+        raise ConfigurationError(
+            f"reference.x_d0: need 2 entries, got {np.size(x0)}")
     H = np.array([[0.0, omega], [-omega, 0.0]])
     return ReferenceModel(H=lambda xd: H @ xd, x_d0=np.asarray(x0, dtype=float),
                           name="harmonic", linear=H).validate()

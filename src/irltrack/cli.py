@@ -7,18 +7,20 @@ Exit codes: 0 success, 2 configuration error, 3 numeric fault during a run,
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import os
 import sys
 import time
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, catalog
 from .basis import quad_basis
 from .benchmarks.linear import discounted_riccati, ideal_weights
-from .config import apply_overrides, parse_config, resolve
+from .config import ExperimentConfig, apply_overrides, parse_config, resolve
 from .errors import ConfigurationError, NumericFault, OracleFailure
 from .sim import Telemetry, run_env_experiment
 
@@ -90,12 +92,14 @@ def cmd_validate(args) -> int:
 
 
 def _write_manifest(path, cfg, telemetry: Telemetry | None, status: str,
-                    wall_s: float):
+                    wall_s: float, batch_size: int | None = None):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("[run]\n")
         fh.write(f"status = {status}\n")
         fh.write(f"code_version = {__version__}\n")
         fh.write(f"wall_time_s = {wall_s:.3f}\n")
+        if batch_size is not None:
+            fh.write(f"batch_size = {batch_size}\n")
         if telemetry is not None:
             fh.write(f"records = {len(telemetry.rows)}\n")
         fh.write("\n")
@@ -111,31 +115,47 @@ def _write_manifest(path, cfg, telemetry: Telemetry | None, status: str,
                          f"last t={seen.t_last:.3f}\n")
 
 
-def _write_series(out_dir, cfg, env, telemetry: Telemetry):
+def _oracle_weights(pair, lcfg) -> np.ndarray | None:
+    """W* of the discounted Riccati solution of a linear pair, in the
+    quadratic basis's feature order; None without a pair or a solution."""
+    if pair is None:
+        return None
+    try:
+        P = discounted_riccati(*pair, lcfg.Q1, lcfg.sat.R, lcfg.gamma)
+    except OracleFailure:
+        return None  # no ground truth for this pair, so no error series
+    return ideal_weights(P, quad_basis(len(P)))
+
+
+def _weight_error(W: np.ndarray, W_star: np.ndarray) -> np.ndarray:
+    """|W - W*| / |W*| per row.  A row whose squares overflow is scaled by
+    its largest entry first; every other row is the plain formula."""
+    d = W - W_star
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(d, axis=1)
+        big = ~np.isfinite(norm)
+        if big.any():
+            scale = np.max(np.abs(d[big]), axis=1)
+            norm[big] = scale * np.linalg.norm(d[big] / scale[:, None], axis=1)
+        return norm / np.linalg.norm(W_star)
+
+
+def _write_series(out_dir, env, telemetry: Telemetry, W_star: np.ndarray | None):
     """Write series/ with the derived plot panels, and the plot stub.
 
-    The panels are the environment's own and, when the pair has a Riccati
-    ground truth, `weight_error_vs_oracle`; each is written as
-    `series/<name>.dat`, one `t value` line per telemetry row, both as
+    The panels are the environment's own and, given the Riccati ground
+    truth W* (`_oracle_weights`), `weight_error_vs_oracle`; each is written
+    as `series/<name>.dat`, one `t value` line per telemetry row, both as
     repr(float).  Logged columns are not copied: the stub reads them from
     telemetry.csv.
     """
     series_dir = os.path.join(out_dir, "series")
     os.makedirs(series_dir, exist_ok=True)
     panels = env.series(telemetry)
-    pair = env.linear_pair()
-    if pair is not None:
-        lcfg = cfg.learner
-        try:
-            P = discounted_riccati(*pair, lcfg.Q1, lcfg.sat.R, lcfg.gamma)
-        except OracleFailure:
-            pass  # no ground truth for this pair, so no error series
-        else:
-            W_star = ideal_weights(P, quad_basis(len(P)))
-            w_norm = np.linalg.norm(W_star)
-            if w_norm > 0:  # W* = 0 (no state cost) has no relative error
-                panels["weight_error_vs_oracle"] = np.linalg.norm(
-                    telemetry.columns("W") - W_star, axis=1) / w_norm
+    # W* = 0 (no state cost) has no relative error
+    if W_star is not None and np.linalg.norm(W_star) > 0:
+        panels["weight_error_vs_oracle"] = _weight_error(telemetry.columns("W"),
+                                                         W_star)
 
     ts = telemetry.t.tolist()
     for name, ys in panels.items():
@@ -146,20 +166,43 @@ def _write_series(out_dir, cfg, env, telemetry: Telemetry):
         fh.write(_PLOT_STUB)
 
 
+def _write_artifacts(out_dir, cfg, env, telemetry: Telemetry | None,
+                     fault: NumericFault | None, wall_s: float, W_star,
+                     batch_size: int | None = None) -> int:
+    """Write one run's telemetry.csv, series/ and manifest.txt; returns its
+    exit code."""
+    status, code = "ok", EXIT_OK
+    if fault is not None:
+        status = f"numeric fault at t={fault.t!r}, step {fault.step}: {fault}"
+        code = EXIT_NUMERIC
+    if telemetry is not None:
+        _write_series(out_dir, env, telemetry, W_star)
+        telemetry.to_csv(os.path.join(out_dir, "telemetry.csv"))
+    _write_manifest(os.path.join(out_dir, "manifest.txt"), cfg, telemetry,
+                    status, wall_s, batch_size)
+    return code
+
+
+def _resolved_config(config_path: str, overrides, out_dir: str) -> str:
+    """The config a run reads: with overrides, `out_dir/config_resolved.ini`."""
+    os.makedirs(out_dir, exist_ok=True)
+    if not overrides:
+        return config_path
+    eff_path = os.path.join(out_dir, "config_resolved.ini")
+    apply_overrides(config_path, overrides, eff_path)
+    return eff_path
+
+
 def run_one(config_path: str, overrides=(), out_dir: str = "runs/run",
             law: str | None = None):
     """Execute one experiment; writes telemetry.csv, manifest.txt, series/.
 
     Returns (exit_code, telemetry_or_None, cfg_or_None).
     """
-    os.makedirs(out_dir, exist_ok=True)
-    eff_path = config_path
     overrides = list(overrides)
     if law:
         overrides.append(f"experiment.law={law}")
-    if overrides:
-        eff_path = os.path.join(out_dir, "config_resolved.ini")
-        apply_overrides(config_path, overrides, eff_path)
+    eff_path = _resolved_config(config_path, overrides, out_dir)
     cfg, errors = parse_config(eff_path)
     if errors:
         for e in errors:
@@ -173,21 +216,18 @@ def run_one(config_path: str, overrides=(), out_dir: str = "runs/run",
                 None, cfg)
 
     t0 = time.perf_counter()
-    status, telemetry, code = "ok", None, EXIT_OK
+    telemetry, fault = None, None
     try:
         telemetry = run_env_experiment(env, basis, cfg.learner, cfg.sim,
                                        law=cfg.law, dither_spec=cfg.dither)
-    except NumericFault as fault:
-        telemetry = fault.telemetry
-        status = f"numeric fault at t={fault.t!r}, step {fault.step}: {fault}"
-        code = EXIT_NUMERIC
+    except NumericFault as exc:
+        telemetry, fault = exc.telemetry, exc
     wall = time.perf_counter() - t0
 
+    W_star = None
     if telemetry is not None:
-        _write_series(out_dir, cfg, env, telemetry)
-        telemetry.to_csv(os.path.join(out_dir, "telemetry.csv"))
-    _write_manifest(os.path.join(out_dir, "manifest.txt"), cfg, telemetry,
-                    status, wall)
+        W_star = _oracle_weights(env.linear_pair(), cfg.learner)
+    code = _write_artifacts(out_dir, cfg, env, telemetry, fault, wall, W_star)
     return code, telemetry, cfg
 
 
@@ -225,21 +265,65 @@ def _settle_time(t, e_norm):
     return float(t[above[-1] + 1])
 
 
-def _sweep_worker(task):
-    config_path, overrides, out_dir, run_name = task
-    t0 = time.perf_counter()
-    row = {"run": run_name}
-    row.update(ov.partition("=")[::2] for ov in overrides)
+class _Point(NamedTuple):
+    """One sweep grid point; `cfg` is None when its config does not parse
+    (its run reports why)."""
+
+    run_name: str
+    config_path: str     # the point's resolved config
+    overrides: list
+    out_dir: str
+    cfg: ExperimentConfig | None
+
+
+def _batch_key(cfg: ExperimentConfig | None):
+    """What points must share to run in one batch, or None when `cfg`
+    cannot run batched: points on linear catalog pairs, grouped by their
+    plant/reference ids, basis, [sim] and window T."""
+    # a self-contained environment (the UAV) is never built here: its
+    # builder solves a trim, and it has no linear pair
+    if cfg is None or catalog.is_environment(cfg.plant_id):
+        return None
     try:
-        code, telemetry, cfg = run_one(config_path, overrides=overrides,
-                                       out_dir=out_dir)
-    except Exception as exc:  # worker must always report a row
-        row.update(status=f"error: {exc}", ehat_rms_last10="", peak_z_norm="",
-                   settle_time_s="", wall_s=f"{time.perf_counter()-t0:.2f}")
-        return row
-    wall = time.perf_counter() - t0
+        env, _ = resolve(cfg)
+    except ConfigurationError:
+        return None
+    if env.linear_pair() is None:
+        return None
+    return (cfg.plant_id, cfg.reference_id, cfg.basis_id, cfg.sim,
+            cfg.learner.T, env.dim_z, env.m)
+
+
+def _chunks(points: list[_Point], workers: int) -> list[list[int]]:
+    """Point indices per task, ordered by first point.  Each batch group
+    is split into at most `workers` contiguous chunks of near-equal size and
+    at least two points (a group of one runs alone); every other point
+    runs alone."""
+    groups: dict = {}
+    chunks = []
+    for i, point in enumerate(points):
+        key = _batch_key(point.cfg)
+        if key is None:
+            chunks.append([i])
+        else:
+            groups.setdefault(key, []).append(i)
+    for members in groups.values():
+        parts = max(1, min(workers, len(members) // 2))
+        size, extra = divmod(len(members), parts)
+        lo = 0
+        for j in range(parts):
+            hi = lo + size + (j < extra)
+            chunks.append(members[lo:hi])
+            lo = hi
+    return sorted(chunks)
+
+
+def _summary_row(point: _Point, status: str, telemetry: Telemetry | None,
+                 wall: float) -> dict:
+    row = {"run": point.run_name}
+    row.update(ov.partition("=")[::2] for ov in point.overrides)
     if telemetry is None or len(telemetry.rows) == 0:
-        row.update(status=f"exit{code}", ehat_rms_last10="", peak_z_norm="",
+        row.update(status=status, ehat_rms_last10="", peak_z_norm="",
                    settle_time_s="", wall_s=f"{wall:.2f}")
         return row
     t = telemetry.t
@@ -248,7 +332,7 @@ def _sweep_worker(task):
     z = telemetry.columns("z")
     e_norm = np.linalg.norm(z[:, : z.shape[1] // 2], axis=1)
     row.update(
-        status="ok" if code == EXIT_OK else f"exit{code}",
+        status=status,
         ehat_rms_last10=repr(float(np.sqrt(np.mean(eh[-n:] ** 2)))),
         peak_z_norm=repr(float(np.max(np.linalg.norm(z, axis=1)))),
         settle_time_s=repr(_settle_time(t, e_norm)),
@@ -256,33 +340,101 @@ def _sweep_worker(task):
     return row
 
 
+def _run_batch(points: list[_Point]) -> list[tuple[int, Telemetry]]:
+    """Run several points as one batch and write each one's artifacts.
+
+    A member's manifest wall time is the batch loop's divided by B, next
+    to `batch_size = B`.  The Riccati oracle is solved once per distinct
+    (A, B, Q1, R, gamma).
+    """
+    from .batch import run_batch
+
+    loaded = [resolve(p.cfg) for p in points]
+    t0 = time.perf_counter()
+    results = run_batch([(env, p.cfg.learner, p.cfg.law, p.cfg.dither)
+                         for p, (env, _) in zip(points, loaded)],
+                        loaded[0][1], points[0].cfg.sim)
+    wall = (time.perf_counter() - t0) / len(points)
+    oracles: dict = {}
+    out = []
+    for p, (env, _), (telemetry, fault) in zip(points, loaded, results):
+        lcfg = p.cfg.learner
+        pair = env.linear_pair()
+        key = b"".join(np.asarray(a, dtype=float).tobytes()
+                       for a in (*pair, lcfg.Q1, lcfg.sat.R, lcfg.gamma))
+        if key not in oracles:
+            oracles[key] = _oracle_weights(pair, lcfg)
+        out.append((_write_artifacts(p.out_dir, p.cfg, env, telemetry, fault,
+                                     wall, oracles[key], len(points)),
+                    telemetry))
+    return out
+
+
+def _sweep_worker(chunk: list[_Point]) -> list[tuple[int, dict]]:
+    """Run one task of a sweep: a single point as `run_one` does, several
+    points as one batch.  Returns (exit code, summary row) per point;
+    every point gets a row, whatever goes wrong."""
+    t0 = time.perf_counter()
+    try:
+        if len(chunk) == 1:
+            code, telemetry, _ = run_one(chunk[0].config_path,
+                                         out_dir=chunk[0].out_dir)
+            results = [(code, telemetry)]
+        else:
+            results = _run_batch(chunk)
+    except Exception as exc:  # worker must always report a row
+        wall = (time.perf_counter() - t0) / len(chunk)
+        return [(EXIT_NUMERIC, _summary_row(p, f"error: {exc}", None, wall))
+                for p in chunk]
+    wall = (time.perf_counter() - t0) / len(chunk)
+    return [(code, _summary_row(p, "ok" if code == EXIT_OK else f"exit{code}",
+                                telemetry, wall))
+            for p, (code, telemetry) in zip(chunk, results)]
+
+
 def cmd_sweep(args) -> int:
     if args.workers < 1:
         print(f"error: --workers must be >= 1, got {args.workers}")
         return EXIT_CONFIG
     path = resolve_config_path(args.config)
-    axes = []
+    axes, seen = [], set()
     for spec_arg in args.grid:
         key, _, values = spec_arg.partition("=")
+        key = key.strip()
         vals = [v for v in values.split(",") if v != ""]
         if not key or not vals:
             print(f"error: bad grid axis {spec_arg!r} (expected key=v1,v2,...)")
             return EXIT_CONFIG
-        axes.append([(key.strip(), v.strip()) for v in vals])
+        section, _, option = key.partition(".")
+        if (section, option.lower()) in seen:
+            print(f"error: grid axis {key!r} is given more than once")
+            return EXIT_CONFIG
+        seen.add((section, option.lower()))
+        axes.append([(key, v.strip()) for v in vals])
     combos = list(itertools.product(*axes)) if axes else [()]
     os.makedirs(args.out, exist_ok=True)
-    tasks = []
+    points = []
     for i, combo in enumerate(combos):
         overrides = list(args.override) + [f"{k}={v}" for k, v in combo]
-        run_name = f"run{i:03d}"
-        tasks.append((path, overrides, os.path.join(args.out, run_name), run_name))
+        out_dir = os.path.join(args.out, f"run{i:03d}")
+        eff_path = _resolved_config(path, overrides, out_dir)
+        cfg, _ = parse_config(eff_path)   # errors are reported by the run
+        points.append(_Point(f"run{i:03d}", eff_path, overrides, out_dir, cfg))
+    chunks = _chunks(points, args.workers)
+    tasks = [[points[i] for i in chunk] for chunk in chunks]
 
-    if args.workers > 1:
+    if args.workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_sweep_worker, tasks))
+        with ProcessPoolExecutor(max_workers=min(args.workers, len(tasks))) as pool:
+            done = list(pool.map(_sweep_worker, tasks))
     else:
-        rows = [_sweep_worker(t) for t in tasks]
+        done = [_sweep_worker(task) for task in tasks]
+    results = [None] * len(points)
+    for chunk, chunk_results in zip(chunks, done):
+        for i, result in zip(chunk, chunk_results):
+            results[i] = result
+    codes = [code for code, _ in results]
+    rows = [row for _, row in results]
 
     cols = ["run"]
     for row in rows:
@@ -290,13 +442,13 @@ def cmd_sweep(args) -> int:
             if k not in cols:
                 cols.append(k)
     summary = os.path.join(args.out, "summary.csv")
-    with open(summary, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row.get(c, "")) for c in cols) + "\n")
-    n_ok = sum(1 for r in rows if r.get("status") == "ok")
-    print(f"sweep complete: {n_ok}/{len(rows)} runs ok -> {summary}")
-    return EXIT_OK if n_ok == len(rows) else EXIT_NUMERIC
+    with open(summary, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(cols)
+        writer.writerows([row.get(c, "") for c in cols] for row in rows)
+    failed = [code for code in codes if code != EXIT_OK]
+    print(f"sweep complete: {len(rows) - len(failed)}/{len(rows)} runs ok -> {summary}")
+    return failed[0] if failed else EXIT_OK
 
 
 def main(argv=None) -> int:

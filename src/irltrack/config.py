@@ -5,7 +5,9 @@ are converted to radians at the parse boundary.  `parse_config` reads each
 key once into the saturation, learner, sim and dither objects.  Every rule
 lives in the object it constrains; an object's error is reported under the
 INI keys of the fields it names ("section.key: problem").  A missing or
-malformed key is reported once and the object that needs it is not built.
+malformed key is reported once and the object that needs it is not built;
+an unknown key in [experiment], [saturation], [learner], [sim] or [dither]
+is an error, so a misspelled key cannot fall back to a default.
 `resolve` builds the environment (`catalog.make_env` on the [experiment]
 ids, with the [plant] and [reference] keys) and the basis.  Nothing here
 knows any particular plant.
@@ -57,6 +59,15 @@ _KEYS = {
 # keys that may instead be given in degrees, as `<key>_deg`
 _DEG_TWINS = {"saturation.u_m", "dither.amplitude"}
 
+# every key these sections may hold; [plant] and [reference] keys belong to
+# their catalog builders
+_SECTION_KEYS = {
+    "experiment": {"name", "plant", "reference", "basis", "law"},
+    **{section: {key for _, key, _ in keys}
+       | {f"{key}_deg" for _, key, _ in keys if f"{section}.{key}" in _DEG_TWINS}
+       for section, keys in _KEYS.items()},
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -88,6 +99,10 @@ def parse_config(path) -> tuple[ExperimentConfig | None, list[str]]:
 
     errors = [f"{sec}: unknown section" for sec in cp.sections()
               if sec not in _KNOWN_SECTIONS]
+    errors += [f"{sec}.{key}: unknown key; known: {', '.join(sorted(known))}"
+               for sec, known in _SECTION_KEYS.items() if cp.has_section(sec)
+               for key in cp.options(sec)
+               if key not in known and key not in cp.defaults()]
     keys = {"law": "experiment.law"}   # constructor field -> its INI key
 
     def read(section, cls):

@@ -73,3 +73,14 @@ def test_make_basis_lookup():
         make_basis("fourier", 4)
     with pytest.raises(ConfigurationError):
         quad_basis(0)
+
+
+@pytest.mark.parametrize("d", [1, 4, 6])
+def test_row_maps_equal_the_single_maps_row_by_row(rng, d):
+    b = quad_basis(d)
+    Z = rng.normal(size=(5, d))
+    theta, grad = b.eval_rows(Z), b.grad_rows(Z)
+    assert theta.shape == (5, b.n_features) and grad.shape == (5, b.n_features, d)
+    for i, z in enumerate(Z):
+        assert np.array_equal(theta[i], b.eval(z))
+        assert np.array_equal(grad[i], b.grad(z))

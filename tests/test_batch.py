@@ -1,0 +1,228 @@
+"""The batched sweep engine against the scalar loop.
+
+The scalar `run_env_experiment` is the reference: every batch member agrees
+with the scalar run of its own config at every record, within 1e-12 of each
+column's largest magnitude; a member's output does not depend on how the
+sweep is cut into batches; a faulted member leaves the batch with the
+scalar run's fault while the others go on; and sweeps that do not batch
+run every point exactly as `irltrack run` does.
+"""
+import csv
+import re
+
+import numpy as np
+import pytest
+
+import irltrack.cli as cli
+from irltrack.batch import run_batch
+from irltrack.config import apply_overrides, parse_config, resolve
+from irltrack.errors import NumericFault
+from irltrack.sim import run_env_experiment
+
+TOL = 1e-12   # of each telemetry column's largest magnitude
+
+# Each point varies several inputs at once; together they cover both laws,
+# stabilizer and m-term on and off, nonzero k1/k2 gains, q2 in {0, 0.1}, a
+# dither, two initial states and two discounts.  POINTS[1] and POINTS[6]
+# are the criterion-8 containment pair (baseline and the degenerate law).
+BASE = ["sim.t_end_s=2", "sim.record_every=7", "learner.alpha=150"]
+POINTS = [
+    [],
+    ["experiment.law=baseline"],
+    ["learner.stabilizer=on", "learner.k1_gain=0.01", "learner.k2_gain=0.01",
+     "learner.gamma=0.3"],
+    ["learner.m_term=on", "learner.k1_gain=0.01", "learner.k2_gain=0.01",
+     "dither.amplitude=1"],
+    ["learner.stabilizer=on", "learner.m_term=on", "learner.q2=0",
+     "plant.x0=3 -1"],
+    ["experiment.law=baseline", "plant.x0=3 -1", "learner.gamma=0.3",
+     "dither.amplitude=1"],
+    ["learner.q2=0"],
+    ["learner.stabilizer=on", "learner.q2=0", "dither.amplitude=1",
+     "learner.gamma=0.3"],
+]
+
+
+def load(tmp_path, overrides, name="c"):
+    path = tmp_path / f"{name}.ini"
+    apply_overrides(cli.resolve_config_path("linear_benchmark"), overrides, path)
+    cfg, errors = parse_config(path)
+    assert not errors, errors
+    return cfg
+
+
+def scalar(cfg):
+    env, basis = resolve(cfg)
+    try:
+        return run_env_experiment(env, basis, cfg.learner, cfg.sim,
+                                  law=cfg.law, dither_spec=cfg.dither), None
+    except NumericFault as fault:
+        return fault.telemetry, fault
+
+
+def batched(cfgs):
+    loaded = [resolve(cfg) for cfg in cfgs]
+    return run_batch([(env, cfg.learner, cfg.law, cfg.dither)
+                      for cfg, (env, _) in zip(cfgs, loaded)],
+                     loaded[0][1], cfgs[0].sim)
+
+
+def column_error(ref, got):
+    """Worst |got - ref| over the records, per column, relative to the
+    column's largest |ref| (1 for a column of zeros)."""
+    assert ref.shape == got.shape
+    scale = np.max(np.abs(ref), axis=0, initial=0.0)
+    scale[scale == 0] = 1.0
+    return float(np.max(np.abs(got - ref) / scale, initial=0.0))
+
+
+def test_every_member_matches_its_scalar_run(tmp_path):
+    cfgs = [load(tmp_path, BASE + p, f"p{i}") for i, p in enumerate(POINTS)]
+    results = batched(cfgs)
+    for i, (cfg, (tel, fault)) in enumerate(zip(cfgs, results)):
+        ref, ref_fault = scalar(cfg)
+        assert fault is None and ref_fault is None
+        assert len(tel.rows) == 287   # 2000 steps, every 7th and the last
+        assert column_error(ref.rows, tel.rows) <= TOL, POINTS[i]
+        assert tel.header == ref.header
+    # criterion 8 inside one batch: baseline == the degenerate novel law
+    W_base, W_degenerate = (results[i][0].columns("W") for i in (1, 6))
+    assert float(np.max(np.abs(W_base - W_degenerate))) <= 1e-10
+
+
+def test_member_does_not_depend_on_its_batch(tmp_path):
+    cfgs = [load(tmp_path, BASE[1:] + ["sim.t_end_s=0.3"] + p, f"p{i}")
+            for i, p in enumerate(POINTS)]
+    alone = [batched([cfg, cfg])[0][0].rows for cfg in cfgs]
+    for order in (range(8), [7, 2, 5, 0, 3, 6, 1, 4]):
+        results = batched([cfgs[i] for i in order])
+        for i, (tel, _) in zip(order, results):
+            assert np.array_equal(tel.rows, alone[i])
+
+
+def sweep(tmp_path, name, *args):
+    out = tmp_path / name
+    code = cli.main(["sweep", "linear_benchmark", *args, "--out", str(out)])
+    return code, out
+
+
+def summary(out):
+    with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def manifest_value(out, key):
+    found = re.search(rf"^{key} = (.*)$", (out / "manifest.txt").read_text(),
+                      re.M)
+    return found and found.group(1)
+
+
+def test_workers_cut_the_same_bytes(tmp_path):
+    grid = ["--override", "sim.t_end_s=0.2", "--override", "learner.m_term=on",
+            "--grid", "experiment.law=novel,baseline",
+            "--grid", "learner.stabilizer=on,off",
+            "--grid", "learner.gamma=0.1,0.3"]
+    runs = {}
+    for workers, batch_size in ((1, "8"), (2, "4"), (4, "2")):
+        code, out = sweep(tmp_path, f"w{workers}", *grid,
+                          "--workers", str(workers))
+        assert code == cli.EXIT_OK
+        rows = summary(out)
+        assert len(rows) == 8
+        for row in rows:
+            assert manifest_value(out / row["run"], "batch_size") == batch_size
+            row.pop("wall_s")
+        runs[workers] = (rows, {row["run"]: (out / row["run"] / "telemetry.csv")
+                                .read_bytes() for row in rows})
+    assert runs[1] == runs[2] == runs[4]
+
+
+def test_points_batch_only_with_the_same_sim_and_window(tmp_path):
+    code, out = sweep(tmp_path, "sweep", "--override", "sim.t_end_s=0.1",
+                      "--grid", "sim.record_every=5,10",
+                      "--grid", "learner.t_window_s=0.001,0.002",
+                      "--grid", "experiment.law=novel,baseline")
+    assert code == cli.EXIT_OK
+    for row in summary(out):
+        run = out / row["run"]
+        assert manifest_value(run, "batch_size") == "2"
+        every = int(row["sim.record_every"])
+        assert manifest_value(run, "records") == str(100 // every + 1)
+        ref, fault = scalar(load(tmp_path, [
+            "sim.t_end_s=0.1", f"sim.record_every={every}",
+            f"learner.t_window_s={row['learner.t_window_s']}",
+            f"experiment.law={row['experiment.law']}"]))
+        got = np.loadtxt(run / "telemetry.csv", delimiter=",", skiprows=1)
+        assert fault is None and column_error(ref.rows, got) <= TOL
+
+
+@pytest.mark.parametrize("alpha", ["1e8", "1e308"])
+def test_faulted_member_leaves_with_the_scalar_fault(tmp_path, alpha):
+    # every step is a record, so the fault step is one too
+    code, out = sweep(tmp_path, "sweep", "--override", "sim.t_end_s=0.5",
+                      "--override", "sim.record_every=1",
+                      "--grid", f"learner.alpha=150,{alpha}")
+    assert code == cli.EXIT_NUMERIC
+    assert [row["status"] for row in summary(out)] == ["ok", "exit3"]
+    assert manifest_value(out / "run000", "batch_size") == "2"
+    ref_code, ref_tel, _ = cli.run_one(
+        cli.resolve_config_path("linear_benchmark"),
+        ["sim.t_end_s=0.5", "sim.record_every=1", f"learner.alpha={alpha}"],
+        str(tmp_path / "ref"))
+    assert ref_code == cli.EXIT_NUMERIC
+    # the same t, step, component and message as the scalar run
+    assert manifest_value(out / "run001", "status") == \
+        manifest_value(tmp_path / "ref", "status")
+    got = np.loadtxt(out / "run001" / "telemetry.csv", delimiter=",",
+                     skiprows=1, ndmin=2)
+    assert column_error(ref_tel.rows, got) <= TOL
+    healthy, fault = scalar(load(tmp_path, ["sim.t_end_s=0.5", "sim.record_every=1",
+                                            "learner.alpha=150"]))
+    assert fault is None
+    got = np.loadtxt(out / "run000" / "telemetry.csv", delimiter=",",
+                     skiprows=1)
+    assert column_error(healthy.rows, got) <= TOL
+
+
+@pytest.mark.parametrize("config, overrides", [
+    ("uav_attitude", ["sim.t_end_s=0.03"]),
+    # the integrator has no `linear` form: a nonlinear catalog pair to the CLI
+    ("linear_benchmark", ["sim.t_end_s=0.1", "experiment.plant=integrator",
+                          "plant.n=2", "saturation.r_diag=10 10"]),
+])
+def test_unbatched_sweeps_run_each_point_as_run_does(tmp_path, config,
+                                                     overrides):
+    out = tmp_path / "sweep"
+    args = [a for ov in overrides for a in ("--override", ov)]
+    assert cli.main(["sweep", config, *args, "--grid", "learner.alpha=1,2",
+                     "--out", str(out)]) == cli.EXIT_OK
+    for i, alpha in enumerate(("1", "2")):
+        run = out / f"run{i:03d}"
+        assert manifest_value(run, "batch_size") is None
+        ref = tmp_path / f"ref{i}"
+        code, _, _ = cli.run_one(cli.resolve_config_path(config),
+                                 overrides + [f"learner.alpha={alpha}"],
+                                 str(ref))
+        assert code == cli.EXIT_OK
+        assert (run / "telemetry.csv").read_bytes() == \
+            (ref / "telemetry.csv").read_bytes()
+
+
+def test_one_riccati_solve_per_distinct_pair(tmp_path, monkeypatch):
+    calls = []
+    solve = cli.discounted_riccati
+
+    def counting(*args):
+        calls.append(args[-1])
+        return solve(*args)
+
+    monkeypatch.setattr(cli, "discounted_riccati", counting)
+    code, out = sweep(tmp_path, "sweep", "--override", "sim.t_end_s=0.05",
+                      "--grid", "experiment.law=novel,baseline",
+                      "--grid", "learner.q2=0,0.1",
+                      "--grid", "learner.gamma=0.1,0.2")
+    assert code == cli.EXIT_OK
+    assert sorted(calls) == [0.1, 0.2]
+    for row in summary(out):
+        assert (out / row["run"] / "series" /
+                "weight_error_vs_oracle.dat").is_file()

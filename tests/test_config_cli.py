@@ -1,4 +1,5 @@
 import configparser
+import csv
 import os
 import re
 import subprocess
@@ -316,6 +317,9 @@ def test_parse_defects_name_their_field(tmp_path, name, edits, field):
     "learner.t_window_s=inf", "learner.q1_diag=1 nan 0 0",
     "saturation.u_m=inf", "saturation.r_diag=inf", "dither.amplitude=nan",
     "sim.dt_s=nan", "sim.t_end_s=inf",
+    # keys no section defines: a misspelling must not fall back to a default
+    "learner.alpah=2000", "experiment.lawz=baseline", "saturation.u_max=5",
+    "sim.dt=0.001", "dither.amplitude_rad=0.1",
 ])
 def test_every_config_rule_rejects_and_names_its_key(tmp_path, capsys,
                                                      override):
@@ -354,6 +358,10 @@ def test_every_config_rule_rejects_and_names_its_key(tmp_path, capsys,
      "plant.n"),
     ("linear_benchmark", ["experiment.reference=zero", "reference.n=-1"],
      "reference.n"),
+    # vectors of the wrong length (a traceback before)
+    ("linear_benchmark", ["plant.x0=1 2 3"], "plant.x0"),
+    ("linear_benchmark", ["plant.x0=1"], "plant.x0"),
+    ("linear_benchmark", ["reference.x_d0=1 0 0"], "reference.x_d0"),
 ])
 def test_builder_defects_name_their_key(tmp_path, capsys, name, overrides,
                                         field):
@@ -457,6 +465,69 @@ def test_sweep_keeps_grid_values_containing_equals(tmp_path):
     lines = (out / "summary.csv").read_text().splitlines()
     col = lines[0].split(",").index("experiment.name")
     assert [ln.split(",")[col] for ln in lines[1:]] == ["a=b", "c"]
+
+
+def test_sweep_rejects_misspelled_keys_and_repeated_axes(tmp_path, capsys):
+    out = tmp_path / "typo"
+    assert cli.main(["sweep", "linear_benchmark", "--override", "sim.t_end_s=0.02",
+                     "--grid", "learner.alpah=1,2", "--out", str(out)]) == \
+        cli.EXIT_CONFIG
+    assert "learner.alpah: unknown key" in capsys.readouterr().out
+    out = tmp_path / "twice"
+    assert cli.main(["sweep", "linear_benchmark", "--grid", "learner.alpha=1,2",
+                     "--grid", "learner.alpha=3", "--out", str(out)]) == \
+        cli.EXIT_CONFIG
+    assert "learner.alpha" in capsys.readouterr().out
+    assert not out.exists()  # rejected before any run starts
+
+
+def test_summary_quotes_cells_that_hold_commas(tmp_path):
+    out = tmp_path / "quoted"
+    assert cli.main(["sweep", "linear_benchmark", "--override", "sim.t_end_s=0.02",
+                     "--override", "learner.q1_diag=1,1,0,0",
+                     "--grid", "learner.alpha=1,2", "--out", str(out)]) == \
+        cli.EXIT_OK
+    with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["learner.q1_diag"], r["learner.alpha"], r["status"])
+            for r in rows] == [("1,1,0,0", "1", "ok"), ("1,1,0,0", "2", "ok")]
+
+
+def test_weight_error_of_a_faulted_run_stays_finite(tmp_path):
+    """Past the overflow of |W - W*|^2 the error is taken with a scaled norm;
+    rows where the plain norm is finite keep its bytes."""
+    from irltrack.basis import quad_basis
+    from irltrack.benchmarks.linear import discounted_riccati, ideal_weights
+
+    out = tmp_path / "overflow"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", "linear_benchmark", "--override", "sim.t_end_s=0.5",
+                         "--override", "learner.alpha=1e8",
+                         "--out", str(out)]) == cli.EXIT_NUMERIC
+    cfg, errors = parse_config(out / "config_resolved.ini")
+    env, _ = resolve(cfg)
+    P = discounted_riccati(*env.linear_pair(), cfg.learner.Q1, cfg.learner.sat.R,
+                           cfg.learner.gamma)
+    W_star = ideal_weights(P, quad_basis(len(P)))
+    header = (out / "telemetry.csv").read_text().splitlines()[0].split(",")
+    W = np.loadtxt(out / "telemetry.csv", delimiter=",", skiprows=1)[
+        :, [i for i, c in enumerate(header) if c[:1] == "W"]]
+    assert np.isfinite(W).all()
+    with np.errstate(over="ignore"):
+        plain = np.linalg.norm(W - W_star, axis=1) / np.linalg.norm(W_star)
+    written = [line.split()[1] for line in
+               (out / "series" / "weight_error_vs_oracle.dat").read_text()
+               .splitlines()]
+    assert not np.isfinite(plain[-1])  # the case the scaled norm is for
+    assert all(np.isfinite(float(v)) for v in written)
+    for value, ref in zip(written, plain):
+        if np.isfinite(ref):
+            assert value == repr(float(ref))
+    d = W[-1] - W_star
+    scale = np.max(np.abs(d))
+    want = scale * np.sqrt(np.sum((d / scale) ** 2)) / np.linalg.norm(W_star)
+    assert float(written[-1]) == pytest.approx(want, rel=1e-12)
 
 
 def test_unstabilizable_oracle_skips_weight_error_series(tmp_path):
