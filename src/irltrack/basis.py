@@ -3,8 +3,8 @@
 The bundled basis is the full quadratic polynomial without constant term:
 linear monomials, squares, then pairwise products in lexicographic order.
 For input dimension d it has ``2d + d(d-1)/2`` features (27 at d = 6).
-`eval_rows` and `grad_rows` apply the same maps to every row of a
-(B, d) array, for the batched step loop.
+`eval_rows` and `grad_rows` map every row of a (B, d) array, for the step
+loop; `eval` and `grad` are their one-row case.
 """
 from __future__ import annotations
 
@@ -42,8 +42,6 @@ def quad_basis(dim_in: int) -> RegressorBasis:
     n1 = quad_feature_count(d)
     ar = np.arange(d)
     ap = np.arange(len(pairs))
-    linear_rows = np.zeros((n1, d))
-    linear_rows[ar, ar] = 1.0
     # flat positions of the z-dependent entries, the z component each one
     # copies, and its factor: 2 z_i on the squares, z_j and z_i on the pairs
     flat = np.concatenate([(d + ar) * d + ar, (2 * d + ap) * d + pi,
@@ -51,28 +49,21 @@ def quad_basis(dim_in: int) -> RegressorBasis:
     src = np.concatenate([ar, pj, pi])
     factor = np.concatenate([np.full(d, 2.0), np.ones(2 * len(pairs))])
 
-    def _eval(z):
-        z = np.asarray(z, dtype=float)
-        return np.concatenate([z, z * z, z[pi] * z[pj]])
-
-    def _grad(z):
-        z = np.asarray(z, dtype=float)
-        out = linear_rows.copy()
-        out.ravel()[flat] = factor * z[src]
-        return out
-
     def _eval_rows(Z):
-        return np.concatenate((Z, Z * Z, Z[:, pi] * Z[:, pj]), axis=1)
+        return np.concatenate((Z, Z * Z, Z.take(pi, 1) * Z.take(pj, 1)), axis=1)
 
     def _grad_rows(Z):
-        out = np.empty((len(Z), n1, d))
-        out[:] = linear_rows
-        out.reshape(len(Z), n1 * d)[:, flat] = factor * Z[:, src]
-        return out
+        out = np.zeros((len(Z), n1 * d))
+        out[:, :d * d:d + 1] = 1.0    # the linear rows
+        out[:, flat] = factor * Z.take(src, 1)
+        return out.reshape(len(Z), n1, d)
 
-    return RegressorBasis(dim_in=d, n_features=n1, eval=_eval, grad=_grad,
-                          eval_rows=_eval_rows, grad_rows=_grad_rows,
-                          name=f"quad{d}")
+    def _one_row(rows_map):
+        return lambda z: rows_map(np.asarray(z, dtype=float)[None])[0]
+
+    return RegressorBasis(dim_in=d, n_features=n1, eval=_one_row(_eval_rows),
+                          grad=_one_row(_grad_rows), eval_rows=_eval_rows,
+                          grad_rows=_grad_rows, name=f"quad{d}")
 
 
 def eval_grad(basis: RegressorBasis, z: np.ndarray) -> np.ndarray:

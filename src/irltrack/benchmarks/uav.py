@@ -162,9 +162,8 @@ def load_airframe(path=None) -> AirframeParams:
 def forces_moments(state: np.ndarray, delta_e: float, delta_a: float,
                    delta_r: float, delta_t: float, pr: AirframeParams):
     """Body-frame forces (fx, fy, fz) and moments (l, m, n)."""
-    u, v, w = state[U], state[V], state[W]
-    phi, theta = state[PHI], state[THETA]
-    p, q, r = state[P], state[Q], state[R]
+    # Python floats: numpy's float64 arithmetic, at a fraction of the cost
+    _, _, _, u, v, w, phi, theta, _, p, q, r = np.asarray(state, dtype=float).tolist()
 
     va = math.sqrt(u * u + v * v + w * w)
     if va > 1e-9:
@@ -219,13 +218,11 @@ def uav_dynamics(state: np.ndarray, deflections: np.ndarray, pr: AirframeParams,
     Aborts on the Euler pitch singularity; the caller is responsible for
     keeping deflections inside the actuator bound.
     """
-    de, da, dr = deflections
-    phi, theta, psi = state[PHI], state[THETA], state[PSI]
+    de, da, dr = np.asarray(deflections, dtype=float).tolist()
+    _, _, _, u, v, w, phi, theta, psi, p, q, r = np.asarray(state, dtype=float).tolist()
     if abs(theta) >= _PITCH_GUARD:
         raise NumericFault(f"pitch angle {theta:.4f} rad reached the Euler "
                            "singularity guard", component=THETA)
-    u, v, w = state[U], state[V], state[W]
-    p, q, r = state[P], state[Q], state[R]
     fx, fy, fz, l_m, m_m, n_m = forces_moments(state, de, da, dr, delta_t, pr)
 
     sph, cph = math.sin(phi), math.cos(phi)

@@ -10,9 +10,8 @@ from . import catalog
 from .basis import fd_gradient, quad_basis
 from .benchmarks.linear import discounted_riccati, ideal_weights, riccati_residual
 from .errors import OracleFailure
-from .models import augment
+from .learner import WindowBuffer
 from .policy import SaturationSpec, penalty_closed, penalty_integral
-from .sim import rollout_augmented
 
 
 def check_penalty_identity(n_draws: int = 100, seed: int = 7):
@@ -31,13 +30,14 @@ def check_penalty_identity(n_draws: int = 100, seed: int = 7):
 
 
 def check_basis_gradient(n_points: int = 50, seed: int = 3):
-    """Analytic regressor gradient vs central finite differences."""
+    """The step loop's analytic regressor gradient vs central finite
+    differences."""
     basis = quad_basis(6)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_points):
         z = rng.uniform(-2, 2, 6)
-        an = basis.grad(z)
+        an = basis.grad_rows(z[None])[0]
         fd = fd_gradient(basis, z)
         worst = max(worst, np.max(np.abs(fd - an)) / (1e-9 + np.max(np.abs(an))))
     return ("regressor gradient vs finite differences", worst <= 1e-6,
@@ -48,12 +48,16 @@ def check_window_identity(gamma: float = 0.1, T: float = 1e-2, dt: float = 1e-4,
                           n_windows: int = 20):
     """exp(-gamma T) theta_t - theta_{t-T} vs the windowed quadrature of
     exp(-gamma (tau-t+T)) (grad_theta (F+Gu) - gamma theta)."""
-    dyn = augment(catalog.make_plant("linear_osc", {"omega": 1.0}),
-                  catalog.make_reference("harmonic", {"omega": 1.0}))
-    basis = quad_basis(4)
-    z0 = np.array([1.5, -0.5, 1.0, 0.0])
-    ts, zs, us = rollout_augmented(dyn, z0, lambda t: 0.5 * math.sin(2.0 * t),
-                                   dt, 2.0)
+    # z0 = [1.5, -0.5, 1.0, 0.0] under the open-loop u = 0.5 sin(2t)
+    env = catalog.make_env("linear_osc", "harmonic",
+                           {"omega": 1.0, "x0": "2.5 -0.5"}, {"omega": 1.0})
+    dyn, basis = env.dyn, quad_basis(4)
+    ts = np.arange(int(round(2.0 / dt)) + 1) * dt
+    us = 0.5 * np.sin(2.0 * ts)[:, None]
+    zs = [env.z()]
+    for t, u in zip(ts[:-1], us):
+        env.advance(u, t, dt)
+        zs.append(env.z())
     k_win = int(round(T / dt))
     idx = np.linspace(k_win, len(ts) - 1, n_windows).astype(int)
     worst = 0.0
@@ -74,13 +78,13 @@ def check_window_identity(gamma: float = 0.1, T: float = 1e-2, dt: float = 1e-4,
 
 def check_discounted_quadrature(gamma: float = 0.1, c: float = 3.7,
                                 T: float = 1e-3):
-    """Trapezoid of a constant integrand vs the analytic antiderivative."""
-    from .learner import ReinforcementBuffer, reinforcement_integral
+    """The step loop's window pass on a constant integrand vs the analytic
+    antiderivative."""
     dt = T / 100.0
-    buf = ReinforcementBuffer(T, dt)
+    buf = WindowBuffer(1, 1, T, dt)
     for k in range(101):
-        buf.push(k * dt, np.zeros(1), c, 0.0)
-    got = reinforcement_integral(buf, gamma, T)
+        buf.push(k * dt, np.zeros((1, 1)), c, 0.0)
+    got = float(buf.window(np.array([gamma]))[2][0])
     expected = c * T if gamma == 0.0 else c * (-np.expm1(-gamma * T)) / gamma
     err = abs(got - expected)
     return ("discounted window quadrature (constant integrand)", err <= 1e-10,

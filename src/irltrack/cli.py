@@ -22,7 +22,7 @@ from .basis import quad_basis
 from .benchmarks.linear import discounted_riccati, ideal_weights
 from .config import ExperimentConfig, apply_overrides, parse_config, resolve
 from .errors import ConfigurationError, NumericFault, OracleFailure
-from .sim import Telemetry, run_env_experiment
+from .sim import Telemetry, run_batch
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -204,30 +204,8 @@ def run_one(config_path: str, overrides=(), out_dir: str = "runs/run",
         overrides.append(f"experiment.law={law}")
     eff_path = _resolved_config(config_path, overrides, out_dir)
     cfg, errors = parse_config(eff_path)
-    if errors:
-        for e in errors:
-            print(f"  - {e}")
-        return EXIT_CONFIG, None, cfg
-    try:
-        env, basis = resolve(cfg)
-    except (ConfigurationError, OracleFailure) as exc:
-        print(f"  - {exc}")
-        return (EXIT_ORACLE if isinstance(exc, OracleFailure) else EXIT_CONFIG,
-                None, cfg)
-
-    t0 = time.perf_counter()
-    telemetry, fault = None, None
-    try:
-        telemetry = run_env_experiment(env, basis, cfg.learner, cfg.sim,
-                                       law=cfg.law, dither_spec=cfg.dither)
-    except NumericFault as exc:
-        telemetry, fault = exc.telemetry, exc
-    wall = time.perf_counter() - t0
-
-    W_star = None
-    if telemetry is not None:
-        W_star = _oracle_weights(env.linear_pair(), cfg.learner)
-    code = _write_artifacts(out_dir, cfg, env, telemetry, fault, wall, W_star)
+    ((code, telemetry),) = _run([_Point("run", eff_path, overrides, out_dir,
+                                        cfg, errors)])
     return code, telemetry, cfg
 
 
@@ -266,14 +244,15 @@ def _settle_time(t, e_norm):
 
 
 class _Point(NamedTuple):
-    """One sweep grid point; `cfg` is None when its config does not parse
-    (its run reports why)."""
+    """One run or sweep grid point; `cfg` is None when its config does not
+    parse, and `errors` says why."""
 
     run_name: str
     config_path: str     # the point's resolved config
     overrides: list
     out_dir: str
     cfg: ExperimentConfig | None
+    errors: list
 
 
 def _batch_key(cfg: ExperimentConfig | None):
@@ -318,6 +297,17 @@ def _chunks(points: list[_Point], workers: int) -> list[list[int]]:
     return sorted(chunks)
 
 
+def _rms(v: np.ndarray) -> float:
+    """sqrt(mean(v^2)); when the squares overflow, v is scaled by its
+    largest |entry| first."""
+    with np.errstate(over="ignore"):
+        rms = float(np.sqrt(np.mean(v ** 2)))
+    if np.isinf(rms):
+        scale = float(np.max(np.abs(v)))
+        rms = scale * float(np.sqrt(np.mean((v / scale) ** 2)))
+    return rms
+
+
 def _summary_row(point: _Point, status: str, telemetry: Telemetry | None,
                  wall: float) -> dict:
     row = {"run": point.run_name}
@@ -333,55 +323,64 @@ def _summary_row(point: _Point, status: str, telemetry: Telemetry | None,
     e_norm = np.linalg.norm(z[:, : z.shape[1] // 2], axis=1)
     row.update(
         status=status,
-        ehat_rms_last10=repr(float(np.sqrt(np.mean(eh[-n:] ** 2)))),
+        ehat_rms_last10=repr(_rms(eh[-n:])),
         peak_z_norm=repr(float(np.max(np.linalg.norm(z, axis=1)))),
         settle_time_s=repr(_settle_time(t, e_norm)),
         wall_s=f"{wall:.2f}")
     return row
 
 
-def _run_batch(points: list[_Point]) -> list[tuple[int, Telemetry]]:
-    """Run several points as one batch and write each one's artifacts.
+def _load(point: _Point):
+    """(env, basis) of a point, or its exit code once its errors are printed."""
+    errors, code = point.errors, EXIT_CONFIG
+    if not errors:
+        try:
+            return resolve(point.cfg)
+        except (ConfigurationError, OracleFailure) as exc:
+            errors = [exc]
+            code = EXIT_ORACLE if isinstance(exc, OracleFailure) else EXIT_CONFIG
+    for e in errors:
+        print(f"  - {e}")
+    return code
 
-    A member's manifest wall time is the batch loop's divided by B, next
-    to `batch_size = B`.  The Riccati oracle is solved once per distinct
-    (A, B, Q1, R, gamma).
-    """
-    from .batch import run_batch
 
-    loaded = [resolve(p.cfg) for p in points]
+def _run(points: list[_Point]) -> list[tuple[int, Telemetry | None]]:
+    """Run points as one batch and write their artifacts; returns (exit
+    code, telemetry or None) per point.  A point whose config does not load
+    runs alone (`_chunks`).  A manifest's wall time is the loop's / B, with
+    `batch_size = B` when B > 1; the oracle is solved once per distinct
+    (A, B, Q1, R, gamma)."""
+    loaded = [_load(p) for p in points]
+    if isinstance(loaded[0], int):
+        return [(loaded[0], None)]
     t0 = time.perf_counter()
-    results = run_batch([(env, p.cfg.learner, p.cfg.law, p.cfg.dither)
+    results = run_batch([(env, p.cfg.learner, p.cfg.law, p.cfg.dither, None)
                          for p, (env, _) in zip(points, loaded)],
                         loaded[0][1], points[0].cfg.sim)
     wall = (time.perf_counter() - t0) / len(points)
     oracles: dict = {}
     out = []
     for p, (env, _), (telemetry, fault) in zip(points, loaded, results):
-        lcfg = p.cfg.learner
-        pair = env.linear_pair()
-        key = b"".join(np.asarray(a, dtype=float).tobytes()
-                       for a in (*pair, lcfg.Q1, lcfg.sat.R, lcfg.gamma))
+        lcfg, pair = p.cfg.learner, env.linear_pair()
+        key = None if pair is None else b"".join(
+            np.asarray(a, dtype=float).tobytes()
+            for a in (*pair, lcfg.Q1, lcfg.sat.R, lcfg.gamma))
         if key not in oracles:
             oracles[key] = _oracle_weights(pair, lcfg)
         out.append((_write_artifacts(p.out_dir, p.cfg, env, telemetry, fault,
-                                     wall, oracles[key], len(points)),
+                                     wall, oracles[key],
+                                     len(points) if len(points) > 1 else None),
                     telemetry))
     return out
 
 
 def _sweep_worker(chunk: list[_Point]) -> list[tuple[int, dict]]:
-    """Run one task of a sweep: a single point as `run_one` does, several
-    points as one batch.  Returns (exit code, summary row) per point;
-    every point gets a row, whatever goes wrong."""
+    """Run one task of a sweep, its points as one batch.  Returns (exit
+    code, summary row) per point; every point gets a row, whatever goes
+    wrong."""
     t0 = time.perf_counter()
     try:
-        if len(chunk) == 1:
-            code, telemetry, _ = run_one(chunk[0].config_path,
-                                         out_dir=chunk[0].out_dir)
-            results = [(code, telemetry)]
-        else:
-            results = _run_batch(chunk)
+        results = _run(chunk)
     except Exception as exc:  # worker must always report a row
         wall = (time.perf_counter() - t0) / len(chunk)
         return [(EXIT_NUMERIC, _summary_row(p, f"error: {exc}", None, wall))
@@ -418,8 +417,9 @@ def cmd_sweep(args) -> int:
         overrides = list(args.override) + [f"{k}={v}" for k, v in combo]
         out_dir = os.path.join(args.out, f"run{i:03d}")
         eff_path = _resolved_config(path, overrides, out_dir)
-        cfg, _ = parse_config(eff_path)   # errors are reported by the run
-        points.append(_Point(f"run{i:03d}", eff_path, overrides, out_dir, cfg))
+        cfg, errors = parse_config(eff_path)   # reported by the run
+        points.append(_Point(f"run{i:03d}", eff_path, overrides, out_dir, cfg,
+                             errors))
     chunks = _chunks(points, args.workers)
     tasks = [[points[i] for i in chunk] for chunk in chunks]
 

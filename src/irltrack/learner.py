@@ -1,4 +1,4 @@
-"""Critic learning: reinforcement-window bookkeeping and the update laws.
+"""Critic learning: the reinforcement window and the update laws, row-wise.
 
 The critic weight vector is tuned online from the windowed Bellman residual
 
@@ -6,8 +6,8 @@ The critic weight vector is tuned online from the windowed Bellman residual
     I_hat = integral over [t-T, t] of exp(-gamma (tau - t + T)) (Q(z) + U_hat),
     dtheta = exp(-gamma T) theta(z_t) - theta(z_{t-T}),
 
-either with a constant-gain gradient step (`baseline_update_step`) or with
-the variable-gain law (`update_step`) whose three terms are
+either with a constant-gain gradient step (the baseline law) or with the
+variable-gain law whose three terms are
 
   1. gradient term      -alpha |e_hat|^q2 theta_bar e_hat
   2. stabilizing term   +(alpha/2) |Sigma|^k2 Xi grad_theta G (I - diag tanh^2 tau2) G^T z
@@ -18,18 +18,21 @@ with theta_bar = dtheta / (1 + dtheta.dtheta)^2, phi = dtheta / (1 + dtheta.dthe
 Sigma = z . zdot by backward differencing, and Xi the indicator that is 0 only
 while Sigma < 0.  The scalar gains k1_gain and k2_gain stand for the paper's
 K1 = k1_gain 1 and K2 = k2_gain I.  All integrals are discounted trapezoids.
+
+Both laws are computed for B rows at once (`CriticRows`, with the window
+pass of `WindowBuffer`): the baseline is the degenerate variable-gain law,
+and a law term that no row uses is not computed.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, NotReady, NumericFault
-from .policy import SaturationSpec, tau2_raw
+from .errors import ConfigurationError, NumericFault
+from .policy import SaturationSpec
+from .rows import Rows, dot, mv, vm
 
 # relative slack on the warm-up span test; absorbs float accumulation in t = k*dt
 _SPAN_RTOL = 1e-9
@@ -91,131 +94,6 @@ class LearnerConfig:
         return float(z @ self.Q1 @ z)
 
 
-@dataclass(frozen=True)
-class CriticState:
-    """Weights plus the diagnostics of the most recent update."""
-
-    W_hat: np.ndarray
-    e_hat: float = 0.0
-    sigma: float = 0.0
-    xi: int = 1
-    I_hat: float = 0.0
-
-
-class Window(NamedTuple):
-    """One pass over the reinforcement window [t-T, t]."""
-
-    theta_t: np.ndarray     # theta(z_t)
-    theta_tmT: np.ndarray   # theta(z_{t-T}), interpolated if needed
-    I_hat: float            # discounted trapezoid of Q(z) + U_hat
-    m_int: float            # discounted trapezoid of W_hat . M (0 if skipped)
-
-
-class ReinforcementBuffer:
-    """Sliding window of per-step samples for the discounted quadratures.
-
-    Stores (t, theta, cost, m_scalar) where cost = Q(z) + U_hat and
-    m_scalar = W_hat(tau) . M(tau), both frozen with the weights in effect
-    at sample time.  Capacity is ceil(T/dt) + 1 so the retained samples span
-    at least one full window once warmed up; the run checks 0 < dt <= T.
-    """
-
-    def __init__(self, T: float, dt: float):
-        self.T = float(T)
-        self.dt = float(dt)
-        self.capacity = math.ceil(T / dt - _SPAN_RTOL) + 1
-        self._q: deque = deque(maxlen=self.capacity)
-
-    def push(self, t: float, theta: np.ndarray, cost: float, m_scalar: float):
-        if self._q and t <= self._q[-1][0]:
-            raise ConfigurationError(
-                f"buffer timestamps must strictly increase ({t} after {self._q[-1][0]})")
-        self._q.append((float(t), np.array(theta, dtype=float), float(cost),
-                        float(m_scalar)))
-
-    @property
-    def ready(self) -> bool:
-        if len(self._q) < 2:
-            return False
-        span = self._q[-1][0] - self._q[0][0]
-        return span >= self.T * (1 - _SPAN_RTOL)
-
-    def window(self, gamma: float, m_term: bool = True) -> Window:
-        """Endpoint features and both discounted trapezoids over [t-T, t].
-
-        The time grid, the interpolation weight of the sample straddling
-        t-T and the discount exp(-gamma (tau - t + T)) are built once and
-        shared; m_int is 0.0 unless `m_term`.
-        """
-        if not self.ready:
-            raise NotReady("reinforcement buffer does not span a full window yet")
-        q = list(self._q)
-        t_now = q[-1][0]
-        t_lo = t_now - self.T
-        first = next(i for i, s in enumerate(q) if s[0] >= t_lo)
-        interpolate = first > 0 and q[first][0] > t_lo + _SPAN_RTOL * self.T
-        if interpolate:
-            lo, hi = q[first - 1], q[first]
-            w = (t_lo - lo[0]) / (hi[0] - lo[0])
-            # the sample at t-T, linear between its neighbours
-            left = (t_lo, *((1 - w) * a + w * b for a, b in zip(lo[1:], hi[1:])))
-            q = [left] + q[first:]
-        else:
-            q = q[first:]
-        ts = np.array([s[0] for s in q])
-        disc = np.exp(-gamma * (ts - t_now + self.T))
-        steps = ts[1:] - ts[:-1]
-
-        def integral(col: int) -> float:
-            y = disc * np.array([s[col] for s in q])
-            # the trapezoid rule exactly as np.trapezoid(y, ts) evaluates it
-            return float((steps * (y[1:] + y[:-1]) / 2.0).sum())
-
-        return Window(q[-1][1], q[0][1], integral(2),
-                      integral(3) if m_term else 0.0)
-
-
-def _window(buf: ReinforcementBuffer, gamma: float, T: float,
-            m_term: bool) -> Window:
-    if abs(T - buf.T) > _SPAN_RTOL * buf.T:
-        raise ConfigurationError(f"buffer window {buf.T} != requested T {T}")
-    return buf.window(gamma, m_term)
-
-
-def reinforcement_integral(buf: ReinforcementBuffer, gamma: float, T: float) -> float:
-    """Discounted trapezoid of the stored stage cost Q(z) + U_hat over [t-T, t]."""
-    return _window(buf, gamma, T, m_term=False).I_hat
-
-
-def m_integral(buf: ReinforcementBuffer, gamma: float, T: float) -> float:
-    """Discounted trapezoid of the stored W_hat(tau) . M(tau) over [t-T, t]."""
-    return _window(buf, gamma, T, m_term=True).m_int
-
-
-def delta_theta(theta_t: np.ndarray, theta_tmT: np.ndarray, gamma: float,
-                T: float) -> np.ndarray:
-    """Windowed regressor difference exp(-gamma T) theta_t - theta_{t-T}."""
-    return math.exp(-gamma * T) * np.asarray(theta_t) - np.asarray(theta_tmT)
-
-
-def hjb_error(I_hat: float, dtheta: np.ndarray, W_hat: np.ndarray) -> float:
-    """Windowed Bellman residual I_hat + W_hat . dtheta."""
-    return float(I_hat + W_hat @ dtheta)
-
-
-def sigma_rate(z_t: np.ndarray, z_prev: np.ndarray, dt: float) -> float:
-    """Sigma = z . zdot with zdot by backward difference over one step."""
-    if dt <= 0:
-        raise ConfigurationError(f"dt must be > 0, got {dt}")
-    z_t = np.asarray(z_t, dtype=float)
-    return float(z_t @ (z_t - np.asarray(z_prev, dtype=float)) / dt)
-
-
-def indicator(sigma: float) -> int:
-    """0 while Sigma < 0 (contracting), 1 otherwise."""
-    return 0 if sigma < 0 else 1
-
-
 def gain_pow(x: float, p: float) -> float:
     """|x|^p with 0^0 = 1 and 0^p = 0 for p > 0 (right-continuous dead zone)."""
     if x == 0.0:
@@ -223,112 +101,119 @@ def gain_pow(x: float, p: float) -> float:
     return abs(x) ** p
 
 
-def m_vector_raw(grad_theta: np.ndarray, G_z: np.ndarray, W_hat: np.ndarray,
-                 sat: SaturationSpec, tau: np.ndarray | None = None) -> np.ndarray:
-    """M = grad_theta G u_m (tanh(tau2) - sgn(tau2)); bounded, -> 0 in saturation.
-
-    `tau` is tau2_raw(grad_theta, G_z, W_hat, sat) when the caller has it.
-    """
-    if tau is None:
-        tau = tau2_raw(grad_theta, G_z, W_hat, sat)
-    return (grad_theta @ G_z) @ (sat.u_m * (np.tanh(tau) - np.sign(tau)))
+def _gain_pow(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Row-wise `gain_pow`, with Python's float power (numpy's vector power
+    can differ from it in the last bit)."""
+    return np.fromiter(map(gain_pow, x.tolist(), p.tolist()), float, len(x))
 
 
-def _normalized_regressors(dtheta: np.ndarray):
-    """(phi, theta_bar) = (dtheta/ms, dtheta/ms^2) with ms = 1 + |dtheta|^2.
-
-    Single arithmetic pipeline shared by both update laws so that the
-    baseline law and the degenerate variable-gain law agree bitwise.
-    """
-    ms = 1.0 + float(dtheta @ dtheta)
-    phi = dtheta / ms
-    return phi, phi / ms
+def m_vector(ndg, th, tau, u_m) -> np.ndarray:
+    """M = grad_theta G u_m (tanh(tau2) - sgn(tau2)) of each row, from
+    ndg = grad_theta G and th = tanh(tau2); bounded, -> 0 in saturation."""
+    return mv(ndg, u_m * (th - np.sign(tau)))
 
 
-def _gradient_term(alpha: float, q2: float, e_hat: float,
-                   theta_bar: np.ndarray) -> np.ndarray:
-    return -(alpha * gain_pow(e_hat, q2)) * e_hat * theta_bar
+class WindowBuffer(Rows):
+    """Each row's samples (theta, Q(z) + U_hat, W_hat . M), the costs frozen
+    with the weights in effect at sample time, at the shared times of the
+    last ceil(T/dt) + 1 steps: once warmed up they span a window T."""
+
+    def __init__(self, rows: int, n1: int, T: float, dt: float):
+        self.T, self.times = T, []
+        self.samples = np.zeros((rows, math.ceil(T / dt - _SPAN_RTOL) + 1, n1 + 2))
+
+    def push(self, t: float, theta, cost, m_scalar):
+        if len(self.times) == self.samples.shape[1]:
+            self.times.pop(0)
+            self.samples[:, :-1] = self.samples[:, 1:]
+        self.times.append(t)
+        slot = self.samples[:, len(self.times) - 1]
+        slot[:, :-2], slot[:, -2], slot[:, -1] = theta, cost, m_scalar
+
+    @property
+    def ready(self) -> bool:
+        return self.times[-1] - self.times[0] >= self.T * (1 - _SPAN_RTOL)
+
+    def window(self, gamma: np.ndarray):
+        """(theta(z_t), theta(z_{t-T}), I_hat, m_int) of each row in one
+        pass over [t-T, t], the sample at t-T linear between its neighbours
+        when none falls on it."""
+        times, T = self.times, self.T
+        t_lo = times[-1] - T
+        first = next(i for i, s in enumerate(times) if s >= t_lo)
+        rows, ts = self.samples[:, first:len(times)], times[first:]
+        if first > 0 and times[first] > t_lo + _SPAN_RTOL * T:
+            w = (t_lo - times[first - 1]) / (times[first] - times[first - 1])
+            left = (1 - w) * self.samples[:, first - 1] + w * self.samples[:, first]
+            rows = np.concatenate((left[:, None], rows), axis=1)
+            ts = [t_lo, *ts]
+        ts = np.array(ts)
+        y = np.exp(-gamma[:, None] * (ts - times[-1] + T))[:, :, None] * rows[:, :, -2:]
+        # the trapezoid rule exactly as np.trapezoid(y, ts) evaluates it
+        integrals = ((ts[1:] - ts[:-1])[:, None] * (y[:, 1:] + y[:, :-1]) / 2.0).sum(1)
+        return rows[:, -1, :-2], rows[:, 0, :-2], integrals[:, 0], integrals[:, 1]
 
 
-def law_terms(W_hat: np.ndarray, e_hat: float, sigma: float, xi: int,
-              dtheta: np.ndarray, grad_theta: np.ndarray, G_z: np.ndarray,
-              tau: np.ndarray, z: np.ndarray, m_int: float, cfg: LearnerConfig):
-    """The three right-hand-side terms of the variable-gain law, per unit time.
+class CriticRows(Rows):
+    """Each row's critic: its weights, the residual and I_hat of its last
+    update, its policy's saturation and its law's gains, batch axis first.
+    A W0 of None starts from zero weights."""
 
-    Split out so tests and analysis can probe each term's scaling in
-    isolation; `update_step` sums them and applies the Euler step.  `tau`
-    is the policy's saturation argument tau2_raw(grad_theta, G_z, W_hat,
-    cfg.sat).
-    """
-    phi, theta_bar = _normalized_regressors(dtheta)
-    term_grad = _gradient_term(cfg.alpha, cfg.q2, e_hat, theta_bar)
+    def __init__(self, cfgs, laws, W0s, n1: int):
+        novel = np.array([law == "novel" for law in laws])
+        # the baseline law: q2 = k1_gain = k2_gain = 0, stabilizer, m-term off
+        law = {k: np.where(novel, [getattr(c, k) for c in cfgs], 0)
+               for k in ("q2", "k1_gain", "k2_gain", "stabilizer_enabled",
+                         "m_term_enabled")}
+        column = lambda values: np.array(values, dtype=float)[:, None]
+        super().__init__(
+            W=np.array([np.zeros(n1) if W0 is None else np.array(W0, dtype=float)
+                        for W0 in W0s]),
+            e_hat=np.zeros(len(cfgs)), I_hat=np.zeros(len(cfgs)), novel=novel,
+            stab=law["stabilizer_enabled"] != 0, m_term=law["m_term_enabled"] != 0,
+            q2=law["q2"], k1_gain=law["k1_gain"], k2_gain=column(law["k2_gain"]),
+            k2=np.array([c.k2 for c in cfgs]), alpha=np.array([c.alpha for c in cfgs]),
+            half_alpha=np.array([0.5 * c.alpha for c in cfgs]),
+            gamma=np.array([c.gamma for c in cfgs]),
+            disc_T=column([math.exp(-c.gamma * c.T) for c in cfgs]),
+            Q1=np.array([c.Q1 for c in cfgs]), r=np.array([c.sat.r_diag for c in cfgs]),
+            u_m=column([c.sat.u_m for c in cfgs]),
+            um2=np.array([c.sat.u_m ** 2 for c in cfgs]),
+            den=np.array([2.0 * c.sat.u_m * c.sat.r_diag for c in cfgs]))
+        self.use_stab, self.use_m = bool(self.stab.any()), bool(self.m_term.any())
+        self.use_robust = self.use_m or bool(self.k1_gain.any() or self.k2_gain.any())
 
-    if xi and cfg.stabilizer_enabled:
-        ndg = grad_theta @ G_z
-        gs = 0.5 * cfg.alpha * gain_pow(sigma, cfg.k2)
-        term_stab = gs * (ndg @ ((1.0 - np.tanh(tau) ** 2) * (G_z.T @ z)))
-    else:
-        term_stab = np.zeros_like(W_hat)
-
-    ge = cfg.alpha * gain_pow(e_hat, cfg.q2)
-    m_part = theta_bar * m_int if cfg.m_term_enabled else 0.0
-    term_robust = ge * (cfg.k1_gain * float(phi @ W_hat) - cfg.k2_gain * W_hat
-                        - m_part)
-
-    return term_grad, term_stab, term_robust
-
-
-def update_step(state: CriticState, cfg: LearnerConfig, buf: ReinforcementBuffer,
-                z: np.ndarray, grad_theta: np.ndarray, G_z: np.ndarray,
-                tau: np.ndarray, sigma: float, dt: float) -> CriticState:
-    """One Euler step of the variable-gain law; returns the new critic state.
-
-    grad_theta = grad theta(z), G_z = G(z), tau = tau2_raw(grad_theta, G_z,
-    W_hat, cfg.sat) and sigma = sigma_rate(z, z_prev, dt) are the step's
-    own, computed once by the caller.  The window is read in one pass and
-    its I_hat is returned on the new state.
-
-    Raises NotReady while the buffer is cold and NumericFault if the step
-    produces non-finite weights.
-    """
-    win = _window(buf, cfg.gamma, cfg.T, cfg.m_term_enabled)
-    dtheta = delta_theta(win.theta_t, win.theta_tmT, cfg.gamma, cfg.T)
-    e_hat = hjb_error(win.I_hat, dtheta, state.W_hat)
-    xi = indicator(sigma) if cfg.stabilizer_enabled else 0
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        t1, t2, t3 = law_terms(state.W_hat, e_hat, sigma, xi, dtheta, grad_theta,
-                               G_z, tau, np.asarray(z, dtype=float), win.m_int,
-                               cfg)
-        W_new = state.W_hat + dt * (t1 + t2 + t3)
-    if not np.isfinite(W_new).all():
-        bad = int(np.flatnonzero(~np.isfinite(W_new))[0])
-        raise NumericFault(
-            f"critic weights non-finite after update (component {bad}, "
-            f"e_hat={e_hat}, sigma={sigma})", component=bad)
-    return CriticState(W_hat=W_new, e_hat=e_hat, sigma=sigma, xi=xi,
-                       I_hat=win.I_hat)
-
-
-def baseline_update_step(state: CriticState, cfg: LearnerConfig,
-                         buf: ReinforcementBuffer, dt: float) -> CriticState:
-    """Constant-gain gradient step W -= dt alpha theta_bar (I_hat + W . dtheta).
-
-    Kept for A/B comparison runs; sigma/xi are not part of this law and are
-    reported as 0/1.  Shares the gradient-term arithmetic with the
-    variable-gain law so the q2=0 degenerate case matches it exactly.
-    """
-    win = _window(buf, cfg.gamma, cfg.T, m_term=False)
-    dtheta = delta_theta(win.theta_t, win.theta_tmT, cfg.gamma, cfg.T)
-    e_hat = hjb_error(win.I_hat, dtheta, state.W_hat)
-    _, theta_bar = _normalized_regressors(dtheta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        W_new = state.W_hat + dt * _gradient_term(cfg.alpha, 0.0, e_hat,
-                                                  theta_bar)
-    if not np.isfinite(W_new).all():
-        bad = int(np.flatnonzero(~np.isfinite(W_new))[0])
-        raise NumericFault(
-            f"critic weights non-finite after baseline update (component {bad}, "
-            f"e_hat={e_hat})", component=bad)
-    return CriticState(W_hat=W_new, e_hat=e_hat, sigma=0.0, xi=1,
-                       I_hat=win.I_hat)
+    def update(self, buf: WindowBuffer, z, G, ndg, th, sigma, dt: float):
+        """One Euler step of each row's law from the step's z, G(z), ndg =
+        grad_theta G (None if unused), tanh(tau2) and Sigma; returns (row,
+        NumericFault) for each row whose new weights are not finite."""
+        theta_t, theta_tmT, I_hat, m_int = buf.window(self.gamma)
+        dtheta = self.disc_T * theta_t - theta_tmT
+        e_hat = I_hat + dot(self.W, dtheta)
+        ms = (1.0 + dot(dtheta, dtheta))[:, None]
+        phi = dtheta / ms
+        theta_bar = phi / ms
+        ge = self.alpha * _gain_pow(e_hat, self.q2)
+        rate = (-ge * e_hat)[:, None] * theta_bar
+        if self.use_stab:
+            xi = self.stab & ~(sigma < 0)
+            gs = self.half_alpha * _gain_pow(sigma, self.k2)
+            stab = mv(ndg, (1.0 - th ** 2) * vm(z, G))
+            rate = rate + np.where(xi[:, None], gs[:, None] * stab, 0.0)
+        if self.use_robust:
+            m_part = np.where(self.m_term[:, None], theta_bar * m_int[:, None], 0.0)
+            rate = rate + ge[:, None] * ((self.k1_gain * dot(phi, self.W))[:, None]
+                                         - self.k2_gain * self.W - m_part)
+        self.W = self.W + dt * rate
+        self.e_hat, self.I_hat = e_hat, I_hat
+        if np.isfinite(self.W).all():
+            return []
+        faults = []
+        for i in np.flatnonzero(~np.isfinite(self.W).all(1)):
+            comp = int(np.flatnonzero(~np.isfinite(self.W[i]))[0])
+            law = "update" if self.novel[i] else "baseline update"
+            tail = f", sigma={float(sigma[i])}" if self.novel[i] else ""
+            faults.append((i, NumericFault(
+                f"critic weights non-finite after {law} (component {comp}, "
+                f"e_hat={float(e_hat[i])}{tail})", component=comp)))
+        return faults

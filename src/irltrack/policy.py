@@ -11,7 +11,9 @@ matching running-cost penalty is
 
 available both by adaptive quadrature (`penalty_integral`) and in closed
 form at u = -u_m tanh(tau) (`penalty_closed`); the two agree analytically
-and the pair is kept as a cross-check.
+and the pair is kept as a cross-check.  The step loop evaluates tau2 and
+the closed form for B rows at once (`tau2_rows`, `penalty_rows`); the
+one-point functions are their one-row case.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ import numpy as np
 from .basis import RegressorBasis
 from .errors import ConfigurationError
 from .models import AugmentedDynamics
+from .rows import vm
 
 _LOG2 = float(np.log(2.0))
 
@@ -62,10 +65,18 @@ class SaturationSpec:
         return np.diag(self.R)
 
 
+def tau2_rows(W: np.ndarray, grad: np.ndarray, G: np.ndarray,
+              den: np.ndarray) -> np.ndarray:
+    """Saturation argument of each row from W (B, n1), grad_theta(z)
+    (B, n1, d), G(z) (B, d, m) and den = 2 u_m R_ii (B, m)."""
+    return vm(vm(W, grad), G) / den
+
+
 def tau2_raw(grad_theta: np.ndarray, G_z: np.ndarray, W_hat: np.ndarray,
              sat: SaturationSpec) -> np.ndarray:
-    """Saturation argument from precomputed grad_theta(z) and G(z)."""
-    return (G_z.T @ (grad_theta.T @ W_hat)) / (2.0 * sat.u_m * sat.r_diag)
+    """Saturation argument at one point: the one-row `tau2_rows`."""
+    return tau2_rows(np.asarray(W_hat, dtype=float)[None], grad_theta[None],
+                     G_z[None], (2.0 * sat.u_m * sat.r_diag)[None])[0]
 
 
 def policy_eval(z: np.ndarray, W_hat: np.ndarray, dyn: AugmentedDynamics,
@@ -109,17 +120,22 @@ def log_one_minus_tanh2(a: np.ndarray) -> np.ndarray:
     return 2.0 * (_LOG2 - np.abs(a) - np.log1p(np.exp(-2.0 * np.abs(a))))
 
 
-def penalty_closed(tau: np.ndarray, sat: SaturationSpec) -> float:
-    """Closed-form penalty at u = -u_m tanh(tau).
+def penalty_rows(tau: np.ndarray, th: np.ndarray, um2: np.ndarray,
+                 r: np.ndarray) -> np.ndarray:
+    """Closed-form penalty of each row at u = -u_m tanh(tau) (th = tanh(tau),
+    um2 = u_m^2, r = diag R): 2 u_m^2 tau^T R tanh(tau) + u_m^2 sum_i R_i
+    ln(1 - tanh(tau_i)^2), with the stable log identity so deep saturation
+    stays finite."""
+    return (2.0 * um2 * (r * tau * th).sum(1)
+            + um2 * (r * log_one_minus_tanh2(tau)).sum(1))
 
-    2 u_m^2 tau^T R tanh(tau) + u_m^2 sum_i R_i ln(1 - tanh(tau_i)^2),
-    evaluated with the stable log identity so deep saturation stays finite.
-    """
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    um2 = sat.u_m ** 2
-    r = sat.r_diag
-    return float(2.0 * um2 * (r * tau * np.tanh(tau)).sum()
-                 + um2 * (r * log_one_minus_tanh2(tau)).sum())
+
+def penalty_closed(tau: np.ndarray, sat: SaturationSpec) -> float:
+    """Closed-form penalty at one u = -u_m tanh(tau): the one-row
+    `penalty_rows`."""
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))[None]
+    return float(penalty_rows(tau, np.tanh(tau), np.array([sat.u_m ** 2]),
+                              sat.r_diag[None])[0])
 
 
 def saturate(u: np.ndarray, u_m: float) -> np.ndarray:

@@ -1,7 +1,9 @@
-"""Fixed-step closed-loop simulation, excitation dither, and telemetry.
+"""The learn-act loop, excitation dither, and telemetry.
 
-The step loop computes each per-step quantity once and shares it.  Per
-sample time t_k:
+`run_batch` is the one step loop: it carries B runs along a leading batch
+axis (states z (B, 2n), weights (B, n1), each run's gains as (B, ...)
+arrays), and `run_env_experiment` runs it with one member.  Per sample time
+t_k it computes each per-step quantity once and shares it:
 
   1. z, grad_theta(z), G(z) and the saturation argument tau2 from the
      current weights; the policy u_hat = -u_m tanh(tau2), the penalty and,
@@ -13,11 +15,12 @@ sample time t_k:
      Sigma = z . zdot,
   4. record telemetry: I_hat comes from the update, V_hat from the theta
      of step 2,
-  5. apply saturate(u_hat + dither) and integrate to t_{k+1}.
+  5. apply saturate(u_hat + dither) and integrate to t_{k+1},
 
-The plant and the reference are integrated together, as one classical RK4
-step of the stacked state under a zero-order hold; the reference
-trajectory never depends on the learner.
+up to the first step at or after t_end.  Linear catalog pairs take one
+classical RK4 step of the stacked plant and reference states together
+(zero-order hold); any other environment advances itself.  The reference
+never depends on the learner.  A faulted member leaves; the others go on.
 """
 from __future__ import annotations
 
@@ -29,12 +32,11 @@ import numpy as np
 
 from .basis import RegressorBasis
 from .errors import ConfigurationError, NumericFault
-from .learner import (CriticState, LearnerConfig, ReinforcementBuffer,
-                      baseline_update_step, indicator, m_vector_raw, sigma_rate,
-                      update_step)
+from .learner import CriticRows, LearnerConfig, WindowBuffer, m_vector
 from .models import (AffinePlant, AugmentedDynamics, ReferenceModel, augment,
                      augmented_linear)
-from .policy import penalty_closed, saturate, tau2_raw
+from .policy import penalty_rows, saturate, tau2_rows
+from .rows import Rows, dot, mv, vm
 
 # Rows formatted per pass of `Telemetry.to_csv`: the chunk, not the run
 # length, bounds the writer's working set.
@@ -60,6 +62,12 @@ class SimConfig:
             raise ConfigurationError(
                 f"record_every must be >= 1, got {self.record_every}",
                 ("record_every",))
+
+    @property
+    def n_steps(self) -> int:
+        """Steps to the first sample time at or after t_end, with 1e-9
+        relative slack for the rounding of t_end / dt."""
+        return math.ceil(self.t_end / self.dt * (1 - 1e-9))
 
 
 @dataclass(frozen=True)
@@ -213,7 +221,12 @@ class Telemetry:
 
 
 class TrackingEnv(Protocol):
-    """What the step loop and the CLI read; the learner uses only z and G."""
+    """What the step loop and the CLI read; the learner uses only z and G.
+
+    The loop reads environments as rows (z, G, x, x_d, `advance` with a
+    fault per row, the domain warning): linear pairs (`linear_pair()` not
+    None) from their matrices, all at once; any other one through these
+    methods, as one row."""
 
     dyn: AugmentedDynamics       # control coupling dyn.G(z)
     control_names: Sequence[str]
@@ -276,73 +289,198 @@ class AugmentedTrackingEnv:
         return augmented_linear(*self.plant.linear, self.ref.linear)
 
 
+class _EnvRows(Rows):
+    """Environments as rows, each read and advanced through its own `z()`,
+    `dyn.G`, `advance` and `check_domain`."""
+
+    def __init__(self, envs, **arrays):
+        super().__init__(envs=list(envs), **arrays)
+
+    def keep(self, mask):
+        super().keep(mask)
+        self.envs = [env for env, alive in zip(self.envs, mask) if alive]
+
+    x = property(lambda self: [env.x for env in self.envs])
+    x_d = property(lambda self: [env.x_d for env in self.envs])
+
+    def z(self):
+        return np.array([env.z() for env in self.envs])
+
+    def G(self, z):
+        return np.array([env.dyn.G(zi) for env, zi in zip(self.envs, z)])
+
+    def advance(self, u_applied, t: float, dt: float):
+        faults = []
+        for i, env in enumerate(self.envs):
+            try:
+                env.advance(u_applied[i], t, dt)
+            except NumericFault as exc:
+                faults.append((i, exc))
+        return faults
+
+    def check_domain(self, telemetry, t: float):
+        for env, tel in zip(self.envs, telemetry):
+            env.check_domain(tel, t)
+
+
+class _LinearRows(_EnvRows):
+    """Linear catalog pairs, stacked: one classical RK4 step of each row's
+    s = [x, x_d] under (A_p x + B_p u, H_A x_d), handed back to its env."""
+
+    def __init__(self, envs):
+        B_p = np.array([e.plant.linear[1] for e in envs])
+        super().__init__(envs, B_p=B_p,
+                         G_z=np.concatenate((B_p, np.zeros_like(B_p)), axis=1),
+                         s=np.array([np.concatenate([e.x, e.x_d]) for e in envs]),
+                         AH=np.array([(e.plant.linear[0], e.ref.linear) for e in envs]))
+        self.n = envs[0].plant.n
+
+    def z(self):
+        x, x_d = self.s[:, :self.n], self.s[:, self.n:]
+        return np.concatenate((x - x_d, x_d), axis=1)
+
+    def G(self, z):
+        return self.G_z
+
+    def advance(self, u_applied, t: float, dt: float):
+        n, Bu = self.n, mv(self.B_p, u_applied)
+
+        def field(state):
+            # A_p x and H_A x_d as one stack of n x n products
+            out = np.matmul(self.AH, state.reshape(-1, 2, n, 1)).reshape(-1, 2 * n)
+            out[:, :n] += Bu
+            return out
+
+        k1 = field(self.s)
+        k2 = field(self.s + (dt / 2.0) * k1)
+        k3 = field(self.s + (dt / 2.0) * k2)
+        k4 = field(self.s + dt * k3)
+        self.s = self.s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for env, s in zip(self.envs, self.s):
+            env.x, env.x_d = s[:n], s[n:]
+        # a non-finite stage makes the new state non-finite
+        faults = []
+        for i in np.flatnonzero(~np.isfinite(self.s).all(1)):
+            stage = next((j for j, kj in enumerate((k1, k2, k3, k4))
+                          if not np.isfinite(kj[i]).all()), None)
+            if stage is not None:
+                faults.append((i, NumericFault(
+                    f"non-finite RK4 stage {stage + 1} at t={t}", t=t)))
+        return faults
+
+
+def run_batch(members, basis: RegressorBasis, sim_cfg: SimConfig):
+    """Run every member, (env, learner_cfg, law, dither_spec, W0 or None
+    for zeros), in the one learn-act loop; members share their dimensions
+    and window T.  Returns (telemetry, fault) per member: fault is None for
+    a finished run, else the `NumericFault` that ended it, stamped with t,
+    step and the partial telemetry."""
+    envs, lcfgs, laws, dithers, W0s = zip(*members)
+    for lcfg, law in zip(lcfgs, laws):
+        check_run(law, lcfg, sim_cfg)
+    dims = {(e.dim_z, e.m, len(e.x), len(e.x_d), c.T) for e, c in zip(envs, lcfgs)}
+    if len(dims) > 1:
+        raise ConfigurationError("batched runs must share the state and "
+                                 "control dimensions and the window T")
+    ((dz, m, nx, nxd, T),) = dims
+    linear = all(e.linear_pair() is not None for e in envs)
+    env_rows = _LinearRows(envs) if linear else _EnvRows(envs)
+    n1, dt, every, n_steps = (basis.n_features, sim_cfg.dt,
+                              sim_cfg.record_every, sim_cfg.n_steps)
+    critic = CriticRows(lcfgs, laws, W0s, n1)
+    buf = WindowBuffer(len(envs), n1, T, dt)
+    b = Rows(ids=np.arange(len(envs)), z_prev=np.zeros((len(envs), dz)),
+             amp=np.array([d.amplitude for d in dithers]))
+    telemetry = [Telemetry(dz, nx, nxd, m, n1, e.control_names,
+                           capacity=n_steps // every + 2) for e in envs]
+    faults: list[NumericFault | None] = [None] * len(envs)
+    live = list(telemetry)    # of the rows still running
+
+    def drop(dead: list[tuple[int, NumericFault]]):
+        """Stamp and keep each dead row's fault; drop the rows."""
+        for i, exc in dead:
+            exc.t = t if exc.t is None else exc.t
+            exc.step = k if exc.step is None else exc.step
+            exc.telemetry, faults[b.ids[i]] = live[i], exc
+        alive = np.ones(len(live), dtype=bool)
+        alive[[i for i, _ in dead]] = False
+        for rows in (b, critic, buf, env_rows):
+            rows.keep(alive)
+        live[:] = [tel for tel, keep in zip(live, alive) if keep]
+        return alive
+
+    with np.errstate(all="ignore"):  # a fault is found by the finiteness checks
+        for k in range(n_steps + 1):
+            t = k * dt
+            # 1. features, coupling, policy, stage cost and W . M
+            z = env_rows.z()
+            grad = basis.grad_rows(z)
+            G = env_rows.G(z)
+            tau = tau2_rows(critic.W, grad, G, critic.den)
+            th = np.tanh(tau)
+            u_hat = -critic.u_m * th
+            cost = dot(vm(z, critic.Q1), z) + penalty_rows(tau, th, critic.um2,
+                                                           critic.r)
+            ndg = np.matmul(grad, G) if critic.use_m or critic.use_stab else None
+            m_scalar = 0.0
+            if critic.use_m:
+                M = m_vector(ndg, th, tau, critic.u_m)
+                m_scalar = np.where(critic.m_term, dot(critic.W, M), 0.0)
+            theta = basis.eval_rows(z)
+
+            # 2. push the window sample for t_k
+            buf.push(t, theta, cost, m_scalar)
+
+            # 3. critic update once the buffer spans a full window
+            sigma = dot(z, z - b.z_prev) / dt if k > 0 else np.zeros(len(z))
+            dead = critic.update(buf, z, G, ndg, th, sigma, dt) \
+                if k > 0 and buf.ready else []
+
+            # 4. record telemetry and the domain warning
+            n_val = b.amp * dither(t)
+            if k % every == 0 or k == n_steps:
+                faulted = {i for i, _ in dead}
+                scalars = zip(n_val.tolist(), critic.e_hat.tolist(),
+                              sigma.tolist(), critic.I_hat.tolist(),
+                              dot(critic.W, theta).tolist())
+                for i, (tel, x, x_d, (n_i, e_i, s_i, I_i, V_i)) in enumerate(
+                        zip(live, env_rows.x, env_rows.x_d, scalars)):
+                    try:
+                        if i not in faulted:
+                            tel.append(t, z[i], x, x_d, u_hat[i], n_i, e_i, s_i,
+                                       0 if s_i < 0 else 1, I_i, V_i, critic.W[i])
+                    except NumericFault as exc:
+                        dead.append((i, exc))
+            b.z_prev = z
+            if dead:
+                alive = drop(dead)
+                u_hat, n_val = u_hat[alive], n_val[alive]
+            env_rows.check_domain(live, t)
+
+            # 5. saturate(u_hat + dither) and integrate to t_{k+1}
+            if k < n_steps and live:
+                dead = env_rows.advance(
+                    saturate(u_hat + n_val[:, None], critic.u_m), t, dt)
+                if dead:
+                    drop(dead)
+            if not live:
+                break
+    return list(zip(telemetry, faults))
+
+
 def run_env_experiment(env: TrackingEnv, basis: RegressorBasis,
                        learner_cfg: LearnerConfig,
                        sim_cfg: SimConfig, law: str = "novel",
                        dither_spec: DitherSpec = DitherSpec(),
                        W0: np.ndarray | None = None) -> Telemetry:
-    """Drive any tracking environment through the learn-act loop.
-
-    The policy and the critic share one saturation spec, `learner_cfg.sat`,
-    and one tau2 per step.  On a numeric fault
-    the fault gets the step's t and index (unless it carries them) and the
-    partial telemetry, so callers can report and flush it.
-    """
-    check_run(law, learner_cfg, sim_cfg)
-    n1 = basis.n_features
-    dt = sim_cfg.dt
-    sat = learner_cfg.sat
-    m_term = learner_cfg.m_term_enabled
-    state = CriticState(W_hat=np.zeros(n1) if W0 is None else np.array(W0, dtype=float))
-    buf = ReinforcementBuffer(learner_cfg.T, dt)
-    n_steps = int(round(sim_cfg.t_end / dt))
-    z0 = env.z()
-    telemetry = Telemetry(dim_z=len(z0), dim_x=len(env.x), dim_xd=len(env.x_d),
-                          m=env.m, n1=n1, control_names=env.control_names,
-                          capacity=n_steps // sim_cfg.record_every + 2)
-
-    z_prev = z0
-    try:
-        for k in range(n_steps + 1):
-            t = k * dt
-            z = env.z()
-            grad = basis.grad(z)
-            G_z = env.dyn.G(z)
-            W = state.W_hat
-            tau = tau2_raw(grad, G_z, W, sat)
-            u_hat = -sat.u_m * np.tanh(tau)
-            cost = learner_cfg.cost_state(z) + penalty_closed(tau, sat)
-            m_scalar = float(W @ m_vector_raw(grad, G_z, W, sat, tau=tau)) \
-                if m_term else 0.0
-            theta = basis.eval(z)
-            buf.push(t, theta, cost, m_scalar)
-
-            sigma = sigma_rate(z, z_prev, dt) if k > 0 else 0.0
-            if k > 0 and buf.ready:
-                if law == "novel":
-                    state = update_step(state, learner_cfg, buf, z, grad, G_z,
-                                        tau, sigma, dt)
-                else:
-                    state = baseline_update_step(state, learner_cfg, buf, dt)
-
-            n_val = dither_spec.amplitude * dither(t)
-            if k % sim_cfg.record_every == 0 or k == n_steps:
-                telemetry.append(t, z, env.x, env.x_d, u_hat, n_val,
-                                 state.e_hat, sigma, indicator(sigma),
-                                 state.I_hat, float(state.W_hat @ theta),
-                                 state.W_hat)
-            env.check_domain(telemetry, t)
-
-            if k < n_steps:
-                env.advance(saturate(u_hat + n_val, sat.u_m), t, dt)
-                z_prev = z
-    except NumericFault as fault:
-        if fault.t is None:
-            fault.t = t
-        if fault.step is None:
-            fault.step = k
-        fault.telemetry = telemetry
-        raise
+    """Drive one tracking environment through the learn-act loop, a
+    `run_batch` of one.  A numeric fault is raised stamped with the step's t
+    and index (unless it came with them) and the partial telemetry, so
+    callers can report and flush it."""
+    ((telemetry, fault),) = run_batch(
+        [(env, learner_cfg, law, dither_spec, W0)], basis, sim_cfg)
+    if fault is not None:
+        raise fault
     return telemetry
 
 
@@ -356,23 +494,3 @@ def run_experiment(plant: AffinePlant, ref: ReferenceModel, basis: RegressorBasi
     env = AugmentedTrackingEnv(plant, ref, x0=x0)
     return run_env_experiment(env, basis, learner_cfg, sim_cfg, law=law,
                               dither_spec=dither_spec, W0=W0)
-
-
-def rollout_augmented(dyn: AugmentedDynamics, z0: np.ndarray, u_fn, dt: float,
-                      t_end: float):
-    """Open-loop rollout of the stacked system under a prescribed control.
-
-    Returns (times, states, controls); used by the window-identity oracle.
-    """
-    n_steps = int(round(t_end / dt))
-    ts = np.arange(n_steps + 1) * dt
-    zs = np.zeros((n_steps + 1, len(z0)))
-    us = np.zeros((n_steps + 1, dyn.m))
-    zs[0] = z0
-    for k in range(n_steps):
-        u = np.atleast_1d(u_fn(ts[k]))
-        us[k] = u
-        zs[k + 1] = rk4_step(lambda t, zz: dyn.F(zz) + dyn.G(zz) @ u,
-                             ts[k], zs[k], dt)
-    us[n_steps] = np.atleast_1d(u_fn(ts[n_steps]))
-    return ts, zs, us

@@ -14,12 +14,12 @@ from irltrack.benchmarks import discounted_riccati, ideal_weights
 from irltrack.benchmarks.uav import PHI, PSI, THETA
 from irltrack.catalog import make_plant, make_reference
 from irltrack.checks import check_window_identity
-from irltrack.learner import (LearnerConfig, ReinforcementBuffer, law_terms,
-                              reinforcement_integral)
+from irltrack.learner import LearnerConfig
 from irltrack.models import AugmentedDynamics, augmented_linear
 from irltrack.policy import (SaturationSpec, penalty_closed, penalty_integral,
                              tau2_raw)
 from irltrack.sim import SimConfig, run_experiment
+from reference import ReinforcementBuffer, law_terms, reinforcement_integral
 
 DEG = math.pi / 180.0
 

@@ -1,10 +1,12 @@
-"""The batched sweep engine against the scalar loop.
+"""The one step loop against the scalar reference loop.
 
-The scalar `run_env_experiment` is the reference: every batch member agrees
-with the scalar run of its own config at every record, within 1e-12 of each
+`tests/reference.py` holds the scalar loop the package used to run, one
+point at a time: every member of a batch, and every environment run as a
+batch of one (the UAV, a nonlinear catalog pair), agrees with the
+reference run of its own config at every record, within 1e-12 of each
 column's largest magnitude; a member's output does not depend on how the
 sweep is cut into batches; a faulted member leaves the batch with the
-scalar run's fault while the others go on; and sweeps that do not batch
+reference run's fault while the others go on; and sweeps that do not batch
 run every point exactly as `irltrack run` does.
 """
 import csv
@@ -14,10 +16,10 @@ import numpy as np
 import pytest
 
 import irltrack.cli as cli
-from irltrack.batch import run_batch
+import reference
 from irltrack.config import apply_overrides, parse_config, resolve
 from irltrack.errors import NumericFault
-from irltrack.sim import run_env_experiment
+from irltrack.sim import run_batch
 
 TOL = 1e-12   # of each telemetry column's largest magnitude
 
@@ -43,26 +45,28 @@ POINTS = [
 ]
 
 
-def load(tmp_path, overrides, name="c"):
+def load(tmp_path, overrides, name="c", config="linear_benchmark"):
     path = tmp_path / f"{name}.ini"
-    apply_overrides(cli.resolve_config_path("linear_benchmark"), overrides, path)
+    apply_overrides(cli.resolve_config_path(config), overrides, path)
     cfg, errors = parse_config(path)
     assert not errors, errors
     return cfg
 
 
 def scalar(cfg):
+    """The reference loop's run of `cfg`: (telemetry, fault or None)."""
     env, basis = resolve(cfg)
     try:
-        return run_env_experiment(env, basis, cfg.learner, cfg.sim,
-                                  law=cfg.law, dither_spec=cfg.dither), None
+        return reference.run_env_experiment(
+            env, basis, cfg.learner, cfg.sim, law=cfg.law,
+            dither_spec=cfg.dither), None
     except NumericFault as fault:
         return fault.telemetry, fault
 
 
 def batched(cfgs):
     loaded = [resolve(cfg) for cfg in cfgs]
-    return run_batch([(env, cfg.learner, cfg.law, cfg.dither)
+    return run_batch([(env, cfg.learner, cfg.law, cfg.dither, None)
                       for cfg, (env, _) in zip(cfgs, loaded)],
                      loaded[0][1], cfgs[0].sim)
 
@@ -88,6 +92,18 @@ def test_every_member_matches_its_scalar_run(tmp_path):
     # criterion 8 inside one batch: baseline == the degenerate novel law
     W_base, W_degenerate = (results[i][0].columns("W") for i in (1, 6))
     assert float(np.max(np.abs(W_base - W_degenerate))) <= 1e-10
+    # environments that step themselves, each as a batch of one: the UAV
+    # before its divergence onset (0.16 s), and a nonlinear catalog pair
+    for config, overrides, rows in (
+            ("uav_attitude", ["sim.t_end_s=0.15", "sim.record_every=1"], 151),
+            ("linear_benchmark", ["sim.t_end_s=0.5", "experiment.plant=integrator",
+                                  "plant.n=2", "saturation.r_diag=10 10"], 51)):
+        cfg = load(tmp_path, overrides, config, config)
+        ((tel, fault),) = batched([cfg])
+        ref, ref_fault = scalar(cfg)
+        assert fault is None and ref_fault is None
+        assert len(tel.rows) == rows and tel.header == ref.header
+        assert column_error(ref.rows, tel.rows) <= TOL, config
 
 
 def test_member_does_not_depend_on_its_batch(tmp_path):
@@ -165,14 +181,13 @@ def test_faulted_member_leaves_with_the_scalar_fault(tmp_path, alpha):
     assert code == cli.EXIT_NUMERIC
     assert [row["status"] for row in summary(out)] == ["ok", "exit3"]
     assert manifest_value(out / "run000", "batch_size") == "2"
-    ref_code, ref_tel, _ = cli.run_one(
-        cli.resolve_config_path("linear_benchmark"),
-        ["sim.t_end_s=0.5", "sim.record_every=1", f"learner.alpha={alpha}"],
-        str(tmp_path / "ref"))
-    assert ref_code == cli.EXIT_NUMERIC
-    # the same t, step, component and message as the scalar run
-    assert manifest_value(out / "run001", "status") == \
-        manifest_value(tmp_path / "ref", "status")
+    ref_tel, ref_fault = scalar(load(tmp_path, [
+        "sim.t_end_s=0.5", "sim.record_every=1", f"learner.alpha={alpha}"]))
+    assert ref_fault is not None
+    # the same t, step, component and message as the reference run
+    assert manifest_value(out / "run001", "status") == (
+        f"numeric fault at t={ref_fault.t!r}, step {ref_fault.step}: "
+        f"{ref_fault}")
     got = np.loadtxt(out / "run001" / "telemetry.csv", delimiter=",",
                      skiprows=1, ndmin=2)
     assert column_error(ref_tel.rows, got) <= TOL

@@ -530,6 +530,38 @@ def test_weight_error_of_a_faulted_run_stays_finite(tmp_path):
     assert float(written[-1]) == pytest.approx(want, rel=1e-12)
 
 
+def test_summary_rms_of_a_faulted_run_stays_finite(tmp_path):
+    """The trailing |e_hat| RMS of a faulted point is taken with the tail
+    scaled by its largest entry once its squares overflow; a healthy point
+    keeps the plain formula's bytes."""
+    out = tmp_path / "sweep"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["sweep", "linear_benchmark",
+                         "--override", "sim.t_end_s=0.5",
+                         "--grid", "learner.alpha=150,1e8",
+                         "--out", str(out)]) == cli.EXIT_NUMERIC
+    with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["status"] for row in rows] == ["ok", "exit3"]
+    for row in rows:
+        header = (out / row["run"] / "telemetry.csv").read_text() \
+            .splitlines()[0].split(",")
+        e_hat = np.loadtxt(out / row["run"] / "telemetry.csv", delimiter=",",
+                           skiprows=1, ndmin=2)[:, header.index("e_hat")]
+        tail = np.abs(e_hat[-max(1, len(e_hat) // 10):])
+        with np.errstate(over="ignore"):
+            plain = float(np.sqrt(np.mean(tail ** 2)))
+        if np.isfinite(plain):
+            assert row["ehat_rms_last10"] == repr(plain)
+        else:   # the faulted point: its squares overflow
+            scale = float(np.max(tail))
+            want = scale * float(np.sqrt(np.mean((tail / scale) ** 2)))
+            assert float(row["ehat_rms_last10"]) == pytest.approx(want,
+                                                                  rel=1e-12)
+            assert 1e154 < want < np.inf
+
+
 def test_unstabilizable_oracle_skips_weight_error_series(tmp_path):
     out = tmp_path / "nogain"
     assert cli.main(["run", "linear_benchmark",

@@ -138,6 +138,20 @@ def test_dt_must_not_exceed_T():
     check_run("novel", lcfg, SimConfig(dt=lcfg.T, t_end=0.05))
 
 
+@pytest.mark.parametrize("t_end, steps", [(0.0025, 3), (0.0035, 4),
+                                          (0.3, 300), (20.0, 20000)])
+def test_run_ends_at_the_first_step_at_or_after_the_horizon(t_end, steps):
+    # 0.3 / 0.001 is 299.99999999999994 in floats: the slack keeps 300
+    assert SimConfig(dt=1e-3, t_end=t_end).n_steps == steps
+    if t_end < 1.0:
+        plant, ref, basis, sat, lcfg, _, _ = small_setup()
+        tel = run_experiment(plant, ref, basis, lcfg,
+                             SimConfig(dt=1e-3, t_end=t_end),
+                             x0=np.array([2.0, 0.0]))
+        assert len(tel.rows) == steps + 1
+        assert tel.t[-1] == steps * 1e-3 >= t_end
+
+
 def test_numeric_fault_carries_partial_telemetry():
     plant, ref, basis, sat, lcfg, scfg, _ = small_setup(alpha=1e308, t_end=0.5)
     with pytest.raises(NumericFault) as exc:
@@ -199,10 +213,11 @@ def test_fused_step_evaluates_each_quantity_once(monkeypatch, m_term):
 
     plant, ref, basis, sat, lcfg, scfg, _ = small_setup(t_end=0.05)
     lcfg = dataclasses.replace(lcfg, m_term_enabled=m_term)
-    basis = dataclasses.replace(basis, grad=counting("grad", basis.grad))
+    basis = dataclasses.replace(basis, grad_rows=counting("grad", basis.grad_rows))
     env = AugmentedTrackingEnv(plant, ref, x0=np.array([2.0, 0.0]))
     env.dyn = dataclasses.replace(env.dyn, G=counting("G", env.dyn.G))
-    monkeypatch.setattr(sim, "m_vector_raw", counting("M", sim.m_vector_raw))
+    env.linear_pair = lambda: None   # so the loop reads G(z) from the env
+    monkeypatch.setattr(sim, "m_vector", counting("M", sim.m_vector))
     sim.run_env_experiment(env, basis, lcfg, scfg)
     iterations = round(scfg.t_end / scfg.dt) + 1
     assert calls == {"grad": iterations, "G": iterations,
