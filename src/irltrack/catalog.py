@@ -1,11 +1,14 @@
 """Named registries of plants, references and environments, and `make_env`,
 the one place an experiment's environment is built.
 
-Builders take the config section's extra keys (a plain dict of strings).
-`make_env` pairs a registered plant with a registered reference in an
-`AugmentedTrackingEnv`; an environment entry instead builds, for its one
-plant/reference pair, an object with its own physics and the same
-`sim.TrackingEnv` protocol.  Tests and downstream users may register more.
+Builders take the config section's extra keys (a plain dict of strings)
+and are registered with the keys they read.  `make_env` pairs a registered
+plant with a registered reference in an `AugmentedTrackingEnv`; an
+environment entry instead builds, for its one plant/reference pair, an
+object with its own physics and the same `sim.TrackingEnv` protocol.  A
+[plant] or [reference] key that no registered builder reads is an error,
+so a misspelled key cannot fall back to a default.  Tests and downstream
+users may register more.
 """
 from __future__ import annotations
 
@@ -15,29 +18,33 @@ from .errors import ConfigurationError
 from .models import AffinePlant, ReferenceModel
 from .sim import AugmentedTrackingEnv
 
-_PLANTS: dict = {}
-_REFERENCES: dict = {}
-_ENVS: dict = {}   # plant id -> (the reference id it requires, builder)
+_PLANTS: dict = {}       # plant id -> (builder, the [plant] keys it reads)
+_REFERENCES: dict = {}   # reference id -> (builder, the [reference] keys it reads)
+# plant id -> (the reference id it requires, builder, its [plant] keys, its
+# [reference] keys)
+_ENVS: dict = {}
 
 
-def register_plant(name: str):
+def register_plant(name: str, keys=()):
+    """Register a catalog plant builder reading the [plant] `keys`; `x0`
+    is a key of every catalog plant (`make_env` reads it)."""
     def deco(builder):
-        _PLANTS[name] = builder
+        _PLANTS[name] = (builder, {"x0", *keys})
         return builder
     return deco
 
 
-def register_reference(name: str):
+def register_reference(name: str, keys=()):
     def deco(builder):
-        _REFERENCES[name] = builder
+        _REFERENCES[name] = (builder, set(keys))
         return builder
     return deco
 
 
-def register_env(plant: str, reference: str):
+def register_env(plant: str, reference: str, plant_keys=(), reference_keys=()):
     """Register a self-contained environment for the pair (plant, reference)."""
     def deco(builder):
-        _ENVS[plant] = (reference, builder)
+        _ENVS[plant] = (reference, builder, set(plant_keys), set(reference_keys))
         return builder
     return deco
 
@@ -46,7 +53,15 @@ def _build(registry: dict, kind: str, name: str, params: dict | None):
     if name not in registry:
         raise ConfigurationError(
             f"unknown {kind} {name!r}; available: {sorted(registry)}")
-    return registry[name](params or {})
+    return registry[name][0](params or {})
+
+
+def _known_keys() -> dict:
+    """Per section, the keys that some registered builder reads."""
+    return {"plant": set().union(*(keys for _, keys in _PLANTS.values()),
+                                 *(env[2] for env in _ENVS.values())),
+            "reference": set().union(*(keys for _, keys in _REFERENCES.values()),
+                                     *(env[3] for env in _ENVS.values()))}
 
 
 def make_plant(name: str, params: dict | None = None) -> AffinePlant:
@@ -58,10 +73,20 @@ def make_reference(name: str, params: dict | None = None) -> ReferenceModel:
 
 
 def make_env(plant_id: str, reference_id: str, plant_params: dict | None = None,
-             reference_params: dict | None = None):
-    """Build the tracking environment of an experiment's plant/reference pair."""
+             reference_params: dict | None = None, exempt=()):
+    """Build the tracking environment of an experiment's plant/reference pair.
+
+    `exempt` names keys that may appear in the params without a builder
+    reading them (the config's [DEFAULT] keys)."""
+    known = _known_keys()
+    errs = [f"{section}.{key}: unknown key; known: {', '.join(sorted(known[section]))}"
+            for section, params in (("plant", plant_params),
+                                    ("reference", reference_params))
+            for key in params or {} if key not in known[section] | set(exempt)]
+    if errs:
+        raise ConfigurationError("; ".join(errs))
     if plant_id in _ENVS:
-        required, builder = _ENVS[plant_id]
+        required, builder = _ENVS[plant_id][:2]
         if reference_id != required:
             raise ConfigurationError(
                 f"experiment.reference: the {plant_id} plant requires the "
@@ -83,11 +108,6 @@ def make_env(plant_id: str, reference_id: str, plant_params: dict | None = None,
             f"plant.x0: need {plant.n} entries for this plant, got {x0.size}")
     return AugmentedTrackingEnv(plant, make_reference(reference_id,
                                                       reference_params), x0=x0)
-
-
-def is_environment(plant_id: str) -> bool:
-    """Whether `plant_id` names a self-contained environment (`register_env`)."""
-    return plant_id in _ENVS
 
 
 def plant_names():
@@ -133,7 +153,7 @@ def _vector(value) -> np.ndarray:
         np.asarray(value, dtype=float)
 
 
-@register_plant("linear_osc")
+@register_plant("linear_osc", keys=("omega", "gain"))
 def _linear_osc(params):
     omega = param(params, "plant", "omega", 0.5)
     gain = param(params, "plant", "gain", 1.0)
@@ -143,7 +163,7 @@ def _linear_osc(params):
                        name="linear_osc", linear=(A, B)).validate()
 
 
-@register_plant("zero")
+@register_plant("zero", keys=("n", "m"))
 def _zero_plant(params):
     n = param(params, "plant", "n", 1, _dimension)
     m = param(params, "plant", "m", 1, _dimension)
@@ -151,21 +171,21 @@ def _zero_plant(params):
                        g=lambda x: np.zeros((n, m)), name="zero").validate()
 
 
-@register_plant("integrator")
+@register_plant("integrator", keys=("n",))
 def _integrator(params):
     n = param(params, "plant", "n", 1, _dimension)
     return AffinePlant(n=n, m=n, f=lambda x: np.zeros(n), g=lambda x: np.eye(n),
                        name="integrator").validate()
 
 
-@register_reference("zero")
+@register_reference("zero", keys=("n",))
 def _zero_ref(params):
     n = param(params, "reference", "n", 1, _dimension)
     return ReferenceModel(H=lambda xd: np.zeros(n), x_d0=np.zeros(n),
                           name="zero").validate()
 
 
-@register_reference("harmonic")
+@register_reference("harmonic", keys=("omega", "x_d0"))
 def _harmonic_ref(params):
     omega = param(params, "reference", "omega", 0.5)
     x0 = param(params, "reference", "x_d0", (1.0, 0.0), _vector)
@@ -177,7 +197,9 @@ def _harmonic_ref(params):
                           name="harmonic", linear=H).validate()
 
 
-@register_env("aerosonde", reference="attitude_schedule")
+@register_env("aerosonde", reference="attitude_schedule",
+              plant_keys=("airframe", "va_m_s", "altitude_m"),
+              reference_keys=("setpoints_deg", "gains", "initial_attitude"))
 def _aerosonde(plant_params, reference_params):
     from .benchmarks.uav import make_uav_env
     return make_uav_env(plant_params, reference_params)

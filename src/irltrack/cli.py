@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__, catalog
+from . import __version__
 from .basis import quad_basis
 from .benchmarks.linear import discounted_riccati, ideal_weights
 from .config import ExperimentConfig, apply_overrides, parse_config, resolve
@@ -256,28 +256,23 @@ class _Point(NamedTuple):
 
 
 def _batch_key(cfg: ExperimentConfig | None):
-    """What points must share to run in one batch, or None when `cfg`
-    cannot run batched: points on linear catalog pairs, grouped by their
-    plant/reference ids, basis, [sim] and window T."""
-    # a self-contained environment (the UAV) is never built here: its
-    # builder solves a trim, and it has no linear pair
-    if cfg is None or catalog.is_environment(cfg.plant_id):
+    """What points must share to run in one batch, or None when `cfg` does
+    not load: plant/reference ids, basis, [sim], window T and the
+    environment's dimensions."""
+    if cfg is None:
         return None
     try:
         env, _ = resolve(cfg)
-    except ConfigurationError:
-        return None
-    if env.linear_pair() is None:
+    except (ConfigurationError, OracleFailure):
         return None
     return (cfg.plant_id, cfg.reference_id, cfg.basis_id, cfg.sim,
-            cfg.learner.T, env.dim_z, env.m)
+            cfg.learner.T, env.dim_z, env.m, len(env.x), len(env.x_d))
 
 
 def _chunks(points: list[_Point], workers: int) -> list[list[int]]:
     """Point indices per task, ordered by first point.  Each batch group
-    is split into at most `workers` contiguous chunks of near-equal size and
-    at least two points (a group of one runs alone); every other point
-    runs alone."""
+    is split into at most `workers` contiguous chunks of near-equal size;
+    a point that does not load runs alone."""
     groups: dict = {}
     chunks = []
     for i, point in enumerate(points):
@@ -287,7 +282,7 @@ def _chunks(points: list[_Point], workers: int) -> list[list[int]]:
         else:
             groups.setdefault(key, []).append(i)
     for members in groups.values():
-        parts = max(1, min(workers, len(members) // 2))
+        parts = min(workers, len(members))
         size, extra = divmod(len(members), parts)
         lo = 0
         for j in range(parts):

@@ -9,8 +9,9 @@ malformed key is reported once and the object that needs it is not built;
 an unknown key in [experiment], [saturation], [learner], [sim] or [dither]
 is an error, so a misspelled key cannot fall back to a default.
 `resolve` builds the environment (`catalog.make_env` on the [experiment]
-ids, with the [plant] and [reference] keys) and the basis.  Nothing here
-knows any particular plant.
+ids, with the [plant] and [reference] keys, which it checks against the
+keys its builders read) and the basis.  Nothing here knows any particular
+plant.
 """
 from __future__ import annotations
 
@@ -84,6 +85,7 @@ class ExperimentConfig:
     sim: SimConfig
     dither: DitherSpec
     raw: dict
+    default_keys: frozenset     # the [DEFAULT] section's keys
 
 
 def parse_config(path) -> tuple[ExperimentConfig | None, list[str]]:
@@ -173,17 +175,18 @@ def parse_config(path) -> tuple[ExperimentConfig | None, list[str]]:
         law=law,
         plant_params=raw.get("plant", {}),
         reference_params=raw.get("reference", {}),
-        learner=learner, sim=sim, dither=dither, raw=raw), []
+        learner=learner, sim=sim, dither=dither, raw=raw,
+        default_keys=frozenset(cp.defaults())), []
 
 
 def resolve(cfg: ExperimentConfig):
     """The environment and the basis of a parsed config, as (env, basis).
 
-    Raises ConfigurationError when the pair, the basis, or the plant's
-    dimensions do not fit the config.
+    Raises ConfigurationError when the pair, a [plant] or [reference] key,
+    the basis, or the plant's dimensions do not fit the config.
     """
     env = catalog.make_env(cfg.plant_id, cfg.reference_id, cfg.plant_params,
-                           cfg.reference_params)
+                           cfg.reference_params, exempt=cfg.default_keys)
     if len(cfg.learner.Q1) != env.dim_z:
         raise ConfigurationError(
             f"learner.q1_diag: need {env.dim_z} entries for this plant, "

@@ -95,10 +95,14 @@ class LearnerConfig:
 
 
 def gain_pow(x: float, p: float) -> float:
-    """|x|^p with 0^0 = 1 and 0^p = 0 for p > 0 (right-continuous dead zone)."""
+    """|x|^p with 0^0 = 1 and 0^p = 0 for p > 0 (right-continuous dead zone);
+    inf where the power overflows, so the update faults on its weights."""
     if x == 0.0:
         return 1.0 if p == 0.0 else 0.0
-    return abs(x) ** p
+    try:
+        return abs(x) ** p
+    except OverflowError:
+        return math.inf
 
 
 def _gain_pow(x: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -33,7 +33,8 @@ _LOG2 = float(np.log(2.0))
 
 @dataclass(frozen=True)
 class SaturationSpec:
-    """Actuator bound u_m (> 0) and positive-definite diagonal control weight R.
+    """Actuator bound u_m (> 0, with a finite u_m^2: the penalty's scale)
+    and positive-definite diagonal control weight R.
 
     R defaults to 1, the weight of a single control channel.
     """
@@ -45,6 +46,9 @@ class SaturationSpec:
         object.__setattr__(self, "R", np.atleast_2d(np.asarray(self.R, dtype=float)))
         if not 0 < self.u_m < math.inf:
             raise ConfigurationError(f"u_m must be finite and > 0, got {self.u_m}",
+                                     ("u_m",))
+        if self.u_m * self.u_m == math.inf:
+            raise ConfigurationError(f"u_m^2 must be finite, got u_m = {self.u_m}",
                                      ("u_m",))
         d = np.diag(self.R)
         if self.R.shape[0] != self.R.shape[1]:

@@ -6,8 +6,9 @@ batch of one (the UAV, a nonlinear catalog pair), agrees with the
 reference run of its own config at every record, within 1e-12 of each
 column's largest magnitude; a member's output does not depend on how the
 sweep is cut into batches; a faulted member leaves the batch with the
-reference run's fault while the others go on; and sweeps that do not batch
-run every point exactly as `irltrack run` does.
+reference run's fault while the others go on; and sweeps of environments
+that step themselves (the UAV, a nonlinear catalog pair) batch too, each
+member writing the bytes `irltrack run` writes for its point.
 """
 import csv
 import re
@@ -200,20 +201,23 @@ def test_faulted_member_leaves_with_the_scalar_fault(tmp_path, alpha):
 
 
 @pytest.mark.parametrize("config, overrides", [
-    ("uav_attitude", ["sim.t_end_s=0.03"]),
-    # the integrator has no `linear` form: a nonlinear catalog pair to the CLI
+    # past the UAV's divergence onset (0.16 s), every step a record
+    ("uav_attitude", ["sim.t_end_s=0.5", "sim.record_every=1"]),
+    # the integrator has no `linear` form: a nonlinear catalog pair
     ("linear_benchmark", ["sim.t_end_s=0.1", "experiment.plant=integrator",
                           "plant.n=2", "saturation.r_diag=10 10"]),
 ])
 def test_unbatched_sweeps_run_each_point_as_run_does(tmp_path, config,
                                                      overrides):
+    # environments that step themselves batch like linear pairs do, and
+    # each member writes the bytes of its own run
     out = tmp_path / "sweep"
     args = [a for ov in overrides for a in ("--override", ov)]
     assert cli.main(["sweep", config, *args, "--grid", "learner.alpha=1,2",
                      "--out", str(out)]) == cli.EXIT_OK
     for i, alpha in enumerate(("1", "2")):
         run = out / f"run{i:03d}"
-        assert manifest_value(run, "batch_size") is None
+        assert manifest_value(run, "batch_size") == "2"
         ref = tmp_path / f"ref{i}"
         code, _, _ = cli.run_one(cli.resolve_config_path(config),
                                  overrides + [f"learner.alpha={alpha}"],
@@ -221,6 +225,38 @@ def test_unbatched_sweeps_run_each_point_as_run_does(tmp_path, config,
         assert code == cli.EXIT_OK
         assert (run / "telemetry.csv").read_bytes() == \
             (ref / "telemetry.csv").read_bytes()
+
+
+def artifacts(run):
+    """A run directory's telemetry.csv and series/ bytes, by name."""
+    files = [run / "telemetry.csv", *sorted((run / "series").glob("*.dat"))]
+    return {f.name: f.read_bytes() for f in files if f.is_file()}
+
+
+def test_uav_sweep_batches_around_a_trim_failure(tmp_path):
+    # 0.5 m/s has no trim (exit 4, alone); 18 and 2000 m/s batch together,
+    # and 2000 faults
+    overrides = ["sim.t_end_s=0.05", "sim.record_every=1"]
+    args = [a for ov in overrides for a in ("--override", ov)]
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "uav_attitude", *args,
+                     "--grid", "plant.va_m_s=18,0.5,2000",
+                     "--out", str(out)]) == cli.EXIT_ORACLE
+    assert [row["status"] for row in summary(out)] == ["ok", "exit4", "exit3"]
+    assert [manifest_value(out / f"run00{i}", "batch_size")
+            for i in (0, 2)] == ["2", "2"]
+    for i, va in enumerate(("18", "0.5", "2000")):
+        ref = tmp_path / f"ref{i}"
+        code, _, _ = cli.run_one(cli.resolve_config_path("uav_attitude"),
+                                 overrides + [f"plant.va_m_s={va}"], str(ref))
+        assert code == [cli.EXIT_OK, cli.EXIT_ORACLE, cli.EXIT_NUMERIC][i]
+        run = out / f"run00{i}"
+        assert artifacts(run) == artifacts(ref)
+        if va == "0.5":   # no trim: no manifest, here or alone
+            assert not (run / "manifest.txt").exists()
+            assert not (ref / "manifest.txt").exists()
+        else:
+            assert manifest_value(run, "status") == manifest_value(ref, "status")
 
 
 def test_one_riccati_solve_per_distinct_pair(tmp_path, monkeypatch):
@@ -241,3 +277,35 @@ def test_one_riccati_solve_per_distinct_pair(tmp_path, monkeypatch):
     for row in summary(out):
         assert (out / row["run"] / "series" /
                 "weight_error_vs_oracle.dat").is_file()
+
+
+@pytest.mark.parametrize("axis, code", [
+    # sigma^400 overflows at the first stabilizer update: a numeric fault
+    ("learner.k2=0.01,400", cli.EXIT_NUMERIC),
+    # u_m^2 overflows: a configuration error naming the key
+    ("saturation.u_m=56,1e200", cli.EXIT_CONFIG),
+])
+def test_an_overflow_fails_only_its_own_point(tmp_path, capsys, axis, code):
+    overrides = ["sim.t_end_s=0.05", "sim.record_every=1",
+                 "learner.stabilizer=on"]
+    args = [a for ov in overrides for a in ("--override", ov)]
+    key, _, values = axis.partition("=")
+    code_sweep, out = sweep(tmp_path, "sweep", *args, "--grid", axis)
+    assert code_sweep == code
+    assert [row["status"] for row in summary(out)] == ["ok", f"exit{code}"]
+    for i, value in enumerate(values.split(",")):
+        ref = tmp_path / f"ref{i}"
+        assert cli.main(["run", "linear_benchmark", *args, "--override",
+                         f"{key}={value}", "--out", str(ref)]) == \
+            (cli.EXIT_OK, code)[i]
+        run = out / f"run00{i}"
+        assert artifacts(run) == artifacts(ref)
+        if (ref / "manifest.txt").exists():
+            assert manifest_value(run, "status") == manifest_value(ref, "status")
+    if code == cli.EXIT_NUMERIC:
+        assert manifest_value(out / "run000", "batch_size") == "2"
+        assert manifest_value(out / "run001", "status").startswith(
+            "numeric fault at t=0.004, step 4: critic weights non-finite")
+    else:
+        assert not (out / "run001" / "manifest.txt").exists()
+        assert f"{key}: u_m^2 must be finite" in capsys.readouterr().out

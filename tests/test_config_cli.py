@@ -297,6 +297,8 @@ def edited_keys(tmp_path, name, edits):
     ("linear_benchmark", {"saturation.u_m": None}, "saturation.u_m"),
     ("linear_benchmark", {"learner.stabilizer": "maybe"}, "learner.stabilizer"),
     ("linear_benchmark", {"learner.q1_diag": ""}, "learner.q1_diag"),
+    # u_m^2 overflows
+    ("uav_attitude", {"saturation.u_m_deg": "1e300"}, "saturation.u_m_deg"),
 ])
 def test_parse_defects_name_their_field(tmp_path, name, edits, field):
     cfg, errors = parse_config(edited_keys(tmp_path, name, edits))
@@ -316,6 +318,7 @@ def test_parse_defects_name_their_field(tmp_path, name, edits, field):
     "learner.k2=inf", "learner.k1_gain=inf", "learner.k2_gain=nan",
     "learner.t_window_s=inf", "learner.q1_diag=1 nan 0 0",
     "saturation.u_m=inf", "saturation.r_diag=inf", "dither.amplitude=nan",
+    "saturation.u_m=1e200",
     "sim.dt_s=nan", "sim.t_end_s=inf",
     # keys no section defines: a misspelling must not fall back to a default
     "learner.alpah=2000", "experiment.lawz=baseline", "saturation.u_max=5",
@@ -362,6 +365,12 @@ def test_every_config_rule_rejects_and_names_its_key(tmp_path, capsys,
     ("linear_benchmark", ["plant.x0=1 2 3"], "plant.x0"),
     ("linear_benchmark", ["plant.x0=1"], "plant.x0"),
     ("linear_benchmark", ["reference.x_d0=1 0 0"], "reference.x_d0"),
+    # keys no builder reads: a misspelling must not fall back to a default
+    ("linear_benchmark", ["plant.omgea=3"], "plant.omgea"),
+    ("linear_benchmark", ["reference.x_d00=5 5"], "reference.x_d00"),
+    ("uav_attitude", ["plant.va=25"], "plant.va"),
+    ("uav_attitude", ["reference.setpoint_deg=0: 0 0 0"],
+     "reference.setpoint_deg"),
 ])
 def test_builder_defects_name_their_key(tmp_path, capsys, name, overrides,
                                         field):
@@ -594,3 +603,18 @@ def test_environment_pair_is_checked_by_the_catalog(tmp_path):
     assert "attitude_schedule" in str(exc.value)
     with pytest.raises(ConfigurationError):
         catalog.make_env("aerosonde", "harmonic")
+
+
+def test_builder_keys_of_other_plants_and_default_keys_pass(tmp_path):
+    # a key that another builder reads (omega and gain of linear_osc, on the
+    # integrator) and a [DEFAULT] key are accepted
+    path = edited_config(tmp_path, "linear_benchmark", [
+        "experiment.plant=integrator", "plant.n=2", "saturation.r_diag=10 10"])
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("[DEFAULT]\nnote = integrator arm\n\n" + text)
+    cfg, errors = parse_config(path)
+    assert not errors
+    resolve(cfg)
+    assert cli.main(["validate", path]) == cli.EXIT_OK

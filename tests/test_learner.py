@@ -178,6 +178,12 @@ def test_gain_pow_conventions():
     assert gain_pow(3.0, 0.0) == 1.0
 
 
+def test_gain_pow_overflows_to_inf():
+    # Python's float power raises past the largest float; the law needs inf
+    assert gain_pow(26.7, 400.0) == math.inf
+    assert gain_pow(-1e200, 2.0) == math.inf
+
+
 class TestMVector:
     def setup_method(self):
         self.basis = quad_basis(2)
