@@ -5,10 +5,8 @@ __version__ = "0.1.0"
 from .basis import RegressorBasis, eval_grad, make_basis, quad_basis
 from .errors import ConfigurationError, NotReady, NumericFault, OracleFailure
 from .learner import CriticRows, LearnerConfig, WindowBuffer
-from .models import (AffinePlant, AugmentedDynamics, ReferenceModel, augment,
-                     eval_augmented)
-from .policy import (SaturationSpec, penalty_closed, penalty_integral,
-                     policy_eval, tau2_raw)
+from .models import AffinePlant, ReferenceModel
+from .policy import SaturationSpec, penalty_closed, penalty_integral
 from .sim import (DitherSpec, SimConfig, Telemetry, dither, rk4_step, run_batch,
                   run_env_experiment, run_experiment)
 
@@ -17,10 +15,8 @@ __all__ = [
     "RegressorBasis", "eval_grad", "make_basis", "quad_basis",
     "ConfigurationError", "NotReady", "NumericFault", "OracleFailure",
     "CriticRows", "LearnerConfig", "WindowBuffer",
-    "AffinePlant", "AugmentedDynamics", "ReferenceModel", "augment",
-    "eval_augmented",
-    "SaturationSpec", "penalty_closed", "penalty_integral", "policy_eval",
-    "tau2_raw",
+    "AffinePlant", "ReferenceModel",
+    "SaturationSpec", "penalty_closed", "penalty_integral",
     "DitherSpec", "SimConfig", "Telemetry", "dither", "rk4_step", "run_batch",
     "run_env_experiment", "run_experiment",
 ]

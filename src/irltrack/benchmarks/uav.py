@@ -25,7 +25,6 @@ import numpy as np
 
 from ..catalog import param, parse_floats
 from ..errors import ConfigurationError, NumericFault, OracleFailure
-from ..models import AugmentedDynamics
 from ..sim import Telemetry, rk4_step
 
 # state vector layout
@@ -385,7 +384,6 @@ class UavAttitudeEnv:
         self.state = trim.initial_state() if state is None else state
         self._t = 0.0
         self.x_d = self._rate_des(self._t)
-        self.dyn = AugmentedDynamics(n=3, m=3, G=self._coupling, F=None)
 
     @property
     def x(self):
@@ -395,7 +393,8 @@ class UavAttitudeEnv:
         att = self.state[[PHI, THETA, PSI]]
         return outer_loop(att, self.schedule.attitude_des(t), np.zeros(3), self.gains)
 
-    def _coupling(self, z) -> np.ndarray:
+    def G(self, z) -> np.ndarray:
+        """Rate-channel coupling at the live airspeed (z is not read)."""
         va = float(np.linalg.norm(self.state[[U, V, W]]))
         out = np.zeros((6, 3))
         out[:3, :] = rate_control_coupling(va, self.params)

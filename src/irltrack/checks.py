@@ -47,11 +47,12 @@ def check_basis_gradient(n_points: int = 50, seed: int = 3):
 def check_window_identity(gamma: float = 0.1, T: float = 1e-2, dt: float = 1e-4,
                           n_windows: int = 20):
     """exp(-gamma T) theta_t - theta_{t-T} vs the windowed quadrature of
-    exp(-gamma (tau-t+T)) (grad_theta (F+Gu) - gamma theta)."""
+    exp(-gamma (tau-t+T)) (grad_theta zdot - gamma theta), zdot = A z + B u
+    from the pair's stacked linear system."""
     # z0 = [1.5, -0.5, 1.0, 0.0] under the open-loop u = 0.5 sin(2t)
     env = catalog.make_env("linear_osc", "harmonic",
                            {"omega": 1.0, "x0": "2.5 -0.5"}, {"omega": 1.0})
-    dyn, basis = env.dyn, quad_basis(4)
+    (A, B), basis = env.linear_pair(), quad_basis(4)
     ts = np.arange(int(round(2.0 / dt)) + 1) * dt
     us = 0.5 * np.sin(2.0 * ts)[:, None]
     zs = [env.z()]
@@ -67,7 +68,7 @@ def check_window_identity(gamma: float = 0.1, T: float = 1e-2, dt: float = 1e-4,
         tau_s = ts[k - k_win:k + 1]
         w = np.exp(-gamma * (tau_s - ts[k] + T))
         vals = np.array([
-            basis.grad(zs[j]) @ (dyn.F(zs[j]) + dyn.G(zs[j]) @ us[j])
+            basis.grad(zs[j]) @ (A @ zs[j] + B @ us[j])
             - gamma * basis.eval(zs[j])
             for j in range(k - k_win, k + 1)])
         rhs = np.trapezoid(w[:, None] * vals, tau_s, axis=0)

@@ -103,7 +103,7 @@ def _write_manifest(path, cfg, telemetry: Telemetry | None, status: str,
         if telemetry is not None:
             fh.write(f"records = {len(telemetry.rows)}\n")
         fh.write("\n")
-        for section, items in cfg.raw.items():
+        for section, items in (cfg.raw.items() if cfg is not None else ()):
             fh.write(f"[{section}]\n")
             for k, v in items.items():
                 fh.write(f"{k} = {v}\n")
@@ -326,46 +326,54 @@ def _summary_row(point: _Point, status: str, telemetry: Telemetry | None,
 
 
 def _load(point: _Point):
-    """(env, basis) of a point, or its exit code once its errors are printed."""
-    errors, code = point.errors, EXIT_CONFIG
+    """(env, basis) of a point, or its exit code once its errors are
+    printed and its manifest, with the status and no records, written."""
+    t0 = time.perf_counter()
+    errors, code, status = point.errors, EXIT_CONFIG, "config error"
     if not errors:
         try:
             return resolve(point.cfg)
         except (ConfigurationError, OracleFailure) as exc:
             errors = [exc]
-            code = EXIT_ORACLE if isinstance(exc, OracleFailure) else EXIT_CONFIG
+            if isinstance(exc, OracleFailure):
+                code, status = EXIT_ORACLE, "oracle failure"
     for e in errors:
         print(f"  - {e}")
+    _write_manifest(os.path.join(point.out_dir, "manifest.txt"), point.cfg, None,
+                    f"{status}: {'; '.join(map(str, errors))}",
+                    time.perf_counter() - t0)
     return code
 
 
 def _run(points: list[_Point]) -> list[tuple[int, Telemetry | None]]:
-    """Run points as one batch and write their artifacts; returns (exit
-    code, telemetry or None) per point.  A point whose config does not load
-    runs alone (`_chunks`).  A manifest's wall time is the loop's / B, with
-    `batch_size = B` when B > 1; the oracle is solved once per distinct
-    (A, B, Q1, R, gamma)."""
+    """Run the points that load as one batch and write their artifacts;
+    returns (exit code, telemetry or None) per point.  A point that does
+    not load gets only its manifest (`_load`).  A batch manifest's wall
+    time is the loop's / B, with `batch_size = B` when B > 1; the oracle is
+    solved once per distinct (A, B, Q1, R, gamma)."""
     loaded = [_load(p) for p in points]
-    if isinstance(loaded[0], int):
-        return [(loaded[0], None)]
+    out: list = [(code, None) if isinstance(code, int) else None
+                 for code in loaded]
+    batch = [(i, p, *loaded[i]) for i, p in enumerate(points) if out[i] is None]
+    if not batch:
+        return out
     t0 = time.perf_counter()
     results = run_batch([(env, p.cfg.learner, p.cfg.law, p.cfg.dither, None)
-                         for p, (env, _) in zip(points, loaded)],
-                        loaded[0][1], points[0].cfg.sim)
-    wall = (time.perf_counter() - t0) / len(points)
+                         for _, p, env, _ in batch],
+                        batch[0][3], batch[0][1].cfg.sim)
+    wall = (time.perf_counter() - t0) / len(batch)
     oracles: dict = {}
-    out = []
-    for p, (env, _), (telemetry, fault) in zip(points, loaded, results):
+    for (i, p, env, _), (telemetry, fault) in zip(batch, results):
         lcfg, pair = p.cfg.learner, env.linear_pair()
         key = None if pair is None else b"".join(
             np.asarray(a, dtype=float).tobytes()
             for a in (*pair, lcfg.Q1, lcfg.sat.R, lcfg.gamma))
         if key not in oracles:
             oracles[key] = _oracle_weights(pair, lcfg)
-        out.append((_write_artifacts(p.out_dir, p.cfg, env, telemetry, fault,
-                                     wall, oracles[key],
-                                     len(points) if len(points) > 1 else None),
-                    telemetry))
+        out[i] = (_write_artifacts(p.out_dir, p.cfg, env, telemetry, fault,
+                                   wall, oracles[key],
+                                   len(batch) if len(batch) > 1 else None),
+                  telemetry)
     return out
 
 

@@ -106,6 +106,7 @@ def parse_config(path) -> tuple[ExperimentConfig | None, list[str]]:
                for key in cp.options(sec)
                if key not in known and key not in cp.defaults()]
     keys = {"law": "experiment.law"}   # constructor field -> its INI key
+    as_written = {}   # field read from a `_deg` key -> (radians, text given)
 
     def read(section, cls):
         """Keyword arguments of `cls` from the section, or None if a key is bad.
@@ -129,18 +130,29 @@ def parse_config(path) -> tuple[ExperimentConfig | None, list[str]]:
                     ok = False
             else:
                 keys[name] = f"{section}.{given[0]}"
+                text = cp.get(section, given[0])
                 try:
                     value = cp.getboolean(section, key) if parse is bool else \
-                        parse(cp.get(section, given[0]))
+                        parse(text)
                 except ValueError as exc:
                     errors.append(f"{keys[name]}: {exc}")
                     ok = False
                 else:
-                    kwargs[name] = value if given[0] == key else value * _DEG
+                    if given[0] != key:
+                        value *= _DEG
+                        as_written[name] = (value, text.strip())
+                    kwargs[name] = value
         return kwargs if ok else None
 
     def report(exc: ConfigurationError):
-        errors.append(f"{', '.join(keys[f] for f in exc.fields)}: {exc}")
+        """The error under its INI keys; a value read from a `_deg` key is
+        quoted as written, not in radians."""
+        msg = str(exc)
+        for f in exc.fields:
+            if f in as_written:
+                value, text = as_written[f]
+                msg = msg.replace(str(value), f"{text} deg")
+        errors.append(f"{', '.join(keys[f] for f in exc.fields)}: {msg}")
 
     def build(section, cls, **needs):
         """cls from the section's keys and `needs`; None if any is missing

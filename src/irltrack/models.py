@@ -1,4 +1,4 @@
-"""Control-affine plants, reference generators, and the augmented tracking system.
+"""Control-affine plants, reference generators, and the stacked linear pair.
 
 The tracking problem for ``xdot = f(x) + g(x) u`` against an autonomous
 reference ``xd_dot = H(xd)`` is recast as regulation of the stacked state
@@ -7,8 +7,10 @@ reference ``xd_dot = H(xd)`` is recast as regulation of the stacked state
     zdot = F(z) + G(z) u,
     F(z) = [f(e + xd) - H(xd), H(xd)],   G(z) = [g(e + xd), 0].
 
-Only point evaluations of ``G`` are ever consumed by the learner; ``F`` is
-needed for simulation and for test oracles.
+The learner reads only point evaluations of ``G``, which each environment
+offers as its method ``G(z)`` (`sim.AugmentedTrackingEnv` for a plant and
+reference from here); the drift ``F`` is never evaluated.  When both are
+linear, `augmented_linear` gives the stacked ``(A, B)``.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericFault
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -76,61 +78,9 @@ class ReferenceModel:
         return self
 
 
-@dataclass(frozen=True)
-class AugmentedDynamics:
-    """Vector field of the stacked system.
-
-    ``F`` may be None for environments that integrate their own physics and
-    expose only the control coupling (the learner never reads F).
-    """
-
-    n: int
-    m: int
-    G: Callable[[np.ndarray], np.ndarray]
-    F: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-
-def augment(plant: AffinePlant, ref: ReferenceModel) -> AugmentedDynamics:
-    """Build the stacked dynamics for a plant/reference pair.
-
-    Raises ConfigurationError when the reference dimension does not match
-    the plant state dimension.
-    """
-    if len(ref.x_d0) != plant.n:
-        raise ConfigurationError(
-            f"plant {plant.name!r} has n={plant.n} but reference {ref.name!r} "
-            f"has dimension {len(ref.x_d0)}")
-    n = plant.n
-
-    def F(z):
-        e, xd = z[:n], z[n:]
-        h = ref.H(xd)
-        return np.concatenate([plant.f(e + xd) - h, h])
-
-    def G(z):
-        e, xd = z[:n], z[n:]
-        out = np.zeros((2 * n, plant.m))
-        out[:n, :] = plant.g(e + xd)
-        return out
-
-    return AugmentedDynamics(n=n, m=plant.m, G=G, F=F)
-
-
 def augmented_linear(A_p: np.ndarray, B_p: np.ndarray, H_A: np.ndarray):
     """Stacked ``(A, B)`` of plant ``xdot = A_p x + B_p u`` and reference
-    ``xd_dot = H_A xd``: the linear case of `augment`."""
+    ``xd_dot = H_A xd``: the linear case of the stacked system."""
     A_p, B_p, H_A = (np.asarray(M, dtype=float) for M in (A_p, B_p, H_A))
     A = np.block([[A_p, A_p - H_A], [np.zeros_like(A_p), H_A]])
     return A, np.vstack([B_p, np.zeros_like(B_p)])
-
-
-def eval_augmented(dyn: AugmentedDynamics, z: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Evaluate ``F(z) + G(z) u``; faults on a non-finite component."""
-    if dyn.F is None:
-        raise ConfigurationError("this augmented system does not expose a drift field")
-    out = dyn.F(z) + dyn.G(z) @ np.atleast_1d(u)
-    if not np.all(np.isfinite(out)):
-        bad = int(np.flatnonzero(~np.isfinite(out))[0])
-        raise NumericFault(f"non-finite augmented derivative at component {bad}",
-                           component=bad)
-    return out

@@ -12,8 +12,8 @@ matching running-cost penalty is
 available both by adaptive quadrature (`penalty_integral`) and in closed
 form at u = -u_m tanh(tau) (`penalty_closed`); the two agree analytically
 and the pair is kept as a cross-check.  The step loop evaluates tau2 and
-the closed form for B rows at once (`tau2_rows`, `penalty_rows`); the
-one-point functions are their one-row case.
+the closed form for B rows at once (`tau2_rows`, `penalty_rows`);
+`penalty_closed` is the one-row case of the latter.
 """
 from __future__ import annotations
 
@@ -23,9 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import RegressorBasis
 from .errors import ConfigurationError
-from .models import AugmentedDynamics
 from .rows import vm
 
 _LOG2 = float(np.log(2.0))
@@ -74,19 +72,6 @@ def tau2_rows(W: np.ndarray, grad: np.ndarray, G: np.ndarray,
     """Saturation argument of each row from W (B, n1), grad_theta(z)
     (B, n1, d), G(z) (B, d, m) and den = 2 u_m R_ii (B, m)."""
     return vm(vm(W, grad), G) / den
-
-
-def tau2_raw(grad_theta: np.ndarray, G_z: np.ndarray, W_hat: np.ndarray,
-             sat: SaturationSpec) -> np.ndarray:
-    """Saturation argument at one point: the one-row `tau2_rows`."""
-    return tau2_rows(np.asarray(W_hat, dtype=float)[None], grad_theta[None],
-                     G_z[None], (2.0 * sat.u_m * sat.r_diag)[None])[0]
-
-
-def policy_eval(z: np.ndarray, W_hat: np.ndarray, dyn: AugmentedDynamics,
-                basis: RegressorBasis, sat: SaturationSpec) -> np.ndarray:
-    """Saturated control ``-u_m tanh(tau2)``; strictly inside +-u_m."""
-    return -sat.u_m * np.tanh(tau2_raw(basis.grad(z), dyn.G(z), W_hat, sat))
 
 
 def penalty_integral(u: np.ndarray, sat: SaturationSpec) -> float:

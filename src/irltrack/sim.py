@@ -33,8 +33,7 @@ import numpy as np
 from .basis import RegressorBasis
 from .errors import ConfigurationError, NumericFault
 from .learner import CriticRows, LearnerConfig, WindowBuffer, m_vector
-from .models import (AffinePlant, AugmentedDynamics, ReferenceModel, augment,
-                     augmented_linear)
+from .models import AffinePlant, ReferenceModel, augmented_linear
 from .policy import penalty_rows, saturate, tau2_rows
 from .rows import Rows, dot, mv, vm
 
@@ -223,12 +222,13 @@ class Telemetry:
 class TrackingEnv(Protocol):
     """What the step loop and the CLI read; the learner uses only z and G.
 
-    The loop reads environments as rows (z, G, x, x_d, `advance` with a
-    fault per row, the domain warning): linear pairs (`linear_pair()` not
-    None) from their matrices, all at once; any other one through these
-    methods, as one row."""
+    No drift field is part of it: an environment offers the control
+    coupling G(z) and integrates its own physics in `advance`.  The loop
+    reads environments as rows (z, G, x, x_d, `advance` with a fault per
+    row, the domain warning): linear pairs (`linear_pair()` not None) from
+    their matrices, all at once; any other one through these methods, as
+    one row."""
 
-    dyn: AugmentedDynamics       # control coupling dyn.G(z)
     control_names: Sequence[str]
     m: int
     dim_z: int
@@ -236,6 +236,7 @@ class TrackingEnv(Protocol):
     x_d: np.ndarray              # logged reference state
 
     def z(self) -> np.ndarray: ...
+    def G(self, z: np.ndarray) -> np.ndarray: ...  # (dim_z, m) control coupling
     def advance(self, u_applied: np.ndarray, t: float, dt: float): ...
     def check_domain(self, telemetry: Telemetry, t: float): ...
     def series(self, telemetry: Telemetry) -> dict: ...  # {panel: per-row values}
@@ -245,15 +246,19 @@ class TrackingEnv(Protocol):
 class AugmentedTrackingEnv:
     """Generic environment: a catalog plant tracking an autonomous reference.
 
-    Plant and reference are integrated side by side; the stacked state and
-    the control coupling G(z) come from `augment`.
+    Plant and reference are integrated side by side in `advance`; the
+    stacked state is z = [x - x_d, x_d] and the control coupling is
+    G(z) = [g(x); 0].
     """
 
     def __init__(self, plant: AffinePlant, ref: ReferenceModel,
                  x0: np.ndarray | None = None):
+        if len(ref.x_d0) != plant.n:
+            raise ConfigurationError(
+                f"plant {plant.name!r} has n={plant.n} but reference {ref.name!r} "
+                f"has dimension {len(ref.x_d0)}")
         self.plant = plant
         self.ref = ref
-        self.dyn: AugmentedDynamics = augment(plant, ref)
         self.x = np.array(x0 if x0 is not None else ref.x_d0, dtype=float)
         self.x_d = np.array(ref.x_d0, dtype=float)
         self.control_names = [f"u{i}" for i in range(plant.m)]
@@ -262,6 +267,12 @@ class AugmentedTrackingEnv:
 
     def z(self) -> np.ndarray:
         return np.concatenate([self.x - self.x_d, self.x_d])
+
+    def G(self, z: np.ndarray) -> np.ndarray:
+        n = self.plant.n
+        out = np.zeros((2 * n, self.plant.m))
+        out[:n, :] = self.plant.g(z[:n] + z[n:])
+        return out
 
     def advance(self, u_applied: np.ndarray, t: float, dt: float):
         n, f, g, H = self.plant.n, self.plant.f, self.plant.g, self.ref.H
@@ -291,7 +302,7 @@ class AugmentedTrackingEnv:
 
 class _EnvRows(Rows):
     """Environments as rows, each read and advanced through its own `z()`,
-    `dyn.G`, `advance` and `check_domain`."""
+    `G`, `advance` and `check_domain`."""
 
     def __init__(self, envs, **arrays):
         super().__init__(envs=list(envs), **arrays)
@@ -307,7 +318,7 @@ class _EnvRows(Rows):
         return np.array([env.z() for env in self.envs])
 
     def G(self, z):
-        return np.array([env.dyn.G(zi) for env, zi in zip(self.envs, z)])
+        return np.array([env.G(zi) for env, zi in zip(self.envs, z)])
 
     def advance(self, u_applied, t: float, dt: float):
         faults = []
@@ -328,9 +339,8 @@ class _LinearRows(_EnvRows):
     s = [x, x_d] under (A_p x + B_p u, H_A x_d), handed back to its env."""
 
     def __init__(self, envs):
-        B_p = np.array([e.plant.linear[1] for e in envs])
-        super().__init__(envs, B_p=B_p,
-                         G_z=np.concatenate((B_p, np.zeros_like(B_p)), axis=1),
+        super().__init__(envs, B_p=np.array([e.plant.linear[1] for e in envs]),
+                         G_z=np.array([e.G(e.z()) for e in envs]),
                          s=np.array([np.concatenate([e.x, e.x_d]) for e in envs]),
                          AH=np.array([(e.plant.linear[0], e.ref.linear) for e in envs]))
         self.n = envs[0].plant.n

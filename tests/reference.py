@@ -331,7 +331,7 @@ def run_env_experiment(env: TrackingEnv, basis: RegressorBasis,
             t = k * dt
             z = env.z()
             grad = basis.grad(z)
-            G_z = env.dyn.G(z)
+            G_z = env.G(z)
             W = state.W_hat
             tau = tau2_raw(grad, G_z, W, sat)
             u_hat = -sat.u_m * np.tanh(tau)

@@ -15,11 +15,11 @@ from irltrack.benchmarks.uav import PHI, PSI, THETA
 from irltrack.catalog import make_plant, make_reference
 from irltrack.checks import check_window_identity
 from irltrack.learner import LearnerConfig
-from irltrack.models import AugmentedDynamics, augmented_linear
-from irltrack.policy import (SaturationSpec, penalty_closed, penalty_integral,
-                             tau2_raw)
+from irltrack.models import augmented_linear
+from irltrack.policy import SaturationSpec, penalty_closed, penalty_integral
 from irltrack.sim import SimConfig, run_experiment
-from reference import ReinforcementBuffer, law_terms, reinforcement_integral
+from reference import (ReinforcementBuffer, law_terms, reinforcement_integral,
+                       tau2_raw)
 
 DEG = math.pi / 180.0
 
@@ -190,14 +190,14 @@ def test_criterion_8_law_containment():
 
 def _frozen_case():
     basis = quad_basis(2)
-    dyn = AugmentedDynamics(n=1, m=1, G=lambda z: np.array([[1.5], [0.0]]))
     sat = SaturationSpec(u_m=2.0, R=np.array([[1.0]]))
     cfg = LearnerConfig(alpha=3.0, gamma=0.1, T=1e-3, Q1=np.eye(2), sat=sat,
                         q2=0.1, k2=0.01, k1_gain=0.0, k2_gain=0.0)
     z = np.array([0.6, -0.2])
     W = np.array([0.2, -0.1, 0.3, 0.0, 0.1])
     dtheta = np.array([0.05, -0.02, 0.01, 0.0, 0.03])
-    return cfg, W, dtheta, basis.grad(z), dyn.G(z), z
+    G_z = np.array([[1.5], [0.0]])   # a constant control coupling G(z)
+    return cfg, W, dtheta, basis.grad(z), G_z, z
 
 
 def test_criterion_9_variable_gain_scaling():

@@ -252,11 +252,10 @@ def test_uav_sweep_batches_around_a_trim_failure(tmp_path):
         assert code == [cli.EXIT_OK, cli.EXIT_ORACLE, cli.EXIT_NUMERIC][i]
         run = out / f"run00{i}"
         assert artifacts(run) == artifacts(ref)
-        if va == "0.5":   # no trim: no manifest, here or alone
-            assert not (run / "manifest.txt").exists()
-            assert not (ref / "manifest.txt").exists()
-        else:
-            assert manifest_value(run, "status") == manifest_value(ref, "status")
+        assert manifest_value(run, "status") == manifest_value(ref, "status")
+        if va == "0.5":   # no trim: the manifest says why, here and alone
+            assert manifest_value(run, "status").startswith(
+                "oracle failure: trim solver failed at va=0.5")
 
 
 def test_one_riccati_solve_per_distinct_pair(tmp_path, monkeypatch):
@@ -300,12 +299,38 @@ def test_an_overflow_fails_only_its_own_point(tmp_path, capsys, axis, code):
             (cli.EXIT_OK, code)[i]
         run = out / f"run00{i}"
         assert artifacts(run) == artifacts(ref)
-        if (ref / "manifest.txt").exists():
-            assert manifest_value(run, "status") == manifest_value(ref, "status")
+        assert manifest_value(run, "status") == manifest_value(ref, "status")
     if code == cli.EXIT_NUMERIC:
         assert manifest_value(out / "run000", "batch_size") == "2"
         assert manifest_value(out / "run001", "status").startswith(
             "numeric fault at t=0.004, step 4: critic weights non-finite")
     else:
-        assert not (out / "run001" / "manifest.txt").exists()
+        assert manifest_value(out / "run001", "status") == \
+            f"config error: {key}: u_m^2 must be finite, got u_m = 1e+200"
         assert f"{key}: u_m^2 must be finite" in capsys.readouterr().out
+
+
+def test_a_point_that_does_not_load_leaves_the_rest_of_its_chunk(tmp_path):
+    # the middle point's config is rejected; its neighbours still run as
+    # one batch of two, each writing the bytes of its lone run
+    overrides = ["sim.t_end_s=0.05", "sim.record_every=1"]
+    values = ["learner.alpha=100", "saturation.u_m=-1", "learner.alpha=200"]
+    points = []
+    for i, value in enumerate(values):
+        out_dir = str(tmp_path / f"run{i}")
+        path = cli._resolved_config(cli.resolve_config_path("linear_benchmark"),
+                                    overrides + [value], out_dir)
+        points.append(cli._Point(f"run{i}", path, overrides + [value], out_dir,
+                                 *parse_config(path)))
+    assert [code for code, _ in cli._run(points)] == \
+        [cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_OK]
+    assert manifest_value(tmp_path / "run1", "status") == \
+        "config error: saturation.u_m: u_m must be finite and > 0, got -1.0"
+    for i, value in enumerate(values):
+        ref = tmp_path / f"ref{i}"
+        cli.run_one(cli.resolve_config_path("linear_benchmark"),
+                    overrides + [value], str(ref))
+        run = tmp_path / f"run{i}"
+        assert artifacts(run) == artifacts(ref)
+        assert manifest_value(run, "status") == manifest_value(ref, "status")
+        assert manifest_value(run, "batch_size") == (None if i == 1 else "2")

@@ -210,7 +210,7 @@ class TestEnvironmentProtocol:
                 make_env("aerosonde", "attitude_schedule"))
         for env in envs:
             assert env.z().shape == (env.dim_z,)
-            assert env.dyn.G(env.z()).shape == (env.dim_z, env.m)
+            assert env.G(env.z()).shape == (env.dim_z, env.m)
             assert len(env.control_names) == env.m
             for member in ("advance", "check_domain", "series", "linear_pair"):
                 assert callable(getattr(env, member))

@@ -1,5 +1,6 @@
 import configparser
 import csv
+import math
 import os
 import re
 import subprocess
@@ -305,6 +306,20 @@ def test_parse_defects_name_their_field(tmp_path, name, edits, field):
     assert errors and all(field in e for e in errors), errors
     if set(edits.values()) == {None}:
         assert f"{field}: missing required key" in errors
+
+
+@pytest.mark.parametrize("key, text", [
+    ("saturation.u_m_deg", "-1"),
+    ("saturation.u_m_deg", "1e300"),   # u_m^2 overflows
+    ("dither.amplitude_deg", "-2"),
+])
+def test_a_deg_key_error_quotes_the_value_as_written(tmp_path, key, text):
+    cfg, errors = parse_config(edited_keys(tmp_path, "uav_attitude",
+                                           {key: text}))
+    assert cfg is None and len(errors) == 1, errors
+    radians = str(float(text) * (math.pi / 180.0))
+    assert errors[0].startswith(f"{key}: ") and f"{text} deg" in errors[0]
+    assert radians not in errors[0], errors
 
 
 @pytest.mark.parametrize("override", [

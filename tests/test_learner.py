@@ -6,7 +6,6 @@ import pytest
 from irltrack.basis import quad_basis
 from irltrack.errors import ConfigurationError, NotReady, NumericFault
 from irltrack.learner import LearnerConfig, gain_pow
-from irltrack.models import AugmentedDynamics
 from irltrack.policy import SaturationSpec
 from reference import (CriticState, ReinforcementBuffer, baseline_update_step,
                        delta_theta, hjb_error, indicator, law_terms, m_integral,
@@ -187,13 +186,12 @@ def test_gain_pow_overflows_to_inf():
 class TestMVector:
     def setup_method(self):
         self.basis = quad_basis(2)
-        self.dyn = AugmentedDynamics(n=1, m=1,
-                                     G=lambda z: np.array([[2.0], [0.0]]))
+        self.G = lambda z: np.array([[2.0], [0.0]])
         self.sat = SaturationSpec(u_m=2.0, R=np.array([[1.0]]))
         self.z = np.array([1.0, 0.0])
 
     def m_vector(self, W):
-        return m_vector_raw(self.basis.grad(self.z), self.dyn.G(self.z), W,
+        return m_vector_raw(self.basis.grad(self.z), self.G(self.z), W,
                             self.sat)
 
     def test_zero_weights_give_zero(self):
@@ -205,7 +203,7 @@ class TestMVector:
         W = np.array([2.0, 0.0, 0.0, 0.0, 0.0])
         M = self.m_vector(W)
         factor = self.sat.u_m * (math.tanh(1.0) - 1.0)
-        ndg = self.basis.grad(self.z) @ self.dyn.G(self.z)
+        ndg = self.basis.grad(self.z) @ self.G(self.z)
         assert np.allclose(M, ndg.ravel() * factor)
         assert factor == pytest.approx(2.0 * -0.2384058440442351, rel=1e-12)
 
@@ -214,7 +212,7 @@ class TestMVector:
         for scale in (1.0, 10.0, 1e3, 1e6):
             W = scale * np.array([1.0, 0.5, 0.2, -0.3, 0.1])
             M = self.m_vector(W)
-            ndg = self.basis.grad(self.z) @ self.dyn.G(self.z)
+            ndg = self.basis.grad(self.z) @ self.G(self.z)
             cap = self.sat.u_m * np.linalg.norm(ndg) * math.sqrt(1)
             assert np.linalg.norm(M) <= cap + 1e-12
             if bound_base is None:
@@ -246,13 +244,16 @@ class TestMIntegral:
 def learner_setup(q2=0.1, k2=0.01, alpha=2.0, stab=True, m_on=True,
                   k_gain=0.0):
     basis = quad_basis(2)
-    dyn = AugmentedDynamics(n=1, m=1, G=lambda z: np.array([[1.5], [0.0]]))
+
+    def G(z):
+        return np.array([[1.5], [0.0]])
+
     sat = SaturationSpec(u_m=2.0, R=np.array([[1.0]]))
     cfg = LearnerConfig(alpha=alpha, gamma=0.1, T=1e-3, Q1=np.diag([1.0, 0.0]),
                         sat=sat, q2=q2, k2=k2,
                         k1_gain=k_gain, k2_gain=k_gain,
                         stabilizer_enabled=stab, m_term_enabled=m_on)
-    return basis, dyn, sat, cfg
+    return basis, G, sat, cfg
 
 
 def warm_buffer(basis, z_pairs, cfg, W=None):
@@ -270,14 +271,14 @@ class TestUpdateStep:
     def test_fixed_point_zero_error_contracting(self):
         # cost-free configuration: W=0 gives e_hat = 0 exactly, and a
         # contracting state gives sigma < 0, so every term vanishes
-        basis, dyn, sat, _ = learner_setup()
+        basis, G, sat, _ = learner_setup()
         cfg = LearnerConfig(alpha=2.0, gamma=0.1, T=1e-3, Q1=np.zeros((2, 2)),
                             sat=sat, q2=0.1, k2=0.01, k1_gain=0.0, k2_gain=0.0)
         z_prev = np.array([1.0, 0.0])
         z = 0.5 * z_prev
         buf = warm_buffer(basis, [z_prev, z], cfg)
         state = CriticState(W_hat=np.zeros(basis.n_features))
-        grad, G_z = basis.grad(z), dyn.G(z)
+        grad, G_z = basis.grad(z), G(z)
         new = update_step(state, cfg, buf, z, grad, G_z,
                           tau2_raw(grad, G_z, state.W_hat, sat),
                           sigma_rate(z, z_prev, cfg.T), cfg.T)
@@ -285,13 +286,13 @@ class TestUpdateStep:
         assert new.e_hat == 0.0 and new.xi == 0 and new.sigma < 0.0
 
     def test_term_isolation_reduces_to_baseline_gradient(self):
-        basis, dyn, sat, cfg0 = learner_setup(q2=0.0, stab=False, m_on=False)
+        basis, G, sat, cfg0 = learner_setup(q2=0.0, stab=False, m_on=False)
         z1 = np.array([0.5, 0.2])
         z2 = np.array([0.45, 0.2])
         buf = warm_buffer(basis, [z1, z2], cfg0)
         W0 = np.array([0.1, -0.2, 0.3, 0.05, -0.1])
         state = CriticState(W_hat=W0.copy())
-        grad, G_z = basis.grad(z2), dyn.G(z2)
+        grad, G_z = basis.grad(z2), G(z2)
         novel = update_step(state, cfg0, buf, z2, grad, G_z,
                             tau2_raw(grad, G_z, W0, sat),
                             sigma_rate(z2, z1, cfg0.T), cfg0.T)
@@ -301,13 +302,13 @@ class TestUpdateStep:
         assert novel.e_hat == base.e_hat
 
     def test_dt_homogeneity_with_frozen_inputs(self):
-        basis, dyn, sat, cfg = learner_setup()
+        basis, G, sat, cfg = learner_setup()
         z1 = np.array([0.8, 0.1])
         z2 = np.array([0.7, 0.1])
         buf = warm_buffer(basis, [z1, z2], cfg)
         W0 = np.array([0.3, 0.1, -0.2, 0.4, 0.0])
         dt = cfg.T
-        grad, G_z = basis.grad(z2), dyn.G(z2)
+        grad, G_z = basis.grad(z2), G(z2)
         tau = tau2_raw(grad, G_z, W0, sat)
         s1 = update_step(CriticState(W_hat=W0.copy()), cfg, buf, z2,
                          grad, G_z, tau, sigma_rate(z2, z1, dt), dt)
@@ -320,12 +321,12 @@ class TestUpdateStep:
         assert s2.sigma == pytest.approx(s1.sigma, rel=1e-12)
 
     def test_nonfinite_weights_fault(self):
-        basis, dyn, sat, cfg = learner_setup(alpha=1e308)
+        basis, G, sat, cfg = learner_setup(alpha=1e308)
         z1 = np.array([1.0, 0.5])
         z2 = np.array([0.9, 0.5])
         buf = warm_buffer(basis, [z1, z2], cfg)
         state = CriticState(W_hat=np.full(basis.n_features, 1e30))
-        grad, G_z = basis.grad(z2), dyn.G(z2)
+        grad, G_z = basis.grad(z2), G(z2)
         with pytest.raises(NumericFault):
             update_step(state, cfg, buf, z2, grad, G_z,
                         tau2_raw(grad, G_z, state.W_hat, sat),
@@ -343,10 +344,10 @@ class TestUpdateStep:
 
 class TestLawTerms:
     def setup_case(self):
-        basis, dyn, sat, cfg = learner_setup(alpha=3.0, q2=0.1, k2=0.01)
+        basis, G, sat, cfg = learner_setup(alpha=3.0, q2=0.1, k2=0.01)
         z = np.array([0.6, -0.2])
         grad = basis.grad(z)
-        G_z = dyn.G(z)
+        G_z = G(z)
         dtheta = np.array([0.05, -0.02, 0.01, 0.0, 0.03])
         W = np.array([0.2, -0.1, 0.3, 0.0, 0.1])
         return cfg, W, dtheta, grad, G_z, tau2_raw(grad, G_z, W, cfg.sat), z
@@ -377,7 +378,7 @@ class TestLawTerms:
 
 class TestBaseline:
     def test_no_change_when_residual_free(self):
-        basis, dyn, sat, cfg = learner_setup()
+        basis, G, sat, cfg = learner_setup()
         z = np.zeros(2)
         buf = warm_buffer(basis, [z, z], cfg)
         state = CriticState(W_hat=np.zeros(basis.n_features))
@@ -385,7 +386,7 @@ class TestBaseline:
         assert np.array_equal(new.W_hat, state.W_hat)
 
     def test_moves_against_residual(self):
-        basis, dyn, sat, cfg = learner_setup(alpha=1.0)
+        basis, G, sat, cfg = learner_setup(alpha=1.0)
         z1 = np.array([1.0, 0.0])
         z2 = np.array([0.9, 0.0])
         buf = warm_buffer(basis, [z1, z2], cfg)

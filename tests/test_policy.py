@@ -5,9 +5,8 @@ import pytest
 
 from irltrack.basis import quad_basis
 from irltrack.errors import ConfigurationError
-from irltrack.models import AugmentedDynamics
 from irltrack.policy import (SaturationSpec, log_one_minus_tanh2, penalty_closed,
-                             penalty_integral, policy_eval, tau2_raw)
+                             penalty_integral, tau2_rows)
 
 
 def analytic_penalty(u, u_m, r_diag):
@@ -22,9 +21,7 @@ def analytic_penalty(u, u_m, r_diag):
 
 def simple_setup(g_top=3.0):
     basis = quad_basis(2)
-    dyn = AugmentedDynamics(n=1, m=1,
-                            G=lambda z: np.array([[g_top], [0.0]]))
-    return basis, dyn
+    return basis, lambda z: np.array([[g_top], [0.0]])
 
 
 def test_saturation_spec_validation():
@@ -37,40 +34,48 @@ def test_saturation_spec_validation():
         SaturationSpec(u_m=1.0, R=np.array([[1.0, 0.2], [0.2, 1.0]]))
 
 
-def tau2(z, W, dyn, basis, sat):
-    return tau2_raw(basis.grad(z), dyn.G(z), W, sat)
+def tau2(z, W, G, basis, sat):
+    """The step loop's saturation argument at one point: a one-row
+    `tau2_rows`."""
+    return tau2_rows(np.asarray(W, dtype=float)[None], basis.grad(z)[None],
+                     G(z)[None], (2.0 * sat.u_m * sat.r_diag)[None])[0]
+
+
+def policy(z, W, G, basis, sat):
+    """The step loop's control -u_m tanh(tau2) at one point."""
+    return -sat.u_m * np.tanh(tau2(z, W, G, basis, sat))
 
 
 def test_tau2_scalar_and_scalings():
-    basis, dyn = simple_setup()
+    basis, G = simple_setup()
     sat = SaturationSpec(u_m=1.0, R=np.array([[1.0]]))
     z = np.array([1.0, 0.0])
     W = np.array([1.0, 0.0, 0.0, 0.0, 0.0])  # grad^T W = e_1 -> G^T grad^T W = 3
-    assert np.allclose(tau2(z, W, dyn, basis, sat), [1.5])
-    assert np.allclose(tau2(z, np.zeros(5), dyn, basis, sat), [0.0])
+    assert np.allclose(tau2(z, W, G, basis, sat), [1.5])
+    assert np.allclose(tau2(z, np.zeros(5), G, basis, sat), [0.0])
     sat2 = SaturationSpec(u_m=2.0, R=np.array([[1.0]]))
-    assert np.allclose(tau2(z, W, dyn, basis, sat2),
-                       0.5 * tau2(z, W, dyn, basis, sat))
+    assert np.allclose(tau2(z, W, G, basis, sat2),
+                       0.5 * tau2(z, W, G, basis, sat))
 
 
 def test_policy_eval_zero_weights_and_saturation_limit():
-    basis, dyn = simple_setup()
+    basis, G = simple_setup()
     sat = SaturationSpec(u_m=1.0, R=np.array([[1.0]]))
     z = np.array([1.0, 0.0])
-    assert np.allclose(policy_eval(z, np.zeros(5), dyn, basis, sat), 0.0)
+    assert np.allclose(policy(z, np.zeros(5), G, basis, sat), 0.0)
     W_huge = np.array([1e9, 0, 0, 0, 0])
-    u = policy_eval(z, W_huge, dyn, basis, sat)
+    u = policy(z, W_huge, G, basis, sat)
     assert np.all(np.abs(u) <= sat.u_m)
     assert np.allclose(u, [-sat.u_m])  # deep saturation approaches -u_m
 
 
 def test_policy_hard_bound_random(rng):
-    basis, dyn = simple_setup()
+    basis, G = simple_setup()
     sat = SaturationSpec(u_m=0.7, R=np.array([[2.0]]))
     for _ in range(200):
         z = rng.normal(size=2) * 3
         W = rng.normal(size=5) * 10
-        assert np.max(np.abs(policy_eval(z, W, dyn, basis, sat))) <= sat.u_m
+        assert np.max(np.abs(policy(z, W, G, basis, sat))) <= sat.u_m
 
 
 def test_penalty_integral_cases():

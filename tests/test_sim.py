@@ -9,7 +9,7 @@ from irltrack.errors import ConfigurationError, NumericFault
 from irltrack.learner import LearnerConfig
 from irltrack.policy import SaturationSpec
 from irltrack.sim import (AugmentedTrackingEnv, DitherSpec, SimConfig,
-                          Telemetry, check_run, dither, rk4_step,
+                          Telemetry, check_run, dither, rk4_step, run_batch,
                           run_env_experiment, run_experiment)
 
 
@@ -215,7 +215,7 @@ def test_fused_step_evaluates_each_quantity_once(monkeypatch, m_term):
     lcfg = dataclasses.replace(lcfg, m_term_enabled=m_term)
     basis = dataclasses.replace(basis, grad_rows=counting("grad", basis.grad_rows))
     env = AugmentedTrackingEnv(plant, ref, x0=np.array([2.0, 0.0]))
-    env.dyn = dataclasses.replace(env.dyn, G=counting("G", env.dyn.G))
+    env.G = counting("G", env.G)
     env.linear_pair = lambda: None   # so the loop reads G(z) from the env
     monkeypatch.setattr(sim, "m_vector", counting("M", sim.m_vector))
     sim.run_env_experiment(env, basis, lcfg, scfg)
@@ -246,3 +246,49 @@ def test_uav_rate_command_once_per_step(monkeypatch):
     iterations = round(scfg.t_end / scfg.dt) + 1
     assert len(tel.rows) == iterations
     assert len(calls) == iterations
+
+
+class PendulumEnv:
+    """A third-party environment with only the protocol's members: a damped
+    pendulum driven to a fixed angle, stepped by explicit Euler."""
+
+    control_names = ("torque",)
+    m = 1
+    dim_z = 4
+
+    def __init__(self, angle0):
+        self.x = np.array([angle0, 0.0])
+        self.x_d = np.array([0.5, 0.0])
+
+    def z(self):
+        return np.concatenate([self.x - self.x_d, self.x_d])
+
+    def G(self, z):
+        return np.array([[0.0], [2.0], [0.0], [0.0]])
+
+    def advance(self, u_applied, t, dt):
+        angle, rate = self.x
+        self.x = self.x + dt * np.array(
+            [rate, -math.sin(angle) - 0.1 * rate + 2.0 * u_applied[0]])
+
+    def check_domain(self, telemetry, t):
+        if abs(self.x[0]) > math.pi:
+            telemetry.warn("pendulum over the top", t)
+
+    def series(self, telemetry):
+        return {"angle_err": telemetry.columns("z")[:, 0]}
+
+    def linear_pair(self):
+        return None
+
+
+def test_a_protocol_only_environment_runs_alone_and_batched():
+    *_, basis, _, lcfg, scfg, dith = small_setup(t_end=0.2, amp=0.5)
+    alone = [run_env_experiment(PendulumEnv(a), basis, lcfg, scfg,
+                                dither_spec=dith).rows for a in (0.0, 1.0)]
+    batched = run_batch([(PendulumEnv(a), lcfg, "novel", dith, None)
+                         for a in (0.0, 1.0)], basis, scfg)
+    for rows, (tel, fault) in zip(alone, batched):
+        assert fault is None and np.isfinite(rows).all()
+        assert tel.rows.tobytes() == rows.tobytes()
+    assert alone[0].tobytes() != alone[1].tobytes()
