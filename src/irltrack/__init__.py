@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .basis import RegressorBasis, eval_grad, make_basis, quad_basis
-from .errors import ConfigurationError, NotReady, NumericFault, OracleFailure
+from .basis import RegressorBasis, make_basis, quad_basis
+from .errors import ConfigurationError, NumericFault, OracleFailure
 from .learner import CriticRows, LearnerConfig, WindowBuffer
 from .models import AffinePlant, ReferenceModel
 from .policy import SaturationSpec, penalty_closed, penalty_integral
@@ -12,8 +12,8 @@ from .sim import (DitherSpec, SimConfig, Telemetry, dither, rk4_step, run_batch,
 
 __all__ = [
     "__version__",
-    "RegressorBasis", "eval_grad", "make_basis", "quad_basis",
-    "ConfigurationError", "NotReady", "NumericFault", "OracleFailure",
+    "RegressorBasis", "make_basis", "quad_basis",
+    "ConfigurationError", "NumericFault", "OracleFailure",
     "CriticRows", "LearnerConfig", "WindowBuffer",
     "AffinePlant", "ReferenceModel",
     "SaturationSpec", "penalty_closed", "penalty_integral",

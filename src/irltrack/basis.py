@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericFault
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -64,15 +64,6 @@ def quad_basis(dim_in: int) -> RegressorBasis:
     return RegressorBasis(dim_in=d, n_features=n1, eval=_one_row(_eval_rows),
                           grad=_one_row(_grad_rows), eval_rows=_eval_rows,
                           grad_rows=_grad_rows, name=f"quad{d}")
-
-
-def eval_grad(basis: RegressorBasis, z: np.ndarray) -> np.ndarray:
-    """Gradient matrix with row k equal to the gradient of feature k."""
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        bad = int(np.flatnonzero(~np.isfinite(z))[0])
-        raise NumericFault(f"non-finite basis input at component {bad}", component=bad)
-    return basis.grad(z)
 
 
 def fd_gradient(basis: RegressorBasis, z: np.ndarray, h: float = 1e-5) -> np.ndarray:

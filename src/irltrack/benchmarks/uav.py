@@ -291,10 +291,7 @@ def trim_level_flight(pr: AirframeParams, va: float = 35.0) -> TrimPoint:
 
     def residual(x):
         alpha, de, dt_ = x
-        state = np.zeros(12)
-        state[U] = va * math.cos(alpha)
-        state[W] = va * math.sin(alpha)
-        state[THETA] = alpha
+        state = TrimPoint(va, alpha, de, dt_).initial_state(0.0)
         try:
             d = uav_dynamics(state, np.array([de, 0.0, 0.0]), pr, dt_)
         except NumericFault:
@@ -354,10 +351,6 @@ class SetpointSchedule:
             if t >= t_start:
                 current = att
         return np.asarray(current, dtype=float)
-
-    @property
-    def switch_times(self):
-        return [e[0] for e in self.entries[1:]]
 
 
 class UavAttitudeEnv:

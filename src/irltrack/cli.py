@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .basis import quad_basis
 from .benchmarks.linear import discounted_riccati, ideal_weights
-from .config import ExperimentConfig, apply_overrides, parse_config, resolve
+from .config import apply_overrides, parse_config, resolve
 from .errors import ConfigurationError, NumericFault, OracleFailure
 from .sim import Telemetry, run_batch
 
@@ -197,22 +197,20 @@ def run_one(config_path: str, overrides=(), out_dir: str = "runs/run",
             law: str | None = None):
     """Execute one experiment; writes telemetry.csv, manifest.txt, series/.
 
-    Returns (exit_code, telemetry_or_None, cfg_or_None).
+    Returns (exit_code, telemetry_or_None).
     """
     overrides = list(overrides)
     if law:
         overrides.append(f"experiment.law={law}")
     eff_path = _resolved_config(config_path, overrides, out_dir)
-    cfg, errors = parse_config(eff_path)
-    ((code, telemetry),) = _run([_Point("run", eff_path, overrides, out_dir,
-                                        cfg, errors)])
-    return code, telemetry, cfg
+    ((code, telemetry),) = _run([_Point("run", eff_path, overrides, out_dir)])
+    return code, telemetry
 
 
 def cmd_run(args) -> int:
     path = resolve_config_path(args.config)
-    code, telemetry, cfg = run_one(path, overrides=args.override,
-                                   out_dir=args.out, law=args.law)
+    code, telemetry = run_one(path, overrides=args.override, out_dir=args.out,
+                              law=args.law)
     if code == EXIT_OK:
         print(f"run complete: {len(telemetry.rows)} records -> {args.out}")
     else:
@@ -244,52 +242,20 @@ def _settle_time(t, e_norm):
 
 
 class _Point(NamedTuple):
-    """One run or sweep grid point; `cfg` is None when its config does not
-    parse, and `errors` says why."""
+    """One run or sweep grid point."""
 
     run_name: str
     config_path: str     # the point's resolved config
     overrides: list
     out_dir: str
-    cfg: ExperimentConfig | None
-    errors: list
 
 
-def _batch_key(cfg: ExperimentConfig | None):
-    """What points must share to run in one batch, or None when `cfg` does
-    not load: plant/reference ids, basis, [sim], window T and the
-    environment's dimensions."""
-    if cfg is None:
-        return None
-    try:
-        env, _ = resolve(cfg)
-    except (ConfigurationError, OracleFailure):
-        return None
-    return (cfg.plant_id, cfg.reference_id, cfg.basis_id, cfg.sim,
-            cfg.learner.T, env.dim_z, env.m, len(env.x), len(env.x_d))
-
-
-def _chunks(points: list[_Point], workers: int) -> list[list[int]]:
-    """Point indices per task, ordered by first point.  Each batch group
-    is split into at most `workers` contiguous chunks of near-equal size;
-    a point that does not load runs alone."""
-    groups: dict = {}
-    chunks = []
-    for i, point in enumerate(points):
-        key = _batch_key(point.cfg)
-        if key is None:
-            chunks.append([i])
-        else:
-            groups.setdefault(key, []).append(i)
-    for members in groups.values():
-        parts = min(workers, len(members))
-        size, extra = divmod(len(members), parts)
-        lo = 0
-        for j in range(parts):
-            hi = lo + size + (j < extra)
-            chunks.append(members[lo:hi])
-            lo = hi
-    return sorted(chunks)
+def _chunks(n: int, workers: int) -> list[range]:
+    """At most `workers` contiguous, near-equal ranges of range(n)."""
+    parts = min(workers, n)
+    size, extra = divmod(n, parts)
+    starts = [j * size + min(j, extra) for j in range(parts + 1)]
+    return [range(lo, hi) for lo, hi in zip(starts, starts[1:])]
 
 
 def _rms(v: np.ndarray) -> float:
@@ -326,59 +292,68 @@ def _summary_row(point: _Point, status: str, telemetry: Telemetry | None,
 
 
 def _load(point: _Point):
-    """(env, basis) of a point, or its exit code once its errors are
+    """(cfg, env, basis) of a point, or its exit code once its errors are
     printed and its manifest, with the status and no records, written."""
     t0 = time.perf_counter()
-    errors, code, status = point.errors, EXIT_CONFIG, "config error"
+    cfg, errors = parse_config(point.config_path)
+    code, status = EXIT_CONFIG, "config error"
     if not errors:
         try:
-            return resolve(point.cfg)
+            return (cfg, *resolve(cfg))
         except (ConfigurationError, OracleFailure) as exc:
             errors = [exc]
             if isinstance(exc, OracleFailure):
                 code, status = EXIT_ORACLE, "oracle failure"
     for e in errors:
         print(f"  - {e}")
-    _write_manifest(os.path.join(point.out_dir, "manifest.txt"), point.cfg, None,
+    _write_manifest(os.path.join(point.out_dir, "manifest.txt"), cfg, None,
                     f"{status}: {'; '.join(map(str, errors))}",
                     time.perf_counter() - t0)
     return code
 
 
 def _run(points: list[_Point]) -> list[tuple[int, Telemetry | None]]:
-    """Run the points that load as one batch and write their artifacts;
-    returns (exit code, telemetry or None) per point.  A point that does
-    not load gets only its manifest (`_load`).  A batch manifest's wall
-    time is the loop's / B, with `batch_size = B` when B > 1; the oracle is
-    solved once per distinct (A, B, Q1, R, gamma)."""
-    loaded = [_load(p) for p in points]
-    out: list = [(code, None) if isinstance(code, int) else None
-                 for code in loaded]
-    batch = [(i, p, *loaded[i]) for i, p in enumerate(points) if out[i] is None]
-    if not batch:
-        return out
-    t0 = time.perf_counter()
-    results = run_batch([(env, p.cfg.learner, p.cfg.law, p.cfg.dither, None)
-                         for _, p, env, _ in batch],
-                        batch[0][3], batch[0][1].cfg.sim)
-    wall = (time.perf_counter() - t0) / len(batch)
+    """Load the points and run those that load, one batch per group that
+    shares plant/reference ids, basis, [sim], window T and the
+    environment's dimensions; writes their artifacts and returns (exit
+    code, telemetry or None) per point.  A point that does not load gets
+    only its manifest (`_load`).  A batch manifest's wall time is its
+    loop's / B, with `batch_size = B` when B > 1; the oracle is solved once
+    per distinct (A, B, Q1, R, gamma)."""
+    out: list = [None] * len(points)
+    groups: dict = {}
+    for i, point in enumerate(points):
+        loaded = _load(point)
+        if isinstance(loaded, int):
+            out[i] = (loaded, None)
+            continue
+        cfg, env, basis = loaded
+        key = (cfg.plant_id, cfg.reference_id, cfg.basis_id, cfg.sim,
+               cfg.learner.T, env.dim_z, env.m, len(env.x), len(env.x_d))
+        groups.setdefault(key, []).append((i, cfg, env, basis))
     oracles: dict = {}
-    for (i, p, env, _), (telemetry, fault) in zip(batch, results):
-        lcfg, pair = p.cfg.learner, env.linear_pair()
-        key = None if pair is None else b"".join(
-            np.asarray(a, dtype=float).tobytes()
-            for a in (*pair, lcfg.Q1, lcfg.sat.R, lcfg.gamma))
-        if key not in oracles:
-            oracles[key] = _oracle_weights(pair, lcfg)
-        out[i] = (_write_artifacts(p.out_dir, p.cfg, env, telemetry, fault,
-                                   wall, oracles[key],
-                                   len(batch) if len(batch) > 1 else None),
-                  telemetry)
+    for batch in groups.values():
+        t0 = time.perf_counter()
+        results = run_batch([(env, cfg.learner, cfg.law, cfg.dither, None)
+                             for _, cfg, env, _ in batch],
+                            batch[0][3], batch[0][1].sim)
+        wall = (time.perf_counter() - t0) / len(batch)
+        for (i, cfg, env, _), (telemetry, fault) in zip(batch, results):
+            lcfg, pair = cfg.learner, env.linear_pair()
+            key = None if pair is None else b"".join(
+                np.asarray(a, dtype=float).tobytes()
+                for a in (*pair, lcfg.Q1, lcfg.sat.R, lcfg.gamma))
+            if key not in oracles:
+                oracles[key] = _oracle_weights(pair, lcfg)
+            out[i] = (_write_artifacts(points[i].out_dir, cfg, env, telemetry,
+                                       fault, wall, oracles[key],
+                                       len(batch) if len(batch) > 1 else None),
+                      telemetry)
     return out
 
 
 def _sweep_worker(chunk: list[_Point]) -> list[tuple[int, dict]]:
-    """Run one task of a sweep, its points as one batch.  Returns (exit
+    """Run one task of a sweep, its points batched by `_run`.  Returns (exit
     code, summary row) per point; every point gets a row, whatever goes
     wrong."""
     t0 = time.perf_counter()
@@ -418,24 +393,19 @@ def cmd_sweep(args) -> int:
     points = []
     for i, combo in enumerate(combos):
         overrides = list(args.override) + [f"{k}={v}" for k, v in combo]
-        out_dir = os.path.join(args.out, f"run{i:03d}")
-        eff_path = _resolved_config(path, overrides, out_dir)
-        cfg, errors = parse_config(eff_path)   # reported by the run
-        points.append(_Point(f"run{i:03d}", eff_path, overrides, out_dir, cfg,
-                             errors))
-    chunks = _chunks(points, args.workers)
-    tasks = [[points[i] for i in chunk] for chunk in chunks]
+        name = f"run{i:03d}"
+        out_dir = os.path.join(args.out, name)
+        points.append(_Point(name, _resolved_config(path, overrides, out_dir),
+                             overrides, out_dir))
+    tasks = [points[c.start:c.stop] for c in _chunks(len(points), args.workers)]
 
     if args.workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(args.workers, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             done = list(pool.map(_sweep_worker, tasks))
     else:
         done = [_sweep_worker(task) for task in tasks]
-    results = [None] * len(points)
-    for chunk, chunk_results in zip(chunks, done):
-        for i, result in zip(chunk, chunk_results):
-            results[i] = result
+    results = list(itertools.chain.from_iterable(done))
     codes = [code for code, _ in results]
     rows = [row for _, row in results]
 

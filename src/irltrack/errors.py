@@ -32,7 +32,3 @@ class NumericFault(RuntimeError):
 
 class OracleFailure(RuntimeError):
     """A ground-truth solver (e.g. the Riccati oracle) did not converge."""
-
-
-class NotReady(RuntimeError):
-    """The reinforcement buffer does not yet span a full window."""

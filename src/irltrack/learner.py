@@ -90,9 +90,6 @@ class LearnerConfig:
                 np.min(np.linalg.eigvalsh(self.Q1)) < -1e-10:
             raise ConfigurationError("Q1 must be positive semidefinite", ("Q1",))
 
-    def cost_state(self, z: np.ndarray) -> float:
-        return float(z @ self.Q1 @ z)
-
 
 def gain_pow(x: float, p: float) -> float:
     """|x|^p with 0^0 = 1 and 0^p = 0 for p > 0 (right-continuous dead zone);

@@ -225,9 +225,10 @@ class TrackingEnv(Protocol):
     No drift field is part of it: an environment offers the control
     coupling G(z) and integrates its own physics in `advance`.  The loop
     reads environments as rows (z, G, x, x_d, `advance` with a fault per
-    row, the domain warning): linear pairs (`linear_pair()` not None) from
-    their matrices, all at once; any other one through these methods, as
-    one row."""
+    row, the domain warning): linear catalog pairs (`AugmentedTrackingEnv`s
+    whose plant and reference both carry `linear`) from their matrices, all
+    at once; any other one through these methods, as one row, whether or
+    not it reports a `linear_pair()`."""
 
     control_names: Sequence[str]
     m: int
@@ -393,7 +394,8 @@ def run_batch(members, basis: RegressorBasis, sim_cfg: SimConfig):
         raise ConfigurationError("batched runs must share the state and "
                                  "control dimensions and the window T")
     ((dz, m, nx, nxd, T),) = dims
-    linear = all(e.linear_pair() is not None for e in envs)
+    linear = all(isinstance(e, AugmentedTrackingEnv) and e.linear_pair() is not None
+                 for e in envs)
     env_rows = _LinearRows(envs) if linear else _EnvRows(envs)
     n1, dt, every, n_steps = (basis.n_features, sim_cfg.dt,
                               sim_cfg.record_every, sim_cfg.n_steps)

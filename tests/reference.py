@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from irltrack.basis import RegressorBasis
-from irltrack.errors import ConfigurationError, NotReady, NumericFault
+from irltrack.errors import ConfigurationError, NumericFault
 from irltrack.learner import _SPAN_RTOL, LearnerConfig, gain_pow
 from irltrack.policy import SaturationSpec, log_one_minus_tanh2, saturate
 from irltrack.sim import (DitherSpec, SimConfig, Telemetry, TrackingEnv,
@@ -61,6 +61,9 @@ def penalty_closed(tau: np.ndarray, sat: SaturationSpec) -> float:
     return float(2.0 * um2 * (r * tau * np.tanh(tau)).sum()
                  + um2 * (r * log_one_minus_tanh2(tau)).sum())
 
+
+class NotReady(RuntimeError):
+    """The reinforcement buffer does not yet span a full window."""
 
 
 @dataclass(frozen=True)
@@ -335,7 +338,7 @@ def run_env_experiment(env: TrackingEnv, basis: RegressorBasis,
             W = state.W_hat
             tau = tau2_raw(grad, G_z, W, sat)
             u_hat = -sat.u_m * np.tanh(tau)
-            cost = learner_cfg.cost_state(z) + penalty_closed(tau, sat)
+            cost = float(z @ learner_cfg.Q1 @ z) + penalty_closed(tau, sat)
             m_scalar = float(W @ m_vector_raw(grad, G_z, W, sat, tau=tau)) \
                 if m_term else 0.0
             theta = basis.eval(z)

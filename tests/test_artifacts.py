@@ -75,7 +75,7 @@ LINEAR_PANELS = ("track_err_0", "track_err_1", "weight_error_vs_oracle")
 def test_decimated_run_matches_reference(tmp_path):
     # 2000 steps kept every 7th: 287 rows, past one chunk
     out = tmp_path / "rec7"
-    code, telemetry, _ = cli.run_one(
+    code, telemetry = cli.run_one(
         cli.resolve_config_path("linear_benchmark"),
         ["sim.t_end_s=2.0", "sim.record_every=7"], out_dir=str(out))
     assert code == cli.EXIT_OK and len(telemetry.rows) == 287
@@ -86,7 +86,7 @@ def test_decimated_run_matches_reference(tmp_path):
 
 def test_numeric_fault_partial_flush_matches_reference(tmp_path):
     out = tmp_path / "fault"
-    code, telemetry, _ = cli.run_one(
+    code, telemetry = cli.run_one(
         cli.resolve_config_path("linear_benchmark"),
         ["learner.alpha=1e308", "sim.t_end_s=1.0"], out_dir=str(out))
     assert code == cli.EXIT_NUMERIC and len(telemetry.rows) >= 1
@@ -132,8 +132,8 @@ def test_plot_stub_draws_every_column_and_panel(tmp_path, config):
     (fake / "__init__.py").write_text("def use(*args, **kwargs):\n    pass\n")
     (fake / "pyplot.py").write_text(_FAKE_PYPLOT)
     out = tmp_path / "run"
-    code, telemetry, _ = cli.run_one(cli.resolve_config_path(config),
-                                     ["sim.t_end_s=0.05"], out_dir=str(out))
+    code, telemetry = cli.run_one(cli.resolve_config_path(config),
+                                  ["sim.t_end_s=0.05"], out_dir=str(out))
     assert code == cli.EXIT_OK
     subprocess.run([sys.executable, str(out / "plot_series.py")], check=True,
                    capture_output=True, cwd=tmp_path,

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from irltrack.basis import (eval_grad, fd_gradient, make_basis, quad_basis,
+from irltrack.basis import (fd_gradient, make_basis, quad_basis,
                             quad_feature_count)
-from irltrack.errors import ConfigurationError, NumericFault
+from irltrack.errors import ConfigurationError
 
 
 def test_feature_count_27_at_dim6():
@@ -48,12 +48,6 @@ def test_gradient_matches_finite_differences(rng):
         an = b.grad(z)
         fd = fd_gradient(b, z)
         assert np.max(np.abs(fd - an)) / (1e-9 + np.max(np.abs(an))) <= 1e-6
-
-
-def test_eval_grad_rejects_nonfinite():
-    b = quad_basis(2)
-    with pytest.raises(NumericFault):
-        eval_grad(b, np.array([1.0, np.nan]))
 
 
 def test_blockwise_homogeneity(rng):

@@ -219,9 +219,8 @@ def test_unbatched_sweeps_run_each_point_as_run_does(tmp_path, config,
         run = out / f"run{i:03d}"
         assert manifest_value(run, "batch_size") == "2"
         ref = tmp_path / f"ref{i}"
-        code, _, _ = cli.run_one(cli.resolve_config_path(config),
-                                 overrides + [f"learner.alpha={alpha}"],
-                                 str(ref))
+        code, _ = cli.run_one(cli.resolve_config_path(config),
+                              overrides + [f"learner.alpha={alpha}"], str(ref))
         assert code == cli.EXIT_OK
         assert (run / "telemetry.csv").read_bytes() == \
             (ref / "telemetry.csv").read_bytes()
@@ -247,8 +246,8 @@ def test_uav_sweep_batches_around_a_trim_failure(tmp_path):
             for i in (0, 2)] == ["2", "2"]
     for i, va in enumerate(("18", "0.5", "2000")):
         ref = tmp_path / f"ref{i}"
-        code, _, _ = cli.run_one(cli.resolve_config_path("uav_attitude"),
-                                 overrides + [f"plant.va_m_s={va}"], str(ref))
+        code, _ = cli.run_one(cli.resolve_config_path("uav_attitude"),
+                              overrides + [f"plant.va_m_s={va}"], str(ref))
         assert code == [cli.EXIT_OK, cli.EXIT_ORACLE, cli.EXIT_NUMERIC][i]
         run = out / f"run00{i}"
         assert artifacts(run) == artifacts(ref)
@@ -320,8 +319,7 @@ def test_a_point_that_does_not_load_leaves_the_rest_of_its_chunk(tmp_path):
         out_dir = str(tmp_path / f"run{i}")
         path = cli._resolved_config(cli.resolve_config_path("linear_benchmark"),
                                     overrides + [value], out_dir)
-        points.append(cli._Point(f"run{i}", path, overrides + [value], out_dir,
-                                 *parse_config(path)))
+        points.append(cli._Point(f"run{i}", path, overrides + [value], out_dir))
     assert [code for code, _ in cli._run(points)] == \
         [cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_OK]
     assert manifest_value(tmp_path / "run1", "status") == \
@@ -334,3 +332,44 @@ def test_a_point_that_does_not_load_leaves_the_rest_of_its_chunk(tmp_path):
         assert artifacts(run) == artifacts(ref)
         assert manifest_value(run, "status") == manifest_value(ref, "status")
         assert manifest_value(run, "batch_size") == (None if i == 1 else "2")
+
+
+def test_a_chunk_groups_its_points_by_environment(tmp_path):
+    # one chunk holds two linear_osc points around an integrator point of
+    # other dimensions: the pair runs as one batch, the integrator alone
+    overrides = ["sim.t_end_s=0.05", "sim.record_every=1"]
+    values = [["learner.alpha=100"],
+              ["experiment.plant=integrator", "plant.n=2",
+               "saturation.r_diag=10 10"],
+              ["learner.alpha=200"]]
+    points = []
+    for i, value in enumerate(values):
+        out_dir = str(tmp_path / f"run{i}")
+        path = cli._resolved_config(cli.resolve_config_path("linear_benchmark"),
+                                    overrides + value, out_dir)
+        points.append(cli._Point(f"run{i}", path, overrides + value, out_dir))
+    assert [code for code, _ in cli._run(points)] == [cli.EXIT_OK] * 3
+    for i, value in enumerate(values):
+        ref = tmp_path / f"ref{i}"
+        cli.run_one(cli.resolve_config_path("linear_benchmark"),
+                    overrides + value, str(ref))
+        run = tmp_path / f"run{i}"
+        assert artifacts(run) == artifacts(ref)
+        assert manifest_value(run, "batch_size") == (None if i == 1 else "2")
+
+
+def test_a_sweep_builds_each_point_once(tmp_path, monkeypatch):
+    from irltrack.benchmarks import uav
+
+    calls = []
+    trim = uav.trim_level_flight
+
+    def counting(pr, va):
+        calls.append(va)
+        return trim(pr, va=va)
+
+    monkeypatch.setattr(uav, "trim_level_flight", counting)
+    assert cli.main(["sweep", "uav_attitude", "--override", "sim.t_end_s=0.01",
+                     "--grid", "learner.alpha=16.1,16.2,16.3", "--workers", "1",
+                     "--out", str(tmp_path / "sweep")]) == cli.EXIT_OK
+    assert len(calls) == 3

@@ -219,7 +219,7 @@ class TestEnvironmentProtocol:
         """The vectorised setpoint panels are bitwise the per-row
         `attitude_des` lookup, at the switch times and one ulp either side."""
         env = make_env("aerosonde", "attitude_schedule")
-        switches = env.schedule.switch_times
+        switches = [t for t, _ in env.schedule.entries[1:]]
         ts = sorted({0.0, 0.25, 30.0, *switches,
                      *(np.nextafter(s, -1.0) for s in switches),
                      *(np.nextafter(s, 99.0) for s in switches)})

@@ -450,16 +450,29 @@ config.resolve(cfg)
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
+_SWEEP_PARENT_SCIPY = """
+import sys
+from irltrack import cli
+assert cli.main(sys.argv[1:]) == cli.EXIT_OK
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def scipy_modules_after(script, *args):
+    """scipy modules in a fresh interpreter after `script` runs with `args`;
+    the script prints them on its last line."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          env=env, capture_output=True, text=True, check=True)
+    return set(proc.stdout.splitlines()[-1].split())
+
 
 def loaded_scipy_modules(config_name):
     """scipy modules in a fresh interpreter after importing irltrack.cli and
     parsing and resolving a bundled config."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, config_name],
-                          env=env, capture_output=True, text=True, check=True)
-    return set(proc.stdout.split())
+    return scipy_modules_after(_LOADED_SCIPY, config_name)
 
 
 def test_linear_setup_loads_no_scipy():
@@ -470,6 +483,18 @@ def test_uav_setup_loads_only_the_trim_solver():
     loaded = loaded_scipy_modules("uav_attitude")
     assert "scipy.optimize" in loaded
     assert not any(m.startswith("scipy.integrate") for m in loaded)
+
+
+def test_sweep_parent_builds_no_point(tmp_path):
+    # the parent cuts the grid by position; only the workers parse and
+    # resolve the points, so only they import the trim solver
+    out = tmp_path / "sweep"
+    assert scipy_modules_after(
+        _SWEEP_PARENT_SCIPY, "sweep", "uav_attitude", "--override",
+        "sim.t_end_s=0.01", "--grid", "learner.alpha=16.1,16.2",
+        "--workers", "2", "--out", str(out)) == set()
+    for run in ("run000", "run001"):
+        assert "status = ok\n" in (out / run / "manifest.txt").read_text()
 
 
 def test_resolve_config_path_creates_no_file(tmp_path, monkeypatch):

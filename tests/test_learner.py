@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from irltrack.basis import quad_basis
-from irltrack.errors import ConfigurationError, NotReady, NumericFault
+from irltrack.errors import ConfigurationError, NumericFault
 from irltrack.learner import LearnerConfig, gain_pow
 from irltrack.policy import SaturationSpec
-from reference import (CriticState, ReinforcementBuffer, baseline_update_step,
-                       delta_theta, hjb_error, indicator, law_terms, m_integral,
-                       m_vector_raw, reinforcement_integral, sigma_rate,
-                       tau2_raw, update_step)
+from reference import (CriticState, NotReady, ReinforcementBuffer,
+                       baseline_update_step, delta_theta, hjb_error, indicator,
+                       law_terms, m_integral, m_vector_raw,
+                       reinforcement_integral, sigma_rate, tau2_raw,
+                       update_step)
 
 
 def make_cfg(alpha=1.0, q2=0.1, k2=0.01, gamma=0.1, T=1e-3, u_m=1.0,
@@ -262,7 +263,7 @@ def warm_buffer(basis, z_pairs, cfg, W=None):
     W = np.zeros(basis.n_features) if W is None else W
     for k, z in enumerate(z_pairs):
         theta = basis.eval(z)
-        cost = cfg.cost_state(z)
+        cost = float(z @ cfg.Q1 @ z)
         buf.push(k * cfg.T, theta, cost, 0.0)
     return buf
 

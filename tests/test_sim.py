@@ -292,3 +292,26 @@ def test_a_protocol_only_environment_runs_alone_and_batched():
         assert fault is None and np.isfinite(rows).all()
         assert tel.rows.tobytes() == rows.tobytes()
     assert alone[0].tobytes() != alone[1].tobytes()
+
+
+class LinearizedPendulumEnv(PendulumEnv):
+    """The pendulum, reporting its linearization about the hanging rest as
+    a stacked pair: the loop must still step it through its own methods."""
+
+    def linear_pair(self):
+        A = np.zeros((4, 4))
+        A[0, 1], A[1, 0], A[1, 1] = 1.0, -1.0, -0.1
+        return A, self.G(None)
+
+
+def test_a_protocol_only_environment_with_a_linear_pair_steps_itself():
+    *_, basis, _, lcfg, scfg, dith = small_setup(t_end=0.2, amp=0.5)
+    plain = [run_env_experiment(PendulumEnv(a), basis, lcfg, scfg,
+                                dither_spec=dith).rows for a in (0.0, 1.0)]
+    alone = [run_env_experiment(LinearizedPendulumEnv(a), basis, lcfg, scfg,
+                                dither_spec=dith).rows for a in (0.0, 1.0)]
+    batched = run_batch([(LinearizedPendulumEnv(a), lcfg, "novel", dith, None)
+                         for a in (0.0, 1.0)], basis, scfg)
+    for rows, one, (tel, fault) in zip(plain, alone, batched):
+        assert fault is None
+        assert one.tobytes() == rows.tobytes() == tel.rows.tobytes()
