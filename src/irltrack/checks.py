@@ -93,18 +93,23 @@ def check_discounted_quadrature(gamma: float = 0.1, c: float = 3.7,
 
 
 def check_riccati_residual():
-    """Oracle P of the bundled linear pair substituted into the algebraic eq."""
+    """Oracle P of the bundled linear pair substituted into the algebraic eq.,
+    and against the independent `scipy.linalg.solve_continuous_are`."""
+    from scipy.linalg import solve_continuous_are
+
     A, B = catalog.make_env("linear_osc", "harmonic", {"omega": 6.0},
                             {"omega": 6.0}).linear_pair()
-    Q1 = np.diag([1.0, 1.0, 0.0, 0.0])
-    R = np.array([[10.0]])
+    Q1, R, gamma = np.diag([1.0, 1.0, 0.0, 0.0]), np.array([[10.0]]), 0.1
     try:
-        P = discounted_riccati(A, B, Q1, R, 0.1)
+        P = discounted_riccati(A, B, Q1, R, gamma)
     except OracleFailure as exc:
         return ("Riccati oracle residual", False, str(exc))
-    res = np.linalg.norm(riccati_residual(P, A, B, Q1, R, 0.1), "fro")
-    return ("Riccati oracle residual", res <= 1e-9,
-            f"Frobenius residual {res:.2e} (tol 1e-9)")
+    res = np.linalg.norm(riccati_residual(P, A, B, Q1, R, gamma), "fro")
+    P_ref = solve_continuous_are(A - 0.5 * gamma * np.eye(4), B, Q1, R)
+    rel = np.linalg.norm(P - P_ref) / np.linalg.norm(P_ref)
+    return ("Riccati oracle residual", res <= 1e-9 and rel <= 1e-10,
+            f"Frobenius residual {res:.2e} (tol 1e-9), rel diff to scipy "
+            f"{rel:.2e} (tol 1e-10)")
 
 
 def check_ideal_weights_roundtrip(n_draws: int = 20, seed: int = 11):

@@ -1,4 +1,6 @@
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +56,65 @@ class TestDiscountedRiccati:
         with pytest.raises(OracleFailure):
             discounted_riccati(A, B, np.diag([1.0, 1.0, 0.0, 0.0]),
                                np.array([[1.0]]), 0.0)
+
+    def test_open_loop_unstable_pair_matches_scipy(self):
+        # eigenvalues 1 and -3: the solution must stabilize the shifted pair
+        A = np.array([[1.0, 2.0], [0.0, -3.0]])
+        B = np.array([[0.0], [1.0]])
+        Q1, R_, gamma = np.eye(2), np.array([[2.0]]), 0.2
+        P_ = discounted_riccati(A, B, Q1, R_, gamma)
+        As = A - 0.5 * gamma * np.eye(2)
+        P_scipy = sla.solve_continuous_are(As, B, Q1, R_)
+        assert np.linalg.norm(P_ - P_scipy) <= 1e-12 * np.linalg.norm(P_scipy)
+        closed = As - B @ np.linalg.solve(R_, B.T @ P_)
+        assert np.max(np.linalg.eigvals(closed).real) < 0.0
+
+    def test_random_pairs_agree_with_scipy(self):
+        """Wherever both solvers pass the 1e-9 residual gate, they agree to
+        1e-10 relative (seeded pairs, n <= 6, m <= 2, Q1 of any rank)."""
+        rng = np.random.default_rng(20261018)
+        compared = 0
+        for _ in range(300):
+            n, m = int(rng.integers(1, 7)), int(rng.integers(1, 3))
+            A, B = rng.normal(size=(n, n)), rng.normal(size=(n, m))
+            C = rng.normal(size=(int(rng.integers(1, n + 1)), n))
+            D = rng.normal(size=(m, m))
+            Q1, R_ = C.T @ C, D.T @ D + 0.1 * np.eye(m)
+            gamma = float(rng.uniform(0.0, 1.0))
+            try:
+                P_ = discounted_riccati(A, B, Q1, R_, gamma)
+            except OracleFailure:
+                continue
+            try:
+                P_scipy = sla.solve_continuous_are(
+                    A - 0.5 * gamma * np.eye(n), B, Q1, R_)
+            except (np.linalg.LinAlgError, ValueError):
+                continue
+            if not np.linalg.norm(riccati_residual(P_scipy, A, B, Q1, R_, gamma),
+                                  "fro") <= 1e-9:
+                continue
+            compared += 1
+            assert np.linalg.norm(P_ - P_scipy) <= \
+                1e-10 * np.linalg.norm(P_scipy)
+        assert compared >= 250
+
+    @pytest.mark.parametrize("A, B", [
+        # zero plant, gamma = 0: the Hamiltonian itself is singular
+        (np.zeros((2, 2)), np.zeros((2, 1))),
+        # an uncontrollable undamped rotation puts Hamiltonian eigenvalues
+        # at +-i pi, beside a controllable unstable mode (+-sqrt(5))
+        (np.array([[0.0, math.pi, 0.0], [-math.pi, 0.0, 0.0], [0.0, 0.0, 2.0]]),
+         np.array([[0.0], [0.0], [1.0]])),
+        # P near 2e300: the iterates overflow
+        (np.array([[1e300]]), np.eye(1)),
+    ], ids=["singular", "imaginary-axis", "overflow"])
+    def test_failure_raises_oracle_failure_and_no_warning(self, A, B):
+        t0 = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OracleFailure):
+                discounted_riccati(A, B, np.eye(len(A)), np.eye(1), 0.0)
+        assert time.perf_counter() - t0 < 5.0  # the iteration is capped
 
     def test_matched_pair_has_error_only_value(self):
         """Plant drift equal to the reference field zeroes the x_d blocks."""

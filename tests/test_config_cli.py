@@ -145,6 +145,20 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "[FAIL] penalty closed-form vs quadrature" in out
 
+    def test_oracle_off_the_scipy_solution_detected(self, capsys, monkeypatch):
+        # a 1e-9 offset on the unpenalised x_d block moves the residual by
+        # 1.4e-10, under its 1e-9 gate, and P by 2.8e-10 relative to scipy's
+        import irltrack.checks as checks
+        solve = checks.discounted_riccati
+
+        def offset(*args):
+            P = solve(*args)
+            P[2:, 2:] += 1e-9 * np.eye(2)
+            return P
+        monkeypatch.setattr(checks, "discounted_riccati", offset)
+        assert cli.main(["check"]) == cli.EXIT_ORACLE
+        assert "[FAIL] Riccati oracle residual" in capsys.readouterr().out
+
     def test_gamma_zero_edge_uses_cT_form(self, capsys):
         assert cli.main(["check", "--gamma", "0"]) == cli.EXIT_OK
         out = capsys.readouterr().out
@@ -450,12 +464,28 @@ config.resolve(cfg)
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
-_SWEEP_PARENT_SCIPY = """
+_CLI_SCIPY = """
 import sys
 from irltrack import cli
 assert cli.main(sys.argv[1:]) == cli.EXIT_OK
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
+
+# Any scipy import raises, here and in the sweep's forked workers, which
+# inherit sys.meta_path; a worker that hits it reports its points as errors.
+_NO_SCIPY_CLI = """
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} imported by a linear command")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+""" + _CLI_SCIPY
 
 
 def scipy_modules_after(script, *args):
@@ -479,6 +509,26 @@ def test_linear_setup_loads_no_scipy():
     assert loaded_scipy_modules("linear_benchmark") == set()
 
 
+@pytest.mark.parametrize("command", [
+    ["validate", "linear_benchmark"],
+    ["run", "linear_benchmark", "--override", "sim.t_end_s=0.05"],
+    ["sweep", "linear_benchmark", "--override", "sim.t_end_s=0.05",
+     "--grid", "learner.alpha=150,160", "--workers", "2"],
+], ids=["validate", "run", "sweep"])
+def test_linear_command_loads_no_scipy(tmp_path, command):
+    out = tmp_path / "out"
+    args = command if command[0] == "validate" else command + ["--out", str(out)]
+    assert scipy_modules_after(_NO_SCIPY_CLI, *args) == set()
+    runs = {"validate": [], "run": [out],
+            "sweep": [out / "run000", out / "run001"]}[command[0]]
+    for run in runs:
+        assert "status = ok\n" in (run / "manifest.txt").read_text()
+        assert (run / "series" / "weight_error_vs_oracle.dat").is_file()
+    if command[0] == "sweep":
+        with open(out / "summary.csv", newline="") as fh:
+            assert [row["status"] for row in csv.DictReader(fh)] == ["ok", "ok"]
+
+
 def test_uav_setup_loads_only_the_trim_solver():
     loaded = loaded_scipy_modules("uav_attitude")
     assert "scipy.optimize" in loaded
@@ -490,7 +540,7 @@ def test_sweep_parent_builds_no_point(tmp_path):
     # resolve the points, so only they import the trim solver
     out = tmp_path / "sweep"
     assert scipy_modules_after(
-        _SWEEP_PARENT_SCIPY, "sweep", "uav_attitude", "--override",
+        _CLI_SCIPY, "sweep", "uav_attitude", "--override",
         "sim.t_end_s=0.01", "--grid", "learner.alpha=16.1,16.2",
         "--workers", "2", "--out", str(out)) == set()
     for run in ("run000", "run001"):
