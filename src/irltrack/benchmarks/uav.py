@@ -31,6 +31,8 @@ from ..sim import Telemetry, rk4_step
 PN, PE, PD, U, V, W, PHI, THETA, PSI, P, Q, R = range(12)
 
 _PITCH_GUARD = math.pi / 2 - 1e-6
+# the error rows of G(z): the rate commands take no control
+_NO_COUPLING = ([0.0, 0.0, 0.0],) * 3
 
 
 @dataclass(frozen=True)
@@ -158,11 +160,11 @@ def load_airframe(path=None) -> AirframeParams:
         raise ConfigurationError(f"plant.airframe: bad airframe file: {exc}") from exc
 
 
-def forces_moments(state: np.ndarray, delta_e: float, delta_a: float,
-                   delta_r: float, delta_t: float, pr: AirframeParams):
-    """Body-frame forces (fx, fy, fz) and moments (l, m, n)."""
-    # Python floats: numpy's float64 arithmetic, at a fraction of the cost
-    _, _, _, u, v, w, phi, theta, _, p, q, r = np.asarray(state, dtype=float).tolist()
+def forces_moments(state, delta_e: float, delta_a: float, delta_r: float,
+                   delta_t: float, pr: AirframeParams):
+    """Body-frame forces (fx, fy, fz) and moments (l, m, n) of a 12-float
+    state."""
+    _, _, _, u, v, w, phi, theta, _, p, q, r = state
 
     va = math.sqrt(u * u + v * v + w * w)
     if va > 1e-9:
@@ -210,15 +212,16 @@ def forces_moments(state: np.ndarray, delta_e: float, delta_a: float,
     return fx, fy, fz, l_m, m_m, n_m
 
 
-def uav_dynamics(state: np.ndarray, deflections: np.ndarray, pr: AirframeParams,
-                 delta_t: float) -> np.ndarray:
-    """Rigid-body state derivative under absolute surface deflections.
+def uav_dynamics(state, deflections, pr: AirframeParams, delta_t: float) -> list:
+    """Rigid-body state derivative under absolute surface deflections, on
+    Python floats: a 12-float state and (elevator, aileron, rudder) in, the
+    12 derivatives out as a list.
 
     Aborts on the Euler pitch singularity; the caller is responsible for
     keeping deflections inside the actuator bound.
     """
-    de, da, dr = np.asarray(deflections, dtype=float).tolist()
-    _, _, _, u, v, w, phi, theta, psi, p, q, r = np.asarray(state, dtype=float).tolist()
+    de, da, dr = deflections
+    _, _, _, u, v, w, phi, theta, psi, p, q, r = state
     if abs(theta) >= _PITCH_GUARD:
         raise NumericFault(f"pitch angle {theta:.4f} rad reached the Euler "
                            "singularity guard", component=THETA)
@@ -229,42 +232,43 @@ def uav_dynamics(state: np.ndarray, deflections: np.ndarray, pr: AirframeParams,
     sps, cps = math.sin(psi), math.cos(psi)
     tth = sth / cth
 
-    out = np.empty(12)
-    # body -> inertial kinematics
-    out[PN] = (cth * cps) * u + (sph * sth * cps - cph * sps) * v \
-        + (cph * sth * cps + sph * sps) * w
-    out[PE] = (cth * sps) * u + (sph * sth * sps + cph * cps) * v \
-        + (cph * sth * sps - sph * cps) * w
-    out[PD] = -sth * u + sph * cth * v + cph * cth * w
-    # body-frame accelerations
-    out[U] = r * v - q * w + fx / pr.mass
-    out[V] = p * w - r * u + fy / pr.mass
-    out[W] = q * u - p * v + fz / pr.mass
-    # attitude kinematics
-    out[PHI] = p + sph * tth * q + cph * tth * r
-    out[THETA] = cph * q - sph * r
-    out[PSI] = (sph / cth) * q + (cph / cth) * r
-    # moment equations
     g1, g2, g3, g4, g5, g6, g7, g8 = pr.gammas
-    out[P] = g1 * p * q - g2 * q * r + g3 * l_m + g4 * n_m
-    out[Q] = g5 * p * r - g6 * (p * p - r * r) + m_m / pr.jy
-    out[R] = g7 * p * q - g1 * q * r + g4 * l_m + g8 * n_m
-    return out
+    return [
+        # body -> inertial kinematics (PN, PE, PD)
+        (cth * cps) * u + (sph * sth * cps - cph * sps) * v
+        + (cph * sth * cps + sph * sps) * w,
+        (cth * sps) * u + (sph * sth * sps + cph * cps) * v
+        + (cph * sth * sps - sph * cps) * w,
+        -sth * u + sph * cth * v + cph * cth * w,
+        # body-frame accelerations (U, V, W)
+        r * v - q * w + fx / pr.mass,
+        p * w - r * u + fy / pr.mass,
+        q * u - p * v + fz / pr.mass,
+        # attitude kinematics (PHI, THETA, PSI)
+        p + sph * tth * q + cph * tth * r,
+        cph * q - sph * r,
+        (sph / cth) * q + (cph / cth) * r,
+        # moment equations (P, Q, R)
+        g1 * p * q - g2 * q * r + g3 * l_m + g4 * n_m,
+        g5 * p * r - g6 * (p * p - r * r) + m_m / pr.jy,
+        g7 * p * q - g1 * q * r + g4 * l_m + g8 * n_m,
+    ]
 
 
-def rate_control_coupling(va: float, pr: AirframeParams) -> np.ndarray:
-    """d(pdot,qdot,rdot)/d(delta_e,delta_a,delta_r) at dynamic pressure of va."""
+def rate_control_coupling(va: float, pr: AirframeParams) -> list:
+    """d(pdot,qdot,rdot)/d(delta_e,delta_a,delta_r) at dynamic pressure of
+    va, as three rows of floats."""
     qbar = 0.5 * pr.rho * va * va
     qSb = qbar * pr.S * pr.b
     qSc = qbar * pr.S * pr.c
     g1, g2, g3, g4, g5, g6, g7, g8 = pr.gammas
-    return np.array([
+    return [
         [0.0, qSb * (g3 * pr.c_ll_da + g4 * pr.c_n_da),
          qSb * (g3 * pr.c_ll_dr + g4 * pr.c_n_dr)],
         [qSc * pr.c_m_de / pr.jy, 0.0, 0.0],
         [0.0, qSb * (g4 * pr.c_ll_da + g8 * pr.c_n_da),
          qSb * (g4 * pr.c_ll_dr + g8 * pr.c_n_dr)],
-    ])
+    ]
 
 
 @dataclass(frozen=True)
@@ -276,12 +280,13 @@ class TrimPoint:
     delta_e: float
     delta_t: float
 
-    def initial_state(self, altitude: float = 100.0) -> np.ndarray:
-        state = np.zeros(12)
-        state[PD] = -altitude
+    def initial_state(self, altitude: float = 100.0) -> list:
+        """The 12-float trim state at `altitude`, heading north."""
+        state = [0.0] * 12
+        state[PD] = -float(altitude)
         state[U] = self.va * math.cos(self.alpha)
         state[W] = self.va * math.sin(self.alpha)
-        state[THETA] = self.alpha
+        state[THETA] = float(self.alpha)
         return state
 
 
@@ -293,7 +298,7 @@ def trim_level_flight(pr: AirframeParams, va: float = 35.0) -> TrimPoint:
         alpha, de, dt_ = x
         state = TrimPoint(va, alpha, de, dt_).initial_state(0.0)
         try:
-            d = uav_dynamics(state, np.array([de, 0.0, 0.0]), pr, dt_)
+            d = uav_dynamics(state, (float(de), 0.0, 0.0), pr, dt_)
         except NumericFault:
             # solver wandered past the pitch guard; steer it back
             return [1e6 * (1.0 + abs(alpha)), 1e6, 1e6]
@@ -321,14 +326,15 @@ class OuterLoopGains:
 
     @property
     def vector(self):
-        return np.array([self.k_phi, self.k_theta, self.k_psi])
+        return self.k_phi, self.k_theta, self.k_psi
 
 
-def outer_loop(attitude: np.ndarray, attitude_des: np.ndarray,
-               attitude_des_rate: np.ndarray, gains: OuterLoopGains) -> np.ndarray:
-    """Desired body rates: feedforward minus gain times attitude error."""
-    e = np.asarray(attitude, dtype=float) - np.asarray(attitude_des, dtype=float)
-    return np.asarray(attitude_des_rate, dtype=float) - gains.vector * e
+def outer_loop(attitude, attitude_des, attitude_des_rate,
+               gains: OuterLoopGains) -> list:
+    """Desired body rates, three floats: feedforward minus gain times
+    attitude error."""
+    return [rate - k * (att - des) for att, des, rate, k in
+            zip(attitude, attitude_des, attitude_des_rate, gains.vector)]
 
 
 @dataclass(frozen=True)
@@ -358,9 +364,10 @@ class UavAttitudeEnv:
 
     The stacked state pairs the body-rate tracking error with the live
     outer-loop rate commands; `advance` applies trim + deviation surfaces
-    and integrates the 12-state model.  `state` defaults to the trim state
-    at 100 m.  The rate command `x_d` of the current state is computed once
-    per state, here and in `advance`.
+    and integrates the 12-state model.  `state` (the logged `x`) is a list
+    of 12 floats and defaults to the trim state at 100 m.  Its airspeed and
+    its rate command `x_d` (three floats) are computed once per state, on
+    construction and in `advance`; `G`, `z` and `check_domain` read them.
     """
 
     control_names = ("elevator", "aileron", "rudder")
@@ -369,48 +376,52 @@ class UavAttitudeEnv:
 
     def __init__(self, params: AirframeParams, trim: TrimPoint,
                  schedule: SetpointSchedule, gains: OuterLoopGains = OuterLoopGains(),
-                 state: np.ndarray | None = None):
+                 state=None):
         self.params = params
         self.trim = trim
         self.schedule = schedule
         self.gains = gains
-        self.state = trim.initial_state() if state is None else state
-        self._t = 0.0
-        self.x_d = self._rate_des(self._t)
+        self._enter(trim.initial_state() if state is None
+                    else [float(s) for s in state], 0.0)
 
     @property
     def x(self):
         return self.state
 
-    def _rate_des(self, t: float) -> np.ndarray:
-        att = self.state[[PHI, THETA, PSI]]
-        return outer_loop(att, self.schedule.attitude_des(t), np.zeros(3), self.gains)
+    def _enter(self, state: list, t: float):
+        """Take `state` at time t, with its airspeed and rate command."""
+        self.state = state
+        self.airspeed = float(np.linalg.norm(state[U:W + 1]))
+        self.x_d = self._rate_des(t)
+
+    def _rate_des(self, t: float) -> list:
+        return outer_loop(self.state[PHI:PSI + 1],
+                          self.schedule.attitude_des(t).tolist(), (0.0, 0.0, 0.0),
+                          self.gains)
 
     def G(self, z) -> np.ndarray:
         """Rate-channel coupling at the live airspeed (z is not read)."""
-        va = float(np.linalg.norm(self.state[[U, V, W]]))
-        out = np.zeros((6, 3))
-        out[:3, :] = rate_control_coupling(va, self.params)
-        return out
+        return np.array([*rate_control_coupling(self.airspeed, self.params),
+                         *_NO_COUPLING])
 
     def z(self) -> np.ndarray:
-        return np.concatenate([self.state[[P, Q, R]] - self.x_d, self.x_d])
+        p, q, r = self.state[P:]
+        p_d, q_d, r_d = self.x_d
+        return np.array([p - p_d, q - q_d, r - r_d, p_d, q_d, r_d])
 
-    def advance(self, u_applied: np.ndarray, t: float, dt: float):
-        surfaces = np.array([self.trim.delta_e, 0.0, 0.0]) + u_applied
-        self.state = rk4_step(
-            lambda tt, ss: uav_dynamics(ss, surfaces, self.params, self.trim.delta_t),
-            t, self.state, dt)
-        self._t = t + dt
-        self.x_d = self._rate_des(self._t)
+    def advance(self, u_applied, t: float, dt: float):
+        de, da, dr = map(float, u_applied)
+        # trim + deviation; the zero aileron and rudder trims stay in the
+        # sum, which turns a -0.0 deviation into 0.0
+        surfaces = (self.trim.delta_e + de, 0.0 + da, 0.0 + dr)
+        pr, delta_t = self.params, self.trim.delta_t
+        self._enter(rk4_step(lambda tt, s: uav_dynamics(s, surfaces, pr, delta_t),
+                             t, self.state, dt), t + dt)
 
     def check_domain(self, telemetry: Telemetry, t: float):
-        uvw = self.state[[U, V, W]]
-        va = float(np.linalg.norm(uvw))
-        if va > 1e-9:
-            alpha = math.atan2(self.state[W], self.state[U])
-            if abs(alpha) > self.params.stall_alpha:
-                telemetry.warn("stall regime: |alpha| above the stall angle", t)
+        if self.airspeed > 1e-9 and abs(math.atan2(
+                self.state[W], self.state[U])) > self.params.stall_alpha:
+            telemetry.warn("stall regime: |alpha| above the stall angle", t)
 
     def series(self, telemetry: Telemetry) -> dict:
         """Rate errors, and each Euler angle against its setpoint, in degrees."""

@@ -225,7 +225,7 @@ def apply_overrides(path, overrides, out_path):
         if not (section and option and value != ""):
             raise ConfigurationError(
                 f"override {ov!r}: expected section.key=value")
-        if not cp.has_section(section):
+        if section != cp.default_section and not cp.has_section(section):
             cp.add_section(section)
         cp.set(section, option, value.strip())
     with open(out_path, "w", encoding="utf-8") as fh:

@@ -107,18 +107,34 @@ def dither(t: float) -> float:
         + math.sin(2.4 * t) ** 5)
 
 
-def rk4_step(field, t: float, state: np.ndarray, dt: float) -> np.ndarray:
-    """Classical 4th-order Runge-Kutta step of ``d(state)/dt = field(t, state)``."""
+def rk4_step(field, t: float, state, dt: float) -> list:
+    """Classical 4th-order Runge-Kutta step of ``d(state)/dt = field(t, state)``
+    on Python floats: `field` takes and returns a sequence of floats, and
+    the new state comes back as a list.
+
+    Element by element it does the operations of the array form
+    state + dt/6 (k1 + 2 k2 + 2 k3 + k4), in the same order, so it gives the
+    same bits.  A non-finite stage makes the new state non-finite, so the
+    stages are searched only then; the first non-finite one raises
+    NumericFault.
+    """
     if not dt > 0:
         raise ConfigurationError(f"dt must be > 0, got {dt}")
-    k1 = np.asarray(field(t, state), dtype=float)
-    k2 = np.asarray(field(t + dt / 2.0, state + (dt / 2.0) * k1), dtype=float)
-    k3 = np.asarray(field(t + dt / 2.0, state + (dt / 2.0) * k2), dtype=float)
-    k4 = np.asarray(field(t + dt, state + dt * k3), dtype=float)
-    for i, k in enumerate((k1, k2, k3, k4)):
-        if not np.isfinite(k).all():
-            raise NumericFault(f"non-finite RK4 stage {i + 1} at t={t}", t=t)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    h = dt / 2.0
+    k1 = field(t, state)
+    k2 = field(t + h, [s + h * k for s, k in zip(state, k1)])
+    k3 = field(t + h, [s + h * k for s, k in zip(state, k2)])
+    k4 = field(t + dt, [s + dt * k for s, k in zip(state, k3)])
+    d6 = dt / 6.0
+    out = [s + d6 * (a + 2.0 * b + 2.0 * c + d)
+           for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+    # a sum of finite floats may overflow, but one with a non-finite term
+    # is never finite
+    if not math.isfinite(sum(out)):
+        for i, k in enumerate((k1, k2, k3, k4)):
+            if not all(map(math.isfinite, k)):
+                raise NumericFault(f"non-finite RK4 stage {i + 1} at t={t}", t=t)
+    return out
 
 
 @dataclass
@@ -233,8 +249,8 @@ class TrackingEnv(Protocol):
     control_names: Sequence[str]
     m: int
     dim_z: int
-    x: np.ndarray                # logged plant state
-    x_d: np.ndarray              # logged reference state
+    x: Sequence[float]           # logged plant state, an array or a list
+    x_d: Sequence[float]         # logged reference state, likewise
 
     def z(self) -> np.ndarray: ...
     def G(self, z: np.ndarray) -> np.ndarray: ...  # (dim_z, m) control coupling
@@ -279,11 +295,11 @@ class AugmentedTrackingEnv:
         n, f, g, H = self.plant.n, self.plant.f, self.plant.g, self.ref.H
 
         def field(tt, s):
-            x, xd = s[:n], s[n:]
-            return np.concatenate([f(x) + g(x) @ u_applied, H(xd)])
+            x, xd = np.array(s[:n]), np.array(s[n:])
+            return [*(f(x) + g(x) @ u_applied).tolist(), *H(xd).tolist()]
 
-        s = rk4_step(field, t, np.concatenate([self.x, self.x_d]), dt)
-        self.x, self.x_d = s[:n], s[n:]
+        s = rk4_step(field, t, [*self.x.tolist(), *self.x_d.tolist()], dt)
+        self.x, self.x_d = np.array(s[:n]), np.array(s[n:])
 
     def check_domain(self, telemetry: Telemetry, t: float):
         if self.plant.domain is not None:

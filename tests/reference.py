@@ -1,5 +1,8 @@
 """The scalar reference loop: one run, one point at a time, in plain 1-D
-numpy.  Tests only: `irltrack.sim.run_batch` is pinned against it.
+numpy.  Tests only: `irltrack.sim.run_batch` is pinned against it.  Below
+it, the Aerosonde airframe, the RK4 step and the attitude environment in
+their former numpy-array formulation, which pin the package's float
+versions bit for bit.
 
 Every formula here is written out separately from the package's row-wise
 ones (tau2, the penalty, M, the window pass and the law), one per paper
@@ -36,6 +39,8 @@ from typing import NamedTuple
 import numpy as np
 
 from irltrack.basis import RegressorBasis
+from irltrack.benchmarks.uav import (_PITCH_GUARD, AirframeParams, OuterLoopGains,
+                                     SetpointSchedule, TrimPoint)
 from irltrack.errors import ConfigurationError, NumericFault
 from irltrack.learner import _SPAN_RTOL, LearnerConfig, gain_pow
 from irltrack.policy import SaturationSpec, log_one_minus_tanh2, saturate
@@ -372,3 +377,174 @@ def run_env_experiment(env: TrackingEnv, basis: RegressorBasis,
         raise
     return telemetry
 
+
+# -- the Aerosonde in numpy arrays -------------------------------------------
+
+PN, PE, PD, U, V, W, PHI, THETA, PSI, P, Q, R = range(12)
+
+
+def rk4_step(field, t: float, state: np.ndarray, dt: float) -> np.ndarray:
+    """Classical 4th-order Runge-Kutta step of ``d(state)/dt = field(t, state)``."""
+    if not dt > 0:
+        raise ConfigurationError(f"dt must be > 0, got {dt}")
+    k1 = np.asarray(field(t, state), dtype=float)
+    k2 = np.asarray(field(t + dt / 2.0, state + (dt / 2.0) * k1), dtype=float)
+    k3 = np.asarray(field(t + dt / 2.0, state + (dt / 2.0) * k2), dtype=float)
+    k4 = np.asarray(field(t + dt, state + dt * k3), dtype=float)
+    for i, k in enumerate((k1, k2, k3, k4)):
+        if not np.isfinite(k).all():
+            raise NumericFault(f"non-finite RK4 stage {i + 1} at t={t}", t=t)
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def forces_moments(state: np.ndarray, delta_e: float, delta_a: float,
+                   delta_r: float, delta_t: float, pr: AirframeParams):
+    """Body-frame forces (fx, fy, fz) and moments (l, m, n)."""
+    _, _, _, u, v, w, phi, theta, _, p, q, r = np.asarray(state, dtype=float).tolist()
+
+    va = math.sqrt(u * u + v * v + w * w)
+    if va > 1e-9:
+        alpha = math.atan2(w, u)
+        beta = math.asin(max(-1.0, min(1.0, v / va)))
+        qbar = 0.5 * pr.rho * va * va
+        rate_scale = 1.0 / (2.0 * va)
+    else:
+        alpha = beta = qbar = rate_scale = 0.0
+
+    sa, ca = math.sin(alpha), math.cos(alpha)
+    cl = pr.c_l0 + pr.c_l_alpha * alpha
+    cd = pr.c_d0 + pr.c_d_alpha * alpha
+    cx = -cd * ca + cl * sa
+    cx_q = -pr.c_d_q * ca + pr.c_l_q * sa
+    cx_de = -pr.c_d_de * ca + pr.c_l_de * sa
+    cz = -cd * sa - cl * ca
+    cz_q = -pr.c_d_q * sa - pr.c_l_q * ca
+    cz_de = -pr.c_d_de * sa - pr.c_l_de * ca
+
+    g = pr.gravity
+    qS = qbar * pr.S
+    thrust = 0.5 * pr.rho * pr.s_prop * pr.c_prop * \
+        ((pr.k_motor * delta_t) ** 2 - va * va)
+
+    fx = -pr.mass * g * math.sin(theta) \
+        + qS * (cx + cx_q * pr.c * q * rate_scale + cx_de * delta_e) + thrust
+    fy = pr.mass * g * math.cos(theta) * math.sin(phi) \
+        + qS * (pr.c_y0 + pr.c_y_beta * beta
+                + pr.c_y_p * pr.b * p * rate_scale + pr.c_y_r * pr.b * r * rate_scale
+                + pr.c_y_da * delta_a + pr.c_y_dr * delta_r)
+    fz = pr.mass * g * math.cos(theta) * math.cos(phi) \
+        + qS * (cz + cz_q * pr.c * q * rate_scale + cz_de * delta_e)
+
+    l_m = qS * pr.b * (pr.c_ll0 + pr.c_ll_beta * beta
+                       + pr.c_ll_p * pr.b * p * rate_scale
+                       + pr.c_ll_r * pr.b * r * rate_scale
+                       + pr.c_ll_da * delta_a + pr.c_ll_dr * delta_r)
+    m_m = qS * pr.c * (pr.c_m0 + pr.c_m_alpha * alpha
+                       + pr.c_m_q * pr.c * q * rate_scale + pr.c_m_de * delta_e)
+    n_m = qS * pr.b * (pr.c_n0 + pr.c_n_beta * beta
+                       + pr.c_n_p * pr.b * p * rate_scale
+                       + pr.c_n_r * pr.b * r * rate_scale
+                       + pr.c_n_da * delta_a + pr.c_n_dr * delta_r)
+    return fx, fy, fz, l_m, m_m, n_m
+
+
+def uav_dynamics(state: np.ndarray, deflections: np.ndarray, pr: AirframeParams,
+                 delta_t: float) -> np.ndarray:
+    """Rigid-body state derivative under absolute surface deflections."""
+    de, da, dr = np.asarray(deflections, dtype=float).tolist()
+    _, _, _, u, v, w, phi, theta, psi, p, q, r = np.asarray(state, dtype=float).tolist()
+    if abs(theta) >= _PITCH_GUARD:
+        raise NumericFault(f"pitch angle {theta:.4f} rad reached the Euler "
+                           "singularity guard", component=THETA)
+    fx, fy, fz, l_m, m_m, n_m = forces_moments(state, de, da, dr, delta_t, pr)
+
+    sph, cph = math.sin(phi), math.cos(phi)
+    sth, cth = math.sin(theta), math.cos(theta)
+    sps, cps = math.sin(psi), math.cos(psi)
+    tth = sth / cth
+
+    out = np.empty(12)
+    # body -> inertial kinematics
+    out[PN] = (cth * cps) * u + (sph * sth * cps - cph * sps) * v \
+        + (cph * sth * cps + sph * sps) * w
+    out[PE] = (cth * sps) * u + (sph * sth * sps + cph * cps) * v \
+        + (cph * sth * sps - sph * cps) * w
+    out[PD] = -sth * u + sph * cth * v + cph * cth * w
+    # body-frame accelerations
+    out[U] = r * v - q * w + fx / pr.mass
+    out[V] = p * w - r * u + fy / pr.mass
+    out[W] = q * u - p * v + fz / pr.mass
+    # attitude kinematics
+    out[PHI] = p + sph * tth * q + cph * tth * r
+    out[THETA] = cph * q - sph * r
+    out[PSI] = (sph / cth) * q + (cph / cth) * r
+    # moment equations
+    g1, g2, g3, g4, g5, g6, g7, g8 = pr.gammas
+    out[P] = g1 * p * q - g2 * q * r + g3 * l_m + g4 * n_m
+    out[Q] = g5 * p * r - g6 * (p * p - r * r) + m_m / pr.jy
+    out[R] = g7 * p * q - g1 * q * r + g4 * l_m + g8 * n_m
+    return out
+
+
+def rate_control_coupling(va: float, pr: AirframeParams) -> np.ndarray:
+    """d(pdot,qdot,rdot)/d(delta_e,delta_a,delta_r) at dynamic pressure of va."""
+    qbar = 0.5 * pr.rho * va * va
+    qSb = qbar * pr.S * pr.b
+    qSc = qbar * pr.S * pr.c
+    g1, g2, g3, g4, g5, g6, g7, g8 = pr.gammas
+    return np.array([
+        [0.0, qSb * (g3 * pr.c_ll_da + g4 * pr.c_n_da),
+         qSb * (g3 * pr.c_ll_dr + g4 * pr.c_n_dr)],
+        [qSc * pr.c_m_de / pr.jy, 0.0, 0.0],
+        [0.0, qSb * (g4 * pr.c_ll_da + g8 * pr.c_n_da),
+         qSb * (g4 * pr.c_ll_dr + g8 * pr.c_n_dr)],
+    ])
+
+
+def outer_loop(attitude: np.ndarray, attitude_des: np.ndarray,
+               attitude_des_rate: np.ndarray, gains: OuterLoopGains) -> np.ndarray:
+    """Desired body rates: feedforward minus gain times attitude error."""
+    e = np.asarray(attitude, dtype=float) - np.asarray(attitude_des, dtype=float)
+    k = np.array([gains.k_phi, gains.k_theta, gains.k_psi])
+    return np.asarray(attitude_des_rate, dtype=float) - k * e
+
+
+class ArrayUavEnv:
+    """The Aerosonde attitude environment on a numpy state: `z`, `G`,
+    `advance` and `check_domain` re-index and re-norm the state each call."""
+
+    def __init__(self, params: AirframeParams, trim: TrimPoint,
+                 schedule: SetpointSchedule, gains: OuterLoopGains, state):
+        self.params = params
+        self.trim = trim
+        self.schedule = schedule
+        self.gains = gains
+        self.state = np.array(state, dtype=float)
+        self.x_d = self._rate_des(0.0)
+
+    def _rate_des(self, t: float) -> np.ndarray:
+        att = self.state[[PHI, THETA, PSI]]
+        return outer_loop(att, self.schedule.attitude_des(t), np.zeros(3), self.gains)
+
+    def G(self, z) -> np.ndarray:
+        va = float(np.linalg.norm(self.state[[U, V, W]]))
+        out = np.zeros((6, 3))
+        out[:3, :] = rate_control_coupling(va, self.params)
+        return out
+
+    def z(self) -> np.ndarray:
+        return np.concatenate([self.state[[P, Q, R]] - self.x_d, self.x_d])
+
+    def advance(self, u_applied: np.ndarray, t: float, dt: float):
+        surfaces = np.array([self.trim.delta_e, 0.0, 0.0]) + u_applied
+        self.state = rk4_step(
+            lambda tt, ss: uav_dynamics(ss, surfaces, self.params, self.trim.delta_t),
+            t, self.state, dt)
+        self.x_d = self._rate_des(t + dt)
+
+    def check_domain(self, telemetry: Telemetry, t: float):
+        va = float(np.linalg.norm(self.state[[U, V, W]]))
+        if va > 1e-9:
+            alpha = math.atan2(self.state[W], self.state[U])
+            if abs(alpha) > self.params.stall_alpha:
+                telemetry.warn("stall regime: |alpha| above the stall angle", t)

@@ -171,7 +171,7 @@ class TestAirframe:
         assert (l_m, m_m, n_m) == (0.0, 0.0, 0.0)
 
     def test_aileron_sign_convention(self):
-        g3 = rate_control_coupling(18.0, self.pr)
+        g3 = np.array(rate_control_coupling(18.0, self.pr))
         # positive aileron rolls positively and dominates the cross effects
         assert g3[0, 1] > 0.0
         assert abs(g3[0, 1]) > abs(g3[2, 1])
@@ -185,8 +185,8 @@ class TestAirframe:
             uav_dynamics(s, np.zeros(3), self.pr, self.trim.delta_t)
 
     def test_coupling_scales_with_dynamic_pressure(self):
-        a = rate_control_coupling(10.0, self.pr)
-        b = rate_control_coupling(20.0, self.pr)
+        a = np.array(rate_control_coupling(10.0, self.pr))
+        b = np.array(rate_control_coupling(20.0, self.pr))
         assert np.allclose(b, 4.0 * a)
 
 

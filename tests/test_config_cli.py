@@ -708,3 +708,20 @@ def test_builder_keys_of_other_plants_and_default_keys_pass(tmp_path):
     assert not errors
     resolve(cfg)
     assert cli.main(["validate", path]) == cli.EXIT_OK
+
+
+def test_default_section_overrides_run_and_sweep(tmp_path):
+    def default_note(ini):
+        cp = configparser.ConfigParser()
+        cp.read(ini)
+        return cp.defaults().get("note")
+
+    out = tmp_path / "run"
+    assert cli.main(["run", "linear_benchmark", "--override", "sim.t_end_s=0.02",
+                     "--override", "DEFAULT.note=x", "--out", str(out)]) == cli.EXIT_OK
+    assert default_note(out / "config_resolved.ini") == "x"
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "linear_benchmark", "--override", "sim.t_end_s=0.02",
+                     "--grid", "DEFAULT.note=a,b", "--out", str(out)]) == cli.EXIT_OK
+    assert [default_note(out / f"run00{i}" / "config_resolved.ini")
+            for i in (0, 1)] == ["a", "b"]

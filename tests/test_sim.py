@@ -15,26 +15,29 @@ from irltrack.sim import (AugmentedTrackingEnv, DitherSpec, SimConfig,
 
 class TestRk4:
     def test_zero_field_keeps_state(self):
-        x = np.array([1.0, -2.0])
-        out = rk4_step(lambda t, s: np.zeros(2), 0.0, x, 0.1)
+        x = [1.0, -2.0]
+        out = rk4_step(lambda t, s: [0.0, 0.0], 0.0, x, 0.1)
         assert np.array_equal(out, x)
 
     def test_exponential_accuracy(self):
-        out = rk4_step(lambda t, s: -s, 0.0, np.array([1.0]), 0.1)
+        out = rk4_step(lambda t, s: [-v for v in s], 0.0, [1.0], 0.1)
         assert abs(out[0] - math.exp(-0.1)) <= 1e-7
 
     def test_constant_field_exact(self):
         c = 2.5
-        out = rk4_step(lambda t, s: np.array([c]), 0.0, np.array([1.0]), 0.25)
+        out = rk4_step(lambda t, s: [c], 0.0, [1.0], 0.25)
         assert out[0] == pytest.approx(1.0 + c * 0.25, abs=1e-15)
 
     def test_nonfinite_stage_faults(self):
-        with pytest.raises(NumericFault):
-            rk4_step(lambda t, s: np.array([np.nan]), 0.0, np.array([1.0]), 0.1)
+        with pytest.raises(NumericFault, match="stage 1 at t=0.0"):
+            rk4_step(lambda t, s: [math.nan], 0.0, [1.0], 0.1)
+        # the first non-finite stage is named
+        with pytest.raises(NumericFault, match="stage 2 at t=0.0"):
+            rk4_step(lambda t, s: [math.inf] if t > 0 else [1.0], 0.0, [1.0], 0.1)
 
     def test_bad_dt(self):
         with pytest.raises(ConfigurationError):
-            rk4_step(lambda t, s: s, 0.0, np.array([1.0]), 0.0)
+            rk4_step(lambda t, s: s, 0.0, [1.0], 0.0)
 
 
 class TestDither:

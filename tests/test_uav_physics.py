@@ -1,0 +1,124 @@
+"""The Aerosonde on Python floats against its numpy-array formulation
+(`tests/reference.py`): the same bits, state by state."""
+import math
+
+import numpy as np
+import pytest
+
+from irltrack.benchmarks.uav import (Q, THETA, U, W, UavAttitudeEnv,
+                                     load_airframe, trim_level_flight)
+from irltrack.catalog import make_env
+from irltrack.errors import NumericFault
+from irltrack.sim import Telemetry
+
+from reference import ArrayUavEnv
+
+U_M = math.pi / 2   # the bundled 90 deg actuator bound
+DT = 1e-3
+
+
+def _pair(setpoints="0: -30 0 -10; 0.15: 30 0 10"):
+    env = make_env("aerosonde", "attitude_schedule", {},
+                   {"setpoints_deg": setpoints})
+    ref = ArrayUavEnv(env.params, env.trim, env.schedule, env.gains, env.state)
+    return env, ref
+
+
+def _deflections(steps=300):
+    """Random deviations inside the bound, with runs pinned at +-u_m."""
+    u = np.random.default_rng(13).uniform(-U_M, U_M, (steps, 3))
+    u[10:20] = U_M
+    u[120:130] = -U_M
+    u[200:210] = (U_M, -U_M, U_M)
+    return u
+
+
+def _same(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def test_float_physics_is_bitwise_the_array_formulation():
+    env, ref = _pair()
+    switched = False
+    for k, u in enumerate(_deflections()):
+        assert _same(env.state, ref.state), k
+        assert _same(env.x_d, ref.x_d), k
+        assert _same(env.z(), ref.z()), k
+        assert _same(env.G(env.z()), ref.G(ref.z())), k
+        switched |= env.schedule.attitude_des(k * DT)[0] > 0
+        env.advance(u, k * DT, DT)
+        ref.advance(u, k * DT, DT)
+    assert _same(env.state, ref.state) and _same(env.x_d, ref.x_d)
+    assert switched and type(env.state) is list
+    assert len(env.state) == 12 and all(type(s) is float for s in env.state)
+
+
+def test_float_physics_is_bitwise_the_array_formulation_at_random_states():
+    """Off the trim trajectory too, where the airspeed's rounding depends on
+    how its norm is summed."""
+    env0 = make_env("aerosonde", "attitude_schedule")
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        state = np.concatenate([rng.normal(0.0, 100.0, 3), rng.normal(0.0, 20.0, 3),
+                                rng.uniform(-1.0, 1.0, 3), rng.normal(0.0, 1.0, 3)])
+        u = rng.uniform(-U_M, U_M, 3)
+        env = UavAttitudeEnv(env0.params, env0.trim, env0.schedule, env0.gains, state)
+        ref = ArrayUavEnv(env0.params, env0.trim, env0.schedule, env0.gains, state)
+        for _ in range(2):
+            assert _same(env.G(env.z()), ref.G(ref.z()))
+            assert _same(env.z(), ref.z())
+            env.advance(u, 0.0, DT)
+            ref.advance(u, 0.0, DT)
+            assert _same(env.state, ref.state)
+
+
+@pytest.mark.parametrize("va, want", [
+    (18.0, "TrimPoint(va=18.0, alpha=0.22886718413590926, "
+           "delta_e=-0.220699059943291, delta_t=0.25404771144502414)"),
+    (25.0, "TrimPoint(va=25.0, alpha=0.08224250634911698, "
+           "delta_e=-0.1092643048253289, delta_t=0.33495138613022674)"),
+    (35.0, "TrimPoint(va=35.0, alpha=0.0035037534908948327, "
+           "delta_e=-0.04942285265308008, delta_t=0.4555578272587033)"),
+])
+def test_trim_keeps_its_bits(va, want):
+    assert repr(trim_level_flight(load_airframe(), va)) == want
+
+
+def test_nan_deflection_faults_at_stage_one():
+    env, ref = _pair()
+    for e in (env, ref):
+        with pytest.raises(NumericFault, match="non-finite RK4 stage 1 at t=0.0"):
+            e.advance(np.array([math.nan, 0.0, 0.0]), 0.0, DT)
+
+
+def test_pitch_guard_raises_in_advance():
+    env = make_env("aerosonde", "attitude_schedule")
+    state = list(env.state)
+    state[THETA] = math.pi / 2
+    env = UavAttitudeEnv(env.params, env.trim, env.schedule, env.gains, state)
+    with pytest.raises(NumericFault, match="Euler singularity guard"):
+        env.advance(np.zeros(3), 0.0, DT)
+
+
+def _alpha(env):
+    return math.atan2(env.state[W], env.state[U])
+
+
+def test_stall_warning_follows_the_state():
+    env = make_env("aerosonde", "attitude_schedule")
+    pr, va = env.params, env.trim.va
+    # just past the stall angle, pitching down hard
+    state = list(env.state)
+    a0 = pr.stall_alpha + 0.01
+    state[U], state[W] = va * math.cos(a0), va * math.sin(a0)
+    state[Q] = -5.0   # rad/s
+    env = UavAttitudeEnv(pr, env.trim, env.schedule, env.gains, state)
+    tel = Telemetry(dim_z=6, dim_x=12, dim_xd=3, m=3, n1=1)
+    env.check_domain(tel, 0.0)
+    assert abs(_alpha(env)) > pr.stall_alpha
+    assert tel.warnings["stall regime: |alpha| above the stall angle"].count == 1
+    env.advance(np.zeros(3), 0.0, 0.01)
+    assert abs(_alpha(env)) < pr.stall_alpha
+    env.check_domain(tel, 0.01)
+    (seen,) = tel.warnings.values()
+    assert (seen.count, seen.t_last) == (1, 0.0)
