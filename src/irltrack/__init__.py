@@ -8,7 +8,7 @@ from .learner import CriticRows, LearnerConfig, WindowBuffer
 from .models import AffinePlant, ReferenceModel
 from .policy import SaturationSpec, penalty_closed, penalty_integral
 from .sim import (DitherSpec, SimConfig, Telemetry, dither, rk4_step, run_batch,
-                  run_env_experiment, run_experiment)
+                  run_env_experiment)
 
 __all__ = [
     "__version__",
@@ -18,5 +18,5 @@ __all__ = [
     "AffinePlant", "ReferenceModel",
     "SaturationSpec", "penalty_closed", "penalty_integral",
     "DitherSpec", "SimConfig", "Telemetry", "dither", "rk4_step", "run_batch",
-    "run_env_experiment", "run_experiment",
+    "run_env_experiment",
 ]

@@ -223,7 +223,7 @@ def uav_dynamics(state, deflections, pr: AirframeParams, delta_t: float) -> list
     de, da, dr = deflections
     _, _, _, u, v, w, phi, theta, psi, p, q, r = state
     if abs(theta) >= _PITCH_GUARD:
-        raise NumericFault(f"pitch angle {theta:.4f} rad reached the Euler "
+        raise NumericFault(f"pitch angle {theta:.4g} rad reached the Euler "
                            "singularity guard", component=THETA)
     fx, fy, fz, l_m, m_m, n_m = forces_moments(state, de, da, dr, delta_t, pr)
 
@@ -424,14 +424,14 @@ class UavAttitudeEnv:
             telemetry.warn("stall regime: |alpha| above the stall angle", t)
 
     def series(self, telemetry: Telemetry) -> dict:
-        """Rate errors, and each Euler angle against its setpoint, in degrees."""
-        z, x = telemetry.columns("z"), telemetry.columns("x")
+        """Each Euler angle against its setpoint, in degrees."""
+        x = telemetry.columns("x")
         deg = 180.0 / math.pi
         # the entry in force at each t, as `attitude_des` picks it
         starts, atts = zip(*self.schedule.entries)
         active = np.searchsorted(starts, telemetry.t, side="right") - 1
         des = np.array(atts)[np.maximum(active, 0)] * deg
-        panels = {f"rate_err_{i}": z[:, i] for i in range(3)}
+        panels = {}
         for j, name in enumerate(("phi", "theta", "psi")):
             panels[f"att_{name}_deg"] = x[:, PHI + j] * deg
             panels[f"att_{name}_des_deg"] = des[:, j]

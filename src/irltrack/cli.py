@@ -71,24 +71,31 @@ def resolve_config_path(arg: str) -> str:
         f"config {arg!r} is neither a file nor a bundled config name")
 
 
-def cmd_validate(args) -> int:
-    path = resolve_config_path(args.config)
+def _load_config(path):
+    """Parse and resolve a config: (EXIT_OK, cfg, (env, basis)), or the exit
+    code, the config if it parsed (else None) and the error messages."""
     cfg, errors = parse_config(path)
-    if not errors:
-        try:
-            resolve(cfg)
-        except ConfigurationError as exc:
-            errors.append(str(exc))
-        except OracleFailure as exc:
-            print(f"oracle failure: {args.config}: {exc}")
-            return EXIT_ORACLE
     if errors:
+        return EXIT_CONFIG, cfg, errors
+    try:
+        return EXIT_OK, cfg, resolve(cfg)
+    except ConfigurationError as exc:
+        return EXIT_CONFIG, cfg, [str(exc)]
+    except OracleFailure as exc:
+        return EXIT_ORACLE, cfg, [str(exc)]
+
+
+def cmd_validate(args) -> int:
+    code, cfg, detail = _load_config(resolve_config_path(args.config))
+    if code == EXIT_ORACLE:
+        print(f"oracle failure: {args.config}: {detail[0]}")
+    elif code == EXIT_CONFIG:
         print(f"invalid: {args.config}")
-        for e in errors:
+        for e in detail:
             print(f"  - {e}")
-        return EXIT_CONFIG
-    print(f"valid: {args.config} (experiment {cfg.name!r})")
-    return EXIT_OK
+    else:
+        print(f"valid: {args.config} (experiment {cfg.name!r})")
+    return code
 
 
 def _write_manifest(path, cfg, telemetry: Telemetry | None, status: str,
@@ -193,24 +200,20 @@ def _resolved_config(config_path: str, overrides, out_dir: str) -> str:
     return eff_path
 
 
-def run_one(config_path: str, overrides=(), out_dir: str = "runs/run",
-            law: str | None = None):
+def run_one(config_path: str, overrides=(), out_dir: str = "runs/run"):
     """Execute one experiment; writes telemetry.csv, manifest.txt, series/.
 
     Returns (exit_code, telemetry_or_None).
     """
-    overrides = list(overrides)
-    if law:
-        overrides.append(f"experiment.law={law}")
     eff_path = _resolved_config(config_path, overrides, out_dir)
-    ((code, telemetry),) = _run([_Point("run", eff_path, overrides, out_dir)])
+    ((code, telemetry),) = _run([_Point("run", eff_path, list(overrides),
+                                        out_dir)])
     return code, telemetry
 
 
 def cmd_run(args) -> int:
     path = resolve_config_path(args.config)
-    code, telemetry = run_one(path, overrides=args.override, out_dir=args.out,
-                              law=args.law)
+    code, telemetry = run_one(path, overrides=args.override, out_dir=args.out)
     if code == EXIT_OK:
         print(f"run complete: {len(telemetry.rows)} records -> {args.out}")
     else:
@@ -295,20 +298,14 @@ def _load(point: _Point):
     """(cfg, env, basis) of a point, or its exit code once its errors are
     printed and its manifest, with the status and no records, written."""
     t0 = time.perf_counter()
-    cfg, errors = parse_config(point.config_path)
-    code, status = EXIT_CONFIG, "config error"
-    if not errors:
-        try:
-            return (cfg, *resolve(cfg))
-        except (ConfigurationError, OracleFailure) as exc:
-            errors = [exc]
-            if isinstance(exc, OracleFailure):
-                code, status = EXIT_ORACLE, "oracle failure"
-    for e in errors:
+    code, cfg, detail = _load_config(point.config_path)
+    if code == EXIT_OK:
+        return (cfg, *detail)
+    for e in detail:
         print(f"  - {e}")
+    status = "oracle failure" if code == EXIT_ORACLE else "config error"
     _write_manifest(os.path.join(point.out_dir, "manifest.txt"), cfg, None,
-                    f"{status}: {'; '.join(map(str, errors))}",
-                    time.perf_counter() - t0)
+                    f"{status}: {'; '.join(detail)}", time.perf_counter() - t0)
     return code
 
 
@@ -318,8 +315,7 @@ def _run(points: list[_Point]) -> list[tuple[int, Telemetry | None]]:
     environment's dimensions; writes their artifacts and returns (exit
     code, telemetry or None) per point.  A point that does not load gets
     only its manifest (`_load`).  A batch manifest's wall time is its
-    loop's / B, with `batch_size = B` when B > 1; the oracle is solved once
-    per distinct (A, B, Q1, R, gamma)."""
+    loop's / B, with `batch_size = B` when B > 1."""
     out: list = [None] * len(points)
     groups: dict = {}
     for i, point in enumerate(points):
@@ -331,22 +327,16 @@ def _run(points: list[_Point]) -> list[tuple[int, Telemetry | None]]:
         key = (cfg.plant_id, cfg.reference_id, cfg.basis_id, cfg.sim,
                cfg.learner.T, env.dim_z, env.m, len(env.x), len(env.x_d))
         groups.setdefault(key, []).append((i, cfg, env, basis))
-    oracles: dict = {}
     for batch in groups.values():
         t0 = time.perf_counter()
-        results = run_batch([(env, cfg.learner, cfg.law, cfg.dither, None)
+        results = run_batch([(env, cfg.learner, cfg.dither, None)
                              for _, cfg, env, _ in batch],
                             batch[0][3], batch[0][1].sim)
         wall = (time.perf_counter() - t0) / len(batch)
         for (i, cfg, env, _), (telemetry, fault) in zip(batch, results):
-            lcfg, pair = cfg.learner, env.linear_pair()
-            key = None if pair is None else b"".join(
-                np.asarray(a, dtype=float).tobytes()
-                for a in (*pair, lcfg.Q1, lcfg.sat.R, lcfg.gamma))
-            if key not in oracles:
-                oracles[key] = _oracle_weights(pair, lcfg)
+            W_star = _oracle_weights(env.linear_pair(), cfg.learner)
             out[i] = (_write_artifacts(points[i].out_dir, cfg, env, telemetry,
-                                       fault, wall, oracles[key],
+                                       fault, wall, W_star,
                                        len(batch) if len(batch) > 1 else None),
                       telemetry)
     return out
@@ -439,7 +429,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--override", action="append", default=[],
                        metavar="SECTION.KEY=VALUE")
     p_run.add_argument("--out", default="runs/run")
-    p_run.add_argument("--law", choices=["novel", "baseline"], default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_chk = sub.add_parser("check", help="run the oracle-check suite")

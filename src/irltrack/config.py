@@ -78,7 +78,6 @@ class ExperimentConfig:
     plant_id: str
     reference_id: str
     basis_id: str
-    law: str
     plant_params: dict
     reference_params: dict
     learner: LearnerConfig      # carries the saturation spec as `learner.sat`
@@ -168,12 +167,12 @@ def parse_config(path) -> tuple[ExperimentConfig | None, list[str]]:
 
     law = cp.get("experiment", "law", fallback="novel").strip()
     sat = build("saturation", SaturationSpec)
-    learner = build("learner", LearnerConfig, sat=sat)
+    learner = build("learner", LearnerConfig, sat=sat, law=law)
     sim = build("sim", SimConfig)
     dither = build("dither", DitherSpec)
     if learner and sim:
         try:
-            check_run(law, learner, sim)
+            check_run(learner, sim)
         except ConfigurationError as exc:
             report(exc)
     if errors:
@@ -184,7 +183,6 @@ def parse_config(path) -> tuple[ExperimentConfig | None, list[str]]:
         plant_id=cp.get("experiment", "plant", fallback=""),
         reference_id=cp.get("experiment", "reference", fallback=""),
         basis_id=cp.get("experiment", "basis", fallback="quad"),
-        law=law,
         plant_params=raw.get("plant", {}),
         reference_params=raw.get("reference", {}),
         learner=learner, sim=sim, dither=dither, raw=raw,

@@ -40,10 +40,12 @@ _SPAN_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    """Gains and shared weights of the critic update laws.
+    """The update law, its gains and the shared weights of the critic.
 
-    q2 and k2 are the variable-gain exponents on |e_hat| and |Sigma|; the
-    scalar gains k1_gain and k2_gain shape the robustifying term
+    `law` is "novel" (the variable-gain law) or "baseline" (the
+    constant-gain law, which ignores the variable-gain settings).  q2 and
+    k2 are the variable-gain exponents on |e_hat| and |Sigma|; the scalar
+    gains k1_gain and k2_gain shape the robustifying term
     k1_gain (phi . W_hat) - k2_gain W_hat.  `stabilizer_enabled=False`
     forces Xi = 0 and `m_term_enabled=False` drops the m-integral, which
     together with q2 = 0, k1_gain = k2_gain = 0 makes the variable-gain law
@@ -61,6 +63,7 @@ class LearnerConfig:
     k2_gain: float = 0.01
     stabilizer_enabled: bool = True
     m_term_enabled: bool = True
+    law: str = "novel"
 
     def __post_init__(self):
         object.__setattr__(self, "Q1", np.asarray(self.Q1, dtype=float))
@@ -89,6 +92,9 @@ class LearnerConfig:
         if np.any(np.diag(self.Q1) < 0) or \
                 np.min(np.linalg.eigvalsh(self.Q1)) < -1e-10:
             raise ConfigurationError("Q1 must be positive semidefinite", ("Q1",))
+        if self.law not in ("novel", "baseline"):
+            raise ConfigurationError(
+                f"law must be 'novel' or 'baseline', got {self.law!r}", ("law",))
 
 
 def gain_pow(x: float, p: float) -> float:
@@ -160,8 +166,8 @@ class CriticRows(Rows):
     update, its policy's saturation and its law's gains, batch axis first.
     A W0 of None starts from zero weights."""
 
-    def __init__(self, cfgs, laws, W0s, n1: int):
-        novel = np.array([law == "novel" for law in laws])
+    def __init__(self, cfgs, W0s, n1: int):
+        novel = np.array([c.law == "novel" for c in cfgs])
         # the baseline law: q2 = k1_gain = k2_gain = 0, stabilizer, m-term off
         law = {k: np.where(novel, [getattr(c, k) for c in cfgs], 0)
                for k in ("q2", "k1_gain", "k2_gain", "stabilizer_enabled",

@@ -82,12 +82,9 @@ class DitherSpec:
                 ("amplitude",))
 
 
-def check_run(law: str, learner_cfg: LearnerConfig, sim_cfg: SimConfig):
-    """Rules joining several objects: a known law, dt <= T (to 1e-12
-    relative) and a horizon past the warm-up window T."""
-    if law not in ("novel", "baseline"):
-        raise ConfigurationError(
-            f"law must be 'novel' or 'baseline', got {law!r}", ("law",))
+def check_run(learner_cfg: LearnerConfig, sim_cfg: SimConfig):
+    """Rules joining the learner and the sim: dt <= T (to 1e-12 relative)
+    and a horizon past the warm-up window T."""
     if sim_cfg.dt > learner_cfg.T * (1 + 1e-12):
         raise ConfigurationError(
             f"dt = {sim_cfg.dt} must be <= the reinforcement window "
@@ -308,8 +305,7 @@ class AugmentedTrackingEnv:
                 telemetry.warn("state left the operating box", t)
 
     def series(self, telemetry: Telemetry) -> dict:
-        z = telemetry.columns("z")
-        return {f"track_err_{i}": z[:, i] for i in range(self.plant.n)}
+        return {}
 
     def linear_pair(self):
         if self.plant.linear is None or self.ref.linear is None:
@@ -397,14 +393,14 @@ class _LinearRows(_EnvRows):
 
 
 def run_batch(members, basis: RegressorBasis, sim_cfg: SimConfig):
-    """Run every member, (env, learner_cfg, law, dither_spec, W0 or None
-    for zeros), in the one learn-act loop; members share their dimensions
+    """Run every member, (env, learner_cfg, dither_spec, W0 or None for
+    zeros), in the one learn-act loop; members share their dimensions
     and window T.  Returns (telemetry, fault) per member: fault is None for
     a finished run, else the `NumericFault` that ended it, stamped with t,
     step and the partial telemetry."""
-    envs, lcfgs, laws, dithers, W0s = zip(*members)
-    for lcfg, law in zip(lcfgs, laws):
-        check_run(law, lcfg, sim_cfg)
+    envs, lcfgs, dithers, W0s = zip(*members)
+    for lcfg in lcfgs:
+        check_run(lcfg, sim_cfg)
     dims = {(e.dim_z, e.m, len(e.x), len(e.x_d), c.T) for e, c in zip(envs, lcfgs)}
     if len(dims) > 1:
         raise ConfigurationError("batched runs must share the state and "
@@ -415,7 +411,7 @@ def run_batch(members, basis: RegressorBasis, sim_cfg: SimConfig):
     env_rows = _LinearRows(envs) if linear else _EnvRows(envs)
     n1, dt, every, n_steps = (basis.n_features, sim_cfg.dt,
                               sim_cfg.record_every, sim_cfg.n_steps)
-    critic = CriticRows(lcfgs, laws, W0s, n1)
+    critic = CriticRows(lcfgs, W0s, n1)
     buf = WindowBuffer(len(envs), n1, T, dt)
     b = Rows(ids=np.arange(len(envs)), z_prev=np.zeros((len(envs), dz)),
              amp=np.array([d.amplitude for d in dithers]))
@@ -497,8 +493,7 @@ def run_batch(members, basis: RegressorBasis, sim_cfg: SimConfig):
 
 
 def run_env_experiment(env: TrackingEnv, basis: RegressorBasis,
-                       learner_cfg: LearnerConfig,
-                       sim_cfg: SimConfig, law: str = "novel",
+                       learner_cfg: LearnerConfig, sim_cfg: SimConfig,
                        dither_spec: DitherSpec = DitherSpec(),
                        W0: np.ndarray | None = None) -> Telemetry:
     """Drive one tracking environment through the learn-act loop, a
@@ -506,19 +501,7 @@ def run_env_experiment(env: TrackingEnv, basis: RegressorBasis,
     and index (unless it came with them) and the partial telemetry, so
     callers can report and flush it."""
     ((telemetry, fault),) = run_batch(
-        [(env, learner_cfg, law, dither_spec, W0)], basis, sim_cfg)
+        [(env, learner_cfg, dither_spec, W0)], basis, sim_cfg)
     if fault is not None:
         raise fault
     return telemetry
-
-
-def run_experiment(plant: AffinePlant, ref: ReferenceModel, basis: RegressorBasis,
-                   learner_cfg: LearnerConfig,
-                   sim_cfg: SimConfig, law: str = "novel",
-                   dither_spec: DitherSpec = DitherSpec(),
-                   x0: np.ndarray | None = None,
-                   W0: np.ndarray | None = None) -> Telemetry:
-    """Run the closed-loop experiment for a plant/reference pair."""
-    env = AugmentedTrackingEnv(plant, ref, x0=x0)
-    return run_env_experiment(env, basis, learner_cfg, sim_cfg, law=law,
-                              dither_spec=dither_spec, W0=W0)

@@ -15,7 +15,7 @@ def _run_bundled(name):
     env, basis = resolve(cfg)
     t0 = time.perf_counter()
     telemetry = run_env_experiment(env, basis, cfg.learner, cfg.sim,
-                                   law=cfg.law, dither_spec=cfg.dither)
+                                   dither_spec=cfg.dither)
     wall = time.perf_counter() - t0
     return {"cfg": cfg, "env": env, "basis": basis, "telemetry": telemetry,
             "wall_s": wall}

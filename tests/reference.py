@@ -310,7 +310,7 @@ def baseline_update_step(state: CriticState, cfg: LearnerConfig,
 
 def run_env_experiment(env: TrackingEnv, basis: RegressorBasis,
                        learner_cfg: LearnerConfig,
-                       sim_cfg: SimConfig, law: str = "novel",
+                       sim_cfg: SimConfig,
                        dither_spec: DitherSpec = DitherSpec(),
                        W0: np.ndarray | None = None) -> Telemetry:
     """Drive any tracking environment through the learn-act loop.
@@ -320,7 +320,7 @@ def run_env_experiment(env: TrackingEnv, basis: RegressorBasis,
     the fault gets the step's t and index (unless it carries them) and the
     partial telemetry, so callers can report and flush it.
     """
-    check_run(law, learner_cfg, sim_cfg)
+    check_run(learner_cfg, sim_cfg)
     n1 = basis.n_features
     dt = sim_cfg.dt
     sat = learner_cfg.sat
@@ -351,7 +351,7 @@ def run_env_experiment(env: TrackingEnv, basis: RegressorBasis,
 
             sigma = sigma_rate(z, z_prev, dt) if k > 0 else 0.0
             if k > 0 and buf.ready:
-                if law == "novel":
+                if learner_cfg.law == "novel":
                     state = update_step(state, learner_cfg, buf, z, grad, G_z,
                                         tau, sigma, dt)
                 else:

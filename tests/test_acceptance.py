@@ -5,6 +5,7 @@ runs (linear benchmark and the UAV scenario) are shared session fixtures.
 """
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from irltrack.checks import check_window_identity
 from irltrack.learner import LearnerConfig
 from irltrack.models import augmented_linear
 from irltrack.policy import SaturationSpec, penalty_closed, penalty_integral
-from irltrack.sim import SimConfig, run_experiment
+from irltrack.sim import AugmentedTrackingEnv, SimConfig, run_env_experiment
 from reference import (ReinforcementBuffer, law_terms, reinforcement_integral,
                        tau2_raw)
 
@@ -178,8 +179,8 @@ def test_criterion_8_law_containment():
     scfg = SimConfig(dt=1e-3, t_end=10.0, record_every=1)  # 10^4 steps
     tels = {}
     for law in ("novel", "baseline"):
-        tels[law] = run_experiment(plant, ref, basis, lcfg, scfg, law=law,
-                                   x0=np.array([16.0, 0.0]))
+        env = AugmentedTrackingEnv(plant, ref, x0=np.array([16.0, 0.0]))
+        tels[law] = run_env_experiment(env, basis, replace(lcfg, law=law), scfg)
     Wa = tels["novel"].columns("W")
     Wb = tels["baseline"].columns("W")
     diff = float(np.max(np.abs(Wa - Wb)))

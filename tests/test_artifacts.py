@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 
 import irltrack.cli as cli
+from irltrack.basis import quad_basis
+from irltrack.benchmarks.linear import discounted_riccati, ideal_weights
+from irltrack.config import parse_config, resolve
 from irltrack.sim import _CHUNK_ROWS, Telemetry
 
 
@@ -69,7 +72,7 @@ def assert_run_artifacts_match_reference(out, telemetry, panels):
         assert [ln.split(" ")[0] for ln in lines] == t_strs, path.name
 
 
-LINEAR_PANELS = ("track_err_0", "track_err_1", "weight_error_vs_oracle")
+LINEAR_PANELS = ("weight_error_vs_oracle",)
 
 
 def test_decimated_run_matches_reference(tmp_path):
@@ -80,8 +83,15 @@ def test_decimated_run_matches_reference(tmp_path):
         ["sim.t_end_s=2.0", "sim.record_every=7"], out_dir=str(out))
     assert code == cli.EXIT_OK and len(telemetry.rows) == 287
     assert_run_artifacts_match_reference(out, telemetry, LINEAR_PANELS)
-    track = (out / "series" / "track_err_1.dat").read_bytes()
-    assert track == reference_series(telemetry.t, telemetry.column("z1"))
+    cfg, _ = parse_config(out / "config_resolved.ini")
+    env, _ = resolve(cfg)
+    P = discounted_riccati(*env.linear_pair(), cfg.learner.Q1,
+                           cfg.learner.sat.R, cfg.learner.gamma)
+    W_star = ideal_weights(P, quad_basis(len(P)))
+    err = np.linalg.norm(telemetry.columns("W") - W_star, axis=1) \
+        / np.linalg.norm(W_star)
+    written = (out / "series" / "weight_error_vs_oracle.dat").read_bytes()
+    assert written == reference_series(telemetry.t, err)
 
 
 def test_numeric_fault_partial_flush_matches_reference(tmp_path):
@@ -140,7 +150,7 @@ def test_plot_stub_draws_every_column_and_panel(tmp_path, config):
                    env=dict(os.environ, PYTHONPATH=str(tmp_path / "fake")))
     saved = (fake / "saved.txt").read_text().splitlines()
     panels = [p.stem for p in (out / "series").glob("*.dat")]
-    assert len(panels) == (3 if config == "linear_benchmark" else 9)
+    assert len(panels) == (1 if config == "linear_benchmark" else 6)
     assert sorted(saved) == sorted(
         str(out / "series" / f"{name}.png")
         for name in telemetry.header[1:] + panels)

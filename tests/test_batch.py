@@ -59,15 +59,14 @@ def scalar(cfg):
     env, basis = resolve(cfg)
     try:
         return reference.run_env_experiment(
-            env, basis, cfg.learner, cfg.sim, law=cfg.law,
-            dither_spec=cfg.dither), None
+            env, basis, cfg.learner, cfg.sim, dither_spec=cfg.dither), None
     except NumericFault as fault:
         return fault.telemetry, fault
 
 
 def batched(cfgs):
     loaded = [resolve(cfg) for cfg in cfgs]
-    return run_batch([(env, cfg.learner, cfg.law, cfg.dither, None)
+    return run_batch([(env, cfg.learner, cfg.dither, None)
                       for cfg, (env, _) in zip(cfgs, loaded)],
                      loaded[0][1], cfgs[0].sim)
 
@@ -257,21 +256,12 @@ def test_uav_sweep_batches_around_a_trim_failure(tmp_path):
                 "oracle failure: trim solver failed at va=0.5")
 
 
-def test_one_riccati_solve_per_distinct_pair(tmp_path, monkeypatch):
-    calls = []
-    solve = cli.discounted_riccati
-
-    def counting(*args):
-        calls.append(args[-1])
-        return solve(*args)
-
-    monkeypatch.setattr(cli, "discounted_riccati", counting)
+def test_every_sweep_point_gets_a_weight_error_series(tmp_path):
     code, out = sweep(tmp_path, "sweep", "--override", "sim.t_end_s=0.05",
                       "--grid", "experiment.law=novel,baseline",
                       "--grid", "learner.q2=0,0.1",
                       "--grid", "learner.gamma=0.1,0.2")
     assert code == cli.EXIT_OK
-    assert sorted(calls) == [0.1, 0.2]
     for row in summary(out):
         assert (out / row["run"] / "series" /
                 "weight_error_vs_oracle.dat").is_file()

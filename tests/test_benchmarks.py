@@ -231,7 +231,7 @@ def test_oracle_critic_bellman_residual_bound():
     from irltrack.catalog import make_plant, make_reference
     from irltrack.learner import LearnerConfig
     from irltrack.policy import SaturationSpec
-    from irltrack.sim import SimConfig, run_experiment
+    from irltrack.sim import AugmentedTrackingEnv, SimConfig, run_env_experiment
 
     plant = make_plant("linear_osc", {"omega": 6.0})
     ref = make_reference("harmonic", {"omega": 6.0, "x_d0": "1 0"})
@@ -247,8 +247,8 @@ def test_oracle_critic_bellman_residual_bound():
     lcfg = LearnerConfig(alpha=0.0, gamma=0.1, T=1e-3, Q1=Q1, sat=sat,
                          k1_gain=0.0, k2_gain=0.0)
     scfg = SimConfig(dt=1e-3, t_end=5.0, record_every=1)
-    tel = run_experiment(plant, ref, basis, lcfg, scfg,
-                         x0=np.array([16.0, 0.0]), W0=W_star)
+    env = AugmentedTrackingEnv(plant, ref, x0=np.array([16.0, 0.0]))
+    tel = run_env_experiment(env, basis, lcfg, scfg, W0=W_star)
     ts = tel.t
     m = ts > 1e-3
     eh = np.abs(tel.column("e_hat"))[m]

@@ -80,8 +80,7 @@ class TestRun:
         assert (out / "telemetry.csv").is_file()
         assert (out / "manifest.txt").is_file()
         assert (out / "plot_series.py").is_file()
-        assert sorted(os.listdir(out / "series")) == [
-            "track_err_0.dat", "track_err_1.dat", "weight_error_vs_oracle.dat"]
+        assert os.listdir(out / "series") == ["weight_error_vs_oracle.dat"]
         assert_two_float_columns(out / "series")
         header = (out / "telemetry.csv").read_text().splitlines()[0]
         assert header.startswith("t,z0,")
@@ -92,7 +91,8 @@ class TestRun:
         out = tmp_path / "runb"
         code = cli.main(["run", "linear_benchmark",
                          "--override", "sim.t_end_s=0.1",
-                         "--law", "baseline", "--out", str(out)])
+                         "--override", "experiment.law=baseline",
+                         "--out", str(out)])
         assert code == cli.EXIT_OK
         assert "law = baseline" in (out / "manifest.txt").read_text()
 
@@ -196,7 +196,8 @@ class TestSweep:
                              "--override", "learner.k2_gain=0",
                              "--override", "learner.stabilizer=off",
                              "--override", "learner.m_term=off",
-                             "--law", law, "--out", str(out)]) == cli.EXIT_OK
+                             "--override", f"experiment.law={law}",
+                             "--out", str(out)]) == cli.EXIT_OK
             W = np.loadtxt(out / "telemetry.csv", delimiter=",", skiprows=1)
             outs[law] = W
         diff = np.max(np.abs(outs["novel"] - outs["baseline"]))
@@ -228,7 +229,7 @@ class TestUavCliSurface:
         assert code == cli.EXIT_OK
         assert set(os.listdir(out / "series")) == {
             f"att_{a}{kind}_deg.dat" for a in ("phi", "theta", "psi")
-            for kind in ("", "_des")} | {f"rate_err_{i}.dat" for i in range(3)}
+            for kind in ("", "_des")}
         assert_two_float_columns(out / "series")
 
     def test_trim_failure_maps_to_oracle_exit(self, tmp_path, capsys):
@@ -668,8 +669,7 @@ def test_unstabilizable_oracle_skips_weight_error_series(tmp_path):
                      "--override", "learner.gamma=0",
                      "--override", "sim.t_end_s=0.2",
                      "--out", str(out)]) == cli.EXIT_OK
-    assert sorted(os.listdir(out / "series")) == [
-        "track_err_0.dat", "track_err_1.dat"]
+    assert os.listdir(out / "series") == []
     # no state cost: the oracle is W* = 0, which has no relative error
     out = tmp_path / "nocost"
     with warnings.catch_warnings():
@@ -678,8 +678,7 @@ def test_unstabilizable_oracle_skips_weight_error_series(tmp_path):
                          "--override", "learner.q1_diag=0 0 0 0",
                          "--override", "sim.t_end_s=0.05",
                          "--out", str(out)]) == cli.EXIT_OK
-    assert sorted(os.listdir(out / "series")) == [
-        "track_err_0.dat", "track_err_1.dat"]
+    assert os.listdir(out / "series") == []
 
 
 def test_environment_pair_is_checked_by_the_catalog(tmp_path):

@@ -409,5 +409,9 @@ def test_learner_config_validation():
                       Q1=np.array([[1.0, 0.5], [0.0, 1.0]]), sat=sat)
     with pytest.raises(ConfigurationError):
         LearnerConfig(alpha=1.0, gamma=0.1, T=1e-3, Q1=-np.eye(2), sat=sat)
+    with pytest.raises(ConfigurationError) as exc:
+        LearnerConfig(alpha=1.0, gamma=0.1, T=1e-3, Q1=np.eye(2), sat=sat,
+                      law="fancy")
+    assert exc.value.fields == ("law",)
     cfg = LearnerConfig(alpha=1.0, gamma=0.1, T=1e-3, Q1=np.eye(2), sat=sat)
     assert cfg.k1_gain == cfg.k2_gain == 0.01

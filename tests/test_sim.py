@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from irltrack.learner import LearnerConfig
 from irltrack.policy import SaturationSpec
 from irltrack.sim import (AugmentedTrackingEnv, DitherSpec, SimConfig,
                           Telemetry, check_run, dither, rk4_step, run_batch,
-                          run_env_experiment, run_experiment)
+                          run_env_experiment)
 
 
 class TestRk4:
@@ -85,8 +86,8 @@ def test_run_experiment_zero_plant_constant_state():
     lcfg = LearnerConfig(alpha=0.0, gamma=0.1, T=1e-3, Q1=np.diag([2.0, 0.0]),
                          sat=sat, k1_gain=0.0, k2_gain=0.0)
     scfg = SimConfig(dt=1e-3, t_end=0.01)
-    tel = run_experiment(plant, ref, basis, lcfg, scfg,
-                         x0=np.array([3.0]))
+    env = AugmentedTrackingEnv(plant, ref, x0=np.array([3.0]))
+    tel = run_env_experiment(env, basis, lcfg, scfg)
     z = tel.columns("z")
     assert np.all(z == z[0])
     gamma, T = 0.1, 1e-3
@@ -100,8 +101,8 @@ def test_reference_trajectory_independent_of_learner():
     for alpha in (1.0, 50.0):
         plant, ref, basis, sat, lcfg, scfg, dith = small_setup(alpha=alpha,
                                                                t_end=0.2)
-        tel = run_experiment(plant, ref, basis, lcfg, scfg,
-                             dither_spec=dith, x0=np.array([2.0, 0.0]))
+        env = AugmentedTrackingEnv(plant, ref, x0=np.array([2.0, 0.0]))
+        tel = run_env_experiment(env, basis, lcfg, scfg, dither_spec=dith)
         out[alpha] = tel.columns("xd")
     assert np.array_equal(out[1.0], out[50.0])
 
@@ -117,9 +118,9 @@ def test_telemetry_ordering_and_finiteness():
 
 def test_saturation_holds_at_every_record():
     plant, ref, basis, sat, lcfg, scfg, _ = small_setup(alpha=500.0, t_end=0.3)
-    tel = run_experiment(plant, ref, basis, lcfg, scfg,
-                         dither_spec=DitherSpec(amplitude=1.0),
-                         x0=np.array([4.0, 1.0]))
+    env = AugmentedTrackingEnv(plant, ref, x0=np.array([4.0, 1.0]))
+    tel = run_env_experiment(env, basis, lcfg, scfg,
+                             dither_spec=DitherSpec(amplitude=1.0))
     u = tel.columns("u_")
     assert np.max(np.abs(u)) <= sat.u_m
 
@@ -127,18 +128,18 @@ def test_saturation_holds_at_every_record():
 def test_run_experiment_rejects_bad_law_and_windows():
     plant, ref, basis, sat, lcfg, scfg, dith = small_setup()
     with pytest.raises(ConfigurationError):
-        run_experiment(plant, ref, basis, lcfg, scfg, law="fancy")
+        dataclasses.replace(lcfg, law="fancy")
     bad_sim = SimConfig(dt=1e-3, t_end=5e-4)
     with pytest.raises(ConfigurationError):
-        run_experiment(plant, ref, basis, lcfg, bad_sim)
+        run_env_experiment(AugmentedTrackingEnv(plant, ref), basis, lcfg, bad_sim)
 
 
 def test_dt_must_not_exceed_T():
     _, _, _, _, lcfg, _, _ = small_setup()
     with pytest.raises(ConfigurationError) as exc:
-        check_run("novel", lcfg, SimConfig(dt=2e-3, t_end=0.05))
+        check_run(lcfg, SimConfig(dt=2e-3, t_end=0.05))
     assert exc.value.fields == ("dt", "T")
-    check_run("novel", lcfg, SimConfig(dt=lcfg.T, t_end=0.05))
+    check_run(lcfg, SimConfig(dt=lcfg.T, t_end=0.05))
 
 
 @pytest.mark.parametrize("t_end, steps", [(0.0025, 3), (0.0035, 4),
@@ -148,18 +149,18 @@ def test_run_ends_at_the_first_step_at_or_after_the_horizon(t_end, steps):
     assert SimConfig(dt=1e-3, t_end=t_end).n_steps == steps
     if t_end < 1.0:
         plant, ref, basis, sat, lcfg, _, _ = small_setup()
-        tel = run_experiment(plant, ref, basis, lcfg,
-                             SimConfig(dt=1e-3, t_end=t_end),
-                             x0=np.array([2.0, 0.0]))
+        env = AugmentedTrackingEnv(plant, ref, x0=np.array([2.0, 0.0]))
+        tel = run_env_experiment(env, basis, lcfg,
+                                 SimConfig(dt=1e-3, t_end=t_end))
         assert len(tel.rows) == steps + 1
         assert tel.t[-1] == steps * 1e-3 >= t_end
 
 
 def test_numeric_fault_carries_partial_telemetry():
     plant, ref, basis, sat, lcfg, scfg, _ = small_setup(alpha=1e308, t_end=0.5)
+    env = AugmentedTrackingEnv(plant, ref, x0=np.array([5.0, 0.0]))
     with pytest.raises(NumericFault) as exc:
-        run_experiment(plant, ref, basis, lcfg, scfg,
-                       x0=np.array([5.0, 0.0]))
+        run_env_experiment(env, basis, lcfg, scfg)
     tel = exc.value.telemetry
     assert tel is not None and len(tel.rows) >= 1
     # the update law raises without context; the loop stamps the step's own
@@ -189,8 +190,8 @@ def test_operating_box_warning_recorded():
     lcfg = LearnerConfig(alpha=0.0, gamma=0.1, T=1e-3, Q1=np.zeros((2, 2)),
                          sat=sat, k1_gain=0.0, k2_gain=0.0)
     scfg = SimConfig(dt=1e-3, t_end=1.0)
-    tel = run_experiment(plant, ref, basis, lcfg, scfg,
-                         x0=np.array([0.0]))
+    env = AugmentedTrackingEnv(plant, ref, x0=np.array([0.0]))
+    tel = run_env_experiment(env, basis, lcfg, scfg)
     assert any("operating box" in w for w in tel.warnings)
     # one entry for the kind, counting every step spent outside the box
     assert len(tel.warnings) == 1
@@ -289,7 +290,7 @@ def test_a_protocol_only_environment_runs_alone_and_batched():
     *_, basis, _, lcfg, scfg, dith = small_setup(t_end=0.2, amp=0.5)
     alone = [run_env_experiment(PendulumEnv(a), basis, lcfg, scfg,
                                 dither_spec=dith).rows for a in (0.0, 1.0)]
-    batched = run_batch([(PendulumEnv(a), lcfg, "novel", dith, None)
+    batched = run_batch([(PendulumEnv(a), lcfg, dith, None)
                          for a in (0.0, 1.0)], basis, scfg)
     for rows, (tel, fault) in zip(alone, batched):
         assert fault is None and np.isfinite(rows).all()
@@ -313,7 +314,7 @@ def test_a_protocol_only_environment_with_a_linear_pair_steps_itself():
                                 dither_spec=dith).rows for a in (0.0, 1.0)]
     alone = [run_env_experiment(LinearizedPendulumEnv(a), basis, lcfg, scfg,
                                 dither_spec=dith).rows for a in (0.0, 1.0)]
-    batched = run_batch([(LinearizedPendulumEnv(a), lcfg, "novel", dith, None)
+    batched = run_batch([(LinearizedPendulumEnv(a), lcfg, dith, None)
                          for a in (0.0, 1.0)], basis, scfg)
     for rows, one, (tel, fault) in zip(plain, alone, batched):
         assert fault is None

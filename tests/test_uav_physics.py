@@ -92,12 +92,16 @@ def test_nan_deflection_faults_at_stage_one():
 
 
 def test_pitch_guard_raises_in_advance():
-    env = make_env("aerosonde", "attitude_schedule")
-    state = list(env.state)
-    state[THETA] = math.pi / 2
-    env = UavAttitudeEnv(env.params, env.trim, env.schedule, env.gains, state)
-    with pytest.raises(NumericFault, match="Euler singularity guard"):
-        env.advance(np.zeros(3), 0.0, DT)
+    env0 = make_env("aerosonde", "attitude_schedule")
+    # an overflowed angle is printed in short form, not digit by digit
+    for theta, shown in ((math.pi / 2, "1.571"), (1e300, "1e+300")):
+        state = list(env0.state)
+        state[THETA] = theta
+        env = UavAttitudeEnv(env0.params, env0.trim, env0.schedule, env0.gains,
+                             state)
+        with pytest.raises(NumericFault, match="Euler singularity guard") as exc:
+            env.advance(np.zeros(3), 0.0, DT)
+        assert f"pitch angle {shown} rad" in str(exc.value)
 
 
 def _alpha(env):
