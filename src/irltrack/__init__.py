@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .basis import RegressorBasis, make_basis, quad_basis
+from .basis import RegressorBasis, quad_basis
 from .errors import ConfigurationError, NumericFault, OracleFailure
 from .learner import CriticRows, LearnerConfig, WindowBuffer
 from .models import AffinePlant, ReferenceModel
@@ -12,7 +12,7 @@ from .sim import (DitherSpec, SimConfig, Telemetry, dither, rk4_step, run_batch,
 
 __all__ = [
     "__version__",
-    "RegressorBasis", "make_basis", "quad_basis",
+    "RegressorBasis", "quad_basis",
     "ConfigurationError", "NumericFault", "OracleFailure",
     "CriticRows", "LearnerConfig", "WindowBuffer",
     "AffinePlant", "ReferenceModel",

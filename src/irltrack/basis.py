@@ -1,6 +1,6 @@
-"""Critic value-function regressors and their gradients.
+"""The critic's value-function regressors and their gradients.
 
-The bundled basis is the full quadratic polynomial without constant term:
+The critic has one basis, the full quadratic polynomial without constant term:
 linear monomials, squares, then pairwise products in lexicographic order.
 For input dimension d it has ``2d + d(d-1)/2`` features (27 at d = 6).
 `eval_rows` and `grad_rows` map every row of a (B, d) array, for the step
@@ -24,7 +24,6 @@ class RegressorBasis:
     grad: Callable[[np.ndarray], np.ndarray]
     eval_rows: Callable[[np.ndarray], np.ndarray]   # (B, d) -> (B, n1)
     grad_rows: Callable[[np.ndarray], np.ndarray]   # (B, d) -> (B, n1, d)
-    name: str = ""
 
 
 def quad_feature_count(dim_in: int) -> int:
@@ -63,7 +62,7 @@ def quad_basis(dim_in: int) -> RegressorBasis:
 
     return RegressorBasis(dim_in=d, n_features=n1, eval=_one_row(_eval_rows),
                           grad=_one_row(_grad_rows), eval_rows=_eval_rows,
-                          grad_rows=_grad_rows, name=f"quad{d}")
+                          grad_rows=_grad_rows)
 
 
 def fd_gradient(basis: RegressorBasis, z: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -77,14 +76,3 @@ def fd_gradient(basis: RegressorBasis, z: np.ndarray, h: float = 1e-5) -> np.nda
         out[:, i] = (basis.eval(zp) - basis.eval(zm)) / (2.0 * h)
     return out
 
-
-_BASES = {"quad": quad_basis}
-
-
-def make_basis(name: str, dim_in: int) -> RegressorBasis:
-    try:
-        builder = _BASES[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown basis {name!r}; available: {sorted(_BASES)}") from None
-    return builder(dim_in)

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..basis import RegressorBasis
-from ..errors import ConfigurationError, OracleFailure
+from ..basis import quad_feature_count
+from ..errors import OracleFailure
 
 
 def riccati_residual(P, A, B, Q1, R, gamma):
@@ -95,21 +95,13 @@ def discounted_riccati(A, B, Q1, R, gamma) -> np.ndarray:
     return P
 
 
-def ideal_weights(P: np.ndarray, basis: RegressorBasis) -> np.ndarray:
-    """Quadratic value z^T P z written in the critic's feature order.
-
-    Zeros on the linear features, P_ii on squares, 2 P_ij on cross terms.
-    Only defined for the bundled quadratic basis.
-    """
+def ideal_weights(P: np.ndarray) -> np.ndarray:
+    """Quadratic value z^T P z written in the critic's feature order
+    (`basis.quad_basis`): zeros on the linear features, P_ii on squares,
+    2 P_ij on cross terms."""
     P = np.asarray(P, dtype=float)
     d = P.shape[0]
-    expected = 2 * d + d * (d - 1) // 2
-    if basis.dim_in != d or basis.n_features != expected or \
-            not basis.name.startswith("quad"):
-        raise ConfigurationError(
-            f"ideal_weights needs the quadratic basis of dimension {d}, "
-            f"got {basis.name!r} with {basis.n_features} features")
-    W = np.zeros(basis.n_features)
+    W = np.zeros(quad_feature_count(d))
     W[d:2 * d] = np.diag(P)
     k = 2 * d
     for i in range(d):
@@ -117,4 +109,3 @@ def ideal_weights(P: np.ndarray, basis: RegressorBasis) -> np.ndarray:
             W[k] = 2.0 * P[i, j]
             k += 1
     return W
-

@@ -472,15 +472,9 @@ def make_uav_env(plant_params: dict, reference_params: dict) -> UavAttitudeEnv:
               parse_floats)
     if len(k) != 3:
         raise ConfigurationError(f"reference.gains: need 3 values, got {len(k)}")
+    # the run starts at the first setpoint's roll and yaw, at trim pitch
     state = trim.initial_state(param(plant_params, "plant", "altitude_m", 100.0))
-    start = reference_params.get("initial_attitude", "setpoint").strip()
-    if start == "setpoint":
-        att0 = schedule.attitude_des(0.0)
-        state[PHI], state[PSI] = att0[0], att0[2]
-        state[THETA] = trim.alpha
-    elif start != "level":  # the trim state is already wings-level
-        raise ConfigurationError(
-            f"reference.initial_attitude: expected 'setpoint' or 'level', "
-            f"got {start!r}")
+    att0 = schedule.attitude_des(0.0)
+    state[PHI], state[PSI] = att0[0], att0[2]
     return UavAttitudeEnv(pr, trim, schedule, gains=OuterLoopGains(*k),
                           state=state)

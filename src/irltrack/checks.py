@@ -120,7 +120,7 @@ def check_ideal_weights_roundtrip(n_draws: int = 20, seed: int = 11):
     for _ in range(n_draws):
         M = rng.normal(size=(4, 4))
         P = 0.5 * (M + M.T)
-        W = ideal_weights(P, basis)
+        W = ideal_weights(P)
         for _ in range(5):
             z = rng.normal(size=4)
             worst = max(worst, abs(W @ basis.eval(z) - z @ P @ z))

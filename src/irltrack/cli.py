@@ -18,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .basis import quad_basis
 from .benchmarks.linear import discounted_riccati, ideal_weights
 from .config import apply_overrides, parse_config, resolve
 from .errors import ConfigurationError, NumericFault, OracleFailure
@@ -72,8 +71,8 @@ def resolve_config_path(arg: str) -> str:
 
 
 def _load_config(path):
-    """Parse and resolve a config: (EXIT_OK, cfg, (env, basis)), or the exit
-    code, the config if it parsed (else None) and the error messages."""
+    """Parse and resolve a config: (EXIT_OK, cfg, env), or the exit code,
+    the config if it parsed (else None) and the error messages."""
     cfg, errors = parse_config(path)
     if errors:
         return EXIT_CONFIG, cfg, errors
@@ -124,14 +123,14 @@ def _write_manifest(path, cfg, telemetry: Telemetry | None, status: str,
 
 def _oracle_weights(pair, lcfg) -> np.ndarray | None:
     """W* of the discounted Riccati solution of a linear pair, in the
-    quadratic basis's feature order; None without a pair or a solution."""
+    critic's feature order; None without a pair or a solution."""
     if pair is None:
         return None
     try:
         P = discounted_riccati(*pair, lcfg.Q1, lcfg.sat.R, lcfg.gamma)
     except OracleFailure:
         return None  # no ground truth for this pair, so no error series
-    return ideal_weights(P, quad_basis(len(P)))
+    return ideal_weights(P)
 
 
 def _weight_error(W: np.ndarray, W_star: np.ndarray) -> np.ndarray:
@@ -294,28 +293,34 @@ def _summary_row(point: _Point, status: str, telemetry: Telemetry | None,
     return row
 
 
-def _load(point: _Point):
-    """(cfg, env, basis) of a point, or its exit code once its errors are
-    printed and its manifest, with the status and no records, written."""
-    t0 = time.perf_counter()
-    code, cfg, detail = _load_config(point.config_path)
-    if code == EXIT_OK:
-        return (cfg, *detail)
+def _fail(point: _Point, cfg, code: int, detail: list[str], wall_s: float):
+    """Print a point's errors and write its manifest, with the status and no
+    records; returns the exit code."""
     for e in detail:
         print(f"  - {e}")
     status = "oracle failure" if code == EXIT_ORACLE else "config error"
     _write_manifest(os.path.join(point.out_dir, "manifest.txt"), cfg, None,
-                    f"{status}: {'; '.join(detail)}", time.perf_counter() - t0)
+                    f"{status}: {'; '.join(detail)}", wall_s)
     return code
+
+
+def _load(point: _Point):
+    """(cfg, env) of a point, or its exit code once `_fail` reported it."""
+    t0 = time.perf_counter()
+    code, cfg, detail = _load_config(point.config_path)
+    if code == EXIT_OK:
+        return cfg, detail
+    return _fail(point, cfg, code, detail, time.perf_counter() - t0)
 
 
 def _run(points: list[_Point]) -> list[tuple[int, Telemetry | None]]:
     """Load the points and run those that load, one batch per group that
-    shares plant/reference ids, basis, [sim], window T and the
-    environment's dimensions; writes their artifacts and returns (exit
-    code, telemetry or None) per point.  A point that does not load gets
-    only its manifest (`_load`).  A batch manifest's wall time is its
-    loop's / B, with `batch_size = B` when B > 1."""
+    shares plant/reference ids, [sim], window T and the environment's
+    dimensions; writes their artifacts and returns (exit code, telemetry or
+    None) per point.  A point that does not load, or whose batch rejects
+    its [sim] (a ConfigurationError of `run_batch`), gets only its
+    manifest (`_fail`).  A batch manifest's wall time is its loop's / B,
+    with `batch_size = B` when B > 1."""
     out: list = [None] * len(points)
     groups: dict = {}
     for i, point in enumerate(points):
@@ -323,17 +328,23 @@ def _run(points: list[_Point]) -> list[tuple[int, Telemetry | None]]:
         if isinstance(loaded, int):
             out[i] = (loaded, None)
             continue
-        cfg, env, basis = loaded
-        key = (cfg.plant_id, cfg.reference_id, cfg.basis_id, cfg.sim,
-               cfg.learner.T, env.dim_z, env.m, len(env.x), len(env.x_d))
-        groups.setdefault(key, []).append((i, cfg, env, basis))
+        cfg, env = loaded
+        key = (cfg.plant_id, cfg.reference_id, cfg.sim, cfg.learner.T,
+               env.dim_z, env.m, len(env.x), len(env.x_d))
+        groups.setdefault(key, []).append((i, cfg, env))
     for batch in groups.values():
         t0 = time.perf_counter()
-        results = run_batch([(env, cfg.learner, cfg.dither, None)
-                             for _, cfg, env, _ in batch],
-                            batch[0][3], batch[0][1].sim)
+        try:
+            results = run_batch([(env, cfg.learner, cfg.dither, None)
+                                 for _, cfg, env in batch], batch[0][1].sim)
+        except ConfigurationError as exc:
+            wall = (time.perf_counter() - t0) / len(batch)
+            for i, cfg, _ in batch:
+                out[i] = (_fail(points[i], cfg, EXIT_CONFIG, [str(exc)], wall),
+                          None)
+            continue
         wall = (time.perf_counter() - t0) / len(batch)
-        for (i, cfg, env, _), (telemetry, fault) in zip(batch, results):
+        for (i, cfg, env), (telemetry, fault) in zip(batch, results):
             W_star = _oracle_weights(env.linear_pair(), cfg.learner)
             out[i] = (_write_artifacts(points[i].out_dir, cfg, env, telemetry,
                                        fault, wall, W_star,

@@ -10,8 +10,7 @@ an unknown key in [experiment], [saturation], [learner], [sim] or [dither]
 is an error, so a misspelled key cannot fall back to a default.
 `resolve` builds the environment (`catalog.make_env` on the [experiment]
 ids, with the [plant] and [reference] keys, which it checks against the
-keys its builders read) and the basis.  Nothing here knows any particular
-plant.
+keys its builders read).  Nothing here knows any particular plant.
 """
 from __future__ import annotations
 
@@ -23,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog
-from .basis import make_basis
 from .errors import ConfigurationError
 from .learner import LearnerConfig
 from .policy import SaturationSpec
@@ -63,7 +61,7 @@ _DEG_TWINS = {"saturation.u_m", "dither.amplitude"}
 # every key these sections may hold; [plant] and [reference] keys belong to
 # their catalog builders
 _SECTION_KEYS = {
-    "experiment": {"name", "plant", "reference", "basis", "law"},
+    "experiment": {"name", "plant", "reference", "law"},
     **{section: {key for _, key, _ in keys}
        | {f"{key}_deg" for _, key, _ in keys if f"{section}.{key}" in _DEG_TWINS}
        for section, keys in _KEYS.items()},
@@ -77,7 +75,6 @@ class ExperimentConfig:
     name: str
     plant_id: str
     reference_id: str
-    basis_id: str
     plant_params: dict
     reference_params: dict
     learner: LearnerConfig      # carries the saturation spec as `learner.sat`
@@ -182,7 +179,6 @@ def parse_config(path) -> tuple[ExperimentConfig | None, list[str]]:
         name=cp.get("experiment", "name", fallback="run"),
         plant_id=cp.get("experiment", "plant", fallback=""),
         reference_id=cp.get("experiment", "reference", fallback=""),
-        basis_id=cp.get("experiment", "basis", fallback="quad"),
         plant_params=raw.get("plant", {}),
         reference_params=raw.get("reference", {}),
         learner=learner, sim=sim, dither=dither, raw=raw,
@@ -190,10 +186,10 @@ def parse_config(path) -> tuple[ExperimentConfig | None, list[str]]:
 
 
 def resolve(cfg: ExperimentConfig):
-    """The environment and the basis of a parsed config, as (env, basis).
+    """The environment of a parsed config.
 
     Raises ConfigurationError when the pair, a [plant] or [reference] key,
-    the basis, or the plant's dimensions do not fit the config.
+    or the plant's dimensions do not fit the config.
     """
     env = catalog.make_env(cfg.plant_id, cfg.reference_id, cfg.plant_params,
                            cfg.reference_params, exempt=cfg.default_keys)
@@ -205,11 +201,7 @@ def resolve(cfg: ExperimentConfig):
         raise ConfigurationError(
             f"saturation.r_diag: need {env.m} entries for this plant, "
             f"got {cfg.learner.sat.m}")
-    try:
-        basis = make_basis(cfg.basis_id, env.dim_z)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"experiment.basis: {exc}") from None
-    return env, basis
+    return env
 
 
 def apply_overrides(path, overrides, out_path):

@@ -26,10 +26,9 @@ from .errors import ConfigurationError
 class AffinePlant:
     """Control-affine plant ``xdot = f(x) + g(x) u``.
 
-    ``f`` maps R^n -> R^n, ``g`` maps R^n -> R^(n x m).  ``domain`` is an
-    optional per-component box (lo, hi) used for telemetry warnings only;
-    nothing is clamped.  ``linear`` is ``(A, B)`` when f(x) = A x and
-    g(x) = B, which lets the environment offer a Riccati ground truth.
+    ``f`` maps R^n -> R^n, ``g`` maps R^n -> R^(n x m).  ``linear`` is
+    ``(A, B)`` when f(x) = A x and g(x) = B, which lets the environment
+    offer a Riccati ground truth.
     """
 
     n: int
@@ -37,7 +36,6 @@ class AffinePlant:
     f: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
     name: str = ""
-    domain: Optional[tuple] = None
     linear: Optional[tuple] = None
 
     def validate(self):

@@ -30,7 +30,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .basis import RegressorBasis
+from .basis import quad_basis
 from .errors import ConfigurationError, NumericFault
 from .learner import CriticRows, LearnerConfig, WindowBuffer, m_vector
 from .models import AffinePlant, ReferenceModel, augmented_linear
@@ -299,10 +299,7 @@ class AugmentedTrackingEnv:
         self.x, self.x_d = np.array(s[:n]), np.array(s[n:])
 
     def check_domain(self, telemetry: Telemetry, t: float):
-        if self.plant.domain is not None:
-            lo, hi = self.plant.domain
-            if np.any(self.x < lo) or np.any(self.x > hi):
-                telemetry.warn("state left the operating box", t)
+        """A catalog plant has no operating box: nothing to warn about."""
 
     def series(self, telemetry: Telemetry) -> dict:
         return {}
@@ -392,12 +389,14 @@ class _LinearRows(_EnvRows):
         return faults
 
 
-def run_batch(members, basis: RegressorBasis, sim_cfg: SimConfig):
+def run_batch(members, sim_cfg: SimConfig):
     """Run every member, (env, learner_cfg, dither_spec, W0 or None for
-    zeros), in the one learn-act loop; members share their dimensions
-    and window T.  Returns (telemetry, fault) per member: fault is None for
-    a finished run, else the `NumericFault` that ended it, stamped with t,
-    step and the partial telemetry."""
+    zeros), in the one learn-act loop with the critic's quadratic basis;
+    members share their dimensions and window T.  Returns (telemetry,
+    fault) per member: fault is None for a finished run, else the
+    `NumericFault` that ended it, stamped with t, step and the partial
+    telemetry.  A horizon whose telemetry cannot be allocated raises
+    ConfigurationError naming `sim.t_end_s`."""
     envs, lcfgs, dithers, W0s = zip(*members)
     for lcfg in lcfgs:
         check_run(lcfg, sim_cfg)
@@ -409,14 +408,20 @@ def run_batch(members, basis: RegressorBasis, sim_cfg: SimConfig):
     linear = all(isinstance(e, AugmentedTrackingEnv) and e.linear_pair() is not None
                  for e in envs)
     env_rows = _LinearRows(envs) if linear else _EnvRows(envs)
+    basis = quad_basis(dz)
     n1, dt, every, n_steps = (basis.n_features, sim_cfg.dt,
                               sim_cfg.record_every, sim_cfg.n_steps)
     critic = CriticRows(lcfgs, W0s, n1)
     buf = WindowBuffer(len(envs), n1, T, dt)
     b = Rows(ids=np.arange(len(envs)), z_prev=np.zeros((len(envs), dz)),
              amp=np.array([d.amplitude for d in dithers]))
-    telemetry = [Telemetry(dz, nx, nxd, m, n1, e.control_names,
-                           capacity=n_steps // every + 2) for e in envs]
+    try:
+        telemetry = [Telemetry(dz, nx, nxd, m, n1, e.control_names,
+                               capacity=n_steps // every + 2) for e in envs]
+    except (ValueError, MemoryError) as exc:
+        raise ConfigurationError(
+            f"sim.t_end_s: the telemetry of t_end = {sim_cfg.t_end} cannot "
+            f"be allocated: {exc}") from None
     faults: list[NumericFault | None] = [None] * len(envs)
     live = list(telemetry)    # of the rows still running
 
@@ -492,16 +497,15 @@ def run_batch(members, basis: RegressorBasis, sim_cfg: SimConfig):
     return list(zip(telemetry, faults))
 
 
-def run_env_experiment(env: TrackingEnv, basis: RegressorBasis,
-                       learner_cfg: LearnerConfig, sim_cfg: SimConfig,
-                       dither_spec: DitherSpec = DitherSpec(),
+def run_env_experiment(env: TrackingEnv, learner_cfg: LearnerConfig,
+                       sim_cfg: SimConfig, dither_spec: DitherSpec = DitherSpec(),
                        W0: np.ndarray | None = None) -> Telemetry:
     """Drive one tracking environment through the learn-act loop, a
     `run_batch` of one.  A numeric fault is raised stamped with the step's t
     and index (unless it came with them) and the partial telemetry, so
     callers can report and flush it."""
     ((telemetry, fault),) = run_batch(
-        [(env, learner_cfg, dither_spec, W0)], basis, sim_cfg)
+        [(env, learner_cfg, dither_spec, W0)], sim_cfg)
     if fault is not None:
         raise fault
     return telemetry

@@ -12,13 +12,12 @@ from irltrack.sim import run_env_experiment
 def _run_bundled(name):
     cfg, errors = parse_config(resolve_config_path(name))
     assert not errors, errors
-    env, basis = resolve(cfg)
+    env = resolve(cfg)
     t0 = time.perf_counter()
-    telemetry = run_env_experiment(env, basis, cfg.learner, cfg.sim,
+    telemetry = run_env_experiment(env, cfg.learner, cfg.sim,
                                    dither_spec=cfg.dither)
     wall = time.perf_counter() - t0
-    return {"cfg": cfg, "env": env, "basis": basis, "telemetry": telemetry,
-            "wall_s": wall}
+    return {"cfg": cfg, "env": env, "telemetry": telemetry, "wall_s": wall}
 
 
 @pytest.fixture(scope="session")

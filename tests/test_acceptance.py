@@ -86,13 +86,12 @@ def test_criterion_4_discounted_quadrature():
 def test_criterion_5_linear_benchmark_convergence(linear_run):
     cfg = linear_run["cfg"].learner
     tel = linear_run["telemetry"]
-    basis = linear_run["basis"]
 
     A_p = np.array([[0.0, 6.0], [-6.0, 0.0]])
     B_p = np.array([[0.0], [1.0]])
     A, B = augmented_linear(A_p, B_p, A_p)
     P = discounted_riccati(A, B, cfg.Q1, cfg.sat.R, cfg.gamma)
-    W_star = ideal_weights(P, basis)
+    W_star = ideal_weights(P)
 
     W = tel.columns("W")
     assert np.all(W[0] == 0.0)  # critic starts from zero weights
@@ -170,7 +169,6 @@ def test_criterion_7_uav_scenario(uav_run):
 def test_criterion_8_law_containment():
     plant = make_plant("linear_osc", {"omega": 6.0})
     ref = make_reference("harmonic", {"omega": 6.0, "x_d0": "1 0"})
-    basis = quad_basis(4)
     sat = SaturationSpec(u_m=56.0, R=np.array([[10.0]]))
     lcfg = LearnerConfig(alpha=150.0, gamma=0.1, T=1e-3,
                          Q1=np.diag([1.0, 1.0, 0.0, 0.0]), sat=sat,
@@ -180,7 +178,7 @@ def test_criterion_8_law_containment():
     tels = {}
     for law in ("novel", "baseline"):
         env = AugmentedTrackingEnv(plant, ref, x0=np.array([16.0, 0.0]))
-        tels[law] = run_env_experiment(env, basis, replace(lcfg, law=law), scfg)
+        tels[law] = run_env_experiment(env, replace(lcfg, law=law), scfg)
     Wa = tels["novel"].columns("W")
     Wb = tels["baseline"].columns("W")
     diff = float(np.max(np.abs(Wa - Wb)))

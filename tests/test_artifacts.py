@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import irltrack.cli as cli
-from irltrack.basis import quad_basis
 from irltrack.benchmarks.linear import discounted_riccati, ideal_weights
 from irltrack.config import parse_config, resolve
 from irltrack.sim import _CHUNK_ROWS, Telemetry
@@ -84,10 +83,10 @@ def test_decimated_run_matches_reference(tmp_path):
     assert code == cli.EXIT_OK and len(telemetry.rows) == 287
     assert_run_artifacts_match_reference(out, telemetry, LINEAR_PANELS)
     cfg, _ = parse_config(out / "config_resolved.ini")
-    env, _ = resolve(cfg)
+    env = resolve(cfg)
     P = discounted_riccati(*env.linear_pair(), cfg.learner.Q1,
                            cfg.learner.sat.R, cfg.learner.gamma)
-    W_star = ideal_weights(P, quad_basis(len(P)))
+    W_star = ideal_weights(P)
     err = np.linalg.norm(telemetry.columns("W") - W_star, axis=1) \
         / np.linalg.norm(W_star)
     written = (out / "series" / "weight_error_vs_oracle.dat").read_bytes()

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from irltrack.basis import (fd_gradient, make_basis, quad_basis,
-                            quad_feature_count)
+from irltrack.basis import fd_gradient, quad_basis
 from irltrack.errors import ConfigurationError
 
 
@@ -61,10 +60,7 @@ def test_blockwise_homogeneity(rng):
         assert np.allclose(fc[d:], c * c * f1[d:], rtol=1e-12)
 
 
-def test_make_basis_lookup():
-    assert make_basis("quad", 4).n_features == quad_feature_count(4)
-    with pytest.raises(ConfigurationError):
-        make_basis("fourier", 4)
+def test_zero_dimension_is_rejected():
     with pytest.raises(ConfigurationError):
         quad_basis(0)
 

@@ -18,6 +18,7 @@ import pytest
 
 import irltrack.cli as cli
 import reference
+from irltrack.basis import quad_basis
 from irltrack.config import apply_overrides, parse_config, resolve
 from irltrack.errors import NumericFault
 from irltrack.sim import run_batch
@@ -56,19 +57,18 @@ def load(tmp_path, overrides, name="c", config="linear_benchmark"):
 
 def scalar(cfg):
     """The reference loop's run of `cfg`: (telemetry, fault or None)."""
-    env, basis = resolve(cfg)
+    env = resolve(cfg)
     try:
         return reference.run_env_experiment(
-            env, basis, cfg.learner, cfg.sim, dither_spec=cfg.dither), None
+            env, quad_basis(env.dim_z), cfg.learner, cfg.sim,
+            dither_spec=cfg.dither), None
     except NumericFault as fault:
         return fault.telemetry, fault
 
 
 def batched(cfgs):
-    loaded = [resolve(cfg) for cfg in cfgs]
-    return run_batch([(env, cfg.learner, cfg.dither, None)
-                      for cfg, (env, _) in zip(cfgs, loaded)],
-                     loaded[0][1], cfgs[0].sim)
+    return run_batch([(resolve(cfg), cfg.learner, cfg.dither, None)
+                      for cfg in cfgs], cfgs[0].sim)
 
 
 def column_error(ref, got):
@@ -297,6 +297,24 @@ def test_an_overflow_fails_only_its_own_point(tmp_path, capsys, axis, code):
         assert manifest_value(out / "run001", "status") == \
             f"config error: {key}: u_m^2 must be finite, got u_m = 1e+200"
         assert f"{key}: u_m^2 must be finite" in capsys.readouterr().out
+
+
+def test_a_horizon_without_room_for_its_telemetry_fails_only_its_point(
+        tmp_path):
+    # 1e300 s needs more telemetry rows than an array can hold: the
+    # allocation fails before anything is allocated, and only its own
+    # point fails, as a configuration error
+    code, out = sweep(tmp_path, "sweep", "--grid", "sim.t_end_s=0.01,1e300")
+    assert code == cli.EXIT_CONFIG
+    assert [row["status"] for row in summary(out)] == ["ok", "exit2"]
+    ref = tmp_path / "ref"
+    assert cli.main(["run", "linear_benchmark", "--override", "sim.t_end_s=0.01",
+                     "--out", str(ref)]) == cli.EXIT_OK
+    assert artifacts(out / "run000") == artifacts(ref)
+    assert (out / "run000" / "telemetry.csv").is_file()
+    assert manifest_value(out / "run001", "status").startswith(
+        "config error: sim.t_end_s: ")
+    assert not (out / "run001" / "telemetry.csv").exists()
 
 
 def test_a_point_that_does_not_load_leaves_the_rest_of_its_chunk(tmp_path):

@@ -456,6 +456,20 @@ def test_infinite_horizon_run_exits_with_config_error(tmp_path, capsys):
     assert "sim.t_end_s" in capsys.readouterr().out
 
 
+def test_a_horizon_without_room_for_its_telemetry_is_a_config_error(
+        tmp_path, capsys):
+    # valid as a config, but 1e300 s needs more telemetry rows than an
+    # array can hold; the run reports it under the key, with a manifest
+    out = tmp_path / "huge"
+    assert cli.main(["run", "linear_benchmark", "--override", "sim.t_end_s=1e300",
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "  - sim.t_end_s: " in capsys.readouterr().out
+    status = re.search(r"^status = (.*)$", (out / "manifest.txt").read_text(),
+                       re.M).group(1)
+    assert status.startswith("config error: sim.t_end_s: ")
+    assert not (out / "telemetry.csv").exists()
+
+
 _LOADED_SCIPY = """
 import sys
 from irltrack import cli, config
@@ -596,7 +610,6 @@ def test_summary_quotes_cells_that_hold_commas(tmp_path):
 def test_weight_error_of_a_faulted_run_stays_finite(tmp_path):
     """Past the overflow of |W - W*|^2 the error is taken with a scaled norm;
     rows where the plain norm is finite keep its bytes."""
-    from irltrack.basis import quad_basis
     from irltrack.benchmarks.linear import discounted_riccati, ideal_weights
 
     out = tmp_path / "overflow"
@@ -606,10 +619,10 @@ def test_weight_error_of_a_faulted_run_stays_finite(tmp_path):
                          "--override", "learner.alpha=1e8",
                          "--out", str(out)]) == cli.EXIT_NUMERIC
     cfg, errors = parse_config(out / "config_resolved.ini")
-    env, _ = resolve(cfg)
+    env = resolve(cfg)
     P = discounted_riccati(*env.linear_pair(), cfg.learner.Q1, cfg.learner.sat.R,
                            cfg.learner.gamma)
-    W_star = ideal_weights(P, quad_basis(len(P)))
+    W_star = ideal_weights(P)
     header = (out / "telemetry.csv").read_text().splitlines()[0].split(",")
     W = np.loadtxt(out / "telemetry.csv", delimiter=",", skiprows=1)[
         :, [i for i, c in enumerate(header) if c[:1] == "W"]]

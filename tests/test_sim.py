@@ -68,26 +68,24 @@ class TestDither:
 def small_setup(alpha=5.0, t_end=0.05, q1=(1.0, 1.0, 0.0, 0.0), amp=0.0):
     plant = make_plant("linear_osc", {"omega": 2.0})
     ref = make_reference("harmonic", {"omega": 2.0, "x_d0": "1 0"})
-    basis = quad_basis(4)
     sat = SaturationSpec(u_m=5.0, R=np.array([[1.0]]))
     lcfg = LearnerConfig(alpha=alpha, gamma=0.1, T=1e-3, Q1=np.diag(q1), sat=sat,
                          k1_gain=0.0, k2_gain=0.0,
                          stabilizer_enabled=False, m_term_enabled=False)
     scfg = SimConfig(dt=1e-3, t_end=t_end)
-    return plant, ref, basis, sat, lcfg, scfg, DitherSpec(amplitude=amp)
+    return plant, ref, sat, lcfg, scfg, DitherSpec(amplitude=amp)
 
 
 def test_run_experiment_zero_plant_constant_state():
     """Frozen dynamics: z never moves and I_hat is the discounted Q quadrature."""
     plant = make_plant("zero", {"n": 1, "m": 1})
     ref = make_reference("zero", {"n": 1})
-    basis = quad_basis(2)
     sat = SaturationSpec(u_m=1.0, R=np.array([[1.0]]))
     lcfg = LearnerConfig(alpha=0.0, gamma=0.1, T=1e-3, Q1=np.diag([2.0, 0.0]),
                          sat=sat, k1_gain=0.0, k2_gain=0.0)
     scfg = SimConfig(dt=1e-3, t_end=0.01)
     env = AugmentedTrackingEnv(plant, ref, x0=np.array([3.0]))
-    tel = run_env_experiment(env, basis, lcfg, scfg)
+    tel = run_env_experiment(env, lcfg, scfg)
     z = tel.columns("z")
     assert np.all(z == z[0])
     gamma, T = 0.1, 1e-3
@@ -99,10 +97,9 @@ def test_run_experiment_zero_plant_constant_state():
 def test_reference_trajectory_independent_of_learner():
     out = {}
     for alpha in (1.0, 50.0):
-        plant, ref, basis, sat, lcfg, scfg, dith = small_setup(alpha=alpha,
-                                                               t_end=0.2)
+        plant, ref, sat, lcfg, scfg, dith = small_setup(alpha=alpha, t_end=0.2)
         env = AugmentedTrackingEnv(plant, ref, x0=np.array([2.0, 0.0]))
-        tel = run_env_experiment(env, basis, lcfg, scfg, dither_spec=dith)
+        tel = run_env_experiment(env, lcfg, scfg, dither_spec=dith)
         out[alpha] = tel.columns("xd")
     assert np.array_equal(out[1.0], out[50.0])
 
@@ -117,25 +114,25 @@ def test_telemetry_ordering_and_finiteness():
 
 
 def test_saturation_holds_at_every_record():
-    plant, ref, basis, sat, lcfg, scfg, _ = small_setup(alpha=500.0, t_end=0.3)
+    plant, ref, sat, lcfg, scfg, _ = small_setup(alpha=500.0, t_end=0.3)
     env = AugmentedTrackingEnv(plant, ref, x0=np.array([4.0, 1.0]))
-    tel = run_env_experiment(env, basis, lcfg, scfg,
+    tel = run_env_experiment(env, lcfg, scfg,
                              dither_spec=DitherSpec(amplitude=1.0))
     u = tel.columns("u_")
     assert np.max(np.abs(u)) <= sat.u_m
 
 
 def test_run_experiment_rejects_bad_law_and_windows():
-    plant, ref, basis, sat, lcfg, scfg, dith = small_setup()
+    plant, ref, sat, lcfg, scfg, dith = small_setup()
     with pytest.raises(ConfigurationError):
         dataclasses.replace(lcfg, law="fancy")
     bad_sim = SimConfig(dt=1e-3, t_end=5e-4)
     with pytest.raises(ConfigurationError):
-        run_env_experiment(AugmentedTrackingEnv(plant, ref), basis, lcfg, bad_sim)
+        run_env_experiment(AugmentedTrackingEnv(plant, ref), lcfg, bad_sim)
 
 
 def test_dt_must_not_exceed_T():
-    _, _, _, _, lcfg, _, _ = small_setup()
+    _, _, _, lcfg, _, _ = small_setup()
     with pytest.raises(ConfigurationError) as exc:
         check_run(lcfg, SimConfig(dt=2e-3, t_end=0.05))
     assert exc.value.fields == ("dt", "T")
@@ -148,19 +145,19 @@ def test_run_ends_at_the_first_step_at_or_after_the_horizon(t_end, steps):
     # 0.3 / 0.001 is 299.99999999999994 in floats: the slack keeps 300
     assert SimConfig(dt=1e-3, t_end=t_end).n_steps == steps
     if t_end < 1.0:
-        plant, ref, basis, sat, lcfg, _, _ = small_setup()
+        plant, ref, sat, lcfg, _, _ = small_setup()
         env = AugmentedTrackingEnv(plant, ref, x0=np.array([2.0, 0.0]))
-        tel = run_env_experiment(env, basis, lcfg,
+        tel = run_env_experiment(env, lcfg,
                                  SimConfig(dt=1e-3, t_end=t_end))
         assert len(tel.rows) == steps + 1
         assert tel.t[-1] == steps * 1e-3 >= t_end
 
 
 def test_numeric_fault_carries_partial_telemetry():
-    plant, ref, basis, sat, lcfg, scfg, _ = small_setup(alpha=1e308, t_end=0.5)
+    plant, ref, sat, lcfg, scfg, _ = small_setup(alpha=1e308, t_end=0.5)
     env = AugmentedTrackingEnv(plant, ref, x0=np.array([5.0, 0.0]))
     with pytest.raises(NumericFault) as exc:
-        run_env_experiment(env, basis, lcfg, scfg)
+        run_env_experiment(env, lcfg, scfg)
     tel = exc.value.telemetry
     assert tel is not None and len(tel.rows) >= 1
     # the update law raises without context; the loop stamps the step's own
@@ -177,21 +174,29 @@ def test_env_advances_plant_and_reference():
     assert env.x_d[0] == 0.0
 
 
+class BoxedEnv(AugmentedTrackingEnv):
+    """A plant tracking a reference, warning whenever x leaves [-1, 1]."""
+
+    lo, hi = np.array([-1.0]), np.array([1.0])
+
+    def check_domain(self, telemetry, t):
+        if np.any(self.x < self.lo) or np.any(self.x > self.hi):
+            telemetry.warn("state left the operating box", t)
+
+
 def test_operating_box_warning_recorded():
     from irltrack.models import AffinePlant, ReferenceModel
 
     plant = AffinePlant(n=1, m=1, f=lambda x: np.array([2.0]),
-                        g=lambda x: np.ones((1, 1)), name="ramp",
-                        domain=(np.array([-1.0]), np.array([1.0]))).validate()
+                        g=lambda x: np.ones((1, 1)), name="ramp").validate()
     ref = ReferenceModel(H=lambda xd: np.zeros(1), x_d0=np.zeros(1),
                          name="zero").validate()
-    basis = quad_basis(2)
     sat = SaturationSpec(u_m=1.0, R=np.array([[1.0]]))
     lcfg = LearnerConfig(alpha=0.0, gamma=0.1, T=1e-3, Q1=np.zeros((2, 2)),
                          sat=sat, k1_gain=0.0, k2_gain=0.0)
     scfg = SimConfig(dt=1e-3, t_end=1.0)
-    env = AugmentedTrackingEnv(plant, ref, x0=np.array([0.0]))
-    tel = run_env_experiment(env, basis, lcfg, scfg)
+    env = BoxedEnv(plant, ref, x0=np.array([0.0]))
+    tel = run_env_experiment(env, lcfg, scfg)
     assert any("operating box" in w for w in tel.warnings)
     # one entry for the kind, counting every step spent outside the box
     assert len(tel.warnings) == 1
@@ -215,14 +220,19 @@ def test_fused_step_evaluates_each_quantity_once(monkeypatch, m_term):
             return fn(*args, **kwargs)
         return wrapped
 
-    plant, ref, basis, sat, lcfg, scfg, _ = small_setup(t_end=0.05)
+    def counting_basis(dim_in):
+        basis = quad_basis(dim_in)
+        return dataclasses.replace(basis,
+                                   grad_rows=counting("grad", basis.grad_rows))
+
+    plant, ref, sat, lcfg, scfg, _ = small_setup(t_end=0.05)
     lcfg = dataclasses.replace(lcfg, m_term_enabled=m_term)
-    basis = dataclasses.replace(basis, grad_rows=counting("grad", basis.grad_rows))
+    monkeypatch.setattr(sim, "quad_basis", counting_basis)
     env = AugmentedTrackingEnv(plant, ref, x0=np.array([2.0, 0.0]))
     env.G = counting("G", env.G)
     env.linear_pair = lambda: None   # so the loop reads G(z) from the env
     monkeypatch.setattr(sim, "m_vector", counting("M", sim.m_vector))
-    sim.run_env_experiment(env, basis, lcfg, scfg)
+    sim.run_env_experiment(env, lcfg, scfg)
     iterations = round(scfg.t_end / scfg.dt) + 1
     assert calls == {"grad": iterations, "G": iterations,
                      "M": iterations if m_term else 0}
@@ -241,12 +251,11 @@ def test_uav_rate_command_once_per_step(monkeypatch):
 
     monkeypatch.setattr(UavAttitudeEnv, "_rate_des", counting)
     env = catalog.make_env("aerosonde", "attitude_schedule", {}, {})
-    basis = quad_basis(6)
     sat = SaturationSpec(u_m=math.pi / 2, R=np.eye(3))
     lcfg = LearnerConfig(alpha=16.1, gamma=0.1, T=1e-3,
                          Q1=np.diag([10.0, 10.0, 50.0, 0.0, 0.0, 0.0]), sat=sat)
     scfg = SimConfig(dt=1e-3, t_end=0.02)
-    tel = run_env_experiment(env, basis, lcfg, scfg)
+    tel = run_env_experiment(env, lcfg, scfg)
     iterations = round(scfg.t_end / scfg.dt) + 1
     assert len(tel.rows) == iterations
     assert len(calls) == iterations
@@ -287,11 +296,11 @@ class PendulumEnv:
 
 
 def test_a_protocol_only_environment_runs_alone_and_batched():
-    *_, basis, _, lcfg, scfg, dith = small_setup(t_end=0.2, amp=0.5)
-    alone = [run_env_experiment(PendulumEnv(a), basis, lcfg, scfg,
+    *_, lcfg, scfg, dith = small_setup(t_end=0.2, amp=0.5)
+    alone = [run_env_experiment(PendulumEnv(a), lcfg, scfg,
                                 dither_spec=dith).rows for a in (0.0, 1.0)]
     batched = run_batch([(PendulumEnv(a), lcfg, dith, None)
-                         for a in (0.0, 1.0)], basis, scfg)
+                         for a in (0.0, 1.0)], scfg)
     for rows, (tel, fault) in zip(alone, batched):
         assert fault is None and np.isfinite(rows).all()
         assert tel.rows.tobytes() == rows.tobytes()
@@ -309,13 +318,13 @@ class LinearizedPendulumEnv(PendulumEnv):
 
 
 def test_a_protocol_only_environment_with_a_linear_pair_steps_itself():
-    *_, basis, _, lcfg, scfg, dith = small_setup(t_end=0.2, amp=0.5)
-    plain = [run_env_experiment(PendulumEnv(a), basis, lcfg, scfg,
+    *_, lcfg, scfg, dith = small_setup(t_end=0.2, amp=0.5)
+    plain = [run_env_experiment(PendulumEnv(a), lcfg, scfg,
                                 dither_spec=dith).rows for a in (0.0, 1.0)]
-    alone = [run_env_experiment(LinearizedPendulumEnv(a), basis, lcfg, scfg,
+    alone = [run_env_experiment(LinearizedPendulumEnv(a), lcfg, scfg,
                                 dither_spec=dith).rows for a in (0.0, 1.0)]
     batched = run_batch([(LinearizedPendulumEnv(a), lcfg, dith, None)
-                         for a in (0.0, 1.0)], basis, scfg)
+                         for a in (0.0, 1.0)], scfg)
     for rows, one, (tel, fault) in zip(plain, alone, batched):
         assert fault is None
         assert one.tobytes() == rows.tobytes() == tel.rows.tobytes()
