@@ -4,7 +4,8 @@ Rigid-body dynamics with the linear-coefficient aerodynamic force/moment
 model of Beard & McLain ("Small Unmanned Aircraft", Ch. 4), Aerosonde
 constants from Appendix E.  The learner closes the inner rate loop:
 
-  outer loop:  (p,q,r)_des = attitude_des rate feedforward - diag(8,10,12) e_att
+  outer loop:  (p,q,r)_des = -diag(_RATE_GAINS) e_att, a fixed proportional
+               loop with no feedforward (the setpoints are piecewise constant)
   inner loop:  stacked state z = [e_p, e_q, e_r, p_des, q_des, r_des],
                controls are elevator/aileron/rudder deviations from a frozen
                level-flight trim, throttle held at trim.
@@ -31,6 +32,8 @@ from ..sim import Telemetry, rk4_step
 PN, PE, PD, U, V, W, PHI, THETA, PSI, P, Q, R = range(12)
 
 _PITCH_GUARD = math.pi / 2 - 1e-6
+# outer-loop gains from (roll, pitch, yaw) error to body-rate command (1/s)
+_RATE_GAINS = (8.0, 10.0, 12.0)
 # the error rows of G(z): the rate commands take no control
 _NO_COUPLING = ([0.0, 0.0, 0.0],) * 3
 
@@ -290,7 +293,7 @@ class TrimPoint:
         return state
 
 
-def trim_level_flight(pr: AirframeParams, va: float = 35.0) -> TrimPoint:
+def trim_level_flight(pr: AirframeParams, va: float) -> TrimPoint:
     """Solve (alpha, delta_e, delta_t) for steady wings-level flight at va."""
     from scipy.optimize import root
 
@@ -312,29 +315,11 @@ def trim_level_flight(pr: AirframeParams, va: float = 35.0) -> TrimPoint:
     return TrimPoint(va=va, alpha=float(alpha), delta_e=float(de), delta_t=float(dt_))
 
 
-@dataclass(frozen=True)
-class OuterLoopGains:
-    """Proportional gains from attitude error to desired body rates (1/s)."""
-
-    k_phi: float = 8.0
-    k_theta: float = 10.0
-    k_psi: float = 12.0
-
-    def __post_init__(self):
-        if min(self.k_phi, self.k_theta, self.k_psi) <= 0:
-            raise ConfigurationError("outer-loop gains must be positive")
-
-    @property
-    def vector(self):
-        return self.k_phi, self.k_theta, self.k_psi
-
-
-def outer_loop(attitude, attitude_des, attitude_des_rate,
-               gains: OuterLoopGains) -> list:
-    """Desired body rates, three floats: feedforward minus gain times
-    attitude error."""
-    return [rate - k * (att - des) for att, des, rate, k in
-            zip(attitude, attitude_des, attitude_des_rate, gains.vector)]
+def outer_loop(attitude, attitude_des) -> list:
+    """Desired body rates, three floats: minus gain times attitude error."""
+    # 0.0 - k e, not -k e: a zero error commands 0.0, not -0.0
+    return [0.0 - k * (att - des)
+            for att, des, k in zip(attitude, attitude_des, _RATE_GAINS)]
 
 
 @dataclass(frozen=True)
@@ -365,7 +350,7 @@ class UavAttitudeEnv:
     The stacked state pairs the body-rate tracking error with the live
     outer-loop rate commands; `advance` applies trim + deviation surfaces
     and integrates the 12-state model.  `state` (the logged `x`) is a list
-    of 12 floats and defaults to the trim state at 100 m.  Its airspeed and
+    of 12 floats, starting at the given `state`.  Its airspeed and
     its rate command `x_d` (three floats) are computed once per state, on
     construction and in `advance`; `G`, `z` and `check_domain` read them.
     """
@@ -375,14 +360,11 @@ class UavAttitudeEnv:
     dim_z = 6
 
     def __init__(self, params: AirframeParams, trim: TrimPoint,
-                 schedule: SetpointSchedule, gains: OuterLoopGains = OuterLoopGains(),
-                 state=None):
+                 schedule: SetpointSchedule, state):
         self.params = params
         self.trim = trim
         self.schedule = schedule
-        self.gains = gains
-        self._enter(trim.initial_state() if state is None
-                    else [float(s) for s in state], 0.0)
+        self._enter([float(s) for s in state], 0.0)
 
     @property
     def x(self):
@@ -396,8 +378,7 @@ class UavAttitudeEnv:
 
     def _rate_des(self, t: float) -> list:
         return outer_loop(self.state[PHI:PSI + 1],
-                          self.schedule.attitude_des(t).tolist(), (0.0, 0.0, 0.0),
-                          self.gains)
+                          self.schedule.attitude_des(t).tolist())
 
     def G(self, z) -> np.ndarray:
         """Rate-channel coupling at the live airspeed (z is not read)."""
@@ -468,13 +449,8 @@ def make_uav_env(plant_params: dict, reference_params: dict) -> UavAttitudeEnv:
     trim = trim_level_flight(pr, va=param(plant_params, "plant", "va_m_s", 18.0))
     schedule = parse_schedule(reference_params.get(
         "setpoints_deg", "0: -30 0 -10; 7: 30 0 10; 11: 0 0 10"))
-    k = param(reference_params, "reference", "gains", (8.0, 10.0, 12.0),
-              parse_floats)
-    if len(k) != 3:
-        raise ConfigurationError(f"reference.gains: need 3 values, got {len(k)}")
     # the run starts at the first setpoint's roll and yaw, at trim pitch
     state = trim.initial_state(param(plant_params, "plant", "altitude_m", 100.0))
     att0 = schedule.attitude_des(0.0)
     state[PHI], state[PSI] = att0[0], att0[2]
-    return UavAttitudeEnv(pr, trim, schedule, gains=OuterLoopGains(*k),
-                          state=state)
+    return UavAttitudeEnv(pr, trim, schedule, state)

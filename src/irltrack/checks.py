@@ -128,13 +128,14 @@ def check_ideal_weights_roundtrip(n_draws: int = 20, seed: int = 11):
             f"max abs err {worst:.2e} (tol 1e-12)")
 
 
-def run_all(gamma: float = 0.1):
-    """Run the full oracle suite; returns list of (name, passed, detail)."""
+def run_all():
+    """Run the full oracle suite at the bundled gamma = 0.1; returns list of
+    (name, passed, detail)."""
     return [
         check_penalty_identity(),
         check_basis_gradient(),
-        check_window_identity(gamma=gamma),
-        check_discounted_quadrature(gamma=gamma),
+        check_window_identity(),
+        check_discounted_quadrature(),
         check_riccati_residual(),
         check_ideal_weights_roundtrip(),
     ]

@@ -222,9 +222,8 @@ def cmd_run(args) -> int:
 
 def cmd_check(args) -> int:
     from .checks import run_all
-    results = run_all(gamma=args.gamma)
     all_ok = True
-    for name, ok, detail in results:
+    for name, ok, detail in run_all():
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
         all_ok &= ok
     return EXIT_OK if all_ok else EXIT_ORACLE
@@ -298,16 +297,31 @@ def _fail(point: _Point, cfg, code: int, detail: list[str], wall_s: float):
     records; returns the exit code."""
     for e in detail:
         print(f"  - {e}")
-    status = "oracle failure" if code == EXIT_ORACLE else "config error"
+    status = {EXIT_CONFIG: "config error", EXIT_ORACLE: "oracle failure"}.get(
+        code, "error")
     _write_manifest(os.path.join(point.out_dir, "manifest.txt"), cfg, None,
                     f"{status}: {'; '.join(detail)}", wall_s)
     return code
 
 
+def _error(exc: Exception) -> tuple[int, list[str]]:
+    """The exit code and detail of an exception that ends a point: a
+    ConfigurationError is exit 2, anything else exit 3 under its type, with
+    its traceback on stderr."""
+    if isinstance(exc, ConfigurationError):
+        return EXIT_CONFIG, [str(exc)]
+    import traceback
+    traceback.print_exception(exc)
+    return EXIT_NUMERIC, [f"{type(exc).__name__}: {exc}"]
+
+
 def _load(point: _Point):
     """(cfg, env) of a point, or its exit code once `_fail` reported it."""
     t0 = time.perf_counter()
-    code, cfg, detail = _load_config(point.config_path)
+    try:
+        code, cfg, detail = _load_config(point.config_path)
+    except Exception as exc:  # the point fails, not its chunk
+        (code, detail), cfg = _error(exc), None
     if code == EXIT_OK:
         return cfg, detail
     return _fail(point, cfg, code, detail, time.perf_counter() - t0)
@@ -317,10 +331,11 @@ def _run(points: list[_Point]) -> list[tuple[int, Telemetry | None]]:
     """Load the points and run those that load, one batch per group that
     shares plant/reference ids, [sim], window T and the environment's
     dimensions; writes their artifacts and returns (exit code, telemetry or
-    None) per point.  A point that does not load, or whose batch rejects
-    its [sim] (a ConfigurationError of `run_batch`), gets only its
-    manifest (`_fail`).  A batch manifest's wall time is its loop's / B,
-    with `batch_size = B` when B > 1."""
+    None) per point.  A point that does not load gets only its manifest
+    (`_fail`); so does each point of a batch that raises (exit 2 for a
+    ConfigurationError of `run_batch`, such as a [sim] it rejects, else
+    exit 3) and has not written its artifacts.  A batch manifest's wall
+    time is its loop's / B, with `batch_size = B` when B > 1."""
     out: list = [None] * len(points)
     groups: dict = {}
     for i, point in enumerate(points):
@@ -337,33 +352,28 @@ def _run(points: list[_Point]) -> list[tuple[int, Telemetry | None]]:
         try:
             results = run_batch([(env, cfg.learner, cfg.dither, None)
                                  for _, cfg, env in batch], batch[0][1].sim)
-        except ConfigurationError as exc:
+            wall = (time.perf_counter() - t0) / len(batch)
+            for (i, cfg, env), (telemetry, fault) in zip(batch, results):
+                W_star = _oracle_weights(env.linear_pair(), cfg.learner)
+                out[i] = (_write_artifacts(points[i].out_dir, cfg, env,
+                                           telemetry, fault, wall, W_star,
+                                           len(batch) if len(batch) > 1 else None),
+                          telemetry)
+        except Exception as exc:  # the batch fails, not its chunk
+            code, detail = _error(exc)
             wall = (time.perf_counter() - t0) / len(batch)
             for i, cfg, _ in batch:
-                out[i] = (_fail(points[i], cfg, EXIT_CONFIG, [str(exc)], wall),
-                          None)
-            continue
-        wall = (time.perf_counter() - t0) / len(batch)
-        for (i, cfg, env), (telemetry, fault) in zip(batch, results):
-            W_star = _oracle_weights(env.linear_pair(), cfg.learner)
-            out[i] = (_write_artifacts(points[i].out_dir, cfg, env, telemetry,
-                                       fault, wall, W_star,
-                                       len(batch) if len(batch) > 1 else None),
-                      telemetry)
+                if out[i] is None:
+                    out[i] = (_fail(points[i], cfg, code, detail, wall), None)
     return out
 
 
 def _sweep_worker(chunk: list[_Point]) -> list[tuple[int, dict]]:
     """Run one task of a sweep, its points batched by `_run`.  Returns (exit
-    code, summary row) per point; every point gets a row, whatever goes
-    wrong."""
+    code, summary row) per point; `_run` gives every point its own
+    status."""
     t0 = time.perf_counter()
-    try:
-        results = _run(chunk)
-    except Exception as exc:  # worker must always report a row
-        wall = (time.perf_counter() - t0) / len(chunk)
-        return [(EXIT_NUMERIC, _summary_row(p, f"error: {exc}", None, wall))
-                for p in chunk]
+    results = _run(chunk)
     wall = (time.perf_counter() - t0) / len(chunk)
     return [(code, _summary_row(p, "ok" if code == EXIT_OK else f"exit{code}",
                                 telemetry, wall))
@@ -443,7 +453,6 @@ def main(argv=None) -> int:
     p_run.set_defaults(func=cmd_run)
 
     p_chk = sub.add_parser("check", help="run the oracle-check suite")
-    p_chk.add_argument("--gamma", type=float, default=0.1)
     p_chk.set_defaults(func=cmd_check)
 
     p_swp = sub.add_parser("sweep", help="run a hyperparameter grid")

@@ -16,8 +16,10 @@ variable-gain law whose three terms are
 
 with theta_bar = dtheta / (1 + dtheta.dtheta)^2, phi = dtheta / (1 + dtheta.dtheta),
 Sigma = z . zdot by backward differencing, and Xi the indicator that is 0 only
-while Sigma < 0.  The scalar gains k1_gain and k2_gain stand for the paper's
-K1 = k1_gain 1 and K2 = k2_gain I.  All integrals are discounted trapezoids.
+while Sigma < 0, and always 0 with the stabilizer off.  The telemetry's `xi`
+column is 1[Sigma >= 0] whether or not the stabilizer is on.  The scalar
+gains k1_gain and k2_gain stand for the paper's K1 = k1_gain 1 and
+K2 = k2_gain I.  All integrals are discounted trapezoids.
 
 Both laws are computed for B rows at once (`CriticRows`, with the window
 pass of `WindowBuffer`): the baseline is the degenerate variable-gain law,

@@ -25,6 +25,7 @@ never depends on the learner.  A faulted member leaves; the others go on.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -44,7 +45,9 @@ _CHUNK_ROWS = 256
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Fixed integration step, horizon, and telemetry decimation."""
+    """Fixed integration step, horizon, and telemetry decimation.  The
+    horizon must be countable: t_end / dt finite, and its telemetry rows
+    (n_steps // record_every + 2) at most sys.maxsize."""
 
     dt: float
     t_end: float
@@ -61,6 +64,13 @@ class SimConfig:
             raise ConfigurationError(
                 f"record_every must be >= 1, got {self.record_every}",
                 ("record_every",))
+        steps = self.t_end / self.dt
+        if not steps < math.inf or \
+                self.n_steps // self.record_every + 2 > sys.maxsize:
+            raise ConfigurationError(
+                f"t_end / dt = {steps:g} steps need more than {sys.maxsize} "
+                f"telemetry rows at record_every = {self.record_every}",
+                ("t_end",))
 
     @property
     def n_steps(self) -> int:

@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from irltrack.basis import RegressorBasis
-from irltrack.benchmarks.uav import (_PITCH_GUARD, AirframeParams, OuterLoopGains,
+from irltrack.benchmarks.uav import (_PITCH_GUARD, _RATE_GAINS, AirframeParams,
                                      SetpointSchedule, TrimPoint)
 from irltrack.errors import ConfigurationError, NumericFault
 from irltrack.learner import _SPAN_RTOL, LearnerConfig, gain_pow
@@ -501,12 +501,10 @@ def rate_control_coupling(va: float, pr: AirframeParams) -> np.ndarray:
     ])
 
 
-def outer_loop(attitude: np.ndarray, attitude_des: np.ndarray,
-               attitude_des_rate: np.ndarray, gains: OuterLoopGains) -> np.ndarray:
-    """Desired body rates: feedforward minus gain times attitude error."""
+def outer_loop(attitude: np.ndarray, attitude_des: np.ndarray) -> np.ndarray:
+    """Desired body rates: minus gain times attitude error."""
     e = np.asarray(attitude, dtype=float) - np.asarray(attitude_des, dtype=float)
-    k = np.array([gains.k_phi, gains.k_theta, gains.k_psi])
-    return np.asarray(attitude_des_rate, dtype=float) - k * e
+    return np.zeros(3) - np.array(_RATE_GAINS) * e
 
 
 class ArrayUavEnv:
@@ -514,17 +512,16 @@ class ArrayUavEnv:
     `advance` and `check_domain` re-index and re-norm the state each call."""
 
     def __init__(self, params: AirframeParams, trim: TrimPoint,
-                 schedule: SetpointSchedule, gains: OuterLoopGains, state):
+                 schedule: SetpointSchedule, state):
         self.params = params
         self.trim = trim
         self.schedule = schedule
-        self.gains = gains
         self.state = np.array(state, dtype=float)
         self.x_d = self._rate_des(0.0)
 
     def _rate_des(self, t: float) -> np.ndarray:
         att = self.state[[PHI, THETA, PSI]]
-        return outer_loop(att, self.schedule.attitude_des(t), np.zeros(3), self.gains)
+        return outer_loop(att, self.schedule.attitude_des(t))
 
     def G(self, z) -> np.ndarray:
         va = float(np.linalg.norm(self.state[[U, V, W]]))

@@ -299,12 +299,13 @@ def test_an_overflow_fails_only_its_own_point(tmp_path, capsys, axis, code):
         assert f"{key}: u_m^2 must be finite" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("horizon", ["1e300", "1e308"])
 def test_a_horizon_without_room_for_its_telemetry_fails_only_its_point(
-        tmp_path):
-    # 1e300 s needs more telemetry rows than an array can hold: the
-    # allocation fails before anything is allocated, and only its own
-    # point fails, as a configuration error
-    code, out = sweep(tmp_path, "sweep", "--grid", "sim.t_end_s=0.01,1e300")
+        tmp_path, horizon):
+    # 1e300 s needs more telemetry rows than sys.maxsize, and 1e308 s / dt
+    # overflows: the config is rejected before anything is allocated, and
+    # only its own point fails, as a configuration error
+    code, out = sweep(tmp_path, "sweep", "--grid", f"sim.t_end_s=0.01,{horizon}")
     assert code == cli.EXIT_CONFIG
     assert [row["status"] for row in summary(out)] == ["ok", "exit2"]
     ref = tmp_path / "ref"
@@ -314,6 +315,28 @@ def test_a_horizon_without_room_for_its_telemetry_fails_only_its_point(
     assert (out / "run000" / "telemetry.csv").is_file()
     assert manifest_value(out / "run001", "status").startswith(
         "config error: sim.t_end_s: ")
+    assert not (out / "run001" / "telemetry.csv").exists()
+
+
+def test_a_raising_batch_fails_only_its_own_points(tmp_path, monkeypatch):
+    # two groups in one chunk; the second batch raises, the first has
+    # already written its artifacts and keeps its status
+    calls = []
+
+    def second_raises(members, sim_cfg):
+        calls.append(sim_cfg)
+        if len(calls) == 2:
+            raise RuntimeError("batch two broke")
+        return run_batch(members, sim_cfg)
+    monkeypatch.setattr(cli, "run_batch", second_raises)
+    code, out = sweep(tmp_path, "sweep", "--override", "sim.t_end_s=0.01",
+                      "--grid", "sim.record_every=1,2", "--workers", "1")
+    assert code == cli.EXIT_NUMERIC and len(calls) == 2
+    assert [row["status"] for row in summary(out)] == ["ok", "exit3"]
+    assert manifest_value(out / "run000", "status") == "ok"
+    assert (out / "run000" / "telemetry.csv").is_file()
+    assert manifest_value(out / "run001", "status") == \
+        "error: RuntimeError: batch two broke"
     assert not (out / "run001" / "telemetry.csv").exists()
 
 

@@ -7,14 +7,14 @@ import pytest
 import scipy.linalg as sla
 
 from irltrack.basis import quad_basis
-from irltrack.benchmarks import (OuterLoopGains, discounted_riccati,
-                                 ideal_weights, load_airframe, outer_loop,
-                                 trim_level_flight, uav_dynamics)
+from irltrack.benchmarks import (discounted_riccati, ideal_weights,
+                                 load_airframe, outer_loop, trim_level_flight,
+                                 uav_dynamics)
 from irltrack.benchmarks.linear import riccati_residual
 from irltrack.benchmarks.uav import (THETA, U, forces_moments,
                                      rate_control_coupling)
 from irltrack.catalog import make_env
-from irltrack.errors import ConfigurationError, NumericFault, OracleFailure
+from irltrack.errors import NumericFault, OracleFailure
 from irltrack.models import augmented_linear
 from irltrack.sim import Telemetry
 
@@ -188,26 +188,21 @@ class TestAirframe:
 
 class TestOuterLoop:
     def test_zero_error_zero_feedforward(self):
-        out = outer_loop(np.zeros(3), np.zeros(3), np.zeros(3),
-                         OuterLoopGains())
+        out = outer_loop(np.zeros(3), np.zeros(3))
         assert np.allclose(out, 0.0)
 
     def test_unit_roll_error(self):
         att = np.array([1.0 * DEG, 0.0, 0.0])
-        out = outer_loop(att, np.zeros(3), np.zeros(3), OuterLoopGains())
+        out = outer_loop(att, np.zeros(3))
         assert out[0] == pytest.approx(-8.0 * DEG, rel=1e-12)
 
     def test_initial_step_magnitude(self):
-        # (-30, 0, -10) deg setpoint from level attitude, zero feedforward
+        # (-30, 0, -10) deg setpoint from level attitude
         att_des = np.array([-30.0 * DEG, 0.0, -10.0 * DEG])
-        out = outer_loop(np.zeros(3), att_des, np.zeros(3), OuterLoopGains())
+        out = outer_loop(np.zeros(3), att_des)
         assert abs(out[0]) == pytest.approx(240.0 * DEG, rel=1e-12)
         assert out[0] == pytest.approx(-8.0 * 30.0 * DEG, rel=1e-12)
         assert out[2] == pytest.approx(-12.0 * 10.0 * DEG, rel=1e-12)
-
-    def test_gains_positive(self):
-        with pytest.raises(ConfigurationError):
-            OuterLoopGains(k_phi=0.0)
 
 
 def test_augmented_linear_block_structure():

@@ -159,10 +159,17 @@ class TestCheck:
         assert cli.main(["check"]) == cli.EXIT_ORACLE
         assert "[FAIL] Riccati oracle residual" in capsys.readouterr().out
 
-    def test_gamma_zero_edge_uses_cT_form(self, capsys):
-        assert cli.main(["check", "--gamma", "0"]) == cli.EXIT_OK
-        out = capsys.readouterr().out
-        assert "gamma=0" in out
+    def test_gamma_zero_edge_uses_cT_form(self):
+        import irltrack.checks as checks
+        _, ok, detail = checks.check_discounted_quadrature(gamma=0.0)
+        assert ok and "gamma=0" in detail
+        assert checks.check_window_identity(gamma=0.0)[1]
+
+    def test_gamma_is_not_a_flag(self):
+        # the suite runs its fixed problems at the bundled gamma = 0.1
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "--gamma", "0"])
+        assert exc.value.code == 2
 
 
 class TestSweep:
@@ -350,6 +357,9 @@ def test_a_deg_key_error_quotes_the_value_as_written(tmp_path, key, text):
     "saturation.u_m=inf", "saturation.r_diag=inf", "dither.amplitude=nan",
     "saturation.u_m=1e200",
     "sim.dt_s=nan", "sim.t_end_s=inf",
+    # horizons the step loop cannot count: more telemetry rows than
+    # sys.maxsize, and a t_end / dt that overflows
+    "sim.t_end_s=1e300", "sim.t_end_s=1e308",
     # keys no section defines: a misspelling must not fall back to a default
     "learner.alpah=2000", "experiment.lawz=baseline", "saturation.u_max=5",
     "sim.dt=0.001", "dither.amplitude_rad=0.1",
@@ -458,16 +468,18 @@ def test_infinite_horizon_run_exits_with_config_error(tmp_path, capsys):
 
 def test_a_horizon_without_room_for_its_telemetry_is_a_config_error(
         tmp_path, capsys):
-    # valid as a config, but 1e300 s needs more telemetry rows than an
-    # array can hold; the run reports it under the key, with a manifest
-    out = tmp_path / "huge"
-    assert cli.main(["run", "linear_benchmark", "--override", "sim.t_end_s=1e300",
-                     "--out", str(out)]) == cli.EXIT_CONFIG
-    assert "  - sim.t_end_s: " in capsys.readouterr().out
-    status = re.search(r"^status = (.*)$", (out / "manifest.txt").read_text(),
-                       re.M).group(1)
-    assert status.startswith("config error: sim.t_end_s: ")
-    assert not (out / "telemetry.csv").exists()
+    # 1e300 s needs more telemetry rows than sys.maxsize, and 1e308 s / dt
+    # overflows; the run reports it under the key, with a manifest
+    for horizon in ("1e300", "1e308"):
+        out = tmp_path / horizon
+        assert cli.main(["run", "linear_benchmark", "--override",
+                         f"sim.t_end_s={horizon}", "--out", str(out)]) == \
+            cli.EXIT_CONFIG
+        assert "  - sim.t_end_s: " in capsys.readouterr().out
+        status = re.search(r"^status = (.*)$",
+                           (out / "manifest.txt").read_text(), re.M).group(1)
+        assert status.startswith("config error: sim.t_end_s: ")
+        assert not (out / "telemetry.csv").exists()
 
 
 _LOADED_SCIPY = """

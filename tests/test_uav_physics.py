@@ -20,7 +20,7 @@ DT = 1e-3
 def _pair(setpoints="0: -30 0 -10; 0.15: 30 0 10"):
     env = make_env("aerosonde", "attitude_schedule", {},
                    {"setpoints_deg": setpoints})
-    ref = ArrayUavEnv(env.params, env.trim, env.schedule, env.gains, env.state)
+    ref = ArrayUavEnv(env.params, env.trim, env.schedule, env.state)
     return env, ref
 
 
@@ -62,8 +62,8 @@ def test_float_physics_is_bitwise_the_array_formulation_at_random_states():
         state = np.concatenate([rng.normal(0.0, 100.0, 3), rng.normal(0.0, 20.0, 3),
                                 rng.uniform(-1.0, 1.0, 3), rng.normal(0.0, 1.0, 3)])
         u = rng.uniform(-U_M, U_M, 3)
-        env = UavAttitudeEnv(env0.params, env0.trim, env0.schedule, env0.gains, state)
-        ref = ArrayUavEnv(env0.params, env0.trim, env0.schedule, env0.gains, state)
+        env = UavAttitudeEnv(env0.params, env0.trim, env0.schedule, state)
+        ref = ArrayUavEnv(env0.params, env0.trim, env0.schedule, state)
         for _ in range(2):
             assert _same(env.G(env.z()), ref.G(ref.z()))
             assert _same(env.z(), ref.z())
@@ -97,8 +97,7 @@ def test_pitch_guard_raises_in_advance():
     for theta, shown in ((math.pi / 2, "1.571"), (1e300, "1e+300")):
         state = list(env0.state)
         state[THETA] = theta
-        env = UavAttitudeEnv(env0.params, env0.trim, env0.schedule, env0.gains,
-                             state)
+        env = UavAttitudeEnv(env0.params, env0.trim, env0.schedule, state)
         with pytest.raises(NumericFault, match="Euler singularity guard") as exc:
             env.advance(np.zeros(3), 0.0, DT)
         assert f"pitch angle {shown} rad" in str(exc.value)
@@ -116,7 +115,7 @@ def test_stall_warning_follows_the_state():
     a0 = pr.stall_alpha + 0.01
     state[U], state[W] = va * math.cos(a0), va * math.sin(a0)
     state[Q] = -5.0   # rad/s
-    env = UavAttitudeEnv(pr, env.trim, env.schedule, env.gains, state)
+    env = UavAttitudeEnv(pr, env.trim, env.schedule, state)
     tel = Telemetry(dim_z=6, dim_x=12, dim_xd=3, m=3, n1=1)
     env.check_domain(tel, 0.0)
     assert abs(_alpha(env)) > pr.stall_alpha
