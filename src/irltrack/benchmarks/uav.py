@@ -283,7 +283,7 @@ class TrimPoint:
     delta_e: float
     delta_t: float
 
-    def initial_state(self, altitude: float = 100.0) -> list:
+    def initial_state(self, altitude: float) -> list:
         """The 12-float trim state at `altitude`, heading north."""
         state = [0.0] * 12
         state[PD] = -float(altitude)

@@ -417,14 +417,9 @@ def cmd_sweep(args) -> int:
     else:
         done = [_sweep_worker(task) for task in tasks]
     results = list(itertools.chain.from_iterable(done))
-    codes = [code for code, _ in results]
-    rows = [row for _, row in results]
-
-    cols = ["run"]
-    for row in rows:
-        for k in row:
-            if k not in cols:
-                cols.append(k)
+    codes, rows = zip(*results)
+    # every row starts with "run"; the other columns in first-seen order
+    cols = list(dict.fromkeys(k for row in rows for k in row))
     summary = os.path.join(args.out, "summary.csv")
     with open(summary, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -18,9 +18,10 @@ t_k it computes each per-step quantity once and shares it:
   5. apply saturate(u_hat + dither) and integrate to t_{k+1},
 
 up to the first step at or after t_end.  Linear catalog pairs take one
-classical RK4 step of the stacked plant and reference states together
-(zero-order hold); any other environment advances itself.  The reference
-never depends on the learner.  A faulted member leaves; the others go on.
+propagator step s <- Phi s + Gamma u of s = [x, x_d] together (the exact
+RK4 step under zero-order hold, Phi/Gamma built once); any other env
+advances itself.  The reference never depends on the learner.  A faulted
+member leaves; the others go on.
 """
 from __future__ import annotations
 
@@ -144,6 +145,15 @@ def rk4_step(field, t: float, state, dt: float) -> list:
     return out
 
 
+def rk4_propagator(A: np.ndarray, B: np.ndarray, dt: float):
+    """(Phi, Gamma) of one classical RK4 step of ``ds/dt = A s + B u`` with u
+    held: the step is exactly s <- Phi s + Gamma u, where, with h = dt,
+    Phi = I + hA P, Gamma = h P B and P = I + hA/2 + (hA)^2/6 + (hA)^3/24."""
+    eye, hA = np.eye(len(A)), dt * np.asarray(A, dtype=float)
+    P = eye + hA @ (eye + hA @ (eye + hA / 4.0) / 3.0) / 2.0
+    return eye + hA @ P, dt * (P @ np.asarray(B, dtype=float))
+
+
 @dataclass
 class WarningCount:
     """How often one kind of warning fired, and at which first and last t."""
@@ -247,11 +257,9 @@ class TrackingEnv(Protocol):
 
     No drift field is part of it: an environment offers the control
     coupling G(z) and integrates its own physics in `advance`.  The loop
-    reads environments as rows (z, G, x, x_d, `advance` with a fault per
-    row, the domain warning): linear catalog pairs (`AugmentedTrackingEnv`s
-    whose plant and reference both carry `linear`) from their matrices, all
-    at once; any other one through these methods, as one row, whether or
-    not it reports a `linear_pair()`."""
+    reads linear catalog pairs (`AugmentedTrackingEnv`s whose plant and
+    reference both carry `linear`) as stacked rows, any other env through
+    these methods, one row each, even if it reports a `linear_pair()`."""
 
     control_names: Sequence[str]
     m: int
@@ -281,13 +289,12 @@ class AugmentedTrackingEnv:
             raise ConfigurationError(
                 f"plant {plant.name!r} has n={plant.n} but reference {ref.name!r} "
                 f"has dimension {len(ref.x_d0)}")
-        self.plant = plant
-        self.ref = ref
+        self.plant, self.ref = plant, ref
         self.x = np.array(x0 if x0 is not None else ref.x_d0, dtype=float)
         self.x_d = np.array(ref.x_d0, dtype=float)
         self.control_names = [f"u{i}" for i in range(plant.m)]
-        self.m = plant.m
-        self.dim_z = 2 * plant.n
+        self.m, self.dim_z = plant.m, 2 * plant.n
+        self._propagators: dict[float, tuple] = {}
 
     def z(self) -> np.ndarray:
         return np.concatenate([self.x - self.x_d, self.x_d])
@@ -298,15 +305,31 @@ class AugmentedTrackingEnv:
         out[:n, :] = self.plant.g(z[:n] + z[n:])
         return out
 
+    def propagator(self, dt: float):
+        """(Phi, Gamma) of the pair's RK4 step on s = [x, x_d], once per dt."""
+        if dt not in self._propagators:
+            (A_p, B_p), n = self.plant.linear, self.plant.n
+            A, B = np.zeros((2 * n, 2 * n)), np.zeros((2 * n, self.m))
+            A[:n, :n], A[n:, n:], B[:n] = A_p, self.ref.linear, B_p
+            self._propagators[dt] = rk4_propagator(A, B, dt)
+        return self._propagators[dt]
+
     def advance(self, u_applied: np.ndarray, t: float, dt: float):
-        n, f, g, H = self.plant.n, self.plant.f, self.plant.g, self.ref.H
+        n, s = self.plant.n, np.concatenate([self.x, self.x_d])
+        if self.plant.linear is not None and self.ref.linear is not None:
+            Phi, Gamma = self.propagator(dt)
+            s = Phi @ s + Gamma @ u_applied
+            if not np.isfinite(s).all():
+                raise NumericFault(f"non-finite state at t={t}", t=t)
+        else:
+            f, g, H = self.plant.f, self.plant.g, self.ref.H
 
-        def field(tt, s):
-            x, xd = np.array(s[:n]), np.array(s[n:])
-            return [*(f(x) + g(x) @ u_applied).tolist(), *H(xd).tolist()]
+            def field(tt, s):
+                x, xd = np.array(s[:n]), np.array(s[n:])
+                return [*(f(x) + g(x) @ u_applied).tolist(), *H(xd).tolist()]
 
-        s = rk4_step(field, t, [*self.x.tolist(), *self.x_d.tolist()], dt)
-        self.x, self.x_d = np.array(s[:n]), np.array(s[n:])
+            s = np.array(rk4_step(field, t, s.tolist(), dt))
+        self.x, self.x_d = s[:n], s[n:]
 
     def check_domain(self, telemetry: Telemetry, t: float):
         """A catalog plant has no operating box: nothing to warn about."""
@@ -355,14 +378,15 @@ class _EnvRows(Rows):
 
 
 class _LinearRows(_EnvRows):
-    """Linear catalog pairs, stacked: one classical RK4 step of each row's
-    s = [x, x_d] under (A_p x + B_p u, H_A x_d), handed back to its env."""
+    """Linear catalog pairs, stacked: each row's s = [x, x_d] takes one
+    propagator step s <- Phi s + Gamma u, with its env's Phi/Gamma for the
+    batch's dt stacked once, and is handed back to its env."""
 
-    def __init__(self, envs):
-        super().__init__(envs, B_p=np.array([e.plant.linear[1] for e in envs]),
+    def __init__(self, envs, dt: float):
+        Phi, Gamma = zip(*(e.propagator(dt) for e in envs))
+        super().__init__(envs, Phi=np.array(Phi), Gamma=np.array(Gamma),
                          G_z=np.array([e.G(e.z()) for e in envs]),
-                         s=np.array([np.concatenate([e.x, e.x_d]) for e in envs]),
-                         AH=np.array([(e.plant.linear[0], e.ref.linear) for e in envs]))
+                         s=np.array([np.concatenate([e.x, e.x_d]) for e in envs]))
         self.n = envs[0].plant.n
 
     def z(self):
@@ -373,30 +397,11 @@ class _LinearRows(_EnvRows):
         return self.G_z
 
     def advance(self, u_applied, t: float, dt: float):
-        n, Bu = self.n, mv(self.B_p, u_applied)
-
-        def field(state):
-            # A_p x and H_A x_d as one stack of n x n products
-            out = np.matmul(self.AH, state.reshape(-1, 2, n, 1)).reshape(-1, 2 * n)
-            out[:, :n] += Bu
-            return out
-
-        k1 = field(self.s)
-        k2 = field(self.s + (dt / 2.0) * k1)
-        k3 = field(self.s + (dt / 2.0) * k2)
-        k4 = field(self.s + dt * k3)
-        self.s = self.s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        self.s = mv(self.Phi, self.s) + mv(self.Gamma, u_applied)
         for env, s in zip(self.envs, self.s):
-            env.x, env.x_d = s[:n], s[n:]
-        # a non-finite stage makes the new state non-finite
-        faults = []
-        for i in np.flatnonzero(~np.isfinite(self.s).all(1)):
-            stage = next((j for j, kj in enumerate((k1, k2, k3, k4))
-                          if not np.isfinite(kj[i]).all()), None)
-            if stage is not None:
-                faults.append((i, NumericFault(
-                    f"non-finite RK4 stage {stage + 1} at t={t}", t=t)))
-        return faults
+            env.x, env.x_d = s[:self.n], s[self.n:]
+        return [(i, NumericFault(f"non-finite state at t={t}", t=t))
+                for i in np.flatnonzero(~np.isfinite(self.s).all(1))]
 
 
 def run_batch(members, sim_cfg: SimConfig):
@@ -417,7 +422,7 @@ def run_batch(members, sim_cfg: SimConfig):
     ((dz, m, nx, nxd, T),) = dims
     linear = all(isinstance(e, AugmentedTrackingEnv) and e.linear_pair() is not None
                  for e in envs)
-    env_rows = _LinearRows(envs) if linear else _EnvRows(envs)
+    env_rows = _LinearRows(envs, sim_cfg.dt) if linear else _EnvRows(envs)
     basis = quad_basis(dz)
     n1, dt, every, n_steps = (basis.n_features, sim_cfg.dt,
                               sim_cfg.record_every, sim_cfg.n_steps)

@@ -151,7 +151,7 @@ class TestAirframe:
         self.trim = trim_level_flight(self.pr, va=18.0)
 
     def test_trim_residual(self):
-        s0 = self.trim.initial_state()
+        s0 = self.trim.initial_state(100.0)
         d = uav_dynamics(s0, np.array([self.trim.delta_e, 0.0, 0.0]), self.pr,
                          self.trim.delta_t)
         # body accelerations and all rate/attitude derivatives vanish at trim
@@ -175,7 +175,7 @@ class TestAirframe:
         assert g3[1, 0] < 0.0  # positive elevator pitches down (C_m_de < 0)
 
     def test_pitch_guard_aborts(self):
-        s = self.trim.initial_state()
+        s = self.trim.initial_state(100.0)
         s[THETA] = math.pi / 2
         with pytest.raises(NumericFault):
             uav_dynamics(s, np.zeros(3), self.pr, self.trim.delta_t)
