@@ -1,8 +1,9 @@
 """Six-degree-of-freedom fixed-wing attitude benchmark.
 
 Rigid-body dynamics with the linear-coefficient aerodynamic force/moment
-model of Beard & McLain ("Small Unmanned Aircraft", Ch. 4), Aerosonde
-constants from Appendix E.  The learner closes the inner rate loop:
+model of Beard & McLain ("Small Unmanned Aircraft", 2012, Ch. 4), flown with
+the Aerosonde's constants, `AEROSONDE`, from its Appendix E (Table E.2).  The
+learner closes the inner rate loop:
 
   outer loop:  (p,q,r)_des = -diag(_RATE_GAINS) e_att, a fixed proportional
                loop with no feedforward (the setpoints are piecewise constant)
@@ -16,11 +17,9 @@ pressure.
 """
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 
 import numpy as np
 
@@ -100,67 +99,35 @@ class AirframeParams:
         return g1, g2, g3, g4, g5, g6, g7, g8
 
 
-def load_airframe(path=None) -> AirframeParams:
-    """Read airframe constants from an INI file (bundled Aerosonde by default).
-
-    An unreadable or malformed file, or a constant that is not a finite
-    number, raises ConfigurationError naming `plant.airframe` (and the
-    file's `section.key`).
-    """
-    cp = configparser.ConfigParser()
-    try:
-        if path is None:
-            cp.read_string(resources.files("irltrack.data")
-                           .joinpath("aerosonde.ini").read_text())
-        else:
-            with open(path, encoding="utf-8") as fh:
-                cp.read_file(fh)
-        for section in cp.sections():
-            for key in cp[section]:
-                param(cp[section], section, key, None)
-        lon = cp["aero_longitudinal"]
-        lat = cp["aero_lateral"]
-        return AirframeParams(
-            mass=cp.getfloat("mass", "mass_kg"),
-            gravity=cp.getfloat("mass", "gravity_m_s2"),
-            jx=cp.getfloat("inertia", "jx"),
-            jy=cp.getfloat("inertia", "jy"),
-            jz=cp.getfloat("inertia", "jz"),
-            jxz=cp.getfloat("inertia", "jxz"),
-            S=cp.getfloat("geometry", "wing_area_m2"),
-            b=cp.getfloat("geometry", "wing_span_m"),
-            c=cp.getfloat("geometry", "mean_chord_m"),
-            rho=cp.getfloat("environment", "air_density_kg_m3"),
-            s_prop=cp.getfloat("propulsion", "s_prop_m2"),
-            c_prop=cp.getfloat("propulsion", "c_prop"),
-            k_motor=cp.getfloat("propulsion", "k_motor"),
-            c_l0=lon.getfloat("c_l0"), c_d0=lon.getfloat("c_d0"),
-            c_m0=lon.getfloat("c_m0"),
-            c_l_alpha=lon.getfloat("c_l_alpha"), c_d_alpha=lon.getfloat("c_d_alpha"),
-            c_m_alpha=lon.getfloat("c_m_alpha"),
-            c_l_q=lon.getfloat("c_l_q"), c_d_q=lon.getfloat("c_d_q"),
-            c_m_q=lon.getfloat("c_m_q"),
-            c_l_de=lon.getfloat("c_l_delta_e"), c_d_de=lon.getfloat("c_d_delta_e"),
-            c_m_de=lon.getfloat("c_m_delta_e"),
-            c_y0=lat.getfloat("c_y0"), c_ll0=lat.getfloat("c_l0"),
-            c_n0=lat.getfloat("c_n0"),
-            c_y_beta=lat.getfloat("c_y_beta"), c_ll_beta=lat.getfloat("c_l_beta"),
-            c_n_beta=lat.getfloat("c_n_beta"),
-            c_y_p=lat.getfloat("c_y_p"), c_ll_p=lat.getfloat("c_l_p"),
-            c_n_p=lat.getfloat("c_n_p"),
-            c_y_r=lat.getfloat("c_y_r"), c_ll_r=lat.getfloat("c_l_r"),
-            c_n_r=lat.getfloat("c_n_r"),
-            c_y_da=lat.getfloat("c_y_delta_a"), c_ll_da=lat.getfloat("c_l_delta_a"),
-            c_n_da=lat.getfloat("c_n_delta_a"),
-            c_y_dr=lat.getfloat("c_y_delta_r"), c_ll_dr=lat.getfloat("c_l_delta_r"),
-            c_n_dr=lat.getfloat("c_n_delta_r"),
-            stall_alpha=math.radians(cp.getfloat("limits", "stall_alpha_deg")),
-        )
-    except OSError as exc:
-        raise ConfigurationError(
-            f"plant.airframe: cannot read {path!r}: {exc.strerror}") from exc
-    except (configparser.Error, ValueError, KeyError) as exc:
-        raise ConfigurationError(f"plant.airframe: bad airframe file: {exc}") from exc
+# The Aerosonde, from Beard & McLain (2012): mass, inertia and aerodynamic
+# coefficients of Appendix E (Table E.2, p. 276), for the force/moment model
+# of Ch. 4 (pp. 57-62).  SI units; angles in radians.
+AEROSONDE = AirframeParams(
+    # mass (kg) and gravity (m/s^2)
+    mass=13.5, gravity=9.81,
+    # inertia (kg m^2)
+    jx=0.8244, jy=1.135, jz=1.759, jxz=0.1204,
+    # wing area (m^2), span and mean chord (m)
+    S=0.55, b=2.8956, c=0.18994,
+    # air density (kg/m^3)
+    rho=1.2682,
+    # propeller disc area (m^2), its coefficient and the motor constant
+    s_prop=0.2027, c_prop=1.0, k_motor=80.0,
+    # longitudinal aerodynamics
+    c_l0=0.28, c_d0=0.03, c_m0=-0.02338,
+    c_l_alpha=3.45, c_d_alpha=0.30, c_m_alpha=-0.38,
+    c_l_q=0.0, c_d_q=0.0, c_m_q=-3.6,
+    c_l_de=-0.36, c_d_de=0.0, c_m_de=-0.5,
+    # lateral aerodynamics (c_ll*: the rolling moment)
+    c_y0=0.0, c_ll0=0.0, c_n0=0.0,
+    c_y_beta=-0.98, c_ll_beta=-0.12, c_n_beta=0.25,
+    c_y_p=0.0, c_ll_p=-0.26, c_n_p=0.022,
+    c_y_r=0.0, c_ll_r=0.14, c_n_r=-0.35,
+    c_y_da=0.0, c_ll_da=0.08, c_n_da=0.06,
+    c_y_dr=-0.17, c_ll_dr=0.105, c_n_dr=-0.032,
+    # the linear aero model is trusted up to the textbook's blending angle
+    stall_alpha=math.radians(27.0),
+)
 
 
 def forces_moments(state, delta_e: float, delta_a: float, delta_r: float,
@@ -336,12 +303,13 @@ class SetpointSchedule:
             raise ConfigurationError(
                 "setpoint schedule must start at t=0 with strictly increasing times")
 
-    def attitude_des(self, t: float) -> np.ndarray:
+    def attitude_des(self, t: float) -> tuple:
+        """The (phi, theta, psi) of the last entry started by t."""
         current = self.entries[0][1]
         for t_start, att in self.entries:
             if t >= t_start:
                 current = att
-        return np.asarray(current, dtype=float)
+        return current
 
 
 class UavAttitudeEnv:
@@ -377,8 +345,7 @@ class UavAttitudeEnv:
         self.x_d = self._rate_des(t)
 
     def _rate_des(self, t: float) -> list:
-        return outer_loop(self.state[PHI:PSI + 1],
-                          self.schedule.attitude_des(t).tolist())
+        return outer_loop(self.state[PHI:PSI + 1], self.schedule.attitude_des(t))
 
     def G(self, z) -> np.ndarray:
         """Rate-channel coupling at the live airspeed (z is not read)."""
@@ -408,10 +375,8 @@ class UavAttitudeEnv:
         """Each Euler angle against its setpoint, in degrees."""
         x = telemetry.columns("x")
         deg = 180.0 / math.pi
-        # the entry in force at each t, as `attitude_des` picks it
-        starts, atts = zip(*self.schedule.entries)
-        active = np.searchsorted(starts, telemetry.t, side="right") - 1
-        des = np.array(atts)[np.maximum(active, 0)] * deg
+        des = np.array([self.schedule.attitude_des(t)
+                        for t in telemetry.t.tolist()]) * deg
         panels = {}
         for j, name in enumerate(("phi", "theta", "psi")):
             panels[f"att_{name}_deg"] = x[:, PHI + j] * deg
@@ -434,7 +399,7 @@ def parse_schedule(text: str) -> SetpointSchedule:
         if len(vals) != 3:
             raise ConfigurationError(
                 f"reference.setpoints_deg: need 3 angles per entry, got {chunk!r}")
-        entries.append((t_start, tuple(vals * (math.pi / 180.0))))
+        entries.append((t_start, tuple((vals * (math.pi / 180.0)).tolist())))
     if not entries:
         raise ConfigurationError("reference.setpoints_deg: no entries")
     try:
@@ -445,12 +410,12 @@ def parse_schedule(text: str) -> SetpointSchedule:
 
 def make_uav_env(plant_params: dict, reference_params: dict) -> UavAttitudeEnv:
     """Aerosonde environment from the config's [plant] and [reference] keys."""
-    pr = load_airframe(plant_params.get("airframe"))
-    trim = trim_level_flight(pr, va=param(plant_params, "plant", "va_m_s", 18.0))
+    trim = trim_level_flight(AEROSONDE,
+                             va=param(plant_params, "plant", "va_m_s", 18.0))
     schedule = parse_schedule(reference_params.get(
         "setpoints_deg", "0: -30 0 -10; 7: 30 0 10; 11: 0 0 10"))
     # the run starts at the first setpoint's roll and yaw, at trim pitch
     state = trim.initial_state(param(plant_params, "plant", "altitude_m", 100.0))
     att0 = schedule.attitude_des(0.0)
     state[PHI], state[PSI] = att0[0], att0[2]
-    return UavAttitudeEnv(pr, trim, schedule, state)
+    return UavAttitudeEnv(AEROSONDE, trim, schedule, state)

@@ -198,7 +198,7 @@ def _harmonic_ref(params):
 
 
 @register_env("aerosonde", reference="attitude_schedule",
-              plant_keys=("airframe", "va_m_s", "altitude_m"),
+              plant_keys=("va_m_s", "altitude_m"),
               reference_keys=("setpoints_deg",))
 def _aerosonde(plant_params, reference_params):
     from .benchmarks.uav import make_uav_env

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .benchmarks.linear import discounted_riccati, ideal_weights
-from .config import apply_overrides, parse_config, resolve
+from .config import apply_overrides, parse_config, parse_override, resolve
 from .errors import ConfigurationError, NumericFault, OracleFailure
 from .sim import Telemetry, run_batch
 
@@ -273,7 +273,9 @@ def _rms(v: np.ndarray) -> float:
 def _summary_row(point: _Point, status: str, telemetry: Telemetry | None,
                  wall: float) -> dict:
     row = {"run": point.run_name}
-    row.update(ov.partition("=")[::2] for ov in point.overrides)
+    for ov in point.overrides:
+        section, option, value = parse_override(ov)
+        row[f"{section}.{option}"] = value
     if telemetry is None or len(telemetry.rows) == 0:
         row.update(status=status, ehat_rms_last10="", peak_z_norm="",
                    settle_time_s="", wall_s=f"{wall:.2f}")
@@ -387,18 +389,21 @@ def cmd_sweep(args) -> int:
     path = resolve_config_path(args.config)
     axes, seen = [], set()
     for spec_arg in args.grid:
-        key, _, values = spec_arg.partition("=")
-        key = key.strip()
-        vals = [v for v in values.split(",") if v != ""]
-        if not key or not vals:
-            print(f"error: bad grid axis {spec_arg!r} (expected key=v1,v2,...)")
+        try:
+            section, option, values = parse_override(spec_arg)
+            vals = [v.strip() for v in values.split(",") if v.strip()]
+        except ConfigurationError:
+            vals = []
+        if not vals:
+            print(f"error: bad grid axis {spec_arg!r} "
+                  "(expected section.key=v1,v2,...)")
             return EXIT_CONFIG
-        section, _, option = key.partition(".")
-        if (section, option.lower()) in seen:
+        key = f"{section}.{option}"
+        if key in seen:
             print(f"error: grid axis {key!r} is given more than once")
             return EXIT_CONFIG
-        seen.add((section, option.lower()))
-        axes.append([(key, v.strip()) for v in vals])
+        seen.add(key)
+        axes.append([(key, v) for v in vals])
     combos = list(itertools.product(*axes)) if axes else [()]
     os.makedirs(args.out, exist_ok=True)
     points = []

@@ -204,20 +204,28 @@ def resolve(cfg: ExperimentConfig):
     return env
 
 
+def parse_override(text: str) -> tuple[str, str, str]:
+    """'section.key=value' -> (section, key, value) as they take effect:
+    stripped, with the key lower-cased as configparser stores it."""
+    key, _, value = text.partition("=")
+    section, _, option = key.partition(".")
+    section, option, value = section.strip(), option.strip().lower(), value.strip()
+    if not (section and option and value):
+        raise ConfigurationError(f"override {text!r}: expected section.key=value")
+    return section, option, value
+
+
 def apply_overrides(path, overrides, out_path):
-    """Copy an INI config applying 'section.key=value' overrides."""
+    """Copy an INI config applying 'section.key=value' overrides; a later
+    value for a key replaces an earlier one."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     with open(path, encoding="utf-8") as fh:
         cp.read_file(fh)
     for ov in overrides:
-        key, _, value = ov.partition("=")
-        section, _, option = key.strip().partition(".")
-        if not (section and option and value != ""):
-            raise ConfigurationError(
-                f"override {ov!r}: expected section.key=value")
+        section, option, value = parse_override(ov)
         if section != cp.default_section and not cp.has_section(section):
             cp.add_section(section)
-        cp.set(section, option, value.strip())
+        cp.set(section, option, value)
     with open(out_path, "w", encoding="utf-8") as fh:
         cp.write(fh)
     return out_path

@@ -400,6 +400,10 @@ class _LinearRows(_EnvRows):
         self.s = mv(self.Phi, self.s) + mv(self.Gamma, u_applied)
         for env, s in zip(self.envs, self.s):
             env.x, env.x_d = s[:self.n], s[self.n:]
+        # a sum with a non-finite term is never finite: search the rows only
+        # when some state is non-finite
+        if math.isfinite(self.s.sum()):
+            return []
         return [(i, NumericFault(f"non-finite state at t={t}", t=t))
                 for i in np.flatnonzero(~np.isfinite(self.s).all(1))]
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from irltrack.basis import fd_gradient, quad_basis
-from irltrack.benchmarks import discounted_riccati, ideal_weights
+from irltrack.benchmarks.linear import discounted_riccati, ideal_weights
 from irltrack.benchmarks.uav import PHI, PSI, THETA
 from irltrack.catalog import make_plant, make_reference
 from irltrack.checks import check_window_identity

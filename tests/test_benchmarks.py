@@ -7,12 +7,11 @@ import pytest
 import scipy.linalg as sla
 
 from irltrack.basis import quad_basis
-from irltrack.benchmarks import (discounted_riccati, ideal_weights,
-                                 load_airframe, outer_loop, trim_level_flight,
-                                 uav_dynamics)
-from irltrack.benchmarks.linear import riccati_residual
-from irltrack.benchmarks.uav import (THETA, U, forces_moments,
-                                     rate_control_coupling)
+from irltrack.benchmarks.linear import (discounted_riccati, ideal_weights,
+                                        riccati_residual)
+from irltrack.benchmarks.uav import (AEROSONDE, THETA, U, forces_moments,
+                                     outer_loop, rate_control_coupling,
+                                     trim_level_flight, uav_dynamics)
 from irltrack.catalog import make_env
 from irltrack.errors import NumericFault, OracleFailure
 from irltrack.models import augmented_linear
@@ -147,7 +146,7 @@ class TestIdealWeights:
 
 class TestAirframe:
     def setup_method(self):
-        self.pr = load_airframe()
+        self.pr = AEROSONDE
         self.trim = trim_level_flight(self.pr, va=18.0)
 
     def test_trim_residual(self):
@@ -267,8 +266,8 @@ class TestEnvironmentProtocol:
                 assert callable(getattr(env, member))
 
     def test_uav_setpoint_panels_equal_the_per_row_lookup(self):
-        """The vectorised setpoint panels are bitwise the per-row
-        `attitude_des` lookup, at the switch times and one ulp either side."""
+        """The setpoint panels are bitwise the per-row `attitude_des`
+        lookup, at the switch times and one ulp either side."""
         env = make_env("aerosonde", "attitude_schedule")
         switches = [t for t, _ in env.schedule.entries[1:]]
         ts = sorted({0.0, 0.25, 30.0, *switches,

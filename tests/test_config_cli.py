@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -425,29 +424,16 @@ def test_builder_defects_name_their_key(tmp_path, capsys, name, overrides,
     assert field in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("key, value, field", [
-    (None, None, "plant.airframe"),   # no such file
-    ("mass_kg", "nan", "mass.mass_kg"),
-    ("c_l_q", "-inf", "aero_longitudinal.c_l_q"),
-])
-def test_bad_airframe_file_is_a_config_error(tmp_path, capsys, key, value,
-                                             field):
-    """A missing airframe file, or one with a non-finite constant, exits 2
-    from both commands with the key named (not a traceback or exit 4)."""
-    airframe = tmp_path / "airframe.ini"
-    if key is not None:
-        text = resources.files("irltrack.data").joinpath(
-            "aerosonde.ini").read_text()
-        edited = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
-        assert edited != text
-        airframe.write_text(edited)
+def test_the_airframe_key_is_unknown(tmp_path, capsys):
+    """The Aerosonde's constants are not a setting: `plant.airframe` exits 2
+    from both commands as an unknown key (not a traceback or exit 4)."""
     path = edited_config(tmp_path, "uav_attitude",
-                         [f"plant.airframe={airframe}"])
+                         [f"plant.airframe={tmp_path / 'airframe.ini'}"])
     assert cli.main(["validate", path]) == cli.EXIT_CONFIG
     assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == \
         cli.EXIT_CONFIG
     out = capsys.readouterr().out
-    assert out.count("plant.airframe") == 2 and field in out, out
+    assert out.count("plant.airframe: unknown key") == 2, out
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -515,9 +501,9 @@ sys.meta_path.insert(0, NoScipy())
 """ + _CLI_SCIPY
 
 
-def scipy_modules_after(script, *args):
-    """scipy modules in a fresh interpreter after `script` runs with `args`;
-    the script prints them on its last line."""
+def modules_after(script, *args):
+    """The modules that `script`, run with `args` in a fresh interpreter,
+    prints on its last line."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -529,11 +515,27 @@ def scipy_modules_after(script, *args):
 def loaded_scipy_modules(config_name):
     """scipy modules in a fresh interpreter after importing irltrack.cli and
     parsing and resolving a bundled config."""
-    return scipy_modules_after(_LOADED_SCIPY, config_name)
+    return modules_after(_LOADED_SCIPY, config_name)
 
 
 def test_linear_setup_loads_no_scipy():
     assert loaded_scipy_modules("linear_benchmark") == set()
+
+
+_LOADED_IRLTRACK = """
+import sys
+from irltrack import cli, config
+cfg, errors = config.parse_config(cli.resolve_config_path(sys.argv[1]))
+assert not errors, errors
+config.resolve(cfg)
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "irltrack")))
+"""
+
+
+def test_linear_setup_imports_no_uav_module():
+    loaded = modules_after(_LOADED_IRLTRACK, "linear_benchmark")
+    assert "irltrack.benchmarks.linear" in loaded
+    assert "irltrack.benchmarks.uav" not in loaded
 
 
 @pytest.mark.parametrize("command", [
@@ -545,7 +547,7 @@ def test_linear_setup_loads_no_scipy():
 def test_linear_command_loads_no_scipy(tmp_path, command):
     out = tmp_path / "out"
     args = command if command[0] == "validate" else command + ["--out", str(out)]
-    assert scipy_modules_after(_NO_SCIPY_CLI, *args) == set()
+    assert modules_after(_NO_SCIPY_CLI, *args) == set()
     runs = {"validate": [], "run": [out],
             "sweep": [out / "run000", out / "run001"]}[command[0]]
     for run in runs:
@@ -566,7 +568,7 @@ def test_sweep_parent_builds_no_point(tmp_path):
     # the parent cuts the grid by position; only the workers parse and
     # resolve the points, so only they import the trim solver
     out = tmp_path / "sweep"
-    assert scipy_modules_after(
+    assert modules_after(
         _CLI_SCIPY, "sweep", "uav_attitude", "--override",
         "sim.t_end_s=0.01", "--grid", "learner.alpha=16.1,16.2",
         "--workers", "2", "--out", str(out)) == set()
@@ -617,6 +619,30 @@ def test_summary_quotes_cells_that_hold_commas(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [(r["learner.q1_diag"], r["learner.alpha"], r["status"])
             for r in rows] == [("1,1,0,0", "1", "ok"), ("1,1,0,0", "2", "ok")]
+
+
+def test_summary_names_overrides_as_they_take_effect(tmp_path):
+    """A summary column is the key as configparser stores it (stripped,
+    lower-cased), and a later value for a key replaces an earlier one."""
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "linear_benchmark",
+                     "--override", "sim.t_end_s = 0.01",
+                     "--override", "learner.ALPHA=5",
+                     "--grid", "learner.alpha=1,2", "--out", str(out)]) == \
+        cli.EXIT_OK
+    with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
+        assert fh.readline() == ("run,sim.t_end_s,learner.alpha,status,"
+                                 "ehat_rms_last10,peak_z_norm,settle_time_s,"
+                                 "wall_s\n")
+        fh.seek(0)
+        rows = list(csv.DictReader(fh))
+    assert [(r["run"], r["sim.t_end_s"], r["learner.alpha"]) for r in rows] == \
+        [("run000", "0.01", "1"), ("run001", "0.01", "2")]
+    for row in rows:
+        cp = configparser.ConfigParser()
+        cp.read(out / row["run"] / "config_resolved.ini")
+        assert row["sim.t_end_s"] == cp["sim"]["t_end_s"]
+        assert row["learner.alpha"] == cp["learner"]["alpha"]
 
 
 def test_weight_error_of_a_faulted_run_stays_finite(tmp_path):

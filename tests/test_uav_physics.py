@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from irltrack.benchmarks.uav import (Q, THETA, U, W, UavAttitudeEnv,
-                                     load_airframe, trim_level_flight)
+from irltrack.benchmarks.uav import (AEROSONDE, Q, THETA, U, W, UavAttitudeEnv,
+                                     trim_level_flight)
 from irltrack.catalog import make_env
 from irltrack.errors import NumericFault
 from irltrack.sim import Telemetry
@@ -81,7 +81,7 @@ def test_float_physics_is_bitwise_the_array_formulation_at_random_states():
            "delta_e=-0.04942285265308008, delta_t=0.4555578272587033)"),
 ])
 def test_trim_keeps_its_bits(va, want):
-    assert repr(trim_level_flight(load_airframe(), va)) == want
+    assert repr(trim_level_flight(AEROSONDE, va)) == want
 
 
 def test_nan_deflection_faults_at_stage_one():
