@@ -82,10 +82,10 @@ def check_discounted_quadrature(gamma: float = 0.1, c: float = 3.7,
     """The step loop's window pass on a constant integrand vs the analytic
     antiderivative."""
     dt = T / 100.0
-    buf = WindowBuffer(1, 1, T, dt)
+    buf = WindowBuffer(T, dt)
     for k in range(101):
         buf.push(k * dt, np.zeros((1, 1)), c, 0.0)
-    got = float(buf.window(np.array([gamma]))[2][0])
+    got = float(buf.window(np.array([-gamma]))[1][0])
     expected = c * T if gamma == 0.0 else c * (-np.expm1(-gamma * T)) / gamma
     err = abs(got - expected)
     return ("discounted window quadrature (constant integrand)", err <= 1e-10,

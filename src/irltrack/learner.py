@@ -23,11 +23,19 @@ K2 = k2_gain I.  All integrals are discounted trapezoids.
 
 Both laws are computed for B rows at once (`CriticRows`, with the window
 pass of `WindowBuffer`): the baseline is the degenerate variable-gain law,
-and a law term that no row uses is not computed.
+and a law term that no row uses is not computed: the stabilizer's products
+only at a step where some row has Xi = 1, the m-integral and the robust
+term's M part only if some row has the m-term.  The window keeps a deque
+of step samples; a window of two samples (T = dt) integrates on (B,)
+arrays, a longer one sums its intervals in sequence over a (B, L, 2)
+array.  A batch of one takes the law's one-row form (per-row scalars as
+Python floats, the same operations in the same order), which
+`tests/test_batch.py` pins bitwise to the batched form.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,45 +130,67 @@ def m_vector(ndg, th, tau, u_m) -> np.ndarray:
     return mv(ndg, u_m * (th - np.sign(tau)))
 
 
-class WindowBuffer(Rows):
+class WindowBuffer:
     """Each row's samples (theta, Q(z) + U_hat, W_hat . M), the costs frozen
     with the weights in effect at sample time, at the shared times of the
-    last ceil(T/dt) + 1 steps: once warmed up they span a window T."""
+    last ceil(T/dt) + 1 steps: once warmed up they span a window T.  A step
+    is one deque entry (t, theta (B, n1), cost (B,), m (B,) or 0.0), with
+    m = 0.0 while no row has the m-term."""
 
-    def __init__(self, rows: int, n1: int, T: float, dt: float):
-        self.T, self.times = T, []
-        self.samples = np.zeros((rows, math.ceil(T / dt - _SPAN_RTOL) + 1, n1 + 2))
+    def __init__(self, T: float, dt: float):
+        self.T = T
+        self.samples = deque(maxlen=math.ceil(T / dt - _SPAN_RTOL) + 1)
 
-    def push(self, t: float, theta, cost, m_scalar):
-        if len(self.times) == self.samples.shape[1]:
-            self.times.pop(0)
-            self.samples[:, :-1] = self.samples[:, 1:]
-        self.times.append(t)
-        slot = self.samples[:, len(self.times) - 1]
-        slot[:, :-2], slot[:, -2], slot[:, -1] = theta, cost, m_scalar
+    def push(self, t: float, theta, cost, m):
+        self.samples.append((t, theta, cost, m))
+
+    def keep(self, mask: np.ndarray):
+        """Drop the rows `mask` clears from every sample."""
+        self.samples = deque(
+            [(t, theta[mask], cost[mask], m[mask] if isinstance(m, np.ndarray) else m)
+             for t, theta, cost, m in self.samples], self.samples.maxlen)
 
     @property
     def ready(self) -> bool:
-        return self.times[-1] - self.times[0] >= self.T * (1 - _SPAN_RTOL)
+        return self.samples[-1][0] - self.samples[0][0] >= self.T * (1 - _SPAN_RTOL)
 
-    def window(self, gamma: np.ndarray):
-        """(theta(z_t), theta(z_{t-T}), I_hat, m_int) of each row in one
-        pass over [t-T, t], the sample at t-T linear between its neighbours
-        when none falls on it."""
-        times, T = self.times, self.T
-        t_lo = times[-1] - T
-        first = next(i for i, s in enumerate(times) if s >= t_lo)
-        rows, ts = self.samples[:, first:len(times)], times[first:]
-        if first > 0 and times[first] > t_lo + _SPAN_RTOL * T:
-            w = (t_lo - times[first - 1]) / (times[first] - times[first - 1])
-            left = (1 - w) * self.samples[:, first - 1] + w * self.samples[:, first]
-            rows = np.concatenate((left[:, None], rows), axis=1)
-            ts = [t_lo, *ts]
-        ts = np.array(ts)
-        y = np.exp(-gamma[:, None] * (ts - times[-1] + T))[:, :, None] * rows[:, :, -2:]
-        # the trapezoid rule exactly as np.trapezoid(y, ts) evaluates it
+    def window(self, neg_gamma: np.ndarray):
+        """(theta(z_{t-T}), I_hat, m_int) of each row, from neg_gamma = -gamma
+        (B,), in one pass over [t-T, t], the sample at t-T linear between its
+        neighbours when none falls on it; m_int is 0 while no row has the
+        m-term."""
+        samples, T = self.samples, self.T
+        t_last = samples[-1][0]
+        t_lo = t_last - T
+        first = 0
+        while samples[first][0] < t_lo:
+            first += 1
+        points = list(samples)[first:]
+        if first > 0 and points[0][0] > t_lo + _SPAN_RTOL * T:
+            (t0, *before), (t1, *after) = samples[first - 1], points[0]
+            w = (t_lo - t0) / (t1 - t0)
+            points.insert(0, (t_lo, *((1 - w) * a + w * b
+                                      for a, b in zip(before, after))))
+        if len(points) == 2:
+            # the trapezoid of the general path below; its one-term sum
+            # starts from +0.0, hence the `+ 0.0`
+            (t0, theta_tmT, c0, m0), (t1, _, c1, m1) = points
+            h = t1 - t0
+            e0 = np.exp(neg_gamma * ((t0 - t_last) + T))
+            e1 = np.exp(neg_gamma * ((t1 - t_last) + T))
+            I_hat = h * (e1 * c1 + e0 * c0) / 2.0 + 0.0
+            m_int = h * (e1 * m1 + e0 * m0) / 2.0 + 0.0 \
+                if isinstance(m1, np.ndarray) else 0.0
+            return theta_tmT, I_hat, m_int
+        ts = np.array([p[0] for p in points])
+        vals = np.empty((len(neg_gamma), len(points), 2))
+        for j, (_, _, cost, m) in enumerate(points):
+            vals[:, j, 0], vals[:, j, 1] = cost, m
+        y = np.exp(neg_gamma[:, None] * (ts - t_last + T))[:, :, None] * vals
+        # the trapezoid rule exactly as np.trapezoid(y, ts) evaluates it: the
+        # sum runs over the middle axis of (B, L - 1, 2), interval by interval
         integrals = ((ts[1:] - ts[:-1])[:, None] * (y[:, 1:] + y[:, :-1]) / 2.0).sum(1)
-        return rows[:, -1, :-2], rows[:, 0, :-2], integrals[:, 0], integrals[:, 1]
+        return points[0][1], integrals[:, 0], integrals[:, 1]
 
 
 class CriticRows(Rows):
@@ -183,39 +213,75 @@ class CriticRows(Rows):
             q2=law["q2"], k1_gain=law["k1_gain"], k2_gain=column(law["k2_gain"]),
             k2=np.array([c.k2 for c in cfgs]), alpha=np.array([c.alpha for c in cfgs]),
             half_alpha=np.array([0.5 * c.alpha for c in cfgs]),
-            gamma=np.array([c.gamma for c in cfgs]),
+            neg_gamma=np.array([-c.gamma for c in cfgs]),
             disc_T=column([math.exp(-c.gamma * c.T) for c in cfgs]),
             Q1=np.array([c.Q1 for c in cfgs]), r=np.array([c.sat.r_diag for c in cfgs]),
             u_m=column([c.sat.u_m for c in cfgs]),
+            neg_u_m=column([-c.sat.u_m for c in cfgs]),
             um2=np.array([c.sat.u_m ** 2 for c in cfgs]),
             den=np.array([2.0 * c.sat.u_m * c.sat.r_diag for c in cfgs]))
         self.use_stab, self.use_m = bool(self.stab.any()), bool(self.m_term.any())
         self.use_robust = self.use_m or bool(self.k1_gain.any() or self.k2_gain.any())
 
-    def update(self, buf: WindowBuffer, z, G, ndg, th, sigma, dt: float):
-        """One Euler step of each row's law from the step's z, G(z), ndg =
-        grad_theta G (None if unused), tanh(tau2) and Sigma; returns (row,
-        NumericFault) for each row whose new weights are not finite."""
-        theta_t, theta_tmT, I_hat, m_int = buf.window(self.gamma)
-        dtheta = self.disc_T * theta_t - theta_tmT
-        e_hat = I_hat + dot(self.W, dtheta)
-        ms = (1.0 + dot(dtheta, dtheta))[:, None]
-        phi = dtheta / ms
-        theta_bar = phi / ms
-        ge = self.alpha * _gain_pow(e_hat, self.q2)
-        rate = (-ge * e_hat)[:, None] * theta_bar
-        if self.use_stab:
-            xi = self.stab & ~(sigma < 0)
-            gs = self.half_alpha * _gain_pow(sigma, self.k2)
-            stab = mv(ndg, (1.0 - th ** 2) * vm(z, G))
-            rate = rate + np.where(xi[:, None], gs[:, None] * stab, 0.0)
-        if self.use_robust:
-            m_part = np.where(self.m_term[:, None], theta_bar * m_int[:, None], 0.0)
-            rate = rate + ge[:, None] * ((self.k1_gain * dot(phi, self.W))[:, None]
-                                         - self.k2_gain * self.W - m_part)
-        self.W = self.W + dt * rate
+    def update(self, buf: WindowBuffer, theta, z, G, ndg, th, sigma, dt: float):
+        """One Euler step of each row's law from the step's theta(z), z, G(z),
+        ndg = grad_theta G (None if unused), tanh(tau2) and Sigma; returns
+        (row, NumericFault) for each row whose new weights are not finite.
+
+        Each formula is written twice, with the same operations in the same
+        order: for B rows, and for one row on Python floats and 1-D arrays,
+        which skips the batch wrapping of the per-row scalars."""
+        theta_tmT, I_hat, m_int = buf.window(self.neg_gamma)
+        dtheta = self.disc_T * theta - theta_tmT
+        if len(dtheta) > 1:
+            e_hat = I_hat + dot(self.W, dtheta)
+            ms = (1.0 + dot(dtheta, dtheta))[:, None]
+            phi = dtheta / ms
+            theta_bar = phi / ms
+            ge = self.alpha * _gain_pow(e_hat, self.q2)
+            rate = (-ge * e_hat)[:, None] * theta_bar
+            if self.use_stab:
+                xi = self.stab & ~(sigma < 0)
+                if xi.any():
+                    gs = self.half_alpha * _gain_pow(sigma, self.k2)
+                    stab = mv(ndg, (1.0 - th ** 2) * vm(z, G))
+                    rate = rate + np.where(xi[:, None], gs[:, None] * stab, 0.0)
+                else:
+                    rate = rate + 0.0
+            if self.use_robust:
+                robust = (self.k1_gain * dot(phi, self.W))[:, None] - self.k2_gain * self.W
+                if self.use_m:
+                    robust = robust - np.where(self.m_term[:, None],
+                                               theta_bar * m_int[:, None], 0.0)
+                rate = rate + ge[:, None] * robust
+            self.W = self.W + dt * rate
+        else:
+            W, d = self.W[0], dtheta[0]
+            e = float(I_hat[0]) + float(W @ d)
+            ms = 1.0 + float(d @ d)
+            phi = d / ms
+            theta_bar = phi / ms
+            ge = float(self.alpha[0]) * gain_pow(e, float(self.q2[0]))
+            rate = (-ge * e) * theta_bar
+            if self.use_stab:
+                s = float(sigma[0])
+                if self.stab[0] and not s < 0:
+                    gs = float(self.half_alpha[0]) * gain_pow(s, float(self.k2[0]))
+                    rate = rate + gs * (ndg[0] @ ((1.0 - th[0] ** 2) * (z[0] @ G[0])))
+                else:
+                    rate = rate + 0.0
+            if self.use_robust:
+                robust = float(self.k1_gain[0]) * float(phi @ W) \
+                    - float(self.k2_gain[0, 0]) * W
+                if self.m_term[0]:
+                    robust = robust - theta_bar * float(m_int[0])
+                rate = rate + ge * robust
+            self.W = (W + dt * rate)[None]
+            e_hat = np.array([e])
         self.e_hat, self.I_hat = e_hat, I_hat
-        if np.isfinite(self.W).all():
+        # a sum with a non-finite term is never finite: search the rows only
+        # when some weight is non-finite
+        if math.isfinite(self.W.sum()):
             return []
         faults = []
         for i in np.flatnonzero(~np.isfinite(self.W).all(1)):

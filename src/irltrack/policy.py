@@ -70,7 +70,10 @@ class SaturationSpec:
 def tau2_rows(W: np.ndarray, grad: np.ndarray, G: np.ndarray,
               den: np.ndarray) -> np.ndarray:
     """Saturation argument of each row from W (B, n1), grad_theta(z)
-    (B, n1, d), G(z) (B, d, m) and den = 2 u_m R_ii (B, m)."""
+    (B, n1, d), G(z) (B, d, m) and den = 2 u_m R_ii (B, m); one row takes
+    the 1-D products of `rows.vm` without their batch wrapping."""
+    if len(W) == 1:
+        return W[0] @ grad[0] @ G[0] / den
     return vm(vm(W, grad), G) / den
 
 
@@ -105,8 +108,8 @@ def penalty_integral(u: np.ndarray, sat: SaturationSpec) -> float:
 
 def log_one_minus_tanh2(a: np.ndarray) -> np.ndarray:
     """ln(1 - tanh(a)^2) via 2(ln 2 - a sign(a) - ln(1 + e^(-2|a|))); never overflows."""
-    a = np.asarray(a, dtype=float)
-    return 2.0 * (_LOG2 - np.abs(a) - np.log1p(np.exp(-2.0 * np.abs(a))))
+    abs_a = np.abs(np.asarray(a, dtype=float))
+    return 2.0 * (_LOG2 - abs_a - np.log1p(np.exp(-2.0 * abs_a)))
 
 
 def penalty_rows(tau: np.ndarray, th: np.ndarray, um2: np.ndarray,
@@ -115,8 +118,8 @@ def penalty_rows(tau: np.ndarray, th: np.ndarray, um2: np.ndarray,
     um2 = u_m^2, r = diag R): 2 u_m^2 tau^T R tanh(tau) + u_m^2 sum_i R_i
     ln(1 - tanh(tau_i)^2), with the stable log identity so deep saturation
     stays finite."""
-    return (2.0 * um2 * (r * tau * th).sum(1)
-            + um2 * (r * log_one_minus_tanh2(tau)).sum(1))
+    return (2.0 * um2 * np.add.reduce(r * tau * th, 1)
+            + um2 * np.add.reduce(r * log_one_minus_tanh2(tau), 1))
 
 
 def penalty_closed(tau: np.ndarray, sat: SaturationSpec) -> float:
@@ -129,4 +132,4 @@ def penalty_closed(tau: np.ndarray, sat: SaturationSpec) -> float:
 
 def saturate(u: np.ndarray, u_m: float) -> np.ndarray:
     """Hard clip to +-u_m (the physical actuator, applied after dither)."""
-    return np.clip(u, -u_m, u_m)
+    return np.minimum(np.maximum(u, -u_m), u_m)

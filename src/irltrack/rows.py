@@ -32,3 +32,8 @@ def mv(M, v):
 def vm(v, M):
     """v M, that is M^T v, of (B, p) and (B, p, q) rows."""
     return (v[0] @ M[0])[None] if len(M) == 1 else np.matmul(v[:, None, :], M)[:, 0, :]
+
+
+def quad(v, M):
+    """v M v, the quadratic form, of (B, p) and (B, p, p) rows."""
+    return (v[0] @ M[0] @ v[0])[None] if len(M) == 1 else dot(vm(v, M), v)

@@ -10,8 +10,8 @@ t_k it computes each per-step quantity once and shares it:
      with the m-term on, W_hat . M all reuse them (M is skipped otherwise),
   2. push the window sample (theta(z), Q(z) + U_hat, W_hat . M) for t_k,
   3. once the buffer spans a full window, run the critic update: one
-     window pass gives theta(z_t), theta(z_{t-T}), I_hat and the
-     m-integral, and the law reuses grad_theta, G(z), tau2 and
+     window pass gives theta(z_{t-T}), I_hat and the m-integral, and the
+     law reuses theta(z_t) of step 1, grad_theta, G(z), tau2 and
      Sigma = z . zdot,
   4. record telemetry: I_hat comes from the update, V_hat from the theta
      of step 2,
@@ -37,7 +37,7 @@ from .errors import ConfigurationError, NumericFault
 from .learner import CriticRows, LearnerConfig, WindowBuffer, m_vector
 from .models import AffinePlant, ReferenceModel, augmented_linear
 from .policy import penalty_rows, saturate, tau2_rows
-from .rows import Rows, dot, mv, vm
+from .rows import Rows, dot, mv, quad
 
 # Rows formatted per pass of `Telemetry.to_csv`: the chunk, not the run
 # length, bounds the writer's working set.
@@ -396,6 +396,9 @@ class _LinearRows(_EnvRows):
     def G(self, z):
         return self.G_z
 
+    def check_domain(self, telemetry, t: float):
+        """A catalog plant has no operating box: nothing to warn about."""
+
     def advance(self, u_applied, t: float, dt: float):
         self.s = mv(self.Phi, self.s) + mv(self.Gamma, u_applied)
         for env, s in zip(self.envs, self.s):
@@ -431,7 +434,7 @@ def run_batch(members, sim_cfg: SimConfig):
     n1, dt, every, n_steps = (basis.n_features, sim_cfg.dt,
                               sim_cfg.record_every, sim_cfg.n_steps)
     critic = CriticRows(lcfgs, W0s, n1)
-    buf = WindowBuffer(len(envs), n1, T, dt)
+    buf = WindowBuffer(T, dt)
     b = Rows(ids=np.arange(len(envs)), z_prev=np.zeros((len(envs), dz)),
              amp=np.array([d.amplitude for d in dithers]))
     try:
@@ -466,9 +469,8 @@ def run_batch(members, sim_cfg: SimConfig):
             G = env_rows.G(z)
             tau = tau2_rows(critic.W, grad, G, critic.den)
             th = np.tanh(tau)
-            u_hat = -critic.u_m * th
-            cost = dot(vm(z, critic.Q1), z) + penalty_rows(tau, th, critic.um2,
-                                                           critic.r)
+            u_hat = critic.neg_u_m * th
+            cost = quad(z, critic.Q1) + penalty_rows(tau, th, critic.um2, critic.r)
             ndg = np.matmul(grad, G) if critic.use_m or critic.use_stab else None
             m_scalar = 0.0
             if critic.use_m:
@@ -481,7 +483,7 @@ def run_batch(members, sim_cfg: SimConfig):
 
             # 3. critic update once the buffer spans a full window
             sigma = dot(z, z - b.z_prev) / dt if k > 0 else np.zeros(len(z))
-            dead = critic.update(buf, z, G, ndg, th, sigma, dt) \
+            dead = critic.update(buf, theta, z, G, ndg, th, sigma, dt) \
                 if k > 0 and buf.ready else []
 
             # 4. record telemetry and the domain warning

@@ -92,12 +92,17 @@ def test_every_member_matches_its_scalar_run(tmp_path):
     # criterion 8 inside one batch: baseline == the degenerate novel law
     W_base, W_degenerate = (results[i][0].columns("W") for i in (1, 6))
     assert float(np.max(np.abs(W_base - W_degenerate))) <= 1e-10
-    # environments that step themselves, each as a batch of one: the UAV
-    # before its divergence onset (0.16 s), and a nonlinear catalog pair
+    # batches of one: the UAV before its divergence onset (0.16 s), a
+    # nonlinear catalog pair, and a window of 10.5 steps (an interpolated
+    # left edge and 11 intervals) with every law term on
     for config, overrides, rows in (
             ("uav_attitude", ["sim.t_end_s=0.15", "sim.record_every=1"], 151),
             ("linear_benchmark", ["sim.t_end_s=0.5", "experiment.plant=integrator",
-                                  "plant.n=2", "saturation.r_diag=10 10"], 51)):
+                                  "plant.n=2", "saturation.r_diag=10 10"], 51),
+            ("linear_benchmark", BASE + [
+                "learner.t_window_s=0.0105", "learner.stabilizer=on",
+                "learner.m_term=on", "learner.k1_gain=0.01",
+                "learner.k2_gain=0.01", "dither.amplitude=1"], 287)):
         cfg = load(tmp_path, overrides, config, config)
         ((tel, fault),) = batched([cfg])
         ref, ref_fault = scalar(cfg)
@@ -114,6 +119,15 @@ def test_member_does_not_depend_on_its_batch(tmp_path):
         results = batched([cfgs[i] for i in order])
         for i, (tel, _) in zip(order, results):
             assert np.array_equal(tel.rows, alone[i])
+    # a batch of one takes the law's one-row forms, with the same bits
+    for cfg, rows in zip(cfgs, alone):
+        ((tel, _),) = batched([cfg])
+        assert np.array_equal(tel.rows, rows)
+    uav = load(tmp_path, ["sim.t_end_s=0.15", "sim.record_every=1"], "uav",
+               "uav_attitude")
+    ((tel, fault),) = batched([uav])
+    assert fault is None
+    assert np.array_equal(tel.rows, batched([uav, uav])[0][0].rows)
 
 
 def sweep(tmp_path, name, *args):
