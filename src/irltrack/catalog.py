@@ -2,10 +2,13 @@
 the one place an experiment's environment is built.
 
 Builders take the config section's extra keys (a plain dict of strings)
-and are registered with the keys they read.  `make_env` pairs a registered
-plant with a registered reference in an `AugmentedTrackingEnv`; an
-environment entry instead builds, for its one plant/reference pair, an
-object with its own physics and the same `sim.TrackingEnv` protocol.  A
+and are registered with the keys they read; a plant or reference builder
+returns its matrices, as an `AffinePlant` (A, B) or a `ReferenceModel`
+(H, x_d0).  `make_env` pairs a registered plant with a registered
+reference in an `AugmentedTrackingEnv`, which steps by its exact RK4
+propagator and has a Riccati oracle attempt; an environment entry instead
+builds, for its one plant/reference pair, an object with its own
+(possibly nonlinear) physics and the same `sim.TrackingEnv` protocol.  A
 [plant] or [reference] key that no registered builder reads is an error,
 so a misspelled key cannot fall back to a default.  Tests and downstream
 users may register more.
@@ -157,31 +160,29 @@ def _vector(value) -> np.ndarray:
 def _linear_osc(params):
     omega = param(params, "plant", "omega", 0.5)
     gain = param(params, "plant", "gain", 1.0)
-    A = np.array([[0.0, omega], [-omega, 0.0]])
-    B = np.array([[0.0], [gain]])
-    return AffinePlant(n=2, m=1, f=lambda x: A @ x, g=lambda x: B.copy(),
-                       name="linear_osc", linear=(A, B)).validate()
+    return AffinePlant(A=np.array([[0.0, omega], [-omega, 0.0]]),
+                       B=np.array([[0.0], [gain]]), name="linear_osc").validate()
 
 
 @register_plant("zero", keys=("n", "m"))
 def _zero_plant(params):
     n = param(params, "plant", "n", 1, _dimension)
     m = param(params, "plant", "m", 1, _dimension)
-    return AffinePlant(n=n, m=m, f=lambda x: np.zeros(n),
-                       g=lambda x: np.zeros((n, m)), name="zero").validate()
+    return AffinePlant(A=np.zeros((n, n)), B=np.zeros((n, m)),
+                       name="zero").validate()
 
 
 @register_plant("integrator", keys=("n",))
 def _integrator(params):
     n = param(params, "plant", "n", 1, _dimension)
-    return AffinePlant(n=n, m=n, f=lambda x: np.zeros(n), g=lambda x: np.eye(n),
+    return AffinePlant(A=np.zeros((n, n)), B=np.eye(n),
                        name="integrator").validate()
 
 
 @register_reference("zero", keys=("n",))
 def _zero_ref(params):
     n = param(params, "reference", "n", 1, _dimension)
-    return ReferenceModel(H=lambda xd: np.zeros(n), x_d0=np.zeros(n),
+    return ReferenceModel(H=np.zeros((n, n)), x_d0=np.zeros(n),
                           name="zero").validate()
 
 
@@ -192,9 +193,9 @@ def _harmonic_ref(params):
     if np.shape(x0) != (2,):
         raise ConfigurationError(
             f"reference.x_d0: need 2 entries, got {np.size(x0)}")
-    H = np.array([[0.0, omega], [-omega, 0.0]])
-    return ReferenceModel(H=lambda xd: H @ xd, x_d0=np.asarray(x0, dtype=float),
-                          name="harmonic", linear=H).validate()
+    return ReferenceModel(H=np.array([[0.0, omega], [-omega, 0.0]]),
+                          x_d0=np.asarray(x0, dtype=float),
+                          name="harmonic").validate()
 
 
 @register_env("aerosonde", reference="attitude_schedule",

@@ -1,21 +1,21 @@
-"""Control-affine plants, reference generators, and the stacked linear pair.
+"""Linear plants, reference generators, and the stacked linear pair.
 
-The tracking problem for ``xdot = f(x) + g(x) u`` against an autonomous
-reference ``xd_dot = H(xd)`` is recast as regulation of the stacked state
+The tracking problem for ``xdot = A_p x + B_p u`` against an autonomous
+reference ``xd_dot = H xd`` is recast as regulation of the stacked state
 ``z = [e, xd]`` with ``e = x - xd``:
 
-    zdot = F(z) + G(z) u,
-    F(z) = [f(e + xd) - H(xd), H(xd)],   G(z) = [g(e + xd), 0].
+    zdot = A z + B u,
+    A = [[A_p, A_p - H], [0, H]],   B = [B_p; 0].
 
-The learner reads only point evaluations of ``G``, which each environment
-offers as its method ``G(z)`` (`sim.AugmentedTrackingEnv` for a plant and
-reference from here); the drift ``F`` is never evaluated.  When both are
-linear, `augmented_linear` gives the stacked ``(A, B)``.
+The learner reads only point evaluations of the control coupling ``B``,
+which each environment offers as its method ``G(z)``
+(`sim.AugmentedTrackingEnv` for a plant and reference from here);
+`augmented_linear` gives the stacked ``(A, B)``.  Nonlinear physics is
+written as an environment of its own (`sim.TrackingEnv`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,61 +24,49 @@ from .errors import ConfigurationError
 
 @dataclass(frozen=True)
 class AffinePlant:
-    """Control-affine plant ``xdot = f(x) + g(x) u``.
+    """Linear plant ``xdot = A x + B u``: A is (n, n), B is (n, m)."""
 
-    ``f`` maps R^n -> R^n, ``g`` maps R^n -> R^(n x m).  ``linear`` is
-    ``(A, B)`` when f(x) = A x and g(x) = B, which lets the environment
-    offer a Riccati ground truth.
-    """
-
-    n: int
-    m: int
-    f: Callable[[np.ndarray], np.ndarray]
-    g: Callable[[np.ndarray], np.ndarray]
+    A: np.ndarray
+    B: np.ndarray
     name: str = ""
-    linear: Optional[tuple] = None
+
+    n = property(lambda self: np.shape(self.A)[0])
+    m = property(lambda self: np.shape(self.B)[1])
 
     def validate(self):
-        x0 = np.zeros(self.n)
-        fx = np.asarray(self.f(x0), dtype=float)
-        gx = np.asarray(self.g(x0), dtype=float)
-        if fx.shape != (self.n,):
+        A, B = np.shape(self.A), np.shape(self.B)
+        if len(A) != 2 or A[0] != A[1] or len(B) != 2 or B[0] != A[0] or 0 in B:
             raise ConfigurationError(
-                f"plant {self.name!r}: f(0) has shape {fx.shape}, expected ({self.n},)")
-        if gx.shape != (self.n, self.m):
-            raise ConfigurationError(
-                f"plant {self.name!r}: g(0) has shape {gx.shape}, expected ({self.n}, {self.m})")
-        if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(gx))):
-            raise ConfigurationError(f"plant {self.name!r}: non-finite f/g at the origin")
+                f"plant {self.name!r}: A has shape {A} and B {B}, expected "
+                "(n, n) and (n, m) with n, m >= 1")
+        if not (np.isfinite(self.A).all() and np.isfinite(self.B).all()):
+            raise ConfigurationError(f"plant {self.name!r}: non-finite A or B")
         return self
 
 
 @dataclass(frozen=True)
 class ReferenceModel:
-    """Autonomous bounded reference ``xd_dot = H(xd)`` with ``H(0) = 0``.
+    """Autonomous reference ``xd_dot = H xd`` from ``x_d0``: H is (n, n)
+    for the n entries of x_d0."""
 
-    ``linear`` is the matrix H_A when H(xd) = H_A xd.
-    """
-
-    H: Callable[[np.ndarray], np.ndarray]
+    H: np.ndarray
     x_d0: np.ndarray
     name: str = ""
-    linear: Optional[np.ndarray] = None
 
     def validate(self):
-        n = len(self.x_d0)
-        h0 = np.asarray(self.H(np.zeros(n)), dtype=float)
-        if h0.shape != (n,):
+        H, x0 = np.shape(self.H), np.shape(self.x_d0)
+        if len(x0) != 1 or H != x0 * 2 or 0 in x0:
             raise ConfigurationError(
-                f"reference {self.name!r}: H(0) has shape {h0.shape}, expected ({n},)")
-        if not np.allclose(h0, 0.0, atol=1e-12):
-            raise ConfigurationError(f"reference {self.name!r}: H(0) != 0")
+                f"reference {self.name!r}: H has shape {H} and x_d0 {x0}, "
+                "expected (n, n) and (n,) with n >= 1")
+        if not (np.isfinite(self.H).all() and np.isfinite(self.x_d0).all()):
+            raise ConfigurationError(f"reference {self.name!r}: non-finite H or x_d0")
         return self
 
 
 def augmented_linear(A_p: np.ndarray, B_p: np.ndarray, H_A: np.ndarray):
     """Stacked ``(A, B)`` of plant ``xdot = A_p x + B_p u`` and reference
-    ``xd_dot = H_A xd``: the linear case of the stacked system."""
+    ``xd_dot = H_A xd``."""
     A_p, B_p, H_A = (np.asarray(M, dtype=float) for M in (A_p, B_p, H_A))
     A = np.block([[A_p, A_p - H_A], [np.zeros_like(A_p), H_A]])
     return A, np.vstack([B_p, np.zeros_like(B_p)])

@@ -17,11 +17,11 @@ t_k it computes each per-step quantity once and shares it:
      of step 2,
   5. apply saturate(u_hat + dither) and integrate to t_{k+1},
 
-up to the first step at or after t_end.  Linear catalog pairs take one
-propagator step s <- Phi s + Gamma u of s = [x, x_d] together (the exact
-RK4 step under zero-order hold, Phi/Gamma built once); any other env
-advances itself.  The reference never depends on the learner.  A faulted
-member leaves; the others go on.
+up to the first step at or after t_end.  Catalog pairs
+(`AugmentedTrackingEnv`s) take one propagator step s <- Phi s + Gamma u of
+s = [x, x_d] together (the exact RK4 step under zero-order hold,
+Phi/Gamma built once); any other env advances itself.  The reference
+never depends on the learner.  A faulted member leaves; the others go on.
 """
 from __future__ import annotations
 
@@ -256,10 +256,10 @@ class TrackingEnv(Protocol):
     """What the step loop and the CLI read; the learner uses only z and G.
 
     No drift field is part of it: an environment offers the control
-    coupling G(z) and integrates its own physics in `advance`.  The loop
-    reads linear catalog pairs (`AugmentedTrackingEnv`s whose plant and
-    reference both carry `linear`) as stacked rows, any other env through
-    these methods, one row each, even if it reports a `linear_pair()`."""
+    coupling G(z) and integrates its own physics in `advance`, so nonlinear
+    physics is an env of its own.  The loop reads catalog pairs
+    (`AugmentedTrackingEnv`s) as stacked rows, any other env through these
+    methods, one row each, even if it reports a `linear_pair()`."""
 
     control_names: Sequence[str]
     m: int
@@ -278,9 +278,9 @@ class TrackingEnv(Protocol):
 class AugmentedTrackingEnv:
     """Generic environment: a catalog plant tracking an autonomous reference.
 
-    Plant and reference are integrated side by side in `advance`; the
-    stacked state is z = [x - x_d, x_d] and the control coupling is
-    G(z) = [g(x); 0].
+    Plant and reference take one propagator step together in `advance`;
+    the stacked state is z = [x - x_d, x_d] and the control coupling is
+    G(z) = [B; 0].
     """
 
     def __init__(self, plant: AffinePlant, ref: ReferenceModel,
@@ -300,36 +300,23 @@ class AugmentedTrackingEnv:
         return np.concatenate([self.x - self.x_d, self.x_d])
 
     def G(self, z: np.ndarray) -> np.ndarray:
-        n = self.plant.n
-        out = np.zeros((2 * n, self.plant.m))
-        out[:n, :] = self.plant.g(z[:n] + z[n:])
-        return out
+        return self.linear_pair()[1]
 
     def propagator(self, dt: float):
         """(Phi, Gamma) of the pair's RK4 step on s = [x, x_d], once per dt."""
         if dt not in self._propagators:
-            (A_p, B_p), n = self.plant.linear, self.plant.n
+            n = self.plant.n
             A, B = np.zeros((2 * n, 2 * n)), np.zeros((2 * n, self.m))
-            A[:n, :n], A[n:, n:], B[:n] = A_p, self.ref.linear, B_p
+            A[:n, :n], A[n:, n:], B[:n] = self.plant.A, self.ref.H, self.plant.B
             self._propagators[dt] = rk4_propagator(A, B, dt)
         return self._propagators[dt]
 
     def advance(self, u_applied: np.ndarray, t: float, dt: float):
-        n, s = self.plant.n, np.concatenate([self.x, self.x_d])
-        if self.plant.linear is not None and self.ref.linear is not None:
-            Phi, Gamma = self.propagator(dt)
-            s = Phi @ s + Gamma @ u_applied
-            if not np.isfinite(s).all():
-                raise NumericFault(f"non-finite state at t={t}", t=t)
-        else:
-            f, g, H = self.plant.f, self.plant.g, self.ref.H
-
-            def field(tt, s):
-                x, xd = np.array(s[:n]), np.array(s[n:])
-                return [*(f(x) + g(x) @ u_applied).tolist(), *H(xd).tolist()]
-
-            s = np.array(rk4_step(field, t, s.tolist(), dt))
-        self.x, self.x_d = s[:n], s[n:]
+        Phi, Gamma = self.propagator(dt)
+        s = Phi @ np.concatenate([self.x, self.x_d]) + Gamma @ u_applied
+        if not np.isfinite(s).all():
+            raise NumericFault(f"non-finite state at t={t}", t=t)
+        self.x, self.x_d = s[:self.plant.n], s[self.plant.n:]
 
     def check_domain(self, telemetry: Telemetry, t: float):
         """A catalog plant has no operating box: nothing to warn about."""
@@ -338,9 +325,7 @@ class AugmentedTrackingEnv:
         return {}
 
     def linear_pair(self):
-        if self.plant.linear is None or self.ref.linear is None:
-            return None
-        return augmented_linear(*self.plant.linear, self.ref.linear)
+        return augmented_linear(self.plant.A, self.plant.B, self.ref.H)
 
 
 class _EnvRows(Rows):
@@ -378,9 +363,10 @@ class _EnvRows(Rows):
 
 
 class _LinearRows(_EnvRows):
-    """Linear catalog pairs, stacked: each row's s = [x, x_d] takes one
-    propagator step s <- Phi s + Gamma u, with its env's Phi/Gamma for the
-    batch's dt stacked once, and is handed back to its env."""
+    """Catalog pairs, stacked: each row's s = [x, x_d] takes one propagator
+    step s <- Phi s + Gamma u, with its env's Phi/Gamma for the batch's dt
+    stacked once, and is handed back to its env.  G is read once, at
+    build; `check_domain` is still each env's own."""
 
     def __init__(self, envs, dt: float):
         Phi, Gamma = zip(*(e.propagator(dt) for e in envs))
@@ -395,9 +381,6 @@ class _LinearRows(_EnvRows):
 
     def G(self, z):
         return self.G_z
-
-    def check_domain(self, telemetry, t: float):
-        """A catalog plant has no operating box: nothing to warn about."""
 
     def advance(self, u_applied, t: float, dt: float):
         self.s = mv(self.Phi, self.s) + mv(self.Gamma, u_applied)
@@ -427,9 +410,8 @@ def run_batch(members, sim_cfg: SimConfig):
         raise ConfigurationError("batched runs must share the state and "
                                  "control dimensions and the window T")
     ((dz, m, nx, nxd, T),) = dims
-    linear = all(isinstance(e, AugmentedTrackingEnv) and e.linear_pair() is not None
-                 for e in envs)
-    env_rows = _LinearRows(envs, sim_cfg.dt) if linear else _EnvRows(envs)
+    env_rows = _LinearRows(envs, sim_cfg.dt) \
+        if all(isinstance(e, AugmentedTrackingEnv) for e in envs) else _EnvRows(envs)
     basis = quad_basis(dz)
     n1, dt, every, n_steps = (basis.n_features, sim_cfg.dt,
                               sim_cfg.record_every, sim_cfg.n_steps)

@@ -2,13 +2,13 @@
 
 `tests/reference.py` holds the scalar loop the package used to run, one
 point at a time: every member of a batch, and every environment run as a
-batch of one (the UAV, a nonlinear catalog pair), agrees with the
+batch of one (the UAV, the integrator plant), agrees with the
 reference run of its own config at every record, within 1e-12 of each
 column's largest magnitude; a member's output does not depend on how the
 sweep is cut into batches; a faulted member leaves the batch with the
-reference run's fault while the others go on; and sweeps of environments
-that step themselves (the UAV, a nonlinear catalog pair) batch too, each
-member writing the bytes `irltrack run` writes for its point.
+reference run's fault while the others go on; and sweeps of the UAV,
+which steps itself, and of the integrator batch too, each member writing
+the bytes `irltrack run` writes for its point.
 """
 import csv
 import re
@@ -92,8 +92,8 @@ def test_every_member_matches_its_scalar_run(tmp_path):
     # criterion 8 inside one batch: baseline == the degenerate novel law
     W_base, W_degenerate = (results[i][0].columns("W") for i in (1, 6))
     assert float(np.max(np.abs(W_base - W_degenerate))) <= 1e-10
-    # batches of one: the UAV before its divergence onset (0.16 s), a
-    # nonlinear catalog pair, and a window of 10.5 steps (an interpolated
+    # batches of one: the UAV before its divergence onset (0.16 s), the
+    # integrator (m = 2), and a window of 10.5 steps (an interpolated
     # left edge and 11 intervals) with every law term on
     for config, overrides, rows in (
             ("uav_attitude", ["sim.t_end_s=0.15", "sim.record_every=1"], 151),
@@ -216,13 +216,13 @@ def test_faulted_member_leaves_with_the_scalar_fault(tmp_path, alpha):
 @pytest.mark.parametrize("config, overrides", [
     # past the UAV's divergence onset (0.16 s), every step a record
     ("uav_attitude", ["sim.t_end_s=0.5", "sim.record_every=1"]),
-    # the integrator has no `linear` form: a nonlinear catalog pair
+    # a catalog pair with two controls
     ("linear_benchmark", ["sim.t_end_s=0.1", "experiment.plant=integrator",
                           "plant.n=2", "saturation.r_diag=10 10"]),
 ])
 def test_unbatched_sweeps_run_each_point_as_run_does(tmp_path, config,
                                                      overrides):
-    # environments that step themselves batch like linear pairs do, and
+    # the UAV, which steps itself, batches like a catalog pair does, and
     # each member writes the bytes of its own run
     out = tmp_path / "sweep"
     args = [a for ov in overrides for a in ("--override", ov)]

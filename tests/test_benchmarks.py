@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import irltrack.cli as cli
 from irltrack.basis import quad_basis
 from irltrack.benchmarks.linear import (discounted_riccati, ideal_weights,
                                         riccati_residual)
@@ -246,14 +247,29 @@ def test_oracle_critic_bellman_residual_bound():
 
 
 class TestEnvironmentProtocol:
-    def test_only_the_linear_pair_has_a_riccati_pair(self):
+    def test_every_catalog_pair_has_a_riccati_pair_and_the_uav_none(self, tmp_path):
         lin = make_env("linear_osc", "harmonic", {"omega": "6"}, {"omega": "6"})
         A, B = lin.linear_pair()
         assert A.shape == (4, 4) and B.shape == (4, 1)
         assert np.allclose(A[:2, 2:], 0.0)  # matched drift: no e-xd coupling
-        assert make_env("integrator", "zero").linear_pair() is None
+        A, B = make_env("integrator", "zero", {"n": "2"}, {"n": "2"}).linear_pair()
+        assert np.array_equal(A, np.zeros((4, 4)))
+        assert np.array_equal(B, [[1, 0], [0, 1], [0, 0], [0, 0]])
+        A, B = make_env("zero", "harmonic", {"n": "2"}).linear_pair()
+        assert np.array_equal(B, np.zeros((4, 1))) and A[2, 3] == 0.5
         uav = make_env("aerosonde", "attitude_schedule")
         assert uav.linear_pair() is None
+        # so an integrator run gets the oracle's error series, and the zero
+        # plant (B = 0: the solve's Lyapunov case) runs to exit 0
+        for plant, extra in (("integrator", ["saturation.r_diag=10 10"]),
+                             ("zero", [])):
+            code, _ = cli.run_one(
+                cli.resolve_config_path("linear_benchmark"),
+                ["sim.t_end_s=0.05", f"experiment.plant={plant}", "plant.n=2",
+                 *extra], str(tmp_path / plant))
+            assert code == cli.EXIT_OK, plant
+        series = tmp_path / "integrator" / "series" / "weight_error_vs_oracle.dat"
+        assert len(series.read_text().splitlines()) == 6   # every 10th step
 
     def test_both_environments_expose_the_same_members(self):
         envs = (make_env("linear_osc", "harmonic"),

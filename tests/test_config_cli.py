@@ -265,19 +265,19 @@ def test_catalog_registration_and_lookup():
     from irltrack import catalog
     from irltrack.models import AffinePlant
 
-    @catalog.register_plant("test_cubic")
-    def _cubic(params):
-        return AffinePlant(n=1, m=1, f=lambda x: x ** 3,
-                           g=lambda x: np.ones((1, 1)), name="cubic").validate()
+    @catalog.register_plant("test_decay")
+    def _decay(params):
+        return AffinePlant(A=-2.0 * np.eye(1), B=np.ones((1, 1)),
+                           name="decay").validate()
 
     try:
-        assert "test_cubic" in catalog.plant_names()
-        plant = catalog.make_plant("test_cubic")
-        assert plant.f(np.array([2.0]))[0] == 8.0
+        assert "test_decay" in catalog.plant_names()
+        plant = catalog.make_plant("test_decay")
+        assert plant.A[0, 0] == -2.0 and (plant.n, plant.m) == (1, 1)
         with pytest.raises(ConfigurationError):
             catalog.make_plant("missing_plant")
     finally:
-        catalog._PLANTS.pop("test_cubic", None)
+        catalog._PLANTS.pop("test_decay", None)
 
 
 def test_missing_required_keys_reported(tmp_path):

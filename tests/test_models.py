@@ -7,15 +7,14 @@ from irltrack.sim import AugmentedTrackingEnv
 
 
 def scalar_pair():
-    plant = AffinePlant(n=1, m=1, f=lambda x: np.zeros(1),
-                        g=lambda x: np.ones((1, 1)), name="hold").validate()
-    ref = ReferenceModel(H=lambda xd: 1.0 * xd, x_d0=np.array([2.0]),
+    plant = AffinePlant(A=np.zeros((1, 1)), B=np.ones((1, 1)), name="hold").validate()
+    ref = ReferenceModel(H=np.ones((1, 1)), x_d0=np.array([2.0]),
                          name="drift").validate()
     return plant, ref
 
 
 def test_augment_block_structure_hand_case():
-    # g=1 at z=[1,2]: G = [1, 0]
+    # B=1 at z=[1,2]: G = [1, 0]
     plant, ref = scalar_pair()
     env = AugmentedTrackingEnv(plant, ref)
     z = np.array([1.0, 2.0])
@@ -23,9 +22,9 @@ def test_augment_block_structure_hand_case():
 
 
 def test_augment_origin_trivial():
-    plant = AffinePlant(n=1, m=1, f=lambda x: -x, g=lambda x: np.ones((1, 1)),
+    plant = AffinePlant(A=-np.ones((1, 1)), B=np.ones((1, 1)),
                         name="decay").validate()
-    ref = ReferenceModel(H=lambda xd: np.zeros(1), x_d0=np.zeros(1),
+    ref = ReferenceModel(H=np.zeros((1, 1)), x_d0=np.zeros(1),
                          name="zero").validate()
     env = AugmentedTrackingEnv(plant, ref)
     assert np.allclose(env.z(), 0.0)
@@ -34,37 +33,26 @@ def test_augment_origin_trivial():
 
 def test_augment_lower_rows_of_G_are_zero():
     n, m = 3, 2
-    plant = AffinePlant(n=n, m=m, f=lambda x: np.zeros(n),
-                        g=lambda x: np.arange(n * m, dtype=float).reshape(n, m) + 1,
+    plant = AffinePlant(A=np.zeros((n, n)),
+                        B=np.arange(n * m, dtype=float).reshape(n, m) + 1,
                         name="p").validate()
-    ref = ReferenceModel(H=lambda xd: np.zeros(n), x_d0=np.zeros(n),
+    assert (plant.n, plant.m) == (n, m)
+    ref = ReferenceModel(H=np.zeros((n, n)), x_d0=np.zeros(n),
                          name="r").validate()
     env = AugmentedTrackingEnv(plant, ref)
     rng = np.random.default_rng(0)
     for _ in range(5):
         G = env.G(rng.normal(size=2 * n))
         assert G.shape == (2 * n, m)
-        assert np.all(G[n:, :] == 0.0)
-
-
-def test_G_reads_the_plant_state():
-    # g(x) = diag(x) at x = e + xd
-    n = 2
-    plant = AffinePlant(n=n, m=n, f=lambda x: np.zeros(n),
-                        g=lambda x: np.diag(x), name="p").validate()
-    ref = ReferenceModel(H=lambda xd: np.zeros(n), x_d0=np.zeros(n),
-                         name="r").validate()
-    G = AugmentedTrackingEnv(plant, ref).G(np.array([1.0, -2.0, 0.5, 3.0]))
-    assert np.array_equal(G, [[1.5, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(G[:n], plant.B) and np.all(G[n:, :] == 0.0)
 
 
 def test_reference_autonomy(rng):
     """The reference after a step is bitwise independent of x and u."""
-    plant = AffinePlant(n=2, m=1, f=lambda x: np.array([x[1], -x[0] ** 3]),
-                        g=lambda x: np.array([[0.0], [1.0]]), name="p").validate()
+    plant = AffinePlant(A=np.array([[0.0, 1.0], [-1.0, -0.3]]),
+                        B=np.array([[0.0], [1.0]]), name="p").validate()
     H = np.array([[0.0, 0.4], [-0.4, 0.0]])
-    ref = ReferenceModel(H=lambda xd: H @ xd, x_d0=np.array([1.0, 0.0]),
-                         name="r").validate()
+    ref = ReferenceModel(H=H, x_d0=np.array([1.0, 0.0]), name="r").validate()
     after = []
     for _ in range(4):
         env = AugmentedTrackingEnv(plant, ref, x0=rng.normal(size=2))
@@ -82,13 +70,28 @@ def test_augment_deterministic_bitwise():
 
 def test_dimension_mismatch_is_config_error():
     plant, _ = scalar_pair()
-    ref2 = ReferenceModel(H=lambda xd: np.zeros(2), x_d0=np.zeros(2), name="r2")
+    ref2 = ReferenceModel(H=np.zeros((2, 2)), x_d0=np.zeros(2), name="r2")
     with pytest.raises(ConfigurationError, match="has n=1 but reference 'r2' "
                        "has dimension 2"):
         AugmentedTrackingEnv(plant, ref2)
 
 
-def test_reference_H0_validated():
-    bad = ReferenceModel(H=lambda xd: xd + 1.0, x_d0=np.zeros(1), name="bad")
-    with pytest.raises(ConfigurationError):
-        bad.validate()
+@pytest.mark.parametrize("model, message", [
+    (AffinePlant(A=np.zeros((2, 3)), B=np.zeros((2, 1)), name="p"),
+     r"plant 'p': A has shape \(2, 3\) and B \(2, 1\)"),
+    (AffinePlant(A=np.zeros((2, 2)), B=np.zeros(2), name="p"),
+     r"plant 'p': A has shape \(2, 2\) and B \(2,\)"),
+    (AffinePlant(A=np.zeros((2, 2)), B=np.zeros((3, 1)), name="p"),
+     r"B \(3, 1\), expected \(n, n\) and \(n, m\)"),
+    (AffinePlant(A=np.zeros((2, 2)), B=np.zeros((2, 0)), name="p"),
+     r"B \(2, 0\)"),
+    (AffinePlant(A=np.eye(1) * np.inf, B=np.ones((1, 1)), name="p"),
+     "plant 'p': non-finite A or B"),
+    (ReferenceModel(H=np.zeros((2, 2)), x_d0=np.zeros(3), name="r"),
+     r"reference 'r': H has shape \(2, 2\) and x_d0 \(3,\)"),
+    (ReferenceModel(H=np.zeros((1, 1)), x_d0=np.array([np.nan]), name="r"),
+     "reference 'r': non-finite H or x_d0"),
+])
+def test_validate_names_a_bad_shape_or_entry(model, message):
+    with pytest.raises(ConfigurationError, match=message):
+        model.validate()

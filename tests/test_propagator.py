@@ -1,12 +1,11 @@
-"""Linear catalog pairs step by their exact RK4 propagator s <- Phi s + Gamma u.
+"""Catalog pairs step by their exact RK4 propagator s <- Phi s + Gamma u.
 
 One propagator step is the classical RK4 step of the catalog field
-(f(x) + g(x) u, H(x_d)) up to rounding; closed loop, each `test_batch`
-point stays within `STAGED_TOL` of the same point stepped by stages; and a
-non-finite state faults with one text through the env and through the
-stacked rows.
+(A x + B u, H x_d) up to rounding; closed loop, each `test_batch` point and
+the integrator and zero plants stay within `STAGED_TOL` of the same run
+stepped by stages; and a non-finite state faults with one text through the
+env and through the stacked rows.
 """
-import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +14,7 @@ import pytest
 from irltrack.catalog import make_plant, make_reference
 from irltrack.config import resolve
 from irltrack.errors import NumericFault
-from irltrack.sim import AugmentedTrackingEnv, _LinearRows, run_batch
+from irltrack.sim import AugmentedTrackingEnv, _LinearRows, rk4_step, run_batch
 from test_batch import BASE, POINTS, column_error, load
 
 # Of each telemetry column's largest magnitude, over 2 s of every POINTS
@@ -24,10 +23,27 @@ from test_batch import BASE, POINTS, column_error, load
 STAGED_TOL = 5e-11
 
 
-def staged(env):
-    """`env` with its plant's `linear` hidden, so it steps by `rk4_step`."""
-    env.plant = dataclasses.replace(env.plant, linear=None)
-    return env
+class Staged:
+    """A catalog pair's env, stepped by `rk4_step` on its field
+    (A x + B u, H x_d): an env of the protocol alone, so the loop reads it
+    row by row through its own methods."""
+
+    def __init__(self, env):
+        self.env = env
+
+    def __getattr__(self, name):
+        return getattr(self.env, name)
+
+    def advance(self, u_applied, t, dt):
+        env, n = self.env, self.env.plant.n
+        A, B, H = env.plant.A, env.plant.B, env.ref.H
+
+        def field(tt, s):
+            x, xd = np.array(s[:n]), np.array(s[n:])
+            return [*(A @ x + B @ u_applied).tolist(), *(H @ xd).tolist()]
+
+        s = np.array(rk4_step(field, t, [*env.x, *env.x_d], dt))
+        env.x, env.x_d = s[:n], s[n:]
 
 
 def linear_pair(rng):
@@ -44,24 +60,39 @@ def test_one_propagator_step_is_one_stage_rk4_step(rng):
         x, x_d = rng.normal(size=2) * 10, rng.normal(size=2) * 10
         u, dt = rng.normal(size=1) * 5, 10 ** rng.uniform(-4, -1)
         by_map = AugmentedTrackingEnv(plant, ref, x0=x)
-        by_stages = staged(AugmentedTrackingEnv(plant, ref, x0=x))
+        by_stages = AugmentedTrackingEnv(plant, ref, x0=x)
         for env in (by_map, by_stages):
             env.x_d = x_d.copy()
-            env.advance(u, 0.0, dt)
+        by_map.advance(u, 0.0, dt)
+        Staged(by_stages).advance(u, 0.0, dt)
         want = np.concatenate([by_stages.x, by_stages.x_d])
         got = np.concatenate([by_map.x, by_map.x_d])
         # measured: at most 1 ulp of the largest component
         assert np.max(np.abs(got - want)) <= 4 * np.spacing(np.max(np.abs(want)))
 
 
+# The integrator and zero plants on the harmonic reference, each a batch
+# of its own: measured 5.5e-13 and 6.3e-13 against stage RK4.
+OTHER_PLANTS = [
+    ["experiment.plant=integrator", "plant.n=2", "saturation.r_diag=10 10"],
+    ["experiment.plant=zero", "plant.n=2"],
+]
+
+
 def test_every_point_stays_near_its_stage_rk4_run(tmp_path):
     cfgs = [load(tmp_path, BASE + p, f"p{i}") for i, p in enumerate(POINTS)]
-    sim = cfgs[0].sim
-    by_map = run_batch([(resolve(c), c.learner, c.dither, None) for c in cfgs],
-                       sim)
-    by_stages = run_batch([(staged(resolve(c)), c.learner, c.dither, None)
-                           for c in cfgs], sim)
-    for point, (tel, fault), (ref, ref_fault) in zip(POINTS, by_map, by_stages):
+    batches = [cfgs] + [[load(tmp_path, BASE + p, f"q{i}")]
+                        for i, p in enumerate(OTHER_PLANTS)]
+    points = POINTS + OTHER_PLANTS
+    results = []
+    for batch in batches:
+        by_map = run_batch([(resolve(c), c.learner, c.dither, None)
+                            for c in batch], batch[0].sim)
+        by_stages = run_batch([(Staged(resolve(c)), c.learner, c.dither, None)
+                               for c in batch], batch[0].sim)
+        results += zip(by_map, by_stages)
+    assert len(results) == len(points)
+    for point, ((tel, fault), (ref, ref_fault)) in zip(points, results):
         assert fault is None and ref_fault is None
         assert len(tel.rows) == 287
         assert column_error(ref.rows, tel.rows) <= STAGED_TOL, point

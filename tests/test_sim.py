@@ -187,15 +187,16 @@ class BoxedEnv(AugmentedTrackingEnv):
 def test_operating_box_warning_recorded():
     from irltrack.models import AffinePlant, ReferenceModel
 
-    plant = AffinePlant(n=1, m=1, f=lambda x: np.array([2.0]),
-                        g=lambda x: np.ones((1, 1)), name="ramp").validate()
-    ref = ReferenceModel(H=lambda xd: np.zeros(1), x_d0=np.zeros(1),
+    # x = 0.5 e^t under u = 0 leaves the box at t = ln 2
+    plant = AffinePlant(A=np.ones((1, 1)), B=np.ones((1, 1)),
+                        name="growth").validate()
+    ref = ReferenceModel(H=np.zeros((1, 1)), x_d0=np.zeros(1),
                          name="zero").validate()
     sat = SaturationSpec(u_m=1.0, R=np.array([[1.0]]))
     lcfg = LearnerConfig(alpha=0.0, gamma=0.1, T=1e-3, Q1=np.zeros((2, 2)),
                          sat=sat, k1_gain=0.0, k2_gain=0.0)
     scfg = SimConfig(dt=1e-3, t_end=1.0)
-    env = BoxedEnv(plant, ref, x0=np.array([0.0]))
+    env = BoxedEnv(plant, ref, x0=np.array([0.5]))
     tel = run_env_experiment(env, lcfg, scfg)
     assert any("operating box" in w for w in tel.warnings)
     # one entry for the kind, counting every step spent outside the box
@@ -204,6 +205,20 @@ def test_operating_box_warning_recorded():
     outside = tel.columns("x")[:, 0] > 1.0
     assert seen.count == int(outside.sum()) > 1
     assert (seen.t_first, seen.t_last) == (tel.t[outside][0], tel.t[outside][-1])
+
+
+def test_a_catalog_pair_records_its_own_domain_warnings_alone_and_batched():
+    # a stacked catalog pair still asks each env for its domain warnings
+    plant, ref, sat, lcfg, scfg, dith = small_setup(t_end=0.3, amp=0.5)
+    x0s = (np.array([2.0, 0.0]), np.array([0.5, 0.0]))
+    alone = [run_env_experiment(BoxedEnv(plant, ref, x0=x0), lcfg, scfg,
+                                dither_spec=dith).warnings for x0 in x0s]
+    batched = run_batch([(BoxedEnv(plant, ref, x0=x0), lcfg, dith, None)
+                         for x0 in x0s], scfg)
+    (seen,) = alone[0].values()
+    assert seen.count > 1 and seen.t_first == 0.0 < seen.t_last
+    for warnings, (tel, fault) in zip(alone, batched):
+        assert fault is None and tel.warnings == warnings
 
 
 @pytest.mark.parametrize("m_term", [False, True])
@@ -228,14 +243,20 @@ def test_fused_step_evaluates_each_quantity_once(monkeypatch, m_term):
     plant, ref, sat, lcfg, scfg, _ = small_setup(t_end=0.05)
     lcfg = dataclasses.replace(lcfg, m_term_enabled=m_term)
     monkeypatch.setattr(sim, "quad_basis", counting_basis)
-    env = AugmentedTrackingEnv(plant, ref, x0=np.array([2.0, 0.0]))
-    env.G = counting("G", env.G)
-    env.linear_pair = lambda: None   # so the loop reads G(z) from the env
     monkeypatch.setattr(sim, "m_vector", counting("M", sim.m_vector))
+    # an env read through its own methods gives G once a step
+    env = PendulumEnv(1.0)
+    env.G = counting("G", env.G)
     sim.run_env_experiment(env, lcfg, scfg)
     iterations = round(scfg.t_end / scfg.dt) + 1
     assert calls == {"grad": iterations, "G": iterations,
                      "M": iterations if m_term else 0}
+    # the stacked rows of a catalog pair read it once, at build
+    calls.update(G=0)
+    env = AugmentedTrackingEnv(plant, ref, x0=np.array([2.0, 0.0]))
+    env.G = counting("G", env.G)
+    sim.run_env_experiment(env, lcfg, scfg)
+    assert calls["G"] == 1
 
 
 def test_uav_rate_command_once_per_step(monkeypatch):
