@@ -35,18 +35,16 @@ def quad_basis(dim_in: int) -> RegressorBasis:
     if dim_in < 1:
         raise ConfigurationError(f"basis dimension must be >= 1, got {dim_in}")
     d = dim_in
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    pi = np.array([p[0] for p in pairs], dtype=int)
-    pj = np.array([p[1] for p in pairs], dtype=int)
+    pi, pj = np.triu_indices(d, 1)   # the pairs i < j, row by row
     n1 = quad_feature_count(d)
     ar = np.arange(d)
-    ap = np.arange(len(pairs))
+    ap = np.arange(len(pi))
     # flat positions of the z-dependent entries, the z component each one
     # copies, and its factor: 2 z_i on the squares, z_j and z_i on the pairs
     flat = np.concatenate([(d + ar) * d + ar, (2 * d + ap) * d + pi,
                            (2 * d + ap) * d + pj])
     src = np.concatenate([ar, pj, pi])
-    factor = np.concatenate([np.full(d, 2.0), np.ones(2 * len(pairs))])
+    factor = np.concatenate([np.full(d, 2.0), np.ones(2 * len(pi))])
 
     def _eval_rows(Z):
         return np.concatenate((Z, Z * Z, Z.take(pi, 1) * Z.take(pj, 1)), axis=1)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..basis import quad_feature_count
 from ..errors import OracleFailure
 
 
@@ -101,11 +100,4 @@ def ideal_weights(P: np.ndarray) -> np.ndarray:
     2 P_ij on cross terms."""
     P = np.asarray(P, dtype=float)
     d = P.shape[0]
-    W = np.zeros(quad_feature_count(d))
-    W[d:2 * d] = np.diag(P)
-    k = 2 * d
-    for i in range(d):
-        for j in range(i + 1, d):
-            W[k] = 2.0 * P[i, j]
-            k += 1
-    return W
+    return np.concatenate([np.zeros(d), np.diag(P), 2.0 * P[np.triu_indices(d, 1)]])

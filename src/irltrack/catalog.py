@@ -4,14 +4,14 @@ the one place an experiment's environment is built.
 Builders take the config section's extra keys (a plain dict of strings)
 and are registered with the keys they read; a plant or reference builder
 returns its matrices, as an `AffinePlant` (A, B) or a `ReferenceModel`
-(H, x_d0).  `make_env` pairs a registered plant with a registered
-reference in an `AugmentedTrackingEnv`, which steps by its exact RK4
-propagator and has a Riccati oracle attempt; an environment entry instead
-builds, for its one plant/reference pair, an object with its own
-(possibly nonlinear) physics and the same `sim.TrackingEnv` protocol.  A
-[plant] or [reference] key that no registered builder reads is an error,
-so a misspelled key cannot fall back to a default.  Tests and downstream
-users may register more.
+(H, x_d0), which checks its shapes and entries when it is built.
+`make_env` pairs a registered plant with a registered reference in an
+`AugmentedTrackingEnv`, which steps by its exact RK4 propagator and has a
+Riccati oracle attempt; an environment entry instead builds, for its one
+plant/reference pair, an object with its own (possibly nonlinear) physics
+and the same `sim.TrackingEnv` protocol.  A [plant] or [reference] key
+that no registered builder reads is an error, so a misspelled key cannot
+fall back to a default.  Tests and downstream users may register more.
 """
 from __future__ import annotations
 
@@ -161,29 +161,26 @@ def _linear_osc(params):
     omega = param(params, "plant", "omega", 0.5)
     gain = param(params, "plant", "gain", 1.0)
     return AffinePlant(A=np.array([[0.0, omega], [-omega, 0.0]]),
-                       B=np.array([[0.0], [gain]]), name="linear_osc").validate()
+                       B=np.array([[0.0], [gain]]), name="linear_osc")
 
 
 @register_plant("zero", keys=("n", "m"))
 def _zero_plant(params):
     n = param(params, "plant", "n", 1, _dimension)
     m = param(params, "plant", "m", 1, _dimension)
-    return AffinePlant(A=np.zeros((n, n)), B=np.zeros((n, m)),
-                       name="zero").validate()
+    return AffinePlant(A=np.zeros((n, n)), B=np.zeros((n, m)), name="zero")
 
 
 @register_plant("integrator", keys=("n",))
 def _integrator(params):
     n = param(params, "plant", "n", 1, _dimension)
-    return AffinePlant(A=np.zeros((n, n)), B=np.eye(n),
-                       name="integrator").validate()
+    return AffinePlant(A=np.zeros((n, n)), B=np.eye(n), name="integrator")
 
 
 @register_reference("zero", keys=("n",))
 def _zero_ref(params):
     n = param(params, "reference", "n", 1, _dimension)
-    return ReferenceModel(H=np.zeros((n, n)), x_d0=np.zeros(n),
-                          name="zero").validate()
+    return ReferenceModel(H=np.zeros((n, n)), x_d0=np.zeros(n), name="zero")
 
 
 @register_reference("harmonic", keys=("omega", "x_d0"))
@@ -194,8 +191,7 @@ def _harmonic_ref(params):
         raise ConfigurationError(
             f"reference.x_d0: need 2 entries, got {np.size(x0)}")
     return ReferenceModel(H=np.array([[0.0, omega], [-omega, 0.0]]),
-                          x_d0=np.asarray(x0, dtype=float),
-                          name="harmonic").validate()
+                          x_d0=np.asarray(x0, dtype=float), name="harmonic")
 
 
 @register_env("aerosonde", reference="attitude_schedule",

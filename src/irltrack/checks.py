@@ -19,7 +19,7 @@ def check_penalty_identity(n_draws: int = 100, seed: int = 7):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for u_m in (1.0, math.pi / 2):
-        sat = SaturationSpec(u_m=u_m, R=np.eye(3))
+        sat = SaturationSpec(u_m=u_m, r_diag=np.ones(3))
         for _ in range(n_draws):
             tau = rng.uniform(-5, 5, 3)
             closed = penalty_closed(tau, sat)

@@ -43,7 +43,8 @@ def _diag(text: str) -> np.ndarray:
 # (constructor field, INI key, parser) per section.  A field its object
 # gives a default is an optional key; the others are required.
 _KEYS = {
-    "saturation": [("u_m", "u_m", float), ("R", "r_diag", _diag)],
+    "saturation": [("u_m", "u_m", float),
+                   ("r_diag", "r_diag", catalog.parse_floats)],
     "learner": [("alpha", "alpha", float), ("gamma", "gamma", float),
                 ("T", "t_window_s", float), ("Q1", "q1_diag", _diag),
                 ("q2", "q2", float), ("k2", "k2", float),

@@ -11,7 +11,9 @@ The learner reads only point evaluations of the control coupling ``B``,
 which each environment offers as its method ``G(z)``
 (`sim.AugmentedTrackingEnv` for a plant and reference from here);
 `augmented_linear` gives the stacked ``(A, B)``.  Nonlinear physics is
-written as an environment of its own (`sim.TrackingEnv`).
+written as an environment of its own (`sim.TrackingEnv`).  A plant or a
+reference checks its shapes and entries when it is built, so no invalid
+one reaches the loop.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ class AffinePlant:
     n = property(lambda self: np.shape(self.A)[0])
     m = property(lambda self: np.shape(self.B)[1])
 
-    def validate(self):
+    def __post_init__(self):
         A, B = np.shape(self.A), np.shape(self.B)
         if len(A) != 2 or A[0] != A[1] or len(B) != 2 or B[0] != A[0] or 0 in B:
             raise ConfigurationError(
@@ -41,7 +43,6 @@ class AffinePlant:
                 "(n, n) and (n, m) with n, m >= 1")
         if not (np.isfinite(self.A).all() and np.isfinite(self.B).all()):
             raise ConfigurationError(f"plant {self.name!r}: non-finite A or B")
-        return self
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class ReferenceModel:
     x_d0: np.ndarray
     name: str = ""
 
-    def validate(self):
+    def __post_init__(self):
         H, x0 = np.shape(self.H), np.shape(self.x_d0)
         if len(x0) != 1 or H != x0 * 2 or 0 in x0:
             raise ConfigurationError(
@@ -61,7 +62,6 @@ class ReferenceModel:
                 "expected (n, n) and (n,) with n >= 1")
         if not (np.isfinite(self.H).all() and np.isfinite(self.x_d0).all()):
             raise ConfigurationError(f"reference {self.name!r}: non-finite H or x_d0")
-        return self
 
 
 def augmented_linear(A_p: np.ndarray, B_p: np.ndarray, H_A: np.ndarray):

@@ -11,15 +11,16 @@ matching running-cost penalty is
 
 available both by adaptive quadrature (`penalty_integral`) and in closed
 form at u = -u_m tanh(tau) (`penalty_closed`); the two agree analytically
-and the pair is kept as a cross-check.  The step loop evaluates tau2 and
-the closed form for B rows at once (`tau2_rows`, `penalty_rows`);
-`penalty_closed` is the one-row case of the latter.
+and the pair is kept as a cross-check.  R is diagonal and both formulas
+read it one channel at a time, so `SaturationSpec` holds its diagonal
+r_diag; the full matrix is built only for the Riccati oracle.  The step
+loop evaluates tau2 and the closed form for B rows at once (`tau2_rows`,
+`penalty_rows`); `penalty_closed` is the one-row case of the latter.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -32,39 +33,33 @@ _LOG2 = float(np.log(2.0))
 @dataclass(frozen=True)
 class SaturationSpec:
     """Actuator bound u_m (> 0, with a finite u_m^2: the penalty's scale)
-    and positive-definite diagonal control weight R.
+    and the diagonal r_diag of the control weight R, one finite, positive
+    entry per control channel.
 
-    R defaults to 1, the weight of a single control channel.
+    r_diag defaults to (1.0,), the weight of a single control channel.
     """
 
     u_m: float
-    R: np.ndarray | float = 1.0
+    r_diag: np.ndarray | tuple = (1.0,)
 
     def __post_init__(self):
-        object.__setattr__(self, "R", np.atleast_2d(np.asarray(self.R, dtype=float)))
+        object.__setattr__(self, "r_diag", np.asarray(self.r_diag, dtype=float))
         if not 0 < self.u_m < math.inf:
             raise ConfigurationError(f"u_m must be finite and > 0, got {self.u_m}",
                                      ("u_m",))
         if self.u_m * self.u_m == math.inf:
             raise ConfigurationError(f"u_m^2 must be finite, got u_m = {self.u_m}",
                                      ("u_m",))
-        d = np.diag(self.R)
-        if self.R.shape[0] != self.R.shape[1]:
-            raise ConfigurationError(f"R must be square, got shape {self.R.shape}",
-                                     ("R",))
-        if not np.all((d > 0) & (d < math.inf)):
-            raise ConfigurationError("R must have a finite, strictly positive "
-                                     "diagonal", ("R",))
-        if np.any(self.R - np.diag(d) != 0.0):
-            raise ConfigurationError("R must be diagonal", ("R",))
+        if self.r_diag.ndim != 1 or not len(self.r_diag):
+            raise ConfigurationError("r_diag must be 1-D with at least one "
+                                     f"entry, got shape {self.r_diag.shape}",
+                                     ("r_diag",))
+        if not np.all((self.r_diag > 0) & (self.r_diag < math.inf)):
+            raise ConfigurationError("r_diag must be finite and > 0, got "
+                                     f"{self.r_diag}", ("r_diag",))
 
-    @property
-    def m(self) -> int:
-        return self.R.shape[0]
-
-    @cached_property
-    def r_diag(self) -> np.ndarray:
-        return np.diag(self.R)
+    m = property(lambda self: len(self.r_diag))
+    R = property(lambda self: np.diag(self.r_diag))   # for the Riccati oracle
 
 
 def tau2_rows(W: np.ndarray, grad: np.ndarray, G: np.ndarray,

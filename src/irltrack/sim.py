@@ -280,7 +280,8 @@ class AugmentedTrackingEnv:
 
     Plant and reference take one propagator step together in `advance`;
     the stacked state is z = [x - x_d, x_d] and the control coupling is
-    G(z) = [B; 0].
+    G(z) = [B; 0].  The stacked (A, B) is built once: `G` and `linear_pair`
+    return the same read-only arrays on every call.
     """
 
     def __init__(self, plant: AffinePlant, ref: ReferenceModel,
@@ -294,13 +295,16 @@ class AugmentedTrackingEnv:
         self.x_d = np.array(ref.x_d0, dtype=float)
         self.control_names = [f"u{i}" for i in range(plant.m)]
         self.m, self.dim_z = plant.m, 2 * plant.n
+        self._pair = augmented_linear(plant.A, plant.B, ref.H)
+        for M in self._pair:
+            M.flags.writeable = False
         self._propagators: dict[float, tuple] = {}
 
     def z(self) -> np.ndarray:
         return np.concatenate([self.x - self.x_d, self.x_d])
 
     def G(self, z: np.ndarray) -> np.ndarray:
-        return self.linear_pair()[1]
+        return self._pair[1]
 
     def propagator(self, dt: float):
         """(Phi, Gamma) of the pair's RK4 step on s = [x, x_d], once per dt."""
@@ -325,7 +329,7 @@ class AugmentedTrackingEnv:
         return {}
 
     def linear_pair(self):
-        return augmented_linear(self.plant.A, self.plant.B, self.ref.H)
+        return self._pair
 
 
 class _EnvRows(Rows):

@@ -30,7 +30,7 @@ def test_criterion_1_penalty_identity():
     t0 = time.perf_counter()
     worst = 0.0
     for u_m in (1.0, math.pi / 2):
-        sat = SaturationSpec(u_m=u_m, R=np.eye(3))
+        sat = SaturationSpec(u_m=u_m, r_diag=np.ones(3))
         for _ in range(500):
             tau = rng.uniform(-5.0, 5.0, 3)
             closed = penalty_closed(tau, sat)
@@ -169,7 +169,7 @@ def test_criterion_7_uav_scenario(uav_run):
 def test_criterion_8_law_containment():
     plant = make_plant("linear_osc", {"omega": 6.0})
     ref = make_reference("harmonic", {"omega": 6.0, "x_d0": "1 0"})
-    sat = SaturationSpec(u_m=56.0, R=np.array([[10.0]]))
+    sat = SaturationSpec(u_m=56.0, r_diag=np.array([10.0]))
     lcfg = LearnerConfig(alpha=150.0, gamma=0.1, T=1e-3,
                          Q1=np.diag([1.0, 1.0, 0.0, 0.0]), sat=sat,
                          q2=0.0, k2=0.01, k1_gain=0.0, k2_gain=0.0,
@@ -189,7 +189,7 @@ def test_criterion_8_law_containment():
 
 def _frozen_case():
     basis = quad_basis(2)
-    sat = SaturationSpec(u_m=2.0, R=np.array([[1.0]]))
+    sat = SaturationSpec(u_m=2.0, r_diag=np.array([1.0]))
     cfg = LearnerConfig(alpha=3.0, gamma=0.1, T=1e-3, Q1=np.eye(2), sat=sat,
                         q2=0.1, k2=0.01, k1_gain=0.0, k2_gain=0.0)
     z = np.array([0.6, -0.2])

@@ -233,7 +233,7 @@ def test_oracle_critic_bellman_residual_bound():
     R_ = np.array([[10.0]])
     P_ = discounted_riccati(A, B, Q1, R_, 0.1)
     W_star = ideal_weights(P_)
-    sat = SaturationSpec(u_m=56.0, R=R_)
+    sat = SaturationSpec(u_m=56.0, r_diag=np.diag(R_))
     lcfg = LearnerConfig(alpha=0.0, gamma=0.1, T=1e-3, Q1=Q1, sat=sat,
                          k1_gain=0.0, k2_gain=0.0)
     scfg = SimConfig(dt=1e-3, t_end=5.0, record_every=1)

@@ -267,8 +267,7 @@ def test_catalog_registration_and_lookup():
 
     @catalog.register_plant("test_decay")
     def _decay(params):
-        return AffinePlant(A=-2.0 * np.eye(1), B=np.ones((1, 1)),
-                           name="decay").validate()
+        return AffinePlant(A=-2.0 * np.eye(1), B=np.ones((1, 1)), name="decay")
 
     try:
         assert "test_decay" in catalog.plant_names()

@@ -16,7 +16,7 @@ from reference import (CriticState, NotReady, ReinforcementBuffer,
 
 def make_cfg(alpha=1.0, q2=0.1, k2=0.01, gamma=0.1, T=1e-3, u_m=1.0,
              m=1, **kw):
-    sat = SaturationSpec(u_m=u_m, R=np.eye(m))
+    sat = SaturationSpec(u_m=u_m, r_diag=np.ones(m))
     return LearnerConfig(alpha=alpha, gamma=gamma, T=T, Q1=np.eye(2), sat=sat,
                          q2=q2, k2=k2, k1_gain=0.0, k2_gain=0.0, **kw)
 
@@ -188,7 +188,7 @@ class TestMVector:
     def setup_method(self):
         self.basis = quad_basis(2)
         self.G = lambda z: np.array([[2.0], [0.0]])
-        self.sat = SaturationSpec(u_m=2.0, R=np.array([[1.0]]))
+        self.sat = SaturationSpec(u_m=2.0, r_diag=np.array([1.0]))
         self.z = np.array([1.0, 0.0])
 
     def m_vector(self, W):
@@ -249,7 +249,7 @@ def learner_setup(q2=0.1, k2=0.01, alpha=2.0, stab=True, m_on=True,
     def G(z):
         return np.array([[1.5], [0.0]])
 
-    sat = SaturationSpec(u_m=2.0, R=np.array([[1.0]]))
+    sat = SaturationSpec(u_m=2.0, r_diag=np.array([1.0]))
     cfg = LearnerConfig(alpha=alpha, gamma=0.1, T=1e-3, Q1=np.diag([1.0, 0.0]),
                         sat=sat, q2=q2, k2=k2,
                         k1_gain=k_gain, k2_gain=k_gain,
@@ -401,7 +401,7 @@ class TestBaseline:
 
 
 def test_learner_config_validation():
-    sat = SaturationSpec(u_m=1.0, R=np.eye(1))
+    sat = SaturationSpec(u_m=1.0, r_diag=np.ones(1))
     with pytest.raises(ConfigurationError):
         LearnerConfig(alpha=1.0, gamma=0.1, T=0.0, Q1=np.eye(2), sat=sat)
     with pytest.raises(ConfigurationError):

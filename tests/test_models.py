@@ -1,15 +1,17 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
+from irltrack import catalog
 from irltrack.errors import ConfigurationError
 from irltrack.models import AffinePlant, ReferenceModel
 from irltrack.sim import AugmentedTrackingEnv
 
 
 def scalar_pair():
-    plant = AffinePlant(A=np.zeros((1, 1)), B=np.ones((1, 1)), name="hold").validate()
-    ref = ReferenceModel(H=np.ones((1, 1)), x_d0=np.array([2.0]),
-                         name="drift").validate()
+    plant = AffinePlant(A=np.zeros((1, 1)), B=np.ones((1, 1)), name="hold")
+    ref = ReferenceModel(H=np.ones((1, 1)), x_d0=np.array([2.0]), name="drift")
     return plant, ref
 
 
@@ -22,10 +24,8 @@ def test_augment_block_structure_hand_case():
 
 
 def test_augment_origin_trivial():
-    plant = AffinePlant(A=-np.ones((1, 1)), B=np.ones((1, 1)),
-                        name="decay").validate()
-    ref = ReferenceModel(H=np.zeros((1, 1)), x_d0=np.zeros(1),
-                         name="zero").validate()
+    plant = AffinePlant(A=-np.ones((1, 1)), B=np.ones((1, 1)), name="decay")
+    ref = ReferenceModel(H=np.zeros((1, 1)), x_d0=np.zeros(1), name="zero")
     env = AugmentedTrackingEnv(plant, ref)
     assert np.allclose(env.z(), 0.0)
     assert np.allclose(env.G(env.z()).ravel(), [1.0, 0.0])
@@ -35,10 +35,9 @@ def test_augment_lower_rows_of_G_are_zero():
     n, m = 3, 2
     plant = AffinePlant(A=np.zeros((n, n)),
                         B=np.arange(n * m, dtype=float).reshape(n, m) + 1,
-                        name="p").validate()
+                        name="p")
     assert (plant.n, plant.m) == (n, m)
-    ref = ReferenceModel(H=np.zeros((n, n)), x_d0=np.zeros(n),
-                         name="r").validate()
+    ref = ReferenceModel(H=np.zeros((n, n)), x_d0=np.zeros(n), name="r")
     env = AugmentedTrackingEnv(plant, ref)
     rng = np.random.default_rng(0)
     for _ in range(5):
@@ -50,9 +49,9 @@ def test_augment_lower_rows_of_G_are_zero():
 def test_reference_autonomy(rng):
     """The reference after a step is bitwise independent of x and u."""
     plant = AffinePlant(A=np.array([[0.0, 1.0], [-1.0, -0.3]]),
-                        B=np.array([[0.0], [1.0]]), name="p").validate()
+                        B=np.array([[0.0], [1.0]]), name="p")
     H = np.array([[0.0, 0.4], [-0.4, 0.0]])
-    ref = ReferenceModel(H=H, x_d0=np.array([1.0, 0.0]), name="r").validate()
+    ref = ReferenceModel(H=H, x_d0=np.array([1.0, 0.0]), name="r")
     after = []
     for _ in range(4):
         env = AugmentedTrackingEnv(plant, ref, x0=rng.normal(size=2))
@@ -76,22 +75,40 @@ def test_dimension_mismatch_is_config_error():
         AugmentedTrackingEnv(plant, ref2)
 
 
+# each model is built inside `pytest.raises`: it checks itself when built
 @pytest.mark.parametrize("model, message", [
-    (AffinePlant(A=np.zeros((2, 3)), B=np.zeros((2, 1)), name="p"),
+    (partial(AffinePlant, A=np.zeros((2, 3)), B=np.zeros((2, 1)), name="p"),
      r"plant 'p': A has shape \(2, 3\) and B \(2, 1\)"),
-    (AffinePlant(A=np.zeros((2, 2)), B=np.zeros(2), name="p"),
+    (partial(AffinePlant, A=np.zeros((2, 2)), B=np.zeros(2), name="p"),
      r"plant 'p': A has shape \(2, 2\) and B \(2,\)"),
-    (AffinePlant(A=np.zeros((2, 2)), B=np.zeros((3, 1)), name="p"),
+    (partial(AffinePlant, A=np.zeros((2, 2)), B=np.zeros((3, 1)), name="p"),
      r"B \(3, 1\), expected \(n, n\) and \(n, m\)"),
-    (AffinePlant(A=np.zeros((2, 2)), B=np.zeros((2, 0)), name="p"),
+    (partial(AffinePlant, A=np.zeros((2, 2)), B=np.zeros((2, 0)), name="p"),
      r"B \(2, 0\)"),
-    (AffinePlant(A=np.eye(1) * np.inf, B=np.ones((1, 1)), name="p"),
+    (partial(AffinePlant, A=np.eye(1) * np.inf, B=np.ones((1, 1)), name="p"),
      "plant 'p': non-finite A or B"),
-    (ReferenceModel(H=np.zeros((2, 2)), x_d0=np.zeros(3), name="r"),
+    (partial(ReferenceModel, H=np.zeros((2, 2)), x_d0=np.zeros(3), name="r"),
      r"reference 'r': H has shape \(2, 2\) and x_d0 \(3,\)"),
-    (ReferenceModel(H=np.zeros((1, 1)), x_d0=np.array([np.nan]), name="r"),
+    (partial(ReferenceModel, H=np.zeros((1, 1)), x_d0=np.array([np.nan]), name="r"),
      "reference 'r': non-finite H or x_d0"),
+    (partial(AffinePlant, A=np.full((1, 1), np.nan), B=np.ones((1, 1)), name="p"),
+     "plant 'p': non-finite A or B"),
 ])
 def test_validate_names_a_bad_shape_or_entry(model, message):
     with pytest.raises(ConfigurationError, match=message):
-        model.validate()
+        model()
+
+
+def test_registered_bad_plant_is_rejected_by_make_env():
+    """A builder registered the catalog way cannot hand a bad plant to
+    `make_env`: the plant rejects itself when the builder builds it."""
+    @catalog.register_plant("test_bad_shapes")
+    def _bad(params):
+        return AffinePlant(A=np.zeros((2, 2)), B=np.zeros((3, 1)), name="bad")
+
+    try:
+        with pytest.raises(ConfigurationError, match=r"plant 'bad': A has "
+                           r"shape \(2, 2\) and B \(3, 1\)"):
+            catalog.make_env("test_bad_shapes", "zero", {}, {"n": "2"})
+    finally:
+        catalog._PLANTS.pop("test_bad_shapes", None)

@@ -25,13 +25,15 @@ def simple_setup(g_top=3.0):
 
 
 def test_saturation_spec_validation():
-    SaturationSpec(u_m=1.0, R=np.eye(2))
+    SaturationSpec(u_m=1.0, r_diag=np.ones(2))
     with pytest.raises(ConfigurationError):
-        SaturationSpec(u_m=-1.0, R=np.eye(2))
+        SaturationSpec(u_m=-1.0, r_diag=np.ones(2))
     with pytest.raises(ConfigurationError):
-        SaturationSpec(u_m=1.0, R=np.diag([1.0, 0.0]))
-    with pytest.raises(ConfigurationError):
-        SaturationSpec(u_m=1.0, R=np.array([[1.0, 0.2], [0.2, 1.0]]))
+        SaturationSpec(u_m=1.0, r_diag=np.array([1.0, 0.0]))
+    with pytest.raises(ConfigurationError, match=r"got shape \(1, 1\)"):
+        SaturationSpec(u_m=1.0, r_diag=np.ones((1, 1)))
+    with pytest.raises(ConfigurationError, match=r"got shape \(0,\)"):
+        SaturationSpec(u_m=1.0, r_diag=np.array([]))
 
 
 def tau2(z, W, G, basis, sat):
@@ -48,19 +50,19 @@ def policy(z, W, G, basis, sat):
 
 def test_tau2_scalar_and_scalings():
     basis, G = simple_setup()
-    sat = SaturationSpec(u_m=1.0, R=np.array([[1.0]]))
+    sat = SaturationSpec(u_m=1.0, r_diag=np.array([1.0]))
     z = np.array([1.0, 0.0])
     W = np.array([1.0, 0.0, 0.0, 0.0, 0.0])  # grad^T W = e_1 -> G^T grad^T W = 3
     assert np.allclose(tau2(z, W, G, basis, sat), [1.5])
     assert np.allclose(tau2(z, np.zeros(5), G, basis, sat), [0.0])
-    sat2 = SaturationSpec(u_m=2.0, R=np.array([[1.0]]))
+    sat2 = SaturationSpec(u_m=2.0, r_diag=np.array([1.0]))
     assert np.allclose(tau2(z, W, G, basis, sat2),
                        0.5 * tau2(z, W, G, basis, sat))
 
 
 def test_policy_eval_zero_weights_and_saturation_limit():
     basis, G = simple_setup()
-    sat = SaturationSpec(u_m=1.0, R=np.array([[1.0]]))
+    sat = SaturationSpec(u_m=1.0, r_diag=np.array([1.0]))
     z = np.array([1.0, 0.0])
     assert np.allclose(policy(z, np.zeros(5), G, basis, sat), 0.0)
     W_huge = np.array([1e9, 0, 0, 0, 0])
@@ -71,7 +73,7 @@ def test_policy_eval_zero_weights_and_saturation_limit():
 
 def test_policy_hard_bound_random(rng):
     basis, G = simple_setup()
-    sat = SaturationSpec(u_m=0.7, R=np.array([[2.0]]))
+    sat = SaturationSpec(u_m=0.7, r_diag=np.array([2.0]))
     for _ in range(200):
         z = rng.normal(size=2) * 3
         W = rng.normal(size=5) * 10
@@ -79,7 +81,7 @@ def test_policy_hard_bound_random(rng):
 
 
 def test_penalty_integral_cases():
-    sat = SaturationSpec(u_m=1.0, R=np.array([[1.0]]))
+    sat = SaturationSpec(u_m=1.0, r_diag=np.array([1.0]))
     assert penalty_integral(np.zeros(1), sat) == 0.0
     got = penalty_integral(np.array([0.5]), sat)
     want = analytic_penalty([0.5], 1.0, [1.0])
@@ -93,13 +95,13 @@ def test_penalty_integral_cases():
 
 
 def test_penalty_integral_domain_error_names_component():
-    sat = SaturationSpec(u_m=1.0, R=np.eye(2))
+    sat = SaturationSpec(u_m=1.0, r_diag=np.ones(2))
     with pytest.raises(ConfigurationError, match=r"u\[1\]"):
         penalty_integral(np.array([0.2, 1.0]), sat)
 
 
 def test_penalty_closed_trivial_and_deep_saturation():
-    sat = SaturationSpec(u_m=1.0, R=np.array([[1.0]]))
+    sat = SaturationSpec(u_m=1.0, r_diag=np.array([1.0]))
     assert penalty_closed(np.zeros(1), sat) == 0.0
     # stable-form hand computation at tau = 50 (deep saturation)
     got = penalty_closed(np.array([50.0]), sat)
@@ -111,7 +113,7 @@ def test_penalty_closed_trivial_and_deep_saturation():
 
 
 def test_penalty_closed_matches_quadrature(rng):
-    sat = SaturationSpec(u_m=math.pi / 2, R=np.diag([1.0, 2.5]))
+    sat = SaturationSpec(u_m=math.pi / 2, r_diag=np.array([1.0, 2.5]))
     for _ in range(50):
         tau = rng.uniform(-5, 5, 2)
         closed = penalty_closed(tau, sat)
@@ -120,7 +122,7 @@ def test_penalty_closed_matches_quadrature(rng):
 
 
 def test_penalty_closed_nonnegative(rng):
-    sat = SaturationSpec(u_m=2.0, R=np.diag([0.5, 1.0, 3.0]))
+    sat = SaturationSpec(u_m=2.0, r_diag=np.array([0.5, 1.0, 3.0]))
     for _ in range(1000):
         tau = rng.uniform(-5, 5, 3)
         assert penalty_closed(tau, sat) >= 0.0

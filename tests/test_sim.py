@@ -68,7 +68,7 @@ class TestDither:
 def small_setup(alpha=5.0, t_end=0.05, q1=(1.0, 1.0, 0.0, 0.0), amp=0.0):
     plant = make_plant("linear_osc", {"omega": 2.0})
     ref = make_reference("harmonic", {"omega": 2.0, "x_d0": "1 0"})
-    sat = SaturationSpec(u_m=5.0, R=np.array([[1.0]]))
+    sat = SaturationSpec(u_m=5.0, r_diag=np.array([1.0]))
     lcfg = LearnerConfig(alpha=alpha, gamma=0.1, T=1e-3, Q1=np.diag(q1), sat=sat,
                          k1_gain=0.0, k2_gain=0.0,
                          stabilizer_enabled=False, m_term_enabled=False)
@@ -80,7 +80,7 @@ def test_run_experiment_zero_plant_constant_state():
     """Frozen dynamics: z never moves and I_hat is the discounted Q quadrature."""
     plant = make_plant("zero", {"n": 1, "m": 1})
     ref = make_reference("zero", {"n": 1})
-    sat = SaturationSpec(u_m=1.0, R=np.array([[1.0]]))
+    sat = SaturationSpec(u_m=1.0, r_diag=np.array([1.0]))
     lcfg = LearnerConfig(alpha=0.0, gamma=0.1, T=1e-3, Q1=np.diag([2.0, 0.0]),
                          sat=sat, k1_gain=0.0, k2_gain=0.0)
     scfg = SimConfig(dt=1e-3, t_end=0.01)
@@ -188,11 +188,9 @@ def test_operating_box_warning_recorded():
     from irltrack.models import AffinePlant, ReferenceModel
 
     # x = 0.5 e^t under u = 0 leaves the box at t = ln 2
-    plant = AffinePlant(A=np.ones((1, 1)), B=np.ones((1, 1)),
-                        name="growth").validate()
-    ref = ReferenceModel(H=np.zeros((1, 1)), x_d0=np.zeros(1),
-                         name="zero").validate()
-    sat = SaturationSpec(u_m=1.0, R=np.array([[1.0]]))
+    plant = AffinePlant(A=np.ones((1, 1)), B=np.ones((1, 1)), name="growth")
+    ref = ReferenceModel(H=np.zeros((1, 1)), x_d0=np.zeros(1), name="zero")
+    sat = SaturationSpec(u_m=1.0, r_diag=np.array([1.0]))
     lcfg = LearnerConfig(alpha=0.0, gamma=0.1, T=1e-3, Q1=np.zeros((2, 2)),
                          sat=sat, k1_gain=0.0, k2_gain=0.0)
     scfg = SimConfig(dt=1e-3, t_end=1.0)
@@ -272,7 +270,7 @@ def test_uav_rate_command_once_per_step(monkeypatch):
 
     monkeypatch.setattr(UavAttitudeEnv, "_rate_des", counting)
     env = catalog.make_env("aerosonde", "attitude_schedule", {}, {})
-    sat = SaturationSpec(u_m=math.pi / 2, R=np.eye(3))
+    sat = SaturationSpec(u_m=math.pi / 2, r_diag=np.ones(3))
     lcfg = LearnerConfig(alpha=16.1, gamma=0.1, T=1e-3,
                          Q1=np.diag([10.0, 10.0, 50.0, 0.0, 0.0, 0.0]), sat=sat)
     scfg = SimConfig(dt=1e-3, t_end=0.02)
