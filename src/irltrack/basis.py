@@ -4,7 +4,8 @@ The critic has one basis, the full quadratic polynomial without constant term:
 linear monomials, squares, then pairwise products in lexicographic order.
 For input dimension d it has ``2d + d(d-1)/2`` features (27 at d = 6).
 `eval_rows` and `grad_rows` map every row of a (B, d) array, for the step
-loop; `eval` and `grad` are their one-row case.
+loop (`grad_rows` with a one-row form for B = 1, the same products on 1-D
+z); `eval` and `grad` are their one-row case.
 """
 from __future__ import annotations
 
@@ -45,11 +46,17 @@ def quad_basis(dim_in: int) -> RegressorBasis:
                            (2 * d + ap) * d + pj])
     src = np.concatenate([ar, pj, pi])
     factor = np.concatenate([np.full(d, 2.0), np.ones(2 * len(pi))])
+    linear = np.zeros(n1 * d)
+    linear[:d * d:d + 1] = 1.0    # the linear rows of one gradient
 
     def _eval_rows(Z):
         return np.concatenate((Z, Z * Z, Z.take(pi, 1) * Z.take(pj, 1)), axis=1)
 
     def _grad_rows(Z):
+        if len(Z) == 1:    # one row: a copy of the linear rows, then its entries
+            out = linear.copy()
+            out[flat] = factor * Z[0][src]
+            return out.reshape(1, n1, d)
         out = np.zeros((len(Z), n1 * d))
         out[:, :d * d:d + 1] = 1.0    # the linear rows
         out[:, flat] = factor * Z.take(src, 1)

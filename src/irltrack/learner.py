@@ -28,9 +28,9 @@ only at a step where some row has Xi = 1, the m-integral and the robust
 term's M part only if some row has the m-term.  The window keeps a deque
 of step samples; a window of two samples (T = dt) integrates on (B,)
 arrays, a longer one sums its intervals in sequence over a (B, L, 2)
-array.  A batch of one takes the law's one-row form (per-row scalars as
-Python floats, the same operations in the same order), which
-`tests/test_batch.py` pins bitwise to the batched form.
+array.  A batch of one takes the law's one-row form and, at T = dt, the
+window's (per-row scalars as Python floats, the same operations in the
+same order), which `tests/test_batch.py` pins bitwise to the batched form.
 """
 from __future__ import annotations
 
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericFault
+from .models import fields_equal
 from .policy import SaturationSpec
 from .rows import Rows, dot, mv, vm
 
@@ -74,6 +75,7 @@ class LearnerConfig:
     stabilizer_enabled: bool = True
     m_term_enabled: bool = True
     law: str = "novel"
+    __eq__ = fields_equal
 
     def __post_init__(self):
         object.__setattr__(self, "Q1", np.asarray(self.Q1, dtype=float))
@@ -162,6 +164,22 @@ class WindowBuffer:
         samples, T = self.samples, self.T
         t_last = samples[-1][0]
         t_lo = t_last - T
+        if len(samples) == 2 and len(neg_gamma) == 1:
+            # one row, T = dt: the two paths below on Python floats
+            (t0, theta0, c0, m0), (t1, theta1, c1, m1) = samples
+            c0, c1 = c0.item(), c1.item()
+            m_row = isinstance(m1, np.ndarray)
+            if m_row:
+                m0, m1 = m0.item(), m1.item()
+            if t0 < t_lo:
+                w = (t_lo - t0) / (t1 - t0)
+                theta0 = (1 - w) * theta0 + w * theta1
+                c0, m0, t0 = (1 - w) * c0 + w * c1, (1 - w) * m0 + w * m1, t_lo
+            h, g = t1 - t0, neg_gamma.item()
+            e0, e1 = float(np.exp(g * ((t0 - t_last) + T))), \
+                float(np.exp(g * ((t1 - t_last) + T)))
+            return theta0, np.array([h * (e1 * c1 + e0 * c0) / 2.0 + 0.0]), \
+                np.array([h * (e1 * m1 + e0 * m0) / 2.0 + 0.0]) if m_row else 0.0
         first = 0
         while samples[first][0] < t_lo:
             first += 1
@@ -281,7 +299,7 @@ class CriticRows(Rows):
         self.e_hat, self.I_hat = e_hat, I_hat
         # a sum with a non-finite term is never finite: search the rows only
         # when some weight is non-finite
-        if math.isfinite(self.W.sum()):
+        if math.isfinite(np.add.reduce(self.W, None)):
             return []
         faults = []
         for i in np.flatnonzero(~np.isfinite(self.W).all(1)):

@@ -17,11 +17,21 @@ one reaches the loop.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigurationError
+
+
+def fields_equal(a, b):
+    """Value equality of two dataclasses of one class that hold arrays:
+    `np.array_equal` on array fields, == on the rest."""
+    if type(a) is not type(b):
+        return NotImplemented
+    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) or
+               isinstance(y, np.ndarray) else x == y for x, y in pairs)
 
 
 @dataclass(frozen=True)
@@ -31,6 +41,7 @@ class AffinePlant:
     A: np.ndarray
     B: np.ndarray
     name: str = ""
+    __eq__ = fields_equal
 
     n = property(lambda self: np.shape(self.A)[0])
     m = property(lambda self: np.shape(self.B)[1])
@@ -53,6 +64,7 @@ class ReferenceModel:
     H: np.ndarray
     x_d0: np.ndarray
     name: str = ""
+    __eq__ = fields_equal
 
     def __post_init__(self):
         H, x0 = np.shape(self.H), np.shape(self.x_d0)

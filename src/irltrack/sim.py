@@ -20,8 +20,10 @@ t_k it computes each per-step quantity once and shares it:
 up to the first step at or after t_end.  Catalog pairs
 (`AugmentedTrackingEnv`s) take one propagator step s <- Phi s + Gamma u of
 s = [x, x_d] together (the exact RK4 step under zero-order hold,
-Phi/Gamma built once); any other env advances itself.  The reference
-never depends on the learner.  A faulted member leaves; the others go on.
+Phi/Gamma built once; one row takes the products unwrapped); any other
+env advances itself.  The reference never depends on the learner.  A
+faulted member leaves; the others go on.  With every dither amplitude 0,
+dither(t) is evaluated only at record steps and where u_hat holds a zero.
 """
 from __future__ import annotations
 
@@ -387,12 +389,16 @@ class _LinearRows(_EnvRows):
         return self.G_z
 
     def advance(self, u_applied, t: float, dt: float):
-        self.s = mv(self.Phi, self.s) + mv(self.Gamma, u_applied)
-        for env, s in zip(self.envs, self.s):
-            env.x, env.x_d = s[:self.n], s[self.n:]
+        if len(self.s) == 1:    # one row: the products of `mv`, unwrapped
+            s = self.Phi[0] @ self.s[0] + self.Gamma[0] @ u_applied[0]
+            self.envs[0].x, self.envs[0].x_d, self.s = s[:self.n], s[self.n:], s[None]
+        else:
+            self.s = mv(self.Phi, self.s) + mv(self.Gamma, u_applied)
+            for env, s in zip(self.envs, self.s):
+                env.x, env.x_d = s[:self.n], s[self.n:]
         # a sum with a non-finite term is never finite: search the rows only
         # when some state is non-finite
-        if math.isfinite(self.s.sum()):
+        if math.isfinite(np.add.reduce(self.s, None)):
             return []
         return [(i, NumericFault(f"non-finite state at t={t}", t=t))
                 for i in np.flatnonzero(~np.isfinite(self.s).all(1))]
@@ -423,6 +429,7 @@ def run_batch(members, sim_cfg: SimConfig):
     buf = WindowBuffer(T, dt)
     b = Rows(ids=np.arange(len(envs)), z_prev=np.zeros((len(envs), dz)),
              amp=np.array([d.amplitude for d in dithers]))
+    excited = bool(b.amp.any())
     try:
         telemetry = [Telemetry(dz, nx, nxd, m, n1, e.control_names,
                                capacity=n_steps // every + 2) for e in envs]
@@ -472,9 +479,13 @@ def run_batch(members, sim_cfg: SimConfig):
             dead = critic.update(buf, theta, z, G, ndg, th, sigma, dt) \
                 if k > 0 and buf.ready else []
 
-            # 4. record telemetry and the domain warning
-            n_val = b.amp * dither(t)
-            if k % every == 0 or k == n_steps:
+            # 4. record telemetry and the domain warning; with every amplitude
+            # 0, u_hat + n is u_hat unless u_hat holds a zero, whose sign the
+            # add may flip, so the dither is evaluated only then
+            record = k % every == 0 or k == n_steps
+            n_val = b.amp * dither(t) \
+                if excited or record or np.count_nonzero(u_hat) < u_hat.size else None
+            if record:
                 faulted = {i for i, _ in dead}
                 scalars = zip(n_val.tolist(), critic.e_hat.tolist(),
                               sigma.tolist(), critic.I_hat.tolist(),
@@ -487,16 +498,15 @@ def run_batch(members, sim_cfg: SimConfig):
                                        0 if s_i < 0 else 1, I_i, V_i, critic.W[i])
                     except NumericFault as exc:
                         dead.append((i, exc))
+            u = u_hat if n_val is None else u_hat + n_val[:, None]
             b.z_prev = z
             if dead:
-                alive = drop(dead)
-                u_hat, n_val = u_hat[alive], n_val[alive]
+                u = u[drop(dead)]
             env_rows.check_domain(live, t)
 
             # 5. saturate(u_hat + dither) and integrate to t_{k+1}
             if k < n_steps and live:
-                dead = env_rows.advance(
-                    saturate(u_hat + n_val[:, None], critic.u_m), t, dt)
+                dead = env_rows.advance(saturate(u, critic.u_m), t, dt)
                 if dead:
                     drop(dead)
             if not live:

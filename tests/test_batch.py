@@ -123,11 +123,16 @@ def test_member_does_not_depend_on_its_batch(tmp_path):
     for cfg, rows in zip(cfgs, alone):
         ((tel, _),) = batched([cfg])
         assert np.array_equal(tel.rows, rows)
-    uav = load(tmp_path, ["sim.t_end_s=0.15", "sim.record_every=1"], "uav",
-               "uav_attitude")
-    ((tel, fault),) = batched([uav])
-    assert fault is None
-    assert np.array_equal(tel.rows, batched([uav, uav])[0][0].rows)
+    # the UAV and a linear member with two channels (m = 2)
+    for config, overrides in (
+            ("uav_attitude", ["sim.t_end_s=0.15", "sim.record_every=1"]),
+            ("linear_benchmark", ["sim.t_end_s=0.3", "experiment.plant=integrator",
+                                  "plant.n=2", "saturation.r_diag=10 10",
+                                  "dither.amplitude=1"])):
+        cfg = load(tmp_path, overrides, config, config)
+        ((tel, fault),) = batched([cfg])
+        assert fault is None
+        assert np.array_equal(tel.rows, batched([cfg, cfg])[0][0].rows)
 
 
 def sweep(tmp_path, name, *args):

@@ -5,7 +5,9 @@ import pytest
 
 from irltrack import catalog
 from irltrack.errors import ConfigurationError
+from irltrack.learner import LearnerConfig
 from irltrack.models import AffinePlant, ReferenceModel
+from irltrack.policy import SaturationSpec
 from irltrack.sim import AugmentedTrackingEnv
 
 
@@ -112,3 +114,26 @@ def test_registered_bad_plant_is_rejected_by_make_env():
             catalog.make_env("test_bad_shapes", "zero", {}, {"n": "2"})
     finally:
         catalog._PLANTS.pop("test_bad_shapes", None)
+
+
+def learner(Q1, sat):
+    return LearnerConfig(alpha=1.0, gamma=0.1, T=0.01, Q1=Q1, sat=sat)
+
+
+# each pair differs in one array field; a multi-entry array there made the
+# generated __eq__ raise "truth value of an array ... is ambiguous"
+@pytest.mark.parametrize("build, other", [
+    (partial(SaturationSpec, 1.0, np.ones(2)),
+     partial(SaturationSpec, 1.0, np.array([1.0, 2.0]))),
+    (partial(AffinePlant, np.eye(2), np.ones((2, 1)), "p"),
+     partial(AffinePlant, np.eye(2), np.zeros((2, 1)), "p")),
+    (partial(ReferenceModel, np.eye(2), np.ones(2), "r"),
+     partial(ReferenceModel, np.eye(2), np.array([1.0, 0.0]), "r")),
+    (partial(learner, np.eye(2), SaturationSpec(1.0, np.ones(2))),
+     partial(learner, np.eye(2), SaturationSpec(1.0, np.full(2, 2.0)))),
+    (partial(learner, np.eye(2), SaturationSpec(1.0, np.ones(2))),
+     partial(learner, np.diag([1.0, 0.0]), SaturationSpec(1.0, np.ones(2)))),
+])
+def test_models_with_arrays_compare_by_value(build, other):
+    assert build() == build() and not build() != build()
+    assert build() != other() and not build() == other()

@@ -6,7 +6,7 @@ import pytest
 from irltrack.basis import quad_basis
 from irltrack.errors import ConfigurationError
 from irltrack.policy import (SaturationSpec, log_one_minus_tanh2, penalty_closed,
-                             penalty_integral, tau2_rows)
+                             penalty_integral, penalty_rows, tau2_rows)
 
 
 def analytic_penalty(u, u_m, r_diag):
@@ -135,3 +135,16 @@ def test_log_one_minus_tanh2_stable():
     assert abs(vals[0]) == 0.0
     direct = np.log(1.0 - np.tanh(1.0) ** 2)
     assert abs(vals[1] - direct) < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_penalty_row_alone_has_its_bits_in_a_batch(m):
+    """One row (at m = 1 on Python floats) against the same row in the
+    middle of a batch of three, bit for bit."""
+    r = np.array([10.0, 0.5, 3.0])[:m]
+    um2 = np.array([4.0, 2.25, 9.0])
+    for t in (0.0, -0.0, 1e-300, 0.3, -0.3, 30.0, -30.0):
+        tau = np.array([[0.7, -1.1, 2.0], [t, -t, 0.3], [-5.0, 0.1, t]])[:, :m]
+        alone = penalty_rows(tau[1:2], np.tanh(tau[1:2]), um2[1:2], r[None])
+        batch = penalty_rows(tau, np.tanh(tau), um2, np.tile(r, (3, 1)))
+        assert alone.shape == (1,) and alone.tobytes() == batch[1:2].tobytes(), t
