@@ -14,6 +14,12 @@ learner closes the inner rate loop:
 The control coupling of the three rate channels is the only aerodynamic
 information handed to the learner; it is evaluated at the live dynamic
 pressure.
+
+The physics runs on Python floats.  `forces_moments` reads the airframe's
+constants once per call (`AirframeParams.bound`), with the exact left
+prefixes of its products folded (0.5 rho, -m g, c_y_p b, ...), and the
+airspeed is `np.linalg.norm`'s own sqrt(x . x), so every value keeps the
+bits of the attribute-by-attribute form.
 """
 from __future__ import annotations
 
@@ -98,6 +104,24 @@ class AirframeParams:
         g8 = self.jx / g
         return g1, g2, g3, g4, g5, g6, g7, g8
 
+    @cached_property
+    def bound(self):
+        """The constants of `forces_moments`, read once: exact left
+        prefixes of its products (0.5 rho, -m g, c_y_p b, ...) come folded,
+        so the forces keep their bits."""
+        half_rho, b, c = 0.5 * self.rho, self.b, self.c
+        return (half_rho, half_rho * self.s_prop * self.c_prop, self.k_motor,
+                self.S, b, c, -self.mass * self.gravity, self.mass * self.gravity,
+                self.c_l0, self.c_l_alpha, self.c_d0, self.c_d_alpha,
+                -self.c_d_q, self.c_l_q, -self.c_d_de, self.c_l_de,
+                self.c_y0, self.c_y_beta, self.c_y_p * b, self.c_y_r * b,
+                self.c_y_da, self.c_y_dr,
+                self.c_ll0, self.c_ll_beta, self.c_ll_p * b, self.c_ll_r * b,
+                self.c_ll_da, self.c_ll_dr,
+                self.c_m0, self.c_m_alpha, self.c_m_q * c, self.c_m_de,
+                self.c_n0, self.c_n_beta, self.c_n_p * b, self.c_n_r * b,
+                self.c_n_da, self.c_n_dr)
+
 
 # The Aerosonde, from Beard & McLain (2012): mass, inertia and aerodynamic
 # coefficients of Appendix E (Table E.2, p. 276), for the force/moment model
@@ -133,52 +157,55 @@ AEROSONDE = AirframeParams(
 def forces_moments(state, delta_e: float, delta_a: float, delta_r: float,
                    delta_t: float, pr: AirframeParams):
     """Body-frame forces (fx, fy, fz) and moments (l, m, n) of a 12-float
-    state."""
+    state.  The zero coefficients of the Aerosonde stay in their terms,
+    which carry a NaN or flip a -0.0 as the full model does."""
     _, _, _, u, v, w, phi, theta, _, p, q, r = state
+    (half_rho, half_rho_prop, k_motor, S, b, c, neg_mg, mg,
+     c_l0, c_l_alpha, c_d0, c_d_alpha, neg_c_d_q, c_l_q, neg_c_d_de, c_l_de,
+     c_y0, c_y_beta, c_y_p_b, c_y_r_b, c_y_da, c_y_dr,
+     c_ll0, c_ll_beta, c_ll_p_b, c_ll_r_b, c_ll_da, c_ll_dr,
+     c_m0, c_m_alpha, c_m_q_c, c_m_de,
+     c_n0, c_n_beta, c_n_p_b, c_n_r_b, c_n_da, c_n_dr) = pr.bound
 
     va = math.sqrt(u * u + v * v + w * w)
     if va > 1e-9:
         alpha = math.atan2(w, u)
         beta = math.asin(max(-1.0, min(1.0, v / va)))
-        qbar = 0.5 * pr.rho * va * va
+        qbar = half_rho * va * va
         rate_scale = 1.0 / (2.0 * va)
     else:
         alpha = beta = qbar = rate_scale = 0.0
 
     sa, ca = math.sin(alpha), math.cos(alpha)
-    cl = pr.c_l0 + pr.c_l_alpha * alpha
-    cd = pr.c_d0 + pr.c_d_alpha * alpha
+    cl = c_l0 + c_l_alpha * alpha
+    cd = c_d0 + c_d_alpha * alpha
     cx = -cd * ca + cl * sa
-    cx_q = -pr.c_d_q * ca + pr.c_l_q * sa
-    cx_de = -pr.c_d_de * ca + pr.c_l_de * sa
+    cx_q = neg_c_d_q * ca + c_l_q * sa
+    cx_de = neg_c_d_de * ca + c_l_de * sa
     cz = -cd * sa - cl * ca
-    cz_q = -pr.c_d_q * sa - pr.c_l_q * ca
-    cz_de = -pr.c_d_de * sa - pr.c_l_de * ca
+    cz_q = neg_c_d_q * sa - c_l_q * ca
+    cz_de = neg_c_d_de * sa - c_l_de * ca
 
-    g = pr.gravity
-    qS = qbar * pr.S
-    thrust = 0.5 * pr.rho * pr.s_prop * pr.c_prop * \
-        ((pr.k_motor * delta_t) ** 2 - va * va)
+    qS = qbar * S
+    thrust = half_rho_prop * ((k_motor * delta_t) ** 2 - va * va)
 
-    fx = -pr.mass * g * math.sin(theta) \
-        + qS * (cx + cx_q * pr.c * q * rate_scale + cx_de * delta_e) + thrust
-    fy = pr.mass * g * math.cos(theta) * math.sin(phi) \
-        + qS * (pr.c_y0 + pr.c_y_beta * beta
-                + pr.c_y_p * pr.b * p * rate_scale + pr.c_y_r * pr.b * r * rate_scale
-                + pr.c_y_da * delta_a + pr.c_y_dr * delta_r)
-    fz = pr.mass * g * math.cos(theta) * math.cos(phi) \
-        + qS * (cz + cz_q * pr.c * q * rate_scale + cz_de * delta_e)
+    fx = neg_mg * math.sin(theta) \
+        + qS * (cx + cx_q * c * q * rate_scale + cx_de * delta_e) + thrust
+    fy = mg * math.cos(theta) * math.sin(phi) \
+        + qS * (c_y0 + c_y_beta * beta
+                + c_y_p_b * p * rate_scale + c_y_r_b * r * rate_scale
+                + c_y_da * delta_a + c_y_dr * delta_r)
+    fz = mg * math.cos(theta) * math.cos(phi) \
+        + qS * (cz + cz_q * c * q * rate_scale + cz_de * delta_e)
 
-    l_m = qS * pr.b * (pr.c_ll0 + pr.c_ll_beta * beta
-                       + pr.c_ll_p * pr.b * p * rate_scale
-                       + pr.c_ll_r * pr.b * r * rate_scale
-                       + pr.c_ll_da * delta_a + pr.c_ll_dr * delta_r)
-    m_m = qS * pr.c * (pr.c_m0 + pr.c_m_alpha * alpha
-                       + pr.c_m_q * pr.c * q * rate_scale + pr.c_m_de * delta_e)
-    n_m = qS * pr.b * (pr.c_n0 + pr.c_n_beta * beta
-                       + pr.c_n_p * pr.b * p * rate_scale
-                       + pr.c_n_r * pr.b * r * rate_scale
-                       + pr.c_n_da * delta_a + pr.c_n_dr * delta_r)
+    l_m = qS * b * (c_ll0 + c_ll_beta * beta
+                    + c_ll_p_b * p * rate_scale + c_ll_r_b * r * rate_scale
+                    + c_ll_da * delta_a + c_ll_dr * delta_r)
+    m_m = qS * c * (c_m0 + c_m_alpha * alpha
+                    + c_m_q_c * q * rate_scale + c_m_de * delta_e)
+    n_m = qS * b * (c_n0 + c_n_beta * beta
+                    + c_n_p_b * p * rate_scale + c_n_r_b * r * rate_scale
+                    + c_n_da * delta_a + c_n_dr * delta_r)
     return fx, fy, fz, l_m, m_m, n_m
 
 
@@ -341,7 +368,8 @@ class UavAttitudeEnv:
     def _enter(self, state: list, t: float):
         """Take `state` at time t, with its airspeed and rate command."""
         self.state = state
-        self.airspeed = float(np.linalg.norm(state[U:W + 1]))
+        uvw = np.array(state[U:W + 1])   # np.linalg.norm's own sqrt(x . x)
+        self.airspeed = math.sqrt(uvw.dot(uvw))
         self.x_d = self._rate_des(t)
 
     def _rate_des(self, t: float) -> list:
@@ -358,7 +386,7 @@ class UavAttitudeEnv:
         return np.array([p - p_d, q - q_d, r - r_d, p_d, q_d, r_d])
 
     def advance(self, u_applied, t: float, dt: float):
-        de, da, dr = map(float, u_applied)
+        de, da, dr = np.asarray(u_applied, dtype=float).tolist()
         # trim + deviation; the zero aileron and rudder trims stay in the
         # sum, which turns a -0.0 deviation into 0.0
         surfaces = (self.trim.delta_e + de, 0.0 + da, 0.0 + dr)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericFault
-from .models import fields_equal
+from .models import fields_equal, fields_hash
 from .policy import SaturationSpec
 from .rows import Rows, dot, mv, vm
 
@@ -75,7 +75,7 @@ class LearnerConfig:
     stabilizer_enabled: bool = True
     m_term_enabled: bool = True
     law: str = "novel"
-    __eq__ = fields_equal
+    __eq__, __hash__ = fields_equal, fields_hash
 
     def __post_init__(self):
         object.__setattr__(self, "Q1", np.asarray(self.Q1, dtype=float))

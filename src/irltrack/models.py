@@ -34,6 +34,15 @@ def fields_equal(a, b):
                isinstance(y, np.ndarray) else x == y for x, y in pairs)
 
 
+def fields_hash(obj):
+    """Hash of a dataclass that holds arrays, alike for objects that
+    `fields_equal` takes equal: an array field hashes as its shape and its
+    entries as floats, so -0.0 and 0.0 hash alike."""
+    return hash(tuple((v.shape, tuple(v.ravel().tolist()))
+                      if isinstance(v, np.ndarray) else v
+                      for v in (getattr(obj, f.name) for f in fields(obj))))
+
+
 @dataclass(frozen=True)
 class AffinePlant:
     """Linear plant ``xdot = A x + B u``: A is (n, n), B is (n, m)."""
@@ -41,7 +50,7 @@ class AffinePlant:
     A: np.ndarray
     B: np.ndarray
     name: str = ""
-    __eq__ = fields_equal
+    __eq__, __hash__ = fields_equal, fields_hash
 
     n = property(lambda self: np.shape(self.A)[0])
     m = property(lambda self: np.shape(self.B)[1])
@@ -64,7 +73,7 @@ class ReferenceModel:
     H: np.ndarray
     x_d0: np.ndarray
     name: str = ""
-    __eq__ = fields_equal
+    __eq__, __hash__ = fields_equal, fields_hash
 
     def __post_init__(self):
         H, x0 = np.shape(self.H), np.shape(self.x_d0)

@@ -15,9 +15,10 @@ and the pair is kept as a cross-check.  R is diagonal and both formulas
 read it one channel at a time, so `SaturationSpec` holds its diagonal
 r_diag; the full matrix is built only for the Riccati oracle.  The step
 loop evaluates tau2 and the closed form for B rows at once (`tau2_rows`,
-`penalty_rows`), with a one-row form for B = 1 (the penalty's for one
-channel, on Python floats and numpy's exp and log1p, which keep the
-vector's bits); `penalty_closed` is the one-row case of the latter.
+`penalty_rows`), with a one-row form for B = 1 (the penalty's for up to
+seven channels, on Python floats and numpy's exp and log1p, which keep the
+vector's bits, each channel sum a left fold from 0.0 as numpy's below 8
+terms); `penalty_closed` is the one-row case of the latter.
 """
 from __future__ import annotations
 
@@ -27,10 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .models import fields_equal
+from .models import fields_equal, fields_hash
 from .rows import vm
 
 _LOG2 = float(np.log(2.0))
+# the most channels whose sum `penalty_rows` folds on floats at one row
+_FOLD_MAX = 7
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,7 @@ class SaturationSpec:
 
     u_m: float
     r_diag: np.ndarray | tuple = (1.0,)
-    __eq__ = fields_equal
+    __eq__, __hash__ = fields_equal, fields_hash
 
     def __post_init__(self):
         object.__setattr__(self, "r_diag", np.asarray(self.r_diag, dtype=float))
@@ -116,13 +119,25 @@ def penalty_rows(tau: np.ndarray, th: np.ndarray, um2: np.ndarray,
     """Closed-form penalty of each row at u = -u_m tanh(tau) (th = tanh(tau),
     um2 = u_m^2, r = diag R): 2 u_m^2 tau^T R tanh(tau) + u_m^2 sum_i R_i
     ln(1 - tanh(tau_i)^2), with the stable log identity so deep saturation
-    stays finite.  One row of one channel takes the same operations on
-    Python floats, where a one-term sum is its term."""
+    stays finite.  One row takes the same operations on Python floats:
+    of one channel, whose terms are never -0.0, so that a one-term sum is
+    its term; of up to `_FOLD_MAX` channels, each channel sum a left fold
+    from 0.0, the order of numpy's `add.reduce` below 8 terms (from 8 on it
+    unrolls, and the row keeps the batched form)."""
     if tau.size == 1:
         t, h, ri, u2 = tau.item(), th.item(), r.item(), um2.item()
         a = abs(t)
         log = 2.0 * (_LOG2 - a - float(np.log1p(np.exp(-2.0 * a))))
         return np.array([2.0 * u2 * (ri * t * h) + u2 * (ri * log)])
+    if tau.size <= _FOLD_MAX and len(tau) == 1:
+        (ts,), (hs,), (rs,) = tau.tolist(), th.tolist(), r.tolist()
+        tau_sum = log_sum = 0.0
+        for t, h, ri in zip(ts, hs, rs):
+            a = abs(t)
+            tau_sum += ri * t * h
+            log_sum += ri * (2.0 * (_LOG2 - a - float(np.log1p(np.exp(-2.0 * a)))))
+        u2 = um2.item()
+        return np.array([2.0 * u2 * tau_sum + u2 * log_sum])
     return (2.0 * um2 * np.add.reduce(r * tau * th, 1)
             + um2 * np.add.reduce(r * log_one_minus_tanh2(tau), 1))
 

@@ -14,14 +14,15 @@ t_k it computes each per-step quantity once and shares it:
      law reuses theta(z_t) of step 1, grad_theta, G(z), tau2 and
      Sigma = z . zdot,
   4. record telemetry: I_hat comes from the update, V_hat from the theta
-     of step 2,
+     of step 2 (one row takes each scalar by `.item()`),
   5. apply saturate(u_hat + dither) and integrate to t_{k+1},
 
 up to the first step at or after t_end.  Catalog pairs
 (`AugmentedTrackingEnv`s) take one propagator step s <- Phi s + Gamma u of
 s = [x, x_d] together (the exact RK4 step under zero-order hold,
 Phi/Gamma built once; one row takes the products unwrapped); any other
-env advances itself.  The reference never depends on the learner.  A
+env advances itself (one row is read and advanced directly, without the
+batch's list of rows).  The reference never depends on the learner.  A
 faulted member leaves; the others go on.  With every dither amplitude 0,
 dither(t) is evaluated only at record steps and where u_hat holds a zero.
 """
@@ -210,7 +211,9 @@ class Telemetry:
         row[g_w] = W
         if self._n and row[0] <= self._data[self._n - 1, 0]:
             raise ConfigurationError("telemetry rows must be strictly time-ordered")
-        if not np.isfinite(row).all():
+        # a sum with a non-finite term is never finite: search the row only
+        # when its sum is not finite
+        if not math.isfinite(np.add.reduce(row)) and not np.isfinite(row).all():
             raise NumericFault("attempted to record a non-finite telemetry value", t=t)
         self._n += 1
 
@@ -269,7 +272,7 @@ class TrackingEnv(Protocol):
     x: Sequence[float]           # logged plant state, an array or a list
     x_d: Sequence[float]         # logged reference state, likewise
 
-    def z(self) -> np.ndarray: ...
+    def z(self) -> np.ndarray: ...  # a new array on each call
     def G(self, z: np.ndarray) -> np.ndarray: ...  # (dim_z, m) control coupling
     def advance(self, u_applied: np.ndarray, t: float, dt: float): ...
     def check_domain(self, telemetry: Telemetry, t: float): ...
@@ -336,7 +339,8 @@ class AugmentedTrackingEnv:
 
 class _EnvRows(Rows):
     """Environments as rows, each read and advanced through its own `z()`,
-    `G`, `advance` and `check_domain`."""
+    `G`, `advance` and `check_domain`; one row wraps its env's arrays as
+    views instead of building the batch's arrays from lists."""
 
     def __init__(self, envs, **arrays):
         super().__init__(envs=list(envs), **arrays)
@@ -349,12 +353,22 @@ class _EnvRows(Rows):
     x_d = property(lambda self: [env.x_d for env in self.envs])
 
     def z(self):
+        if len(self.envs) == 1:
+            return self.envs[0].z()[None]
         return np.array([env.z() for env in self.envs])
 
     def G(self, z):
+        if len(self.envs) == 1:
+            return self.envs[0].G(z[0])[None]
         return np.array([env.G(zi) for env, zi in zip(self.envs, z)])
 
     def advance(self, u_applied, t: float, dt: float):
+        if len(self.envs) == 1:
+            try:
+                self.envs[0].advance(u_applied[0], t, dt)
+            except NumericFault as exc:
+                return [(0, exc)]
+            return []
         faults = []
         for i, env in enumerate(self.envs):
             try:
@@ -468,7 +482,9 @@ def run_batch(members, sim_cfg: SimConfig):
             m_scalar = 0.0
             if critic.use_m:
                 M = m_vector(ndg, th, tau, critic.u_m)
-                m_scalar = np.where(critic.m_term, dot(critic.W, M), 0.0)
+                # one row has the m-term if any row has
+                m_scalar = dot(critic.W, M) if len(z) == 1 else \
+                    np.where(critic.m_term, dot(critic.W, M), 0.0)
             theta = basis.eval_rows(z)
 
             # 2. push the window sample for t_k
@@ -485,7 +501,17 @@ def run_batch(members, sim_cfg: SimConfig):
             record = k % every == 0 or k == n_steps
             n_val = b.amp * dither(t) \
                 if excited or record or np.count_nonzero(u_hat) < u_hat.size else None
-            if record:
+            if record and len(z) == 1:
+                if not dead:    # one row: the scalars below, unwrapped
+                    s_0, env = sigma.item(), env_rows.envs[0]
+                    try:
+                        live[0].append(t, z[0], env.x, env.x_d,
+                                       u_hat[0], n_val.item(), critic.e_hat.item(),
+                                       s_0, 0 if s_0 < 0 else 1, critic.I_hat.item(),
+                                       float(critic.W[0] @ theta[0]), critic.W[0])
+                    except NumericFault as exc:
+                        dead.append((0, exc))
+            elif record:
                 faulted = {i for i, _ in dead}
                 scalars = zip(n_val.tolist(), critic.e_hat.tolist(),
                               sigma.tolist(), critic.I_hat.tolist(),

@@ -123,9 +123,10 @@ def test_member_does_not_depend_on_its_batch(tmp_path):
     for cfg, rows in zip(cfgs, alone):
         ((tel, _),) = batched([cfg])
         assert np.array_equal(tel.rows, rows)
-    # the UAV and a linear member with two channels (m = 2)
+    # the UAV past its divergence onset (0.16 s), with Xi toggling, and a
+    # linear member with two channels (m = 2)
     for config, overrides in (
-            ("uav_attitude", ["sim.t_end_s=0.15", "sim.record_every=1"]),
+            ("uav_attitude", ["sim.t_end_s=0.5", "sim.record_every=1"]),
             ("linear_benchmark", ["sim.t_end_s=0.3", "experiment.plant=integrator",
                                   "plant.n=2", "saturation.r_diag=10 10",
                                   "dither.amplitude=1"])):
@@ -133,6 +134,18 @@ def test_member_does_not_depend_on_its_batch(tmp_path):
         ((tel, fault),) = batched([cfg])
         assert fault is None
         assert np.array_equal(tel.rows, batched([cfg, cfg])[0][0].rows)
+    # a member whose own `advance` faults (the UAV at 2000 m/s reaches the
+    # pitch guard) leaves with the same fault alone and beside a healthy one
+    faulty, healthy = (load(tmp_path, ["sim.t_end_s=0.05", "sim.record_every=1",
+                                       f"plant.va_m_s={va}"], f"va{va}", "uav_attitude")
+                       for va in (2000, 18))
+    ((tel, fault),) = batched([faulty])
+    (tel_2, fault_2), (_, no_fault) = batched([faulty, healthy])
+    assert fault is not None and no_fault is None
+    assert "pitch angle" in str(fault) and fault.step < 50
+    assert (str(fault_2), fault_2.t, fault_2.step, fault_2.component) == \
+        (str(fault), fault.t, fault.step, fault.component)
+    assert np.array_equal(tel_2.rows, tel.rows)
 
 
 def sweep(tmp_path, name, *args):

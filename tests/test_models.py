@@ -137,3 +137,21 @@ def learner(Q1, sat):
 def test_models_with_arrays_compare_by_value(build, other):
     assert build() == build() and not build() != build()
     assert build() != other() and not build() == other()
+
+
+# each pair is equal by value: an entry -0.0 against 0.0, or the same
+# entries in a new array
+@pytest.mark.parametrize("build, other", [
+    (partial(SaturationSpec, 1.0, np.ones(2)),
+     partial(SaturationSpec, 1.0, np.array([1.0, 1.0]))),
+    (partial(AffinePlant, np.eye(2), np.zeros((2, 1)), "p"),
+     partial(AffinePlant, np.eye(2), np.full((2, 1), -0.0), "p")),
+    (partial(ReferenceModel, -np.zeros((2, 2)), np.ones(2), "r"),
+     partial(ReferenceModel, np.zeros((2, 2)), np.ones(2), "r")),
+    (partial(learner, np.diag([1.0, 0.0]), SaturationSpec(1.0, np.ones(2))),
+     partial(learner, np.diag([1.0, -0.0]), SaturationSpec(1.0, np.ones(2)))),
+])
+def test_equal_models_hash_alike_and_key_a_dict(build, other):
+    a, b = build(), other()
+    assert a == b and hash(a) == hash(b)
+    assert {a: "first"}[b] == "first" and len({a, b}) == 1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import irltrack.policy as policy_module
 from irltrack.basis import quad_basis
 from irltrack.errors import ConfigurationError
 from irltrack.policy import (SaturationSpec, log_one_minus_tanh2, penalty_closed,
@@ -137,14 +138,25 @@ def test_log_one_minus_tanh2_stable():
     assert abs(vals[1] - direct) < 1e-12
 
 
-@pytest.mark.parametrize("m", [1, 3])
-def test_penalty_row_alone_has_its_bits_in_a_batch(m):
-    """One row (at m = 1 on Python floats) against the same row in the
-    middle of a batch of three, bit for bit."""
-    r = np.array([10.0, 0.5, 3.0])[:m]
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 8])
+def test_penalty_row_alone_has_its_bits_in_a_batch(m, monkeypatch):
+    """One row against the same row in the middle of a batch of three, bit
+    for bit: up to 7 channels on Python floats, 8 in the batched form."""
+    rng = np.random.default_rng(m)
+    r = np.array([10.0, 0.5, 3.0, 1e-3, 7.0, 2e3, 0.9, 4.0])[:m]
     um2 = np.array([4.0, 2.25, 9.0])
-    for t in (0.0, -0.0, 1e-300, 0.3, -0.3, 30.0, -30.0):
-        tau = np.array([[0.7, -1.1, 2.0], [t, -t, 0.3], [-5.0, 0.1, t]])[:, :m]
+    signs = np.resize([1.0, -1.0], m)
+    rows = [t * signs for t in (0.0, -0.0, 1e-300, 0.3, -0.3, 30.0, 700.0)]
+    rows.append(np.full(m, -0.0))
+    # magnitudes over six decades, so that the order of each sum shows
+    rows += [rng.normal(size=m) * 10.0 ** rng.integers(-3, 3, m) for _ in range(30)]
+    batched = []    # one entry per call of the batched form
+    monkeypatch.setattr(policy_module, "log_one_minus_tanh2",
+                        lambda a: batched.append(a.shape) or log_one_minus_tanh2(a))
+    for row in rows:
+        tau = np.array([rng.normal(size=m), row, rng.normal(size=m)])
         alone = penalty_rows(tau[1:2], np.tanh(tau[1:2]), um2[1:2], r[None])
+        assert batched == ([(1, m)] if m == 8 else [])
         batch = penalty_rows(tau, np.tanh(tau), um2, np.tile(r, (3, 1)))
-        assert alone.shape == (1,) and alone.tobytes() == batch[1:2].tobytes(), t
+        assert alone.shape == (1,) and alone.tobytes() == batch[1:2].tobytes(), row
+        batched.clear()
