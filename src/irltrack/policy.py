@@ -119,17 +119,14 @@ def penalty_rows(tau: np.ndarray, th: np.ndarray, um2: np.ndarray,
     """Closed-form penalty of each row at u = -u_m tanh(tau) (th = tanh(tau),
     um2 = u_m^2, r = diag R): 2 u_m^2 tau^T R tanh(tau) + u_m^2 sum_i R_i
     ln(1 - tanh(tau_i)^2), with the stable log identity so deep saturation
-    stays finite.  One row takes the same operations on Python floats:
-    of one channel, whose terms are never -0.0, so that a one-term sum is
-    its term; of up to `_FOLD_MAX` channels, each channel sum a left fold
-    from 0.0, the order of numpy's `add.reduce` below 8 terms (from 8 on it
-    unrolls, and the row keeps the batched form)."""
-    if tau.size == 1:
-        t, h, ri, u2 = tau.item(), th.item(), r.item(), um2.item()
-        a = abs(t)
-        log = 2.0 * (_LOG2 - a - float(np.log1p(np.exp(-2.0 * a))))
-        return np.array([2.0 * u2 * (ri * t * h) + u2 * (ri * log)])
-    if tau.size <= _FOLD_MAX and len(tau) == 1:
+    stays finite.  One row of up to `_FOLD_MAX` channels takes the same
+    operations on Python floats, each channel sum a left fold from 0.0, the
+    order of numpy's `add.reduce` below 8 terms (from 8 on it unrolls, and
+    the row keeps the batched form); at one channel, where `add.reduce`
+    returns the term itself, the fold's 0.0 + term is that term, as
+    neither term is ever -0.0 (r > 0, tau tanh(tau) >= +0.0, and ln 2 - |tau|
+    - log1p(.) is never -0.0)."""
+    if len(tau) == 1 and tau.size <= _FOLD_MAX:
         (ts,), (hs,), (rs,) = tau.tolist(), th.tolist(), r.tolist()
         tau_sum = log_sum = 0.0
         for t, h, ri in zip(ts, hs, rs):

@@ -21,8 +21,8 @@ up to the first step at or after t_end.  Catalog pairs
 (`AugmentedTrackingEnv`s) take one propagator step s <- Phi s + Gamma u of
 s = [x, x_d] together (the exact RK4 step under zero-order hold,
 Phi/Gamma built once; one row takes the products unwrapped); any other
-env advances itself (one row is read and advanced directly, without the
-batch's list of rows).  The reference never depends on the learner.  A
+env advances itself (one row is read directly, without the batch's list
+of rows).  The reference never depends on the learner.  A
 faulted member leaves; the others go on.  With every dither amplitude 0,
 dither(t) is evaluated only at record steps and where u_hat holds a zero.
 """
@@ -363,12 +363,6 @@ class _EnvRows(Rows):
         return np.array([env.G(zi) for env, zi in zip(self.envs, z)])
 
     def advance(self, u_applied, t: float, dt: float):
-        if len(self.envs) == 1:
-            try:
-                self.envs[0].advance(u_applied[0], t, dt)
-            except NumericFault as exc:
-                return [(0, exc)]
-            return []
         faults = []
         for i, env in enumerate(self.envs):
             try:
@@ -482,9 +476,10 @@ def run_batch(members, sim_cfg: SimConfig):
             m_scalar = 0.0
             if critic.use_m:
                 M = m_vector(ndg, th, tau, critic.u_m)
-                # one row has the m-term if any row has
-                m_scalar = dot(critic.W, M) if len(z) == 1 else \
-                    np.where(critic.m_term, dot(critic.W, M), 0.0)
+                if len(z) == 1:    # one row: its m-term or 0.0, without np.where
+                    m_scalar = dot(critic.W, M) if critic.m_term[0] else np.zeros(1)
+                else:
+                    m_scalar = np.where(critic.m_term, dot(critic.W, M), 0.0)
             theta = basis.eval_rows(z)
 
             # 2. push the window sample for t_k

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import irltrack.cli as cli
+import irltrack.learner as learner_module
 import reference
 from irltrack.basis import quad_basis
 from irltrack.config import apply_overrides, parse_config, resolve
@@ -146,6 +147,24 @@ def test_member_does_not_depend_on_its_batch(tmp_path):
     assert (str(fault_2), fault_2.t, fault_2.step, fault_2.component) == \
         (str(fault), fault.t, fault.step, fault.component)
     assert np.array_equal(tel_2.rows, tel.rows)
+
+
+def test_survivor_without_the_m_term_keeps_pushing_zero(tmp_path, monkeypatch):
+    # the m-term row faults and leaves the baseline row alone in the batch:
+    # its window samples of W . M stay 0.0, the one row's form included
+    faulty, survivor = (load(tmp_path, ["sim.t_end_s=0.1"] + p, f"m{i}")
+                        for i, p in enumerate((["learner.m_term=on", "learner.alpha=1e8"],
+                                               ["experiment.law=baseline"])))
+    pushed = []
+    push = learner_module.WindowBuffer.push
+    monkeypatch.setattr(learner_module.WindowBuffer, "push",
+                        lambda buf, t, theta, cost, m:
+                        pushed.append((len(cost), m)) or push(buf, t, theta, cost, m))
+    (_, fault), (_, no_fault) = batched([faulty, survivor])
+    assert fault is not None and no_fault is None
+    alone = [m for rows, m in pushed if rows == 1]
+    assert len(alone) > 50
+    assert all(np.array_equal(m, [0.0]) for m in alone)
 
 
 def sweep(tmp_path, name, *args):
