@@ -15,11 +15,11 @@ The control coupling of the three rate channels is the only aerodynamic
 information handed to the learner; it is evaluated at the live dynamic
 pressure.
 
-The physics runs on Python floats.  `forces_moments` reads the airframe's
-constants once per call (`AirframeParams.bound`), with the exact left
-prefixes of its products folded (0.5 rho, -m g, c_y_p b, ...), and the
-airspeed is `np.linalg.norm`'s own sqrt(x . x), so every value keeps the
-bits of the attribute-by-attribute form.
+The physics is one function on Python floats, `uav_dynamics`.  It reads
+the airframe's constants once per call (`AirframeParams.bound`), with the
+exact left prefixes of its products folded (0.5 rho, -m g, c_y_p b, ...),
+and takes the sine and cosine of alpha, phi, theta and psi once, so every
+value keeps the bits of the attribute-by-attribute form.
 """
 from __future__ import annotations
 
@@ -106,12 +106,13 @@ class AirframeParams:
 
     @cached_property
     def bound(self):
-        """The constants of `forces_moments`, read once: exact left
-        prefixes of its products (0.5 rho, -m g, c_y_p b, ...) come folded,
-        so the forces keep their bits."""
+        """The constants of `uav_dynamics`, read once: exact left prefixes
+        of its products (0.5 rho, -m g, c_y_p b, ...) come folded, so the
+        forces keep their bits."""
         half_rho, b, c = 0.5 * self.rho, self.b, self.c
         return (half_rho, half_rho * self.s_prop * self.c_prop, self.k_motor,
-                self.S, b, c, -self.mass * self.gravity, self.mass * self.gravity,
+                self.S, b, c, self.mass, self.jy,
+                -self.mass * self.gravity, self.mass * self.gravity,
                 self.c_l0, self.c_l_alpha, self.c_d0, self.c_d_alpha,
                 -self.c_d_q, self.c_l_q, -self.c_d_de, self.c_l_de,
                 self.c_y0, self.c_y_beta, self.c_y_p * b, self.c_y_r * b,
@@ -154,18 +155,26 @@ AEROSONDE = AirframeParams(
 )
 
 
-def forces_moments(state, delta_e: float, delta_a: float, delta_r: float,
-                   delta_t: float, pr: AirframeParams):
-    """Body-frame forces (fx, fy, fz) and moments (l, m, n) of a 12-float
-    state.  The zero coefficients of the Aerosonde stay in their terms,
-    which carry a NaN or flip a -0.0 as the full model does."""
-    _, _, _, u, v, w, phi, theta, _, p, q, r = state
-    (half_rho, half_rho_prop, k_motor, S, b, c, neg_mg, mg,
+def uav_dynamics(state, deflections, delta_t: float) -> list:
+    """Rigid-body state derivative of the Aerosonde on Python floats: a
+    12-float state, absolute (elevator, aileron, rudder) and the throttle
+    in, the 12 derivatives out as a list.  Its zero aero coefficients stay
+    in their terms, which carry a NaN or flip a -0.0 as the full model does.
+
+    Aborts on the Euler pitch singularity; the caller is responsible for
+    keeping deflections inside the actuator bound.
+    """
+    de, da, dr = deflections
+    _, _, _, u, v, w, phi, theta, psi, p, q, r = state
+    if abs(theta) >= _PITCH_GUARD:
+        raise NumericFault(f"pitch angle {theta:.4g} rad reached the Euler "
+                           "singularity guard", component=THETA)
+    (half_rho, half_rho_prop, k_motor, S, b, c, mass, jy, neg_mg, mg,
      c_l0, c_l_alpha, c_d0, c_d_alpha, neg_c_d_q, c_l_q, neg_c_d_de, c_l_de,
      c_y0, c_y_beta, c_y_p_b, c_y_r_b, c_y_da, c_y_dr,
      c_ll0, c_ll_beta, c_ll_p_b, c_ll_r_b, c_ll_da, c_ll_dr,
      c_m0, c_m_alpha, c_m_q_c, c_m_de,
-     c_n0, c_n_beta, c_n_p_b, c_n_r_b, c_n_da, c_n_dr) = pr.bound
+     c_n0, c_n_beta, c_n_p_b, c_n_r_b, c_n_da, c_n_dr) = AEROSONDE.bound
 
     va = math.sqrt(u * u + v * v + w * w)
     if va > 1e-9:
@@ -177,6 +186,12 @@ def forces_moments(state, delta_e: float, delta_a: float, delta_r: float,
         alpha = beta = qbar = rate_scale = 0.0
 
     sa, ca = math.sin(alpha), math.cos(alpha)
+    sph, cph = math.sin(phi), math.cos(phi)
+    sth, cth = math.sin(theta), math.cos(theta)
+    sps, cps = math.sin(psi), math.cos(psi)
+    tth = sth / cth
+
+    # body-frame forces and moments
     cl = c_l0 + c_l_alpha * alpha
     cd = c_d0 + c_d_alpha * alpha
     cx = -cd * ca + cl * sa
@@ -189,47 +204,25 @@ def forces_moments(state, delta_e: float, delta_a: float, delta_r: float,
     qS = qbar * S
     thrust = half_rho_prop * ((k_motor * delta_t) ** 2 - va * va)
 
-    fx = neg_mg * math.sin(theta) \
-        + qS * (cx + cx_q * c * q * rate_scale + cx_de * delta_e) + thrust
-    fy = mg * math.cos(theta) * math.sin(phi) \
+    fx = neg_mg * sth \
+        + qS * (cx + cx_q * c * q * rate_scale + cx_de * de) + thrust
+    fy = mg * cth * sph \
         + qS * (c_y0 + c_y_beta * beta
                 + c_y_p_b * p * rate_scale + c_y_r_b * r * rate_scale
-                + c_y_da * delta_a + c_y_dr * delta_r)
-    fz = mg * math.cos(theta) * math.cos(phi) \
-        + qS * (cz + cz_q * c * q * rate_scale + cz_de * delta_e)
+                + c_y_da * da + c_y_dr * dr)
+    fz = mg * cth * cph \
+        + qS * (cz + cz_q * c * q * rate_scale + cz_de * de)
 
     l_m = qS * b * (c_ll0 + c_ll_beta * beta
                     + c_ll_p_b * p * rate_scale + c_ll_r_b * r * rate_scale
-                    + c_ll_da * delta_a + c_ll_dr * delta_r)
+                    + c_ll_da * da + c_ll_dr * dr)
     m_m = qS * c * (c_m0 + c_m_alpha * alpha
-                    + c_m_q_c * q * rate_scale + c_m_de * delta_e)
+                    + c_m_q_c * q * rate_scale + c_m_de * de)
     n_m = qS * b * (c_n0 + c_n_beta * beta
                     + c_n_p_b * p * rate_scale + c_n_r_b * r * rate_scale
-                    + c_n_da * delta_a + c_n_dr * delta_r)
-    return fx, fy, fz, l_m, m_m, n_m
+                    + c_n_da * da + c_n_dr * dr)
 
-
-def uav_dynamics(state, deflections, pr: AirframeParams, delta_t: float) -> list:
-    """Rigid-body state derivative under absolute surface deflections, on
-    Python floats: a 12-float state and (elevator, aileron, rudder) in, the
-    12 derivatives out as a list.
-
-    Aborts on the Euler pitch singularity; the caller is responsible for
-    keeping deflections inside the actuator bound.
-    """
-    de, da, dr = deflections
-    _, _, _, u, v, w, phi, theta, psi, p, q, r = state
-    if abs(theta) >= _PITCH_GUARD:
-        raise NumericFault(f"pitch angle {theta:.4g} rad reached the Euler "
-                           "singularity guard", component=THETA)
-    fx, fy, fz, l_m, m_m, n_m = forces_moments(state, de, da, dr, delta_t, pr)
-
-    sph, cph = math.sin(phi), math.cos(phi)
-    sth, cth = math.sin(theta), math.cos(theta)
-    sps, cps = math.sin(psi), math.cos(psi)
-    tth = sth / cth
-
-    g1, g2, g3, g4, g5, g6, g7, g8 = pr.gammas
+    g1, g2, g3, g4, g5, g6, g7, g8 = AEROSONDE.gammas
     return [
         # body -> inertial kinematics (PN, PE, PD)
         (cth * cps) * u + (sph * sth * cps - cph * sps) * v
@@ -238,23 +231,24 @@ def uav_dynamics(state, deflections, pr: AirframeParams, delta_t: float) -> list
         + (cph * sth * sps - sph * cps) * w,
         -sth * u + sph * cth * v + cph * cth * w,
         # body-frame accelerations (U, V, W)
-        r * v - q * w + fx / pr.mass,
-        p * w - r * u + fy / pr.mass,
-        q * u - p * v + fz / pr.mass,
+        r * v - q * w + fx / mass,
+        p * w - r * u + fy / mass,
+        q * u - p * v + fz / mass,
         # attitude kinematics (PHI, THETA, PSI)
         p + sph * tth * q + cph * tth * r,
         cph * q - sph * r,
         (sph / cth) * q + (cph / cth) * r,
         # moment equations (P, Q, R)
         g1 * p * q - g2 * q * r + g3 * l_m + g4 * n_m,
-        g5 * p * r - g6 * (p * p - r * r) + m_m / pr.jy,
+        g5 * p * r - g6 * (p * p - r * r) + m_m / jy,
         g7 * p * q - g1 * q * r + g4 * l_m + g8 * n_m,
     ]
 
 
-def rate_control_coupling(va: float, pr: AirframeParams) -> list:
-    """d(pdot,qdot,rdot)/d(delta_e,delta_a,delta_r) at dynamic pressure of
-    va, as three rows of floats."""
+def rate_control_coupling(va: float) -> list:
+    """d(pdot,qdot,rdot)/d(delta_e,delta_a,delta_r) of the Aerosonde at
+    dynamic pressure of va, as three rows of floats."""
+    pr = AEROSONDE
     qbar = 0.5 * pr.rho * va * va
     qSb = qbar * pr.S * pr.b
     qSc = qbar * pr.S * pr.c
@@ -287,15 +281,18 @@ class TrimPoint:
         return state
 
 
-def trim_level_flight(pr: AirframeParams, va: float) -> TrimPoint:
-    """Solve (alpha, delta_e, delta_t) for steady wings-level flight at va."""
+def trim_level_flight(va: float) -> TrimPoint:
+    """Solve (alpha, delta_e, delta_t) for steady wings-level flight at va.
+    OracleFailure if the solve fails or its trim is outside the envelope of
+    the model: an angle of attack past the stall angle or a throttle outside
+    [0, 1] (13.3 to 78.8 m/s for the Aerosonde)."""
     from scipy.optimize import root
 
     def residual(x):
         alpha, de, dt_ = x
         state = TrimPoint(va, alpha, de, dt_).initial_state(0.0)
         try:
-            d = uav_dynamics(state, (float(de), 0.0, 0.0), pr, dt_)
+            d = uav_dynamics(state, (float(de), 0.0, 0.0), dt_)
         except NumericFault:
             # solver wandered past the pitch guard; steer it back
             return [1e6 * (1.0 + abs(alpha)), 1e6, 1e6]
@@ -306,6 +303,13 @@ def trim_level_flight(pr: AirframeParams, va: float) -> TrimPoint:
         raise OracleFailure(f"trim solver failed at va={va}: "
                             + " ".join(sol.message.split()))
     alpha, de, dt_ = sol.x
+    if abs(alpha) > AEROSONDE.stall_alpha:
+        raise OracleFailure(
+            f"plant.va_m_s = {va} trims at alpha = {math.degrees(alpha):.1f} deg, "
+            f"past the stall angle of {math.degrees(AEROSONDE.stall_alpha):g} deg")
+    if not 0.0 <= dt_ <= 1.0:
+        raise OracleFailure(f"plant.va_m_s = {va} trims at throttle {dt_:.4g}, "
+                            "outside [0, 1]")
     return TrimPoint(va=va, alpha=float(alpha), delta_e=float(de), delta_t=float(dt_))
 
 
@@ -354,9 +358,7 @@ class UavAttitudeEnv:
     m = 3
     dim_z = 6
 
-    def __init__(self, params: AirframeParams, trim: TrimPoint,
-                 schedule: SetpointSchedule, state):
-        self.params = params
+    def __init__(self, trim: TrimPoint, schedule: SetpointSchedule, state):
         self.trim = trim
         self.schedule = schedule
         self._enter([float(s) for s in state], 0.0)
@@ -377,7 +379,7 @@ class UavAttitudeEnv:
 
     def G(self, z) -> np.ndarray:
         """Rate-channel coupling at the live airspeed (z is not read)."""
-        return np.array([*rate_control_coupling(self.airspeed, self.params),
+        return np.array([*rate_control_coupling(self.airspeed),
                          *_NO_COUPLING])
 
     def z(self) -> np.ndarray:
@@ -390,13 +392,13 @@ class UavAttitudeEnv:
         # trim + deviation; the zero aileron and rudder trims stay in the
         # sum, which turns a -0.0 deviation into 0.0
         surfaces = (self.trim.delta_e + de, 0.0 + da, 0.0 + dr)
-        pr, delta_t = self.params, self.trim.delta_t
-        self._enter(rk4_step(lambda tt, s: uav_dynamics(s, surfaces, pr, delta_t),
+        delta_t = self.trim.delta_t
+        self._enter(rk4_step(lambda tt, s: uav_dynamics(s, surfaces, delta_t),
                              t, self.state, dt), t + dt)
 
     def check_domain(self, telemetry: Telemetry, t: float):
         if self.airspeed > 1e-9 and abs(math.atan2(
-                self.state[W], self.state[U])) > self.params.stall_alpha:
+                self.state[W], self.state[U])) > AEROSONDE.stall_alpha:
             telemetry.warn("stall regime: |alpha| above the stall angle", t)
 
     def series(self, telemetry: Telemetry) -> dict:
@@ -438,12 +440,11 @@ def parse_schedule(text: str) -> SetpointSchedule:
 
 def make_uav_env(plant_params: dict, reference_params: dict) -> UavAttitudeEnv:
     """Aerosonde environment from the config's [plant] and [reference] keys."""
-    trim = trim_level_flight(AEROSONDE,
-                             va=param(plant_params, "plant", "va_m_s", 18.0))
+    trim = trim_level_flight(param(plant_params, "plant", "va_m_s", 18.0))
     schedule = parse_schedule(reference_params.get(
         "setpoints_deg", "0: -30 0 -10; 7: 30 0 10; 11: 0 0 10"))
     # the run starts at the first setpoint's roll and yaw, at trim pitch
     state = trim.initial_state(param(plant_params, "plant", "altitude_m", 100.0))
     att0 = schedule.attitude_des(0.0)
     state[PHI], state[PSI] = att0[0], att0[2]
-    return UavAttitudeEnv(AEROSONDE, trim, schedule, state)
+    return UavAttitudeEnv(trim, schedule, state)

@@ -15,10 +15,11 @@ and the pair is kept as a cross-check.  R is diagonal and both formulas
 read it one channel at a time, so `SaturationSpec` holds its diagonal
 r_diag; the full matrix is built only for the Riccati oracle.  The step
 loop evaluates tau2 and the closed form for B rows at once (`tau2_rows`,
-`penalty_rows`), with a one-row form for B = 1 (the penalty's for up to
-seven channels, on Python floats and numpy's exp and log1p, which keep the
-vector's bits, each channel sum a left fold from 0.0 as numpy's below 8
-terms); `penalty_closed` is the one-row case of the latter.
+`penalty_rows`); at B = 1 tau2 takes the one-row products of `rows.vm`,
+and the penalty for up to seven channels runs on Python floats and numpy's
+exp and log1p, which keep the vector's bits, each channel sum a left fold
+from 0.0 as numpy's below 8 terms; `penalty_closed` is the one-row case of
+the latter.
 """
 from __future__ import annotations
 
@@ -72,10 +73,7 @@ class SaturationSpec:
 def tau2_rows(W: np.ndarray, grad: np.ndarray, G: np.ndarray,
               den: np.ndarray) -> np.ndarray:
     """Saturation argument of each row from W (B, n1), grad_theta(z)
-    (B, n1, d), G(z) (B, d, m) and den = 2 u_m R_ii (B, m); one row takes
-    the 1-D products of `rows.vm` without their batch wrapping."""
-    if len(W) == 1:
-        return W[0] @ grad[0] @ G[0] / den
+    (B, n1, d), G(z) (B, d, m) and den = 2 u_m R_ii (B, m)."""
     return vm(vm(W, grad), G) / den
 
 

@@ -11,6 +11,7 @@ which steps itself, and of the integrator batch too, each member writing
 the bytes `irltrack run` writes for its point.
 """
 import csv
+import itertools
 import re
 
 import numpy as np
@@ -135,11 +136,13 @@ def test_member_does_not_depend_on_its_batch(tmp_path):
         ((tel, fault),) = batched([cfg])
         assert fault is None
         assert np.array_equal(tel.rows, batched([cfg, cfg])[0][0].rows)
-    # a member whose own `advance` faults (the UAV at 2000 m/s reaches the
-    # pitch guard) leaves with the same fault alone and beside a healthy one
+    # a member whose own `advance` faults (the UAV with a 1e20 deg actuator
+    # bound reaches the pitch guard) leaves with the same fault alone and
+    # beside a healthy one
     faulty, healthy = (load(tmp_path, ["sim.t_end_s=0.05", "sim.record_every=1",
-                                       f"plant.va_m_s={va}"], f"va{va}", "uav_attitude")
-                       for va in (2000, 18))
+                                       f"saturation.u_m_deg={u_m}"], f"u_m{u_m}",
+                            "uav_attitude")
+                       for u_m in (1e20, 90))
     ((tel, fault),) = batched([faulty])
     (tel_2, fault_2), (_, no_fault) = batched([faulty, healthy])
     assert fault is not None and no_fault is None
@@ -283,28 +286,36 @@ def artifacts(run):
 
 
 def test_uav_sweep_batches_around_a_trim_failure(tmp_path):
-    # 0.5 m/s has no trim (exit 4, alone); 18 and 2000 m/s batch together,
-    # and 2000 faults
+    # 0.5 m/s has no trim and 100 m/s trims past full throttle (exit 4,
+    # alone); the two points at 18 m/s batch together, and the one with a
+    # 1e20 deg actuator bound faults
     overrides = ["sim.t_end_s=0.05", "sim.record_every=1"]
     args = [a for ov in overrides for a in ("--override", ov)]
     out = tmp_path / "sweep"
     assert cli.main(["sweep", "uav_attitude", *args,
-                     "--grid", "plant.va_m_s=18,0.5,2000",
+                     "--grid", "saturation.u_m_deg=90,1e20",
+                     "--grid", "plant.va_m_s=18,0.5,100",
                      "--out", str(out)]) == cli.EXIT_ORACLE
-    assert [row["status"] for row in summary(out)] == ["ok", "exit4", "exit3"]
+    assert [row["status"] for row in summary(out)] == \
+        ["ok", "exit4", "exit4", "exit3", "exit4", "exit4"]
     assert [manifest_value(out / f"run00{i}", "batch_size")
-            for i in (0, 2)] == ["2", "2"]
-    for i, va in enumerate(("18", "0.5", "2000")):
+            for i in (0, 3)] == ["2", "2"]
+    for i, (u_m, va) in enumerate(itertools.product(("90", "1e20"),
+                                                    ("18", "0.5", "100"))):
         ref = tmp_path / f"ref{i}"
         code, _ = cli.run_one(cli.resolve_config_path("uav_attitude"),
-                              overrides + [f"plant.va_m_s={va}"], str(ref))
-        assert code == [cli.EXIT_OK, cli.EXIT_ORACLE, cli.EXIT_NUMERIC][i]
+                              overrides + [f"saturation.u_m_deg={u_m}",
+                                           f"plant.va_m_s={va}"], str(ref))
+        assert code == {"18": cli.EXIT_NUMERIC if u_m == "1e20" else cli.EXIT_OK,
+                        "0.5": cli.EXIT_ORACLE, "100": cli.EXIT_ORACLE}[va]
         run = out / f"run00{i}"
         assert artifacts(run) == artifacts(ref)
         assert manifest_value(run, "status") == manifest_value(ref, "status")
-        if va == "0.5":   # no trim: the manifest says why, here and alone
-            assert manifest_value(run, "status").startswith(
-                "oracle failure: trim solver failed at va=0.5")
+        if va != "18":   # no trim: the manifest says why, here and alone
+            assert manifest_value(run, "status").startswith({
+                "0.5": "oracle failure: trim solver failed at va=0.5",
+                "100": "oracle failure: plant.va_m_s = 100.0 trims at throttle "
+                       "1.266, outside [0, 1]"}[va])
 
 
 def test_every_sweep_point_gets_a_weight_error_series(tmp_path):
@@ -446,9 +457,9 @@ def test_a_sweep_builds_each_point_once(tmp_path, monkeypatch):
     calls = []
     trim = uav.trim_level_flight
 
-    def counting(pr, va):
+    def counting(va):
         calls.append(va)
-        return trim(pr, va=va)
+        return trim(va)
 
     monkeypatch.setattr(uav, "trim_level_flight", counting)
     assert cli.main(["sweep", "uav_attitude", "--override", "sim.t_end_s=0.01",

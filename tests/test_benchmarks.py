@@ -10,9 +10,9 @@ import irltrack.cli as cli
 from irltrack.basis import quad_basis
 from irltrack.benchmarks.linear import (discounted_riccati, ideal_weights,
                                         riccati_residual)
-from irltrack.benchmarks.uav import (AEROSONDE, THETA, U, forces_moments,
-                                     outer_loop, rate_control_coupling,
-                                     trim_level_flight, uav_dynamics)
+from irltrack.benchmarks.uav import (AEROSONDE, P, THETA, U, V, W, outer_loop,
+                                     rate_control_coupling, trim_level_flight,
+                                     uav_dynamics)
 from irltrack.catalog import make_env
 from irltrack.errors import NumericFault, OracleFailure
 from irltrack.models import augmented_linear
@@ -147,27 +147,23 @@ class TestIdealWeights:
 
 class TestAirframe:
     def setup_method(self):
-        self.pr = AEROSONDE
-        self.trim = trim_level_flight(self.pr, va=18.0)
+        self.trim = trim_level_flight(18.0)
 
     def test_trim_residual(self):
         s0 = self.trim.initial_state(100.0)
-        d = uav_dynamics(s0, np.array([self.trim.delta_e, 0.0, 0.0]), self.pr,
+        d = uav_dynamics(s0, np.array([self.trim.delta_e, 0.0, 0.0]),
                          self.trim.delta_t)
         # body accelerations and all rate/attitude derivatives vanish at trim
         assert np.max(np.abs(d[U:])) <= 1e-8
 
     def test_zero_airspeed_kills_aero_forces(self):
-        s = np.zeros(12)
-        fx, fy, fz, l_m, m_m, n_m = forces_moments(s, 0.3, 0.2, -0.1, 0.0,
-                                                   self.pr)
-        g = self.pr.gravity * self.pr.mass
-        assert (fx, fy) == (0.0, 0.0)
-        assert fz == pytest.approx(g, abs=1e-12)  # gravity only
-        assert (l_m, m_m, n_m) == (0.0, 0.0, 0.0)
+        d = uav_dynamics([0.0] * 12, (0.3, 0.2, -0.1), 0.0)
+        assert (d[U], d[V]) == (0.0, 0.0)
+        assert d[W] == pytest.approx(AEROSONDE.gravity, abs=1e-12)  # gravity only
+        assert d[P:] == [0.0, 0.0, 0.0]
 
     def test_aileron_sign_convention(self):
-        g3 = np.array(rate_control_coupling(18.0, self.pr))
+        g3 = np.array(rate_control_coupling(18.0))
         # positive aileron rolls positively and dominates the cross effects
         assert g3[0, 1] > 0.0
         assert abs(g3[0, 1]) > abs(g3[2, 1])
@@ -178,11 +174,11 @@ class TestAirframe:
         s = self.trim.initial_state(100.0)
         s[THETA] = math.pi / 2
         with pytest.raises(NumericFault):
-            uav_dynamics(s, np.zeros(3), self.pr, self.trim.delta_t)
+            uav_dynamics(s, np.zeros(3), self.trim.delta_t)
 
     def test_coupling_scales_with_dynamic_pressure(self):
-        a = np.array(rate_control_coupling(10.0, self.pr))
-        b = np.array(rate_control_coupling(20.0, self.pr))
+        a = np.array(rate_control_coupling(10.0))
+        b = np.array(rate_control_coupling(20.0))
         assert np.allclose(b, 4.0 * a)
 
 

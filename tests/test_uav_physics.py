@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from irltrack.benchmarks.uav import (AEROSONDE, Q, THETA, U, W, UavAttitudeEnv,
-                                     trim_level_flight)
+from irltrack.benchmarks.uav import (AEROSONDE, PHI, PSI, Q, THETA, U, W,
+                                     UavAttitudeEnv, trim_level_flight,
+                                     uav_dynamics)
 from irltrack.catalog import make_env
-from irltrack.errors import NumericFault
+from irltrack.errors import NumericFault, OracleFailure
 from irltrack.sim import Telemetry
 
 from reference import ArrayUavEnv
+from reference import uav_dynamics as array_dynamics
 
 U_M = math.pi / 2   # the bundled 90 deg actuator bound
 DT = 1e-3
@@ -20,7 +22,7 @@ DT = 1e-3
 def _pair(setpoints="0: -30 0 -10; 0.15: 30 0 10"):
     env = make_env("aerosonde", "attitude_schedule", {},
                    {"setpoints_deg": setpoints})
-    ref = ArrayUavEnv(env.params, env.trim, env.schedule, env.state)
+    ref = ArrayUavEnv(AEROSONDE, env.trim, env.schedule, env.state)
     return env, ref
 
 
@@ -62,8 +64,8 @@ def test_float_physics_is_bitwise_the_array_formulation_at_random_states():
         state = np.concatenate([rng.normal(0.0, 100.0, 3), rng.normal(0.0, 20.0, 3),
                                 rng.uniform(-1.0, 1.0, 3), rng.normal(0.0, 1.0, 3)])
         u = rng.uniform(-U_M, U_M, 3)
-        env = UavAttitudeEnv(env0.params, env0.trim, env0.schedule, state)
-        ref = ArrayUavEnv(env0.params, env0.trim, env0.schedule, state)
+        env = UavAttitudeEnv(env0.trim, env0.schedule, state)
+        ref = ArrayUavEnv(AEROSONDE, env0.trim, env0.schedule, state)
         for _ in range(2):
             assert _same(env.G(env.z()), ref.G(ref.z()))
             assert _same(env.z(), ref.z())
@@ -81,7 +83,51 @@ def test_float_physics_is_bitwise_the_array_formulation_at_random_states():
            "delta_e=-0.04942285265308008, delta_t=0.4555578272587033)"),
 ])
 def test_trim_keeps_its_bits(va, want):
-    assert repr(trim_level_flight(AEROSONDE, va)) == want
+    assert repr(trim_level_flight(va)) == want
+
+
+@pytest.mark.parametrize("va, broken", [
+    (10.0, "plant.va_m_s = 10.0 trims at alpha = 48.8 deg, past the stall "
+           "angle of 27 deg"),
+    (100.0, "plant.va_m_s = 100.0 trims at throttle 1.266, outside [0, 1]"),
+])
+def test_trim_outside_the_envelope_fails(va, broken):
+    with pytest.raises(OracleFailure) as exc:
+        trim_level_flight(va)
+    assert str(exc.value) == broken
+
+
+EDGES = (0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, math.nan, math.inf, -math.inf)
+
+
+def test_dynamics_is_bitwise_the_array_formulation_at_edge_states():
+    """Signed zeros, tiny, huge and non-finite entries in the state and the
+    deflections: the same numbers, NaNs in the same places, and the pitch
+    guard on both sides.  An infinite roll or yaw becomes NaN: `math.sin`
+    raises ValueError there in both forms."""
+    rng = np.random.default_rng(11)
+    faults = 0
+    for _ in range(20000):
+        state = rng.normal(0.0, 10.0, 12)
+        de = rng.uniform(-U_M, U_M, 3)
+        for x in (state, de):
+            edge = rng.random(x.size) < 0.3
+            x[edge] = rng.choice(EDGES, edge.sum())
+        state[[PHI, PSI]] = np.where(np.isinf(state[[PHI, PSI]]), math.nan,
+                                     state[[PHI, PSI]])
+        delta_t = float(rng.choice([0.0, -0.0, 1.0, rng.random()]))
+        try:
+            want = array_dynamics(state, de, AEROSONDE, delta_t)
+        except NumericFault:
+            with pytest.raises(NumericFault, match="Euler singularity guard"):
+                uav_dynamics(state.tolist(), de.tolist(), delta_t)
+            faults += 1
+            continue
+        got = np.array(uav_dynamics(state.tolist(), de.tolist(), delta_t))
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+    assert 0 < faults < 20000
 
 
 def test_nan_deflection_faults_at_stage_one():
@@ -97,7 +143,7 @@ def test_pitch_guard_raises_in_advance():
     for theta, shown in ((math.pi / 2, "1.571"), (1e300, "1e+300")):
         state = list(env0.state)
         state[THETA] = theta
-        env = UavAttitudeEnv(env0.params, env0.trim, env0.schedule, state)
+        env = UavAttitudeEnv(env0.trim, env0.schedule, state)
         with pytest.raises(NumericFault, match="Euler singularity guard") as exc:
             env.advance(np.zeros(3), 0.0, DT)
         assert f"pitch angle {shown} rad" in str(exc.value)
@@ -109,13 +155,13 @@ def _alpha(env):
 
 def test_stall_warning_follows_the_state():
     env = make_env("aerosonde", "attitude_schedule")
-    pr, va = env.params, env.trim.va
+    pr, va = AEROSONDE, env.trim.va
     # just past the stall angle, pitching down hard
     state = list(env.state)
     a0 = pr.stall_alpha + 0.01
     state[U], state[W] = va * math.cos(a0), va * math.sin(a0)
     state[Q] = -5.0   # rad/s
-    env = UavAttitudeEnv(pr, env.trim, env.schedule, state)
+    env = UavAttitudeEnv(env.trim, env.schedule, state)
     tel = Telemetry(dim_z=6, dim_x=12, dim_xd=3, m=3, n1=1)
     env.check_domain(tel, 0.0)
     assert abs(_alpha(env)) > pr.stall_alpha
