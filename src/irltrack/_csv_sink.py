@@ -1,0 +1,118 @@
+"""The telemetry CSV formatting, and both ends of the pipe that streams a
+long log to a writer process.
+
+    python -I -S _csv_sink.py <path> <columns>
+
+`sim.Telemetry` formats a short log inline with `format_rows`; a long one
+it streams, through a `CsvWriter`, to this script in a fresh interpreter
+while the loop runs.  The script's stdin carries frames, each an 8-byte
+little-endian length and that many bytes: the header line (UTF-8), then
+chunks of rows as native float64 values, row-major, then an empty frame
+that ends the stream.  The script writes the header, then `format_rows` of
+each chunk.  If the stream ends without the empty frame, or writing fails,
+it deletes the partial file and exits with status 1, the error on stderr.
+The module imports only the standard library, so the process starts
+without numpy; `sim` imports it only when a log is written.
+"""
+import array
+import os
+import struct
+import sys
+
+FRAME_LEN = struct.Struct("<q")
+# The pipe to a writer, where the OS lets it grow (Linux's F_SETPIPE_SZ,
+# up to the fs.pipe-max-size sysctl): on a 2-core host the 11.5 s UAV run
+# spends 1-3 ms in its 47 sends at 1 MiB, 17-22 ms at the default 64 KiB.
+_PIPE_BYTES = 1 << 20
+
+
+def format_rows(values, ncol: int) -> str:
+    """CSV lines of `values`, a flat row-major sequence of floats with
+    `ncol` a row: every value as repr(float), "," between values and a
+    newline after each row."""
+    strs = list(map(repr, values))
+    # zip(*[iter(strs)] * ncol) yields the rows
+    return "\n".join(map(",".join, zip(*[iter(strs)] * ncol))) + "\n"
+
+
+class CsvWriter:
+    """The writer process of one telemetry.csv, fed frames through its
+    stdin.  A writer that has exited takes no more frames; `close`
+    reports its failure."""
+
+    def __init__(self, path, header):
+        import subprocess
+        self.path = os.fspath(path)
+        self.proc = subprocess.Popen(
+            [sys.executable, "-I", "-S", os.path.abspath(__file__), self.path,
+             str(len(header))],
+            stdin=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            import fcntl
+            fcntl.fcntl(self.proc.stdin.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        except (ImportError, AttributeError, OSError):
+            pass    # the default pipe: the same bytes, more blocking
+        self.exited = False
+        self.send(",".join(header).encode())
+
+    def send(self, payload):
+        """Send one frame: `payload` is bytes or a C-contiguous array."""
+        if self.exited:
+            return
+        try:
+            self.proc.stdin.write(FRAME_LEN.pack(memoryview(payload).nbytes))
+            self.proc.stdin.write(payload)
+            self.proc.stdin.flush()
+        except BrokenPipeError:
+            self.exited = True
+
+    def close(self, complete: bool):
+        """End the stream with its end frame (`complete`) or without it, so
+        the writer deletes its partial file; wait for the writer.  OSError
+        if a complete stream's writer failed."""
+        if complete:
+            self.send(b"")
+        try:
+            self.proc.stdin.close()
+        except BrokenPipeError:
+            pass
+        err = self.proc.stderr.read().decode(errors="replace").strip()
+        self.proc.stderr.close()
+        if self.proc.wait() and complete:
+            raise OSError(f"telemetry writer of {self.path} failed: "
+                          f"{err.splitlines()[-1] if err else 'no message'}")
+
+
+def _frames(stream):
+    """The payloads of the frames before the end frame; EOFError if the
+    stream stops first."""
+    while True:
+        head = stream.read(FRAME_LEN.size)
+        if len(head) != FRAME_LEN.size:
+            raise EOFError("the stream ended without its end frame")
+        (n,) = FRAME_LEN.unpack(head)
+        if n == 0:
+            return
+        body = stream.read(n)
+        if len(body) != n:
+            raise EOFError("the stream ended inside a frame")
+        yield body
+
+
+def main(path: str, ncol: int):
+    frames = _frames(sys.stdin.buffer)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            for i, body in enumerate(frames):
+                if i == 0:    # the header line
+                    fh.write(body.decode() + "\n")
+                else:
+                    fh.write(format_rows(array.array("d", body).tolist(), ncol))
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
+
+
+if __name__ == "__main__":
+    main(sys.argv[1], int(sys.argv[2]))

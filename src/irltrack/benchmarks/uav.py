@@ -39,8 +39,9 @@ PN, PE, PD, U, V, W, PHI, THETA, PSI, P, Q, R = range(12)
 _PITCH_GUARD = math.pi / 2 - 1e-6
 # outer-loop gains from (roll, pitch, yaw) error to body-rate command (1/s)
 _RATE_GAINS = (8.0, 10.0, 12.0)
-# the error rows of G(z): the rate commands take no control
-_NO_COUPLING = ([0.0, 0.0, 0.0],) * 3
+# G(z) but for the five entries `rate_control_coupling` sets: its zeros,
+# and the rows of the rate commands, which take no control
+_G_ZEROS = np.zeros((6, 3))
 
 
 @dataclass(frozen=True)
@@ -300,7 +301,7 @@ def trim_level_flight(va: float) -> TrimPoint:
 
     sol = root(residual, x0=[0.05, -0.1, 0.5], tol=1e-12)
     if not sol.success or np.max(np.abs(residual(sol.x))) > 1e-8:
-        raise OracleFailure(f"trim solver failed at va={va}: "
+        raise OracleFailure(f"plant.va_m_s = {va}: trim solver failed: "
                             + " ".join(sol.message.split()))
     alpha, de, dt_ = sol.x
     if abs(alpha) > AEROSONDE.stall_alpha:
@@ -379,8 +380,10 @@ class UavAttitudeEnv:
 
     def G(self, z) -> np.ndarray:
         """Rate-channel coupling at the live airspeed (z is not read)."""
-        return np.array([*rate_control_coupling(self.airspeed),
-                         *_NO_COUPLING])
+        G = _G_ZEROS.copy()
+        (_, G[0, 1], G[0, 2]), (G[1, 0], _, _), (_, G[2, 1], G[2, 2]) = \
+            rate_control_coupling(self.airspeed)
+        return G
 
     def z(self) -> np.ndarray:
         p, q, r = self.state[P:]

@@ -163,11 +163,11 @@ def _write_series(out_dir, env, telemetry: Telemetry, W_star: np.ndarray | None)
         panels["weight_error_vs_oracle"] = _weight_error(telemetry.columns("W"),
                                                          W_star)
 
-    ts = telemetry.t.tolist()
+    t_strs = [f"{t!r} " for t in telemetry.t.tolist()]    # shared by the panels
     for name, ys in panels.items():
         with open(os.path.join(series_dir, name + ".dat"), "w",
                   encoding="utf-8") as fh:
-            fh.writelines(f"{t!r} {y!r}\n" for t, y in zip(ts, ys.tolist()))
+            fh.writelines(f"{t}{y!r}\n" for t, y in zip(t_strs, ys.tolist()))
     with open(os.path.join(out_dir, "plot_series.py"), "w", encoding="utf-8") as fh:
         fh.write(_PLOT_STUB)
 
@@ -333,11 +333,14 @@ def _run(points: list[_Point]) -> list[tuple[int, Telemetry | None]]:
     """Load the points and run those that load, one batch per group that
     shares plant/reference ids, [sim], window T and the environment's
     dimensions; writes their artifacts and returns (exit code, telemetry or
-    None) per point.  A point that does not load gets only its manifest
-    (`_fail`); so does each point of a batch that raises (exit 2 for a
-    ConfigurationError of `run_batch`, such as a [sim] it rejects, else
-    exit 3) and has not written its artifacts.  A batch manifest's wall
-    time is its loop's / B, with `batch_size = B` when B > 1."""
+    None) per point.  Each point's telemetry.csv is streamed to its writer
+    process from the loop on (`run_batch`), and completed by `to_csv`.  A
+    point that does not load gets only its manifest (`_fail`); so does each
+    point of a batch that raises (exit 2 for a ConfigurationError of
+    `run_batch`, such as a [sim] it rejects, else exit 3) and has not
+    written its artifacts, whose writer is stopped without a file.  A batch
+    manifest's wall time is its loop's / B, with `batch_size = B` when
+    B > 1."""
     out: list = [None] * len(points)
     groups: dict = {}
     for i, point in enumerate(points):
@@ -351,9 +354,12 @@ def _run(points: list[_Point]) -> list[tuple[int, Telemetry | None]]:
         groups.setdefault(key, []).append((i, cfg, env))
     for batch in groups.values():
         t0 = time.perf_counter()
+        results = []
         try:
-            results = run_batch([(env, cfg.learner, cfg.dither, None)
-                                 for _, cfg, env in batch], batch[0][1].sim)
+            results = run_batch(
+                [(env, cfg.learner, cfg.dither, None,
+                  os.path.join(points[i].out_dir, "telemetry.csv"))
+                 for i, cfg, env in batch], batch[0][1].sim)
             wall = (time.perf_counter() - t0) / len(batch)
             for (i, cfg, env), (telemetry, fault) in zip(batch, results):
                 W_star = _oracle_weights(env.linear_pair(), cfg.learner)
@@ -362,6 +368,8 @@ def _run(points: list[_Point]) -> list[tuple[int, Telemetry | None]]:
                                            len(batch) if len(batch) > 1 else None),
                           telemetry)
         except Exception as exc:  # the batch fails, not its chunk
+            for telemetry, _ in results:    # the writers of unwritten artifacts
+                telemetry.abort_csv()
             code, detail = _error(exc)
             wall = (time.perf_counter() - t0) / len(batch)
             for i, cfg, _ in batch:

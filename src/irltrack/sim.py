@@ -25,11 +25,17 @@ env advances itself (one row is read directly, without the batch's list
 of rows).  The reference never depends on the learner.  A
 faulted member leaves; the others go on.  With every dither amplitude 0,
 dither(t) is evaluated only at record steps and where u_hat holds a zero.
+
+A member given the path of its telemetry.csv streams its log there from
+its first full chunk of `_CHUNK_ROWS` rows on: a writer process formats
+the chunks on another core while the loop goes on (`Telemetry`).
 """
 from __future__ import annotations
 
 import math
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -42,8 +48,8 @@ from .models import AffinePlant, ReferenceModel, augmented_linear
 from .policy import penalty_rows, saturate, tau2_rows
 from .rows import Rows, dot, mv, quad
 
-# Rows formatted per pass of `Telemetry.to_csv`: the chunk, not the run
-# length, bounds the writer's working set.
+# Rows per formatting pass and per frame sent to a writer process: the
+# chunk, not the run length, bounds the writer's working set.
 _CHUNK_ROWS = 256
 
 
@@ -173,10 +179,18 @@ class Telemetry:
     Appends enforce strictly increasing time and reject non-finite values.
     `capacity` is the expected number of rows; the array doubles past it.
     Warnings are kept once per kind, with a count and first/last times.
+
+    Given `csv_path`, the file that `to_csv` will write, a log that fills
+    its first chunk of `_CHUNK_ROWS` rows starts a writer process for that
+    file and sends it each chunk as it completes, so the formatting runs
+    on another core while the loop goes on; `to_csv(csv_path)` sends the
+    rest and waits.  A shorter log, or one without a path, is formatted in
+    `to_csv` itself.  Either way the bytes are those of
+    `_csv_sink.format_rows`.
     """
 
     def __init__(self, dim_z: int, dim_x: int, dim_xd: int, m: int, n1: int,
-                 control_names=None, capacity: int = 64):
+                 control_names=None, capacity: int = 64, csv_path=None):
         control_names = control_names or [f"u{i}" for i in range(m)]
         cols = ["t"]
         cols += [f"z{i}" for i in range(dim_z)]
@@ -191,6 +205,10 @@ class Telemetry:
         self._data = np.empty((max(capacity, 1), len(cols)))
         self._n = 0
         self.warnings: dict[str, WarningCount] = {}
+        self._csv_path, self._writer = csv_path, None
+        # the row count whose append sends a chunk; 0, never reached, when
+        # the log does not stream
+        self._send_at = _CHUNK_ROWS if csv_path is not None else 0
 
     @property
     def rows(self) -> np.ndarray:
@@ -216,6 +234,21 @@ class Telemetry:
         if not math.isfinite(np.add.reduce(row)) and not np.isfinite(row).all():
             raise NumericFault("attempted to record a non-finite telemetry value", t=t)
         self._n += 1
+        if self._n == self._send_at:
+            self._send_chunk()
+
+    def _send_chunk(self):
+        """Send the chunk just completed, starting the writer on the first.
+        A writer that cannot start leaves the log to `to_csv`."""
+        if self._writer is None:
+            from ._csv_sink import CsvWriter
+            try:
+                self._writer = CsvWriter(self._csv_path, self.header)
+            except OSError:
+                self._send_at = 0
+                return
+        self._writer.send(self._data[self._n - _CHUNK_ROWS:self._n])
+        self._send_at += _CHUNK_ROWS
 
     def warn(self, kind: str, t: float):
         """Count one occurrence at time t of the warning `kind`."""
@@ -242,19 +275,37 @@ class Telemetry:
 
     def to_csv(self, path):
         """Write the log as CSV: the header, then one line per row with
-        every value as repr(float).
+        every value as repr(float) (`_csv_sink.format_rows`).
 
-        Rows are formatted in chunks of `_CHUNK_ROWS`, so the chunk, not the
-        run length, bounds the writer's working set.
+        A log streaming to `path` sends its last rows and the end of the
+        stream, and waits for its writer: OSError if the writer failed.
+        Otherwise rows are formatted here in chunks of `_CHUNK_ROWS`, so
+        the chunk, not the run length, bounds the working set; a writer
+        streaming to another path is stopped first.
         """
+        writer = self._writer
+        if writer is not None and writer.path == os.fspath(path):
+            self._writer, self._send_at = None, 0
+            sent = self._n - self._n % _CHUNK_ROWS    # every full chunk
+            if sent < self._n:
+                writer.send(self._data[sent:self._n])
+            writer.close(complete=True)
+            return
+        self.abort_csv()    # a writer streaming to another path
+        from ._csv_sink import format_rows
         ncol = len(self.header)
         rows = self.rows
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(self.header) + "\n")
             for lo in range(0, len(rows), _CHUNK_ROWS):
-                strs = list(map(repr, rows[lo:lo + _CHUNK_ROWS].ravel().tolist()))
-                # zip(*[iter(strs)] * ncol) yields the chunk's rows
-                fh.write("\n".join(map(",".join, zip(*[iter(strs)] * ncol))) + "\n")
+                fh.write(format_rows(rows[lo:lo + _CHUNK_ROWS].ravel().tolist(), ncol))
+
+    def abort_csv(self):
+        """Stop the log's writer, if it has one, without a file: the writer
+        deletes what it wrote."""
+        writer, self._writer, self._send_at = self._writer, None, 0
+        if writer is not None:
+            writer.close(complete=False)
 
 
 class TrackingEnv(Protocol):
@@ -412,15 +463,29 @@ class _LinearRows(_EnvRows):
                 for i in np.flatnonzero(~np.isfinite(self.s).all(1))]
 
 
+@contextmanager
+def _writers_aborted_on_error(logs):
+    """Stop the logs' CSV writers, without their files, if the body raises."""
+    try:
+        yield
+    except BaseException:
+        for tel in logs:
+            tel.abort_csv()
+        raise
+
+
 def run_batch(members, sim_cfg: SimConfig):
     """Run every member, (env, learner_cfg, dither_spec, W0 or None for
-    zeros), in the one learn-act loop with the critic's quadratic basis;
-    members share their dimensions and window T.  Returns (telemetry,
-    fault) per member: fault is None for a finished run, else the
-    `NumericFault` that ended it, stamped with t, step and the partial
-    telemetry.  A horizon whose telemetry cannot be allocated raises
+    zeros[, csv_path]), in the one learn-act loop with the critic's
+    quadratic basis; members share their dimensions and window T.  Returns
+    (telemetry, fault) per member: fault is None for a finished run, else
+    the `NumericFault` that ended it, stamped with t, step and the partial
+    telemetry.  A member's log with a `csv_path` streams to its writer
+    process (`Telemetry`), which `telemetry.to_csv(csv_path)` completes;
+    if the loop raises, no writer is left running and no partial file is
+    left.  A horizon whose telemetry cannot be allocated raises
     ConfigurationError naming `sim.t_end_s`."""
-    envs, lcfgs, dithers, W0s = zip(*members)
+    envs, lcfgs, dithers, W0s = zip(*(member[:4] for member in members))
     for lcfg in lcfgs:
         check_run(lcfg, sim_cfg)
     dims = {(e.dim_z, e.m, len(e.x), len(e.x_d), c.T) for e, c in zip(envs, lcfgs)}
@@ -440,7 +505,9 @@ def run_batch(members, sim_cfg: SimConfig):
     excited = bool(b.amp.any())
     try:
         telemetry = [Telemetry(dz, nx, nxd, m, n1, e.control_names,
-                               capacity=n_steps // every + 2) for e in envs]
+                               capacity=n_steps // every + 2,
+                               csv_path=member[4] if len(member) > 4 else None)
+                     for e, member in zip(envs, members)]
     except (ValueError, MemoryError) as exc:
         raise ConfigurationError(
             f"sim.t_end_s: the telemetry of t_end = {sim_cfg.t_end} cannot "
@@ -461,7 +528,8 @@ def run_batch(members, sim_cfg: SimConfig):
         live[:] = [tel for tel, keep in zip(live, alive) if keep]
         return alive
 
-    with np.errstate(all="ignore"):  # a fault is found by the finiteness checks
+    # a fault is found by the finiteness checks
+    with np.errstate(all="ignore"), _writers_aborted_on_error(telemetry):
         for k in range(n_steps + 1):
             t = k * dt
             # 1. features, coupling, policy, stage cost and W . M

@@ -1,8 +1,11 @@
 """Run artifacts: `Telemetry.to_csv` writes the bytes of the reference
-formatting, one `repr` per value, in a bounded working set; series/ holds
-only the derived panels, in the same formatting; the plot stub draws every
-telemetry column and every panel."""
+formatting, one `repr` per value, in a bounded working set, inline or from
+the writer process a run's log streams to past one chunk; no writer
+outlives its run, on any exit path; series/ holds only the derived panels,
+in the same formatting; the plot stub draws every telemetry column and
+every panel."""
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +13,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import irltrack._csv_sink as csv_sink
 import irltrack.cli as cli
+import irltrack.sim as sim
+from irltrack._csv_sink import FRAME_LEN
 from irltrack.benchmarks.linear import discounted_riccati, ideal_weights
 from irltrack.config import parse_config, resolve
 from irltrack.sim import _CHUNK_ROWS, Telemetry
@@ -27,12 +33,12 @@ def reference_series(t, ys):
                    for ti, yi in zip(t, ys)).encode()
 
 
-def filled_telemetry(n_rows, dims=(2, 1, 1, 1, 3), seed=0):
+def filled_telemetry(n_rows, dims=(2, 1, 1, 1, 3), seed=0, csv_path=None):
     """A log of `n_rows` rows whose values span many magnitudes and signs,
     with exact zeros, integers and a negative zero among them."""
     rng = np.random.default_rng(seed)
     dim_z, dim_x, dim_xd, m, n1 = dims
-    tel = Telemetry(dim_z, dim_x, dim_xd, m, n1, capacity=4)
+    tel = Telemetry(dim_z, dim_x, dim_xd, m, n1, capacity=4, csv_path=csv_path)
     width = len(tel.header) - 1
     scale = np.logspace(-12, 12, width)
     g = np.cumsum([0, dim_z, dim_x, dim_xd, m])
@@ -100,6 +106,119 @@ def test_numeric_fault_partial_flush_matches_reference(tmp_path):
         ["learner.alpha=1e308", "sim.t_end_s=1.0"], out_dir=str(out))
     assert code == cli.EXIT_NUMERIC and len(telemetry.rows) >= 1
     assert_run_artifacts_match_reference(out, telemetry, LINEAR_PANELS)
+
+
+@pytest.fixture()
+def writers(monkeypatch):
+    """The writer processes started during a test, which fails if it takes
+    a minute; after it, none is left running or unreaped."""
+    started = []
+
+    class Counted(csv_sink.CsvWriter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            started.append(self)
+
+    def hung(signum, frame):
+        raise TimeoutError("a run with a writer process hung")
+    monkeypatch.setattr(csv_sink, "CsvWriter", Counted)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        yield started
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def linear_run(out, t_end):
+    """The linear benchmark through the CLI, recording every step."""
+    return cli.run_one(cli.resolve_config_path("linear_benchmark"),
+                       [f"sim.t_end_s={t_end}", "sim.record_every=1"],
+                       out_dir=str(out))
+
+
+@pytest.mark.parametrize("n_rows", [
+    _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3])
+def test_streamed_run_matches_reference(tmp_path, writers, n_rows):
+    # a log that fills a chunk streams to a writer; a shorter one does not
+    out = tmp_path / "run"
+    code, telemetry = linear_run(out, (n_rows - 1) / 1000)
+    assert code == cli.EXIT_OK and len(telemetry.rows) == n_rows
+    assert len(writers) == (n_rows >= _CHUNK_ROWS)
+    assert_run_artifacts_match_reference(out, telemetry, LINEAR_PANELS)
+
+
+def test_streamed_numeric_fault_flushes_the_logged_rows(tmp_path, writers):
+    out = tmp_path / "fault"
+    code, telemetry = cli.run_one(
+        cli.resolve_config_path("uav_attitude"),
+        ["learner.alpha=1e4", "sim.t_end_s=1.0", "sim.record_every=1"],
+        out_dir=str(out))
+    assert code == cli.EXIT_NUMERIC and len(writers) == 1
+    assert 2 * _CHUNK_ROWS < len(telemetry.rows) < 1001
+    assert len(telemetry.rows) % _CHUNK_ROWS
+    assert_run_artifacts_match_reference(
+        out, telemetry, [f"att_{a}{d}_deg" for a in ("phi", "theta", "psi")
+                         for d in ("", "_des")])
+
+
+@pytest.mark.parametrize("where", ["loop", "artifacts"])
+def test_a_raising_streamed_batch_leaves_no_csv(tmp_path, monkeypatch,
+                                                 writers, where):
+    # the loop raises after its writer started, or the artifacts do after
+    # the loop: the point gets the manifest alone, as when it writes inline
+    dither = sim.dither
+
+    def dither_until_one_chunk_is_sent(t):
+        if t > 0.3:
+            raise RuntimeError("the loop broke")
+        return dither(t)
+
+    def no_series(*args):
+        raise RuntimeError("the artifacts broke")
+    if where == "loop":
+        monkeypatch.setattr(sim, "dither", dither_until_one_chunk_is_sent)
+    else:
+        monkeypatch.setattr(cli, "_write_series", no_series)
+    out = tmp_path / "run"
+    code, telemetry = linear_run(out, 0.5)
+    assert code == cli.EXIT_NUMERIC and telemetry is None and len(writers) == 1
+    assert sorted(os.listdir(out)) == ["config_resolved.ini", "manifest.txt"]
+
+
+def test_a_writer_that_cannot_open_its_file_fails_the_point(tmp_path, writers):
+    out = tmp_path / "run"
+    (out / "telemetry.csv").mkdir(parents=True)
+    code, _ = linear_run(out, 0.5)
+    assert code == cli.EXIT_NUMERIC and len(writers) == 1
+    assert "Is a directory" in \
+        (out / "manifest.txt").read_text().split("status = ")[1].splitlines()[0]
+    assert os.listdir(out / "telemetry.csv") == []
+
+
+def test_a_log_streaming_elsewhere_is_written_inline(tmp_path, writers):
+    tel = filled_telemetry(2 * _CHUNK_ROWS + 3, csv_path=tmp_path / "streamed.csv")
+    assert len(writers) == 1
+    tel.to_csv(tmp_path / "telemetry.csv")
+    assert os.listdir(tmp_path) == ["telemetry.csv"]
+    assert (tmp_path / "telemetry.csv").read_bytes() == reference_csv(tel)
+
+
+def test_a_writer_without_the_end_frame_deletes_its_file(tmp_path):
+    path = tmp_path / "telemetry.csv"
+    header, rows = b"t,x0", np.arange(6.0).reshape(3, 2)
+    frames = b"".join(FRAME_LEN.pack(len(b)) + b for b in (header, rows.tobytes()))
+    sink = [sys.executable, "-I", "-S", csv_sink.__file__, str(path), "2"]
+    done = subprocess.run(sink, input=frames + FRAME_LEN.pack(0),
+                          capture_output=True, timeout=60)
+    assert done.returncode == 0
+    assert path.read_bytes() == b"t,x0\n0.0,1.0\n2.0,3.0\n4.0,5.0\n"
+    cut = subprocess.run(sink, input=frames, capture_output=True, timeout=60)
+    assert cut.returncode == 1 and b"EOFError" in cut.stderr
+    assert not path.exists()
 
 
 def test_writer_working_set_is_bounded(tmp_path):

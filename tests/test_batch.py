@@ -313,7 +313,7 @@ def test_uav_sweep_batches_around_a_trim_failure(tmp_path):
         assert manifest_value(run, "status") == manifest_value(ref, "status")
         if va != "18":   # no trim: the manifest says why, here and alone
             assert manifest_value(run, "status").startswith({
-                "0.5": "oracle failure: trim solver failed at va=0.5",
+                "0.5": "oracle failure: plant.va_m_s = 0.5: trim solver failed: ",
                 "100": "oracle failure: plant.va_m_s = 100.0 trims at throttle "
                        "1.266, outside [0, 1]"}[va])
 

@@ -277,6 +277,19 @@ class TestEnvironmentProtocol:
             for member in ("advance", "check_domain", "series", "linear_pair"):
                 assert callable(getattr(env, member))
 
+    @pytest.mark.parametrize("va", [18.0, 25.0, 35.0, 0.0, 13.3, 78.8])
+    def test_uav_coupling_equals_its_row_list_form(self, va):
+        """G, set on a zero template, is bitwise the (6, 3) array of the
+        three coupling rows and three zero rows: at cruise speeds, at rest
+        and at the edges of the trim envelope.  Each call is a new array."""
+        env = make_env("aerosonde", "attitude_schedule")
+        env.airspeed = va
+        G = env.G(env.z())
+        want = np.array([*rate_control_coupling(va), *([0.0, 0.0, 0.0],) * 3])
+        assert G.dtype == want.dtype and G.shape == want.shape
+        assert G.tobytes() == want.tobytes()
+        assert env.G(env.z()) is not G
+
     def test_uav_setpoint_panels_equal_the_per_row_lookup(self):
         """The setpoint panels are bitwise the per-row `attitude_des`
         lookup, at the switch times and one ulp either side."""
