@@ -39,8 +39,8 @@ PN, PE, PD, U, V, W, PHI, THETA, PSI, P, Q, R = range(12)
 _PITCH_GUARD = math.pi / 2 - 1e-6
 # outer-loop gains from (roll, pitch, yaw) error to body-rate command (1/s)
 _RATE_GAINS = (8.0, 10.0, 12.0)
-# G(z) but for the five entries `rate_control_coupling` sets: its zeros,
-# and the rows of the rate commands, which take no control
+# G(z) but for the three rows `rate_control_coupling` sets: the rows of
+# the rate commands take no control
 _G_ZEROS = np.zeros((6, 3))
 
 
@@ -381,8 +381,7 @@ class UavAttitudeEnv:
     def G(self, z) -> np.ndarray:
         """Rate-channel coupling at the live airspeed (z is not read)."""
         G = _G_ZEROS.copy()
-        (_, G[0, 1], G[0, 2]), (G[1, 0], _, _), (_, G[2, 1], G[2, 2]) = \
-            rate_control_coupling(self.airspeed)
+        G[:3] = rate_control_coupling(self.airspeed)
         return G
 
     def z(self) -> np.ndarray:

@@ -333,14 +333,14 @@ def _run(points: list[_Point]) -> list[tuple[int, Telemetry | None]]:
     """Load the points and run those that load, one batch per group that
     shares plant/reference ids, [sim], window T and the environment's
     dimensions; writes their artifacts and returns (exit code, telemetry or
-    None) per point.  Each point's telemetry.csv is streamed to its writer
-    process from the loop on (`run_batch`), and completed by `to_csv`.  A
-    point that does not load gets only its manifest (`_fail`); so does each
-    point of a batch that raises (exit 2 for a ConfigurationError of
-    `run_batch`, such as a [sim] it rejects, else exit 3) and has not
-    written its artifacts, whose writer is stopped without a file.  A batch
-    manifest's wall time is its loop's / B, with `batch_size = B` when
-    B > 1."""
+    None) per point.  The telemetry.csv of a batch of one is streamed to
+    its writer process from the loop on (`run_batch`), and completed by
+    `to_csv`.  A point that does not load gets only its manifest (`_fail`);
+    so does each point of a batch that raises (exit 2 for a
+    ConfigurationError of `run_batch`, such as a [sim] it rejects, else
+    exit 3) and has not written its artifacts, whose writer is stopped
+    without a file.  A batch manifest's wall time is its loop's / B, with
+    `batch_size = B` when B > 1."""
     out: list = [None] * len(points)
     groups: dict = {}
     for i, point in enumerate(points):
@@ -357,9 +357,10 @@ def _run(points: list[_Point]) -> list[tuple[int, Telemetry | None]]:
         results = []
         try:
             results = run_batch(
-                [(env, cfg.learner, cfg.dither, None,
-                  os.path.join(points[i].out_dir, "telemetry.csv"))
-                 for i, cfg, env in batch], batch[0][1].sim)
+                [(env, cfg.learner, cfg.dither, None) for _, cfg, env in batch],
+                batch[0][1].sim,
+                csv_paths=[os.path.join(points[i].out_dir, "telemetry.csv")
+                           for i, _, _ in batch])
             wall = (time.perf_counter() - t0) / len(batch)
             for (i, cfg, env), (telemetry, fault) in zip(batch, results):
                 W_star = _oracle_weights(env.linear_pair(), cfg.learner)

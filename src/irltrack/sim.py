@@ -26,9 +26,11 @@ of rows).  The reference never depends on the learner.  A
 faulted member leaves; the others go on.  With every dither amplitude 0,
 dither(t) is evaluated only at record steps and where u_hat holds a zero.
 
-A member given the path of its telemetry.csv streams its log there from
-its first full chunk of `_CHUNK_ROWS` rows on: a writer process formats
-the chunks on another core while the loop goes on (`Telemetry`).
+A batch of one given the path of its telemetry.csv streams its log there
+from its first full chunk of `_CHUNK_ROWS` rows on: a writer process
+formats the chunks on another core while the loop goes on (`Telemetry`).
+A larger batch writes its logs in `Telemetry.to_csv`, as a shorter log
+does.
 """
 from __future__ import annotations
 
@@ -474,18 +476,20 @@ def _writers_aborted_on_error(logs):
         raise
 
 
-def run_batch(members, sim_cfg: SimConfig):
+def run_batch(members, sim_cfg: SimConfig, csv_paths=None):
     """Run every member, (env, learner_cfg, dither_spec, W0 or None for
-    zeros[, csv_path]), in the one learn-act loop with the critic's
-    quadratic basis; members share their dimensions and window T.  Returns
-    (telemetry, fault) per member: fault is None for a finished run, else
-    the `NumericFault` that ended it, stamped with t, step and the partial
-    telemetry.  A member's log with a `csv_path` streams to its writer
-    process (`Telemetry`), which `telemetry.to_csv(csv_path)` completes;
-    if the loop raises, no writer is left running and no partial file is
-    left.  A horizon whose telemetry cannot be allocated raises
+    zeros), in the one learn-act loop with the critic's quadratic basis;
+    members share their dimensions and window T.  Returns (telemetry,
+    fault) per member: fault is None for a finished run, else the
+    `NumericFault` that ended it, stamped with t, step and the partial
+    telemetry.  `csv_paths` has each member's telemetry.csv path: a batch
+    of one streams its log there through a writer process (`Telemetry`),
+    which `telemetry.to_csv(path)` completes, and no writer is left
+    running, nor a partial file, if the loop raises.  A larger batch
+    starts no writers, which would contend with the loop and each other
+    for the cores.  A horizon whose telemetry cannot be allocated raises
     ConfigurationError naming `sim.t_end_s`."""
-    envs, lcfgs, dithers, W0s = zip(*(member[:4] for member in members))
+    envs, lcfgs, dithers, W0s = zip(*members)
     for lcfg in lcfgs:
         check_run(lcfg, sim_cfg)
     dims = {(e.dim_z, e.m, len(e.x), len(e.x_d), c.T) for e, c in zip(envs, lcfgs)}
@@ -503,11 +507,12 @@ def run_batch(members, sim_cfg: SimConfig):
     b = Rows(ids=np.arange(len(envs)), z_prev=np.zeros((len(envs), dz)),
              amp=np.array([d.amplitude for d in dithers]))
     excited = bool(b.amp.any())
+    if csv_paths is None or len(envs) > 1:
+        csv_paths = [None] * len(envs)
     try:
         telemetry = [Telemetry(dz, nx, nxd, m, n1, e.control_names,
-                               capacity=n_steps // every + 2,
-                               csv_path=member[4] if len(member) > 4 else None)
-                     for e, member in zip(envs, members)]
+                               capacity=n_steps // every + 2, csv_path=path)
+                     for e, path in zip(envs, csv_paths)]
     except (ValueError, MemoryError) as exc:
         raise ConfigurationError(
             f"sim.t_end_s: the telemetry of t_end = {sim_cfg.t_end} cannot "

@@ -199,6 +199,32 @@ def test_a_writer_that_cannot_open_its_file_fails_the_point(tmp_path, writers):
     assert os.listdir(out / "telemetry.csv") == []
 
 
+def test_a_batch_of_several_streams_no_log(tmp_path, writers):
+    # three points past one chunk run as one batch: they start no writer,
+    # and each writes the bytes of its lone run, which streams
+    overrides = [f"sim.t_end_s={(2 * _CHUNK_ROWS + 3 - 1) / 1000}",
+                 "sim.record_every=1"]
+    values = ["learner.alpha=100", "learner.alpha=150", "learner.alpha=200"]
+    points = []
+    for i, value in enumerate(values):
+        out_dir = str(tmp_path / f"run{i}")
+        path = cli._resolved_config(cli.resolve_config_path("linear_benchmark"),
+                                    overrides + [value], out_dir)
+        points.append(cli._Point(f"run{i}", path, overrides + [value], out_dir))
+    results = cli._run(points)
+    assert [code for code, _ in results] == [cli.EXIT_OK] * 3
+    assert writers == []
+    for i, (value, (_, telemetry)) in enumerate(zip(values, results)):
+        assert len(telemetry.rows) == 2 * _CHUNK_ROWS + 3
+        run = tmp_path / f"run{i}"
+        assert_run_artifacts_match_reference(run, telemetry, LINEAR_PANELS)
+        code, _ = cli.run_one(cli.resolve_config_path("linear_benchmark"),
+                              overrides + [value], out_dir=str(tmp_path / f"ref{i}"))
+        assert code == cli.EXIT_OK and len(writers) == i + 1
+        assert (run / "telemetry.csv").read_bytes() == \
+            (tmp_path / f"ref{i}" / "telemetry.csv").read_bytes()
+
+
 def test_a_log_streaming_elsewhere_is_written_inline(tmp_path, writers):
     tel = filled_telemetry(2 * _CHUNK_ROWS + 3, csv_path=tmp_path / "streamed.csv")
     assert len(writers) == 1

@@ -385,11 +385,11 @@ def test_a_raising_batch_fails_only_its_own_points(tmp_path, monkeypatch):
     # already written its artifacts and keeps its status
     calls = []
 
-    def second_raises(members, sim_cfg):
+    def second_raises(members, sim_cfg, csv_paths):
         calls.append(sim_cfg)
         if len(calls) == 2:
             raise RuntimeError("batch two broke")
-        return run_batch(members, sim_cfg)
+        return run_batch(members, sim_cfg, csv_paths)
     monkeypatch.setattr(cli, "run_batch", second_raises)
     code, out = sweep(tmp_path, "sweep", "--override", "sim.t_end_s=0.01",
                       "--grid", "sim.record_every=1,2", "--workers", "1")
