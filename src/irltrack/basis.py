@@ -3,9 +3,11 @@
 The critic has one basis, the full quadratic polynomial without constant term:
 linear monomials, squares, then pairwise products in lexicographic order.
 For input dimension d it has ``2d + d(d-1)/2`` features (27 at d = 6).
-`eval_rows` and `grad_rows` map every row of a (B, d) array, for the step
-loop (`grad_rows` with a one-row form for B = 1, the same products on 1-D
-z); `eval` and `grad` are their one-row case.
+`eval_rows` and `grad_rows` map every row of a (B, d) array, for the
+batched step loop; `eval` and `grad` map one 1-D z, for the one-row loop:
+`eval` is `eval_rows` of a one-row array, and `grad` writes the same
+products into a copy of one gradient's linear rows, so each row has the
+bits of its 1-D map.
 """
 from __future__ import annotations
 
@@ -21,8 +23,8 @@ from .errors import ConfigurationError
 class RegressorBasis:
     dim_in: int
     n_features: int
-    eval: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray]
+    eval: Callable[[np.ndarray], np.ndarray]        # (d,) -> (n1,)
+    grad: Callable[[np.ndarray], np.ndarray]        # (d,) -> (n1, d)
     eval_rows: Callable[[np.ndarray], np.ndarray]   # (B, d) -> (B, n1)
     grad_rows: Callable[[np.ndarray], np.ndarray]   # (B, d) -> (B, n1, d)
 
@@ -52,22 +54,22 @@ def quad_basis(dim_in: int) -> RegressorBasis:
     def _eval_rows(Z):
         return np.concatenate((Z, Z * Z, Z.take(pi, 1) * Z.take(pj, 1)), axis=1)
 
+    def _grad(z):    # a copy of the linear rows, then the z-dependent entries
+        out = linear.copy()
+        out[flat] = factor * np.asarray(z, dtype=float)[src]
+        return out.reshape(n1, d)
+
     def _grad_rows(Z):
-        if len(Z) == 1:    # one row: a copy of the linear rows, then its entries
-            out = linear.copy()
-            out[flat] = factor * Z[0][src]
-            return out.reshape(1, n1, d)
         out = np.zeros((len(Z), n1 * d))
         out[:, :d * d:d + 1] = 1.0    # the linear rows
         out[:, flat] = factor * Z.take(src, 1)
         return out.reshape(len(Z), n1, d)
 
-    def _one_row(rows_map):
-        return lambda z: rows_map(np.asarray(z, dtype=float)[None])[0]
+    def _eval(z):    # the row map's products, on one row
+        return _eval_rows(np.asarray(z, dtype=float)[None])[0]
 
-    return RegressorBasis(dim_in=d, n_features=n1, eval=_one_row(_eval_rows),
-                          grad=_one_row(_grad_rows), eval_rows=_eval_rows,
-                          grad_rows=_grad_rows)
+    return RegressorBasis(dim_in=d, n_features=n1, eval=_eval, grad=_grad,
+                          eval_rows=_eval_rows, grad_rows=_grad_rows)
 
 
 def fd_gradient(basis: RegressorBasis, z: np.ndarray, h: float = 1e-5) -> np.ndarray:

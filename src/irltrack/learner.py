@@ -22,15 +22,17 @@ gains k1_gain and k2_gain stand for the paper's K1 = k1_gain 1 and
 K2 = k2_gain I.  All integrals are discounted trapezoids.
 
 Both laws are computed for B rows at once (`CriticRows`, with the window
-pass of `WindowBuffer`): the baseline is the degenerate variable-gain law,
-and a law term that no row uses is not computed: the stabilizer's products
-only at a step where some row has Xi = 1, the m-integral and the robust
-term's M part only if some row has the m-term.  The window keeps a deque
-of step samples; a window of two samples (T = dt) integrates on (B,)
-arrays, a longer one sums its intervals in sequence over a (B, L, 2)
-array.  A batch of one takes the law's one-row form and, at T = dt, the
-window's (per-row scalars as Python floats, the same operations in the
-same order), which `tests/test_batch.py` pins bitwise to the batched form.
+pass of `WindowBuffer.window`): the baseline is the degenerate
+variable-gain law, and a law term that no row uses is not computed: the
+stabilizer's products only at a step where some row has Xi = 1, the
+m-integral and the robust term's M part only if some row has the m-term.
+The window keeps a deque of step samples; a window of two samples (T = dt)
+integrates on (B,) arrays, a longer one sums its intervals in sequence
+over a (B, L, 2) array.  A batch of one runs `CriticRow`: the same law on
+1-D arrays, with every per-row scalar a Python float, the same operations
+in the same order; its two-sample window integrates on floats, and a
+longer one is `WindowBuffer.window` over one row.  `tests/test_batch.py`
+pins it bitwise to the batched form.
 """
 from __future__ import annotations
 
@@ -128,8 +130,11 @@ def _gain_pow(x: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def m_vector(ndg, th, tau, u_m) -> np.ndarray:
     """M = grad_theta G u_m (tanh(tau2) - sgn(tau2)) of each row, from
-    ndg = grad_theta G and th = tanh(tau2); bounded, -> 0 in saturation."""
-    return mv(ndg, u_m * (th - np.sign(tau)))
+    ndg = grad_theta G and th = tanh(tau2); bounded, -> 0 in saturation.
+    One row (ndg (n1, m), th and tau (m,), a float u_m) or B rows (with a
+    leading batch axis and u_m (B, 1)): each row's product is the same BLAS
+    call either way."""
+    return np.matmul(ndg, (u_m * (th - np.sign(tau)))[..., None])[..., 0]
 
 
 class WindowBuffer:
@@ -137,7 +142,8 @@ class WindowBuffer:
     with the weights in effect at sample time, at the shared times of the
     last ceil(T/dt) + 1 steps: once warmed up they span a window T.  A step
     is one deque entry (t, theta (B, n1), cost (B,), m (B,) or 0.0), with
-    m = 0.0 while no row has the m-term."""
+    m = 0.0 while no row has the m-term; the one row of `CriticRow` pushes
+    (t, theta (n1,), cost, m) with floats for cost and m."""
 
     def __init__(self, T: float, dt: float):
         self.T = T
@@ -156,39 +162,28 @@ class WindowBuffer:
     def ready(self) -> bool:
         return self.samples[-1][0] - self.samples[0][0] >= self.T * (1 - _SPAN_RTOL)
 
-    def window(self, neg_gamma: np.ndarray):
-        """(theta(z_{t-T}), I_hat, m_int) of each row, from neg_gamma = -gamma
-        (B,), in one pass over [t-T, t], the sample at t-T linear between its
-        neighbours when none falls on it; m_int is 0 while no row has the
-        m-term."""
+    def points(self):
+        """The samples over [t-T, t], the one at t-T linear between its
+        neighbours when none falls on it."""
         samples, T = self.samples, self.T
-        t_last = samples[-1][0]
-        t_lo = t_last - T
-        if len(samples) == 2 and len(neg_gamma) == 1:
-            # one row, T = dt: the two paths below on Python floats
-            (t0, theta0, c0, m0), (t1, theta1, c1, m1) = samples
-            c0, c1 = c0.item(), c1.item()
-            m_row = isinstance(m1, np.ndarray)
-            if m_row:
-                m0, m1 = m0.item(), m1.item()
-            if t0 < t_lo:
-                w = (t_lo - t0) / (t1 - t0)
-                theta0 = (1 - w) * theta0 + w * theta1
-                c0, m0, t0 = (1 - w) * c0 + w * c1, (1 - w) * m0 + w * m1, t_lo
-            h, g = t1 - t0, neg_gamma.item()
-            e0, e1 = float(np.exp(g * ((t0 - t_last) + T))), \
-                float(np.exp(g * ((t1 - t_last) + T)))
-            return theta0, np.array([h * (e1 * c1 + e0 * c0) / 2.0 + 0.0]), \
-                np.array([h * (e1 * m1 + e0 * m0) / 2.0 + 0.0]) if m_row else 0.0
+        t_lo = samples[-1][0] - T
         first = 0
         while samples[first][0] < t_lo:
             first += 1
         points = list(samples)[first:]
         if first > 0 and points[0][0] > t_lo + _SPAN_RTOL * T:
-            (t0, *before), (t1, *after) = samples[first - 1], points[0]
+            (t0, theta0, c0, m0), (t1, theta1, c1, m1) = samples[first - 1], points[0]
             w = (t_lo - t0) / (t1 - t0)
-            points.insert(0, (t_lo, *((1 - w) * a + w * b
-                                      for a, b in zip(before, after))))
+            points.insert(0, (t_lo, (1 - w) * theta0 + w * theta1,
+                              (1 - w) * c0 + w * c1, (1 - w) * m0 + w * m1))
+        return points
+
+    def window(self, neg_gamma: np.ndarray):
+        """(theta(z_{t-T}), I_hat, m_int) of each row, from neg_gamma = -gamma
+        (B,), in one pass over the `points`; m_int is 0 while no row has the
+        m-term."""
+        points, T = self.points(), self.T
+        t_last = points[-1][0]
         if len(points) == 2:
             # the trapezoid of the general path below; its one-term sum
             # starts from +0.0, hence the `+ 0.0`
@@ -211,24 +206,31 @@ class WindowBuffer:
         return points[0][1], integrals[:, 0], integrals[:, 1]
 
 
+def _law_gains(c: LearnerConfig) -> tuple:
+    """(novel, stabilizer, m-term, q2, k1_gain, k2_gain) of c's law; the
+    baseline law is the novel law with q2 = k1_gain = k2_gain = 0 and the
+    stabilizer and m-term off."""
+    if c.law == "novel":
+        return (True, bool(c.stabilizer_enabled), bool(c.m_term_enabled),
+                float(c.q2), float(c.k1_gain), float(c.k2_gain))
+    return False, False, False, 0.0, 0.0, 0.0
+
+
 class CriticRows(Rows):
     """Each row's critic: its weights, the residual and I_hat of its last
     update, its policy's saturation and its law's gains, batch axis first.
     A W0 of None starts from zero weights."""
 
     def __init__(self, cfgs, W0s, n1: int):
-        novel = np.array([c.law == "novel" for c in cfgs])
-        # the baseline law: q2 = k1_gain = k2_gain = 0, stabilizer, m-term off
-        law = {k: np.where(novel, [getattr(c, k) for c in cfgs], 0)
-               for k in ("q2", "k1_gain", "k2_gain", "stabilizer_enabled",
-                         "m_term_enabled")}
+        novel, stab, m_term, q2, k1_gain, k2_gain = map(
+            np.array, zip(*map(_law_gains, cfgs)))
         column = lambda values: np.array(values, dtype=float)[:, None]
         super().__init__(
             W=np.array([np.zeros(n1) if W0 is None else np.array(W0, dtype=float)
                         for W0 in W0s]),
             e_hat=np.zeros(len(cfgs)), I_hat=np.zeros(len(cfgs)), novel=novel,
-            stab=law["stabilizer_enabled"] != 0, m_term=law["m_term_enabled"] != 0,
-            q2=law["q2"], k1_gain=law["k1_gain"], k2_gain=column(law["k2_gain"]),
+            stab=stab, m_term=m_term, q2=q2, k1_gain=k1_gain,
+            k2_gain=column(k2_gain),
             k2=np.array([c.k2 for c in cfgs]), alpha=np.array([c.alpha for c in cfgs]),
             half_alpha=np.array([0.5 * c.alpha for c in cfgs]),
             neg_gamma=np.array([-c.gamma for c in cfgs]),
@@ -244,69 +246,109 @@ class CriticRows(Rows):
     def update(self, buf: WindowBuffer, theta, z, G, ndg, th, sigma, dt: float):
         """One Euler step of each row's law from the step's theta(z), z, G(z),
         ndg = grad_theta G (None if unused), tanh(tau2) and Sigma; returns
-        (row, NumericFault) for each row whose new weights are not finite.
-
-        Each formula is written twice, with the same operations in the same
-        order: for B rows, and for one row on Python floats and 1-D arrays,
-        which skips the batch wrapping of the per-row scalars."""
+        (row, NumericFault) for each row whose new weights are not finite."""
         theta_tmT, I_hat, m_int = buf.window(self.neg_gamma)
         dtheta = self.disc_T * theta - theta_tmT
-        if len(dtheta) > 1:
-            e_hat = I_hat + dot(self.W, dtheta)
-            ms = (1.0 + dot(dtheta, dtheta))[:, None]
-            phi = dtheta / ms
-            theta_bar = phi / ms
-            ge = self.alpha * _gain_pow(e_hat, self.q2)
-            rate = (-ge * e_hat)[:, None] * theta_bar
-            if self.use_stab:
-                xi = self.stab & ~(sigma < 0)
-                if xi.any():
-                    gs = self.half_alpha * _gain_pow(sigma, self.k2)
-                    stab = mv(ndg, (1.0 - th ** 2) * vm(z, G))
-                    rate = rate + np.where(xi[:, None], gs[:, None] * stab, 0.0)
-                else:
-                    rate = rate + 0.0
-            if self.use_robust:
-                robust = (self.k1_gain * dot(phi, self.W))[:, None] - self.k2_gain * self.W
-                if self.use_m:
-                    robust = robust - np.where(self.m_term[:, None],
-                                               theta_bar * m_int[:, None], 0.0)
-                rate = rate + ge[:, None] * robust
-            self.W = self.W + dt * rate
-        else:
-            W, d = self.W[0], dtheta[0]
-            e = float(I_hat[0]) + float(W @ d)
-            ms = 1.0 + float(d @ d)
-            phi = d / ms
-            theta_bar = phi / ms
-            ge = float(self.alpha[0]) * gain_pow(e, float(self.q2[0]))
-            rate = (-ge * e) * theta_bar
-            if self.use_stab:
-                s = float(sigma[0])
-                if self.stab[0] and not s < 0:
-                    gs = float(self.half_alpha[0]) * gain_pow(s, float(self.k2[0]))
-                    rate = rate + gs * (ndg[0] @ ((1.0 - th[0] ** 2) * (z[0] @ G[0])))
-                else:
-                    rate = rate + 0.0
-            if self.use_robust:
-                robust = float(self.k1_gain[0]) * float(phi @ W) \
-                    - float(self.k2_gain[0, 0]) * W
-                if self.m_term[0]:
-                    robust = robust - theta_bar * float(m_int[0])
-                rate = rate + ge * robust
-            self.W = (W + dt * rate)[None]
-            e_hat = np.array([e])
+        e_hat = I_hat + dot(self.W, dtheta)
+        ms = (1.0 + dot(dtheta, dtheta))[:, None]
+        phi = dtheta / ms
+        theta_bar = phi / ms
+        ge = self.alpha * _gain_pow(e_hat, self.q2)
+        rate = (-ge * e_hat)[:, None] * theta_bar
+        if self.use_stab:
+            xi = self.stab & ~(sigma < 0)
+            if xi.any():
+                gs = self.half_alpha * _gain_pow(sigma, self.k2)
+                stab = mv(ndg, (1.0 - th ** 2) * vm(z, G))
+                rate = rate + np.where(xi[:, None], gs[:, None] * stab, 0.0)
+            else:
+                rate = rate + 0.0
+        if self.use_robust:
+            robust = (self.k1_gain * dot(phi, self.W))[:, None] - self.k2_gain * self.W
+            if self.use_m:
+                robust = robust - np.where(self.m_term[:, None],
+                                           theta_bar * m_int[:, None], 0.0)
+            rate = rate + ge[:, None] * robust
+        self.W = self.W + dt * rate
         self.e_hat, self.I_hat = e_hat, I_hat
         # a sum with a non-finite term is never finite: search the rows only
         # when some weight is non-finite
         if math.isfinite(np.add.reduce(self.W, None)):
             return []
-        faults = []
-        for i in np.flatnonzero(~np.isfinite(self.W).all(1)):
-            comp = int(np.flatnonzero(~np.isfinite(self.W[i]))[0])
-            law = "update" if self.novel[i] else "baseline update"
-            tail = f", sigma={float(sigma[i])}" if self.novel[i] else ""
-            faults.append((i, NumericFault(
-                f"critic weights non-finite after {law} (component {comp}, "
-                f"e_hat={float(e_hat[i])}{tail})", component=comp)))
-        return faults
+        return [(i, _weight_fault(self.W[i], self.novel[i], float(e_hat[i]),
+                                  float(sigma[i])))
+                for i in np.flatnonzero(~np.isfinite(self.W).all(1))]
+
+
+class CriticRow:
+    """One critic, `CriticRows` for a batch of one: its weights W (n1,),
+    the residual and I_hat of its last update and its law's gains as
+    Python floats.  `update` is `CriticRows.update` on 1-D arrays and
+    floats, each formula with the same operations in the same order; the
+    window's samples hold theta (n1,), and the cost and W . M (0.0 without
+    the m-term) as floats."""
+
+    def __init__(self, c: LearnerConfig, W0, n1: int):
+        self.W = np.zeros(n1) if W0 is None else np.array(W0, dtype=float)
+        self.e_hat = self.I_hat = 0.0
+        (self.novel, self.stab, self.m_term, self.q2, self.k1_gain,
+         self.k2_gain) = _law_gains(c)
+        self.k2, self.alpha, self.half_alpha = float(c.k2), float(c.alpha), 0.5 * c.alpha
+        self.neg_gamma, self.disc_T = -c.gamma, math.exp(-c.gamma * c.T)
+        self.use_robust = self.m_term or bool(self.k1_gain or self.k2_gain)
+
+    def window(self, buf: WindowBuffer):
+        """(theta(z_{t-T}), I_hat, m_int) of `WindowBuffer.window`, the
+        integrals as floats; m_int is 0.0 without the m-term.  A window of
+        two samples (T = dt) integrates on floats; a longer one is the
+        batched pass over a batch of one."""
+        points, T, g = buf.points(), buf.T, self.neg_gamma
+        if len(points) > 2:
+            theta_tmT, I_hat, m_int = buf.window(np.array([g]))
+            return theta_tmT, float(I_hat[0]), float(m_int[0])
+        t_last = points[-1][0]
+        (t0, theta_tmT, c0, m0), (t1, _, c1, m1) = points
+        h = t1 - t0
+        e0 = float(np.exp(g * ((t0 - t_last) + T)))
+        e1 = float(np.exp(g * ((t1 - t_last) + T)))
+        return theta_tmT, h * (e1 * c1 + e0 * c0) / 2.0 + 0.0, \
+            h * (e1 * m1 + e0 * m0) / 2.0 + 0.0 if self.m_term else 0.0
+
+    def update(self, buf: WindowBuffer, theta, z, G, ndg, th, sigma: float,
+               dt: float):
+        """`CriticRows.update` of the one row, Sigma a float; returns the
+        NumericFault if the new weights are not finite, else None."""
+        theta_tmT, I_hat, m_int = self.window(buf)
+        W, d = self.W, self.disc_T * theta - theta_tmT
+        e = I_hat + float(W @ d)
+        ms = 1.0 + float(d @ d)
+        phi = d / ms
+        theta_bar = phi / ms
+        ge = self.alpha * gain_pow(e, self.q2)
+        rate = (-ge * e) * theta_bar
+        if self.stab:
+            if not sigma < 0:
+                gs = self.half_alpha * gain_pow(sigma, self.k2)
+                rate = rate + gs * (ndg @ ((1.0 - th ** 2) * (z @ G)))
+            else:
+                rate = rate + 0.0
+        if self.use_robust:
+            robust = self.k1_gain * float(phi @ W) - self.k2_gain * W
+            if self.m_term:
+                robust = robust - theta_bar * m_int
+            rate = rate + ge * robust
+        self.W = W + dt * rate
+        self.e_hat, self.I_hat = e, I_hat
+        # as in `CriticRows.update`: search only when the sum is not finite
+        if math.isfinite(sum(self.W.tolist())) or np.isfinite(self.W).all():
+            return None
+        return _weight_fault(self.W, self.novel, e, sigma)
+
+
+def _weight_fault(W, novel: bool, e_hat: float, sigma: float) -> NumericFault:
+    """The fault of a row whose new weights W are not finite."""
+    comp = int(np.flatnonzero(~np.isfinite(W))[0])
+    law = "update" if novel else "baseline update"
+    tail = f", sigma={sigma}" if novel else ""
+    return NumericFault(f"critic weights non-finite after {law} (component "
+                        f"{comp}, e_hat={e_hat}{tail})", component=comp)

@@ -13,13 +13,13 @@ available both by adaptive quadrature (`penalty_integral`) and in closed
 form at u = -u_m tanh(tau) (`penalty_closed`); the two agree analytically
 and the pair is kept as a cross-check.  R is diagonal and both formulas
 read it one channel at a time, so `SaturationSpec` holds its diagonal
-r_diag; the full matrix is built only for the Riccati oracle.  The step
-loop evaluates tau2 and the closed form for B rows at once (`tau2_rows`,
-`penalty_rows`); at B = 1 tau2 takes the one-row products of `rows.vm`,
-and the penalty for up to seven channels runs on Python floats and numpy's
-exp and log1p, which keep the vector's bits, each channel sum a left fold
-from 0.0 as numpy's below 8 terms; `penalty_closed` is the one-row case of
-the latter.
+r_diag; the full matrix is built only for the Riccati oracle.  The batched
+step loop evaluates tau2 and the closed form for B rows at once
+(`tau2_rows`, `penalty_rows`); the one-row loop takes the closed form of
+its one row as a float (`penalty_row`, also behind `penalty_closed`): up
+to seven channels on Python floats and numpy's exp and log1p, each channel
+sum a left fold from 0.0 as numpy's below 8 terms, so it keeps the
+batched row's bits.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from .models import fields_equal, fields_hash
 from .rows import vm
 
 _LOG2 = float(np.log(2.0))
-# the most channels whose sum `penalty_rows` folds on floats at one row
+# the most channels whose sums `penalty_row` folds on Python floats
 _FOLD_MAX = 7
 
 
@@ -117,32 +117,35 @@ def penalty_rows(tau: np.ndarray, th: np.ndarray, um2: np.ndarray,
     """Closed-form penalty of each row at u = -u_m tanh(tau) (th = tanh(tau),
     um2 = u_m^2, r = diag R): 2 u_m^2 tau^T R tanh(tau) + u_m^2 sum_i R_i
     ln(1 - tanh(tau_i)^2), with the stable log identity so deep saturation
-    stays finite.  One row of up to `_FOLD_MAX` channels takes the same
-    operations on Python floats, each channel sum a left fold from 0.0, the
-    order of numpy's `add.reduce` below 8 terms (from 8 on it unrolls, and
-    the row keeps the batched form); at one channel, where `add.reduce`
-    returns the term itself, the fold's 0.0 + term is that term, as
-    neither term is ever -0.0 (r > 0, tau tanh(tau) >= +0.0, and ln 2 - |tau|
-    - log1p(.) is never -0.0)."""
-    if len(tau) == 1 and tau.size <= _FOLD_MAX:
-        (ts,), (hs,), (rs,) = tau.tolist(), th.tolist(), r.tolist()
-        tau_sum = log_sum = 0.0
-        for t, h, ri in zip(ts, hs, rs):
-            a = abs(t)
-            tau_sum += ri * t * h
-            log_sum += ri * (2.0 * (_LOG2 - a - float(np.log1p(np.exp(-2.0 * a)))))
-        u2 = um2.item()
-        return np.array([2.0 * u2 * tau_sum + u2 * log_sum])
+    stays finite."""
     return (2.0 * um2 * np.add.reduce(r * tau * th, 1)
             + um2 * np.add.reduce(r * log_one_minus_tanh2(tau), 1))
 
 
+def penalty_row(tau: np.ndarray, th: np.ndarray, um2: float,
+                r: np.ndarray) -> float:
+    """`penalty_rows` of one row, from 1-D tau, th and r and a float um2, as
+    a float with the batched row's bits.  Up to `_FOLD_MAX` channels take
+    its operations on Python floats, each channel sum a left fold from 0.0,
+    the order of numpy's `add.reduce` below 8 terms (from 8 on it unrolls,
+    and the row takes the batched form); at one channel, where `add.reduce`
+    returns the term itself, the fold's 0.0 + term is that term, as neither
+    term is ever -0.0 (r > 0, tau tanh(tau) >= +0.0, and ln 2 - |tau| -
+    log1p(.) is never -0.0)."""
+    if len(tau) > _FOLD_MAX:
+        return float(penalty_rows(tau[None], th[None], np.array([um2]), r[None])[0])
+    tau_sum = log_sum = 0.0
+    for t, h, ri in zip(tau.tolist(), th.tolist(), r.tolist()):
+        a = abs(t)
+        tau_sum += ri * t * h
+        log_sum += ri * (2.0 * (_LOG2 - a - float(np.log1p(np.exp(-2.0 * a)))))
+    return 2.0 * um2 * tau_sum + um2 * log_sum
+
+
 def penalty_closed(tau: np.ndarray, sat: SaturationSpec) -> float:
-    """Closed-form penalty at one u = -u_m tanh(tau): the one-row
-    `penalty_rows`."""
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))[None]
-    return float(penalty_rows(tau, np.tanh(tau), np.array([sat.u_m ** 2]),
-                              sat.r_diag[None])[0])
+    """Closed-form penalty at one u = -u_m tanh(tau): `penalty_row`."""
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    return penalty_row(tau, np.tanh(tau), sat.u_m ** 2, sat.r_diag)
 
 
 def saturate(u: np.ndarray, u_m: float) -> np.ndarray:

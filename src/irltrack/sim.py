@@ -1,9 +1,13 @@
 """The learn-act loop, excitation dither, and telemetry.
 
-`run_batch` is the one step loop: it carries B runs along a leading batch
-axis (states z (B, 2n), weights (B, n1), each run's gains as (B, ...)
-arrays), and `run_env_experiment` runs it with one member.  Per sample time
-t_k it computes each per-step quantity once and shares it:
+`run_batch` runs B members in one learn-act loop, chosen once from B:
+`_run_rows` carries them along a leading batch axis (states z (B, 2n),
+weights (B, n1), each run's gains as (B, ...) arrays), and `_run_one` runs
+a batch of one on 1-D arrays, with every per-row scalar a Python float,
+each expression the same numpy call as its row in `_run_rows`, so a member
+has the same bits alone and in any batch.  `run_env_experiment` is a batch
+of one.  Per sample time t_k either loop computes each per-step quantity
+once and shares it:
 
   1. z, grad_theta(z), G(z) and the saturation argument tau2 from the
      current weights; the policy u_hat = -u_m tanh(tau2), the penalty and,
@@ -14,17 +18,17 @@ t_k it computes each per-step quantity once and shares it:
      law reuses theta(z_t) of step 1, grad_theta, G(z), tau2 and
      Sigma = z . zdot,
   4. record telemetry: I_hat comes from the update, V_hat from the theta
-     of step 2 (one row takes each scalar by `.item()`),
+     of step 2,
   5. apply saturate(u_hat + dither) and integrate to t_{k+1},
 
 up to the first step at or after t_end.  Catalog pairs
 (`AugmentedTrackingEnv`s) take one propagator step s <- Phi s + Gamma u of
-s = [x, x_d] together (the exact RK4 step under zero-order hold,
-Phi/Gamma built once; one row takes the products unwrapped); any other
-env advances itself (one row is read directly, without the batch's list
-of rows).  The reference never depends on the learner.  A
-faulted member leaves; the others go on.  With every dither amplitude 0,
-dither(t) is evaluated only at record steps and where u_hat holds a zero.
+s = [x, x_d] (the exact RK4 step under zero-order hold, Phi/Gamma built
+once), stacked in `_LinearRows` or, alone, in the env's own `advance`,
+and their constant G is read once.  Any other env advances itself.  The
+reference never depends on the learner.  A faulted member leaves; the
+others go on.  With every dither amplitude 0, dither(t) is evaluated only
+at record steps and where u_hat holds a zero.
 
 A batch of one given the path of its telemetry.csv streams its log there
 from its first full chunk of `_CHUNK_ROWS` rows on: a writer process
@@ -45,9 +49,9 @@ import numpy as np
 
 from .basis import quad_basis
 from .errors import ConfigurationError, NumericFault
-from .learner import CriticRows, LearnerConfig, WindowBuffer, m_vector
+from .learner import CriticRow, CriticRows, LearnerConfig, WindowBuffer, m_vector
 from .models import AffinePlant, ReferenceModel, augmented_linear
-from .policy import penalty_rows, saturate, tau2_rows
+from .policy import penalty_row, penalty_rows, saturate, tau2_rows
 from .rows import Rows, dot, mv, quad
 
 # Rows per formatting pass and per frame sent to a writer process: the
@@ -376,7 +380,8 @@ class AugmentedTrackingEnv:
     def advance(self, u_applied: np.ndarray, t: float, dt: float):
         Phi, Gamma = self.propagator(dt)
         s = Phi @ np.concatenate([self.x, self.x_d]) + Gamma @ u_applied
-        if not np.isfinite(s).all():
+        # a sum with a non-finite term is never finite
+        if not math.isfinite(sum(s.tolist())) and not np.isfinite(s).all():
             raise NumericFault(f"non-finite state at t={t}", t=t)
         self.x, self.x_d = s[:self.plant.n], s[self.plant.n:]
 
@@ -392,8 +397,7 @@ class AugmentedTrackingEnv:
 
 class _EnvRows(Rows):
     """Environments as rows, each read and advanced through its own `z()`,
-    `G`, `advance` and `check_domain`; one row wraps its env's arrays as
-    views instead of building the batch's arrays from lists."""
+    `G`, `advance` and `check_domain`."""
 
     def __init__(self, envs, **arrays):
         super().__init__(envs=list(envs), **arrays)
@@ -406,13 +410,9 @@ class _EnvRows(Rows):
     x_d = property(lambda self: [env.x_d for env in self.envs])
 
     def z(self):
-        if len(self.envs) == 1:
-            return self.envs[0].z()[None]
         return np.array([env.z() for env in self.envs])
 
     def G(self, z):
-        if len(self.envs) == 1:
-            return self.envs[0].G(z[0])[None]
         return np.array([env.G(zi) for env, zi in zip(self.envs, z)])
 
     def advance(self, u_applied, t: float, dt: float):
@@ -450,13 +450,9 @@ class _LinearRows(_EnvRows):
         return self.G_z
 
     def advance(self, u_applied, t: float, dt: float):
-        if len(self.s) == 1:    # one row: the products of `mv`, unwrapped
-            s = self.Phi[0] @ self.s[0] + self.Gamma[0] @ u_applied[0]
-            self.envs[0].x, self.envs[0].x_d, self.s = s[:self.n], s[self.n:], s[None]
-        else:
-            self.s = mv(self.Phi, self.s) + mv(self.Gamma, u_applied)
-            for env, s in zip(self.envs, self.s):
-                env.x, env.x_d = s[:self.n], s[self.n:]
+        self.s = mv(self.Phi, self.s) + mv(self.Gamma, u_applied)
+        for env, s in zip(self.envs, self.s):
+            env.x, env.x_d = s[:self.n], s[self.n:]
         # a sum with a non-finite term is never finite: search the rows only
         # when some state is non-finite
         if math.isfinite(np.add.reduce(self.s, None)):
@@ -476,18 +472,41 @@ def _writers_aborted_on_error(logs):
         raise
 
 
+def _telemetry(env, n1: int, sim_cfg: SimConfig, csv_path=None) -> Telemetry:
+    """A member's log, sized for the horizon; ConfigurationError naming
+    `sim.t_end_s` if it cannot be allocated."""
+    try:
+        return Telemetry(env.dim_z, len(env.x), len(env.x_d), env.m, n1,
+                         env.control_names,
+                         capacity=sim_cfg.n_steps // sim_cfg.record_every + 2,
+                         csv_path=csv_path)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigurationError(
+            f"sim.t_end_s: the telemetry of t_end = {sim_cfg.t_end} cannot "
+            f"be allocated: {exc}") from None
+
+
+def _stamp(fault: NumericFault, t: float, k: int, telemetry: Telemetry):
+    """Stamp a member's fault with the step's t and index, unless it came
+    with them, and its partial telemetry."""
+    fault.t = t if fault.t is None else fault.t
+    fault.step = k if fault.step is None else fault.step
+    fault.telemetry = telemetry
+
+
 def run_batch(members, sim_cfg: SimConfig, csv_paths=None):
     """Run every member, (env, learner_cfg, dither_spec, W0 or None for
-    zeros), in the one learn-act loop with the critic's quadratic basis;
+    zeros), in the learn-act loop with the critic's quadratic basis;
     members share their dimensions and window T.  Returns (telemetry,
     fault) per member: fault is None for a finished run, else the
     `NumericFault` that ended it, stamped with t, step and the partial
-    telemetry.  `csv_paths` has each member's telemetry.csv path: a batch
-    of one streams its log there through a writer process (`Telemetry`),
-    which `telemetry.to_csv(path)` completes, and no writer is left
-    running, nor a partial file, if the loop raises.  A larger batch
-    starts no writers, which would contend with the loop and each other
-    for the cores.  A horizon whose telemetry cannot be allocated raises
+    telemetry.  The loop is chosen once, from the batch size: a batch of
+    one runs `_run_one`, which streams its log to `csv_paths[0]` through a
+    writer process (`Telemetry`), completed by `telemetry.to_csv(path)`,
+    with no writer left running, nor a partial file, if the loop raises; a
+    larger batch runs `_run_rows`, which starts no writers (they would
+    contend with the loop and each other for the cores), and ignores
+    `csv_paths`.  A horizon whose telemetry cannot be allocated raises
     ConfigurationError naming `sim.t_end_s`."""
     envs, lcfgs, dithers, W0s = zip(*members)
     for lcfg in lcfgs:
@@ -496,36 +515,36 @@ def run_batch(members, sim_cfg: SimConfig, csv_paths=None):
     if len(dims) > 1:
         raise ConfigurationError("batched runs must share the state and "
                                  "control dimensions and the window T")
-    ((dz, m, nx, nxd, T),) = dims
-    env_rows = _LinearRows(envs, sim_cfg.dt) \
+    basis = quad_basis(envs[0].dim_z)
+    # a fault is found by the finiteness checks
+    with np.errstate(all="ignore"):
+        if len(members) == 1:
+            return [_run_one(*members[0], sim_cfg, basis,
+                             csv_paths[0] if csv_paths else None)]
+        return _run_rows(envs, lcfgs, dithers, W0s, sim_cfg, basis)
+
+
+def _run_rows(envs, lcfgs, dithers, W0s, sim_cfg: SimConfig, basis):
+    """The loop of `run_batch` for B > 1 rows along a leading batch axis;
+    a faulted row leaves and the others go on."""
+    T, dt, every, n_steps = (lcfgs[0].T, sim_cfg.dt, sim_cfg.record_every,
+                             sim_cfg.n_steps)
+    env_rows = _LinearRows(envs, dt) \
         if all(isinstance(e, AugmentedTrackingEnv) for e in envs) else _EnvRows(envs)
-    basis = quad_basis(dz)
-    n1, dt, every, n_steps = (basis.n_features, sim_cfg.dt,
-                              sim_cfg.record_every, sim_cfg.n_steps)
-    critic = CriticRows(lcfgs, W0s, n1)
+    critic = CriticRows(lcfgs, W0s, basis.n_features)
     buf = WindowBuffer(T, dt)
-    b = Rows(ids=np.arange(len(envs)), z_prev=np.zeros((len(envs), dz)),
+    b = Rows(ids=np.arange(len(envs)), z_prev=np.zeros((len(envs), envs[0].dim_z)),
              amp=np.array([d.amplitude for d in dithers]))
     excited = bool(b.amp.any())
-    if csv_paths is None or len(envs) > 1:
-        csv_paths = [None] * len(envs)
-    try:
-        telemetry = [Telemetry(dz, nx, nxd, m, n1, e.control_names,
-                               capacity=n_steps // every + 2, csv_path=path)
-                     for e, path in zip(envs, csv_paths)]
-    except (ValueError, MemoryError) as exc:
-        raise ConfigurationError(
-            f"sim.t_end_s: the telemetry of t_end = {sim_cfg.t_end} cannot "
-            f"be allocated: {exc}") from None
+    telemetry = [_telemetry(e, basis.n_features, sim_cfg) for e in envs]
     faults: list[NumericFault | None] = [None] * len(envs)
     live = list(telemetry)    # of the rows still running
 
     def drop(dead: list[tuple[int, NumericFault]]):
         """Stamp and keep each dead row's fault; drop the rows."""
         for i, exc in dead:
-            exc.t = t if exc.t is None else exc.t
-            exc.step = k if exc.step is None else exc.step
-            exc.telemetry, faults[b.ids[i]] = live[i], exc
+            _stamp(exc, t, k, live[i])
+            faults[b.ids[i]] = exc
         alive = np.ones(len(live), dtype=bool)
         alive[[i for i, _ in dead]] = False
         for rows in (b, critic, buf, env_rows):
@@ -533,79 +552,136 @@ def run_batch(members, sim_cfg: SimConfig, csv_paths=None):
         live[:] = [tel for tel, keep in zip(live, alive) if keep]
         return alive
 
-    # a fault is found by the finiteness checks
-    with np.errstate(all="ignore"), _writers_aborted_on_error(telemetry):
+    for k in range(n_steps + 1):
+        t = k * dt
+        # 1. features, coupling, policy, stage cost and W . M
+        z = env_rows.z()
+        grad = basis.grad_rows(z)
+        G = env_rows.G(z)
+        tau = tau2_rows(critic.W, grad, G, critic.den)
+        th = np.tanh(tau)
+        u_hat = critic.neg_u_m * th
+        cost = quad(z, critic.Q1) + penalty_rows(tau, th, critic.um2, critic.r)
+        ndg = np.matmul(grad, G) if critic.use_m or critic.use_stab else None
+        m_scalar = 0.0
+        if critic.use_m:
+            M = m_vector(ndg, th, tau, critic.u_m)
+            m_scalar = np.where(critic.m_term, dot(critic.W, M), 0.0)
+        theta = basis.eval_rows(z)
+
+        # 2. push the window sample for t_k
+        buf.push(t, theta, cost, m_scalar)
+
+        # 3. critic update once the buffer spans a full window
+        sigma = dot(z, z - b.z_prev) / dt if k > 0 else np.zeros(len(z))
+        dead = critic.update(buf, theta, z, G, ndg, th, sigma, dt) \
+            if k > 0 and buf.ready else []
+
+        # 4. record telemetry and the domain warning; with every amplitude
+        # 0, u_hat + n is u_hat unless u_hat holds a zero, whose sign the
+        # add may flip, so the dither is evaluated only then
+        record = k % every == 0 or k == n_steps
+        n_val = b.amp * dither(t) \
+            if excited or record or np.count_nonzero(u_hat) < u_hat.size else None
+        if record:
+            faulted = {i for i, _ in dead}
+            scalars = zip(n_val.tolist(), critic.e_hat.tolist(), sigma.tolist(),
+                          critic.I_hat.tolist(), dot(critic.W, theta).tolist())
+            for i, (tel, x, x_d, (n_i, e_i, s_i, I_i, V_i)) in enumerate(
+                    zip(live, env_rows.x, env_rows.x_d, scalars)):
+                try:
+                    if i not in faulted:
+                        tel.append(t, z[i], x, x_d, u_hat[i], n_i, e_i, s_i,
+                                   0 if s_i < 0 else 1, I_i, V_i, critic.W[i])
+                except NumericFault as exc:
+                    dead.append((i, exc))
+        u = u_hat if n_val is None else u_hat + n_val[:, None]
+        b.z_prev = z
+        if dead:
+            u = u[drop(dead)]
+        env_rows.check_domain(live, t)
+
+        # 5. saturate(u_hat + dither) and integrate to t_{k+1}
+        if k < n_steps and live:
+            dead = env_rows.advance(saturate(u, critic.u_m), t, dt)
+            if dead:
+                drop(dead)
+        if not live:
+            break
+    return list(zip(telemetry, faults))
+
+
+def _run_one(env, lcfg: LearnerConfig, dither_spec: DitherSpec, W0,
+             sim_cfg: SimConfig, basis, csv_path):
+    """The loop of `_run_rows` for one member, on 1-D arrays and with every
+    per-row scalar a Python float (`CriticRow`, `penalty_row`), each
+    expression the same numpy call on the same operands in the same order,
+    so the member has the bits of its row in any batch.  It calls the env's
+    own `z`, `G` and `advance` and streams its log to `csv_path`.  Returns
+    (telemetry, fault or None)."""
+    dt, every, n_steps = sim_cfg.dt, sim_cfg.record_every, sim_cfg.n_steps
+    # a catalog pair's G is constant: read once, as `_LinearRows` does
+    G_pair = env.G(env.z()) if isinstance(env, AugmentedTrackingEnv) else None
+    critic = CriticRow(lcfg, W0, basis.n_features)
+    buf = WindowBuffer(lcfg.T, dt)
+    Q1, r, u_m = lcfg.Q1, lcfg.sat.r_diag, lcfg.sat.u_m
+    neg_u_m, um2, den = -u_m, u_m ** 2, 2.0 * u_m * r
+    amp = dither_spec.amplitude
+    use_ndg = critic.m_term or critic.stab
+    z_prev = np.zeros(env.dim_z)
+    tel = _telemetry(env, basis.n_features, sim_cfg, csv_path)
+    fault = None
+    with _writers_aborted_on_error([tel]):
         for k in range(n_steps + 1):
             t = k * dt
             # 1. features, coupling, policy, stage cost and W . M
-            z = env_rows.z()
-            grad = basis.grad_rows(z)
-            G = env_rows.G(z)
-            tau = tau2_rows(critic.W, grad, G, critic.den)
+            z = env.z()
+            grad = basis.grad(z)
+            G = env.G(z) if G_pair is None else G_pair
+            tau = (critic.W @ grad) @ G / den
             th = np.tanh(tau)
-            u_hat = critic.neg_u_m * th
-            cost = quad(z, critic.Q1) + penalty_rows(tau, th, critic.um2, critic.r)
-            ndg = np.matmul(grad, G) if critic.use_m or critic.use_stab else None
-            m_scalar = 0.0
-            if critic.use_m:
-                M = m_vector(ndg, th, tau, critic.u_m)
-                if len(z) == 1:    # one row: its m-term or 0.0, without np.where
-                    m_scalar = dot(critic.W, M) if critic.m_term[0] else np.zeros(1)
-                else:
-                    m_scalar = np.where(critic.m_term, dot(critic.W, M), 0.0)
-            theta = basis.eval_rows(z)
+            u_hat = neg_u_m * th
+            cost = float(z @ Q1 @ z) + penalty_row(tau, th, um2, r)
+            ndg = np.matmul(grad, G) if use_ndg else None
+            m_w = float(critic.W @ m_vector(ndg, th, tau, u_m)) if critic.m_term else 0.0
+            theta = basis.eval(z)
 
             # 2. push the window sample for t_k
-            buf.push(t, theta, cost, m_scalar)
+            buf.push(t, theta, cost, m_w)
 
             # 3. critic update once the buffer spans a full window
-            sigma = dot(z, z - b.z_prev) / dt if k > 0 else np.zeros(len(z))
-            dead = critic.update(buf, theta, z, G, ndg, th, sigma, dt) \
-                if k > 0 and buf.ready else []
+            sigma = float(z @ (z - z_prev)) / dt if k > 0 else 0.0
+            if k > 0 and buf.ready:
+                fault = critic.update(buf, theta, z, G, ndg, th, sigma, dt)
+                if fault is not None:
+                    break
 
-            # 4. record telemetry and the domain warning; with every amplitude
-            # 0, u_hat + n is u_hat unless u_hat holds a zero, whose sign the
-            # add may flip, so the dither is evaluated only then
+            # 4. record telemetry and the domain warning (the dither as in
+            # `_run_rows`: -0.0 == 0.0)
             record = k % every == 0 or k == n_steps
-            n_val = b.amp * dither(t) \
-                if excited or record or np.count_nonzero(u_hat) < u_hat.size else None
-            if record and len(z) == 1:
-                if not dead:    # one row: the scalars below, unwrapped
-                    s_0, env = sigma.item(), env_rows.envs[0]
-                    try:
-                        live[0].append(t, z[0], env.x, env.x_d,
-                                       u_hat[0], n_val.item(), critic.e_hat.item(),
-                                       s_0, 0 if s_0 < 0 else 1, critic.I_hat.item(),
-                                       float(critic.W[0] @ theta[0]), critic.W[0])
-                    except NumericFault as exc:
-                        dead.append((0, exc))
-            elif record:
-                faulted = {i for i, _ in dead}
-                scalars = zip(n_val.tolist(), critic.e_hat.tolist(),
-                              sigma.tolist(), critic.I_hat.tolist(),
-                              dot(critic.W, theta).tolist())
-                for i, (tel, x, x_d, (n_i, e_i, s_i, I_i, V_i)) in enumerate(
-                        zip(live, env_rows.x, env_rows.x_d, scalars)):
-                    try:
-                        if i not in faulted:
-                            tel.append(t, z[i], x, x_d, u_hat[i], n_i, e_i, s_i,
-                                       0 if s_i < 0 else 1, I_i, V_i, critic.W[i])
-                    except NumericFault as exc:
-                        dead.append((i, exc))
-            u = u_hat if n_val is None else u_hat + n_val[:, None]
-            b.z_prev = z
-            if dead:
-                u = u[drop(dead)]
-            env_rows.check_domain(live, t)
+            n_val = amp * dither(t) if amp or record or 0.0 in u_hat.tolist() else None
+            if record:
+                try:
+                    tel.append(t, z, env.x, env.x_d, u_hat, n_val, critic.e_hat,
+                               sigma, 0 if sigma < 0 else 1, critic.I_hat,
+                               float(critic.W @ theta), critic.W)
+                except NumericFault as exc:
+                    fault = exc
+                    break
+            u = u_hat if n_val is None else u_hat + n_val
+            z_prev = z
+            env.check_domain(tel, t)
 
             # 5. saturate(u_hat + dither) and integrate to t_{k+1}
-            if k < n_steps and live:
-                dead = env_rows.advance(saturate(u, critic.u_m), t, dt)
-                if dead:
-                    drop(dead)
-            if not live:
-                break
-    return list(zip(telemetry, faults))
+            if k < n_steps:
+                try:
+                    env.advance(np.minimum(np.maximum(u, neg_u_m), u_m), t, dt)
+                except NumericFault as exc:
+                    fault = exc
+                    break
+    if fault is not None:
+        _stamp(fault, t, k, tel)
+    return tel, fault
 
 
 def run_env_experiment(env: TrackingEnv, learner_cfg: LearnerConfig,

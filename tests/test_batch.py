@@ -125,12 +125,18 @@ def test_member_does_not_depend_on_its_batch(tmp_path):
     for cfg, rows in zip(cfgs, alone):
         ((tel, _),) = batched([cfg])
         assert np.array_equal(tel.rows, rows)
-    # the UAV past its divergence onset (0.16 s), with Xi toggling, and a
-    # linear member with two channels (m = 2)
+    # the UAV past its divergence onset (0.16 s), with Xi toggling, a
+    # linear member with two channels (m = 2), and a window of 10.5 steps
+    # (an interpolated left edge and 11 intervals) with every law term on
     for config, overrides in (
             ("uav_attitude", ["sim.t_end_s=0.5", "sim.record_every=1"]),
             ("linear_benchmark", ["sim.t_end_s=0.3", "experiment.plant=integrator",
                                   "plant.n=2", "saturation.r_diag=10 10",
+                                  "dither.amplitude=1"]),
+            ("linear_benchmark", ["sim.t_end_s=0.3", "sim.record_every=1",
+                                  "learner.alpha=150", "learner.t_window_s=0.0105",
+                                  "learner.stabilizer=on", "learner.m_term=on",
+                                  "learner.k1_gain=0.01", "learner.k2_gain=0.01",
                                   "dither.amplitude=1"])):
         cfg = load(tmp_path, overrides, config, config)
         ((tel, fault),) = batched([cfg])

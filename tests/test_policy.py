@@ -7,7 +7,7 @@ import irltrack.policy as policy_module
 from irltrack.basis import quad_basis
 from irltrack.errors import ConfigurationError
 from irltrack.policy import (SaturationSpec, log_one_minus_tanh2, penalty_closed,
-                             penalty_integral, penalty_rows, tau2_rows)
+                             penalty_integral, penalty_row, penalty_rows, tau2_rows)
 
 
 def analytic_penalty(u, u_m, r_diag):
@@ -155,8 +155,9 @@ def test_penalty_row_alone_has_its_bits_in_a_batch(m, monkeypatch):
                         lambda a: batched.append(a.shape) or log_one_minus_tanh2(a))
     for row in rows:
         tau = np.array([rng.normal(size=m), row, rng.normal(size=m)])
-        alone = penalty_rows(tau[1:2], np.tanh(tau[1:2]), um2[1:2], r[None])
+        alone = penalty_row(tau[1], np.tanh(tau[1]), float(um2[1]), r)
         assert batched == ([(1, m)] if m == 8 else [])
         batch = penalty_rows(tau, np.tanh(tau), um2, np.tile(r, (3, 1)))
-        assert alone.shape == (1,) and alone.tobytes() == batch[1:2].tobytes(), row
+        assert type(alone) is float
+        assert np.array([alone]).tobytes() == batch[1:2].tobytes(), row
         batched.clear()

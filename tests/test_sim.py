@@ -235,7 +235,7 @@ def test_fused_step_evaluates_each_quantity_once(monkeypatch, m_term):
 
     def counting_basis(dim_in):
         basis = quad_basis(dim_in)
-        return dataclasses.replace(basis,
+        return dataclasses.replace(basis, grad=counting("grad", basis.grad),
                                    grad_rows=counting("grad", basis.grad_rows))
 
     plant, ref, sat, lcfg, scfg, _ = small_setup(t_end=0.05)
@@ -248,6 +248,15 @@ def test_fused_step_evaluates_each_quantity_once(monkeypatch, m_term):
     sim.run_env_experiment(env, lcfg, scfg)
     iterations = round(scfg.t_end / scfg.dt) + 1
     assert calls == {"grad": iterations, "G": iterations,
+                     "M": iterations if m_term else 0}
+    # the batched loop: grad and M once a step for both rows, G once a
+    # step for each
+    calls.update(grad=0, G=0, M=0)
+    envs = [PendulumEnv(1.0), PendulumEnv(0.5)]
+    for env in envs:
+        env.G = counting("G", env.G)
+    sim.run_batch([(env, lcfg, DitherSpec(), None) for env in envs], scfg)
+    assert calls == {"grad": iterations, "G": 2 * iterations,
                      "M": iterations if m_term else 0}
     # the stacked rows of a catalog pair read it once, at build
     calls.update(G=0)

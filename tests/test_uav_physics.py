@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from irltrack.benchmarks.uav import (AEROSONDE, PHI, PSI, Q, THETA, U, W,
-                                     UavAttitudeEnv, trim_level_flight,
+from irltrack.benchmarks.uav import (AEROSONDE, PHI, PSI, P, Q, THETA, U, V,
+                                     W, UavAttitudeEnv, trim_level_flight,
                                      uav_dynamics)
 from irltrack.catalog import make_env
 from irltrack.errors import NumericFault, OracleFailure
@@ -171,3 +171,32 @@ def test_stall_warning_follows_the_state():
     env.check_domain(tel, 0.01)
     (seen,) = tel.warnings.values()
     assert (seen.count, seen.t_last) == (1, 0.0)
+
+
+# States where a coefficient sum of `uav_dynamics` is -0.0 before its zero
+# coefficient is added, and the sign of that zero reaches a derivative:
+# dropping `c_y0 +` turns v-dot from 0.0 into -0.0, dropping `c_n0 +` p-dot.
+# The yaw moment's case needs a tiny roll sum, -4e-323 rad of aileron at
+# 1 mm/s, which the moment's product with qS b rounds to -0.0.  Dropping
+# `c_ll0 +` cannot change any output: the roll sum is -0.0 only when each
+# of its terms is, and then each yaw term is +0.0, positive or (aileron)
+# -0.0, so the yaw moment is >= +0.0 and adds the last term of p-dot and
+# r-dot, which erases the sign of a zero sum before it.
+# (state, (delta_e, delta_a, delta_r), throttle)
+ZERO_SUM_CASES = {
+    "c_y0": ([0.0, 0.0, -100.0, -18.0, 0.0, 0.9, -0.0, 0.05, 0.0, -0.0, 0.0, -0.0],
+             (-0.1, -0.0, 0.0), 0.5),
+    "c_n0": ([0.0, 0.0, -100.0, 1e-3, -0.0, 0.0, -0.0, 0.05, 0.0, -0.0, 0.0, 0.0],
+             (-0.1, -4e-323, 0.0), 0.5),
+}
+
+
+@pytest.mark.parametrize("coefficient", sorted(ZERO_SUM_CASES))
+def test_dynamics_keeps_a_zero_coefficient_in_its_sum(coefficient):
+    state, deflections, delta_t = ZERO_SUM_CASES[coefficient]
+    want = array_dynamics(np.array(state), np.array(deflections), AEROSONDE,
+                          delta_t)
+    got = uav_dynamics(state, deflections, delta_t)
+    # signwise: +0.0 and -0.0 have different bits
+    assert _same(got, want)
+    assert want[{"c_y0": V, "c_n0": P}[coefficient]] == 0.0
