@@ -23,7 +23,11 @@ value keeps the bits of the attribute-by-attribute form.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -282,13 +286,53 @@ class TrimPoint:
         return state
 
 
-def trim_level_flight(va: float) -> TrimPoint:
-    """Solve (alpha, delta_e, delta_t) for steady wings-level flight at va.
-    OracleFailure if the solve fails or its trim is outside the envelope of
-    the model: an angle of attack past the stall angle or a throttle outside
-    [0, 1] (13.3 to 78.8 m/s for the Aerosonde)."""
-    from scipy.optimize import root
+_MINPACK = "scipy.optimize._minpack"
+# hybrd's exit statuses, in the words of scipy.optimize.root(method="hybr")
+# at tol = 1e-12 (so maxfev = 200 (n + 1) = 800), each on one line
+_HYBRD_MESSAGES = {
+    0: "Improper input parameters were entered.",
+    1: "The solution converged.",
+    2: "The number of calls to function has reached maxfev = 800.",
+    3: "xtol=0.000000 is too small, no further improvement in the "
+       "approximate solution is possible.",
+    4: "The iteration is not making good progress, as measured by the "
+       "improvement from the last five Jacobian evaluations.",
+    5: "The iteration is not making good progress, as measured by the "
+       "improvement from the last ten iterations.",
+}
 
+
+def _minpack():
+    """scipy's compiled MINPACK module, loaded once from beside the scipy
+    package and kept in `sys.modules`, without importing `scipy.optimize`,
+    whose import costs a UAV run several hundred times the trim solve.
+    OracleFailure, naming the module, if it cannot be found or loaded."""
+    module = sys.modules.get(_MINPACK)
+    if module is not None:
+        return module
+    try:
+        scipy_spec = importlib.util.find_spec("scipy")
+        if scipy_spec is None:
+            raise ImportError("scipy is not installed")
+        finder = importlib.machinery.FileFinder(
+            os.path.join(scipy_spec.submodule_search_locations[0], "optimize"),
+            (importlib.machinery.ExtensionFileLoader,
+             importlib.machinery.EXTENSION_SUFFIXES))
+        spec = finder.find_spec(_MINPACK)
+        if spec is None:
+            raise ImportError("no such extension beside the scipy package")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError as exc:
+        raise OracleFailure(f"trim solver {_MINPACK} cannot be loaded: "
+                            + " ".join(str(exc).split())) from None
+    sys.modules[_MINPACK] = module
+    return module
+
+
+def _trim_residual(va: float):
+    """The level-flight residual at va: (alpha, delta_e, delta_t) to the
+    derivatives of u, w and q at the trim state."""
     def residual(x):
         alpha, de, dt_ = x
         state = TrimPoint(va, alpha, de, dt_).initial_state(0.0)
@@ -298,12 +342,30 @@ def trim_level_flight(va: float) -> TrimPoint:
             # solver wandered past the pitch guard; steer it back
             return [1e6 * (1.0 + abs(alpha)), 1e6, 1e6]
         return [d[U], d[W], d[Q]]
+    return residual
 
-    sol = root(residual, x0=[0.05, -0.1, 0.5], tol=1e-12)
-    if not sol.success or np.max(np.abs(residual(sol.x))) > 1e-8:
-        raise OracleFailure(f"plant.va_m_s = {va}: trim solver failed: "
-                            + " ".join(sol.message.split()))
-    alpha, de, dt_ = sol.x
+
+def _solve_trim(residual):
+    """MINPACK's hybrd (Moré, Garbow & Hillstrom, 1980) on `residual` from
+    (0.05, -0.1, 0.5), called as `scipy.optimize.root(residual, x0=[0.05,
+    -0.1, 0.5], tol=1e-12)` calls it: its x, status and one-line message."""
+    # fun, x0, args, full_output, xtol, maxfev, ml, mu, epsfcn, factor, diag
+    x, _, status = _minpack()._hybrd(
+        residual, np.array([0.05, -0.1, 0.5]), (), 1, 1e-12, 800, -10, -10,
+        np.finfo(float).eps, 100, None)
+    return x, status, _HYBRD_MESSAGES.get(status, "An error occurred.")
+
+
+def trim_level_flight(va: float) -> TrimPoint:
+    """Solve (alpha, delta_e, delta_t) for steady wings-level flight at va.
+    OracleFailure if the solve fails or its trim is outside the envelope of
+    the model: an angle of attack past the stall angle or a throttle outside
+    [0, 1] (13.3 to 78.8 m/s for the Aerosonde)."""
+    residual = _trim_residual(va)
+    x, status, message = _solve_trim(residual)
+    if status != 1 or np.max(np.abs(residual(x))) > 1e-8:
+        raise OracleFailure(f"plant.va_m_s = {va}: trim solver failed: {message}")
+    alpha, de, dt_ = x
     if abs(alpha) > AEROSONDE.stall_alpha:
         raise OracleFailure(
             f"plant.va_m_s = {va} trims at alpha = {math.degrees(alpha):.1f} deg, "

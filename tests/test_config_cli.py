@@ -485,30 +485,39 @@ print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 
 # Any scipy import raises, here and in the sweep's forked workers, which
 # inherit sys.meta_path; a worker that hits it reports its points as errors.
-_NO_SCIPY_CLI = """
+_NO_SCIPY = """
 import sys
 
 
 class NoScipy:
     def find_spec(self, name, path=None, target=None):
         if name.split(".")[0] == "scipy":
-            raise ImportError(f"{name} imported by a linear command")
+            raise ImportError(f"{name} is hidden")
         return None
 
 
 sys.meta_path.insert(0, NoScipy())
-""" + _CLI_SCIPY
+"""
+_NO_SCIPY_CLI = _NO_SCIPY + _CLI_SCIPY
+_NO_SCIPY_EXIT = _NO_SCIPY + """
+from irltrack import cli
+print(cli.main(sys.argv[1:]))
+"""
+
+
+def run_script(script, *args):
+    """`script` run with `args` in a fresh interpreter on this source tree."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          env=env, capture_output=True, text=True, check=True)
 
 
 def modules_after(script, *args):
     """The modules that `script`, run with `args` in a fresh interpreter,
     prints on its last line."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script, *args],
-                          env=env, capture_output=True, text=True, check=True)
-    return set(proc.stdout.splitlines()[-1].split())
+    return set(run_script(script, *args).stdout.splitlines()[-1].split())
 
 
 def loaded_scipy_modules(config_name):
@@ -557,15 +566,47 @@ def test_linear_command_loads_no_scipy(tmp_path, command):
             assert [row["status"] for row in csv.DictReader(fh)] == ["ok", "ok"]
 
 
+def _only_the_trim_solver(loaded):
+    """The UAV's scipy modules: the MINPACK extension, without the
+    scipy.optimize package around it or any scipy.linalg or scipy.integrate
+    module."""
+    assert "scipy.optimize" not in loaded
+    assert "scipy.optimize._minpack" in loaded
+    assert not any(m.startswith(("scipy.linalg", "scipy.integrate"))
+                   for m in loaded)
+
+
 def test_uav_setup_loads_only_the_trim_solver():
-    loaded = loaded_scipy_modules("uav_attitude")
-    assert "scipy.optimize" in loaded
-    assert not any(m.startswith("scipy.integrate") for m in loaded)
+    _only_the_trim_solver(loaded_scipy_modules("uav_attitude"))
+
+
+def test_uav_run_loads_only_the_trim_solver(tmp_path):
+    _only_the_trim_solver(modules_after(
+        _CLI_SCIPY, "run", "uav_attitude", "--override", "sim.t_end_s=0.05",
+        "--out", str(tmp_path / "out")))
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_uav_command_without_scipy_is_an_oracle_failure(tmp_path, command):
+    out = tmp_path / "out"
+    args = [command, "uav_attitude"]
+    if command == "run":
+        args += ["--override", "sim.t_end_s=0.05", "--out", str(out)]
+    proc = run_script(_NO_SCIPY_EXIT, *args)
+    reason = "trim solver scipy.optimize._minpack cannot be loaded: scipy is hidden"
+    assert proc.stderr == ""
+    if command == "validate":
+        assert proc.stdout.splitlines() == [
+            f"oracle failure: uav_attitude: {reason}", str(cli.EXIT_ORACLE)]
+    else:
+        assert proc.stdout.splitlines()[-1] == str(cli.EXIT_ORACLE)
+        assert f"status = oracle failure: {reason}\n" in \
+            (out / "manifest.txt").read_text()
 
 
 def test_sweep_parent_builds_no_point(tmp_path):
     # the parent cuts the grid by position; only the workers parse and
-    # resolve the points, so only they import the trim solver
+    # resolve the points, so only they load the trim solver
     out = tmp_path / "sweep"
     assert modules_after(
         _CLI_SCIPY, "sweep", "uav_attitude", "--override",

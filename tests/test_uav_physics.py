@@ -1,10 +1,14 @@
 """The Aerosonde on Python floats against its numpy-array formulation
 (`tests/reference.py`): the same bits, state by state."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import irltrack
 from irltrack.benchmarks.uav import (AEROSONDE, PHI, PSI, P, Q, THETA, U, V,
                                      W, UavAttitudeEnv, trim_level_flight,
                                      uav_dynamics)
@@ -84,6 +88,44 @@ def test_float_physics_is_bitwise_the_array_formulation_at_random_states():
 ])
 def test_trim_keeps_its_bits(va, want):
     assert repr(trim_level_flight(va)) == want
+
+
+# The trim's direct hybrd call against scipy.optimize.root over the same
+# residual, in a fresh interpreter that loads the extension first or
+# scipy.optimize first; either way both use the one extension module.
+_TRIM_AGAINST_ROOT = """
+import sys
+import numpy as np
+from irltrack.benchmarks import uav
+if sys.argv[1] == "extension":
+    uav._minpack()
+    assert "scipy.optimize" not in sys.modules
+from scipy.optimize import _minpack_py, root
+if sys.argv[1] == "scipy.optimize":
+    uav._minpack()
+assert uav._minpack() is _minpack_py._minpack
+vas = [18.0, 25.0, 35.0, 13.3, 78.8, 10.0, 100.0, 0.5, 0.0, -5.0]
+vas += np.random.default_rng(28).uniform(0.0, 120.0, 50).tolist()
+for va in vas:
+    residual = uav._trim_residual(va)
+    x, status, message = uav._solve_trim(residual)
+    sol = root(residual, x0=[0.05, -0.1, 0.5], tol=1e-12)
+    assert x.tobytes() == sol.x.tobytes(), (va, x, sol.x)
+    assert status == sol.status, (va, status, sol.status)
+    assert message == " ".join(sol.message.split()), (va, message, sol.message)
+print(len(vas))
+"""
+
+
+@pytest.mark.parametrize("first", ["extension", "scipy.optimize"])
+def test_trim_solve_is_bitwise_scipy_root(first):
+    src = os.path.dirname(os.path.dirname(irltrack.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _TRIM_AGAINST_ROOT, first],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["60"]
 
 
 @pytest.mark.parametrize("va, broken", [
