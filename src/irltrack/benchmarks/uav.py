@@ -43,9 +43,6 @@ PN, PE, PD, U, V, W, PHI, THETA, PSI, P, Q, R = range(12)
 _PITCH_GUARD = math.pi / 2 - 1e-6
 # outer-loop gains from (roll, pitch, yaw) error to body-rate command (1/s)
 _RATE_GAINS = (8.0, 10.0, 12.0)
-# G(z) but for the three rows `rate_control_coupling` sets: the rows of
-# the rate commands take no control
-_G_ZEROS = np.zeros((6, 3))
 
 
 @dataclass(frozen=True)
@@ -442,7 +439,7 @@ class UavAttitudeEnv:
 
     def G(self, z) -> np.ndarray:
         """Rate-channel coupling at the live airspeed (z is not read)."""
-        G = _G_ZEROS.copy()
+        G = np.zeros((6, 3))    # the rate commands' rows take no control
         G[:3] = rate_control_coupling(self.airspeed)
         return G
 

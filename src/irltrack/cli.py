@@ -190,13 +190,18 @@ def _write_artifacts(out_dir, cfg, env, telemetry: Telemetry | None,
 
 
 def _resolved_config(config_path: str, overrides, out_dir: str) -> str:
-    """The config a run reads: with overrides, `out_dir/config_resolved.ini`."""
-    os.makedirs(out_dir, exist_ok=True)
-    if not overrides:
-        return config_path
+    """The config a run reads: with overrides, `out_dir/config_resolved.ini`.
+    A run directory or file that cannot be created is a ConfigurationError
+    naming --out."""
     eff_path = os.path.join(out_dir, "config_resolved.ini")
-    apply_overrides(config_path, overrides, eff_path)
-    return eff_path
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        if overrides:
+            apply_overrides(config_path, overrides, eff_path)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"--out: cannot create {exc.filename}: {exc.strerror}") from None
+    return eff_path if overrides else config_path
 
 
 def run_one(config_path: str, overrides=(), out_dir: str = "runs/run"):
@@ -414,8 +419,7 @@ def cmd_sweep(args) -> int:
         seen.add(key)
         axes.append([(key, v) for v in vals])
     combos = list(itertools.product(*axes)) if axes else [()]
-    os.makedirs(args.out, exist_ok=True)
-    points = []
+    points = []    # making run000 makes args.out
     for i, combo in enumerate(combos):
         overrides = list(args.override) + [f"{k}={v}" for k, v in combo]
         name = f"run{i:03d}"

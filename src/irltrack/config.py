@@ -218,10 +218,14 @@ def parse_override(text: str) -> tuple[str, str, str]:
 
 def apply_overrides(path, overrides, out_path):
     """Copy an INI config applying 'section.key=value' overrides; a later
-    value for a key replaces an earlier one."""
+    value for a key replaces an earlier one.  A config that cannot be read
+    is a ConfigurationError; an OSError is the copy's."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    with open(path, encoding="utf-8") as fh:
-        cp.read_file(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cp.read_file(fh)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config: {exc}") from None
     for ov in overrides:
         section, option, value = parse_override(ov)
         if section != cp.default_section and not cp.has_section(section):

@@ -1,13 +1,13 @@
 """The learn-act loop, excitation dither, and telemetry.
 
-`run_batch` runs B members in one learn-act loop, chosen once from B:
-`_run_rows` carries them along a leading batch axis (states z (B, 2n),
-weights (B, n1), each run's gains as (B, ...) arrays), and `_run_one` runs
-a batch of one on 1-D arrays, with every per-row scalar a Python float,
-each expression the same numpy call as its row in `_run_rows`, so a member
-has the same bits alone and in any batch.  `run_env_experiment` is a batch
-of one.  Per sample time t_k either loop computes each per-step quantity
-once and shares it:
+`run_batch` runs B members through the learn-act loop in one of two
+forms, chosen once from B: `_run_rows` carries them along a leading batch
+axis (states z (B, 2n), weights (B, n1), each run's gains as (B, ...)
+arrays), and `_run_one` runs a batch of one on 1-D arrays, with every
+per-row scalar a Python float, each expression the same numpy call as its
+row in `_run_rows`, so a member has the same bits alone and in any batch.
+`run_env_experiment` is a batch of one.  Per sample time t_k either loop
+computes each per-step quantity once and shares it:
 
   1. z, grad_theta(z), G(z) and the saturation argument tau2 from the
      current weights; the policy u_hat = -u_m tanh(tau2), the penalty and,
@@ -24,11 +24,12 @@ once and shares it:
 up to the first step at or after t_end.  Catalog pairs
 (`AugmentedTrackingEnv`s) take one propagator step s <- Phi s + Gamma u of
 s = [x, x_d] (the exact RK4 step under zero-order hold, Phi/Gamma built
-once), stacked in `_LinearRows` or, alone, in the env's own `advance`,
-and their constant G is read once.  Any other env advances itself.  The
-reference never depends on the learner.  A faulted member leaves; the
-others go on.  With every dither amplitude 0, dither(t) is evaluated only
-at record steps and where u_hat holds a zero.
+once), stacked in `_LinearRows`, which reads their constant G once, at
+build, or, alone, in the env's own `advance`, with G read through the env
+like any other's.  Any other env advances itself.  The reference never
+depends on the learner.  A faulted member leaves; the others go on.  With
+every dither amplitude 0, dither(t) is evaluated only at record steps and
+where u_hat holds a zero.
 
 A batch of one given the path of its telemetry.csv streams its log there
 from its first full chunk of `_CHUNK_ROWS` rows on: a writer process
@@ -41,7 +42,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -183,7 +183,8 @@ class Telemetry:
 
     Columns: t, z_*, x_*, xd_*, u_*, n, e_hat, sigma, xi, I_hat, V_hat, W_*.
     Appends enforce strictly increasing time and reject non-finite values.
-    `capacity` is the expected number of rows; the array doubles past it.
+    `capacity` is the most rows the log will hold: `_telemetry` sizes a
+    member's log for its horizon.
     Warnings are kept once per kind, with a count and first/last times.
 
     Given `csv_path`, the file that `to_csv` will write, a log that fills
@@ -196,7 +197,7 @@ class Telemetry:
     """
 
     def __init__(self, dim_z: int, dim_x: int, dim_xd: int, m: int, n1: int,
-                 control_names=None, capacity: int = 64, csv_path=None):
+                 control_names=None, *, capacity: int, csv_path=None):
         control_names = control_names or [f"u{i}" for i in range(m)]
         cols = ["t"]
         cols += [f"z{i}" for i in range(dim_z)]
@@ -208,7 +209,7 @@ class Telemetry:
         self.header = cols
         edges = np.cumsum([1, dim_z, dim_x, dim_xd, m, 6, n1])
         self._groups = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-        self._data = np.empty((max(capacity, 1), len(cols)))
+        self._data = np.empty((capacity, len(cols)))
         self._n = 0
         self.warnings: dict[str, WarningCount] = {}
         self._csv_path, self._writer = csv_path, None
@@ -222,8 +223,6 @@ class Telemetry:
         return self._data[:self._n]
 
     def append(self, t, z, x, xd, u, n_val, e_hat, sigma, xi, I_hat, V_hat, W):
-        if self._n == len(self._data):
-            self._data = np.concatenate([self._data, np.empty_like(self._data)])
         row = self._data[self._n]
         row[0] = t
         g_z, g_x, g_xd, g_u, g_scalars, g_w = self._groups
@@ -319,9 +318,10 @@ class TrackingEnv(Protocol):
 
     No drift field is part of it: an environment offers the control
     coupling G(z) and integrates its own physics in `advance`, so nonlinear
-    physics is an env of its own.  The loop reads catalog pairs
-    (`AugmentedTrackingEnv`s) as stacked rows, any other env through these
-    methods, one row each, even if it reports a `linear_pair()`."""
+    physics is an env of its own.  A batch reads catalog pairs
+    (`AugmentedTrackingEnv`s) as stacked rows; a lone run, and any other
+    env, goes through these methods, one row each, even if it reports a
+    `linear_pair()`."""
 
     control_names: Sequence[str]
     m: int
@@ -406,9 +406,6 @@ class _EnvRows(Rows):
         super().keep(mask)
         self.envs = [env for env, alive in zip(self.envs, mask) if alive]
 
-    x = property(lambda self: [env.x for env in self.envs])
-    x_d = property(lambda self: [env.x_d for env in self.envs])
-
     def z(self):
         return np.array([env.z() for env in self.envs])
 
@@ -461,19 +458,9 @@ class _LinearRows(_EnvRows):
                 for i in np.flatnonzero(~np.isfinite(self.s).all(1))]
 
 
-@contextmanager
-def _writers_aborted_on_error(logs):
-    """Stop the logs' CSV writers, without their files, if the body raises."""
-    try:
-        yield
-    except BaseException:
-        for tel in logs:
-            tel.abort_csv()
-        raise
-
-
 def _telemetry(env, n1: int, sim_cfg: SimConfig, csv_path=None) -> Telemetry:
-    """A member's log, sized for the horizon; ConfigurationError naming
+    """A member's log, sized for the horizon: n_steps // record_every + 2
+    rows, at least as many as the loop records; ConfigurationError naming
     `sim.t_end_s` if it cannot be allocated."""
     try:
         return Telemetry(env.dim_z, len(env.x), len(env.x_d), env.m, n1,
@@ -500,8 +487,9 @@ def run_batch(members, sim_cfg: SimConfig, csv_paths=None):
     members share their dimensions and window T.  Returns (telemetry,
     fault) per member: fault is None for a finished run, else the
     `NumericFault` that ended it, stamped with t, step and the partial
-    telemetry.  The loop is chosen once, from the batch size: a batch of
-    one runs `_run_one`, which streams its log to `csv_paths[0]` through a
+    telemetry; every log is sized for the horizon (`_telemetry`).  The
+    loop's form is chosen once, from the batch size: a batch of one runs
+    `_run_one`, which streams its log to `csv_paths[0]` through a
     writer process (`Telemetry`), completed by `telemetry.to_csv(path)`,
     with no writer left running, nor a partial file, if the loop raises; a
     larger batch runs `_run_rows`, which starts no writers (they would
@@ -587,12 +575,12 @@ def _run_rows(envs, lcfgs, dithers, W0s, sim_cfg: SimConfig, basis):
             faulted = {i for i, _ in dead}
             scalars = zip(n_val.tolist(), critic.e_hat.tolist(), sigma.tolist(),
                           critic.I_hat.tolist(), dot(critic.W, theta).tolist())
-            for i, (tel, x, x_d, (n_i, e_i, s_i, I_i, V_i)) in enumerate(
-                    zip(live, env_rows.x, env_rows.x_d, scalars)):
+            for i, (tel, env, (n_i, e_i, s_i, I_i, V_i)) in enumerate(
+                    zip(live, env_rows.envs, scalars)):
                 try:
                     if i not in faulted:
-                        tel.append(t, z[i], x, x_d, u_hat[i], n_i, e_i, s_i,
-                                   0 if s_i < 0 else 1, I_i, V_i, critic.W[i])
+                        tel.append(t, z[i], env.x, env.x_d, u_hat[i], n_i, e_i,
+                                   s_i, 0 if s_i < 0 else 1, I_i, V_i, critic.W[i])
                 except NumericFault as exc:
                     dead.append((i, exc))
         u = u_hat if n_val is None else u_hat + n_val[:, None]
@@ -617,11 +605,10 @@ def _run_one(env, lcfg: LearnerConfig, dither_spec: DitherSpec, W0,
     per-row scalar a Python float (`CriticRow`, `penalty_row`), each
     expression the same numpy call on the same operands in the same order,
     so the member has the bits of its row in any batch.  It calls the env's
-    own `z`, `G` and `advance` and streams its log to `csv_path`.  Returns
-    (telemetry, fault or None)."""
+    own `z`, `G` and `advance`, whatever the env, clips with `saturate`, and
+    streams its log to `csv_path`, whose writer it stops without a file if
+    the loop raises.  Returns (telemetry, fault or None)."""
     dt, every, n_steps = sim_cfg.dt, sim_cfg.record_every, sim_cfg.n_steps
-    # a catalog pair's G is constant: read once, as `_LinearRows` does
-    G_pair = env.G(env.z()) if isinstance(env, AugmentedTrackingEnv) else None
     critic = CriticRow(lcfg, W0, basis.n_features)
     buf = WindowBuffer(lcfg.T, dt)
     Q1, r, u_m = lcfg.Q1, lcfg.sat.r_diag, lcfg.sat.u_m
@@ -631,13 +618,13 @@ def _run_one(env, lcfg: LearnerConfig, dither_spec: DitherSpec, W0,
     z_prev = np.zeros(env.dim_z)
     tel = _telemetry(env, basis.n_features, sim_cfg, csv_path)
     fault = None
-    with _writers_aborted_on_error([tel]):
+    try:
         for k in range(n_steps + 1):
             t = k * dt
             # 1. features, coupling, policy, stage cost and W . M
             z = env.z()
             grad = basis.grad(z)
-            G = env.G(z) if G_pair is None else G_pair
+            G = env.G(z)
             tau = (critic.W @ grad) @ G / den
             th = np.tanh(tau)
             u_hat = neg_u_m * th
@@ -675,10 +662,13 @@ def _run_one(env, lcfg: LearnerConfig, dither_spec: DitherSpec, W0,
             # 5. saturate(u_hat + dither) and integrate to t_{k+1}
             if k < n_steps:
                 try:
-                    env.advance(np.minimum(np.maximum(u, neg_u_m), u_m), t, dt)
+                    env.advance(saturate(u, u_m), t, dt)
                 except NumericFault as exc:
                     fault = exc
                     break
+    except BaseException:    # no writer left running, nor a partial file
+        tel.abort_csv()
+        raise
     if fault is not None:
         _stamp(fault, t, k, tel)
     return tel, fault

@@ -38,7 +38,8 @@ def filled_telemetry(n_rows, dims=(2, 1, 1, 1, 3), seed=0, csv_path=None):
     with exact zeros, integers and a negative zero among them."""
     rng = np.random.default_rng(seed)
     dim_z, dim_x, dim_xd, m, n1 = dims
-    tel = Telemetry(dim_z, dim_x, dim_xd, m, n1, capacity=4, csv_path=csv_path)
+    tel = Telemetry(dim_z, dim_x, dim_xd, m, n1, capacity=n_rows,
+                    csv_path=csv_path)
     width = len(tel.header) - 1
     scale = np.logspace(-12, 12, width)
     g = np.cumsum([0, dim_z, dim_x, dim_xd, m])

@@ -1,4 +1,5 @@
-"""The one step loop against the scalar reference loop.
+"""Both forms of the step loop, batched and lone, against the scalar
+reference loop.
 
 `tests/reference.py` holds the scalar loop the package used to run, one
 point at a time: every member of a batch, and every environment run as a

@@ -298,7 +298,8 @@ class TestEnvironmentProtocol:
         ts = sorted({0.0, 0.25, 30.0, *switches,
                      *(np.nextafter(s, -1.0) for s in switches),
                      *(np.nextafter(s, 99.0) for s in switches)})
-        tel = Telemetry(dim_z=6, dim_x=12, dim_xd=3, m=3, n1=1)
+        tel = Telemetry(dim_z=6, dim_x=12, dim_xd=3, m=3, n1=1,
+                        capacity=len(ts))
         for t in ts:
             tel.append(t, np.zeros(6), env.state, np.zeros(3), np.zeros(3),
                        0.0, 0.0, 0.0, 1, 0.0, 0.0, np.zeros(1))

@@ -226,6 +226,30 @@ def test_resolve_config_path_rejects_unknown():
         cli.resolve_config_path("definitely_missing_config")
 
 
+@pytest.mark.parametrize("command, out, cause", [
+    (["run"], "a_file", "a_file: File exists"),
+    (["run", "--override", "sim.t_end_s=0.01"], "a_file/sub",
+     "a_file/sub: Not a directory"),
+    (["sweep", "--grid", "learner.alpha=1,2"], "a_file",
+     "a_file/run000: Not a directory"),
+    (["sweep", "--grid", "learner.alpha=1,2"], "sweep",
+     "sweep/run000: File exists"),
+], ids=["run-file", "run-under-file", "sweep-file", "sweep-run-dir-file"])
+def test_an_unusable_out_is_a_config_error(tmp_path, capsys, command, out,
+                                          cause):
+    """An --out that cannot be made, or whose run directory is a file,
+    exits 2 with one line naming --out and the path, not a traceback."""
+    (tmp_path / "a_file").write_text("")
+    (tmp_path / "sweep").mkdir()
+    (tmp_path / "sweep" / "run000").write_text("")
+    argv = [command[0], "linear_benchmark", *command[1:],
+            "--out", str(tmp_path / out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == f"error: --out: cannot create {tmp_path}/{cause}\n"
+    assert captured.err == ""
+
+
 class TestUavCliSurface:
     def test_uav_series_covers_six_panels(self, tmp_path):
         out = tmp_path / "uav"

@@ -105,7 +105,7 @@ def test_reference_trajectory_independent_of_learner():
 
 
 def test_telemetry_ordering_and_finiteness():
-    tel = Telemetry(dim_z=2, dim_x=1, dim_xd=1, m=1, n1=2)
+    tel = Telemetry(dim_z=2, dim_x=1, dim_xd=1, m=1, n1=2, capacity=2)
     tel.append(0.0, [0, 0], [0], [0], [0], 0, 0, 0, 1, 0, 0, [0, 0])
     with pytest.raises(ConfigurationError):
         tel.append(0.0, [0, 0], [0], [0], [0], 0, 0, 0, 1, 0, 0, [0, 0])
@@ -258,12 +258,20 @@ def test_fused_step_evaluates_each_quantity_once(monkeypatch, m_term):
     sim.run_batch([(env, lcfg, DitherSpec(), None) for env in envs], scfg)
     assert calls == {"grad": iterations, "G": 2 * iterations,
                      "M": iterations if m_term else 0}
-    # the stacked rows of a catalog pair read it once, at build
+    # a lone catalog pair is read through its own methods, once a step
     calls.update(G=0)
     env = AugmentedTrackingEnv(plant, ref, x0=np.array([2.0, 0.0]))
     env.G = counting("G", env.G)
     sim.run_env_experiment(env, lcfg, scfg)
-    assert calls["G"] == 1
+    assert calls["G"] == iterations
+    # the stacked rows of catalog pairs read each once, at build
+    calls.update(G=0)
+    envs = [AugmentedTrackingEnv(plant, ref, x0=np.array([x, 0.0]))
+            for x in (2.0, 1.0)]
+    for env in envs:
+        env.G = counting("G", env.G)
+    sim.run_batch([(env, lcfg, DitherSpec(), None) for env in envs], scfg)
+    assert calls["G"] == 2
 
 
 def test_uav_rate_command_once_per_step(monkeypatch):

@@ -204,7 +204,7 @@ def test_stall_warning_follows_the_state():
     state[U], state[W] = va * math.cos(a0), va * math.sin(a0)
     state[Q] = -5.0   # rad/s
     env = UavAttitudeEnv(env.trim, env.schedule, state)
-    tel = Telemetry(dim_z=6, dim_x=12, dim_xd=3, m=3, n1=1)
+    tel = Telemetry(dim_z=6, dim_x=12, dim_xd=3, m=3, n1=1, capacity=0)
     env.check_domain(tel, 0.0)
     assert abs(_alpha(env)) > pr.stall_alpha
     assert tel.warnings["stall regime: |alpha| above the stall angle"].count == 1
