@@ -1,18 +1,17 @@
-"""The telemetry CSV formatting, and both ends of the pipe that streams a
-long log to a writer process.
+"""The one telemetry.csv writer, `write_csv`, and both ends of the pipe
+that streams a long log to it in a writer process.
 
-    python -I -S _csv_sink.py <path> <columns>
+    python -I -S _csv_sink.py <path> <name>...
 
-`sim.Telemetry` formats a short log inline with `format_rows`; a long one
-it streams, through a `CsvWriter`, to this script in a fresh interpreter
-while the loop runs.  The script's stdin carries frames, each an 8-byte
-little-endian length and that many bytes: the header line (UTF-8), then
+`sim.Telemetry` writes a short log inline; a long one it streams, through
+a `CsvWriter`, to this script in a fresh interpreter while the loop runs.
+The script's arguments are the file and its column names; its stdin
+carries frames, each an 8-byte little-endian length and that many bytes:
 chunks of rows as native float64 values, row-major, then an empty frame
-that ends the stream.  The script writes the header, then `format_rows` of
-each chunk.  If the stream ends without the empty frame, or writing fails,
-it deletes the partial file and exits with status 1, the error on stderr.
-The module imports only the standard library, so the process starts
-without numpy; `sim` imports it only when a log is written.
+that ends the stream.  If the stream ends without the empty frame, the
+partial file is deleted and the script exits with status 1, the error on
+stderr.  The module imports only the standard library, so the process
+starts without numpy; `sim` imports it only when a log is written.
 """
 import array
 import os
@@ -35,6 +34,22 @@ def format_rows(values, ncol: int) -> str:
     return "\n".join(map(",".join, zip(*[iter(strs)] * ncol))) + "\n"
 
 
+def write_csv(path, names, chunks):
+    """Write the header line of the column `names`, then `format_rows` of
+    each of `chunks` (flat row-major float sequences).  If writing or
+    `chunks` fails, the partial file is deleted and the error raised."""
+    ncol = len(names)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            fh.write(",".join(names) + "\n")
+            for chunk in chunks:
+                fh.write(format_rows(chunk, ncol))
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
+
+
 class CsvWriter:
     """The writer process of one telemetry.csv, fed frames through its
     stdin.  A writer that has exited takes no more frames; `close`
@@ -45,7 +60,7 @@ class CsvWriter:
         self.path = os.fspath(path)
         self.proc = subprocess.Popen(
             [sys.executable, "-I", "-S", os.path.abspath(__file__), self.path,
-             str(len(header))],
+             *header],
             stdin=subprocess.PIPE, stderr=subprocess.PIPE)
         try:
             import fcntl
@@ -53,7 +68,6 @@ class CsvWriter:
         except (ImportError, AttributeError, OSError):
             pass    # the default pipe: the same bytes, more blocking
         self.exited = False
-        self.send(",".join(header).encode())
 
     def send(self, payload):
         """Send one frame: `payload` is bytes or a C-contiguous array."""
@@ -84,8 +98,8 @@ class CsvWriter:
 
 
 def _frames(stream):
-    """The payloads of the frames before the end frame; EOFError if the
-    stream stops first."""
+    """The rows of each frame before the end frame, as flat float lists;
+    EOFError if the stream stops first."""
     while True:
         head = stream.read(FRAME_LEN.size)
         if len(head) != FRAME_LEN.size:
@@ -96,23 +110,8 @@ def _frames(stream):
         body = stream.read(n)
         if len(body) != n:
             raise EOFError("the stream ended inside a frame")
-        yield body
-
-
-def main(path: str, ncol: int):
-    frames = _frames(sys.stdin.buffer)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        try:
-            for i, body in enumerate(frames):
-                if i == 0:    # the header line
-                    fh.write(body.decode() + "\n")
-                else:
-                    fh.write(format_rows(array.array("d", body).tolist(), ncol))
-        except BaseException:
-            fh.close()
-            os.remove(path)
-            raise
+        yield array.array("d", body).tolist()
 
 
 if __name__ == "__main__":
-    main(sys.argv[1], int(sys.argv[2]))
+    write_csv(sys.argv[1], sys.argv[2:], _frames(sys.stdin.buffer))

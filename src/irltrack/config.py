@@ -1,11 +1,12 @@
 """Experiment configuration: INI parsing and resolution.
 
 Configs are plain INI with explicit unit suffixes (`*_deg`, `*_s`); degrees
-are converted to radians at the parse boundary.  `parse_config` reads each
-key once into the saturation, learner, sim and dither objects.  Every rule
-lives in the object it constrains; an object's error is reported under the
-INI keys of the fields it names ("section.key: problem").  A missing or
-malformed key is reported once and the object that needs it is not built;
+are converted to radians at the parse boundary.  `read_config` is the one
+INI reader; `parse_config` reads each key once into the saturation,
+learner, sim and dither objects.  Every rule lives in the object it
+constrains; an object's error is reported under the INI keys of the
+fields it names ("section.key: problem").  A missing or malformed key is
+reported once and the object that needs it is not built;
 an unknown key in [experiment], [saturation], [learner], [sim] or [dither]
 is an error, so a misspelled key cannot fall back to a default.
 `resolve` builds the environment (`catalog.make_env` on the [experiment]
@@ -87,14 +88,10 @@ class ExperimentConfig:
 
 def parse_config(path) -> tuple[ExperimentConfig | None, list[str]]:
     """Parse an INI experiment file; returns (config, []) or (None, errors)."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        with open(path, encoding="utf-8") as fh:
-            cp.read_file(fh)
-    except OSError as exc:
-        return None, [f"cannot read config: {exc}"]
-    except configparser.Error as exc:
-        return None, [f"parse error: {exc}"]
+        cp = read_config(path)
+    except ConfigurationError as exc:
+        return None, [str(exc)]
 
     errors = [f"{sec}: unknown section" for sec in cp.sections()
               if sec not in _KNOWN_SECTIONS]
@@ -216,21 +213,28 @@ def parse_override(text: str) -> tuple[str, str, str]:
     return section, option, value
 
 
-def apply_overrides(path, overrides, out_path):
-    """Copy an INI config applying 'section.key=value' overrides; a later
-    value for a key replaces an earlier one.  A config that cannot be read
-    is a ConfigurationError; an OSError is the copy's."""
+def read_config(path, overrides=()) -> configparser.ConfigParser:
+    """The INI file at `path`, with 'section.key=value' overrides applied in
+    order (a later value for a key replaces an earlier one).  A file that
+    cannot be read or parsed is a ConfigurationError on one line."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config: {exc}") from None
+    except (OSError, configparser.Error) as exc:
+        what = "cannot read config" if isinstance(exc, OSError) else "parse error"
+        msg = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigurationError(f"{what}: {msg}") from None
     for ov in overrides:
         section, option, value = parse_override(ov)
         if section != cp.default_section and not cp.has_section(section):
             cp.add_section(section)
         cp.set(section, option, value)
+    return cp
+
+
+def apply_overrides(path, overrides, out_path):
+    """Write `read_config(path, overrides)` to `out_path`."""
+    cp = read_config(path, overrides)
     with open(out_path, "w", encoding="utf-8") as fh:
         cp.write(fh)
-    return out_path

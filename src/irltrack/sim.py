@@ -32,10 +32,10 @@ every dither amplitude 0, dither(t) is evaluated only at record steps and
 where u_hat holds a zero.
 
 A batch of one given the path of its telemetry.csv streams its log there
-from its first full chunk of `_CHUNK_ROWS` rows on: a writer process
-formats the chunks on another core while the loop goes on (`Telemetry`).
-A larger batch writes its logs in `Telemetry.to_csv`, as a shorter log
-does.
+from its first full chunk of `_CHUNK_ROWS` rows on, to a writer process
+on another core while the loop goes on (`Telemetry`).  A larger batch, or
+a shorter log, is written in `Telemetry.to_csv`.  Either way the file is
+written by `_csv_sink.write_csv`.
 """
 from __future__ import annotations
 
@@ -192,8 +192,8 @@ class Telemetry:
     file and sends it each chunk as it completes, so the formatting runs
     on another core while the loop goes on; `to_csv(csv_path)` sends the
     rest and waits.  A shorter log, or one without a path, is formatted in
-    `to_csv` itself.  Either way the bytes are those of
-    `_csv_sink.format_rows`.
+    `to_csv` itself.  Either way `_csv_sink.write_csv` writes the file,
+    and a failed write leaves none.
     """
 
     def __init__(self, dim_z: int, dim_x: int, dim_xd: int, m: int, n1: int,
@@ -279,14 +279,14 @@ class Telemetry:
         return self.column("t")
 
     def to_csv(self, path):
-        """Write the log as CSV: the header, then one line per row with
-        every value as repr(float) (`_csv_sink.format_rows`).
+        """Write the log as CSV through `_csv_sink.write_csv`: the header,
+        then one line per row with every value as repr(float).
 
         A log streaming to `path` sends its last rows and the end of the
         stream, and waits for its writer: OSError if the writer failed.
-        Otherwise rows are formatted here in chunks of `_CHUNK_ROWS`, so
-        the chunk, not the run length, bounds the working set; a writer
-        streaming to another path is stopped first.
+        Otherwise `write_csv` is called here with chunks of `_CHUNK_ROWS`
+        rows, so the chunk, not the run length, bounds the working set; a
+        writer streaming to another path is stopped first.
         """
         writer = self._writer
         if writer is not None and writer.path == os.fspath(path):
@@ -297,13 +297,10 @@ class Telemetry:
             writer.close(complete=True)
             return
         self.abort_csv()    # a writer streaming to another path
-        from ._csv_sink import format_rows
-        ncol = len(self.header)
+        from ._csv_sink import write_csv
         rows = self.rows
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(self.header) + "\n")
-            for lo in range(0, len(rows), _CHUNK_ROWS):
-                fh.write(format_rows(rows[lo:lo + _CHUNK_ROWS].ravel().tolist(), ncol))
+        write_csv(path, self.header, (rows[lo:lo + _CHUNK_ROWS].ravel().tolist()
+                                      for lo in range(0, len(rows), _CHUNK_ROWS)))
 
     def abort_csv(self):
         """Stop the log's writer, if it has one, without a file: the writer

@@ -236,9 +236,9 @@ def test_a_log_streaming_elsewhere_is_written_inline(tmp_path, writers):
 
 def test_a_writer_without_the_end_frame_deletes_its_file(tmp_path):
     path = tmp_path / "telemetry.csv"
-    header, rows = b"t,x0", np.arange(6.0).reshape(3, 2)
-    frames = b"".join(FRAME_LEN.pack(len(b)) + b for b in (header, rows.tobytes()))
-    sink = [sys.executable, "-I", "-S", csv_sink.__file__, str(path), "2"]
+    rows = np.arange(6.0).reshape(3, 2)
+    frames = FRAME_LEN.pack(rows.nbytes) + rows.tobytes()
+    sink = [sys.executable, "-I", "-S", csv_sink.__file__, str(path), "t", "x0"]
     done = subprocess.run(sink, input=frames + FRAME_LEN.pack(0),
                           capture_output=True, timeout=60)
     assert done.returncode == 0
@@ -246,6 +246,21 @@ def test_a_writer_without_the_end_frame_deletes_its_file(tmp_path):
     cut = subprocess.run(sink, input=frames, capture_output=True, timeout=60)
     assert cut.returncode == 1 and b"EOFError" in cut.stderr
     assert not path.exists()
+
+
+def test_a_failed_inline_write_leaves_no_file(tmp_path, monkeypatch):
+    format_rows, calls = csv_sink.format_rows, []
+
+    def fail_on_the_second_chunk(values, ncol):
+        calls.append(ncol)
+        if len(calls) == 2:
+            raise OSError("the disk is full")
+        return format_rows(values, ncol)
+    monkeypatch.setattr(csv_sink, "format_rows", fail_on_the_second_chunk)
+    tel = filled_telemetry(600)
+    with pytest.raises(OSError, match="the disk is full"):
+        tel.to_csv(tmp_path / "telemetry.csv")
+    assert len(calls) == 2 and os.listdir(tmp_path) == []
 
 
 def test_writer_working_set_is_bounded(tmp_path):

@@ -284,6 +284,42 @@ def test_malformed_ini_reports_parse_error(tmp_path):
     assert cli.main(["validate", str(bad)]) == cli.EXIT_CONFIG
 
 
+_MALFORMED = {"no-section-header": "[sim\ndt_s = 0.001\n",
+              "duplicate-key": "[sim]\ndt_s = 0.001\ndt_s = 0.002\n"}
+
+
+@pytest.mark.parametrize("text", _MALFORMED.values(), ids=_MALFORMED)
+@pytest.mark.parametrize("command", [
+    ["run", "--override", "sim.t_end_s=0.1"],
+    ["sweep", "--grid", "learner.alpha=1,2"]], ids=["run", "sweep"])
+def test_a_malformed_config_with_overrides_is_one_line(tmp_path, capsys,
+                                                       command, text):
+    """A config that does not parse exits 2 with one `parse error` line
+    when its overrides are applied, as without them."""
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    argv = [command[0], str(bad), *command[1:], "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out.startswith("error: parse error: ")
+    assert captured.out.count("\n") == 1 and captured.err == ""
+
+
+@pytest.mark.parametrize("text", _MALFORMED.values(), ids=_MALFORMED)
+def test_a_malformed_config_is_one_status_line(tmp_path, capsys, text):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(bad), "--out", str(out)]) == cli.EXIT_CONFIG
+    lines = (out / "manifest.txt").read_text().splitlines()
+    assert lines[1].startswith("status = config error: parse error: ")
+    assert lines[2].startswith("code_version = ")
+    capsys.readouterr()
+    assert cli.main(["validate", str(bad)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  - " + lines[1].split("config error: ", 1)[1]]
+
+
 def test_catalog_registration_and_lookup():
     import numpy as np
     from irltrack import catalog
