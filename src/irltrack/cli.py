@@ -2,7 +2,8 @@
 oracle-check suite, and sweep hyperparameter grids.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric fault during a run,
-4 oracle failure.
+4 oracle failure.  `_outcome` maps the exception that ends a validation or
+a run to its code and status; anything unforeseen is exit 3 under its type.
 """
 from __future__ import annotations
 
@@ -70,31 +71,42 @@ def resolve_config_path(arg: str) -> str:
         f"config {arg!r} is neither a file nor a bundled config name")
 
 
-def _load_config(path):
-    """Parse and resolve a config: (EXIT_OK, cfg, env), or the exit code,
-    the config if it parsed (else None) and the error messages."""
-    cfg, errors = parse_config(path)
-    if errors:
-        return EXIT_CONFIG, cfg, errors
-    try:
-        return EXIT_OK, cfg, resolve(cfg)
-    except ConfigurationError as exc:
-        return EXIT_CONFIG, cfg, [str(exc)]
-    except OracleFailure as exc:
-        return EXIT_ORACLE, cfg, [str(exc)]
+def _outcome(exc: Exception) -> tuple[int, str, list[str]]:
+    """The exit code, status and detail lines of the exception that ends a
+    validation or a point: a ConfigurationError is exit 2 with a line per
+    line of its message, an OracleFailure exit 4, a NumericFault exit 3 at
+    its time and step, and anything else exit 3 under its type, with its
+    traceback on stderr."""
+    if isinstance(exc, ConfigurationError):
+        return EXIT_CONFIG, "config error", str(exc).splitlines()
+    if isinstance(exc, OracleFailure):
+        return EXIT_ORACLE, "oracle failure", [str(exc)]
+    if isinstance(exc, NumericFault):
+        where = f"t={exc.t!r}, step {exc.step}"
+        return EXIT_NUMERIC, f"numeric fault at {where}", [str(exc)]
+    import traceback
+    traceback.print_exception(exc)
+    return EXIT_NUMERIC, "error", [f"{type(exc).__name__}: {exc}"]
 
 
 def cmd_validate(args) -> int:
-    code, cfg, detail = _load_config(resolve_config_path(args.config))
-    if code == EXIT_ORACLE:
-        print(f"oracle failure: {args.config}: {detail[0]}")
-    elif code == EXIT_CONFIG:
-        print(f"invalid: {args.config}")
-        for e in detail:
-            print(f"  - {e}")
-    else:
-        print(f"valid: {args.config} (experiment {cfg.name!r})")
-    return code
+    path = resolve_config_path(args.config)
+    try:
+        cfg, errors = parse_config(path)
+        if errors:
+            raise ConfigurationError("\n".join(errors))
+        resolve(cfg)
+    except Exception as exc:  # reported under its exit code
+        code, status, detail = _outcome(exc)
+        if code == EXIT_CONFIG:
+            print(f"invalid: {args.config}")
+            for e in detail:
+                print(f"  - {e}")
+        else:
+            print(f"{status}: {args.config}: {'; '.join(detail)}")
+        return code
+    print(f"valid: {args.config} (experiment {cfg.name!r})")
+    return EXIT_OK
 
 
 def _write_manifest(path, cfg, telemetry: Telemetry | None, status: str,
@@ -177,10 +189,10 @@ def _write_artifacts(out_dir, cfg, env, telemetry: Telemetry | None,
                      batch_size: int | None = None) -> int:
     """Write one run's telemetry.csv, series/ and manifest.txt; returns its
     exit code."""
-    status, code = "ok", EXIT_OK
+    code, status = EXIT_OK, "ok"
     if fault is not None:
-        status = f"numeric fault at t={fault.t!r}, step {fault.step}: {fault}"
-        code = EXIT_NUMERIC
+        code, status, detail = _outcome(fault)
+        status += f": {detail[0]}"
     if telemetry is not None:
         _write_series(out_dir, env, telemetry, W_star)
         telemetry.to_csv(os.path.join(out_dir, "telemetry.csv"))
@@ -299,39 +311,15 @@ def _summary_row(point: _Point, status: str, telemetry: Telemetry | None,
     return row
 
 
-def _fail(point: _Point, cfg, code: int, detail: list[str], wall_s: float):
-    """Print a point's errors and write its manifest, with the status and no
-    records; returns the exit code."""
+def _fail(point: _Point, cfg, outcome, wall_s: float) -> int:
+    """Print the detail lines of a point's `_outcome` and write its
+    manifest, with the status and no records; returns the exit code."""
+    code, status, detail = outcome
     for e in detail:
         print(f"  - {e}")
-    status = {EXIT_CONFIG: "config error", EXIT_ORACLE: "oracle failure"}.get(
-        code, "error")
     _write_manifest(os.path.join(point.out_dir, "manifest.txt"), cfg, None,
                     f"{status}: {'; '.join(detail)}", wall_s)
     return code
-
-
-def _error(exc: Exception) -> tuple[int, list[str]]:
-    """The exit code and detail of an exception that ends a point: a
-    ConfigurationError is exit 2, anything else exit 3 under its type, with
-    its traceback on stderr."""
-    if isinstance(exc, ConfigurationError):
-        return EXIT_CONFIG, [str(exc)]
-    import traceback
-    traceback.print_exception(exc)
-    return EXIT_NUMERIC, [f"{type(exc).__name__}: {exc}"]
-
-
-def _load(point: _Point):
-    """(cfg, env) of a point, or its exit code once `_fail` reported it."""
-    t0 = time.perf_counter()
-    try:
-        code, cfg, detail = _load_config(point.config_path)
-    except Exception as exc:  # the point fails, not its chunk
-        (code, detail), cfg = _error(exc), None
-    if code == EXIT_OK:
-        return cfg, detail
-    return _fail(point, cfg, code, detail, time.perf_counter() - t0)
 
 
 def _run(points: list[_Point]) -> list[tuple[int, Telemetry | None]]:
@@ -340,20 +328,25 @@ def _run(points: list[_Point]) -> list[tuple[int, Telemetry | None]]:
     dimensions; writes their artifacts and returns (exit code, telemetry or
     None) per point.  The telemetry.csv of a batch of one is streamed to
     its writer process from the loop on (`run_batch`), and completed by
-    `to_csv`.  A point that does not load gets only its manifest (`_fail`);
-    so does each point of a batch that raises (exit 2 for a
-    ConfigurationError of `run_batch`, such as a [sim] it rejects, else
-    exit 3) and has not written its artifacts, whose writer is stopped
-    without a file.  A batch manifest's wall time is its loop's / B, with
-    `batch_size = B` when B > 1."""
+    `to_csv`.  A point that does not parse or resolve gets only its
+    manifest (`_fail`), with the status `_outcome` maps its error to; so
+    does each point of a batch that raises (such as a ConfigurationError
+    for a [sim] `run_batch` rejects) and has not written its artifacts,
+    whose writer is stopped without a file.  A batch manifest's wall time
+    is its loop's / B, with `batch_size = B` when B > 1."""
     out: list = [None] * len(points)
     groups: dict = {}
     for i, point in enumerate(points):
-        loaded = _load(point)
-        if isinstance(loaded, int):
-            out[i] = (loaded, None)
+        t0, cfg = time.perf_counter(), None
+        try:
+            cfg, errors = parse_config(point.config_path)
+            if errors:
+                raise ConfigurationError("\n".join(errors))
+            env = resolve(cfg)
+        except Exception as exc:  # the point fails, not its chunk
+            out[i] = (_fail(point, cfg, _outcome(exc), time.perf_counter() - t0),
+                      None)
             continue
-        cfg, env = loaded
         key = (cfg.plant_id, cfg.reference_id, cfg.sim, cfg.learner.T,
                env.dim_z, env.m, len(env.x), len(env.x_d))
         groups.setdefault(key, []).append((i, cfg, env))
@@ -376,11 +369,11 @@ def _run(points: list[_Point]) -> list[tuple[int, Telemetry | None]]:
         except Exception as exc:  # the batch fails, not its chunk
             for telemetry, _ in results:    # the writers of unwritten artifacts
                 telemetry.abort_csv()
-            code, detail = _error(exc)
+            outcome = _outcome(exc)
             wall = (time.perf_counter() - t0) / len(batch)
             for i, cfg, _ in batch:
                 if out[i] is None:
-                    out[i] = (_fail(points[i], cfg, code, detail, wall), None)
+                    out[i] = (_fail(points[i], cfg, outcome, wall), None)
     return out
 
 

@@ -5,10 +5,11 @@ are converted to radians at the parse boundary.  `read_config` is the one
 INI reader; `parse_config` reads each key once into the saturation,
 learner, sim and dither objects.  Every rule lives in the object it
 constrains; an object's error is reported under the INI keys of the
-fields it names ("section.key: problem").  A missing or malformed key is
-reported once and the object that needs it is not built;
-an unknown key in [experiment], [saturation], [learner], [sim] or [dither]
-is an error, so a misspelled key cannot fall back to a default.
+fields it names ("section.key: problem", on one line).  Values are read
+verbatim, so a `%` is a literal.  A missing or malformed key is reported
+once and the object that needs it is not built; an unknown key in
+[experiment], [saturation], [learner], [sim] or [dither] is an error, so a
+misspelled key cannot fall back to a default.
 `resolve` builds the environment (`catalog.make_env` on the [experiment]
 ids, with the [plant] and [reference] keys, which it checks against the
 keys its builders read).  Nothing here knows any particular plant.
@@ -141,7 +142,7 @@ def parse_config(path) -> tuple[ExperimentConfig | None, list[str]]:
     def report(exc: ConfigurationError):
         """The error under its INI keys; a value read from a `_deg` key is
         quoted as written, not in radians."""
-        msg = str(exc)
+        msg = " ".join(line.strip() for line in str(exc).splitlines())
         for f in exc.fields:
             if f in as_written:
                 value, text = as_written[f]
@@ -214,15 +215,19 @@ def parse_override(text: str) -> tuple[str, str, str]:
 
 
 def read_config(path, overrides=()) -> configparser.ConfigParser:
-    """The INI file at `path`, with 'section.key=value' overrides applied in
-    order (a later value for a key replaces an earlier one).  A file that
-    cannot be read or parsed is a ConfigurationError on one line."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """The INI file at `path`, its values verbatim (no interpolation, so a
+    `%` is a literal), with 'section.key=value' overrides applied in order
+    (a later value for a key replaces an earlier one).  A file that cannot
+    be read, decoded as UTF-8 or parsed is a ConfigurationError on one
+    line."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
-    except (OSError, configparser.Error) as exc:
-        what = "cannot read config" if isinstance(exc, OSError) else "parse error"
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        what = "parse error" if isinstance(exc, configparser.Error) else \
+            "cannot read config"
         msg = " ".join(line.strip() for line in str(exc).splitlines())
         raise ConfigurationError(f"{what}: {msg}") from None
     for ov in overrides:

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericFault
-from .models import fields_equal, fields_hash
 from .policy import SaturationSpec
 from .rows import Rows, dot, mv, vm
 
@@ -51,7 +50,7 @@ from .rows import Rows, dot, mv, vm
 _SPAN_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LearnerConfig:
     """The update law, its gains and the shared weights of the critic.
 
@@ -77,7 +76,6 @@ class LearnerConfig:
     stabilizer_enabled: bool = True
     m_term_enabled: bool = True
     law: str = "novel"
-    __eq__, __hash__ = fields_equal, fields_hash
 
     def __post_init__(self):
         object.__setattr__(self, "Q1", np.asarray(self.Q1, dtype=float))

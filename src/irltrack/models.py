@@ -13,44 +13,25 @@ which each environment offers as its method ``G(z)``
 `augmented_linear` gives the stacked ``(A, B)``.  Nonlinear physics is
 written as an environment of its own (`sim.TrackingEnv`).  A plant or a
 reference checks its shapes and entries when it is built, so no invalid
-one reaches the loop.
+one reaches the loop.  Like `SaturationSpec` and `LearnerConfig`, these
+frozen records compare and hash by identity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 
 
-def fields_equal(a, b):
-    """Value equality of two dataclasses of one class that hold arrays:
-    `np.array_equal` on array fields, == on the rest."""
-    if type(a) is not type(b):
-        return NotImplemented
-    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
-    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) or
-               isinstance(y, np.ndarray) else x == y for x, y in pairs)
-
-
-def fields_hash(obj):
-    """Hash of a dataclass that holds arrays, alike for objects that
-    `fields_equal` takes equal: an array field hashes as its shape and its
-    entries as floats, so -0.0 and 0.0 hash alike."""
-    return hash(tuple((v.shape, tuple(v.ravel().tolist()))
-                      if isinstance(v, np.ndarray) else v
-                      for v in (getattr(obj, f.name) for f in fields(obj))))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffinePlant:
     """Linear plant ``xdot = A x + B u``: A is (n, n), B is (n, m)."""
 
     A: np.ndarray
     B: np.ndarray
     name: str = ""
-    __eq__, __hash__ = fields_equal, fields_hash
 
     n = property(lambda self: np.shape(self.A)[0])
     m = property(lambda self: np.shape(self.B)[1])
@@ -65,7 +46,7 @@ class AffinePlant:
             raise ConfigurationError(f"plant {self.name!r}: non-finite A or B")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceModel:
     """Autonomous reference ``xd_dot = H xd`` from ``x_d0``: H is (n, n)
     for the n entries of x_d0."""
@@ -73,7 +54,6 @@ class ReferenceModel:
     H: np.ndarray
     x_d0: np.ndarray
     name: str = ""
-    __eq__, __hash__ = fields_equal, fields_hash
 
     def __post_init__(self):
         H, x0 = np.shape(self.H), np.shape(self.x_d0)

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .models import fields_equal, fields_hash
 from .rows import vm
 
 _LOG2 = float(np.log(2.0))
@@ -37,7 +36,7 @@ _LOG2 = float(np.log(2.0))
 _FOLD_MAX = 7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SaturationSpec:
     """Actuator bound u_m (> 0, with a finite u_m^2: the penalty's scale)
     and the diagonal r_diag of the control weight R, one finite, positive
@@ -48,7 +47,6 @@ class SaturationSpec:
 
     u_m: float
     r_diag: np.ndarray | tuple = (1.0,)
-    __eq__, __hash__ = fields_equal, fields_hash
 
     def __post_init__(self):
         object.__setattr__(self, "r_diag", np.asarray(self.r_diag, dtype=float))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import irltrack.cli as cli
-from irltrack.config import parse_config, resolve
+from irltrack.config import parse_config, read_config, resolve
 from irltrack.errors import ConfigurationError
 
 
@@ -875,3 +875,106 @@ def test_default_section_overrides_run_and_sweep(tmp_path):
                      "--grid", "DEFAULT.note=a,b", "--out", str(out)]) == cli.EXIT_OK
     assert [default_note(out / f"run00{i}" / "config_resolved.ini")
             for i in (0, 1)] == ["a", "b"]
+
+
+# The exit-code contract: every bad input exits 2 (config), 3 (numeric) or
+# 4 (oracle) on one line, with nothing on stderr.  Each key of the bundled
+# configs, so a key added to them is covered, takes each of these values.
+_EDGE_VALUES = ["", "nan", "inf", "-inf", "-1", "0", "1e400", "abc", "5%",
+                "1,2", " 1 2 "]
+_BUNDLED_KEYS = [(name, section, key)
+                 for name in ("linear_benchmark", "uav_attitude")
+                 for cp in [read_config(bundled(name))]
+                 for section in cp.sections() for key in cp.options(section)]
+
+
+def validate_lines(capsys, path):
+    """The exit code and stdout lines of `irltrack validate path`, run in
+    process; no exception escapes and stderr stays empty."""
+    code = cli.main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return code, captured.out.splitlines()
+
+
+@pytest.mark.parametrize("name, section, key", _BUNDLED_KEYS,
+                         ids=[f"{n}-{s}.{k}" for n, s, k in _BUNDLED_KEYS])
+def test_every_bundled_key_exits_with_its_code(tmp_path, capsys, name,
+                                               section, key):
+    path = tmp_path / "edited.ini"
+    for value in _EDGE_VALUES:
+        cp = read_config(bundled(name))
+        cp.set(section, key, value)
+        with open(path, "w", encoding="utf-8") as fh:
+            cp.write(fh)
+        code, lines = validate_lines(capsys, path)
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_ORACLE), \
+            (value, lines)
+        if code == cli.EXIT_CONFIG:
+            assert any(f"{section}.{key}" in ln for ln in lines[1:]), \
+                (value, lines)
+        else:
+            assert len(lines) == 1, (value, lines)
+
+
+with open(bundled("linear_benchmark"), encoding="utf-8") as _fh:
+    _LINEAR = _fh.read()
+_BROKEN = {
+    **_MALFORMED,
+    "unknown-section": _LINEAR + "\n[bogus]\nx = 1\n",
+    "empty": "",
+    "not-utf8": b"\xff\xfe[sim]\n",
+    # numpy wraps the array of this error over two lines
+    "r_diag-of-twenty": _LINEAR.replace(
+        "r_diag = 10.0", "r_diag = " + " ".join(["1"] * 18 + ["-1", "1"])),
+    "directory": None,
+}
+
+
+@pytest.mark.parametrize("content", _BROKEN.values(), ids=_BROKEN)
+def test_a_broken_config_exits_2_on_one_line(tmp_path, capsys, content):
+    path = tmp_path / "broken.ini"
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    code, lines = validate_lines(capsys, path)
+    assert code == cli.EXIT_CONFIG
+    assert lines[0] == f"invalid: {path}" and len(lines) > 1
+    # each error line opens with what it is about: a key, a section or
+    # the file
+    assert all(re.match(r"  - [\w. ]+: \S", ln) for ln in lines[1:]), lines
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == ""
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert manifest[1] == "status = config error: " + "; ".join(
+        ln[4:] for ln in lines[1:])
+    assert manifest[2].startswith("code_version = ")
+
+
+_EXIT_CODE = """
+import sys
+from irltrack import cli
+print(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command, run, status", [
+    (["run", "linear_benchmark", "--override", "sim.t_end_s=0.1%"], ".",
+     "sim.t_end_s: could not convert string to float: '0.1%'"),
+    (["sweep", "linear_benchmark", "--override", "sim.t_end_s=0.01",
+      "--grid", "learner.alpha=1,2%"], "run001",
+     "learner.alpha: could not convert string to float: '2%'"),
+], ids=["run", "sweep"])
+def test_a_percent_in_a_value_exits_2_in_a_fresh_process(tmp_path, command,
+                                                         run, status):
+    out = tmp_path / "out"
+    proc = run_script(_EXIT_CODE, *command, "--out", str(out))
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == str(cli.EXIT_CONFIG)
+    manifest = (out / run / "manifest.txt").read_text().splitlines()
+    assert manifest[1] == f"status = config error: {status}"
+    assert manifest[2].startswith("code_version = ")
