@@ -120,16 +120,44 @@ def learner(Q1, sat):
     return LearnerConfig(alpha=1.0, gamma=0.1, T=0.01, Q1=Q1, sat=sat)
 
 
-# records with multi-entry array fields: the generated __eq__ raised "truth
-# value of an array ... is ambiguous" and the generated __hash__
-# "unhashable type"; they compare and hash by identity
-def test_records_compare_and_hash_by_identity():
-    sat = partial(SaturationSpec, 1.0, np.ones(2))
-    for build in (sat, partial(AffinePlant, np.eye(2), np.ones((2, 1)), "p"),
-                  partial(ReferenceModel, np.eye(2), np.ones(2), "r"),
-                  partial(learner, np.eye(2), sat())):
-        a, b = build(), build()    # equal values, two records
-        assert a == a and not a != a and a != b and not a == b
-        assert hash(a) == hash(a) and isinstance(hash(b), int)
-        keyed = {a: "first", b: "second"}
-        assert len(keyed) == 2 and keyed[a] == "first" and keyed[b] == "second"
+# each pair differs in one array field; a multi-entry array there made the
+# generated __eq__ raise "truth value of an array ... is ambiguous". The
+# records compare by identity: a record equals itself, and neither an
+# equal-valued twin nor a record differing by value
+@pytest.mark.parametrize("build, other", [
+    (partial(SaturationSpec, 1.0, np.ones(2)),
+     partial(SaturationSpec, 1.0, np.array([1.0, 2.0]))),
+    (partial(AffinePlant, np.eye(2), np.ones((2, 1)), "p"),
+     partial(AffinePlant, np.eye(2), np.zeros((2, 1)), "p")),
+    (partial(ReferenceModel, np.eye(2), np.ones(2), "r"),
+     partial(ReferenceModel, np.eye(2), np.array([1.0, 0.0]), "r")),
+    (partial(learner, np.eye(2), SaturationSpec(1.0, np.ones(2))),
+     partial(learner, np.eye(2), SaturationSpec(1.0, np.full(2, 2.0)))),
+    (partial(learner, np.eye(2), SaturationSpec(1.0, np.ones(2))),
+     partial(learner, np.diag([1.0, 0.0]), SaturationSpec(1.0, np.ones(2)))),
+])
+def test_models_with_arrays_compare_by_value(build, other):
+    a = build()
+    assert a == a and not a != a
+    assert build() != build() and not build() == build()
+    assert build() != other() and not build() == other()
+
+
+# each pair is equal by value: an entry -0.0 against 0.0, or the same
+# entries in a new array; the generated __hash__ raised "unhashable type".
+# The records hash by identity, so the two are distinct dict keys
+@pytest.mark.parametrize("build, other", [
+    (partial(SaturationSpec, 1.0, np.ones(2)),
+     partial(SaturationSpec, 1.0, np.array([1.0, 1.0]))),
+    (partial(AffinePlant, np.eye(2), np.zeros((2, 1)), "p"),
+     partial(AffinePlant, np.eye(2), np.full((2, 1), -0.0), "p")),
+    (partial(ReferenceModel, -np.zeros((2, 2)), np.ones(2), "r"),
+     partial(ReferenceModel, np.zeros((2, 2)), np.ones(2), "r")),
+    (partial(learner, np.diag([1.0, 0.0]), SaturationSpec(1.0, np.ones(2))),
+     partial(learner, np.diag([1.0, -0.0]), SaturationSpec(1.0, np.ones(2)))),
+])
+def test_equal_models_hash_alike_and_key_a_dict(build, other):
+    a, b = build(), other()
+    assert a != b and hash(a) == hash(a) and isinstance(hash(b), int)
+    keyed = {a: "first", b: "second"}
+    assert len(keyed) == 2 and keyed[a] == "first" and keyed[b] == "second"
