@@ -203,11 +203,23 @@ def _write_artifacts(out_dir, cfg, env, telemetry: Telemetry | None,
 
 def _resolved_config(config_path: str, overrides, out_dir: str) -> str:
     """The config a run reads: with overrides, `out_dir/config_resolved.ini`.
-    A run directory or file that cannot be created is a ConfigurationError
-    naming --out."""
+    The regular files an earlier run left in `out_dir` (telemetry.csv,
+    manifest.txt, plot_series.py, config_resolved.ini and those in series/)
+    are removed first, except the config being read.  A run directory or
+    file that cannot be created or removed is a ConfigurationError naming
+    --out."""
     eff_path = os.path.join(out_dir, "config_resolved.ini")
+    series = os.path.join(out_dir, "series")
     try:
         os.makedirs(out_dir, exist_ok=True)
+        stale = [os.path.join(out_dir, name) for name in (
+            "telemetry.csv", "manifest.txt", "plot_series.py", "config_resolved.ini")]
+        if os.path.isdir(series):
+            stale += [os.path.join(series, name) for name in os.listdir(series)]
+        for path in stale:
+            if os.path.isfile(path) and \
+                    os.path.realpath(path) != os.path.realpath(config_path):
+                os.remove(path)
         if overrides:
             apply_overrides(config_path, overrides, eff_path)
     except OSError as exc:

@@ -1,13 +1,14 @@
 """The learn-act loop, excitation dither, and telemetry.
 
 `run_batch` runs B members through the learn-act loop in one of two
-forms, chosen once from B: `_run_rows` carries them along a leading batch
-axis (states z (B, 2n), weights (B, n1), each run's gains as (B, ...)
-arrays), and `_run_one` runs a batch of one on 1-D arrays, with every
-per-row scalar a Python float, each expression the same numpy call as its
-row in `_run_rows`, so a member has the same bits alone and in any batch.
-`run_env_experiment` is a batch of one.  Per sample time t_k either loop
-computes each per-step quantity once and shares it:
+forms, chosen once per call: `_run_rows` carries a batch of catalog pairs
+along a leading batch axis (states z (B, 2n), weights (B, n1), each run's
+gains as (B, ...) arrays), and `_run_one` runs one member on 1-D arrays,
+with every per-row scalar a Python float, each expression the same numpy
+call as its row in `_run_rows`, so a member has the same bits alone and
+in any batch.  A lone member, and each member of any other batch in turn,
+runs `_run_one`; `run_env_experiment` is a batch of one.  Per sample time
+t_k either loop computes each per-step quantity once and shares it:
 
   1. z, grad_theta(z), G(z) and the saturation argument tau2 from the
      current weights; the policy u_hat = -u_m tanh(tau2), the penalty and,
@@ -315,10 +316,10 @@ class TrackingEnv(Protocol):
 
     No drift field is part of it: an environment offers the control
     coupling G(z) and integrates its own physics in `advance`, so nonlinear
-    physics is an env of its own.  A batch reads catalog pairs
-    (`AugmentedTrackingEnv`s) as stacked rows; a lone run, and any other
-    env, goes through these methods, one row each, even if it reports a
-    `linear_pair()`."""
+    physics is an env of its own.  A batch of catalog pairs
+    (`AugmentedTrackingEnv`s) reads them as stacked rows; a lone run, and
+    each member of any other batch, goes through these methods, even if
+    it reports a `linear_pair()`."""
 
     control_names: Sequence[str]
     m: int
@@ -392,56 +393,26 @@ class AugmentedTrackingEnv:
         return self._pair
 
 
-class _EnvRows(Rows):
-    """Environments as rows, each read and advanced through its own `z()`,
-    `G`, `advance` and `check_domain`."""
+class _LinearRows(Rows):
+    """Catalog pairs, stacked: each row's s = [x, x_d] takes one propagator
+    step s <- Phi s + Gamma u, with its env's Phi/Gamma for the batch's dt
+    stacked once, and is handed back to its env.  G is read once, at
+    build, as G_z; `check_domain` is each env's own."""
 
-    def __init__(self, envs, **arrays):
-        super().__init__(envs=list(envs), **arrays)
+    def __init__(self, envs, dt: float):
+        Phi, Gamma = zip(*(e.propagator(dt) for e in envs))
+        super().__init__(envs=list(envs), Phi=np.array(Phi), Gamma=np.array(Gamma),
+                         G_z=np.array([e.G(e.z()) for e in envs]),
+                         s=np.array([np.concatenate([e.x, e.x_d]) for e in envs]))
+        self.n = envs[0].plant.n
 
     def keep(self, mask):
         super().keep(mask)
         self.envs = [env for env, alive in zip(self.envs, mask) if alive]
 
     def z(self):
-        return np.array([env.z() for env in self.envs])
-
-    def G(self, z):
-        return np.array([env.G(zi) for env, zi in zip(self.envs, z)])
-
-    def advance(self, u_applied, t: float, dt: float):
-        faults = []
-        for i, env in enumerate(self.envs):
-            try:
-                env.advance(u_applied[i], t, dt)
-            except NumericFault as exc:
-                faults.append((i, exc))
-        return faults
-
-    def check_domain(self, telemetry, t: float):
-        for env, tel in zip(self.envs, telemetry):
-            env.check_domain(tel, t)
-
-
-class _LinearRows(_EnvRows):
-    """Catalog pairs, stacked: each row's s = [x, x_d] takes one propagator
-    step s <- Phi s + Gamma u, with its env's Phi/Gamma for the batch's dt
-    stacked once, and is handed back to its env.  G is read once, at
-    build; `check_domain` is still each env's own."""
-
-    def __init__(self, envs, dt: float):
-        Phi, Gamma = zip(*(e.propagator(dt) for e in envs))
-        super().__init__(envs, Phi=np.array(Phi), Gamma=np.array(Gamma),
-                         G_z=np.array([e.G(e.z()) for e in envs]),
-                         s=np.array([np.concatenate([e.x, e.x_d]) for e in envs]))
-        self.n = envs[0].plant.n
-
-    def z(self):
         x, x_d = self.s[:, :self.n], self.s[:, self.n:]
         return np.concatenate((x - x_d, x_d), axis=1)
-
-    def G(self, z):
-        return self.G_z
 
     def advance(self, u_applied, t: float, dt: float):
         self.s = mv(self.Phi, self.s) + mv(self.Gamma, u_applied)
@@ -453,6 +424,10 @@ class _LinearRows(_EnvRows):
             return []
         return [(i, NumericFault(f"non-finite state at t={t}", t=t))
                 for i in np.flatnonzero(~np.isfinite(self.s).all(1))]
+
+    def check_domain(self, telemetry, t: float):
+        for env, tel in zip(self.envs, telemetry):
+            env.check_domain(tel, t)
 
 
 def _telemetry(env, n1: int, sim_cfg: SimConfig, csv_path=None) -> Telemetry:
@@ -485,14 +460,16 @@ def run_batch(members, sim_cfg: SimConfig, csv_paths=None):
     fault) per member: fault is None for a finished run, else the
     `NumericFault` that ended it, stamped with t, step and the partial
     telemetry; every log is sized for the horizon (`_telemetry`).  The
-    loop's form is chosen once, from the batch size: a batch of one runs
-    `_run_one`, which streams its log to `csv_paths[0]` through a
-    writer process (`Telemetry`), completed by `telemetry.to_csv(path)`,
-    with no writer left running, nor a partial file, if the loop raises; a
-    larger batch runs `_run_rows`, which starts no writers (they would
-    contend with the loop and each other for the cores), and ignores
-    `csv_paths`.  A horizon whose telemetry cannot be allocated raises
-    ConfigurationError naming `sim.t_end_s`."""
+    loop's form is chosen once: a batch of one runs `_run_one`, which
+    streams its log to `csv_paths[0]` through a writer process
+    (`Telemetry`), completed by `telemetry.to_csv(path)`, with no writer
+    left running, nor a partial file, if the loop raises; a larger batch
+    of catalog pairs (`AugmentedTrackingEnv`s) runs `_run_rows` on their
+    stacked rows, and any other runs its members through `_run_one` in
+    turn.  A larger batch starts no writers (they would contend with the
+    loop and each other for the cores) and ignores `csv_paths`.  A horizon
+    whose telemetry cannot be allocated raises ConfigurationError naming
+    `sim.t_end_s`."""
     envs, lcfgs, dithers, W0s = zip(*members)
     for lcfg in lcfgs:
         check_run(lcfg, sim_cfg)
@@ -501,21 +478,21 @@ def run_batch(members, sim_cfg: SimConfig, csv_paths=None):
         raise ConfigurationError("batched runs must share the state and "
                                  "control dimensions and the window T")
     basis = quad_basis(envs[0].dim_z)
+    paths = csv_paths if csv_paths and len(members) == 1 else [None] * len(members)
     # a fault is found by the finiteness checks
     with np.errstate(all="ignore"):
-        if len(members) == 1:
-            return [_run_one(*members[0], sim_cfg, basis,
-                             csv_paths[0] if csv_paths else None)]
-        return _run_rows(envs, lcfgs, dithers, W0s, sim_cfg, basis)
+        if len(members) > 1 and all(isinstance(e, AugmentedTrackingEnv) for e in envs):
+            return _run_rows(envs, lcfgs, dithers, W0s, sim_cfg, basis)
+        return [_run_one(*member, sim_cfg, basis, path)
+                for member, path in zip(members, paths)]
 
 
 def _run_rows(envs, lcfgs, dithers, W0s, sim_cfg: SimConfig, basis):
-    """The loop of `run_batch` for B > 1 rows along a leading batch axis;
-    a faulted row leaves and the others go on."""
+    """The loop of `run_batch` for B > 1 catalog pairs along a leading
+    batch axis; a faulted row leaves and the others go on."""
     T, dt, every, n_steps = (lcfgs[0].T, sim_cfg.dt, sim_cfg.record_every,
                              sim_cfg.n_steps)
-    env_rows = _LinearRows(envs, dt) \
-        if all(isinstance(e, AugmentedTrackingEnv) for e in envs) else _EnvRows(envs)
+    env_rows = _LinearRows(envs, dt)
     critic = CriticRows(lcfgs, W0s, basis.n_features)
     buf = WindowBuffer(T, dt)
     b = Rows(ids=np.arange(len(envs)), z_prev=np.zeros((len(envs), envs[0].dim_z)),
@@ -542,7 +519,7 @@ def _run_rows(envs, lcfgs, dithers, W0s, sim_cfg: SimConfig, basis):
         # 1. features, coupling, policy, stage cost and W . M
         z = env_rows.z()
         grad = basis.grad_rows(z)
-        G = env_rows.G(z)
+        G = env_rows.G_z
         tau = tau2_rows(critic.W, grad, G, critic.den)
         th = np.tanh(tau)
         u_hat = critic.neg_u_m * th

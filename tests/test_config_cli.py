@@ -250,6 +250,37 @@ def test_an_unusable_out_is_a_config_error(tmp_path, capsys, command, out,
     assert captured.err == ""
 
 
+def test_a_reused_out_holds_only_the_last_runs_artifacts(tmp_path):
+    """A run into a directory an earlier run used leaves none of that
+    run's files: not its series, plots, stub, log or manifest, nor a
+    config it resolved; the config being read stays."""
+    def files(run):
+        return {str(p.relative_to(run)): p.read_bytes()
+                for p in sorted(run.rglob("*")) if p.is_file()}
+
+    out, fresh = tmp_path / "run", tmp_path / "fresh"
+    uav = ["uav_attitude", "--override", "sim.t_end_s=0.05"]
+    assert cli.main(["run", "linear_benchmark", "--override", "sim.t_end_s=0.05",
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert (out / "series" / "weight_error_vs_oracle.dat").is_file()
+    (out / "series" / "weight_error_vs_oracle.png").write_bytes(b"a plot")
+    for run in (out, fresh):
+        assert cli.main(["run", *uav, "--out", str(run)]) == cli.EXIT_OK
+    got, want = files(out), files(fresh)
+    assert got.keys() == want.keys() and "series/att_phi_deg.dat" in got
+    assert all(got[name] == want[name] for name in got if name != "manifest.txt")
+    # a resolved config read back into its own directory is kept
+    assert cli.main(["run", str(out / "config_resolved.ini"),
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert files(out)["config_resolved.ini"] == want["config_resolved.ini"]
+    # a config error leaves only its manifest
+    (tmp_path / "bad.ini").write_text("[sim\n")
+    assert cli.main(["run", str(tmp_path / "bad.ini"),
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    assert list(files(out)) == ["manifest.txt"]
+    assert "status = config error: " in (out / "manifest.txt").read_text()
+
+
 class TestUavCliSurface:
     def test_uav_series_covers_six_panels(self, tmp_path):
         out = tmp_path / "uav"

@@ -249,29 +249,32 @@ def test_fused_step_evaluates_each_quantity_once(monkeypatch, m_term):
     iterations = round(scfg.t_end / scfg.dt) + 1
     assert calls == {"grad": iterations, "G": iterations,
                      "M": iterations if m_term else 0}
-    # the batched loop: grad and M once a step for both rows, G once a
-    # step for each
+    # a batch of other envs runs each member alone: its lone counts, one
+    # member after the other
     calls.update(grad=0, G=0, M=0)
     envs = [PendulumEnv(1.0), PendulumEnv(0.5)]
     for env in envs:
         env.G = counting("G", env.G)
     sim.run_batch([(env, lcfg, DitherSpec(), None) for env in envs], scfg)
-    assert calls == {"grad": iterations, "G": 2 * iterations,
-                     "M": iterations if m_term else 0}
+    assert calls == {"grad": 2 * iterations, "G": 2 * iterations,
+                     "M": 2 * iterations if m_term else 0}
     # a lone catalog pair is read through its own methods, once a step
-    calls.update(G=0)
+    calls.update(grad=0, G=0, M=0)
     env = AugmentedTrackingEnv(plant, ref, x0=np.array([2.0, 0.0]))
     env.G = counting("G", env.G)
     sim.run_env_experiment(env, lcfg, scfg)
-    assert calls["G"] == iterations
-    # the stacked rows of catalog pairs read each once, at build
-    calls.update(G=0)
+    assert calls == {"grad": iterations, "G": iterations,
+                     "M": iterations if m_term else 0}
+    # the stacked rows of catalog pairs: grad and M once a step for both
+    # rows, G read once for each, at build
+    calls.update(grad=0, G=0, M=0)
     envs = [AugmentedTrackingEnv(plant, ref, x0=np.array([x, 0.0]))
             for x in (2.0, 1.0)]
     for env in envs:
         env.G = counting("G", env.G)
     sim.run_batch([(env, lcfg, DitherSpec(), None) for env in envs], scfg)
-    assert calls["G"] == 2
+    assert calls == {"grad": iterations, "G": 2,
+                     "M": iterations if m_term else 0}
 
 
 def test_uav_rate_command_once_per_step(monkeypatch):
@@ -364,3 +367,42 @@ def test_a_protocol_only_environment_with_a_linear_pair_steps_itself():
     for rows, one, (tel, fault) in zip(plain, alone, batched):
         assert fault is None
         assert one.tobytes() == rows.tobytes() == tel.rows.tobytes()
+
+
+def test_only_a_batch_of_catalog_pairs_is_stacked(monkeypatch):
+    # a batch of other envs, or a mixed one, never reaches the stacked loop
+    # and runs each member as it runs alone, its fault included; a batch
+    # of catalog pairs is stacked, once, with the same bits
+    import irltrack.sim as sim
+
+    plant, ref, _, lcfg, scfg, dith = small_setup(t_end=0.2, amp=0.5)
+    faulty = dataclasses.replace(lcfg, alpha=1e308)
+
+    def pair(x):
+        return AugmentedTrackingEnv(plant, ref, x0=np.array([x, 0.0]))
+
+    def outcome(tel, fault):
+        return tel.rows.tobytes(), fault and (str(fault), fault.t, fault.step)
+
+    def stacking(*args):
+        if not may_stack:
+            raise AssertionError("a batch that is not all catalog pairs stacked")
+        stacked.append(args)
+        return run_rows(*args)
+
+    run_rows, stacked = sim._run_rows, []
+    monkeypatch.setattr(sim, "_run_rows", stacking)
+    for may_stack, batch in (
+            (False, [(lambda: PendulumEnv(0.0), lcfg),
+                     (lambda: PendulumEnv(1.0), faulty)]),
+            (False, [(lambda: PendulumEnv(1.0), lcfg), (lambda: pair(2.0), faulty),
+                     (lambda: pair(1.0), lcfg)]),
+            (True, [(lambda: pair(2.0), lcfg), (lambda: pair(1.0), faulty)])):
+        alone = [outcome(*run_batch([(make(), cfg, dith, None)], scfg)[0])
+                 for make, cfg in batch]
+        results = run_batch([(make(), cfg, dith, None) for make, cfg in batch],
+                            scfg)
+        assert [outcome(*result) for result in results] == alone
+        assert [fault is None for _, fault in results] == \
+            [cfg is lcfg for _, cfg in batch]
+    assert len(stacked) == 1
