@@ -5,9 +5,10 @@ linear monomials, squares, then pairwise products in lexicographic order.
 For input dimension d it has ``2d + d(d-1)/2`` features (27 at d = 6).
 `eval_rows` and `grad_rows` map every row of a (B, d) array, for the
 batched step loop; `eval` and `grad` map one 1-D z, for the one-row loop:
-`eval` is `eval_rows` of a one-row array, and `grad` writes the same
-products into a copy of one gradient's linear rows, so each row has the
-bits of its 1-D map.
+`eval` gathers two factors per feature from [z, 1.0] and multiplies them
+(z_i 1.0, z_i z_i, z_i z_j), and `grad` writes the same products into a
+copy of one gradient's linear rows, so each row has the bits of its 1-D
+map.
 """
 from __future__ import annotations
 
@@ -50,6 +51,10 @@ def quad_basis(dim_in: int) -> RegressorBasis:
     factor = np.concatenate([np.full(d, 2.0), np.ones(2 * len(pi))])
     linear = np.zeros(n1 * d)
     linear[:d * d:d + 1] = 1.0    # the linear rows of one gradient
+    # `eval`'s factors, gathered from [z, 1.0]: z_i 1.0, z_i z_i, z_i z_j
+    zx = np.ones(d + 1)
+    left = np.concatenate([ar, ar, pi])
+    right = np.concatenate([np.full(d, d), ar, pj])
 
     def _eval_rows(Z):
         return np.concatenate((Z, Z * Z, Z.take(pi, 1) * Z.take(pj, 1)), axis=1)
@@ -65,8 +70,9 @@ def quad_basis(dim_in: int) -> RegressorBasis:
         out[:, flat] = factor * Z.take(src, 1)
         return out.reshape(len(Z), n1, d)
 
-    def _eval(z):    # the row map's products, on one row
-        return _eval_rows(np.asarray(z, dtype=float)[None])[0]
+    def _eval(z):    # z_i 1.0 is z_i, so each feature has its row map's bits
+        zx[:d] = z
+        return zx.take(left) * zx.take(right)
 
     return RegressorBasis(dim_in=d, n_features=n1, eval=_eval, grad=_grad,
                           eval_rows=_eval_rows, grad_rows=_grad_rows)

@@ -130,8 +130,8 @@ def m_vector(ndg, th, tau, u_m) -> np.ndarray:
     """M = grad_theta G u_m (tanh(tau2) - sgn(tau2)) of each row, from
     ndg = grad_theta G and th = tanh(tau2); bounded, -> 0 in saturation.
     One row (ndg (n1, m), th and tau (m,), a float u_m) or B rows (with a
-    leading batch axis and u_m (B, 1)): each row's product is the same BLAS
-    call either way."""
+    leading batch axis and u_m (B, 1)): each row's product is the same
+    matmul call either way (at m = 1 its non-BLAS loop, 0.0 + a b)."""
     return np.matmul(ndg, (u_m * (th - np.sign(tau)))[..., None])[..., 0]
 
 
@@ -318,8 +318,8 @@ class CriticRow:
         NumericFault if the new weights are not finite, else None."""
         theta_tmT, I_hat, m_int = self.window(buf)
         W, d = self.W, self.disc_T * theta - theta_tmT
-        e = I_hat + float(W @ d)
-        ms = 1.0 + float(d @ d)
+        e = I_hat + float(W.dot(d))
+        ms = 1.0 + float(d.dot(d))
         phi = d / ms
         theta_bar = phi / ms
         ge = self.alpha * gain_pow(e, self.q2)
@@ -327,11 +327,11 @@ class CriticRow:
         if self.stab:
             if not sigma < 0:
                 gs = self.half_alpha * gain_pow(sigma, self.k2)
-                rate = rate + gs * (ndg @ ((1.0 - th ** 2) * (z @ G)))
+                rate = rate + gs * (ndg @ ((1.0 - th ** 2) * z.dot(G)))
             else:
                 rate = rate + 0.0
         if self.use_robust:
-            robust = self.k1_gain * float(phi @ W) - self.k2_gain * W
+            robust = self.k1_gain * float(phi.dot(W)) - self.k2_gain * W
             if self.m_term:
                 robust = robust - theta_bar * m_int
             rate = rate + ge * robust

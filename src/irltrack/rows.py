@@ -1,8 +1,11 @@
 """Per-row arrays and row-wise products for the batched step loop.
 
 Each product is a stacked `np.matmul`, which makes the same BLAS call per
-row as the 1-D `@` of the one-row loop, so a row's numbers never depend on
-its batch.
+row as the one-row loop's `ndarray.dot`, so a row's numbers never depend
+on its batch.  The products that contract over the control channels
+(Gamma u, and the ndg products of `m_vector` and the stabilizer) stay the
+1-D `@` in the one-row loop: at m = 1 matmul takes its non-BLAS loop and
+returns 0.0 + a b, which is 0.0 where `.dot` returns a b = -0.0.
 """
 from types import SimpleNamespace
 

@@ -4,10 +4,15 @@
 forms, chosen once per call: `_run_rows` carries a batch of catalog pairs
 along a leading batch axis (states z (B, 2n), weights (B, n1), each run's
 gains as (B, ...) arrays), and `_run_one` runs one member on 1-D arrays,
-with every per-row scalar a Python float, each expression the same numpy
-call as its row in `_run_rows`, so a member has the same bits alone and
-in any batch.  A lone member, and each member of any other batch in turn,
-runs `_run_one`; `run_env_experiment` is a batch of one.  Per sample time
+with every per-row scalar a Python float and each product the BLAS call
+of its row in `_run_rows`, so a member has the same bits alone and in any
+batch.  Where `_run_rows` stacks `np.matmul`, `_run_one` calls
+`ndarray.dot`, which dispatches faster, except for the products that
+contract over the control channels (Gamma u, and `m_vector`'s and the
+stabilizer's ndg products): at m = 1 `.dot` returns -0.0 where matmul
+returns 0.0 + (-0.0) = 0.0, so those keep the 1-D `@`.  A lone member, and
+each member of any other batch in turn, runs `_run_one`;
+`run_env_experiment` is a batch of one.  Per sample time
 t_k either loop computes each per-step quantity once and shares it:
 
   1. z, grad_theta(z), G(z) and the saturation argument tau2 from the
@@ -20,7 +25,8 @@ t_k either loop computes each per-step quantity once and shares it:
      Sigma = z . zdot,
   4. record telemetry: I_hat comes from the update, V_hat from the theta
      of step 2,
-  5. apply saturate(u_hat + dither) and integrate to t_{k+1},
+  5. apply saturate(u_hat + dither) and integrate to t_{k+1}; the lone
+     loop skips the clip where no dither was added, as it returns u_hat,
 
 up to the first step at or after t_end.  Catalog pairs
 (`AugmentedTrackingEnv`s) take one propagator step s <- Phi s + Gamma u of
@@ -341,7 +347,10 @@ class AugmentedTrackingEnv:
     Plant and reference take one propagator step together in `advance`;
     the stacked state is z = [x - x_d, x_d] and the control coupling is
     G(z) = [B; 0].  The stacked (A, B) is built once: `G` and `linear_pair`
-    return the same read-only arrays on every call.
+    return the same read-only arrays on every call.  The env keeps
+    s = [x, x_d] between steps, x and x_d views of it; an x or x_d
+    assigned from outside (as `_LinearRows` does) is read back at the
+    next `advance`.
     """
 
     def __init__(self, plant: AffinePlant, ref: ReferenceModel,
@@ -351,8 +360,9 @@ class AugmentedTrackingEnv:
                 f"plant {plant.name!r} has n={plant.n} but reference {ref.name!r} "
                 f"has dimension {len(ref.x_d0)}")
         self.plant, self.ref = plant, ref
-        self.x = np.array(x0 if x0 is not None else ref.x_d0, dtype=float)
-        self.x_d = np.array(ref.x_d0, dtype=float)
+        self._s = np.concatenate([x0 if x0 is not None else ref.x_d0, ref.x_d0],
+                                 dtype=float)
+        self.x, self.x_d = self._s[:plant.n], self._s[plant.n:]
         self.control_names = [f"u{i}" for i in range(plant.m)]
         self.m, self.dim_z = plant.m, 2 * plant.n
         self._pair = augmented_linear(plant.A, plant.B, ref.H)
@@ -377,11 +387,14 @@ class AugmentedTrackingEnv:
 
     def advance(self, u_applied: np.ndarray, t: float, dt: float):
         Phi, Gamma = self.propagator(dt)
-        s = Phi @ np.concatenate([self.x, self.x_d]) + Gamma @ u_applied
+        s = self._s
+        if self.x.base is not s or self.x_d.base is not s:    # x or x_d assigned
+            s = np.concatenate([self.x, self.x_d])
+        s = Phi.dot(s) + Gamma @ u_applied
         # a sum with a non-finite term is never finite
         if not math.isfinite(sum(s.tolist())) and not np.isfinite(s).all():
             raise NumericFault(f"non-finite state at t={t}", t=t)
-        self.x, self.x_d = s[:self.plant.n], s[self.plant.n:]
+        self._s, self.x, self.x_d = s, s[:self.plant.n], s[self.plant.n:]
 
     def check_domain(self, telemetry: Telemetry, t: float):
         """A catalog plant has no operating box: nothing to warn about."""
@@ -577,9 +590,11 @@ def _run_one(env, lcfg: LearnerConfig, dither_spec: DitherSpec, W0,
              sim_cfg: SimConfig, basis, csv_path):
     """The loop of `_run_rows` for one member, on 1-D arrays and with every
     per-row scalar a Python float (`CriticRow`, `penalty_row`), each
-    expression the same numpy call on the same operands in the same order,
-    so the member has the bits of its row in any batch.  It calls the env's
-    own `z`, `G` and `advance`, whatever the env, clips with `saturate`, and
+    expression the same operations on the same operands in the same order
+    and each product its row's BLAS call (`.dot`, or `@` over the control
+    channels), so the member has the bits of its row in any batch.  It
+    calls the env's own `z`, `G` and `advance`, whatever the env, clips
+    u_hat + dither with `saturate` only where a dither was added, and
     streams its log to `csv_path`, whose writer it stops without a file if
     the loop raises.  Returns (telemetry, fault or None)."""
     dt, every, n_steps = sim_cfg.dt, sim_cfg.record_every, sim_cfg.n_steps
@@ -599,19 +614,19 @@ def _run_one(env, lcfg: LearnerConfig, dither_spec: DitherSpec, W0,
             z = env.z()
             grad = basis.grad(z)
             G = env.G(z)
-            tau = (critic.W @ grad) @ G / den
+            tau = critic.W.dot(grad).dot(G) / den
             th = np.tanh(tau)
             u_hat = neg_u_m * th
-            cost = float(z @ Q1 @ z) + penalty_row(tau, th, um2, r)
-            ndg = np.matmul(grad, G) if use_ndg else None
-            m_w = float(critic.W @ m_vector(ndg, th, tau, u_m)) if critic.m_term else 0.0
+            cost = float(z.dot(Q1).dot(z)) + penalty_row(tau, th, um2, r)
+            ndg = grad.dot(G) if use_ndg else None
+            m_w = float(critic.W.dot(m_vector(ndg, th, tau, u_m))) if critic.m_term else 0.0
             theta = basis.eval(z)
 
             # 2. push the window sample for t_k
             buf.push(t, theta, cost, m_w)
 
             # 3. critic update once the buffer spans a full window
-            sigma = float(z @ (z - z_prev)) / dt if k > 0 else 0.0
+            sigma = float(z.dot(z - z_prev)) / dt if k > 0 else 0.0
             if k > 0 and buf.ready:
                 fault = critic.update(buf, theta, z, G, ndg, th, sigma, dt)
                 if fault is not None:
@@ -625,18 +640,20 @@ def _run_one(env, lcfg: LearnerConfig, dither_spec: DitherSpec, W0,
                 try:
                     tel.append(t, z, env.x, env.x_d, u_hat, n_val, critic.e_hat,
                                sigma, 0 if sigma < 0 else 1, critic.I_hat,
-                               float(critic.W @ theta), critic.W)
+                               float(critic.W.dot(theta)), critic.W)
                 except NumericFault as exc:
                     fault = exc
                     break
-            u = u_hat if n_val is None else u_hat + n_val
+            # u_hat = -u_m tanh(tau) is within +-u_m, or NaN, where the
+            # clip returns its input: only a dithered u is clipped
+            u = u_hat if n_val is None else saturate(u_hat + n_val, u_m)
             z_prev = z
             env.check_domain(tel, t)
 
-            # 5. saturate(u_hat + dither) and integrate to t_{k+1}
+            # 5. integrate u to t_{k+1}
             if k < n_steps:
                 try:
-                    env.advance(saturate(u, u_m), t, dt)
+                    env.advance(u, t, dt)
                 except NumericFault as exc:
                     fault = exc
                     break
