@@ -21,30 +21,32 @@ column is 1[Sigma >= 0] whether or not the stabilizer is on.  The scalar
 gains k1_gain and k2_gain stand for the paper's K1 = k1_gain 1 and
 K2 = k2_gain I.  All integrals are discounted trapezoids.
 
-Both laws are computed for B rows at once (`CriticRows`, with the window
-pass of `WindowBuffer.window`): the baseline is the degenerate
-variable-gain law, and a law term that no row uses is not computed: the
-stabilizer's products only at a step where some row has Xi = 1, the
-m-integral and the robust term's M part only if some row has the m-term.
-The window keeps a deque of step samples; a window of two samples (T = dt)
-integrates on (B,) arrays, a longer one sums its intervals in sequence
-over a (B, L, 2) array.  A batch of one runs `CriticRow`: the same law on
-1-D arrays, with every per-row scalar a Python float, the same operations
-in the same order; its two-sample window integrates on floats, and a
-longer one is `WindowBuffer.window` over one row.  `tests/test_batch.py`
-pins it bitwise to the batched form.
+Both laws are computed for B rows at once (`CriticRows`, per-row arrays in
+a `Rows`, with the window pass of `WindowBuffer.window`, each row's
+products numpy's stacked `np.vecdot`, `np.matvec` and `np.vecmat`): the
+baseline is the degenerate variable-gain law, and a law term that no row
+uses is not computed: the stabilizer's products only at a step where some
+row has Xi = 1, the m-integral and the robust term's M part only if some
+row has the m-term.  The window keeps a deque of step samples; a window of
+two samples (T = dt) integrates on (B,) arrays, a longer one sums its
+intervals in sequence over a (B, L, 2) array.  A batch of one runs
+`CriticRow`: the same law on 1-D arrays, with every per-row scalar a
+Python float, the same operations in the same order, its products
+`ndarray.dot` (the 1-D `@` over the control channels); its two-sample
+window integrates on floats, and a longer one is `WindowBuffer.window`
+over one row.  `tests/test_batch.py` pins it bitwise to the batched form.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericFault
 from .policy import SaturationSpec
-from .rows import Rows, dot, mv, vm
 
 # relative slack on the warm-up span test; absorbs float accumulation in t = k*dt
 _SPAN_RTOL = 1e-9
@@ -131,8 +133,8 @@ def m_vector(ndg, th, tau, u_m) -> np.ndarray:
     ndg = grad_theta G and th = tanh(tau2); bounded, -> 0 in saturation.
     One row (ndg (n1, m), th and tau (m,), a float u_m) or B rows (with a
     leading batch axis and u_m (B, 1)): each row's product is the same
-    matmul call either way (at m = 1 its non-BLAS loop, 0.0 + a b)."""
-    return np.matmul(ndg, (u_m * (th - np.sign(tau)))[..., None])[..., 0]
+    `np.matvec` call either way (at m = 1 its non-BLAS sum, 0.0 + a b)."""
+    return np.matvec(ndg, u_m * (th - np.sign(tau)))
 
 
 class WindowBuffer:
@@ -214,6 +216,16 @@ def _law_gains(c: LearnerConfig) -> tuple:
     return False, False, False, 0.0, 0.0, 0.0
 
 
+class Rows(SimpleNamespace):
+    """Per-row arrays as attributes, batch axis first."""
+
+    def keep(self, mask: np.ndarray):
+        """Drop the rows `mask` clears from every array attribute."""
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                setattr(self, name, value[mask])
+
+
 class CriticRows(Rows):
     """Each row's critic: its weights, the residual and I_hat of its last
     update, its policy's saturation and its law's gains, batch axis first.
@@ -247,8 +259,8 @@ class CriticRows(Rows):
         (row, NumericFault) for each row whose new weights are not finite."""
         theta_tmT, I_hat, m_int = buf.window(self.neg_gamma)
         dtheta = self.disc_T * theta - theta_tmT
-        e_hat = I_hat + dot(self.W, dtheta)
-        ms = (1.0 + dot(dtheta, dtheta))[:, None]
+        e_hat = I_hat + np.vecdot(self.W, dtheta)
+        ms = (1.0 + np.vecdot(dtheta, dtheta))[:, None]
         phi = dtheta / ms
         theta_bar = phi / ms
         ge = self.alpha * _gain_pow(e_hat, self.q2)
@@ -257,12 +269,13 @@ class CriticRows(Rows):
             xi = self.stab & ~(sigma < 0)
             if xi.any():
                 gs = self.half_alpha * _gain_pow(sigma, self.k2)
-                stab = mv(ndg, (1.0 - th ** 2) * vm(z, G))
+                stab = np.matvec(ndg, (1.0 - th ** 2) * np.vecmat(z, G))
                 rate = rate + np.where(xi[:, None], gs[:, None] * stab, 0.0)
             else:
                 rate = rate + 0.0
         if self.use_robust:
-            robust = (self.k1_gain * dot(phi, self.W))[:, None] - self.k2_gain * self.W
+            robust = ((self.k1_gain * np.vecdot(phi, self.W))[:, None]
+                      - self.k2_gain * self.W)
             if self.use_m:
                 robust = robust - np.where(self.m_term[:, None],
                                            theta_bar * m_int[:, None], 0.0)

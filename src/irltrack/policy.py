@@ -15,11 +15,11 @@ and the pair is kept as a cross-check.  R is diagonal and both formulas
 read it one channel at a time, so `SaturationSpec` holds its diagonal
 r_diag; the full matrix is built only for the Riccati oracle.  The batched
 step loop evaluates tau2 and the closed form for B rows at once
-(`tau2_rows`, `penalty_rows`); the one-row loop takes the closed form of
-its one row as a float (`penalty_row`, also behind `penalty_closed`): up
-to seven channels on Python floats and numpy's exp and log1p, each channel
-sum a left fold from 0.0 as numpy's below 8 terms, so it keeps the
-batched row's bits.
+(`tau2_rows`, through `np.vecmat`, and `penalty_rows`); the one-row loop
+takes the closed form of its one row as a float (`penalty_row`, also
+behind `penalty_closed`): up to seven channels on Python floats and
+numpy's exp and log1p, each channel sum a left fold from 0.0 as numpy's
+below 8 terms, so it keeps the batched row's bits.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .rows import vm
 
 _LOG2 = float(np.log(2.0))
 # the most channels whose sums `penalty_row` folds on Python floats
@@ -72,7 +71,7 @@ def tau2_rows(W: np.ndarray, grad: np.ndarray, G: np.ndarray,
               den: np.ndarray) -> np.ndarray:
     """Saturation argument of each row from W (B, n1), grad_theta(z)
     (B, n1, d), G(z) (B, d, m) and den = 2 u_m R_ii (B, m)."""
-    return vm(vm(W, grad), G) / den
+    return np.vecmat(np.vecmat(W, grad), G) / den
 
 
 def penalty_integral(u: np.ndarray, sat: SaturationSpec) -> float:

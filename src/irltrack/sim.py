@@ -4,16 +4,17 @@
 forms, chosen once per call: `_run_rows` carries a batch of catalog pairs
 along a leading batch axis (states z (B, 2n), weights (B, n1), each run's
 gains as (B, ...) arrays), and `_run_one` runs one member on 1-D arrays,
-with every per-row scalar a Python float and each product the BLAS call
+with every per-row scalar a Python float and each product the inner call
 of its row in `_run_rows`, so a member has the same bits alone and in any
-batch.  Where `_run_rows` stacks `np.matmul`, `_run_one` calls
-`ndarray.dot`, which dispatches faster, except for the products that
-contract over the control channels (Gamma u, and `m_vector`'s and the
-stabilizer's ndg products): at m = 1 `.dot` returns -0.0 where matmul
-returns 0.0 + (-0.0) = 0.0, so those keep the 1-D `@`.  A lone member, and
-each member of any other batch in turn, runs `_run_one`;
-`run_env_experiment` is a batch of one.  Per sample time
-t_k either loop computes each per-step quantity once and shares it:
+batch.  `_run_rows` takes its products from numpy's stacked gufuncs
+(`np.vecdot`, `np.matvec`, `np.vecmat`, `np.matmul`) and `_run_one` from
+`ndarray.dot`, which dispatches faster on 1-D operands, except for the
+products that contract over the control channels (Gamma u, and
+`m_vector`'s and the stabilizer's ndg products): at m = 1 `.dot` returns
+-0.0 where the gufuncs return 0.0 + (-0.0) = 0.0, so those keep the 1-D
+`@`.  A lone member, and each member of any other batch in turn, runs
+`_run_one`; `run_env_experiment` is a batch of one.  Per sample time t_k
+either loop computes each per-step quantity once and shares it:
 
   1. z, grad_theta(z), G(z) and the saturation argument tau2 from the
      current weights; the policy u_hat = -u_m tanh(tau2), the penalty and,
@@ -25,8 +26,8 @@ t_k either loop computes each per-step quantity once and shares it:
      Sigma = z . zdot,
   4. record telemetry: I_hat comes from the update, V_hat from the theta
      of step 2,
-  5. apply saturate(u_hat + dither) and integrate to t_{k+1}; the lone
-     loop skips the clip where no dither was added, as it returns u_hat,
+  5. apply saturate(u_hat + dither) and integrate to t_{k+1}; where no
+     dither was added the clip is skipped, as it would return u_hat,
 
 up to the first step at or after t_end.  Catalog pairs
 (`AugmentedTrackingEnv`s) take one propagator step s <- Phi s + Gamma u of
@@ -56,10 +57,9 @@ import numpy as np
 
 from .basis import quad_basis
 from .errors import ConfigurationError, NumericFault
-from .learner import CriticRow, CriticRows, LearnerConfig, WindowBuffer, m_vector
+from .learner import CriticRow, CriticRows, LearnerConfig, Rows, WindowBuffer, m_vector
 from .models import AffinePlant, ReferenceModel, augmented_linear
 from .policy import penalty_row, penalty_rows, saturate, tau2_rows
-from .rows import Rows, dot, mv, quad
 
 # Rows per formatting pass and per frame sent to a writer process: the
 # chunk, not the run length, bounds the writer's working set.
@@ -350,7 +350,7 @@ class AugmentedTrackingEnv:
     return the same read-only arrays on every call.  The env keeps
     s = [x, x_d] between steps, x and x_d views of it; an x or x_d
     assigned from outside (as `_LinearRows` does) is read back at the
-    next `advance`.
+    next `advance`.  The plant's state dimension is read once, as n.
     """
 
     def __init__(self, plant: AffinePlant, ref: ReferenceModel,
@@ -362,9 +362,9 @@ class AugmentedTrackingEnv:
         self.plant, self.ref = plant, ref
         self._s = np.concatenate([x0 if x0 is not None else ref.x_d0, ref.x_d0],
                                  dtype=float)
-        self.x, self.x_d = self._s[:plant.n], self._s[plant.n:]
+        self.n, self.m, self.dim_z = plant.n, plant.m, 2 * plant.n
+        self.x, self.x_d = self._s[:self.n], self._s[self.n:]
         self.control_names = [f"u{i}" for i in range(plant.m)]
-        self.m, self.dim_z = plant.m, 2 * plant.n
         self._pair = augmented_linear(plant.A, plant.B, ref.H)
         for M in self._pair:
             M.flags.writeable = False
@@ -379,7 +379,7 @@ class AugmentedTrackingEnv:
     def propagator(self, dt: float):
         """(Phi, Gamma) of the pair's RK4 step on s = [x, x_d], once per dt."""
         if dt not in self._propagators:
-            n = self.plant.n
+            n = self.n
             A, B = np.zeros((2 * n, 2 * n)), np.zeros((2 * n, self.m))
             A[:n, :n], A[n:, n:], B[:n] = self.plant.A, self.ref.H, self.plant.B
             self._propagators[dt] = rk4_propagator(A, B, dt)
@@ -394,7 +394,7 @@ class AugmentedTrackingEnv:
         # a sum with a non-finite term is never finite
         if not math.isfinite(sum(s.tolist())) and not np.isfinite(s).all():
             raise NumericFault(f"non-finite state at t={t}", t=t)
-        self._s, self.x, self.x_d = s, s[:self.plant.n], s[self.plant.n:]
+        self._s, self.x, self.x_d = s, s[:self.n], s[self.n:]
 
     def check_domain(self, telemetry: Telemetry, t: float):
         """A catalog plant has no operating box: nothing to warn about."""
@@ -417,7 +417,7 @@ class _LinearRows(Rows):
         super().__init__(envs=list(envs), Phi=np.array(Phi), Gamma=np.array(Gamma),
                          G_z=np.array([e.G(e.z()) for e in envs]),
                          s=np.array([np.concatenate([e.x, e.x_d]) for e in envs]))
-        self.n = envs[0].plant.n
+        self.n = envs[0].n
 
     def keep(self, mask):
         super().keep(mask)
@@ -428,7 +428,7 @@ class _LinearRows(Rows):
         return np.concatenate((x - x_d, x_d), axis=1)
 
     def advance(self, u_applied, t: float, dt: float):
-        self.s = mv(self.Phi, self.s) + mv(self.Gamma, u_applied)
+        self.s = np.matvec(self.Phi, self.s) + np.matvec(self.Gamma, u_applied)
         for env, s in zip(self.envs, self.s):
             env.x, env.x_d = s[:self.n], s[self.n:]
         # a sum with a non-finite term is never finite: search the rows only
@@ -536,19 +536,20 @@ def _run_rows(envs, lcfgs, dithers, W0s, sim_cfg: SimConfig, basis):
         tau = tau2_rows(critic.W, grad, G, critic.den)
         th = np.tanh(tau)
         u_hat = critic.neg_u_m * th
-        cost = quad(z, critic.Q1) + penalty_rows(tau, th, critic.um2, critic.r)
+        cost = (np.vecdot(np.vecmat(z, critic.Q1), z)
+                + penalty_rows(tau, th, critic.um2, critic.r))
         ndg = np.matmul(grad, G) if critic.use_m or critic.use_stab else None
         m_scalar = 0.0
         if critic.use_m:
             M = m_vector(ndg, th, tau, critic.u_m)
-            m_scalar = np.where(critic.m_term, dot(critic.W, M), 0.0)
+            m_scalar = np.where(critic.m_term, np.vecdot(critic.W, M), 0.0)
         theta = basis.eval_rows(z)
 
         # 2. push the window sample for t_k
         buf.push(t, theta, cost, m_scalar)
 
         # 3. critic update once the buffer spans a full window
-        sigma = dot(z, z - b.z_prev) / dt if k > 0 else np.zeros(len(z))
+        sigma = np.vecdot(z, z - b.z_prev) / dt if k > 0 else np.zeros(len(z))
         dead = critic.update(buf, theta, z, G, ndg, th, sigma, dt) \
             if k > 0 and buf.ready else []
 
@@ -561,7 +562,7 @@ def _run_rows(envs, lcfgs, dithers, W0s, sim_cfg: SimConfig, basis):
         if record:
             faulted = {i for i, _ in dead}
             scalars = zip(n_val.tolist(), critic.e_hat.tolist(), sigma.tolist(),
-                          critic.I_hat.tolist(), dot(critic.W, theta).tolist())
+                          critic.I_hat.tolist(), np.vecdot(critic.W, theta).tolist())
             for i, (tel, env, (n_i, e_i, s_i, I_i, V_i)) in enumerate(
                     zip(live, env_rows.envs, scalars)):
                 try:
@@ -576,9 +577,11 @@ def _run_rows(envs, lcfgs, dithers, W0s, sim_cfg: SimConfig, basis):
             u = u[drop(dead)]
         env_rows.check_domain(live, t)
 
-        # 5. saturate(u_hat + dither) and integrate to t_{k+1}
+        # 5. integrate u to t_{k+1}, clipped only where dithered (as in
+        # `_run_one`)
         if k < n_steps and live:
-            dead = env_rows.advance(saturate(u, critic.u_m), t, dt)
+            dead = env_rows.advance(u if n_val is None else saturate(u, critic.u_m),
+                                    t, dt)
             if dead:
                 drop(dead)
         if not live:
@@ -591,12 +594,13 @@ def _run_one(env, lcfg: LearnerConfig, dither_spec: DitherSpec, W0,
     """The loop of `_run_rows` for one member, on 1-D arrays and with every
     per-row scalar a Python float (`CriticRow`, `penalty_row`), each
     expression the same operations on the same operands in the same order
-    and each product its row's BLAS call (`.dot`, or `@` over the control
+    and each product its row's inner call (`.dot`, or `@` over the control
     channels), so the member has the bits of its row in any batch.  It
     calls the env's own `z`, `G` and `advance`, whatever the env, clips
-    u_hat + dither with `saturate` only where a dither was added, and
-    streams its log to `csv_path`, whose writer it stops without a file if
-    the loop raises.  Returns (telemetry, fault or None)."""
+    u_hat + dither with `saturate` only where a dither was added, as
+    `_run_rows` does, and streams its log to `csv_path`, whose writer it
+    stops without a file if the loop raises.  Returns (telemetry, fault or
+    None)."""
     dt, every, n_steps = sim_cfg.dt, sim_cfg.record_every, sim_cfg.n_steps
     critic = CriticRow(lcfg, W0, basis.n_features)
     buf = WindowBuffer(lcfg.T, dt)
