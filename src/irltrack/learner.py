@@ -327,8 +327,8 @@ class CriticRow:
 
     def update(self, buf: WindowBuffer, theta, z, G, ndg, th, sigma: float,
                dt: float):
-        """`CriticRows.update` of the one row, Sigma a float; returns the
-        NumericFault if the new weights are not finite, else None."""
+        """`CriticRows.update` of the one row, Sigma a float; raises the
+        NumericFault of `_weight_fault` if the new weights are not finite."""
         theta_tmT, I_hat, m_int = self.window(buf)
         W, d = self.W, self.disc_T * theta - theta_tmT
         e = I_hat + float(W.dot(d))
@@ -351,9 +351,8 @@ class CriticRow:
         self.W = W + dt * rate
         self.e_hat, self.I_hat = e, I_hat
         # as in `CriticRows.update`: search only when the sum is not finite
-        if math.isfinite(sum(self.W.tolist())) or np.isfinite(self.W).all():
-            return None
-        return _weight_fault(self.W, self.novel, e, sigma)
+        if not math.isfinite(sum(self.W.tolist())) and not np.isfinite(self.W).all():
+            raise _weight_fault(self.W, self.novel, e, sigma)
 
 
 def _weight_fault(W, novel: bool, e_hat: float, sigma: float) -> NumericFault:

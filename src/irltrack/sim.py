@@ -29,15 +29,16 @@ either loop computes each per-step quantity once and shares it:
   5. apply saturate(u_hat + dither) and integrate to t_{k+1}; where no
      dither was added the clip is skipped, as it would return u_hat,
 
-up to the first step at or after t_end.  Catalog pairs
-(`AugmentedTrackingEnv`s) take one propagator step s <- Phi s + Gamma u of
-s = [x, x_d] (the exact RK4 step under zero-order hold, Phi/Gamma built
-once), stacked in `_LinearRows`, which reads their constant G once, at
-build, or, alone, in the env's own `advance`, with G read through the env
-like any other's.  Any other env advances itself.  The reference never
-depends on the learner.  A faulted member leaves; the others go on.  With
-every dither amplitude 0, dither(t) is evaluated only at record steps and
-where u_hat holds a zero.
+up to the first step at or after t_end.  Catalog pairs (envs whose type
+is exactly `AugmentedTrackingEnv`: a subclass may override any method, so
+it runs as any other env) take one propagator step s <- Phi s + Gamma u
+of s = [x, x_d] (the exact RK4 step under zero-order hold, Phi/Gamma
+built once), stacked in `_LinearRows`, which reads their G and s once, at
+build, and owns the states from then on, or, alone, in the env's own
+`advance`, with G read through the env like any other's.  Any other env
+advances itself.  The reference never depends on the learner.  A faulted
+member leaves; the others go on.  With every dither amplitude 0,
+dither(t) is evaluated only at record steps and where u_hat holds a zero.
 
 A batch of one given the path of its telemetry.csv streams its log there
 from its first full chunk of `_CHUNK_ROWS` rows on, to a writer process
@@ -322,10 +323,10 @@ class TrackingEnv(Protocol):
 
     No drift field is part of it: an environment offers the control
     coupling G(z) and integrates its own physics in `advance`, so nonlinear
-    physics is an env of its own.  A batch of catalog pairs
-    (`AugmentedTrackingEnv`s) reads them as stacked rows; a lone run, and
-    each member of any other batch, goes through these methods, even if
-    it reports a `linear_pair()`."""
+    physics is an env of its own.  A batch of exact catalog pairs
+    (`AugmentedTrackingEnv`s, no subclass) is read once, as stacked rows
+    that step themselves; a lone run, and each member of any other batch,
+    goes through these methods, even if it reports a `linear_pair()`."""
 
     control_names: Sequence[str]
     m: int
@@ -348,9 +349,9 @@ class AugmentedTrackingEnv:
     the stacked state is z = [x - x_d, x_d] and the control coupling is
     G(z) = [B; 0].  The stacked (A, B) is built once: `G` and `linear_pair`
     return the same read-only arrays on every call.  The env keeps
-    s = [x, x_d] between steps, x and x_d views of it; an x or x_d
-    assigned from outside (as `_LinearRows` does) is read back at the
-    next `advance`.  The plant's state dimension is read once, as n.
+    s = [x, x_d] between steps; x and x_d are read-only views of it, and
+    `advance` steps s alone.  The plant's state dimension is read once,
+    as n.
     """
 
     def __init__(self, plant: AffinePlant, ref: ReferenceModel,
@@ -387,10 +388,7 @@ class AugmentedTrackingEnv:
 
     def advance(self, u_applied: np.ndarray, t: float, dt: float):
         Phi, Gamma = self.propagator(dt)
-        s = self._s
-        if self.x.base is not s or self.x_d.base is not s:    # x or x_d assigned
-            s = np.concatenate([self.x, self.x_d])
-        s = Phi.dot(s) + Gamma @ u_applied
+        s = Phi.dot(self._s) + Gamma @ u_applied
         # a sum with a non-finite term is never finite
         if not math.isfinite(sum(s.tolist())) and not np.isfinite(s).all():
             raise NumericFault(f"non-finite state at t={t}", t=t)
@@ -409,19 +407,14 @@ class AugmentedTrackingEnv:
 class _LinearRows(Rows):
     """Catalog pairs, stacked: each row's s = [x, x_d] takes one propagator
     step s <- Phi s + Gamma u, with its env's Phi/Gamma for the batch's dt
-    stacked once, and is handed back to its env.  G is read once, at
-    build, as G_z; `check_domain` is each env's own."""
+    stacked once.  Each env's G and s are read once, at build, as G_z and
+    s; after that the rows own the states and no env is read."""
 
     def __init__(self, envs, dt: float):
         Phi, Gamma = zip(*(e.propagator(dt) for e in envs))
-        super().__init__(envs=list(envs), Phi=np.array(Phi), Gamma=np.array(Gamma),
+        super().__init__(n=envs[0].n, Phi=np.array(Phi), Gamma=np.array(Gamma),
                          G_z=np.array([e.G(e.z()) for e in envs]),
                          s=np.array([np.concatenate([e.x, e.x_d]) for e in envs]))
-        self.n = envs[0].n
-
-    def keep(self, mask):
-        super().keep(mask)
-        self.envs = [env for env, alive in zip(self.envs, mask) if alive]
 
     def z(self):
         x, x_d = self.s[:, :self.n], self.s[:, self.n:]
@@ -429,18 +422,12 @@ class _LinearRows(Rows):
 
     def advance(self, u_applied, t: float, dt: float):
         self.s = np.matvec(self.Phi, self.s) + np.matvec(self.Gamma, u_applied)
-        for env, s in zip(self.envs, self.s):
-            env.x, env.x_d = s[:self.n], s[self.n:]
         # a sum with a non-finite term is never finite: search the rows only
         # when some state is non-finite
         if math.isfinite(np.add.reduce(self.s, None)):
             return []
         return [(i, NumericFault(f"non-finite state at t={t}", t=t))
                 for i in np.flatnonzero(~np.isfinite(self.s).all(1))]
-
-    def check_domain(self, telemetry, t: float):
-        for env, tel in zip(self.envs, telemetry):
-            env.check_domain(tel, t)
 
 
 def _telemetry(env, n1: int, sim_cfg: SimConfig, csv_path=None) -> Telemetry:
@@ -477,12 +464,12 @@ def run_batch(members, sim_cfg: SimConfig, csv_paths=None):
     streams its log to `csv_paths[0]` through a writer process
     (`Telemetry`), completed by `telemetry.to_csv(path)`, with no writer
     left running, nor a partial file, if the loop raises; a larger batch
-    of catalog pairs (`AugmentedTrackingEnv`s) runs `_run_rows` on their
-    stacked rows, and any other runs its members through `_run_one` in
-    turn.  A larger batch starts no writers (they would contend with the
-    loop and each other for the cores) and ignores `csv_paths`.  A horizon
-    whose telemetry cannot be allocated raises ConfigurationError naming
-    `sim.t_end_s`."""
+    of exact catalog pairs (each env's type `AugmentedTrackingEnv`, not a
+    subclass) runs `_run_rows` on their stacked rows, and any other runs
+    its members through `_run_one` in turn.  A larger batch starts no
+    writers (they would contend with the loop and each other for the
+    cores) and ignores `csv_paths`.  A horizon whose telemetry cannot be
+    allocated raises ConfigurationError naming `sim.t_end_s`."""
     envs, lcfgs, dithers, W0s = zip(*members)
     for lcfg in lcfgs:
         check_run(lcfg, sim_cfg)
@@ -494,7 +481,7 @@ def run_batch(members, sim_cfg: SimConfig, csv_paths=None):
     paths = csv_paths if csv_paths and len(members) == 1 else [None] * len(members)
     # a fault is found by the finiteness checks
     with np.errstate(all="ignore"):
-        if len(members) > 1 and all(isinstance(e, AugmentedTrackingEnv) for e in envs):
+        if len(members) > 1 and all(type(e) is AugmentedTrackingEnv for e in envs):
             return _run_rows(envs, lcfgs, dithers, W0s, sim_cfg, basis)
         return [_run_one(*member, sim_cfg, basis, path)
                 for member, path in zip(members, paths)]
@@ -502,7 +489,9 @@ def run_batch(members, sim_cfg: SimConfig, csv_paths=None):
 
 def _run_rows(envs, lcfgs, dithers, W0s, sim_cfg: SimConfig, basis):
     """The loop of `run_batch` for B > 1 catalog pairs along a leading
-    batch axis; a faulted row leaves and the others go on."""
+    batch axis, reading no env after `_LinearRows` is built: each row's
+    log records its x and x_d from its own s.  A faulted row leaves and
+    the others go on."""
     T, dt, every, n_steps = (lcfgs[0].T, sim_cfg.dt, sim_cfg.record_every,
                              sim_cfg.n_steps)
     env_rows = _LinearRows(envs, dt)
@@ -553,21 +542,21 @@ def _run_rows(envs, lcfgs, dithers, W0s, sim_cfg: SimConfig, basis):
         dead = critic.update(buf, theta, z, G, ndg, th, sigma, dt) \
             if k > 0 and buf.ready else []
 
-        # 4. record telemetry and the domain warning; with every amplitude
-        # 0, u_hat + n is u_hat unless u_hat holds a zero, whose sign the
-        # add may flip, so the dither is evaluated only then
+        # 4. record telemetry; with every amplitude 0, u_hat + n is u_hat
+        # unless u_hat holds a zero, whose sign the add may flip, so the
+        # dither is evaluated only then
         record = k % every == 0 or k == n_steps
         n_val = b.amp * dither(t) \
             if excited or record or np.count_nonzero(u_hat) < u_hat.size else None
         if record:
             faulted = {i for i, _ in dead}
+            s, n = env_rows.s, env_rows.n
             scalars = zip(n_val.tolist(), critic.e_hat.tolist(), sigma.tolist(),
                           critic.I_hat.tolist(), np.vecdot(critic.W, theta).tolist())
-            for i, (tel, env, (n_i, e_i, s_i, I_i, V_i)) in enumerate(
-                    zip(live, env_rows.envs, scalars)):
+            for i, (tel, (n_i, e_i, s_i, I_i, V_i)) in enumerate(zip(live, scalars)):
                 try:
                     if i not in faulted:
-                        tel.append(t, z[i], env.x, env.x_d, u_hat[i], n_i, e_i,
+                        tel.append(t, z[i], s[i, :n], s[i, n:], u_hat[i], n_i, e_i,
                                    s_i, 0 if s_i < 0 else 1, I_i, V_i, critic.W[i])
                 except NumericFault as exc:
                     dead.append((i, exc))
@@ -575,7 +564,6 @@ def _run_rows(envs, lcfgs, dithers, W0s, sim_cfg: SimConfig, basis):
         b.z_prev = z
         if dead:
             u = u[drop(dead)]
-        env_rows.check_domain(live, t)
 
         # 5. integrate u to t_{k+1}, clipped only where dithered (as in
         # `_run_one`)
@@ -596,11 +584,13 @@ def _run_one(env, lcfg: LearnerConfig, dither_spec: DitherSpec, W0,
     expression the same operations on the same operands in the same order
     and each product its row's inner call (`.dot`, or `@` over the control
     channels), so the member has the bits of its row in any batch.  It
-    calls the env's own `z`, `G` and `advance`, whatever the env, clips
-    u_hat + dither with `saturate` only where a dither was added, as
-    `_run_rows` does, and streams its log to `csv_path`, whose writer it
-    stops without a file if the loop raises.  Returns (telemetry, fault or
-    None)."""
+    calls the env's own `z`, `G`, `check_domain` and `advance`, whatever
+    the env, clips u_hat + dither with `saturate` only where a dither was
+    added, as `_run_rows` does, and streams its log to `csv_path`.  A
+    `NumericFault` raised anywhere in a step ends the run, stamped with
+    the step's t and index and the partial log; any other exception
+    stops the writer without a file and propagates.  Returns (telemetry,
+    fault or None)."""
     dt, every, n_steps = sim_cfg.dt, sim_cfg.record_every, sim_cfg.n_steps
     critic = CriticRow(lcfg, W0, basis.n_features)
     buf = WindowBuffer(lcfg.T, dt)
@@ -610,7 +600,6 @@ def _run_one(env, lcfg: LearnerConfig, dither_spec: DitherSpec, W0,
     use_ndg = critic.m_term or critic.stab
     z_prev = np.zeros(env.dim_z)
     tel = _telemetry(env, basis.n_features, sim_cfg, csv_path)
-    fault = None
     try:
         for k in range(n_steps + 1):
             t = k * dt
@@ -632,22 +621,16 @@ def _run_one(env, lcfg: LearnerConfig, dither_spec: DitherSpec, W0,
             # 3. critic update once the buffer spans a full window
             sigma = float(z.dot(z - z_prev)) / dt if k > 0 else 0.0
             if k > 0 and buf.ready:
-                fault = critic.update(buf, theta, z, G, ndg, th, sigma, dt)
-                if fault is not None:
-                    break
+                critic.update(buf, theta, z, G, ndg, th, sigma, dt)
 
             # 4. record telemetry and the domain warning (the dither as in
             # `_run_rows`: -0.0 == 0.0)
             record = k % every == 0 or k == n_steps
             n_val = amp * dither(t) if amp or record or 0.0 in u_hat.tolist() else None
             if record:
-                try:
-                    tel.append(t, z, env.x, env.x_d, u_hat, n_val, critic.e_hat,
-                               sigma, 0 if sigma < 0 else 1, critic.I_hat,
-                               float(critic.W.dot(theta)), critic.W)
-                except NumericFault as exc:
-                    fault = exc
-                    break
+                tel.append(t, z, env.x, env.x_d, u_hat, n_val, critic.e_hat,
+                           sigma, 0 if sigma < 0 else 1, critic.I_hat,
+                           float(critic.W.dot(theta)), critic.W)
             # u_hat = -u_m tanh(tau) is within +-u_m, or NaN, where the
             # clip returns its input: only a dithered u is clipped
             u = u_hat if n_val is None else saturate(u_hat + n_val, u_m)
@@ -656,17 +639,14 @@ def _run_one(env, lcfg: LearnerConfig, dither_spec: DitherSpec, W0,
 
             # 5. integrate u to t_{k+1}
             if k < n_steps:
-                try:
-                    env.advance(u, t, dt)
-                except NumericFault as exc:
-                    fault = exc
-                    break
+                env.advance(u, t, dt)
+    except NumericFault as fault:
+        _stamp(fault, t, k, tel)
+        return tel, fault
     except BaseException:    # no writer left running, nor a partial file
         tel.abort_csv()
         raise
-    if fault is not None:
-        _stamp(fault, t, k, tel)
-    return tel, fault
+    return tel, None
 
 
 def run_env_experiment(env: TrackingEnv, learner_cfg: LearnerConfig,

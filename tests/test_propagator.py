@@ -14,6 +14,7 @@ import pytest
 from irltrack.catalog import make_plant, make_reference
 from irltrack.config import resolve
 from irltrack.errors import NumericFault
+from irltrack.models import ReferenceModel
 from irltrack.sim import AugmentedTrackingEnv, _LinearRows, rk4_step, run_batch
 from test_batch import BASE, POINTS, column_error, load
 
@@ -59,10 +60,9 @@ def test_one_propagator_step_is_one_stage_rk4_step(rng):
         plant, ref = linear_pair(rng)
         x, x_d = rng.normal(size=2) * 10, rng.normal(size=2) * 10
         u, dt = rng.normal(size=1) * 5, 10 ** rng.uniform(-4, -1)
+        ref = ReferenceModel(H=ref.H, x_d0=x_d)
         by_map = AugmentedTrackingEnv(plant, ref, x0=x)
         by_stages = AugmentedTrackingEnv(plant, ref, x0=x)
-        for env in (by_map, by_stages):
-            env.x_d = x_d.copy()
         by_map.advance(u, 0.0, dt)
         Staged(by_stages).advance(u, 0.0, dt)
         want = np.concatenate([by_stages.x, by_stages.x_d])

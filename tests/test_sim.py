@@ -206,7 +206,8 @@ def test_operating_box_warning_recorded():
 
 
 def test_a_catalog_pair_records_its_own_domain_warnings_alone_and_batched():
-    # a stacked catalog pair still asks each env for its domain warnings
+    # a subclass runs member by member, so it records its own domain
+    # warnings batched as alone
     plant, ref, sat, lcfg, scfg, dith = small_setup(t_end=0.3, amp=0.5)
     x0s = (np.array([2.0, 0.0]), np.array([0.5, 0.0]))
     alone = [run_env_experiment(BoxedEnv(plant, ref, x0=x0), lcfg, scfg,
@@ -406,3 +407,144 @@ def test_only_a_batch_of_catalog_pairs_is_stacked(monkeypatch):
         assert [fault is None for _, fault in results] == \
             [cfg is lcfg for _, cfg in batch]
     assert len(stacked) == 1
+
+
+class HalfAuthorityEnv(AugmentedTrackingEnv):
+    """A catalog pair whose actuator delivers half the applied u: physics
+    of its own, which a batch must not stack away."""
+
+    def advance(self, u_applied, t, dt):
+        super().advance(0.5 * u_applied, t, dt)
+
+
+def test_a_subclass_keeps_its_own_advance_in_a_batch():
+    # a subclass may override any method, so a batch runs it as it runs alone
+    plant, ref, _, lcfg, scfg, dith = small_setup(t_end=0.2, amp=0.5)
+    x0 = np.array([2.0, 0.0])
+    alone = run_env_experiment(HalfAuthorityEnv(plant, ref, x0=x0), lcfg, scfg,
+                               dither_spec=dith).rows
+    plain = run_env_experiment(AugmentedTrackingEnv(plant, ref, x0=x0), lcfg,
+                               scfg, dither_spec=dith).rows
+    (tel, fault), _ = run_batch(
+        [(HalfAuthorityEnv(plant, ref, x0=x0), lcfg, dith, None),
+         (AugmentedTrackingEnv(plant, ref, x0=np.array([1.0, 0.0])), lcfg, dith,
+          None)], scfg)
+    assert fault is None
+    assert tel.rows.tobytes() == alone.tobytes() != plain.tobytes()
+
+
+class GFaultsAt(AugmentedTrackingEnv):
+    """A catalog pair whose G raises NumericFault at its `at`-th call."""
+
+    def __init__(self, plant, ref, x0, at):
+        super().__init__(plant, ref, x0=x0)
+        self.calls, self.at = 0, at
+
+    def G(self, z):
+        self.calls += 1
+        if self.calls == self.at:
+            raise NumericFault("coupling of a test env failed")
+        return super().G(z)
+
+
+def test_a_fault_raised_by_G_is_stamped_and_its_artifacts_written(
+        tmp_path, monkeypatch):
+    import irltrack.cli as cli
+    from irltrack.config import resolve
+
+    # the lone loop reads G once a step: the 51st call is step 50's
+    plant, ref, _, lcfg, scfg, dith = small_setup(t_end=0.2, amp=0.5)
+    x0 = np.array([2.0, 0.0])
+    full = run_env_experiment(AugmentedTrackingEnv(plant, ref, x0=x0), lcfg,
+                              scfg, dither_spec=dith).rows
+    for others in ([], [(AugmentedTrackingEnv(plant, ref, x0=x0), lcfg, dith,
+                         None)]):
+        (tel, fault), *rest = run_batch(
+            [(GFaultsAt(plant, ref, x0, at=51), lcfg, dith, None)] + others, scfg)
+        assert str(fault) == "coupling of a test env failed"
+        assert (fault.step, fault.t) == (50, 50 * scfg.dt)
+        assert fault.telemetry is tel
+        assert tel.rows.tobytes() == full[:50].tobytes()
+        assert [other for _, other in rest] == [None] * len(others)
+
+    def faulting(cfg):
+        env = resolve(cfg)
+        return GFaultsAt(env.plant, env.ref, env.x.copy(), at=51)
+
+    monkeypatch.setattr(cli, "resolve", faulting)
+    out = tmp_path / "run"
+    code, telemetry = cli.run_one(cli.resolve_config_path("linear_benchmark"),
+                                  ["sim.t_end_s=0.1"], str(out))
+    assert code == cli.EXIT_NUMERIC
+    assert "status = numeric fault at t=0.05, step 50: coupling of a test env " \
+        "failed\n" in (out / "manifest.txt").read_text()
+    # records every 10 steps: 0 to 40
+    lines = (out / "telemetry.csv").read_text().splitlines()
+    assert len(lines) == 1 + 5 == 1 + len(telemetry.rows)
+
+
+class Recording:
+    """An env, recording (z_k, G_k, x_k, x_d_k) each step as the loop
+    reads them."""
+
+    def __init__(self, env):
+        self.env, self.steps = env, []
+
+    def __getattr__(self, name):
+        return getattr(self.env, name)
+
+    def z(self):
+        z = self.env.z()
+        self.steps.append([z.copy(), None, np.array(self.env.x),
+                           np.array(self.env.x_d)])
+        return z
+
+    def G(self, z):
+        G = self.env.G(z)
+        self.steps[-1][1] = np.array(G)
+        return G
+
+
+class Replay:
+    """The protocol over a recorded run: `z`, `G`, `x` and `x_d` give step
+    k's record and `advance` only moves k.  It has no physics and no drift."""
+
+    def __init__(self, recording):
+        self.steps, self.k = recording.steps, 0
+        self.control_names, self.m = recording.control_names, recording.m
+        self.dim_z = recording.dim_z
+
+    x = property(lambda self: self.steps[self.k][2])
+    x_d = property(lambda self: self.steps[self.k][3])
+
+    def z(self):
+        return self.steps[self.k][0].copy()
+
+    def G(self, z):
+        return self.steps[self.k][1]
+
+    def advance(self, u_applied, t, dt):
+        self.k += 1
+
+    def check_domain(self, telemetry, t):
+        pass
+
+
+@pytest.mark.parametrize("config", ["linear_benchmark", "uav_attitude"])
+def test_the_learner_reads_the_env_only_through_z_and_G(tmp_path, config):
+    # the paper's premise: IRL needs G(z), not the drift; a lone run replayed
+    # from its own (z, G, x, x_d) records logs the same bytes
+    import irltrack.cli as cli
+    from irltrack.config import apply_overrides, parse_config, resolve
+
+    path = tmp_path / "c.ini"
+    apply_overrides(cli.resolve_config_path(config), ["sim.t_end_s=0.3"], path)
+    cfg, errors = parse_config(path)
+    assert not errors, errors
+    live = Recording(resolve(cfg))
+    tel = run_env_experiment(live, cfg.learner, cfg.sim, dither_spec=cfg.dither)
+    replay = Replay(live)
+    again = run_env_experiment(replay, cfg.learner, cfg.sim,
+                               dither_spec=cfg.dither)
+    assert replay.k == len(live.steps) - 1 == cfg.sim.n_steps
+    assert again.rows.tobytes() == tel.rows.tobytes()
