@@ -349,9 +349,10 @@ class AugmentedTrackingEnv:
     the stacked state is z = [x - x_d, x_d] and the control coupling is
     G(z) = [B; 0].  The stacked (A, B) is built once: `G` and `linear_pair`
     return the same read-only arrays on every call.  The env keeps
-    s = [x, x_d] between steps; x and x_d are read-only views of it, and
-    `advance` steps s alone.  The plant's state dimension is read once,
-    as n.
+    s = [x, x_d] between steps, and `advance` steps s alone; x and x_d are
+    properties over views of s with no setter, so assigning either raises
+    AttributeError instead of moving a state that `advance` never reads.
+    The plant's state dimension is read once, as n.
     """
 
     def __init__(self, plant: AffinePlant, ref: ReferenceModel,
@@ -364,15 +365,25 @@ class AugmentedTrackingEnv:
         self._s = np.concatenate([x0 if x0 is not None else ref.x_d0, ref.x_d0],
                                  dtype=float)
         self.n, self.m, self.dim_z = plant.n, plant.m, 2 * plant.n
-        self.x, self.x_d = self._s[:self.n], self._s[self.n:]
+        self._x, self._x_d = self._s[:self.n], self._s[self.n:]
         self.control_names = [f"u{i}" for i in range(plant.m)]
         self._pair = augmented_linear(plant.A, plant.B, ref.H)
         for M in self._pair:
             M.flags.writeable = False
         self._propagators: dict[float, tuple] = {}
 
+    @property
+    def x(self) -> np.ndarray:
+        """The plant state: a view of s, rebound by `advance`."""
+        return self._x
+
+    @property
+    def x_d(self) -> np.ndarray:
+        """The reference state: a view of s, rebound by `advance`."""
+        return self._x_d
+
     def z(self) -> np.ndarray:
-        return np.concatenate([self.x - self.x_d, self.x_d])
+        return np.concatenate([self._x - self._x_d, self._x_d])
 
     def G(self, z: np.ndarray) -> np.ndarray:
         return self._pair[1]
@@ -392,7 +403,7 @@ class AugmentedTrackingEnv:
         # a sum with a non-finite term is never finite
         if not math.isfinite(sum(s.tolist())) and not np.isfinite(s).all():
             raise NumericFault(f"non-finite state at t={t}", t=t)
-        self._s, self.x, self.x_d = s, s[:self.n], s[self.n:]
+        self._s, self._x, self._x_d = s, s[:self.n], s[self.n:]
 
     def check_domain(self, telemetry: Telemetry, t: float):
         """A catalog plant has no operating box: nothing to warn about."""

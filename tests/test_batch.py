@@ -319,10 +319,12 @@ def test_uav_sweep_batches_around_a_trim_failure(tmp_path):
         assert artifacts(run) == artifacts(ref)
         assert manifest_value(run, "status") == manifest_value(ref, "status")
         if va != "18":   # no trim: the manifest says why, here and alone
-            assert manifest_value(run, "status").startswith({
-                "0.5": "oracle failure: plant.va_m_s = 0.5: trim solver failed: ",
+            assert manifest_value(run, "status") == {
+                "0.5": "oracle failure: plant.va_m_s = 0.5: trim solver failed: "
+                       "The iteration is not making good progress, as measured "
+                       "by the improvement from the last ten iterations.",
                 "100": "oracle failure: plant.va_m_s = 100.0 trims at throttle "
-                       "1.266, outside [0, 1]"}[va])
+                       "1.266, outside [0, 1]"}[va]
 
 
 def test_every_sweep_point_gets_a_weight_error_series(tmp_path):
@@ -377,6 +379,8 @@ def test_a_horizon_without_room_for_its_telemetry_fails_only_its_point(
     code, out = sweep(tmp_path, "sweep", "--grid", f"sim.t_end_s=0.01,{horizon}")
     assert code == cli.EXIT_CONFIG
     assert [row["status"] for row in summary(out)] == ["ok", "exit2"]
+    assert (out / "summary.csv").read_text().splitlines()[1].startswith(
+        "run000,0.01,ok,")
     ref = tmp_path / "ref"
     assert cli.main(["run", "linear_benchmark", "--override", "sim.t_end_s=0.01",
                      "--out", str(ref)]) == cli.EXIT_OK

@@ -64,6 +64,7 @@ class TestValidate:
 
     def test_cli_exit_codes(self, tmp_path):
         assert cli.main(["validate", "linear_benchmark"]) == cli.EXIT_OK
+        assert cli.main(["validate", "uav_attitude"]) == cli.EXIT_OK
         bad = edited_config(tmp_path, "linear_benchmark", ["saturation.u_m=-1"])
         assert cli.main(["validate", bad]) == cli.EXIT_CONFIG
         assert cli.main(["validate", "no_such_config"]) == cli.EXIT_CONFIG
@@ -80,6 +81,7 @@ class TestRun:
         assert (out / "manifest.txt").is_file()
         assert (out / "plot_series.py").is_file()
         assert os.listdir(out / "series") == ["weight_error_vs_oracle.dat"]
+        assert (out / "series" / "weight_error_vs_oracle.dat").stat().st_size
         assert_two_float_columns(out / "series")
         header = (out / "telemetry.csv").read_text().splitlines()[0]
         assert header.startswith("t,z0,")
@@ -89,11 +91,11 @@ class TestRun:
     def test_law_override_recorded(self, tmp_path):
         out = tmp_path / "runb"
         code = cli.main(["run", "linear_benchmark",
-                         "--override", "sim.t_end_s=0.1",
+                         "--override", "sim.t_end_s=0.5",
                          "--override", "experiment.law=baseline",
                          "--out", str(out)])
         assert code == cli.EXIT_OK
-        assert "law = baseline" in (out / "manifest.txt").read_text()
+        assert "law = baseline" in (out / "manifest.txt").read_text().splitlines()
 
     def test_reproducible_byte_identical(self, tmp_path):
         outs = []
@@ -188,6 +190,9 @@ class TestSweep:
                     "settle_time_s", "wall_s"):
             assert col in header
         assert all("ok" in ln for ln in lines[1:])
+        for i in range(4):
+            assert (out / f"run00{i}" / "series" /
+                    "weight_error_vs_oracle.dat").stat().st_size
 
     def test_containment_row_equivalence(self, tmp_path):
         """novel law with all extra machinery off == baseline, to the byte."""
@@ -267,7 +272,7 @@ def test_a_reused_out_holds_only_the_last_runs_artifacts(tmp_path):
     for run in (out, fresh):
         assert cli.main(["run", *uav, "--out", str(run)]) == cli.EXIT_OK
     got, want = files(out), files(fresh)
-    assert got.keys() == want.keys() and "series/att_phi_deg.dat" in got
+    assert got.keys() == want.keys() and got["series/att_phi_deg.dat"]
     assert all(got[name] == want[name] for name in got if name != "manifest.txt")
     # a resolved config read back into its own directory is kept
     assert cli.main(["run", str(out / "config_resolved.ini"),
@@ -291,6 +296,7 @@ class TestUavCliSurface:
         assert set(os.listdir(out / "series")) == {
             f"att_{a}{kind}_deg.dat" for a in ("phi", "theta", "psi")
             for kind in ("", "_des")}
+        assert all(p.stat().st_size for p in (out / "series").iterdir())
         assert_two_float_columns(out / "series")
 
     def test_trim_failure_maps_to_oracle_exit(self, tmp_path, capsys):
@@ -524,6 +530,8 @@ def test_the_airframe_key_is_unknown(tmp_path, capsys):
         cli.EXIT_CONFIG
     out = capsys.readouterr().out
     assert out.count("plant.airframe: unknown key") == 2, out
+    assert "\nstatus = config error: plant.airframe: unknown key; " in \
+        (tmp_path / "out" / "manifest.txt").read_text()
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -826,6 +834,10 @@ def test_summary_rms_of_a_faulted_run_stays_finite(tmp_path):
     with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert [row["status"] for row in rows] == ["ok", "exit3"]
+    assert (out / "summary.csv").read_text().splitlines()[1].startswith(
+        "run000,0.5,150,ok,")
+    assert "\nstatus = numeric fault at t=0.023, step 23: " in \
+        (out / "run001" / "manifest.txt").read_text()
     for row in rows:
         header = (out / row["run"] / "telemetry.csv").read_text() \
             .splitlines()[0].split(",")

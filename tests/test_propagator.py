@@ -27,13 +27,17 @@ STAGED_TOL = 5e-11
 class Staged:
     """A catalog pair's env, stepped by `rk4_step` on its field
     (A x + B u, H x_d): an env of the protocol alone, so the loop reads it
-    row by row through its own methods."""
+    row by row through its own methods.  It keeps its own x and x_d, from
+    the env's at the start."""
 
     def __init__(self, env):
-        self.env = env
+        self.env, self.x, self.x_d = env, env.x, env.x_d
 
     def __getattr__(self, name):
         return getattr(self.env, name)
+
+    def z(self):
+        return np.concatenate([self.x - self.x_d, self.x_d])
 
     def advance(self, u_applied, t, dt):
         env, n = self.env, self.env.plant.n
@@ -43,8 +47,8 @@ class Staged:
             x, xd = np.array(s[:n]), np.array(s[n:])
             return [*(A @ x + B @ u_applied).tolist(), *(H @ xd).tolist()]
 
-        s = np.array(rk4_step(field, t, [*env.x, *env.x_d], dt))
-        env.x, env.x_d = s[:n], s[n:]
+        s = np.array(rk4_step(field, t, [*self.x, *self.x_d], dt))
+        self.x, self.x_d = s[:n], s[n:]
 
 
 def linear_pair(rng):
@@ -62,9 +66,9 @@ def test_one_propagator_step_is_one_stage_rk4_step(rng):
         u, dt = rng.normal(size=1) * 5, 10 ** rng.uniform(-4, -1)
         ref = ReferenceModel(H=ref.H, x_d0=x_d)
         by_map = AugmentedTrackingEnv(plant, ref, x0=x)
-        by_stages = AugmentedTrackingEnv(plant, ref, x0=x)
+        by_stages = Staged(AugmentedTrackingEnv(plant, ref, x0=x))
         by_map.advance(u, 0.0, dt)
-        Staged(by_stages).advance(u, 0.0, dt)
+        by_stages.advance(u, 0.0, dt)
         want = np.concatenate([by_stages.x, by_stages.x_d])
         got = np.concatenate([by_map.x, by_map.x_d])
         # measured: at most 1 ulp of the largest component

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -172,6 +173,18 @@ def test_env_advances_plant_and_reference():
     env.advance(np.array([2.0]), 0.0, 0.5)
     assert env.x[0] == pytest.approx(1.0, abs=1e-12)
     assert env.x_d[0] == 0.0
+
+
+@pytest.mark.parametrize("name", ["x", "x_d"])
+def test_the_env_state_cannot_be_assigned(name):
+    # `advance` steps the env's own s: an assigned x or x_d would reach z()
+    # and the log but not the next step, so neither can be assigned
+    plant = make_plant("linear_osc", {"omega": 2.0})
+    ref = make_reference("harmonic", {"omega": 2.0, "x_d0": "1 0"})
+    env = AugmentedTrackingEnv(plant, ref, x0=np.array([2.0, 0.0]))
+    with pytest.raises(AttributeError):
+        setattr(env, name, np.array([5.0, 5.0]))
+    assert env.z().tolist() == [1.0, 0.0, 1.0, 0.0]
 
 
 class BoxedEnv(AugmentedTrackingEnv):
@@ -548,3 +561,44 @@ def test_the_learner_reads_the_env_only_through_z_and_G(tmp_path, config):
                                dither_spec=cfg.dither)
     assert replay.k == len(live.steps) - 1 == cfg.sim.n_steps
     assert again.rows.tobytes() == tel.rows.tobytes()
+
+
+def test_the_stacked_rows_read_the_envs_only_through_z_and_G(tmp_path,
+                                                              monkeypatch):
+    # the premise for the stacked loop: a batch of catalog pairs whose rows
+    # replay the live run's z records, and step no physics, logs the same
+    # bytes in every column but the states x and xd that the rows hold
+    import irltrack.sim as sim
+    from irltrack.config import resolve
+    from test_batch import load
+
+    overrides = ["sim.t_end_s=1", "sim.record_every=1", "dither.amplitude=1",
+                 "learner.stabilizer=on", "learner.m_term=on"]
+    cfgs = [load(tmp_path, overrides + [f"learner.alpha={alpha}"], f"a{alpha}")
+            for alpha in (1100, 1000, 900, 800)]
+
+    def batch():
+        return run_batch([(resolve(c), c.learner, c.dither, None) for c in cfgs],
+                         cfgs[0].sim)
+
+    live = batch()
+    logged = np.stack([tel.columns("z") for tel, _ in live], axis=1)
+
+    class Replayed(sim._LinearRows):
+        k = 0
+
+        def z(self):
+            return logged[self.k].copy()
+
+        def advance(self, u_applied, t, dt):
+            self.k += 1
+            return []
+
+    monkeypatch.setattr(sim, "_LinearRows", Replayed)
+    header = live[0][0].header
+    kept = [i for i, name in enumerate(header) if not re.fullmatch(r"xd?\d+", name)]
+    assert len(header) - len(kept) == 4
+    for (tel, fault), (ref, ref_fault) in zip(batch(), live):
+        assert fault is None and ref_fault is None
+        assert len(tel.rows) == cfgs[0].sim.n_steps + 1
+        assert tel.rows[:, kept].tobytes() == ref.rows[:, kept].tobytes()
